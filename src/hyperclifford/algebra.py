@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import HScalar
+from .scalars import BackendMismatch, HScalar
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -145,6 +145,11 @@ class AlgebraRep:
                 key=lambda b: (len(b), b),
             )
         )
+        # Cayley table of the blade product; blade_mul stays its one definition.
+        self._gp_table = {
+            b1: {b2: blade_mul(b1, b2, signature) for b2 in self.blades}
+            for b1 in self.blades
+        }
         self._blade_mat = {(): HMatrix.identity(self.n)}
         for blade in self.blades:
             if blade:
@@ -221,20 +226,7 @@ class AlgebraRep:
                 f"coefficient {z} uses units {bad} outside the {self.name} subring"
             )
 
-    def coeff_components(self, z: HScalar):
-        """Split a coefficient into its per-unit real parts."""
-        out = {"1": z.x}
-        if self.adjoined == "i":
-            out["i"] = z.y
-        elif self.adjoined == "j":
-            out["j"] = z.v
-        return out
-
     # -- blade/matrix conversion ---------------------------------------------
-
-    def blade_matrix(self, blade: Blade, exact: bool = True) -> HMatrix:
-        m = self._blade_mat[blade]
-        return m if exact else self._basis_mat_float[(blade, "1")]
 
     def decompose(self, m: HMatrix) -> "Multivector":
         """Coefficients of a matrix over the basis via the real pairing.
@@ -301,8 +293,15 @@ class Multivector:
 
     def __init__(self, rep: AlgebraRep, coeffs):
         pruned = {}
+        backend = None
         for blade, z in coeffs.items():
             rep.check_coeff(z)
+            # HScalar.is_exact inlined: this runs for every coefficient built
+            is_float = isinstance(z.x, float)
+            if is_float is not backend:
+                if backend is not None:
+                    raise BackendMismatch("mixed exact/float coefficients in one multivector")
+                backend = is_float
             if z.abs_max() != 0:
                 pruned[tuple(blade)] = z
         self.rep = rep
@@ -312,6 +311,8 @@ class Multivector:
 
     @property
     def is_exact(self) -> bool:
+        """Backend of the coefficients (all share it); the zero element
+        counts as exact."""
         for z in self.coeffs.values():
             return z.is_exact
         return True
@@ -353,20 +354,64 @@ class Multivector:
     def gp_blades(self, other: "Multivector") -> "Multivector":
         """Geometric product computed directly on blades.
 
-        Independent of the matrix route: uses only anticommutation,
-        generator squares and coefficient arithmetic.
+        Independent of the matrix route: each blade pair is one lookup in
+        the representation's product table, built from :func:`blade_mul`
+        (anticommutation and generator squares) at construction, and the
+        coefficients multiply as pairs (a, b) meaning a + b*u in the rep's
+        two-component subring, u being the adjoined unit (b is absent for
+        plain reps).  Terms are summed per blade in pair order, so float
+        results equal those of per-term HScalar arithmetic.
         """
         self._require_same_rep(other)
-        sig = self.rep.signature
-        out = {}
-        for b1, z1 in self.coeffs.items():
-            for b2, z2 in other.coeffs.items():
-                blade, sign = blade_mul(b1, b2, sig)
-                term = z1 * z2
+        rep = self.rep
+        if not (self.coeffs and other.coeffs):
+            return Multivector(rep, {})
+        exact = self.is_exact
+        if other.is_exact != exact:
+            raise BackendMismatch("mixed exact/float multivector operands")
+        table = rep._gp_table
+        zero = Fraction(0) if exact else 0.0
+        acc = {}
+        get = acc.get
+        if not rep.adjoined:
+            rhs = [(b2, z2.x) for b2, z2 in other.coeffs.items()]
+            for b1, z1 in self.coeffs.items():
+                row, x1 = table[b1], z1.x
+                for b2, x2 in rhs:
+                    blade, sign = row[b2]
+                    a = x1 * x2
+                    if sign < 0:
+                        a = -a
+                    s = get(blade)
+                    acc[blade] = a if s is None else s + a
+            return Multivector(rep, {bl: HScalar(a, zero, zero, zero) for bl, a in acc.items()})
+        # u*u = -1 for i and +1 for j; the sign rides on the right factor's
+        # u-part so that x1*x2 + y1*(u*u*y2) is one expression for both.
+        if rep.adjoined == "i":
+            lhs = [(b1, z1.x, z1.y) for b1, z1 in self.coeffs.items()]
+            rhs = [(b2, z2.x, z2.y, -z2.y) for b2, z2 in other.coeffs.items()]
+        else:
+            lhs = [(b1, z1.x, z1.v) for b1, z1 in self.coeffs.items()]
+            rhs = [(b2, z2.x, z2.v, z2.v) for b2, z2 in other.coeffs.items()]
+        for b1, x1, y1 in lhs:
+            row = table[b1]
+            for b2, x2, y2, uy2 in rhs:
+                blade, sign = row[b2]
+                a = x1 * x2 + y1 * uy2
+                b = x1 * y2 + y1 * x2
                 if sign < 0:
-                    term = -term
-                out[blade] = out[blade] + term if blade in out else term
-        return Multivector(self.rep, out)
+                    a, b = -a, -b
+                s = get(blade)
+                if s is None:
+                    acc[blade] = [a, b]
+                else:
+                    s[0] += a
+                    s[1] += b
+        if rep.adjoined == "i":
+            out = {bl: HScalar(a, b, zero, zero) for bl, (a, b) in acc.items()}
+        else:
+            out = {bl: HScalar(a, zero, b, zero) for bl, (a, b) in acc.items()}
+        return Multivector(rep, out)
 
     # -- involutions -----------------------------------------------------------
 
@@ -403,12 +448,6 @@ class Multivector:
         for blade, z in self.coeffs.items():
             acc = acc + mats[(blade, "1")].scale(z)
         return acc
-
-    def grades(self):
-        return sorted({len(b) for b in self.coeffs})
-
-    def grade_part(self, g: int) -> "Multivector":
-        return Multivector(self.rep, {b: z for b, z in self.coeffs.items() if len(b) == g})
 
     def scalar_part(self) -> HScalar:
         return self.coeffs.get((), HScalar.zero(self.is_exact))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,10 +48,23 @@ def _matrix_json(m: HMatrix) -> list:
     return [[_scalar_json(z) for z in row] for row in m.rows]
 
 
+def _finite_float(raw) -> float:
+    """Argument type of every float option: rejects NaN and infinities,
+    which no command can give a meaningful answer for."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_floats(text: str, want: int, what: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",")]
-    except ValueError:
+        vals = [_finite_float(tok) for tok in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {what}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     if len(vals) != want:
         print(f"error: {what} needs {want} comma-separated numbers", file=sys.stderr)
@@ -174,10 +188,10 @@ def _cmd_boost(args) -> int:
             payload = json.loads(raw)
             if payload.get("space") != "m4":
                 raise ValueError("boost expects a vector in the m4 space")
-            vec = [float(c) for c in payload["coords"]]
+            vec = [_finite_float(c) for c in payload["coords"]]
             if len(vec) != 4:
                 raise ValueError("m4 expects 4 coordinates")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             print(f"error: bad vector JSON ({exc})", file=sys.stderr)
             return 2
     else:
@@ -312,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("all",) + checks.SUITE_NAMES,
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tables", help="print computed involution sign tables")
@@ -321,24 +335,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("sphere", help="five-sphere point: closed form vs rotor path")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_finite_float, default=1.0)
     p.add_argument("--angles", required=True, help="phi_25,phi_02,phi_01,phi_35,phi_34")
     p.add_argument("--hyperbolic", help="xi_25,xi_02,xi_01,xi_35,xi_34")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_sphere)
 
     p = sub.add_parser("boost", help="apply a pure boost to a 4-vector")
-    p.add_argument("--xi", type=float, required=True, help="rapidity")
+    p.add_argument("--xi", type=_finite_float, required=True, help="rapidity")
     p.add_argument("--axis", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--vector", required=True, help="x0,x1,x2,x3")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_boost)
 
     p = sub.add_parser("interfere", help="interference of two probabilities")
-    p.add_argument("--p1", type=float, required=True)
-    p.add_argument("--p2", type=float, required=True)
-    p.add_argument("--lambda", dest="lambda", type=float, required=True)
+    p.add_argument("--p1", type=_finite_float, required=True)
+    p.add_argument("--p2", type=_finite_float, required=True)
+    p.add_argument("--lambda", dest="lambda", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_interfere)
     p.add_argument("--format", choices=("text", "json"), default="text")
 

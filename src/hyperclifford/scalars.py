@@ -126,10 +126,7 @@ class HScalar:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = self._peer(other)
-        except BackendMismatch:
-            raise
+        o = self._peer(other)
         return HScalar(self.x + o.x, self.y + o.y, self.v + o.v, self.w + o.w)
 
     __radd__ = __add__

@@ -19,9 +19,10 @@ from hyperclifford.algebra import (
     pseudoscalar,
 )
 from hyperclifford.matrices import HMatrix, pauli2
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 RNG = random.Random(99)
+ALL_REPS = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
 
 
 def random_mv(rep, exact=False, rng=RNG):
@@ -42,6 +43,78 @@ def random_mv(rep, exact=False, rng=RNG):
         else:
             coeffs[blade] = make(main)
     return Multivector(rep, coeffs)
+
+
+def sparse_mv(rep, exact, rng):
+    """A random element on a random subset of the blades, so that some
+    output blades collect fewer terms than others."""
+    full = random_mv(rep, exact, rng)
+    keep = {b: z for b, z in full.coeffs.items() if rng.random() < 0.6}
+    return Multivector(rep, keep)
+
+
+def gp_blades_reference(u, v):
+    """The per-term blade product: one blade_mul and HScalar multiply,
+    negate and add per blade pair, summed per blade in pair order."""
+    out = {}
+    for b1, z1 in u.coeffs.items():
+        for b2, z2 in v.coeffs.items():
+            blade, sign = blade_mul(b1, b2, u.rep.signature)
+            term = z1 * z2
+            if sign < 0:
+                term = -term
+            out[blade] = out[blade] + term if blade in out else term
+    return Multivector(u.rep, out)
+
+
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_gp_table_is_blade_mul(name):
+    rep = get_rep(name)
+    assert list(rep._gp_table) == list(rep.blades)
+    for b1 in rep.blades:
+        assert list(rep._gp_table[b1]) == list(rep.blades)
+        for b2 in rep.blades:
+            assert rep._gp_table[b1][b2] == blade_mul(b1, b2, rep.signature)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_gp_blades_matches_per_term_reference(name, exact):
+    rep = get_rep(name)
+    rng = random.Random(f"{name}-{exact}")
+    backend = Fraction if exact else float
+    for k in range(12):
+        make = random_mv if k % 2 else sparse_mv
+        u, v = make(rep, exact, rng), make(rep, exact, rng)
+        for a, b in ((u, v), (v, u), (u.bar(), v), (-u, v.hat())):
+            got, want = a.gp_blades(b), gp_blades_reference(a, b)
+            assert got == want
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for blade, z in want.coeffs.items():
+                assert [float(c) for c in got.coeffs[blade].coeffs()] == [float(c) for c in z.coeffs()]
+                assert all(type(c) is backend for c in got.coeffs[blade].coeffs())
+
+
+def test_multivector_rejects_mixed_backends():
+    r30 = get_rep("r30")
+    with pytest.raises(BackendMismatch):
+        Multivector(r30, {(): HScalar.exact(1), (1,): HScalar.flt(2.0)})
+    with pytest.raises(BackendMismatch):
+        Multivector(r30, {(): HScalar.flt(1.0), (1, 2): HScalar.exact(0)})
+    assert not Multivector(r30, {(): HScalar.flt(1.0), (1,): HScalar.flt(2.0)}).is_exact
+
+
+def test_gp_blades_mixed_backends_and_zero_operands():
+    r30 = get_rep("r30")
+    exact, flt = r30.generator(1), r30.generator(2, exact=False)
+    with pytest.raises(BackendMismatch):
+        exact.gp_blades(flt)
+    with pytest.raises(BackendMismatch):
+        flt.gp_blades(exact)
+    zero = Multivector(r30, {})
+    for mv in (exact, flt, zero):
+        assert mv.gp_blades(zero) == zero
+        assert zero.gp_blades(mv) == zero
 
 
 def test_blade_mul_parity():

@@ -186,3 +186,32 @@ def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HYPERCLIFFORD_TOL", "1e-3")
     code, _, _ = run(capsys, "verify", "wedge")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["boost", "--xi", "nan", "--vector", "1,0,0,0"], "--xi"),
+        (["boost", "--xi", "1", "--vector", "nan,0,0,0"], "--vector"),
+        (["sphere", "--radius", "inf", "--angles", "0,0,0,0,0"], "--radius"),
+        (["sphere", "--angles", "0,0,-inf,0,0"], "--angles"),
+        (["sphere", "--angles", "0,0,0,0,0", "--hyperbolic", "0,nan,0,0,0"], "--hyperbolic"),
+        (["sphere", "--angles", "0,0,0,0,0", "--tol", "inf"], "--tol"),
+        (["interfere", "--p1", "nan", "--p2", "0.2", "--lambda", "0"], "--p1"),
+        (["interfere", "--p1", "0.2", "--p2=-inf", "--lambda", "0"], "--p2"),
+        (["interfere", "--p1", "0.2", "--p2", "0.2", "--lambda", "inf"], "--lambda"),
+        (["verify", "tables", "--tol", "nan"], "--tol"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_boost_rejects_non_finite_paravector_json(capsys):
+    vec = '{"space": "m4", "coords": [NaN, 0, 0, 0]}'
+    code, _, err = run(capsys, "boost", "--xi", "1", "--vector", vec)
+    assert code == 2
+    assert "finite" in err
