@@ -165,10 +165,8 @@ class AlgebraRep:
             if unit != "1":
                 m = m.scale(HScalar.unit(unit))
             self._basis_mat[(blade, unit)] = m
-        self._basis_mat_float = {
-            k: m.to_float() for k, m in self._basis_mat.items()
-        }
-        self._basis_norm = {}
+        self._coord_map = self._signed_coords()
+        self._basis_norm = {k: len(pairs) for k, pairs in self._coord_map.items()}
         self._validate_orthogonality()
 
     # -- construction-time validation -------------------------------------
@@ -186,30 +184,39 @@ class AlgebraRep:
                 if anti != HMatrix.zeros(self.n):
                     raise ValueError(f"generators {a+1},{b+1} fail to anticommute in {self.name}")
 
+    def _signed_coords(self) -> dict:
+        """Coordinate table of the matrix route, read off the basis matrices.
+
+        Every basis element must be a signed-unit monomial matrix: one
+        non-zero entry per row, that entry one of +-1, +-i, +-j, +-ij.  Its
+        real coordinates are then n values of +-1, listed per basis key as
+        ``(real_index, sign)`` pairs in index order.  The matrices come from
+        generator products, so the table does not depend on blade_mul.
+        """
+        table = {}
+        for key in self.basis:
+            pairs = tuple(
+                (idx, c) for idx, c in enumerate(self._basis_mat[key].real_coords()) if c != 0
+            )
+            rows = {idx // (4 * self.n) for idx, _ in pairs}
+            if len(rows) != self.n or len(pairs) != self.n or any(c not in (1, -1) for _, c in pairs):
+                raise ValueError(
+                    f"basis element {key} of {self.name} is not a signed-unit monomial matrix"
+                )
+            table[key] = tuple((idx, int(c)) for idx, c in pairs)
+        return table
+
     def _validate_orthogonality(self):
         keys = list(self.basis)
-        sparse = {}
-        for k in keys:
-            vec = {
-                idx: c
-                for idx, c in enumerate(self._basis_mat[k].real_coords())
-                if c != 0
-            }
-            if not vec:
-                raise NonOrthogonalBasis(f"degenerate basis element {k} in {self.name}")
-            sparse[k] = vec
-            self._basis_norm[k] = sum(c * c for c in vec.values())
+        sparse = {k: dict(self._coord_map[k]) for k in keys}
         for a in range(len(keys)):
             va = sparse[keys[a]]
             for b in range(a + 1, len(keys)):
                 vb = sparse[keys[b]]
-                small, large = (va, vb) if len(va) <= len(vb) else (vb, va)
-                if any(idx in large for idx in small):
-                    dot = sum(c * large[idx] for idx, c in small.items() if idx in large)
-                    if dot != 0:
-                        raise NonOrthogonalBasis(
-                            f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal"
-                        )
+                if sum(c * vb[idx] for idx, c in va.items() if idx in vb) != 0:
+                    raise NonOrthogonalBasis(
+                        f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal"
+                    )
 
     # -- coefficient subring ------------------------------------------------
 
@@ -232,28 +239,30 @@ class AlgebraRep:
         """Coefficients of a matrix over the basis via the real pairing.
 
         The basis is pairing-orthogonal (checked at construction), so each
-        coefficient is an independent normalized projection.  Matrices
-        outside the algebra's span lose their orthogonal complement; use
-        :meth:`decompose_residual` when that matters.
+        coefficient is an independent normalized projection: the signed sum
+        of the real coordinates that the basis element's entry of the
+        coordinate table lists, divided by its norm.  The table is derived
+        from the basis matrices at construction, independent of blade_mul.
+        Matrices outside the algebra's span lose their orthogonal
+        complement; use :meth:`decompose_residual` when that matters.
         """
-        exact = m.is_exact
-        mats = self._basis_mat if exact else self._basis_mat_float
+        coords = m.real_coords()
+        zero = Fraction(0) if m.is_exact else 0.0
+        table, norms, unit = self._coord_map, self._basis_norm, self.adjoined
         coeffs = {}
         for blade in self.blades:
-            parts = {}
-            for unit in self.units:
-                key = (blade, unit)
-                num = HMatrix.real_pairing(mats[key], m)
-                den = self._basis_norm[key] if exact else float(self._basis_norm[key])
-                parts[unit] = num / den
-            zero = parts["1"] - parts["1"]
-            z = HScalar(
-                parts["1"],
-                parts.get("i", zero),
-                parts.get("j", zero),
-                zero,
-            )
-            if z.abs_max() != 0:
+            parts = []
+            for u in self.units:
+                total = zero
+                for idx, sign in table[blade, u]:
+                    if sign > 0:
+                        total += coords[idx]
+                    else:
+                        total -= coords[idx]
+                parts.append(total / norms[blade, u])
+            a, b = parts[0], parts[1] if unit else zero
+            z = HScalar(a, b, zero, zero) if unit == "i" else HScalar(a, zero, b, zero)
+            if not z.is_zero:
                 coeffs[blade] = z
         return Multivector(self, coeffs)
 
@@ -302,7 +311,7 @@ class Multivector:
                 if backend is not None:
                     raise BackendMismatch("mixed exact/float coefficients in one multivector")
                 backend = is_float
-            if z.abs_max() != 0:
+            if not z.is_zero:
                 pruned[tuple(blade)] = z
         self.rep = rep
         self.coeffs = pruned
@@ -442,12 +451,32 @@ class Multivector:
     # -- structure ---------------------------------------------------------------
 
     def to_matrix(self) -> HMatrix:
-        exact = self.is_exact
-        mats = self.rep._basis_mat if exact else self.rep._basis_mat_float
-        acc = HMatrix.zeros(self.rep.n, exact=exact)
+        """The element's matrix in its representation.
+
+        Each coefficient a + b*u (u the adjoined unit, b absent for plain
+        reps) is scattered into the real coordinates with the signs of the
+        representation's coordinate table: a along the blade's basis
+        matrix, b along the blade times u.  The table is derived from the
+        basis matrices at construction, independent of blade_mul, and the
+        coordinates are summed in blade order, so results equal those of
+        summing HScalar-scaled basis matrices.
+        """
+        rep = self.rep
+        flat = [Fraction(0) if self.is_exact else 0.0] * (4 * rep.n * rep.n)
+        table, unit = rep._coord_map, rep.adjoined
         for blade, z in self.coeffs.items():
-            acc = acc + mats[(blade, "1")].scale(z)
-        return acc
+            parts = [(z.x, table[blade, "1"])]
+            if unit:
+                parts.append((z.y if unit == "i" else z.v, table[blade, unit]))
+            for c, pairs in parts:
+                if not c:
+                    continue  # adding a zero changes no coordinate
+                for idx, sign in pairs:
+                    if sign > 0:
+                        flat[idx] += c
+                    else:
+                        flat[idx] -= c
+        return HMatrix.from_real_coords(flat)
 
     def scalar_part(self) -> HScalar:
         return self.coeffs.get((), HScalar.zero(self.is_exact))

@@ -1,8 +1,11 @@
 """Command-line verification harness and calculator.
 
 Exit codes: 0 all checks pass (deviation-documented records allowed),
-1 any check fails, 2 usage error.  The HYPERCLIFFORD_TOL environment
-variable overrides the default tolerance of numeric checks.
+1 any check fails, 2 usage error or an input the library cannot compute
+with (a ValueError, or an ArithmeticError such as SingularMatrix,
+SeriesNonConvergence, ZeroDivisor or OverflowError).  The
+HYPERCLIFFORD_TOL environment variable overrides the default tolerance
+of numeric checks.
 """
 
 from __future__ import annotations
@@ -280,11 +283,11 @@ def _cmd_decompose(args) -> int:
         grid = json.loads(raw)
         m = HMatrix(
             [
-                [HScalar.flt(*cell) for cell in row]
+                [HScalar.flt(*map(_finite_float, cell)) for cell in row]
                 for row in grid
             ]
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
         print(f"error: bad matrix JSON ({exc})", file=sys.stderr)
         return 2
     if m.n != rep.n:
@@ -382,11 +385,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except BrokenPipeError:
         return 0
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

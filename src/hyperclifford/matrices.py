@@ -11,6 +11,7 @@ against each other.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .scalars import BackendMismatch, HScalar
@@ -59,20 +60,19 @@ class HMatrix:
         return cls([[zero] * n for _ in range(n)])
 
     @classmethod
-    def from_numbers(cls, grid, exact: bool = True) -> "HMatrix":
-        """Build from a grid of (x, y, v, w) tuples or plain numbers."""
-        rows = []
-        for row in grid:
-            out = []
-            for cell in row:
-                if isinstance(cell, HScalar):
-                    out.append(cell)
-                elif isinstance(cell, (tuple, list)):
-                    out.append(HScalar.make(*cell, exact=exact))
-                else:
-                    out.append(HScalar.make(cell, exact=exact))
-            rows.append(out)
-        return cls(rows)
+    def from_real_coords(cls, coords) -> "HMatrix":
+        """Inverse of :meth:`real_coords`: 4 real coefficients per entry,
+        row-major."""
+        q = len(coords)
+        n = math.isqrt(q // 4)
+        if 4 * n * n != q:
+            raise ValueError("coordinate count is not 4 times a square")
+        return cls(
+            [
+                [HScalar(coords[k], coords[k + 1], coords[k + 2], coords[k + 3]) for k in range(r, r + 4 * n, 4)]
+                for r in range(0, q, 4 * n)
+            ]
+        )
 
     # -- basic queries -----------------------------------------------------
 
@@ -143,9 +143,6 @@ class HMatrix:
         return self.scale(z)
 
     __rmul__ = __mul__
-
-    def transpose(self) -> "HMatrix":
-        return HMatrix(list(zip(*self.rows)))
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
@@ -220,9 +217,6 @@ class HMatrix:
             for z in row:
                 out.extend(z.coeffs())
         return tuple(out)
-
-    def frobenius(self) -> float:
-        return sum(float(c) * float(c) for c in self.real_coords()) ** 0.5
 
     @staticmethod
     def real_pairing(a: "HMatrix", b: "HMatrix"):

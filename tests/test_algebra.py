@@ -117,6 +117,108 @@ def test_gp_blades_mixed_backends_and_zero_operands():
         assert zero.gp_blades(mv) == zero
 
 
+def to_matrix_reference(mv):
+    """The per-blade matrix sum: each blade's basis matrix scaled by its
+    coefficient and added, starting from the zero matrix."""
+    rep, exact = mv.rep, mv.is_exact
+    acc = HMatrix.zeros(rep.n, exact=exact)
+    for blade, z in mv.coeffs.items():
+        m = rep._basis_mat[(blade, "1")]
+        acc = acc + (m if exact else m.to_float()).scale(z)
+    return acc
+
+
+def decompose_reference(rep, m):
+    """The per-element projection: the full real pairing of the matrix
+    with every basis matrix, divided by that matrix's own pairing."""
+    exact = m.is_exact
+    coeffs = {}
+    for blade in rep.blades:
+        parts = {}
+        for unit in rep.units:
+            b = rep._basis_mat[(blade, unit)]
+            norm = HMatrix.real_pairing(b, b)
+            num = HMatrix.real_pairing(b if exact else b.to_float(), m)
+            parts[unit] = num / (norm if exact else float(norm))
+        zero = parts["1"] - parts["1"]
+        coeffs[blade] = HScalar(parts["1"], parts.get("i", zero), parts.get("j", zero), zero)
+    return Multivector(rep, coeffs)
+
+
+def random_matrix(rep, exact, rng):
+    """A matrix with every real coordinate random, most of them outside
+    the span of the plain representations."""
+    def part():
+        if exact:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return rng.uniform(-2, 2)
+
+    make = HScalar.exact if exact else HScalar.flt
+    return HMatrix([[make(part(), part(), part(), part()) for _ in range(rep.n)] for _ in range(rep.n)])
+
+
+def assert_same_values(got, want, exact):
+    """Equal under ==, and equal float values of the backend's type per
+    real coordinate, so that no rounding step may differ."""
+    assert got == want
+    assert [float(c) for c in got] == [float(c) for c in want]
+    assert all(type(c) is (Fraction if exact else float) for c in got)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_matrix_route_matches_per_blade_reference(name, exact):
+    rep = get_rep(name)
+    rng = random.Random(f"matrix-{name}-{exact}")
+    zero = Multivector(rep, {})
+    assert zero.to_matrix() == to_matrix_reference(zero) == HMatrix.zeros(rep.n)
+    assert rep.decompose(HMatrix.zeros(rep.n, exact=exact)) == zero
+    for k in range(8):
+        make = random_mv if k % 2 else sparse_mv
+        u, v = make(rep, exact, rng), make(rep, exact, rng)
+        for mv in (u, v.bar(), -u):
+            m = mv.to_matrix()
+            assert_same_values(m.real_coords(), to_matrix_reference(mv).real_coords(), mv.is_exact)
+        for m in (u.to_matrix(), u.to_matrix() @ v.to_matrix(), random_matrix(rep, exact, rng)):
+            got, want = rep.decompose(m), decompose_reference(rep, m)
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for blade, z in want.coeffs.items():
+                assert_same_values(got.coeffs[blade].coeffs(), z.coeffs(), m.is_exact)
+
+
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_coord_map_rebuilds_basis_matrices(name):
+    rep = get_rep(name)
+    assert list(rep._coord_map) == list(rep.basis)
+    for key, pairs in rep._coord_map.items():
+        assert len(pairs) == rep.n
+        coords = [Fraction(0)] * (4 * rep.n * rep.n)
+        for idx, sign in pairs:
+            assert sign in (1, -1)
+            coords[idx] = Fraction(sign)
+        assert HMatrix.from_real_coords(coords) == rep._basis_mat[key]
+
+
+def test_basis_entries_must_be_signed_units():
+    # squares to +1 and pairs orthogonally with the identity, but its
+    # entries 2 and 1/2 are not units
+    from hyperclifford.algebra import AlgebraRep
+
+    skew = HMatrix([[HScalar.exact(0), HScalar.exact(2)], [HScalar.exact(Fraction(1, 2)), HScalar.exact(0)]])
+    assert skew @ skew == HMatrix.identity(2)
+    with pytest.raises(ValueError):
+        AlgebraRep("skew", Signature(1, 0), [skew])
+
+
+def test_exact_coefficient_below_float_range_survives():
+    rep = get_rep("r30")
+    tiny = HScalar.exact(Fraction(1, 10**400))
+    mv = Multivector(rep, {(): tiny})
+    assert mv.coeffs == {(): tiny}
+    assert rep.decompose(mv.to_matrix()) == mv
+    assert Multivector(rep, {(): HScalar.flt(-0.0), (1,): HScalar.flt(0.0)}).coeffs == {}
+
+
 def test_blade_mul_parity():
     sig = Signature(3, 0)
     assert blade_mul((1,), (2,), sig) == ((1, 2), 1)

@@ -210,8 +210,25 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("xi", ["100", "1000"])
+def test_boost_arithmetic_failure_is_an_error_exit(capsys, xi):
+    # the rotor of a rapidity this large cannot be certified in floats
+    code, out, err = run(capsys, "boost", "--xi", xi, "--vector", "1,0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_boost_rejects_non_finite_paravector_json(capsys):
     vec = '{"space": "m4", "coords": [NaN, 0, 0, 0]}'
     code, _, err = run(capsys, "boost", "--xi", "1", "--vector", vec)
     assert code == 2
+    assert "finite" in err
+
+
+def test_decompose_rejects_non_finite_matrix_json(capsys):
+    matrix = json.dumps([[[float("nan"), 0, 0, 0]]])
+    code, out, err = run(capsys, "decompose", "--rep", "r10", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
     assert "finite" in err
