@@ -196,7 +196,7 @@ class AlgebraRep:
         table = {}
         for key in self.basis:
             pairs = tuple(
-                (idx, c) for idx, c in enumerate(self._basis_mat[key].real_coords()) if c != 0
+                (idx, c) for idx, c in enumerate(self._basis_mat[key].coords) if c != 0
             )
             rows = {idx // (4 * self.n) for idx, _ in pairs}
             if len(rows) != self.n or len(pairs) != self.n or any(c not in (1, -1) for _, c in pairs):
@@ -246,7 +246,7 @@ class AlgebraRep:
         Matrices outside the algebra's span lose their orthogonal
         complement; use :meth:`decompose_residual` when that matters.
         """
-        coords = m.real_coords()
+        coords = m.coords
         zero = Fraction(0) if m.is_exact else 0.0
         table, norms, unit = self._coord_map, self._basis_norm, self.adjoined
         coeffs = {}
@@ -614,11 +614,7 @@ class _ExactEchelon:
 
 
 def _sparse_coords(m: HMatrix) -> dict:
-    out = {}
-    for idx, c in enumerate(m.real_coords()):
-        if c != 0:
-            out[idx] = Fraction(c)
-    return out
+    return {idx: Fraction(c) for idx, c in enumerate(m.coords) if c != 0}
 
 
 def enumerate_algebra(rep: AlgebraRep) -> int:
@@ -694,17 +690,15 @@ _HAT_SRC = (
 def _permute_4x4(a: HMatrix, table, conjugate_entries: bool) -> HMatrix:
     if a.n != 4:
         raise ValueError("expects a 4x4 matrix")
-    rows = []
-    for r in range(4):
-        line = []
-        for c in range(4):
-            sr, sc, sign = table[r][c]
-            z = a.rows[sr - 1][sc - 1]
+    coords, out = a.coords, []
+    for line in table:
+        for sr, sc, sign in line:
+            k = 16 * (sr - 1) + 4 * (sc - 1)
+            x, y, v, w = coords[k:k + 4]
             if conjugate_entries:
-                z = z.conjugate()
-            line.append(-z if sign < 0 else z)
-        rows.append(line)
-    return HMatrix(rows)
+                y, v = -y, -v
+            out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
+    return HMatrix.from_real_coords(out)
 
 
 def porteous_dagger_4x4(a: HMatrix) -> HMatrix:

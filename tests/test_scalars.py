@@ -145,6 +145,21 @@ def test_float_zero_divisor_threshold():
         near_null.invert()
 
 
+@pytest.mark.parametrize(
+    "z",
+    [
+        HScalar.flt(float("nan")),
+        HScalar.flt(1.0, float("nan")),
+        HScalar.flt(0.0, 0.0, 0.0, float("nan")),
+        HScalar.flt(1e200, 0.0, 1e200),  # the quadratic form overflows to inf - inf
+    ],
+    ids=["nan-real", "nan-i", "nan-ij", "overflow"],
+)
+def test_invert_rejects_nan_modulus(z):
+    with pytest.raises(ValueError, match="NaN"):
+        z.invert()
+
+
 def test_exp_hyperbolic_angle():
     theta = 0.83
     g = HScalar.flt(0, 0, theta).exp()
