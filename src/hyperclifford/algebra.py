@@ -617,16 +617,18 @@ def _sparse_coords(m: HMatrix) -> dict:
     return {idx: Fraction(c) for idx, c in enumerate(m.coords) if c != 0}
 
 
-def enumerate_algebra(rep: AlgebraRep) -> int:
-    """Count of real-linearly independent elements generated by the
-    representation's generators and adjoined unit.
+def enumerate_algebra(rep: AlgebraRep, multipliers=None) -> int:
+    """Count of real-linearly independent elements generated from the
+    identity by right multiplication with ``multipliers`` (matrices of the
+    representation; by default its generators and adjoined unit).
 
     Closes the generating set under multiplication; independence over the
     reals is decided by exact rank of the real coordinate vectors.
     """
-    multipliers = list(rep.gens)
-    if rep.adjoined:
-        multipliers.append(HMatrix.identity(rep.n).scale(HScalar.unit(rep.adjoined)))
+    if multipliers is None:
+        multipliers = list(rep.gens)
+        if rep.adjoined:
+            multipliers.append(HMatrix.identity(rep.n).scale(HScalar.unit(rep.adjoined)))
     echelon = _ExactEchelon()
     start = HMatrix.identity(rep.n)
     echelon.try_add(_sparse_coords(start))

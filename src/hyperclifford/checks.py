@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .algebra import (
     Multivector,
-    _ExactEchelon,
-    _sparse_coords,
     enumerate_algebra,
     even_subalgebra,
     get_rep,
@@ -43,6 +41,8 @@ from .physics import (
 )
 from .rotors import (
     RotorParams,
+    _eps_sum,
+    _index_rhs,
     act,
     h1_null_pair,
     hyperbolic_generator,
@@ -254,23 +254,13 @@ def run_dims(tol: float = DEFAULT_TOL) -> list[CheckReport]:
                 if prod.hat() != prod:
                     return False, 1.0
         # generated by the rotation generators i*sigma_kl = -e_k e_l
-        echelon = _ExactEchelon()
-        seeds = [rep.scalar(1).to_matrix()]
         mults = [
             (-rep.blade((k, l))).to_matrix()
             for k in range(1, 6)
             for l in range(k + 1, 6)
         ]
-        echelon.try_add(_sparse_coords(seeds[0]))
-        queue = list(seeds)
-        while queue:
-            cur = queue.pop()
-            for m in mults:
-                cand = cur @ m
-                if echelon.try_add(_sparse_coords(cand)):
-                    queue.append(cand)
-        ok = echelon.rank == 16
-        return ok, 0.0 if ok else float(echelon.rank)
+        rank = enumerate_algebra(rep, mults)
+        return rank == 16, 0.0 if rank == 16 else float(rank)
 
     reports.append(
         _run(
@@ -428,17 +418,7 @@ def run_commutators(tol: float = DEFAULT_TOL) -> list[CheckReport]:
 
     def split_lorentz():
         rot, boo = lorentz_generators()
-        unit_i = HScalar.unit("i")
-
-        def struct(gens, a, b):
-            acc = HMatrix.zeros(2)
-            for c in range(3):
-                e = _levi(a, b, c)
-                if e:
-                    acc = acc + gens[c].scale(e)
-            return acc.scale(unit_i)
-
-        res = verify_null_split(rot, boo, struct)
+        res = verify_null_split(rot, boo, _eps_sum)
         bad = res["cross_failures"] + res["structure_failures"] + res["reconstruction_failures"]
         return bad == 0, float(bad)
 
@@ -456,25 +436,16 @@ def run_commutators(tol: float = DEFAULT_TOL) -> list[CheckReport]:
         pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         jg = [su4_generator(a, b) for a, b in pairs]
         kg = [hyperbolic_generator(a, b) for a, b in pairs]
-        unit_i = HScalar.unit("i")
         idx = {p: k for k, p in enumerate(pairs)}
+        zero = HMatrix.zeros(4)
 
         def struct(gens, x, y):
-            (a, b), (c, d) = pairs[x], pairs[y]
-            acc = HMatrix.zeros(4)
-            for coef, (p, q) in (
-                (1 if a == c else 0, (b, d)),
-                (-1 if a == d else 0, (b, c)),
-                (-1 if b == c else 0, (a, d)),
-                (1 if b == d else 0, (a, c)),
-            ):
-                if not coef or p == q:
-                    continue
-                if (p, q) in idx:
-                    acc = acc + gens[idx[(p, q)]].scale(coef)
-                else:
-                    acc = acc + gens[idx[(q, p)]].scale(-coef)
-            return acc.scale(unit_i)
+            def signed(p, q):  # X_qp = -X_pq and X_pp = 0
+                if p == q:
+                    return zero
+                return gens[idx[p, q]] if p < q else -gens[idx[q, p]]
+
+            return _index_rhs(signed, *pairs[x], *pairs[y], 1)
 
         res = verify_null_split(jg, kg, struct)
         bad = res["cross_failures"] + res["structure_failures"] + res["reconstruction_failures"]
@@ -509,14 +480,6 @@ def run_commutators(tol: float = DEFAULT_TOL) -> list[CheckReport]:
         )
     )
     return reports
-
-
-def _levi(a, b, c) -> int:
-    perm = (a, b, c)
-    if sorted(perm) != [0, 1, 2]:
-        return 0
-    inv = sum(1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y])
-    return -1 if inv % 2 else 1
 
 
 def _trace_orthogonality():

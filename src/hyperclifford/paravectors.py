@@ -50,18 +50,31 @@ def _wants_exact(values) -> bool:
     return True
 
 
-def _single_blade_slot(mv: Multivector) -> tuple:
-    """(blade, component attribute, sign) of a one-term unit realization."""
-    ((blade, coeff),) = mv.coeffs.items()
-    for attr in ("x", "y", "v", "w"):
-        val = getattr(coeff, attr)
-        if val != 0:
-            return blade, attr, 1 if val > 0 else -1
-    raise ValueError("zero unit realization")
+def _single_blade_slot(mv: Multivector):
+    """The slot (blade, component index, sign) of an element that is +-1
+    in one component (x, y, v, w) of one blade coefficient; None for any
+    other element."""
+    if len(mv.coeffs) == 1:
+        ((blade, coeff),) = mv.coeffs.items()
+        nonzero = [(spot, c) for spot, c in enumerate(coeff.coeffs()) if c != 0]
+        if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
+            spot, c = nonzero[0]
+            return blade, spot, int(c)
+    return None
 
 
 class ParavectorSpace:
-    """An ordered paravector basis with its induced diagonal metric."""
+    """An ordered paravector basis with its induced diagonal metric.
+
+    Every coordinate direction is a *slot*: one signed component of one
+    blade coefficient, ``(blade, component, +-1)`` with the component
+    indexing x, y, v, w.  ``_slots[a][k]`` is the slot of ring unit k
+    (1, i, j, ij) times basis element a; real coordinates use only k = 0,
+    hyperbolic-complex ones (hm4) all four.  The slots are distinct
+    (checked at construction), so converting coordinates to a multivector
+    is a signed scatter and projecting a matrix is a signed gather from
+    :meth:`AlgebraRep.decompose`.
+    """
 
     def __init__(self, name: str, rep: AlgebraRep, basis, hyper_coords: bool = False):
         self.name = name
@@ -69,30 +82,23 @@ class ParavectorSpace:
         self.basis = tuple(basis)
         self.hyper_coords = hyper_coords
         self.dim = len(self.basis)
-        self._basis_mats = tuple(b.to_matrix() for b in self.basis)
-        self._basis_mats_float = tuple(m.to_float() for m in self._basis_mats)
-        self._norms = tuple(
-            HMatrix.real_pairing(m, m) for m in self._basis_mats
-        )
         self.metric = tuple(self._metric_signs())
         unit_mvs = ring_unit_multivectors(rep)
         self._unit_slots = {
             name: _single_blade_slot(mv) for name, mv in unit_mvs.items()
         }
-        if hyper_coords:
-            # Unit-times-basis grid for hyperbolic-complex coordinates; the
-            # non-coefficient units act through their blade realizations.
-            units = tuple(unit_mvs[u] for u in ("1", "i", "j", "ij"))
-            self._ext = tuple(
-                tuple(u.gp_blades(b) for b in self.basis) for u in units
-            )
-            self._ext_mats_float = tuple(
-                tuple(mv.to_matrix().to_float() for mv in row) for row in self._ext
-            )
-            self._ext_norms = tuple(
-                tuple(float(HMatrix.real_pairing(mv.to_matrix(), mv.to_matrix())) for mv in row)
-                for row in self._ext
-            )
+        units = [unit_mvs[u] for u in (("1", "i", "j", "ij") if hyper_coords else ("1",))]
+        slots, taken = [], set()
+        for a, b in enumerate(self.basis):
+            row = tuple(_single_blade_slot(u.gp_blades(b)) for u in units)
+            if None in row or any(s[:2] in taken for s in row):
+                raise ValueError(
+                    f"basis element {a} of {name} is not +-1 in one component"
+                    " of one blade coefficient, on a slot of its own"
+                )
+            taken.update(s[:2] for s in row)
+            slots.append(row)
+        self._slots = tuple(slots)
 
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
@@ -137,9 +143,9 @@ class ParavectorSpace:
         zero = HScalar.zero(mv.is_exact).x
         comps = []
         for unit in ("1", "i", "j", "ij"):
-            blade, attr, sign = self._unit_slots[unit]
+            blade, spot, sign = self._unit_slots[unit]
             c = mv.coeffs.get(blade)
-            val = getattr(c, attr) if c is not None else zero
+            val = c.coeffs()[spot] if c is not None else zero
             comps.append(val if sign > 0 else -val)
         return HScalar(*comps)
 
@@ -147,63 +153,60 @@ class ParavectorSpace:
         """Largest component of an element outside the span of the four
         scalar units; zero exactly when the element is ring-valued."""
         residual = 0.0
-        slots = {
-            (blade, attr): sign for blade, attr, sign in self._unit_slots.values()
-        }
+        slots = {(blade, spot) for blade, spot, _ in self._unit_slots.values()}
         for blade, coeff in mv.coeffs.items():
-            for attr in ("x", "y", "v", "w"):
-                if (blade, attr) in slots:
-                    continue
-                residual = max(residual, abs(float(getattr(coeff, attr))))
+            for spot, c in enumerate(coeff.coeffs()):
+                if (blade, spot) not in slots:
+                    residual = max(residual, abs(float(c)))
         return residual
 
     # -- multivector conversion ----------------------------------------------------
 
     def to_multivector(self, x: "Paravector") -> Multivector:
-        exact = _wants_exact(x.coords)
-        acc = None
-        if self.hyper_coords:
-            for a, z in enumerate(x.coords):
-                for k, comp in enumerate(z.coeffs()):
-                    if comp == 0:
-                        continue
-                    ext = self._ext[k][a]
-                    term = (ext if exact else ext.to_float()).scale(comp)
-                    acc = term if acc is None else acc + term
-            return acc if acc is not None else self.basis[0].scale(0).to_float()
-        for c, b in zip(x.coords, self.basis):
-            if not isinstance(c, HScalar):
-                c = HScalar.make(c, exact=exact)
-            term = (b if exact else b.to_float()).scale(c)
-            acc = term if acc is None else acc + term
-        return acc
+        return self._scatter(x.coords)
+
+    def _scatter(self, coords) -> Multivector:
+        """Scatter coordinates into blade coefficients through the slots.
+
+        A real coordinate fills the one slot of its basis element; a
+        hyperbolic-complex coordinate (an HScalar) sends its components
+        x, y, v, w to the slots of 1, i, j, ij times its basis element.
+        Blades appear in the order of their first non-zero coordinate, as
+        when the scaled basis elements are summed in coordinate order.
+        """
+        zero = Fraction(0) if _wants_exact(coords) else 0.0
+        parts = {}
+        for coord, slots in zip(coords, self._slots, strict=True):
+            comps = coord.coeffs() if isinstance(coord, HScalar) else (coord,)
+            for c, (blade, spot, sign) in zip(comps, slots, strict=True):
+                if c == 0:
+                    continue
+                part = parts.get(blade)
+                if part is None:
+                    part = parts[blade] = [zero, zero, zero, zero]
+                if sign > 0:
+                    part[spot] += c
+                else:
+                    part[spot] -= c
+        return Multivector(self.rep, {blade: HScalar(*p) for blade, p in parts.items()})
 
     def project_matrix(self, m: HMatrix) -> tuple[tuple, float]:
         """Coordinates of a matrix over the paravector basis plus the
-        largest leftover component outside the span."""
-        if self.hyper_coords:
-            comps = []
-            for unit_row, norm_row in zip(self._ext_mats_float, self._ext_norms):
-                comps.append(
-                    tuple(
-                        float(HMatrix.real_pairing(um, m)) / nn
-                        for um, nn in zip(unit_row, norm_row)
-                    )
-                )
-            coords = tuple(
-                HScalar.flt(comps[0][a], comps[1][a], comps[2][a], comps[3][a])
-                for a in range(self.dim)
-            )
-            recon = self.to_multivector(Paravector(self, coords)).to_matrix()
-            return coords, (m - recon).max_abs()
-        coords = tuple(
-            float(HMatrix.real_pairing(bm, m)) / float(norm)
-            for bm, norm in zip(self._basis_mats_float, self._norms)
-        )
-        acc = HMatrix.zeros(self.rep.n, exact=False)
-        for c, bm in zip(coords, self._basis_mats_float):
-            acc = acc + bm.scale(HScalar.flt(c))
-        return coords, (m - acc).max_abs()
+        largest leftover component outside the span.
+
+        The coordinates are the slot components of the matrix's
+        :meth:`AlgebraRep.decompose`, so they follow its backend; the
+        leftover is measured against the matrix rebuilt from them.
+        """
+        zero = HScalar.zero(m.is_exact).coeffs()
+        parts = {blade: z.coeffs() for blade, z in self.rep.decompose(m).coeffs.items()}
+        coords = []
+        for slots in self._slots:
+            comps = [parts.get(blade, zero)[spot] * sign for blade, spot, sign in slots]
+            coords.append(comps[0] if len(comps) == 1 else HScalar(*comps))
+        rebuilt = self._scatter(coords)
+        residual = (m - rebuilt.to_matrix()).max_abs() if rebuilt.coeffs else m.max_abs()
+        return tuple(coords), residual
 
     def __repr__(self):
         return f"ParavectorSpace({self.name}, dim={self.dim})"

@@ -427,31 +427,32 @@ def _eps(i, j, k) -> int:
     return _EPS.get((i, j, k), 0)
 
 
+def _eps_sum(gens, a: int, b: int, sign: int = 1) -> HMatrix:
+    """sign * i * sum_c eps_abc gens[c] for three 2x2 generators."""
+    acc = HMatrix.zeros(2)
+    for c in range(3):
+        e = _eps(a, b, c) * sign
+        if e:
+            acc = acc + gens[c].scale(e)
+    return acc.scale(HScalar.unit("i"))
+
+
 def verify_lorentz_commutators() -> dict:
     """Exact check of [J,J] = i e J, [J,K] = i e K, computed
     [K,K] = -i e J; counts failures of the printed [K,K] = -i e K."""
     rot, boo = lorentz_generators()
-    unit_i = HScalar.unit("i")
     failures = {"jj": 0, "jk": 0, "kk_computed": 0}
     printed_kk_failures = 0
     for a in range(3):
         for b in range(3):
-            def eps_sum(gens, sign=1):
-                acc = HMatrix.zeros(2)
-                for c in range(3):
-                    e = _eps(a, b, c) * sign
-                    if e:
-                        acc = acc + gens[c].scale(e)
-                return acc.scale(unit_i)
-
-            if commutator(rot[a], rot[b]) != eps_sum(rot):
+            if commutator(rot[a], rot[b]) != _eps_sum(rot, a, b):
                 failures["jj"] += 1
-            if commutator(rot[a], boo[b]) != eps_sum(boo):
+            if commutator(rot[a], boo[b]) != _eps_sum(boo, a, b):
                 failures["jk"] += 1
             kk = commutator(boo[a], boo[b])
-            if kk != eps_sum(rot, sign=-1):
+            if kk != _eps_sum(rot, a, b, sign=-1):
                 failures["kk_computed"] += 1
-            if a != b and kk != eps_sum(boo, sign=-1):
+            if a != b and kk != _eps_sum(boo, a, b, sign=-1):
                 printed_kk_failures += 1
     return {"failures": failures, "printed_kk_failures": printed_kk_failures}
 

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from hyperclifford.algebra import Multivector, get_rep, ring_unit_multivectors
+from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import (
+    SPACE_NAMES,
+    ParavectorSpace,
+    _wants_exact,
     dot,
     embed_momentum,
     get_space,
@@ -239,3 +244,146 @@ def test_space_mismatch_rejected():
 def test_wrong_coordinate_count():
     with pytest.raises(ValueError):
         get_space("m4").paravector([1, 2, 3])
+
+
+# -- the slot route against the scale-and-add and real-pairing routes -----------
+
+
+def _unit_basis_grid(space):
+    """Element [k][a] is ring unit k times basis element a: the basis
+    alone for real coordinates, times 1, i, j, ij for hyperbolic-complex
+    ones."""
+    if not space.hyper_coords:
+        return (space.basis,)
+    units = ring_unit_multivectors(space.rep)
+    return tuple(
+        tuple(units[u].gp_blades(b) for b in space.basis) for u in ("1", "i", "j", "ij")
+    )
+
+
+def to_multivector_reference(space, x):
+    """The scale-and-add route: each unit-times-basis element scaled by
+    its non-zero coordinate component, summed as multivectors in
+    coordinate order."""
+    exact = _wants_exact(x.coords)
+    grid = _unit_basis_grid(space)
+    acc = Multivector(space.rep, {})
+    for a, coord in enumerate(x.coords):
+        comps = coord.coeffs() if space.hyper_coords else (coord,)
+        for k, c in enumerate(comps):
+            if c == 0:
+                continue
+            elem = grid[k][a] if exact else grid[k][a].to_float()
+            acc = acc + elem.scale(HScalar.make(c, exact=exact))
+    return acc
+
+
+def project_matrix_reference(space, m):
+    """The real-pairing route for a float matrix: each coordinate
+    component is the pairing of m with its unit-times-basis matrix over
+    that matrix's norm, and the residual is taken against the sum of those
+    matrices scaled by the components."""
+    grid = [[e.to_matrix().to_float() for e in row] for row in _unit_basis_grid(space)]
+    comps = [
+        [float(HMatrix.real_pairing(bm, m)) / float(HMatrix.real_pairing(bm, bm)) for bm in row]
+        for row in grid
+    ]
+    acc = HMatrix.zeros(space.rep.n, exact=False)
+    for row, crow in zip(grid, comps):
+        for bm, c in zip(row, crow):
+            acc = acc + bm.scale(HScalar.flt(c))
+    if space.hyper_coords:
+        coords = tuple(HScalar.flt(*(crow[a] for crow in comps)) for a in range(space.dim))
+    else:
+        coords = tuple(comps[0])
+    return coords, (m - acc).max_abs()
+
+
+def _parts(value):
+    """A value as nested (type, number) pairs, blades in dict order.
+
+    Comparing these with == checks equal values of equal types; it treats
+    0.0 and -0.0 as equal, because the routes may differ in the sign of a
+    zero (the reference routes add signed zero products)."""
+    if isinstance(value, Multivector):
+        return [(blade, _parts(z)) for blade, z in value.coeffs.items()]
+    if isinstance(value, HScalar):
+        return [_parts(c) for c in value.coeffs()]
+    if isinstance(value, (tuple, list)):
+        return [_parts(v) for v in value]
+    return (type(value), value)
+
+
+def _random_coords(space, rng, exact, density):
+    def number():
+        if rng.random() >= density:
+            return Fraction(0) if exact else 0.0
+        if exact:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return rng.uniform(-2, 2)
+
+    if space.hyper_coords:
+        return [HScalar(number(), number(), number(), number()) for _ in range(space.dim)]
+    return [number() for _ in range(space.dim)]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_slot_route_matches_reference(name, exact):
+    space = get_space(name)
+    rng = random.Random(f"{name}-{exact}")
+    size = 4 * space.rep.n * space.rep.n
+    for density in (1.0, 0.4, 0.0):  # dense, sparse, zero
+        for _ in range(15):
+            x = space.paravector(_random_coords(space, rng, exact, density))
+            mv = x.to_multivector()
+            assert _parts(mv) == _parts(to_multivector_reference(space, x))
+            if exact:
+                continue  # the real-pairing reference projects float matrices
+            inside = mv.to_matrix().to_float()
+            outside = HMatrix.from_real_coords([rng.uniform(-2, 2) for _ in range(size)])
+            for m in (inside, outside):
+                assert _parts(space.project_matrix(m)) == _parts(project_matrix_reference(space, m))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_project_zero_matrix_follows_its_backend(name, exact):
+    space = get_space(name)
+    coords, residual = space.project_matrix(HMatrix.zeros(space.rep.n, exact=exact))
+    zero = Fraction(0) if exact else 0.0
+    want = HScalar(zero, zero, zero, zero) if space.hyper_coords else zero
+    assert _parts(coords) == _parts((want,) * space.dim)
+    assert residual == 0.0
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_project_exact_matrix_gives_exact_coordinates(name):
+    space = get_space(name)
+    rng = random.Random(name)
+    for density in (1.0, 0.4):
+        for _ in range(5):
+            x = space.paravector(_random_coords(space, rng, True, density))
+            coords, residual = space.project_matrix(x.to_multivector().to_matrix())
+            assert _parts(coords) == _parts(x.coords)
+            assert residual == 0.0
+
+
+_C30 = get_rep("c30bar")
+
+
+@pytest.mark.parametrize(
+    "basis,index",
+    [
+        # metric-unit (e*bar(e) = -1) but spread over two blades
+        ([_C30.scalar(1), _C30.blade((1,), Fraction(3, 5)) + _C30.blade((2,), Fraction(4, 5))], 1),
+        # metric-unit but spread over the 1 and j components of one blade
+        ([_C30.scalar(1), _C30.blade((1,), HScalar.exact(Fraction(5, 3), 0, Fraction(4, 3)))], 1),
+        # the same direction twice
+        ([_C30.scalar(1), _C30.blade((1,)), _C30.blade((2,)), _C30.blade((1,))], 3),
+    ],
+    ids=["two-blades", "two-components", "repeated"],
+)
+def test_basis_elements_must_be_slots(basis, index):
+    with pytest.raises(ValueError, match=rf"basis element {index} of bad\b"):
+        ParavectorSpace("bad", _C30, basis)
