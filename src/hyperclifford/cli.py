@@ -5,7 +5,7 @@ Exit codes: 0 all checks pass (deviation-documented records allowed),
 with (a ValueError, or an ArithmeticError such as SingularMatrix,
 SeriesNonConvergence, ZeroDivisor or OverflowError).  The
 HYPERCLIFFORD_TOL environment variable overrides the default tolerance
-of numeric checks.
+of numeric checks; like ``--tol`` it must be a finite number.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import checks
 from .algebra import get_rep, involution_table
 from .matrices import HMatrix, pauli2, pauli4, sigma_ab
 from .paravectors import get_space
-from .physics import DomainError, interfere, linearize
+from .physics import interfere, linearize
 from .rotors import RotorParams, act, quasi_sphere_point_r66, rotor_from_params, sphere_point, sphere_point_via_rotors
 from .scalars import HScalar
 
@@ -33,9 +33,9 @@ def _default_tol() -> float:
     if raw is None:
         return checks.DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(2)
+        return _finite_float(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"HYPERCLIFFORD_TOL: {exc}") from None
 
 
 def _print_matrix(m: HMatrix, out):
@@ -110,11 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    try:
-        rows = involution_table(args.rep)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = involution_table(args.rep)
     if args.format == "json":
         payload = [
             {
@@ -215,12 +211,8 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_interfere(args) -> int:
-    try:
-        total = interfere(args.p1, args.p2, getattr(args, "lambda"))
-        lin = linearize(args.p1, args.p2, getattr(args, "lambda"))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    total = interfere(args.p1, args.p2, getattr(args, "lambda"))
+    lin = linearize(args.p1, args.p2, getattr(args, "lambda"))
     payload = {
         "P": total,
         "regime": lin.regime,
@@ -240,25 +232,13 @@ def _cmd_interfere(args) -> int:
 def _cmd_pauli(args) -> int:
     if args.ab:
         a, b = (int(t) for t in args.ab.split(","))
-        try:
-            m = sigma_ab(a, b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        m = sigma_ab(a, b)
         label = f"sigma_{a}{b}"
     elif args.two:
-        try:
-            m = pauli2(args.two)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        m = pauli2(args.two)
         label = f"sigma_{args.two} (2x2)"
     else:
-        try:
-            m = pauli4(args.k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        m = pauli4(args.k)
         label = f"sigma_{args.k} (4x4)"
     if args.format == "json":
         print(json.dumps({"label": label, "matrix": _matrix_json(m)}, indent=2))
@@ -272,11 +252,7 @@ def _cmd_pauli(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        rep = get_rep(args.rep)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = get_rep(args.rep)
     raw = args.matrix
     if raw == "-":
         raw = sys.stdin.read()

@@ -1,0 +1,89 @@
+"""The check registry and its runner, exercised without the real checks."""
+
+import math
+import random
+
+import pytest
+
+from hyperclifford import checks
+
+# Every published check, in the order `verify all` reports them.
+CHECK_IDS = [
+    "tables.one_dim", "tables.three_dim", "tables.five_dim",
+    "dims.r01", "dims.r10", "dims.r30", "dims.r05", "dims.c30bar", "dims.h05bar",
+    "dims.even_r05", "dims.pseudoscalar_r30", "dims.pseudoscalar_r05", "dims.pseudoscalar_r01",
+    "commutators.pauli_literals", "commutators.trace_orthogonality", "commutators.sigma_table",
+    "commutators.index_jj", "commutators.index_jk", "commutators.index_kk_computed",
+    "commutators.index_kk_printed", "commutators.lorentz", "commutators.lorentz_kk_printed",
+    "commutators.split_lorentz", "commutators.split_index", "commutators.split_literal",
+    "involutions.product_rules", "involutions.bar_composition", "involutions.bar_is_adjoint",
+    "involutions.gp_dual_route", "involutions.porteous_2x2", "involutions.porteous_4x4",
+    "involutions.quaternions", "involutions.null_scalar",
+    "sphere.closed_vs_rotor", "sphere.r66_membership", "sphere.r66_rotor_path",
+    "sphere.r66_reduction",
+    "wedge.split", "wedge.antisymmetry", "wedge.degenerate", "wedge.basis_constant",
+    "rotations.spin_condition", "rotations.hat_inverse_dagger", "rotations.qform_invariance",
+    "rotations.boost", "rotations.metric", "rotations.pure_forms", "rotations.null_roundtrip",
+    "quantum.interference", "quantum.linearize", "quantum.regime_boundary",
+    "quantum.mass_reduction", "quantum.hermiticity", "quantum.stabilizer",
+]
+
+SUITES = ("tables", "dims", "commutators", "involutions", "sphere", "wedge", "rotations", "quantum")
+
+DEVIATIONS = {
+    "commutators.index_kk_printed",
+    "commutators.lorentz_kk_printed",
+    "commutators.split_literal",
+}
+
+
+def test_registry_lists_every_check_in_suite_order(monkeypatch):
+    # reading the registry must not run a check
+    monkeypatch.setattr(checks.Context, "__init__", lambda *a: pytest.fail("a check ran"))
+    assert [spec.check_id for spec in checks.REGISTRY] == CHECK_IDS
+    assert checks.SUITE_NAMES == SUITES
+    suites = [spec.suite for spec in checks.REGISTRY]
+    assert suites == sorted(suites, key=SUITES.index)
+    assert {spec.check_id for spec in checks.REGISTRY if spec.deviation} == DEVIATIONS
+
+
+def test_unknown_suite_is_a_key_error():
+    with pytest.raises(KeyError):
+        checks.run_suite("nonsense")
+
+
+def test_runner_turns_each_result_into_a_record(monkeypatch):
+    monkeypatch.setattr(checks, "REGISTRY", [])
+    draws = []
+
+    @checks.check("demo.crash", "divides by zero", "never holds")
+    def _crash(ctx):
+        draws.append(ctx.rng.random())
+        raise ZeroDivisionError("boom")
+
+    @checks.check("demo.pass", "within tolerance", "holds", err=0.25)
+    def _within(ctx, err):
+        draws.append(ctx.rng.random())
+        return err <= ctx.tol, err
+
+    @checks.check("demo.deviation", "published form", "fails as documented", deviation=True)
+    def _deviation(ctx):
+        return True, 6
+
+    @checks.check("demo.deviation_lost", "published form", "should fail", deviation=True)
+    def _lost(ctx):
+        return False, 0
+
+    reports = checks.run_suite("demo", tol=0.5)
+    rows = [(r.check_id, r.description, r.claim, r.status, r.max_error) for r in reports]
+    assert rows == [
+        ("demo.crash", "divides by zero [error: boom]", "never holds", "fail", math.inf),
+        ("demo.pass", "within tolerance", "holds", "pass", 0.25),
+        ("demo.deviation", "published form", "fails as documented", "deviation-documented", 6.0),
+        ("demo.deviation_lost", "published form", "should fail", "fail", 0.0),
+    ]
+    assert all(r.elapsed_ms >= 0.0 and type(r.max_error) is float for r in reports)
+    # one seeded stream per suite run, shared in check order
+    stream = random.Random(checks._SEED)
+    assert draws == [stream.random(), stream.random()]
+    assert checks.run_suite("demo", tol=0.1)[1].status == "fail"

@@ -193,6 +193,40 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_tolerance_env_reaches_the_checks(capsys, monkeypatch):
+    # no float sphere point is exact, so a tolerance this tight must fail
+    monkeypatch.setenv("HYPERCLIFFORD_TOL", "1e-300")
+    code, out, _ = run(capsys, "verify", "sphere", "--format", "json")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in json.loads(out)["checks"]}
+    assert status["sphere.closed_vs_rotor"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "raw,reason",
+    [("abc", "not a number: 'abc'"), ("nan", "not a finite number: 'nan'"),
+     ("-inf", "not a finite number: '-inf'")],
+)
+@pytest.mark.parametrize("argv", [["verify", "tables"], ["sphere", "--angles", "0,0,0,0,0"]])
+def test_tolerance_env_must_be_finite(capsys, monkeypatch, argv, raw, reason):
+    # a NaN tolerance would make every `err > tol` comparison false
+    monkeypatch.setenv("HYPERCLIFFORD_TOL", raw)
+    assert run(capsys, *argv) == (2, "", f"error: HYPERCLIFFORD_TOL: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["pauli", "--k", "16"], "pauli4 index must be in 1..15"),
+        (["pauli", "--two", "4"], "pauli2 index must be 1, 2 or 3"),
+        (["pauli", "--ab", "2,2"], "sigma_ab is undefined on the diagonal"),
+        (["interfere", "--p1", "1.5", "--p2", "0.2", "--lambda", "0"], "P1 = 1.5 is not a probability"),
+    ],
+)
+def test_library_value_errors_are_reported_once(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
