@@ -30,6 +30,7 @@ special cases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +56,8 @@ __all__ = [
     "porteous_dagger_4x4",
     "porteous_hat_4x4",
 ]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 REP_NAMES = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
 
@@ -166,8 +169,21 @@ class AlgebraRep:
                 m = m.scale(HScalar.unit(unit))
             self._basis_mat[(blade, unit)] = m
         self._coord_map = self._signed_coords()
-        self._basis_norm = {k: len(pairs) for k, pairs in self._coord_map.items()}
         self._validate_orthogonality()
+        # Multivector coordinates: blade -> index of its real coordinate,
+        # the adjoined-unit coordinate following it
+        self._offset = {b: k * len(self.units) for k, b in enumerate(self.blades)}
+        # per involution, the sign of each basis element: its grade sign,
+        # negated on the adjoined unit by bar and hat (they conjugate it)
+        self._involution_signs = {
+            kind: tuple(involution_sign(kind, len(b)) * (1 if u == "1" or kind == "dagger" else -1)
+                        for b, u in self.basis)
+            for kind in ("bar", "dagger", "hat")
+        }
+        # the HScalar component (x y v w) of each unit, and the unit's square
+        self._spots = tuple(HScalar.unit(u).coeffs().index(1) for u in self.units)
+        u = HScalar.unit(adjoined or "1")
+        self._unit_square = int((u * u).x)
 
     # -- construction-time validation -------------------------------------
 
@@ -218,53 +234,53 @@ class AlgebraRep:
                         f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal"
                     )
 
-    # -- coefficient subring ------------------------------------------------
+    # -- HScalar <-> coordinates -------------------------------------------
 
-    def check_coeff(self, z: HScalar):
-        bad = []
-        if self.adjoined != "i" and z.y != 0:
-            bad.append("i")
-        if self.adjoined != "j" and z.v != 0:
-            bad.append("j")
-        if z.w != 0:
-            bad.append("ij")
+    def _coeff_parts(self, z: HScalar) -> tuple:
+        """Real coordinates of a blade coefficient: its 1 part, then its
+        adjoined-unit part; ``ValueError`` when it leaves the subring."""
+        comps = z.coeffs()
+        bad = [u for k, u in enumerate(("1", "i", "j", "ij")) if comps[k] and k not in self._spots]
         if bad:
-            raise ValueError(
-                f"coefficient {z} uses units {bad} outside the {self.name} subring"
-            )
+            raise ValueError(f"coefficient {z} uses units {bad} outside the {self.name} subring")
+        return tuple(comps[spot] for spot in self._spots)
+
+    def _coeff(self, parts) -> HScalar:
+        """The blade coefficient with the given real coordinates."""
+        comps = [0.0 if parts[0].__class__ is float else _ZERO] * 4
+        for spot, c in zip(self._spots, parts):
+            comps[spot] = c
+        return HScalar(*comps)
 
     # -- blade/matrix conversion ---------------------------------------------
 
     def decompose(self, m: HMatrix) -> "Multivector":
-        """Coefficients of a matrix over the basis via the real pairing.
-
-        The basis is pairing-orthogonal (checked at construction), so each
-        coefficient is an independent normalized projection: the signed sum
-        of the real coordinates that the basis element's entry of the
-        coordinate table lists, divided by its norm.  The table is derived
-        from the basis matrices at construction, independent of blade_mul.
-        Matrices outside the algebra's span lose their orthogonal
-        complement; use :meth:`decompose_residual` when that matters.
+        """Coordinates of a matrix over the basis via the real pairing, in
+        the matrix's backend; see :meth:`_gather`.  Matrices outside the
+        algebra's span lose their orthogonal complement; use
+        :meth:`decompose_residual` when that matters.
         """
+        return Multivector._make(self, self._gather(m, range(len(self.basis))))
+
+    def _gather(self, m: HMatrix, indices) -> list:
+        """A matrix's coordinates at the given basis indices.  The basis is
+        pairing-orthogonal (checked at construction), so each is the signed
+        sum of the real matrix coordinates its coordinate-table entry lists
+        over the norm n; the table comes from the basis matrices, not from
+        blade_mul."""
         coords = m.coords
-        zero = Fraction(0) if m.is_exact else 0.0
-        table, norms, unit = self._coord_map, self._basis_norm, self.adjoined
-        coeffs = {}
-        for blade in self.blades:
-            parts = []
-            for u in self.units:
-                total = zero
-                for idx, sign in table[blade, u]:
-                    if sign > 0:
-                        total += coords[idx]
-                    else:
-                        total -= coords[idx]
-                parts.append(total / norms[blade, u])
-            a, b = parts[0], parts[1] if unit else zero
-            z = HScalar(a, b, zero, zero) if unit == "i" else HScalar(a, zero, b, zero)
-            if not z.is_zero:
-                coeffs[blade] = z
-        return Multivector(self, coeffs)
+        total0 = _ZERO if m.is_exact else 0.0
+        table, basis, n = self._coord_map, self.basis, self.n
+        out = []
+        for k in indices:
+            total = total0
+            for idx, sign in table[basis[k]]:
+                if sign > 0:
+                    total += coords[idx]
+                else:
+                    total -= coords[idx]
+            out.append(total / n)
+        return out
 
     def decompose_residual(self, m: HMatrix) -> tuple["Multivector", float]:
         mv = self.decompose(m)
@@ -291,43 +307,60 @@ class AlgebraRep:
 
 
 class Multivector:
-    """Blade-coefficient expansion of an algebra element.
+    """An algebra element as real coordinates over its representation's basis.
 
-    Coefficients live in the subring generated by the representation's
-    adjoined unit (real for plain representations).  Values are immutable;
-    all operations return new instances.
+    ``coords`` holds one real coordinate per entry of ``rep.basis``: per
+    blade, the 1 part of its coefficient, then the part along the adjoined
+    unit if the rep has one.  All are :class:`Fraction` (exact backend) or
+    all ``float``, so a zero keeps its backend.  The constructor takes
+    ``{blade: HScalar}`` and is the one place that checks subring and
+    backend; ``coeffs`` is the on-demand ``{blade: HScalar}`` view of the
+    non-zero blades in canonical order.  Values are immutable.
     """
 
-    __slots__ = ("rep", "coeffs")
+    __slots__ = ("rep", "coords")
 
     def __init__(self, rep: AlgebraRep, coeffs):
-        pruned = {}
-        backend = None
+        """Absent blades are zero; with no coefficients the element is the
+        exact zero.  Raises ``ValueError`` for a blade outside the
+        representation or a coefficient outside its subring, and
+        :class:`BackendMismatch` when exact and float coefficients meet."""
+        floats = {isinstance(z.x, float) for z in coeffs.values()}
+        if len(floats) > 1:
+            raise BackendMismatch("mixed exact/float coefficients in one multivector")
+        coords = [0.0 if True in floats else _ZERO] * len(rep.basis)
         for blade, z in coeffs.items():
-            rep.check_coeff(z)
-            # HScalar.is_exact inlined: this runs for every coefficient built
-            is_float = isinstance(z.x, float)
-            if is_float is not backend:
-                if backend is not None:
-                    raise BackendMismatch("mixed exact/float coefficients in one multivector")
-                backend = is_float
-            if not z.is_zero:
-                pruned[tuple(blade)] = z
+            k = rep._offset.get(tuple(blade))
+            if k is None:
+                raise ValueError(f"{blade} is not a blade of {rep.name}")
+            parts = rep._coeff_parts(z)
+            coords[k:k + len(parts)] = parts
         self.rep = rep
-        self.coeffs = pruned
+        self.coords = tuple(coords)
+
+    @classmethod
+    def _make(cls, rep: AlgebraRep, coords) -> "Multivector":
+        """Wrap coordinates a kernel produced; they are valid by construction."""
+        mv = object.__new__(cls)
+        mv.rep = rep
+        mv.coords = tuple(coords)
+        return mv
+
+    @property
+    def coeffs(self) -> dict:
+        """The non-zero blades and their coefficients, in canonical order."""
+        rep, c, w = self.rep, self.coords, len(self.rep.units)
+        parts = (c[k:k + w] for k in range(0, len(c), w))
+        return {blade: rep._coeff(p) for blade, p in zip(rep.blades, parts) if any(p)}
 
     # -- backend ---------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        """Backend of the coefficients (all share it); the zero element
-        counts as exact."""
-        for z in self.coeffs.values():
-            return z.is_exact
-        return True
+        return self.coords[0].__class__ is not float
 
     def to_float(self) -> "Multivector":
-        return Multivector(self.rep, {b: z.to_float() for b, z in self.coeffs.items()})
+        return Multivector._make(self.rep, map(float, self.coords))
 
     # -- linear structure ---------------------------------------------------
 
@@ -336,22 +369,45 @@ class Multivector:
             raise ValueError("multivectors belong to different representations")
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        """Sum; a zero of the other backend leaves the other operand."""
         self._require_same_rep(other)
-        out = dict(self.coeffs)
-        for b, z in other.coeffs.items():
-            out[b] = out[b] + z if b in out else z
-        return Multivector(self.rep, out)
+        a, b = self.coords, other.coords
+        exact = self.is_exact
+        if other.is_exact != exact:
+            if any(a) and any(b):
+                raise BackendMismatch("mixed exact/float multivector operands")
+            return other if any(b) else self
+        if exact:
+            # a Fraction sum costs about 1 us; adding a zero changes nothing
+            out = [y if not x else (x if not y else x + y) for x, y in zip(a, b)]
+        else:
+            out = map(operator.add, a, b)
+        return Multivector._make(self.rep, out)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.rep, {b: -z for b, z in self.coeffs.items()})
+        # zeros stay as they are: negating a Fraction costs about 1 us
+        return Multivector._make(self.rep, [-c if c else c for c in self.coords])
 
     def scale(self, z) -> "Multivector":
+        """Every coefficient multiplied by ``z``, a number or an
+        :class:`HScalar` in the representation's subring."""
+        rep, c, exact = self.rep, self.coords, self.is_exact
         if not isinstance(z, HScalar):
-            z = HScalar.make(z, exact=self.is_exact)
-        return Multivector(self.rep, {b: z * c for b, c in self.coeffs.items()})
+            z = HScalar.make(z, exact=exact)
+        elif z.is_exact != exact and any(c):
+            raise BackendMismatch("mixed exact/float scalar operands")
+        a, *rest = rep._coeff_parts(z)
+        b = rest[0] if rest else 0
+        if not b:
+            return Multivector._make(rep, [a * x if x else x for x in c])
+        # (a + b*u)(x + y*u) = (a*x + b*(u*u*y)) + (a*y + b*x)*u
+        negate, out = rep._unit_square < 0, []
+        for x, y in zip(c[::2], c[1::2]):
+            out += (a * x + b * (-y if negate else y), a * y + b * x) if x or y else (x, y)
+        return Multivector._make(rep, out)
 
     # -- products -------------------------------------------------------------
 
@@ -363,29 +419,30 @@ class Multivector:
     def gp_blades(self, other: "Multivector") -> "Multivector":
         """Geometric product computed directly on blades.
 
-        Independent of the matrix route: each blade pair is one lookup in
-        the representation's product table, built from :func:`blade_mul`
-        (anticommutation and generator squares) at construction, and the
-        coefficients multiply as pairs (a, b) meaning a + b*u in the rep's
-        two-component subring, u being the adjoined unit (b is absent for
-        plain reps).  Terms are summed per blade in pair order, so float
-        results equal those of per-term HScalar arithmetic.
+        Independent of the matrix route: each pair of non-zero blades is one
+        lookup in the representation's product table, built from
+        :func:`blade_mul` at construction, and the coefficients multiply as
+        pairs (a, b) meaning a + b*u, u being the adjoined unit of square
+        +-1 (b is absent for plain reps).  Terms are summed per blade in
+        pair order, so float results equal those of per-term HScalar
+        arithmetic.  A zero operand of the other backend gives zero.
         """
         self._require_same_rep(other)
         rep = self.rep
-        if not (self.coeffs and other.coeffs):
-            return Multivector(rep, {})
         exact = self.is_exact
         if other.is_exact != exact:
-            raise BackendMismatch("mixed exact/float multivector operands")
-        table = rep._gp_table
-        zero = Fraction(0) if exact else 0.0
+            if any(self.coords) and any(other.coords):
+                raise BackendMismatch("mixed exact/float multivector operands")
+            return Multivector._make(rep, (_ZERO if exact else 0.0,) * len(self.coords))
+        table, blades, c1, c2 = rep._gp_table, rep.blades, self.coords, other.coords
+        zero = _ZERO if exact else 0.0
         acc = {}
         get = acc.get
         if not rep.adjoined:
-            rhs = [(b2, z2.x) for b2, z2 in other.coeffs.items()]
-            for b1, z1 in self.coeffs.items():
-                row, x1 = table[b1], z1.x
+            lhs = [(b, x) for b, x in zip(blades, c1) if x]
+            rhs = [(b, x) for b, x in zip(blades, c2) if x]
+            for b1, x1 in lhs:
+                row = table[b1]
                 for b2, x2 in rhs:
                     blade, sign = row[b2]
                     a = x1 * x2
@@ -393,15 +450,13 @@ class Multivector:
                         a = -a
                     s = get(blade)
                     acc[blade] = a if s is None else s + a
-            return Multivector(rep, {bl: HScalar(a, zero, zero, zero) for bl, a in acc.items()})
-        # u*u = -1 for i and +1 for j; the sign rides on the right factor's
-        # u-part so that x1*x2 + y1*(u*u*y2) is one expression for both.
-        if rep.adjoined == "i":
-            lhs = [(b1, z1.x, z1.y) for b1, z1 in self.coeffs.items()]
-            rhs = [(b2, z2.x, z2.y, -z2.y) for b2, z2 in other.coeffs.items()]
-        else:
-            lhs = [(b1, z1.x, z1.v) for b1, z1 in self.coeffs.items()]
-            rhs = [(b2, z2.x, z2.v, z2.v) for b2, z2 in other.coeffs.items()]
+            return Multivector._make(rep, [get(b, zero) for b in blades])
+        # the unit's square rides on the right factor's u-part, so that
+        # x1*x2 + y1*(u*u*y2) is one expression for i and j
+        negate = rep._unit_square < 0
+        lhs = [(b, x, y) for b, x, y in zip(blades, c1[::2], c1[1::2]) if x or y]
+        rhs = [(b, x, y, -y if negate else y)
+               for b, x, y in zip(blades, c2[::2], c2[1::2]) if x or y]
         for b1, x1, y1 in lhs:
             row = table[b1]
             for b2, x2, y2, uy2 in rhs:
@@ -416,28 +471,23 @@ class Multivector:
                 else:
                     s[0] += a
                     s[1] += b
-        if rep.adjoined == "i":
-            out = {bl: HScalar(a, b, zero, zero) for bl, (a, b) in acc.items()}
-        else:
-            out = {bl: HScalar(a, zero, b, zero) for bl, (a, b) in acc.items()}
-        return Multivector(rep, out)
+        return Multivector._make(rep, [c for b in blades for c in get(b, (zero, zero))])
 
     # -- involutions -----------------------------------------------------------
 
     def involution(self, kind: str) -> "Multivector":
         """Apply bar, dagger or hat.
 
-        Blade of grade g picks up the grade sign; bar and hat conjugate
-        the coefficient (they negate the adjoined unit), dagger does not.
+        Each coordinate takes its basis element's sign: the grade sign of
+        its blade, negated on the adjoined-unit part by bar and hat (they
+        conjugate the coefficient), not by dagger.
         """
-        conj = kind in ("bar", "hat")
-        out = {}
-        for blade, z in self.coeffs.items():
-            c = z.conjugate() if conj else z
-            if involution_sign(kind, len(blade)) < 0:
-                c = -c
-            out[blade] = c
-        return Multivector(self.rep, out)
+        try:
+            signs = self.rep._involution_signs[kind]
+        except KeyError:
+            raise ValueError(f"unknown involution {kind!r}") from None
+        out = [-c if s < 0 and c else c for c, s in zip(self.coords, signs)]
+        return Multivector._make(self.rep, out)
 
     def bar(self) -> "Multivector":
         return self.involution("bar")
@@ -453,65 +503,42 @@ class Multivector:
     def to_matrix(self) -> HMatrix:
         """The element's matrix in its representation.
 
-        Each coefficient a + b*u (u the adjoined unit, b absent for plain
-        reps) is scattered into the real coordinates with the signs of the
-        representation's coordinate table: a along the blade's basis
-        matrix, b along the blade times u.  The table is derived from the
-        basis matrices at construction, independent of blade_mul, and the
-        coordinates are summed in blade order, so results equal those of
-        summing HScalar-scaled basis matrices.
+        Each non-zero coordinate is scattered into the real matrix
+        coordinates with the signs of the representation's coordinate
+        table, which is derived from the basis matrices at construction,
+        independent of blade_mul; the coordinates are summed in basis order,
+        so results equal those of summing HScalar-scaled blade matrices.
         """
         rep = self.rep
-        flat = [Fraction(0) if self.is_exact else 0.0] * (4 * rep.n * rep.n)
-        table, unit = rep._coord_map, rep.adjoined
-        for blade, z in self.coeffs.items():
-            parts = [(z.x, table[blade, "1"])]
-            if unit:
-                parts.append((z.y if unit == "i" else z.v, table[blade, unit]))
-            for c, pairs in parts:
-                if not c:
-                    continue  # adding a zero changes no coordinate
-                for idx, sign in pairs:
-                    if sign > 0:
-                        flat[idx] += c
-                    else:
-                        flat[idx] -= c
+        flat = [_ZERO if self.is_exact else 0.0] * (4 * rep.n * rep.n)
+        for pairs, c in zip(rep._coord_map.values(), self.coords):
+            if not c:
+                continue  # adding a zero changes no coordinate
+            for idx, sign in pairs:
+                if sign > 0:
+                    flat[idx] += c
+                else:
+                    flat[idx] -= c
         return HMatrix.from_real_coords(flat)
 
-    def scalar_part(self) -> HScalar:
-        return self.coeffs.get((), HScalar.zero(self.is_exact))
-
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(z.abs_max() for z in self.coeffs.values())
-
-    def nonscalar_max_abs(self) -> float:
-        rest = {b: z for b, z in self.coeffs.items() if b != ()}
-        if not rest:
-            return 0.0
-        return max(z.abs_max() for z in rest.values())
+        return max(map(abs, map(float, self.coords)))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.rep is other.rep and self.coeffs == other.coeffs
+        return self.rep is other.rep and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.rep), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.rep), self.coords))
 
     def is_close(self, other: "Multivector", tol: float = 1e-12) -> bool:
         self._require_same_rep(other)
         return (self - other).max_abs() <= tol
 
     def __repr__(self):
-        if not self.coeffs:
-            return "<0>"
-        parts = []
-        for blade in sorted(self.coeffs, key=lambda b: (len(b), b)):
-            name = "".join(f"e{i}" for i in blade) or "1"
-            parts.append(f"({self.coeffs[blade]}){name}")
-        return " + ".join(parts)
+        parts = [f"({z}){''.join(f'e{i}' for i in blade) or '1'}" for blade, z in self.coeffs.items()]
+        return " + ".join(parts) or "<0>"
 
 
 # -- named representations ------------------------------------------------------
@@ -649,13 +676,9 @@ def even_subalgebra(rep: AlgebraRep) -> tuple[tuple[Multivector, ...], int]:
     them; with an adjoined unit the odd blades paired with the unit are
     fixed as well.
     """
-    fixed = []
-    for blade, unit in rep.basis:
-        blade_sign = involution_sign("hat", len(blade))
-        unit_sign = 1 if unit == "1" else -1
-        if blade_sign * unit_sign > 0:
-            coeff = HScalar.one() if unit == "1" else HScalar.unit(unit)
-            fixed.append(Multivector(rep, {blade: coeff}))
+    hat = rep._involution_signs["hat"]
+    fixed = [Multivector._make(rep, [_ONE if j == k else _ZERO for j in range(len(hat))])
+             for k, sign in enumerate(hat) if sign > 0]
     return tuple(fixed), len(fixed)
 
 

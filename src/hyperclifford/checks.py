@@ -169,22 +169,16 @@ class Context:
 
 
 def _random_mv(rep, rng, exact: bool = False) -> Multivector:
-    """Every blade coefficient random: uniform on [-1, 1], or on the exact
-    backend a fraction p/q with |p| <= 4 and 1 <= q <= 3.  The second
-    component goes to the rep's adjoined unit."""
+    """Every coordinate random: uniform on [-1, 1], or on the exact backend
+    a fraction p/q with |p| <= 4 and 1 <= q <= 3.  Drawn in basis order:
+    per blade the 1 part, then the part along the rep's adjoined unit."""
 
     def draw():
         if exact:
             return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         return rng.uniform(-1.0, 1.0)
 
-    coeffs = {}
-    for blade in rep.blades:
-        parts = [draw(), 0, 0, 0]
-        if rep.adjoined:
-            parts[{"i": 1, "j": 2}[rep.adjoined]] = draw()
-        coeffs[blade] = HScalar.make(*parts, exact=exact)
-    return Multivector(rep, coeffs)
+    return Multivector._make(rep, [draw() for _ in rep.basis])
 
 
 # ---------------------------------------------------------------- tables ----

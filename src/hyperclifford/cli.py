@@ -5,7 +5,8 @@ Exit codes: 0 all checks pass (deviation-documented records allowed),
 with (a ValueError, or an ArithmeticError such as SingularMatrix,
 SeriesNonConvergence, ZeroDivisor or OverflowError).  The
 HYPERCLIFFORD_TOL environment variable overrides the default tolerance
-of numeric checks; like ``--tol`` it must be a finite number.
+of numeric checks; like ``--tol`` it must be a finite number, zero or
+above.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _default_tol() -> float:
     if raw is None:
         return checks.DEFAULT_TOL
     try:
-        return _finite_float(raw)
+        return _tolerance(raw)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"HYPERCLIFFORD_TOL: {exc}") from None
 
@@ -61,6 +62,14 @@ def _finite_float(raw) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _tolerance(raw) -> float:
+    """Argument type of ``--tol``: a finite number, zero or above."""
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative tolerance: {raw!r}")
     return value
 
 
@@ -230,8 +239,11 @@ def _cmd_interfere(args) -> int:
 
 
 def _cmd_pauli(args) -> int:
-    if args.ab:
-        a, b = (int(t) for t in args.ab.split(","))
+    if args.ab is not None:
+        try:
+            a, b = (int(t) for t in args.ab.split(","))
+        except ValueError:
+            raise ValueError("--ab needs 2 comma-separated integers") from None
         m = sigma_ab(a, b)
         label = f"sigma_{a}{b}"
     elif args.two:
@@ -276,7 +288,7 @@ def _cmd_decompose(args) -> int:
             "blade": "".join(f"e{i}" for i in blade) or "1",
             "coeff": _scalar_json(z),
         }
-        for blade, z in sorted(mv.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        for blade, z in mv.coeffs.items()
     ]
     if args.format == "json":
         print(json.dumps({"coefficients": coeff_rows, "residual": residual}, indent=2))
@@ -310,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("all",) + checks.SUITE_NAMES,
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tables", help="print computed involution sign tables")
@@ -323,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", required=True, help="phi_25,phi_02,phi_01,phi_35,phi_34")
     p.add_argument("--hyperbolic", help="xi_25,xi_02,xi_01,xi_35,xi_34")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_sphere)
 
     p = sub.add_parser("boost", help="apply a pure boost to a 4-vector")

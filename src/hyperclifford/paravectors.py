@@ -22,7 +22,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import HScalar
+from .scalars import BackendMismatch, HScalar
 
 __all__ = [
     "ParavectorSpace",
@@ -41,39 +41,30 @@ SPACE_NAMES = ("m4", "e6", "r66", "h1", "hm4")
 
 
 def _wants_exact(values) -> bool:
-    for c in values:
-        if isinstance(c, HScalar):
-            if not c.is_exact:
-                return False
-        elif isinstance(c, float):
-            return False
-    return True
+    """False when a number or HScalar component is a float."""
+    return not any(isinstance(c.x if isinstance(c, HScalar) else c, float) for c in values)
 
 
-def _single_blade_slot(mv: Multivector):
-    """The slot (blade, component index, sign) of an element that is +-1
-    in one component (x, y, v, w) of one blade coefficient; None for any
-    other element."""
-    if len(mv.coeffs) == 1:
-        ((blade, coeff),) = mv.coeffs.items()
-        nonzero = [(spot, c) for spot, c in enumerate(coeff.coeffs()) if c != 0]
-        if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
-            spot, c = nonzero[0]
-            return blade, spot, int(c)
+def _single_slot(mv: Multivector):
+    """The slot (basis index, sign) of an element whose only non-zero
+    coordinate is +-1; None for any other element."""
+    nonzero = [(k, c) for k, c in enumerate(mv.coords) if c]
+    if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
+        return nonzero[0][0], int(nonzero[0][1])
     return None
 
 
 class ParavectorSpace:
     """An ordered paravector basis with its induced diagonal metric.
 
-    Every coordinate direction is a *slot*: one signed component of one
-    blade coefficient, ``(blade, component, +-1)`` with the component
-    indexing x, y, v, w.  ``_slots[a][k]`` is the slot of ring unit k
-    (1, i, j, ij) times basis element a; real coordinates use only k = 0,
-    hyperbolic-complex ones (hm4) all four.  The slots are distinct
-    (checked at construction), so converting coordinates to a multivector
-    is a signed scatter and projecting a matrix is a signed gather from
-    :meth:`AlgebraRep.decompose`.
+    Every coordinate direction is a *slot*: one signed multivector
+    coordinate, ``(basis index, +-1)``.  ``_slots[a][k]`` is the slot of
+    ring unit k (1, i, j, ij) times basis element a; real coordinates use
+    only k = 0, hyperbolic-complex ones (hm4) all four.  The slots are
+    distinct (checked at construction), so converting coordinates to a
+    multivector is a signed scatter into :attr:`Multivector.coords`, and
+    projecting a matrix gathers the slot coordinates alone, as
+    :meth:`AlgebraRep.decompose` gathers all of them.
     """
 
     def __init__(self, name: str, rep: AlgebraRep, basis, hyper_coords: bool = False):
@@ -83,36 +74,36 @@ class ParavectorSpace:
         self.hyper_coords = hyper_coords
         self.dim = len(self.basis)
         self.metric = tuple(self._metric_signs())
+        units = ("1", "i", "j", "ij")
         unit_mvs = ring_unit_multivectors(rep)
-        self._unit_slots = {
-            name: _single_blade_slot(mv) for name, mv in unit_mvs.items()
-        }
-        units = [unit_mvs[u] for u in (("1", "i", "j", "ij") if hyper_coords else ("1",))]
+        self._unit_slots = tuple(_single_slot(unit_mvs[u]) for u in units)
+        units = [unit_mvs[u] for u in (units if hyper_coords else ("1",))]
         slots, taken = [], set()
         for a, b in enumerate(self.basis):
-            row = tuple(_single_blade_slot(u.gp_blades(b)) for u in units)
-            if None in row or any(s[:2] in taken for s in row):
+            row = tuple(_single_slot(u.gp_blades(b)) for u in units)
+            if None in row or any(s[0] in taken for s in row):
                 raise ValueError(
-                    f"basis element {a} of {name} is not +-1 in one component"
-                    " of one blade coefficient, on a slot of its own"
+                    f"basis element {a} of {name} is not +-1 in one coordinate,"
+                    " on a slot of its own"
                 )
-            taken.update(s[:2] for s in row)
+            taken.update(s[0] for s in row)
             slots.append(row)
         self._slots = tuple(slots)
 
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
-            q = b.gp_blades(b.bar())
-            z = q.scalar_part()
-            if q.nonscalar_max_abs() != 0 or z.y != 0 or z.v != 0 or z.w != 0 or z.x * z.x != 1:
+            # the real scalar coordinate is +-1 and every other one is zero
+            c = b.gp_blades(b.bar()).coords
+            if any(c[1:]) or c[0] * c[0] != 1:
                 raise ValueError(f"basis element {k} of {self.name} is not metric-unit")
-            yield 1 if z.x > 0 else -1
+            yield 1 if c[0] > 0 else -1
 
     # -- paravector construction ------------------------------------------------
 
     def paravector(self, coords) -> "Paravector":
         """Coordinates may be floats (numeric work) or ints/Fractions
-        (bit-exact work); the backend follows the inputs."""
+        (bit-exact work); the backend follows the inputs.  Raises
+        ``ValueError`` naming the index of a NaN or infinite coordinate."""
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"{self.name} expects {self.dim} coordinates")
@@ -122,10 +113,16 @@ class ParavectorSpace:
                 c if isinstance(c, HScalar) else HScalar.make(c, exact=exact)
                 for c in coords
             )
+            if any(c.is_exact != exact for c in coords):
+                raise BackendMismatch("mixed exact/float coordinates")
         elif exact:
             coords = tuple(Fraction(c) for c in coords)
         else:
             coords = tuple(float(c) for c in coords)
+        if not exact:
+            for k, c in enumerate(coords):
+                if not all(map(math.isfinite, c.coeffs() if self.hyper_coords else (c,))):
+                    raise ValueError(f"{self.name} coordinate {k} is not finite: {c}")
         return Paravector(self, coords)
 
     def basis_vector(self, index: int, scale: float = 1.0) -> "Paravector":
@@ -140,25 +137,14 @@ class ParavectorSpace:
         so the value is collected slot by slot rather than read off the
         scalar coefficient alone.
         """
-        zero = HScalar.zero(mv.is_exact).x
-        comps = []
-        for unit in ("1", "i", "j", "ij"):
-            blade, spot, sign = self._unit_slots[unit]
-            c = mv.coeffs.get(blade)
-            val = c.coeffs()[spot] if c is not None else zero
-            comps.append(val if sign > 0 else -val)
-        return HScalar(*comps)
+        c = mv.coords
+        return HScalar(*(c[k] if sign > 0 else -c[k] for k, sign in self._unit_slots))
 
     def ring_residual(self, mv: Multivector) -> float:
-        """Largest component of an element outside the span of the four
+        """Largest coordinate of an element outside the span of the four
         scalar units; zero exactly when the element is ring-valued."""
-        residual = 0.0
-        slots = {(blade, spot) for blade, spot, _ in self._unit_slots.values()}
-        for blade, coeff in mv.coeffs.items():
-            for spot, c in enumerate(coeff.coeffs()):
-                if (blade, spot) not in slots:
-                    residual = max(residual, abs(float(c)))
-        return residual
+        inside = {k for k, _ in self._unit_slots}
+        return max((abs(float(c)) for k, c in enumerate(mv.coords) if k not in inside), default=0.0)
 
     # -- multivector conversion ----------------------------------------------------
 
@@ -166,46 +152,38 @@ class ParavectorSpace:
         return self._scatter(x.coords)
 
     def _scatter(self, coords) -> Multivector:
-        """Scatter coordinates into blade coefficients through the slots.
+        """Scatter coordinates into multivector coordinates through the slots.
 
         A real coordinate fills the one slot of its basis element; a
         hyperbolic-complex coordinate (an HScalar) sends its components
         x, y, v, w to the slots of 1, i, j, ij times its basis element.
-        Blades appear in the order of their first non-zero coordinate, as
-        when the scaled basis elements are summed in coordinate order.
+        The result keeps the coordinates' backend, also when they are zero.
         """
-        zero = Fraction(0) if _wants_exact(coords) else 0.0
-        parts = {}
+        out = [Fraction(0) if _wants_exact(coords) else 0.0] * len(self.rep.basis)
         for coord, slots in zip(coords, self._slots, strict=True):
             comps = coord.coeffs() if isinstance(coord, HScalar) else (coord,)
-            for c, (blade, spot, sign) in zip(comps, slots, strict=True):
-                if c == 0:
-                    continue
-                part = parts.get(blade)
-                if part is None:
-                    part = parts[blade] = [zero, zero, zero, zero]
-                if sign > 0:
-                    part[spot] += c
-                else:
-                    part[spot] -= c
-        return Multivector(self.rep, {blade: HScalar(*p) for blade, p in parts.items()})
+            for c, (k, sign) in zip(comps, slots, strict=True):
+                if c:
+                    out[k] = c if sign > 0 else -c
+        return Multivector._make(self.rep, out)
 
     def project_matrix(self, m: HMatrix) -> tuple[tuple, float]:
         """Coordinates of a matrix over the paravector basis plus the
         largest leftover component outside the span.
 
-        The coordinates are the slot components of the matrix's
-        :meth:`AlgebraRep.decompose`, so they follow its backend; the
-        leftover is measured against the matrix rebuilt from them.
+        Only the slot coordinates are gathered, the way
+        :meth:`AlgebraRep.decompose` gathers every coordinate, so they
+        follow the matrix's backend; the leftover is measured against the
+        matrix rebuilt from them.
         """
-        zero = HScalar.zero(m.is_exact).coeffs()
-        parts = {blade: z.coeffs() for blade, z in self.rep.decompose(m).coeffs.items()}
+        gathered = iter(self.rep._gather(m, [k for row in self._slots for k, _ in row]))
         coords = []
-        for slots in self._slots:
-            comps = [parts.get(blade, zero)[spot] * sign for blade, spot, sign in slots]
+        for row in self._slots:
+            comps = [c if sign > 0 else -c for (_, sign), c in zip(row, gathered)]
             coords.append(comps[0] if len(comps) == 1 else HScalar(*comps))
         rebuilt = self._scatter(coords)
-        residual = (m - rebuilt.to_matrix()).max_abs() if rebuilt.coeffs else m.max_abs()
+        # a zero rebuild leaves the matrix itself
+        residual = (m - rebuilt.to_matrix()).max_abs() if any(rebuilt.coords) else m.max_abs()
         return tuple(coords), residual
 
     def __repr__(self):

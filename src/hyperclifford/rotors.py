@@ -314,9 +314,7 @@ def act(rotor: Rotor, x: Paravector, tol: float = 1e-9) -> Paravector:
     """
     if x.space.rep is not rotor.rep:
         raise ValueError("rotor and paravector use different representations")
-    xm = x.to_multivector().to_matrix()
-    if xm.is_exact:
-        xm = xm.to_float()
+    xm = x.to_multivector().to_matrix().to_float()
     m = rotor.g.to_matrix() @ xm @ rotor.ghat_inv.to_matrix()
     coords, residual = x.space.project_matrix(m)
     if residual > tol * (1.0 + m.max_abs()):

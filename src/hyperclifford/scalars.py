@@ -47,14 +47,6 @@ class ZeroDivisor(ZeroDivisionError):
     """Raised when inverting an element on (or numerically near) the null cone."""
 
 
-def _coerce(value, exact: bool):
-    if exact:
-        if isinstance(value, float):
-            raise BackendMismatch("float coefficient in exact-backend scalar")
-        return Fraction(value)
-    return float(value)
-
-
 class HScalar:
     """An element x + y*i + v*j + w*ij of the hyperbolic-complex ring.
 

@@ -12,6 +12,7 @@ from hyperclifford.algebra import (
     enumerate_algebra,
     even_subalgebra,
     get_rep,
+    involution_sign,
     involution_table,
     porteous_conjugate_2x2,
     porteous_dagger_4x4,
@@ -115,6 +116,63 @@ def test_gp_blades_mixed_backends_and_zero_operands():
     for mv in (exact, flt, zero):
         assert mv.gp_blades(zero) == zero
         assert zero.gp_blades(mv) == zero
+
+
+def involution_reference(mv, kind):
+    """The per-blade involution: each coefficient conjugated for bar and
+    hat, then negated when its blade's grade sign is negative."""
+    out = {}
+    for blade, z in mv.coeffs.items():
+        c = z.conjugate() if kind in ("bar", "hat") else z
+        if involution_sign(kind, len(blade)) < 0:
+            c = -c
+        out[blade] = c
+    return Multivector(mv.rep, out)
+
+
+def layout_operands(rep, exact, rng):
+    """Dense, sparse and zero elements of one backend."""
+    zero = Multivector(rep, {(): HScalar.zero(exact)})
+    return [random_mv(rep, exact, rng), sparse_mv(rep, exact, rng), zero]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_coordinate_layout_matches_per_blade_references(name, exact):
+    rep = get_rep(name)
+    rng = random.Random(f"layout-{name}-{exact}")
+    for _ in range(4):
+        for mv in layout_operands(rep, exact, rng):
+            backend = Fraction if mv.is_exact else float  # a sparse draw may keep no blade
+            assert Multivector(rep, mv.coeffs) == mv
+            for kind in ("bar", "dagger", "hat"):
+                got, want = mv.involution(kind), involution_reference(mv, kind)
+                assert got == want
+                assert [float(c) for c in got.coords] == [float(c) for c in want.coords]
+                assert all(type(c) is backend for c in got.coords)
+            if mv.is_exact:
+                assert rep.decompose(mv.to_matrix()) == mv
+
+
+def test_involution_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown involution"):
+        Multivector(get_rep("r30"), {}).involution("tilde")
+
+
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_float_zero_keeps_its_backend(name):
+    rep = get_rep(name)
+    assert Multivector(rep, {}).is_exact
+    zero = rep.decompose(HMatrix.zeros(rep.n, exact=False))
+    assert not zero.is_exact
+    assert not zero.to_matrix().is_exact
+    assert not zero.bar().is_exact and not (-zero).is_exact
+    assert not zero.gp_blades(zero).is_exact
+    exact_one = rep.scalar(1)
+    # a zero operand of the other backend still gives zero, as matmul does
+    assert zero.gp_blades(exact_one) == zero and not zero.gp_blades(exact_one).is_exact
+    assert exact_one.gp_blades(zero) == zero and exact_one.gp_blades(zero).is_exact
+    assert (zero + exact_one) == exact_one
 
 
 def to_matrix_reference(mv):

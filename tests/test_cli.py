@@ -205,7 +205,8 @@ def test_tolerance_env_reaches_the_checks(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "raw,reason",
     [("abc", "not a number: 'abc'"), ("nan", "not a finite number: 'nan'"),
-     ("-inf", "not a finite number: '-inf'")],
+     ("-inf", "not a finite number: '-inf'"), ("-1", "negative tolerance: '-1'"),
+     ("-1e-300", "negative tolerance: '-1e-300'")],
 )
 @pytest.mark.parametrize("argv", [["verify", "tables"], ["sphere", "--angles", "0,0,0,0,0"]])
 def test_tolerance_env_must_be_finite(capsys, monkeypatch, argv, raw, reason):
@@ -225,6 +226,27 @@ def test_tolerance_env_must_be_finite(capsys, monkeypatch, argv, raw, reason):
 )
 def test_library_value_errors_are_reported_once(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("ab", ["1,2,3", "1", "a,b", "1,", ""])
+def test_pauli_ab_needs_two_integers(capsys, ab):
+    assert run(capsys, "pauli", f"--ab={ab}") == (2, "", "error: --ab needs 2 comma-separated integers\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "sphere"], ["sphere", "--angles", "0,0,0,0,0"]])
+@pytest.mark.parametrize("raw", ["-1", "-1e-300"])
+def test_negative_tolerance_is_a_usage_error(capsys, argv, raw):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={raw}"])
+    assert exc.value.code == 2
+    assert f"argument --tol: negative tolerance: '{raw}'" in capsys.readouterr().err
+
+
+def test_zero_tolerance_stays_valid(capsys, monkeypatch):
+    # the exact tables hold with no tolerance at all
+    assert run(capsys, "verify", "tables", "--tol", "0")[0] == 0
+    monkeypatch.setenv("HYPERCLIFFORD_TOL", "0")
+    assert run(capsys, "verify", "tables")[0] == 0
 
 
 @pytest.mark.parametrize(

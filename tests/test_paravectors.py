@@ -20,7 +20,7 @@ from hyperclifford.paravectors import (
     wedge3,
     wedge4,
 )
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 RNG = random.Random(314)
 
@@ -244,6 +244,41 @@ def test_space_mismatch_rejected():
 def test_wrong_coordinate_count():
     with pytest.raises(ValueError):
         get_space("m4").paravector([1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("index", [0, 2])
+def test_non_finite_coordinates_rejected(bad, index):
+    coords = [1.0, 0.0, 0.0, 0.0]
+    coords[index] = bad
+    with pytest.raises(ValueError, match=rf"coordinate {index}\b"):
+        get_space("m4").paravector(coords)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("component", range(4))
+def test_non_finite_hyper_coordinate_components_rejected(bad, component):
+    parts = [0.5, 0.0, 0.0, 0.0]
+    parts[component] = bad
+    coords = [HScalar.flt(1.0), HScalar.flt(0.0), HScalar.flt(*parts), HScalar.flt(0.0)]
+    with pytest.raises(ValueError, match=r"coordinate 2\b"):
+        get_space("hm4").paravector(coords)
+
+
+def test_mixed_backend_hyper_coordinates_rejected():
+    coords = [HScalar.exact(1), HScalar.flt(0.5), HScalar.flt(0.0), HScalar.flt(0.0)]
+    with pytest.raises(BackendMismatch):
+        get_space("hm4").paravector(coords)
+
+
+def test_float_zero_paravector_stays_float():
+    m4 = get_space("m4")
+    zero, one = m4.paravector([0.0] * 4), m4.paravector([1.0, 0, 0, 0])
+    assert not zero.to_multivector().to_matrix().is_exact
+    for value in (dot(zero, one), dot(one, zero), zero.qform()):
+        assert value == HScalar.flt(0.0)
+        assert all(type(c) is float for c in value.coeffs())
+    assert m4.paravector([0] * 4).qform().is_exact
 
 
 # -- the slot route against the scale-and-add and real-pairing routes -----------
