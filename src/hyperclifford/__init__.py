@@ -44,6 +44,7 @@ from .paravectors import (
     embed_momentum,
     get_space,
     quasi_sphere_contains,
+    quasi_sphere_residual,
     wedge2,
     wedge3,
     wedge4,

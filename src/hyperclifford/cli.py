@@ -21,7 +21,7 @@ from functools import lru_cache
 from . import checks
 from .algebra import get_rep, involution_table
 from .matrices import HMatrix, pauli2, pauli4, sigma_ab
-from .paravectors import get_space
+from .paravectors import get_space, quasi_sphere_residual
 from .physics import interfere, linearize
 from .rotors import RotorParams, act, quasi_sphere_point_r66, rotor_from_params, sphere_point, sphere_point_via_rotors
 from .scalars import HScalar
@@ -154,13 +154,7 @@ def _cmd_sphere(args) -> int:
     if args.hyperbolic:
         xis = _parse_floats(args.hyperbolic, 5, "--hyperbolic")
         coords = quasi_sphere_point_r66(args.radius, angles, xis)
-        q = get_space("r66").paravector(coords).qform()
-        residual = max(
-            abs(float(q.x) - args.radius**2),
-            abs(float(q.y)),
-            abs(float(q.v)),
-            abs(float(q.w)),
-        )
+        residual = quasi_sphere_residual(get_space("r66").paravector(coords), args.radius)
         payload = {
             "closed_form": list(closed),
             "rotor_path": list(rotor),

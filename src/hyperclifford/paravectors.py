@@ -33,6 +33,7 @@ __all__ = [
     "wedge2",
     "wedge3",
     "wedge4",
+    "quasi_sphere_residual",
     "quasi_sphere_contains",
     "embed_momentum",
 ]
@@ -309,18 +310,21 @@ def wedge4(x: Paravector, y: Paravector, v: Paravector, w: Paravector) -> Multiv
     return _alternating_sum([p.to_multivector() for p in (x, y, v, w)])
 
 
-def quasi_sphere_contains(x: Paravector, r: float, tol: float = 1e-10) -> bool:
-    """Whether x*bar(x) equals r^2 as a real number, all four scalar
-    components within tol."""
+def quasi_sphere_residual(x: Paravector, r: float) -> float:
+    """How far x*bar(x) is from the real number r^2: the largest of
+    |x - r^2|, |y|, |v| and |w| over its four scalar components, NaN when
+    any of them is NaN."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     q = x.qform()
-    return (
-        abs(float(q.x) - r * r) <= tol
-        and abs(float(q.y)) <= tol
-        and abs(float(q.v)) <= tol
-        and abs(float(q.w)) <= tol
-    )
+    parts = (abs(float(q.x) - r * r), abs(float(q.y)), abs(float(q.v)), abs(float(q.w)))
+    return math.nan if any(map(math.isnan, parts)) else max(parts)
+
+
+def quasi_sphere_contains(x: Paravector, r: float, tol: float = 1e-10) -> bool:
+    """Whether x*bar(x) equals r^2 as a real number, all four scalar
+    components within tol."""
+    return quasi_sphere_residual(x, r) <= tol
 
 
 def embed_momentum(q, o, s, u) -> Paravector:

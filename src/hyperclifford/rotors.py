@@ -24,7 +24,7 @@ from itertools import permutations, product
 from .algebra import AlgebraRep, Multivector, get_rep
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, get_space
-from .scalars import HScalar, trig_tilde
+from .scalars import HScalar, NullPair, from_null, to_null, trig_tilde
 
 __all__ = [
     "SeriesNonConvergence",
@@ -56,6 +56,8 @@ __all__ = [
 
 # Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)^-1 = dagger(g).
 CERT_TOL = 1e-12
+# Size of the last series term kept by the scaling-and-squaring exponential.
+_SERIES_TOL = 1e-14
 
 SPACE_REP = {"h1": "c10bar", "m4": "c30bar", "e6": "h05bar", "r66": "h05bar"}
 
@@ -172,13 +174,12 @@ def _scalar_square(m: HMatrix):
     return float(x)
 
 
-def mat_exp(x: HMatrix, series_tol: float = 1e-14, half_at: float = 0.5,
-            max_halvings: int = 64) -> HMatrix:
+def mat_exp(x: HMatrix, half_at: float = 0.5, max_halvings: int = 64) -> HMatrix:
     """Exponential of a float-backend matrix.
 
     Arguments whose square is a real multiple of the identity use the
     closed trigonometric/hyperbolic form; everything else falls back to
-    scaling-and-squaring with the series truncated at ``series_tol``.
+    scaling-and-squaring with the series truncated at ``_SERIES_TOL``.
     """
     s = _scalar_square(x @ x)
     if s is not None:
@@ -207,7 +208,7 @@ def mat_exp(x: HMatrix, series_tol: float = 1e-14, half_at: float = 0.5,
     for k in range(1, 120):
         term = (term @ scaled).scale(HScalar.flt(1.0 / k))
         acc = acc + term
-        if term.max_abs() < series_tol:
+        if term.max_abs() < _SERIES_TOL:
             break
     else:
         raise SeriesNonConvergence("series failed to reach tolerance")
@@ -259,25 +260,20 @@ def _exponent_matrix(params: RotorParams) -> HMatrix:
             acc = acc + s.scale(coeff)
         return acc
     if params.space in ("e6", "r66"):
+        phi_by_plane, xi_by_plane = dict(params.phi_ab), dict(params.xi_ab)
         acc = HMatrix.zeros(4, exact=False)
-        xi_by_plane = dict(params.xi_ab)
-        planes = {ab for ab, _ in params.phi_ab} | set(xi_by_plane)
-        phi_by_plane = dict(params.phi_ab)
-        for a, b in sorted(planes):
-            coeff = HScalar.flt(
-                0.0,
-                -phi_by_plane.get((a, b), 0.0) / 2.0,
-                xi_by_plane.get((a, b), 0.0) / 2.0,
-                0.0,
-            )
-            acc = acc + _sigma_ab_float(a, b).scale(coeff)
+        for ab in sorted(phi_by_plane.keys() | xi_by_plane.keys()):
+            acc = acc + _plane_exponent(*ab, phi_by_plane.get(ab, 0.0), xi_by_plane.get(ab, 0.0))
         return acc
     raise ValueError(f"no matrix exponent for space {params.space!r}")
 
 
-def rotor_from_matrix(rep: AlgebraRep, m: HMatrix,
-                      params: RotorParams | None = None,
-                      cert_tol: float = CERT_TOL) -> Rotor:
+def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
+    """The (a, b) plane's term (-i phi + j xi) sigma_ab / 2 of an e6/r66 exponent."""
+    return _sigma_ab_float(a, b).scale(HScalar.flt(0.0, -phi / 2.0, xi / 2.0, 0.0))
+
+
+def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
     """Decompose, certify and wrap a group-element matrix."""
     mv, residual = rep.decompose_residual(m)
     if residual > 1e-9 * (1.0 + m.max_abs()):
@@ -288,21 +284,21 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix,
     g_dagger = mv.dagger()
     dag = (ghat_inv - g_dagger).max_abs()
     scale = 1.0 + mv.max_abs() ** 2
-    if spin > cert_tol * scale:
+    if spin > CERT_TOL * scale:
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
-    if dag > cert_tol * scale:
+    if dag > CERT_TOL * scale:
         raise ValueError(f"hat-inverse/dagger identity violated: residual {dag:.3e}")
     return Rotor(mv, ghat_inv, g_dagger, spin, dag, params)
 
 
-def rotor_from_params(params: RotorParams, cert_tol: float = CERT_TOL) -> Rotor:
+def rotor_from_params(params: RotorParams) -> Rotor:
     rep = get_rep(SPACE_REP[params.space])
     if params.space == "h1":
         z = HScalar.flt(0.0, -params.phi[0] / 2.0, params.xi[0] / 2.0, 0.0)
         g = HMatrix([[z.exp()]])
-        return rotor_from_matrix(rep, g, params, cert_tol)
+        return rotor_from_matrix(rep, g, params)
     x = _exponent_matrix(params)
-    return rotor_from_matrix(rep, mat_exp(x), params, cert_tol)
+    return rotor_from_matrix(rep, mat_exp(x), params)
 
 
 def act(rotor: Rotor, x: Paravector, tol: float = 1e-9) -> Paravector:
@@ -509,23 +505,19 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
 
 def null_factorize(rotor: Rotor) -> tuple[HMatrix, HMatrix]:
     """Components of the rotor matrix over the idempotents (1+j)/2 and
-    (1-j)/2; each is a complex matrix (no hyperbolic part)."""
-    coords = tuple(map(float, rotor.g.to_matrix().coords))
-    plus, minus = [], []
-    for k in range(0, len(coords), 4):
-        x, y, v, w = coords[k:k + 4]
-        plus += (x + v, y + w, 0.0, 0.0)
-        minus += (x - v, y - w, 0.0, 0.0)
-    return HMatrix.from_real_coords(plus), HMatrix.from_real_coords(minus)
+    (1-j)/2, entry by entry through :func:`to_null`; each is a complex
+    matrix (no hyperbolic part)."""
+    pairs = [[to_null(z) for z in row] for row in rotor.g.to_matrix().to_float().rows]
+    return HMatrix([[p.a for p in row] for row in pairs]), HMatrix([[p.b for p in row] for row in pairs])
 
 
 def null_reconstruct(pair: tuple[HMatrix, HMatrix]) -> HMatrix:
-    plus, minus = (tuple(map(float, m.coords)) for m in pair)
-    coords = []
-    for k in range(0, len(plus), 4):
-        (ax, ay), (bx, by) = plus[k:k + 2], minus[k:k + 2]
-        coords += ((ax + bx) / 2.0, (ay + by) / 2.0, (ax - bx) / 2.0, (ay - by) / 2.0)
-    return HMatrix.from_real_coords(coords)
+    """Inverse of :func:`null_factorize`, entry by entry through :func:`from_null`."""
+    plus, minus = pair
+    return HMatrix([
+        [from_null(NullPair(a, b, real=a.y == b.y == 0)) for a, b in zip(pr, mr)]
+        for pr, mr in zip(plus.rows, minus.rows)
+    ])
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
@@ -555,31 +547,23 @@ def sphere_point(r: float, angles) -> tuple[float, ...]:
     )
 
 
-def _plane_rotor_matrix(a: int, b: int, sign: int, phi: float, xi: float = 0.0) -> HMatrix:
-    """exp(sign * (i phi - j xi) sigma_ab / 2); xi extends the angle by
-    its ij part (phi + ij xi fed through the complex-unit prefactor)."""
-    s = _sigma_ab_float(a, b)
-    x = s.scale(HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0))
-    return mat_exp(x)
-
-
-def _compose_sphere_rotor(angles, xis) -> Rotor:
-    rep = get_rep("h05bar")
+def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
+    """Compose the five plane rotors exp(sign * (i phi - j xi) sigma_ab / 2)
+    of ``SPHERE_PLANES`` right-to-left and rotate (0, ..., 0, r) in the
+    space; xi extends each angle by its ij part."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
     g = HMatrix.identity(4, exact=False)
-    for (a, b, sign), phi, xi in zip(SPHERE_PLANES, angles, xis):
-        g = _plane_rotor_matrix(a, b, sign, phi, xi) @ g
-    return rotor_from_matrix(rep, g)
+    for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
+        g = mat_exp(_plane_exponent(a, b, -sign * phi, -sign * xi)) @ g
+    rotor = rotor_from_matrix(get_rep("h05bar"), g)
+    return act(rotor, get_space(space).basis_vector(5, r)).coords
 
 
 def sphere_point_via_rotors(r: float, angles) -> tuple[float, ...]:
     """The same point produced by composing the five plane rotations
     right-to-left and rotating (0, 0, 0, 0, 0, r)."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    rotor = _compose_sphere_rotor(tuple(map(float, angles)), (0.0,) * 5)
-    space = get_space("e6")
-    start = space.basis_vector(5, r)
-    return act(rotor, start).coords
+    return _sphere_via_rotors("e6", r, angles, (0.0,) * 5)
 
 
 def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
@@ -615,9 +599,4 @@ def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
 
 def quasi_sphere_point_r66_via_rotors(r: float, phis, xis) -> tuple[float, ...]:
     """The same point via the generalized five-rotation composition."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    rotor = _compose_sphere_rotor(tuple(map(float, phis)), tuple(map(float, xis)))
-    space = get_space("r66")
-    start = space.basis_vector(5, r)
-    return act(rotor, start).coords
+    return _sphere_via_rotors("r66", r, phis, xis)

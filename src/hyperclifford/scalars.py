@@ -190,7 +190,7 @@ class HScalar:
         q = self.qform()
         return q.x * q.x + q.w * q.w
 
-    def invert(self, rtol: float = ZERO_DIVISOR_RTOL) -> "HScalar":
+    def invert(self) -> "HScalar":
         """Multiplicative inverse conjugate(z) / (z*conjugate(z)).
 
         The quadratic form lies in the span of 1 and ij where inversion is
@@ -208,7 +208,7 @@ class HScalar:
             if math.isnan(n):
                 raise ValueError("quadratic-form modulus is NaN (NaN coefficient or overflow)")
             mag = self.x * self.x + self.y * self.y + self.v * self.v + self.w * self.w
-            if n <= rtol * (1.0 + mag):
+            if n <= ZERO_DIVISOR_RTOL * (1.0 + mag):
                 raise ZeroDivisor("quadratic-form modulus below threshold")
         q = self.qform()
         zero = n - n

@@ -87,3 +87,65 @@ def test_runner_turns_each_result_into_a_record(monkeypatch):
     stream = random.Random(checks._SEED)
     assert draws == [stream.random(), stream.random()]
     assert checks.run_suite("demo", tol=0.1)[1].status == "fail"
+
+
+def _demo_records(monkeypatch, tol, *bodies):
+    """Register each ``(spec_tol, body)`` as a demo check and run them."""
+    monkeypatch.setattr(checks, "REGISTRY", [])
+    for k, (spec_tol, body) in enumerate(bodies):
+        checks.check(f"demo.c{k}", "demo", "demo claim", tol=spec_tol)(body)
+    return [(r.status, r.max_error) for r in checks.run_suite("demo", tol=tol)]
+
+
+def test_a_nan_error_fails_the_check(monkeypatch):
+    def body(ctx):
+        yield from (0.0, math.nan, 0.0)
+
+    [(status, err)] = _demo_records(monkeypatch, 0.5, (None, body))
+    assert status == "fail" and math.isnan(err)
+
+
+def test_yielded_errors_are_judged_against_the_suite_or_spec_tolerance(monkeypatch):
+    def body(ctx):
+        yield from (0.125, 0.25, 0.0625)
+
+    rows = _demo_records(monkeypatch, 0.25, (None, body), (0.2, body), (0.25, body), (0, body))
+    assert rows == [("pass", 0.25), ("fail", 0.25), ("pass", 0.25), ("fail", 0.25)]
+    # the spec tolerance holds whatever the suite's is
+    assert _demo_records(monkeypatch, 0.1, (0.25, body), (None, body)) == [
+        ("pass", 0.25), ("fail", 0.25)]
+
+
+def test_bool_errors_count_as_zero_or_one(monkeypatch):
+    def holds(ctx):
+        yield from (False, False)
+
+    def breaks(ctx):
+        yield from (False, True, 0.5)
+
+    rows = _demo_records(monkeypatch, 2.0, (0, holds), (0, breaks), (None, breaks))
+    assert rows == [("pass", 0.0), ("fail", 1.0), ("pass", 1.0)]
+    assert all(type(err) is float for _, err in rows)
+
+
+def test_an_exception_mid_stream_fails_the_check(monkeypatch):
+    seen = []
+
+    def body(ctx):
+        yield from (0.0, 0.5, 0.25)
+        seen.append("raised")
+        raise ValueError("mid-stream")
+
+    monkeypatch.setattr(checks, "REGISTRY", [])
+    checks.check("demo.crash", "streams then raises", "never holds")(body)
+    [report] = checks.run_suite("demo", tol=1.0)
+    assert seen == ["raised"]
+    assert (report.description, report.status, report.max_error) == (
+        "streams then raises [error: mid-stream]", "fail", math.inf)
+
+
+def test_an_empty_stream_has_zero_error(monkeypatch):
+    def body(ctx):
+        yield from ()
+
+    assert _demo_records(monkeypatch, 0.0, (None, body), (0, body)) == [("pass", 0.0), ("pass", 0.0)]
