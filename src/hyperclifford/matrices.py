@@ -9,7 +9,9 @@ exact product contracts only non-zero coordinates through that table,
 and exact sums skip zeros: a ``Fraction`` operation costs about 1 us.
 The float product keeps :meth:`HScalar.__mul__`'s terms, its
 complex-subring shortcut and the column order of each entry's sum, so
-float results equal the entrywise HScalar loop bit for bit.
+float results equal the entrywise HScalar loop bit for bit.  Inversion
+eliminates over the coordinate rows of ``[m | 1]`` with the same scaling
+kernels, building HScalars only for a pivot's modulus and inverse.
 
 Provides the 2x2 Pauli matrices, the fifteen 4x4 Pauli matrices built as
 Kronecker products, and the signed antisymmetric lookup assigning a 4x4
@@ -233,38 +235,38 @@ class HMatrix:
         The ring has zero divisors, so pivots are selected by the
         quadratic-form modulus N(z) rather than naive magnitude: exact
         backend takes the first invertible entry, float backend the entry
-        of largest modulus.
+        of largest modulus.  The rows of the augmented matrix ``[self | 1]``
+        are coordinate lists, scaled by the scalar kernels and subtracted
+        coordinate by coordinate, so the result equals elimination over
+        HScalar entries; HScalars are built only to take a pivot's modulus
+        and inverse.
         """
-        n = self.n
-        a = [list(row) for row in self.rows]
-        idm = HMatrix.identity(n, exact=self.is_exact)
-        b = [list(row) for row in idm.rows]
+        n, c, exact = self.n, self.coords, self.is_exact
+        w = 4 * n
+        one = HMatrix.identity(n, exact=exact).coords
+        aug = [list(c[k:k + w] + one[k:k + w]) for k in range(0, len(c), w)]
+        scale = _scale_exact if exact else _scale_float
         for col in range(n):
+            k = 4 * col
             pick, best = None, 0
             for r in range(col, n):
-                m = a[r][col].modulus()
-                if self.is_exact:
+                m = HScalar(*aug[r][k:k + 4]).modulus()
+                if exact:
                     if m != 0:
                         pick = r
                         break
                 elif m > best:
                     pick, best = r, m
-            if pick is None or (not self.is_exact and best == 0):
+            if pick is None:
                 raise SingularMatrix("no invertible pivot (zero-divisor column)")
-            a[col], a[pick] = a[pick], a[col]
-            b[col], b[pick] = b[pick], b[col]
-            inv_p = a[col][col].invert()
-            a[col] = [inv_p * z for z in a[col]]
-            b[col] = [inv_p * z for z in b[col]]
+            aug[col], aug[pick] = aug[pick], aug[col]
+            pivot = aug[col] = scale(HScalar(*aug[col][k:k + 4]).invert().coeffs(), aug[col])
             for r in range(n):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f.abs_max() == 0:
-                    continue
-                a[r] = [z - f * p for z, p in zip(a[r], a[col])]
-                b[r] = [z - f * p for z, p in zip(b[r], b[col])]
-        return HMatrix(b)
+                f = aug[r][k:k + 4]
+                # an entry with a coordinate left, however small, is eliminated
+                if r != col and any(f):
+                    aug[r] = [x - y for x, y in zip(aug[r], scale(f, pivot))]
+        return HMatrix._make(n, [x for row in aug for x in row[w:]])
 
     # -- comparison and norms ------------------------------------------------
 

@@ -9,8 +9,10 @@ through the quadratic form x*bar(x).  Four real spaces are provided
     r66  (1, i*sigma_0k, ij, -j*sigma_0k) over h05bar, metric (+ x6, - x6)
     h1   (1, i, j, ij)                    over c10bar, metric (+,+,-,-)
 
-plus hm4, the m4 basis with hyperbolic-complex coordinates (sixteen real
-degrees of freedom), which carries extended momenta q + i*o + j*s + ij*u.
+plus hm4, which carries extended momenta q + i*o + j*s + ij*u: the sixteen
+elements u*b for the units u = 1, i, j, ij (unit-major) and b in the m4
+basis, one real coordinate each.  Every coordinate of every space is a
+real number, all Fraction or all float.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import BackendMismatch, HScalar
+from .scalars import HScalar
 
 __all__ = [
     "ParavectorSpace",
@@ -41,11 +43,6 @@ __all__ = [
 SPACE_NAMES = ("m4", "e6", "r66", "h1", "hm4")
 
 
-def _wants_exact(values) -> bool:
-    """False when a number or HScalar component is a float."""
-    return not any(isinstance(c.x if isinstance(c, HScalar) else c, float) for c in values)
-
-
 def _single_slot(mv: Multivector):
     """The slot (basis index, sign) of an element whose only non-zero
     coordinate is +-1; None for any other element."""
@@ -58,38 +55,31 @@ def _single_slot(mv: Multivector):
 class ParavectorSpace:
     """An ordered paravector basis with its induced diagonal metric.
 
-    Every coordinate direction is a *slot*: one signed multivector
-    coordinate, ``(basis index, +-1)``.  ``_slots[a][k]`` is the slot of
-    ring unit k (1, i, j, ij) times basis element a; real coordinates use
-    only k = 0, hyperbolic-complex ones (hm4) all four.  The slots are
-    distinct (checked at construction), so converting coordinates to a
-    multivector is a signed scatter into :attr:`Multivector.coords`, and
-    projecting a matrix gathers the slot coordinates alone, as
-    :meth:`AlgebraRep.decompose` gathers all of them.
+    Every basis element is a *slot*: one signed multivector coordinate,
+    ``_slots[a] = (basis index, +-1)``, and each paravector coordinate is
+    one real number on its slot.  The slots are distinct (checked at
+    construction), so converting coordinates to a multivector is a signed
+    scatter into :attr:`Multivector.coords`, and projecting a matrix
+    gathers the slot coordinates alone, as :meth:`AlgebraRep.decompose`
+    gathers all of them.
     """
 
-    def __init__(self, name: str, rep: AlgebraRep, basis, hyper_coords: bool = False):
+    def __init__(self, name: str, rep: AlgebraRep, basis):
         self.name = name
         self.rep = rep
         self.basis = tuple(basis)
-        self.hyper_coords = hyper_coords
         self.dim = len(self.basis)
         self.metric = tuple(self._metric_signs())
-        units = ("1", "i", "j", "ij")
         unit_mvs = ring_unit_multivectors(rep)
-        self._unit_slots = tuple(_single_slot(unit_mvs[u]) for u in units)
-        units = [unit_mvs[u] for u in (units if hyper_coords else ("1",))]
-        slots, taken = [], set()
-        for a, b in enumerate(self.basis):
-            row = tuple(_single_slot(u.gp_blades(b)) for u in units)
-            if None in row or any(s[0] in taken for s in row):
+        self._unit_slots = tuple(_single_slot(unit_mvs[u]) for u in ("1", "i", "j", "ij"))
+        slots = tuple(map(_single_slot, self.basis))
+        for a, slot in enumerate(slots):
+            if slot is None or slot[0] in {s[0] for s in slots[:a]}:
                 raise ValueError(
                     f"basis element {a} of {name} is not +-1 in one coordinate,"
                     " on a slot of its own"
                 )
-            taken.update(s[0] for s in row)
-            slots.append(row)
-        self._slots = tuple(slots)
+        self._slots = slots
 
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
@@ -108,22 +98,12 @@ class ParavectorSpace:
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"{self.name} expects {self.dim} coordinates")
-        exact = _wants_exact(coords)
-        if self.hyper_coords:
-            coords = tuple(
-                c if isinstance(c, HScalar) else HScalar.make(c, exact=exact)
-                for c in coords
-            )
-            if any(c.is_exact != exact for c in coords):
-                raise BackendMismatch("mixed exact/float coordinates")
-        elif exact:
-            coords = tuple(Fraction(c) for c in coords)
-        else:
-            coords = tuple(float(c) for c in coords)
-        if not exact:
-            for k, c in enumerate(coords):
-                if not all(map(math.isfinite, c.coeffs() if self.hyper_coords else (c,))):
-                    raise ValueError(f"{self.name} coordinate {k} is not finite: {c}")
+        if not any(isinstance(c, float) for c in coords):
+            return Paravector(self, map(Fraction, coords))
+        coords = tuple(map(float, coords))
+        for k, c in enumerate(coords):
+            if not math.isfinite(c):
+                raise ValueError(f"{self.name} coordinate {k} is not finite: {c}")
         return Paravector(self, coords)
 
     def basis_vector(self, index: int, scale: float = 1.0) -> "Paravector":
@@ -155,17 +135,13 @@ class ParavectorSpace:
     def _scatter(self, coords) -> Multivector:
         """Scatter coordinates into multivector coordinates through the slots.
 
-        A real coordinate fills the one slot of its basis element; a
-        hyperbolic-complex coordinate (an HScalar) sends its components
-        x, y, v, w to the slots of 1, i, j, ij times its basis element.
-        The result keeps the coordinates' backend, also when they are zero.
+        Each coordinate fills the one slot of its basis element.  The
+        result keeps the coordinates' backend, also when they are zero.
         """
-        out = [Fraction(0) if _wants_exact(coords) else 0.0] * len(self.rep.basis)
-        for coord, slots in zip(coords, self._slots, strict=True):
-            comps = coord.coeffs() if isinstance(coord, HScalar) else (coord,)
-            for c, (k, sign) in zip(comps, slots, strict=True):
-                if c:
-                    out[k] = c if sign > 0 else -c
+        out = [0.0 if isinstance(coords[0], float) else Fraction(0)] * len(self.rep.basis)
+        for c, (k, sign) in zip(coords, self._slots, strict=True):
+            if c:
+                out[k] = c if sign > 0 else -c
         return Multivector._make(self.rep, out)
 
     def project_matrix(self, m: HMatrix) -> tuple[tuple, float]:
@@ -177,15 +153,12 @@ class ParavectorSpace:
         follow the matrix's backend; the leftover is measured against the
         matrix rebuilt from them.
         """
-        gathered = iter(self.rep._gather(m, [k for row in self._slots for k, _ in row]))
-        coords = []
-        for row in self._slots:
-            comps = [c if sign > 0 else -c for (_, sign), c in zip(row, gathered)]
-            coords.append(comps[0] if len(comps) == 1 else HScalar(*comps))
+        gathered = self.rep._gather(m, [k for k, _ in self._slots])
+        coords = tuple(c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered))
         rebuilt = self._scatter(coords)
         # a zero rebuild leaves the matrix itself
         residual = (m - rebuilt.to_matrix()).max_abs() if any(rebuilt.coords) else m.max_abs()
-        return tuple(coords), residual
+        return coords, residual
 
     def __repr__(self):
         return f"ParavectorSpace({self.name}, dim={self.dim})"
@@ -220,7 +193,10 @@ def get_space(name: str) -> ParavectorSpace:
     if name == "m4" or name == "hm4":
         rep = get_rep("c30bar")
         basis = [rep.scalar(1)] + [rep.blade((k,)) for k in (1, 2, 3)]
-        return ParavectorSpace(name, rep, basis, hyper_coords=(name == "hm4"))
+        if name == "hm4":
+            units = ring_unit_multivectors(rep)
+            basis = [units[u].gp_blades(b) for u in ("1", "i", "j", "ij") for b in basis]
+        return ParavectorSpace(name, rep, basis)
     if name == "e6":
         rep = get_rep("h05bar")
         basis = [rep.scalar(1)] + [rep.generator(k) for k in range(1, 6)]
@@ -329,13 +305,9 @@ def quasi_sphere_contains(x: Paravector, r: float, tol: float = 1e-10) -> bool:
 
 def embed_momentum(q, o, s, u) -> Paravector:
     """Hyperbolic-complex momentum paravector q + i*o + j*s + ij*u from
-    four real 4-vectors.  Int or Fraction inputs stay exact."""
+    four real 4-vectors: the hm4 coordinates (*q, *o, *s, *u).  Int or
+    Fraction inputs stay exact."""
     for vec in (q, o, s, u):
         if len(vec) != 4:
             raise ValueError("momentum components must be 4-vectors")
-    exact = _wants_exact([*q, *o, *s, *u])
-    space = get_space("hm4")
-    coords = [
-        HScalar.make(q[a], o[a], s[a], u[a], exact=exact) for a in range(4)
-    ]
-    return space.paravector(coords)
+    return get_space("hm4").paravector([*q, *o, *s, *u])

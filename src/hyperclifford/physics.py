@@ -126,24 +126,6 @@ class MomentumHM4:
     def paravector(self) -> Paravector:
         return embed_momentum(self.q, self.o, self.s, self.u)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": [float(c) for c in self.q],
-            "o": [float(c) for c in self.o],
-            "s": [float(c) for c in self.s],
-            "u": [float(c) for c in self.u],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MomentumHM4":
-        zeros = (0.0, 0.0, 0.0, 0.0)
-        return cls(
-            q=tuple(payload.get("q", zeros)),
-            o=tuple(payload.get("o", zeros)),
-            s=tuple(payload.get("s", zeros)),
-            u=tuple(payload.get("u", zeros)),
-        )
-
 
 def mass_qform(p: MomentumHM4) -> HScalar:
     """Squared-mass operator p * bar(p): its scalar-ring value.

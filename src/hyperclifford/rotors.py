@@ -122,37 +122,6 @@ class RotorParams:
             xi_ab=tuple(sorted(_antisym_normalize(xi_ab).items())),
         )
 
-    def to_json_dict(self) -> dict:
-        """Wire form {space, phi, xi}; index-pair keys serialize as "a,b"."""
-        if self.space in ("h1", "m4"):
-            phi = list(self.phi)
-            xi = list(self.xi)
-        else:
-            phi = {f"{a},{b}": v for (a, b), v in self.phi_ab}
-            xi = {f"{a},{b}": v for (a, b), v in self.xi_ab}
-        return {"space": self.space, "phi": phi, "xi": xi}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "RotorParams":
-        space = payload.get("space")
-        phi, xi = payload.get("phi") or {}, payload.get("xi") or {}
-        if space == "h1":
-            return cls.h1((phi or [0.0])[0], (xi or [0.0])[0])
-        if space == "m4":
-            return cls.m4(phi or (0.0,) * 3, xi or (0.0,) * 3)
-
-        def parse(mapping):
-            return {
-                tuple(int(t) for t in key.split(",")): val
-                for key, val in dict(mapping).items()
-            }
-
-        if space == "e6":
-            return cls.e6(parse(phi))
-        if space == "r66":
-            return cls.r66(parse(phi), parse(xi))
-        raise ValueError(f"unknown rotor space {space!r}")
-
 
 # -- matrix exponential ---------------------------------------------------------
 
@@ -231,7 +200,6 @@ class Rotor:
 
     g: Multivector
     ghat_inv: Multivector
-    g_dagger: Multivector
     spin_residual: float
     dagger_residual: float
     params: RotorParams | None = field(default=None, compare=False)
@@ -281,14 +249,13 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = 
     one = rep.scalar(1, exact=False)
     spin = (mv.gp(mv.bar()) - one).max_abs()
     ghat_inv = rep.decompose(mv.hat().to_matrix().inverse())
-    g_dagger = mv.dagger()
-    dag = (ghat_inv - g_dagger).max_abs()
+    dag = (ghat_inv - mv.dagger()).max_abs()
     scale = 1.0 + mv.max_abs() ** 2
     if spin > CERT_TOL * scale:
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
     if dag > CERT_TOL * scale:
         raise ValueError(f"hat-inverse/dagger identity violated: residual {dag:.3e}")
-    return Rotor(mv, ghat_inv, g_dagger, spin, dag, params)
+    return Rotor(mv, ghat_inv, spin, dag, params)
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:

@@ -202,6 +202,15 @@ def test_tolerance_env_reaches_the_checks(capsys, monkeypatch):
     assert status["sphere.closed_vs_rotor"] == "fail"
 
 
+@pytest.mark.parametrize("tol", ["0.01", "0.5"])
+def test_loose_tolerance_keeps_the_failing_family_failing(capsys, tol):
+    # quantum.hermiticity's q0 u0 family must fail at any --tol; its ij part
+    # 2 q0 u0 is at least 0.08, below a loose tolerance
+    code, out, _ = run(capsys, "verify", "quantum", "--tol", tol, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 6, "fail": 0, "deviation": 0}
+
+
 @pytest.mark.parametrize(
     "raw,reason",
     [("abc", "not a number: 'abc'"), ("nan", "not a finite number: 'nan'"),

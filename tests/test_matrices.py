@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from hyperclifford.checks import _random_rotor
 from hyperclifford.matrices import (
     HMatrix,
     SingularMatrix,
@@ -17,7 +18,7 @@ from hyperclifford.matrices import (
     sigma_ab,
     sigma_ab_entry,
 )
-from hyperclifford.scalars import BackendMismatch, HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar, ZeroDivisor
 
 
 def H(x=0, y=0, v=0, w=0):
@@ -151,6 +152,14 @@ def test_inverse_of_unit_scaled_identity():
     assert jm.inverse() == jm
 
 
+def test_inverse_eliminates_entries_below_the_float_range():
+    # an exact entry that converts to 0.0 as a float is still non-zero
+    tiny = Fraction(1, 10**400)
+    m = HMatrix([[H(1), H(0)], [H(tiny), H(1)]])
+    assert m.inverse() == HMatrix([[H(1), H(0)], [H(-tiny), H(1)]])
+    assert m @ m.inverse() == HMatrix.identity(2)
+
+
 def test_singular_zero_divisor_pivot():
     e = HScalar.exact(Fraction(1, 2), 0, Fraction(1, 2))
     with pytest.raises(SingularMatrix):
@@ -267,6 +276,40 @@ def matmul_reference(a, b):
     return HMatrix(out)
 
 
+def inverse_reference(m):
+    """Gauss-Jordan elimination over rows of HScalar entries, with the
+    kernel's pivot rule: the first invertible entry (exact) or the one of
+    largest modulus (float).  Rows are scaled and reduced with HScalar
+    multiply and subtract; an all-zero entry is skipped."""
+    n, exact = m.n, m.is_exact
+    a = [list(row) for row in m.rows]
+    b = [list(row) for row in HMatrix.identity(n, exact=exact).rows]
+    for col in range(n):
+        pick, best = None, 0
+        for r in range(col, n):
+            mod = a[r][col].modulus()
+            if exact:
+                if mod != 0:
+                    pick = r
+                    break
+            elif mod > best:
+                pick, best = r, mod
+        if pick is None:
+            raise SingularMatrix("no invertible pivot (zero-divisor column)")
+        a[col], a[pick] = a[pick], a[col]
+        b[col], b[pick] = b[pick], b[col]
+        inv_p = a[col][col].invert()
+        a[col] = [inv_p * z for z in a[col]]
+        b[col] = [inv_p * z for z in b[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r == col or f.is_zero:
+                continue
+            a[r] = [z - f * p for z, p in zip(a[r], a[col])]
+            b[r] = [z - f * p for z, p in zip(b[r], b[col])]
+    return HMatrix(b)
+
+
 def scale_reference(m, z):
     return HMatrix([[z * a for a in row] for row in m.rows])
 
@@ -341,3 +384,43 @@ def test_kernels_match_per_entry_reference(n, exact):
             assert_same_coords(a - b, sub_reference(a, b), exact)
         for z in (scalars[k % len(scalars)], rng.choice(scalars)):
             assert_same_coords(a.scale(z), scale_reference(a, z), exact)
+        assert_same_inverse(a)
+
+
+def assert_same_inverse(m):
+    """The inverse equals the reference's coordinate for coordinate, or
+    both raise the same exception type."""
+    try:
+        want = inverse_reference(m)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            m.inverse()
+        assert type(got.value) is type(exc)
+        return
+    assert_same_coords(m.inverse(), want, m.is_exact)
+
+
+@pytest.mark.parametrize(
+    "rows,error",
+    [
+        ([[H(Fraction(1, 2), 0, Fraction(1, 2))]], SingularMatrix),  # on the null cone
+        ([[HScalar.flt(1.0, 0.0, 1.0 + 1e-9)]], ZeroDivisor),  # within the threshold of it
+        ([[HScalar.flt(1.0, 0.0, 1.0 + 1e-9), HScalar.flt(1.0)],
+          [HScalar.flt(1.0, 0.0, 1.0), HScalar.flt(2.0)]], ZeroDivisor),
+    ],
+    ids=["exact-null", "float-near-null", "float-near-null-column"],
+)
+def test_inverse_raises_like_reference(rows, error):
+    m = HMatrix(rows)
+    with pytest.raises(error):
+        inverse_reference(m)
+    assert_same_inverse(m)
+
+
+@pytest.mark.parametrize("space", ["m4", "e6", "r66"])
+def test_inverse_matches_reference_on_rotor_matrices(space):
+    rng = random.Random(f"inverse-{space}")
+    for _ in range(10):
+        g = _random_rotor(space, rng).g
+        for m in (g.to_matrix(), g.hat().to_matrix()):
+            assert_same_coords(m.inverse(), inverse_reference(m), exact=False)

@@ -11,7 +11,6 @@ from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import (
     SPACE_NAMES,
     ParavectorSpace,
-    _wants_exact,
     dot,
     embed_momentum,
     get_space,
@@ -20,7 +19,8 @@ from hyperclifford.paravectors import (
     wedge3,
     wedge4,
 )
-from hyperclifford.scalars import BackendMismatch, HScalar
+from hyperclifford.physics import MomentumHM4, mass_qform
+from hyperclifford.scalars import HScalar
 
 RNG = random.Random(314)
 
@@ -221,18 +221,39 @@ def test_embed_momentum_mixed_scalar_units():
     assert p.qform() == HScalar.exact(4 - 9, 0, 0, 12)
 
 
+def test_hm4_layout_is_unit_major():
+    # coordinate 4k + a is ring unit k (1, i, j, ij) times m4 basis element a
+    m4, hm4 = get_space("m4"), get_space("hm4")
+    units = ring_unit_multivectors(hm4.rep)
+    assert hm4.basis == tuple(units[u].gp_blades(b) for u in ("1", "i", "j", "ij") for b in m4.basis)
+    q, o, s, u = (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16)
+    p = embed_momentum(q, o, s, u)
+    assert p.coords == (*q, *o, *s, *u)
+    assert all(type(c) is Fraction for c in p.coords)
+    assert all(type(c) is float for c in embed_momentum(q, o, s, (13.0, 14, 15, 16)).coords)
+    # squared masses as the hyperbolic-complex coordinates gave them
+    for momentum, want in [
+        ((q, o, s, u), HScalar.exact(640, 0, 0, 128)),
+        ((q[:1] + (0,) * 3, o[:1] + (0,) * 3, (0,) * 4, u[:1] + (0,) * 3), HScalar.exact(-143, 0, 0, 26)),
+        (((2, 0, 0, 0), (1, 0, 0, 0), (0,) * 4, (3, 0, 0, 0)), HScalar.exact(-4, 0, 0, 12)),
+        (((Fraction(1, 2), -1, 0, 2), (0, 1, 0, 0), (3, 0, Fraction(-1, 3), 0), (1, 0, 0, -2)),
+         HScalar.exact(Fraction(-419, 36), 0, 0, 9)),
+    ]:
+        assert mass_qform(MomentumHM4(*momentum)) == want
+    with pytest.raises(TypeError):
+        hm4.paravector([HScalar.exact(1)] + [0] * 15)
+
+
 def test_hyper_coordinates_extract_roundtrip():
     hm4 = get_space("hm4")
     rng = random.Random(11)
     for _ in range(25):
-        coords = [
-            HScalar.flt(*(rng.uniform(-2, 2) for _ in range(4))) for _ in range(4)
-        ]
+        coords = [rng.uniform(-2, 2) for _ in range(16)]
         x = hm4.paravector(coords)
         got, residual = hm4.project_matrix(x.to_multivector().to_matrix())
         assert residual < 1e-12
-        for a, b in zip(coords, got):
-            assert (a - b).abs_max() < 1e-12
+        assert all(type(c) is float for c in got)
+        assert max(abs(a - b) for a, b in zip(coords, got)) < 1e-12
 
 
 def test_space_mismatch_rejected():
@@ -258,17 +279,12 @@ def test_non_finite_coordinates_rejected(bad, index):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("component", range(4))
 def test_non_finite_hyper_coordinate_components_rejected(bad, component):
-    parts = [0.5, 0.0, 0.0, 0.0]
-    parts[component] = bad
-    coords = [HScalar.flt(1.0), HScalar.flt(0.0), HScalar.flt(*parts), HScalar.flt(0.0)]
-    with pytest.raises(ValueError, match=r"coordinate 2\b"):
-        get_space("hm4").paravector(coords)
-
-
-def test_mixed_backend_hyper_coordinates_rejected():
-    coords = [HScalar.exact(1), HScalar.flt(0.5), HScalar.flt(0.0), HScalar.flt(0.0)]
-    with pytest.raises(BackendMismatch):
-        get_space("hm4").paravector(coords)
+    # the component on unit k (1, i, j, ij) of Minkowski index 2 is real
+    # coordinate 4k + 2
+    blocks = [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.5, 0.0, 0.0, 0.0], [0.0] * 4]
+    blocks[component][2] = bad
+    with pytest.raises(ValueError, match=rf"hm4 coordinate {4 * component + 2}\b"):
+        embed_momentum(*blocks)
 
 
 def test_float_zero_paravector_stays_float():
@@ -284,53 +300,31 @@ def test_float_zero_paravector_stays_float():
 # -- the slot route against the scale-and-add and real-pairing routes -----------
 
 
-def _unit_basis_grid(space):
-    """Element [k][a] is ring unit k times basis element a: the basis
-    alone for real coordinates, times 1, i, j, ij for hyperbolic-complex
-    ones."""
-    if not space.hyper_coords:
-        return (space.basis,)
-    units = ring_unit_multivectors(space.rep)
-    return tuple(
-        tuple(units[u].gp_blades(b) for b in space.basis) for u in ("1", "i", "j", "ij")
-    )
-
-
 def to_multivector_reference(space, x):
-    """The scale-and-add route: each unit-times-basis element scaled by
-    its non-zero coordinate component, summed as multivectors in
-    coordinate order."""
-    exact = _wants_exact(x.coords)
-    grid = _unit_basis_grid(space)
+    """The scale-and-add route: each basis element scaled by its non-zero
+    coordinate, summed as multivectors in coordinate order."""
+    exact = not isinstance(x.coords[0], float)
     acc = Multivector(space.rep, {})
-    for a, coord in enumerate(x.coords):
-        comps = coord.coeffs() if space.hyper_coords else (coord,)
-        for k, c in enumerate(comps):
-            if c == 0:
-                continue
-            elem = grid[k][a] if exact else grid[k][a].to_float()
-            acc = acc + elem.scale(HScalar.make(c, exact=exact))
+    for b, c in zip(space.basis, x.coords):
+        if c == 0:
+            continue
+        elem = b if exact else b.to_float()
+        acc = acc + elem.scale(HScalar.make(c, exact=exact))
     return acc
 
 
 def project_matrix_reference(space, m):
-    """The real-pairing route for a float matrix: each coordinate
-    component is the pairing of m with its unit-times-basis matrix over
-    that matrix's norm, and the residual is taken against the sum of those
-    matrices scaled by the components."""
-    grid = [[e.to_matrix().to_float() for e in row] for row in _unit_basis_grid(space)]
-    comps = [
-        [float(HMatrix.real_pairing(bm, m)) / float(HMatrix.real_pairing(bm, bm)) for bm in row]
-        for row in grid
-    ]
+    """The real-pairing route for a float matrix: each coordinate is the
+    pairing of m with its basis matrix over that matrix's norm, and the
+    residual is taken against the sum of the basis matrices scaled by the
+    coordinates."""
+    basis = [e.to_matrix().to_float() for e in space.basis]
+    coords = tuple(
+        float(HMatrix.real_pairing(bm, m)) / float(HMatrix.real_pairing(bm, bm)) for bm in basis
+    )
     acc = HMatrix.zeros(space.rep.n, exact=False)
-    for row, crow in zip(grid, comps):
-        for bm, c in zip(row, crow):
-            acc = acc + bm.scale(HScalar.flt(c))
-    if space.hyper_coords:
-        coords = tuple(HScalar.flt(*(crow[a] for crow in comps)) for a in range(space.dim))
-    else:
-        coords = tuple(comps[0])
+    for bm, c in zip(basis, coords):
+        acc = acc + bm.scale(HScalar.flt(c))
     return coords, (m - acc).max_abs()
 
 
@@ -357,8 +351,6 @@ def _random_coords(space, rng, exact, density):
             return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         return rng.uniform(-2, 2)
 
-    if space.hyper_coords:
-        return [HScalar(number(), number(), number(), number()) for _ in range(space.dim)]
     return [number() for _ in range(space.dim)]
 
 
@@ -387,8 +379,7 @@ def test_project_zero_matrix_follows_its_backend(name, exact):
     space = get_space(name)
     coords, residual = space.project_matrix(HMatrix.zeros(space.rep.n, exact=exact))
     zero = Fraction(0) if exact else 0.0
-    want = HScalar(zero, zero, zero, zero) if space.hyper_coords else zero
-    assert _parts(coords) == _parts((want,) * space.dim)
+    assert _parts(coords) == _parts((zero,) * space.dim)
     assert residual == 0.0
 
 

@@ -185,16 +185,6 @@ def test_momentum_validation():
         MomentumHM4(q=(1, 2, 3))
 
 
-def test_momentum_json_roundtrip():
-    p = MomentumHM4(q=(1, 2, 3, 4), s=(0.5, 0, 0, 0))
-    payload = p.to_json_dict()
-    assert set(payload) == {"q", "o", "s", "u"}
-    assert all(len(v) == 4 for v in payload.values())
-    again = MomentumHM4.from_json_dict(payload)
-    assert again.q == (1, 2, 3, 4) and again.s == (0.5, 0, 0, 0)
-    assert MomentumHM4.from_json_dict({"q": [2, 0, 0, 0]}).o == (0, 0, 0, 0)
-
-
 def test_mass_qform_ring_value_has_no_i_or_j_part():
     # p bar(p) is fixed by conjugation, which kills the i and j ring
     # components; the value always lies in span{1, ij}
