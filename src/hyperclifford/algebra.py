@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .matrices import HMatrix, pauli2, sigma_ab
 from .scalars import BackendMismatch, HScalar
@@ -60,6 +60,8 @@ __all__ = [
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 REP_NAMES = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
+# the scalar units, in the order of HScalar's components x y v w
+_RING_UNITS = ("1", "i", "j", "ij")
 
 Blade = tuple
 
@@ -170,6 +172,7 @@ class AlgebraRep:
             self._basis_mat[(blade, unit)] = m
         self._coord_map = self._signed_coords()
         self._validate_orthogonality()
+        self._ring_units = self._find_ring_units()
         # Multivector coordinates: blade -> index of its real coordinate,
         # the adjoined-unit coordinate following it
         self._offset = {b: k * len(self.units) for k, b in enumerate(self.blades)}
@@ -234,13 +237,26 @@ class AlgebraRep:
                         f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal"
                     )
 
+    def _find_ring_units(self) -> dict:
+        """The scalar units of 1, i, j, ij that the representation holds,
+        as exact multivectors: u is sign times the basis element whose
+        matrix is sign*u times the identity, read off the coordinate table
+        (u's part of diagonal entry r is real coordinate 4(n+1)r + spot)."""
+        index = {pairs: k for k, pairs in enumerate(self._coord_map.values())}
+        units = {}
+        for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
+            k = index.get(tuple((4 * (self.n + 1) * r + spot, sign) for r in range(self.n)))
+            if k is not None:
+                units[u] = Multivector._make(self, [Fraction(sign) if j == k else _ZERO for j in range(len(self.basis))])
+        return units
+
     # -- HScalar <-> coordinates -------------------------------------------
 
     def _coeff_parts(self, z: HScalar) -> tuple:
         """Real coordinates of a blade coefficient: its 1 part, then its
         adjoined-unit part; ``ValueError`` when it leaves the subring."""
         comps = z.coeffs()
-        bad = [u for k, u in enumerate(("1", "i", "j", "ij")) if comps[k] and k not in self._spots]
+        bad = [u for k, u in enumerate(_RING_UNITS) if comps[k] and k not in self._spots]
         if bad:
             raise ValueError(f"coefficient {z} uses units {bad} outside the {self.name} subring")
         return tuple(comps[spot] for spot in self._spots)
@@ -581,25 +597,15 @@ def pseudoscalar(rep: AlgebraRep) -> Multivector:
 def ring_unit_multivectors(rep: AlgebraRep) -> dict[str, Multivector]:
     """Realizations of 1, i, j, ij inside a complexified representation.
 
-    The adjoined unit is a coefficient; the other unit comes from the
-    pseudoscalar (i j = e1 e2 e3 in the 2x2 algebra, -i = e1..e5 in the
-    4x4 algebra).
+    Each unit u is the one basis element whose matrix is +u or -u times
+    the identity, found once per representation from its basis matrices,
+    so a unit may be the adjoined coefficient unit, a generator or a
+    blade (i j = e1 e2 e3 in the 2x2 algebra, -i = e1..e5 in the 4x4
+    algebra).  Raises ``ValueError`` when the representation lacks one.
     """
-    one = rep.scalar(1)
-    if rep.adjoined == "i":
-        i_mv = rep.scalar(HScalar.unit("i"))
-        j_mv = rep.generator(1)
-    elif rep.adjoined == "j":
-        j_mv = rep.scalar(HScalar.unit("j"))
-        if rep.signature == Signature(3, 0):
-            i_mv = rep.blade((1, 2, 3), HScalar.unit("j"))
-        elif rep.signature == Signature(0, 5):
-            i_mv = -rep.blade((1, 2, 3, 4, 5))
-        else:
-            raise ValueError(f"no complex-unit realization for {rep.name}")
-    else:
+    if len(rep._ring_units) < len(_RING_UNITS):
         raise ValueError(f"{rep.name} does not contain all four scalar units")
-    return {"1": one, "i": i_mv, "j": j_mv, "ij": i_mv.gp_blades(j_mv)}
+    return dict(rep._ring_units)
 
 
 # -- dimension counting -----------------------------------------------------------
@@ -750,53 +756,32 @@ class TableRow:
     derived: bool = False
 
 
-def _sign_of(mv: Multivector, image: Multivector) -> int:
-    if image == mv:
-        return 1
-    if image == -mv:
-        return -1
-    raise ValueError(f"involution image of {mv!r} is not +-itself")
-
-
 def _unit_signs(mv: Multivector) -> tuple[int, int, int]:
-    return tuple(_sign_of(mv, mv.involution(k)) for k in ("bar", "dagger", "hat"))
+    """The bar, dagger and hat signs of a unit, whose images must be +-itself."""
+    images = [mv.involution(k) for k in ("bar", "dagger", "hat")]
+    if any(image != mv and image != -mv for image in images):
+        raise ValueError(f"involution image of {mv!r} is not +-itself")
+    return tuple(1 if image == mv else -1 for image in images)
 
 
 def _catalog(rep_name: str):
-    """Units displayed for each representation, as blade realizations."""
+    """Units displayed for a representation, as blade realizations: the
+    generators that are not themselves scalar units, the sigma matrices
+    as unit multiples of blades (sigma_k = j e_k in c30bar; sigma_0k =
+    -i e_k and sigma_kl = i e_k e_l in h05bar), then the scalar units the
+    representation holds, ij marked derived."""
     rep = get_rep(rep_name)
-    unit_j = HScalar.unit("j")
-    if rep_name == "r01":
-        return rep, [("i", rep.generator(1), False)]
-    if rep_name == "r10":
-        return rep, [("j", rep.generator(1), False)]
-    if rep_name == "c10bar":
-        return rep, [
-            ("i", rep.scalar(HScalar.unit("i")), False),
-            ("j", rep.generator(1), False),
-            ("ij", rep.blade((1,), HScalar.unit("i")), True),
-        ]
+    units = rep._ring_units
+    gens = [(f"e{k}", rep.generator(k), False) for k in range(1, rep.signature.n + 1)]
+    rows = [row for row in gens if row[1] not in units.values()]
     if rep_name == "c30bar":
-        rows = [(f"e{k}", rep.generator(k), False) for k in (1, 2, 3)]
-        rows += [(f"sigma{k}", rep.blade((k,), unit_j), False) for k in (1, 2, 3)]
-        rows.append(("i", rep.blade((1, 2, 3), unit_j), False))
-        rows.append(("j", rep.scalar(unit_j), False))
-        rows.append(("ij", rep.blade((1, 2, 3)), True))
-        return rep, rows
+        # j is c30bar's coefficient unit: j e_k is the blade e_k with coefficient j
+        rows += [(f"sigma{k}", rep.blade((k,), HScalar.unit("j")), False) for k in (1, 2, 3)]
     if rep_name == "h05bar":
-        minus_i = rep.blade((1, 2, 3, 4, 5))  # i = -e1e2e3e4e5
-        rows = [(f"e{k}", rep.generator(k), False) for k in range(1, 6)]
-        for k in range(1, 6):
-            rows.append((f"sigma0{k}", minus_i.gp_blades(rep.generator(k)), False))
-        for k in range(1, 6):
-            for l in range(k + 1, 6):
-                mv = (-minus_i).gp_blades(rep.blade((k, l)))
-                rows.append((f"sigma{k}{l}", mv, False))
-        rows.append(("i", -minus_i, False))
-        rows.append(("j", rep.scalar(unit_j), False))
-        rows.append(("ij", minus_i.scale(-unit_j), True))
-        return rep, rows
-    raise ValueError(f"no published sign table for representation {rep_name!r}")
+        rows += [(f"sigma0{k}", (-units["i"]).gp_blades(rep.generator(k)), False) for k in range(1, 6)]
+        rows += [(f"sigma{k}{l}", units["i"].gp_blades(rep.blade((k, l))), False)
+                 for k, l in combinations(range(1, 6), 2)]
+    return rows + [(u, mv, u == "ij") for u, mv in units.items() if u != "1"]
 
 
 # cmd-facing aliases: the tables cover the plain and the complexified
@@ -810,9 +795,5 @@ def involution_table(rep_name: str) -> list[TableRow]:
     Rows marked derived have no published counterpart; they follow from
     the blade realization and are printed for completeness.
     """
-    _, catalog = _catalog(_TABLE_ALIAS.get(rep_name, rep_name))
-    out = []
-    for unit_name, mv, derived in catalog:
-        b, d, h = _unit_signs(mv)
-        out.append(TableRow(unit_name, b, d, h, derived))
-    return out
+    catalog = _catalog(_TABLE_ALIAS.get(rep_name, rep_name))
+    return [TableRow(unit, *_unit_signs(mv), derived) for unit, mv, derived in catalog]

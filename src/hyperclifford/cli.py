@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 
 from . import checks
-from .algebra import get_rep, involution_table
+from .algebra import REP_NAMES, get_rep, involution_table
 from .matrices import HMatrix, pauli2, pauli4, sigma_ab
 from .paravectors import get_space, quasi_sphere_residual
 from .physics import interfere, linearize
@@ -151,23 +151,13 @@ def _cmd_sphere(args) -> int:
     closed = sphere_point(args.radius, angles)
     rotor = sphere_point_via_rotors(args.radius, angles)
     dev = max(abs(a - b) for a, b in zip(closed, rotor))
+    payload = {"closed_form": list(closed), "rotor_path": list(rotor), "max_deviation": dev}
     if args.hyperbolic:
         xis = _parse_floats(args.hyperbolic, 5, "--hyperbolic")
         coords = quasi_sphere_point_r66(args.radius, angles, xis)
-        residual = quasi_sphere_residual(get_space("r66").paravector(coords), args.radius)
-        payload = {
-            "closed_form": list(closed),
-            "rotor_path": list(rotor),
-            "max_deviation": dev,
-            "extended_coords": list(coords),
-            "membership_residual": residual,
-        }
-    else:
-        payload = {
-            "closed_form": list(closed),
-            "rotor_path": list(rotor),
-            "max_deviation": dev,
-        }
+        payload["extended_coords"] = list(coords)
+        point = get_space("r66").paravector(coords)
+        payload["membership_residual"] = quasi_sphere_residual(point, args.radius)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -320,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tables", help="print computed involution sign tables")
-    p.add_argument("rep", choices=("r01", "r10", "r30", "r05", "c30bar", "h05bar", "c10bar"))
+    p.add_argument("rep", choices=REP_NAMES)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_tables)
 
@@ -355,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pauli)
 
     p = sub.add_parser("decompose", help="blade coefficients of a JSON matrix")
-    p.add_argument("--rep", required=True, choices=("r01", "r10", "r30", "r05", "c30bar", "h05bar", "c10bar"))
+    p.add_argument("--rep", required=True, choices=REP_NAMES)
     p.add_argument(
         "--matrix",
         required=True,

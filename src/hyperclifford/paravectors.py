@@ -2,17 +2,20 @@
 
 A paravector space fixes an ordered basis of algebra elements whose first
 member is the unity, together with the diagonal metric the basis induces
-through the quadratic form x*bar(x).  Four real spaces are provided
+through the quadratic form x*bar(x).  Every basis is u*b for scalar units
+u and b in (1, e_1 .. e_n), unit-major, with the units that
+ring_unit_multivectors reads off the representation's basis matrices:
 
-    m4   (1, j*sigma_1..3)                over c30bar, metric (+,-,-,-)
-    e6   (1, i*sigma_01..05)              over h05bar, metric (+ x6)
-    r66  (1, i*sigma_0k, ij, -j*sigma_0k) over h05bar, metric (+ x6, - x6)
-    h1   (1, i, j, ij)                    over c10bar, metric (+,+,-,-)
+    space rep    n units       basis                              metric
+    m4    c30bar 3 1           (1, e_k = j*sigma_k)               (+,-,-,-)
+    e6    h05bar 5 1           (1, e_k = i*sigma_0k)              (+ x6)
+    r66   h05bar 5 1 ij        (1, e_k, ij, ij*e_k = -j*sigma_0k) (+ x6, - x6)
+    h1    c10bar 0 1 i j ij    (1, i, j, ij)                      (+,+,-,-)
+    hm4   c30bar 3 1 i j ij    the m4 basis times each unit       (+,-,-,-) x2,
+                                                                  (-,+,+,+) x2
 
-plus hm4, which carries extended momenta q + i*o + j*s + ij*u: the sixteen
-elements u*b for the units u = 1, i, j, ij (unit-major) and b in the m4
-basis, one real coordinate each.  Every coordinate of every space is a
-real number, all Fraction or all float.
+hm4 carries extended momenta q + i*o + j*s + ij*u.  Every coordinate of
+every space is one real number, all Fraction or all float.
 """
 
 from __future__ import annotations
@@ -40,7 +43,16 @@ __all__ = [
     "embed_momentum",
 ]
 
-SPACE_NAMES = ("m4", "e6", "r66", "h1", "hm4")
+# name: (representation, number of generators n, units u); the basis is
+# u*b for b in (1, e_1 .. e_n), unit-major
+_SPACES = {
+    "m4": ("c30bar", 3, ("1",)),
+    "e6": ("h05bar", 5, ("1",)),
+    "r66": ("h05bar", 5, ("1", "ij")),
+    "h1": ("c10bar", 0, ("1", "i", "j", "ij")),
+    "hm4": ("c30bar", 3, ("1", "i", "j", "ij")),
+}
+SPACE_NAMES = tuple(_SPACES)
 
 
 def _single_slot(mv: Multivector):
@@ -70,8 +82,7 @@ class ParavectorSpace:
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.metric = tuple(self._metric_signs())
-        unit_mvs = ring_unit_multivectors(rep)
-        self._unit_slots = tuple(_single_slot(unit_mvs[u]) for u in ("1", "i", "j", "ij"))
+        self._unit_slots = tuple(map(_single_slot, ring_unit_multivectors(rep).values()))
         slots = tuple(map(_single_slot, self.basis))
         for a, slot in enumerate(slots):
             if slot is None or slot[0] in {s[0] for s in slots[:a]}:
@@ -188,39 +199,13 @@ class Paravector:
 
 @lru_cache(maxsize=None)
 def get_space(name: str) -> ParavectorSpace:
-    unit_j = HScalar.unit("j")
-    unit_i = HScalar.unit("i")
-    if name == "m4" or name == "hm4":
-        rep = get_rep("c30bar")
-        basis = [rep.scalar(1)] + [rep.blade((k,)) for k in (1, 2, 3)]
-        if name == "hm4":
-            units = ring_unit_multivectors(rep)
-            basis = [units[u].gp_blades(b) for u in ("1", "i", "j", "ij") for b in basis]
-        return ParavectorSpace(name, rep, basis)
-    if name == "e6":
-        rep = get_rep("h05bar")
-        basis = [rep.scalar(1)] + [rep.generator(k) for k in range(1, 6)]
-        return ParavectorSpace(name, rep, basis)
-    if name == "r66":
-        rep = get_rep("h05bar")
-        minus_i = rep.blade((1, 2, 3, 4, 5))
-        ij = minus_i.scale(-unit_j)
-        basis = [rep.scalar(1)] + [rep.generator(k) for k in range(1, 6)]
-        basis.append(ij)
-        for k in range(1, 6):
-            # -j*sigma_0k with sigma_0k = -i*e_k
-            basis.append(minus_i.gp_blades(rep.generator(k)).scale(-unit_j))
-        return ParavectorSpace(name, rep, basis)
-    if name == "h1":
-        rep = get_rep("c10bar")
-        basis = [
-            rep.scalar(1),
-            rep.scalar(unit_i),
-            rep.generator(1),
-            rep.blade((1,), unit_i),
-        ]
-        return ParavectorSpace(name, rep, basis)
-    raise ValueError(f"unknown paravector space {name!r}")
+    if name not in _SPACES:
+        raise ValueError(f"unknown paravector space {name!r}")
+    rep_name, n, unit_names = _SPACES[name]
+    rep = get_rep(rep_name)
+    units = ring_unit_multivectors(rep)
+    base = [units["1"]] + [rep.generator(k) for k in range(1, n + 1)]
+    return ParavectorSpace(name, rep, [units[u].gp_blades(b) for u in unit_names for b in base])
 
 
 # -- products -------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .algebra import AlgebraRep, Multivector, get_rep
+from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, get_space
 from .scalars import HScalar, NullPair, from_null, to_null, trig_tilde
@@ -56,10 +56,11 @@ __all__ = [
 
 # Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)^-1 = dagger(g).
 CERT_TOL = 1e-12
-# Size of the last series term kept by the scaling-and-squaring exponential.
-_SERIES_TOL = 1e-14
-
-SPACE_REP = {"h1": "c10bar", "m4": "c30bar", "e6": "h05bar", "r66": "h05bar"}
+# The series exponential halves its argument until no entry exceeds _HALF_AT
+# (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
+_HALF_AT, _MAX_HALVINGS, _SERIES_TOL = 0.5, 64, 1e-14
+# Relative bound on a matrix's part outside the span it must lie in.
+_SPAN_TOL = 1e-9
 
 # Rotation planes of the five-rotation sphere composition, with the sign
 # each plane's angle carries inside the exponent, in application order.
@@ -143,7 +144,7 @@ def _scalar_square(m: HMatrix):
     return float(x)
 
 
-def mat_exp(x: HMatrix, half_at: float = 0.5, max_halvings: int = 64) -> HMatrix:
+def mat_exp(x: HMatrix) -> HMatrix:
     """Exponential of a float-backend matrix.
 
     Arguments whose square is a real multiple of the identity use the
@@ -167,8 +168,8 @@ def mat_exp(x: HMatrix, half_at: float = 0.5, max_halvings: int = 64) -> HMatrix
 
     halvings = 0
     scaled = x
-    while scaled.max_abs() > half_at:
-        if halvings >= max_halvings:
+    while scaled.max_abs() > _HALF_AT:
+        if halvings >= _MAX_HALVINGS:
             raise SeriesNonConvergence("exponential argument too large")
         scaled = scaled.scale(HScalar.flt(0.5))
         halvings += 1
@@ -244,7 +245,7 @@ def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
     """Decompose, certify and wrap a group-element matrix."""
     mv, residual = rep.decompose_residual(m)
-    if residual > 1e-9 * (1.0 + m.max_abs()):
+    if residual > _SPAN_TOL * (1.0 + m.max_abs()):
         raise ValueError("matrix lies outside the representation span")
     one = rep.scalar(1, exact=False)
     spin = (mv.gp(mv.bar()) - one).max_abs()
@@ -259,20 +260,18 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = 
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
-    rep = get_rep(SPACE_REP[params.space])
+    rep = get_space(params.space).rep
     if params.space == "h1":
         z = HScalar.flt(0.0, -params.phi[0] / 2.0, params.xi[0] / 2.0, 0.0)
-        g = HMatrix([[z.exp()]])
-        return rotor_from_matrix(rep, g, params)
-    x = _exponent_matrix(params)
-    return rotor_from_matrix(rep, mat_exp(x), params)
+        return rotor_from_matrix(rep, HMatrix([[z.exp()]]), params)
+    return rotor_from_matrix(rep, mat_exp(_exponent_matrix(params)), params)
 
 
-def act(rotor: Rotor, x: Paravector, tol: float = 1e-9) -> Paravector:
+def act(rotor: Rotor, x: Paravector) -> Paravector:
     """The rotation x -> g x hat(g)^-1, projected back to coordinates.
 
     Raises :class:`ResultOutsideParavectorSpan` when the image leaks out
-    of the paravector span beyond ``tol`` (relative to the coordinate
+    of the paravector span beyond ``_SPAN_TOL`` (relative to the coordinate
     size), which indicates g is not a valid transformation for the space.
     """
     if x.space.rep is not rotor.rep:
@@ -280,7 +279,7 @@ def act(rotor: Rotor, x: Paravector, tol: float = 1e-9) -> Paravector:
     xm = x.to_multivector().to_matrix().to_float()
     m = rotor.g.to_matrix() @ xm @ rotor.ghat_inv.to_matrix()
     coords, residual = x.space.project_matrix(m)
-    if residual > tol * (1.0 + m.max_abs()):
+    if residual > _SPAN_TOL * (1.0 + m.max_abs()):
         raise ResultOutsideParavectorSpan(
             f"rotation image leaves the {x.space.name} span (residual {residual:.3e})"
         )
@@ -482,7 +481,7 @@ def null_reconstruct(pair: tuple[HMatrix, HMatrix]) -> HMatrix:
     """Inverse of :func:`null_factorize`, entry by entry through :func:`from_null`."""
     plus, minus = pair
     return HMatrix([
-        [from_null(NullPair(a, b, real=a.y == b.y == 0)) for a, b in zip(pr, mr)]
+        [from_null(NullPair(a, b)) for a, b in zip(pr, mr)]
         for pr, mr in zip(plus.rows, minus.rows)
     ])
 
@@ -523,8 +522,8 @@ def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
     g = HMatrix.identity(4, exact=False)
     for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
         g = mat_exp(_plane_exponent(a, b, -sign * phi, -sign * xi)) @ g
-    rotor = rotor_from_matrix(get_rep("h05bar"), g)
-    return act(rotor, get_space(space).basis_vector(5, r)).coords
+    target = get_space(space)
+    return act(rotor_from_matrix(target.rep, g), target.basis_vector(5, r)).coords
 
 
 def sphere_point_via_rotors(r: float, angles) -> tuple[float, ...]:

@@ -70,7 +70,12 @@ class HScalar:
 
     @classmethod
     def flt(cls, x=0.0, y=0.0, v=0.0, w=0.0) -> "HScalar":
-        return cls(float(x), float(y), float(v), float(w))
+        """Float-backend scalar; ``ValueError`` names a NaN or infinite component."""
+        z = cls(float(x), float(y), float(v), float(w))
+        if not (math.isfinite(z.x) and math.isfinite(z.y) and math.isfinite(z.v) and math.isfinite(z.w)):
+            name, c = next((n, c) for n, c in zip("xyvw", z.coeffs()) if not math.isfinite(c))
+            raise ValueError(f"HScalar component {name} is not finite: {c}")
+        return z
 
     @classmethod
     def make(cls, x=0, y=0, v=0, w=0, exact: bool = True) -> "HScalar":
@@ -268,28 +273,31 @@ class NullPair:
 
     Components are stored as complex-restricted scalars (no j or ij part)
     so the same type serves the real and the complex double field; ``real``
-    marks the restriction to real components.
+    says whether both components are real.
     """
 
     a: HScalar
     b: HScalar
-    real: bool
 
     def __post_init__(self):
         for c in (self.a, self.b):
             if c.v != 0 or c.w != 0:
                 raise ValueError("null-pair components must be complex (no j part)")
 
+    @property
+    def real(self) -> bool:
+        return self.a.y == 0 and self.b.y == 0
+
     def swap(self) -> "NullPair":
-        return NullPair(self.b, self.a, self.real)
+        return NullPair(self.b, self.a)
 
     def conjugate(self) -> "NullPair":
         """Swap the components and conjugate each; for real pairs this is
         the plain coordinate swap."""
-        return NullPair(self.b.conjugate(), self.a.conjugate(), self.real)
+        return NullPair(self.b.conjugate(), self.a.conjugate())
 
     def __mul__(self, other: "NullPair") -> "NullPair":
-        return NullPair(self.a * other.a, self.b * other.b, self.real and other.real)
+        return NullPair(self.a * other.a, self.b * other.b)
 
 
 def to_null(z: HScalar) -> NullPair:
@@ -300,7 +308,7 @@ def to_null(z: HScalar) -> NullPair:
     zero = z.x - z.x
     a = HScalar(z.x + z.v, z.y + z.w, zero, zero)
     b = HScalar(z.x - z.v, z.y - z.w, zero, zero)
-    return NullPair(a, b, real=(z.y == 0 and z.w == 0))
+    return NullPair(a, b)
 
 
 def from_null(p: NullPair) -> HScalar:

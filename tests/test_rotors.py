@@ -7,11 +7,12 @@ import random
 import pytest
 
 from hyperclifford.algebra import get_rep
-from hyperclifford.matrices import HMatrix, commutator, pauli2
+from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
     ResultOutsideParavectorSpan,
     RotorParams,
+    _scalar_square,
     act,
     h1_null_pair,
     lorentz_generators,
@@ -169,25 +170,50 @@ def test_gp_anticommutation_example():
         assert not total.coeffs
 
 
+def taylor_exp(x: HMatrix) -> HMatrix:
+    """Reference exponential: the plain Taylor series, without scaling
+    and without the closed form."""
+    acc = term = HMatrix.identity(x.n, exact=False)
+    for k in range(1, 60):
+        term = (term @ x).scale(HScalar.flt(1.0 / k))
+        acc = acc + term
+    return acc
+
+
 def test_series_and_closed_form_agree():
+    # mat_exp takes the closed form when the argument squares to a real
+    # multiple of the identity and scaling-and-squaring otherwise; both
+    # branches must agree with the plain series
     rng = random.Random(5)
     for _ in range(20):
-        # single-plane argument has a scalar square: closed form applies
-        theta = rng.uniform(-2, 2)
-        x = pauli2(1).to_float().scale(HScalar.flt(0, theta))
-        closed = mat_exp(x)
-        series = mat_exp(x + HMatrix.zeros(2, exact=False).scale(HScalar.flt(0)), half_at=-1.0)
-        assert closed.is_close(series, 1e-13)
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        closed_form = [
+            pauli2(1).to_float().scale(HScalar.flt(0, a)),  # squares to -a^2
+            pauli2(2).to_float().scale(HScalar.flt(0, 0, b)),  # squares to +b^2
+            sigma_ab(0, 3).to_float().scale(HScalar.flt(0, a)),
+        ]
+        series = [
+            # an m4 exponent: the square has an ij part
+            pauli2(1).to_float().scale(HScalar.flt(0, -a / 2, b / 2))
+            + pauli2(3).to_float().scale(HScalar.flt(0, b / 2, b / 2)),
+            # two commuting planes of an e6 exponent
+            sigma_ab(0, 1).to_float().scale(HScalar.flt(0, a))
+            + sigma_ab(2, 3).to_float().scale(HScalar.flt(0, b)),
+        ]
+        for x in closed_form + series:
+            assert (_scalar_square(x @ x) is None) == (x in series)
+            got, want = mat_exp(x), taylor_exp(x)
+            assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
 
 
 def test_exponent_norm_guard():
     from hyperclifford.rotors import SeriesNonConvergence
 
     # (1+i) sigma_1 squares to 2i times the identity: no closed form,
-    # and the magnitude defeats the scaling budget
+    # and the magnitude defeats the scaling budget of 64 halvings
     huge = pauli2(1).to_float().scale(HScalar.flt(1e30, 1e30))
     with pytest.raises(SeriesNonConvergence):
-        mat_exp(huge, max_halvings=8)
+        mat_exp(huge)
 
 
 # -- generator relations -------------------------------------------------------

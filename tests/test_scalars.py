@@ -148,9 +148,10 @@ def test_float_zero_divisor_threshold():
 @pytest.mark.parametrize(
     "z",
     [
-        HScalar.flt(float("nan")),
-        HScalar.flt(1.0, float("nan")),
-        HScalar.flt(0.0, 0.0, 0.0, float("nan")),
+        # the raw constructor: HScalar.flt rejects NaN components
+        HScalar(float("nan"), 0.0, 0.0, 0.0),
+        HScalar(1.0, float("nan"), 0.0, 0.0),
+        HScalar(0.0, 0.0, 0.0, float("nan")),
         HScalar.flt(1e200, 0.0, 1e200),  # the quadratic form overflows to inf - inf
     ],
     ids=["nan-real", "nan-i", "nan-ij", "overflow"],
@@ -158,6 +159,18 @@ def test_float_zero_divisor_threshold():
 def test_invert_rejects_nan_modulus(z):
     with pytest.raises(ValueError, match="NaN"):
         z.invert()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spot", range(4), ids=["x", "y", "v", "w"])
+def test_float_scalars_reject_non_finite_components(spot, value):
+    comps = [1.0, 0.0, 0.0, 0.0]
+    comps[spot] = value
+    name = "xyvw"[spot]
+    with pytest.raises(ValueError, match=f"component {name} "):
+        HScalar.flt(*comps)
+    with pytest.raises(ValueError, match=f"component {name} "):
+        HScalar.make(*comps, exact=False)
 
 
 def test_exp_hyperbolic_angle():
@@ -231,6 +244,20 @@ def test_null_product_law():
         z2 = exact(rng.randint(-9, 9), 0, rng.randint(-9, 9), 0)
         p1, p2 = to_null(z1), to_null(z2)
         assert to_null(z1 * z2) == p1 * p2
+
+
+def test_null_product_law_full_ring():
+    # products whose factors have i or ij parts can still be real, and the
+    # product of the pairs must say so as to_null does
+    rng = random.Random(8)
+    pairs = [(I, I), (IJ, IJ), (I, IJ)]
+    for _ in range(500):
+        z1 = exact(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
+        z2 = exact(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
+        pairs.append((z1, z2))
+    for z1, z2 in pairs:
+        assert to_null(z1 * z2) == to_null(z1) * to_null(z2)
+    assert (to_null(I) * to_null(I)).real and (to_null(IJ) * to_null(IJ)).real
 
 
 def test_null_full_ring_uses_conjugated_swap():
