@@ -30,6 +30,7 @@ special cases.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,11 +151,6 @@ class AlgebraRep:
                 key=lambda b: (len(b), b),
             )
         )
-        # Cayley table of the blade product; blade_mul stays its one definition.
-        self._gp_table = {
-            b1: {b2: blade_mul(b1, b2, signature) for b2 in self.blades}
-            for b1 in self.blades
-        }
         self._blade_mat = {(): HMatrix.identity(self.n)}
         for blade in self.blades:
             if blade:
@@ -183,10 +179,20 @@ class AlgebraRep:
                         for b, u in self.basis)
             for kind in ("bar", "dagger", "hat")
         }
-        # the HScalar component (x y v w) of each unit, and the unit's square
+        # the HScalar component (x y v w) of each unit
         self._spots = tuple(HScalar.unit(u).coeffs().index(1) for u in self.units)
+        # product table over the basis: _product[k1][k2] = (k, sign), with
+        # basis[k1] * basis[k2] = sign * basis[k].  One blade_mul per pair of
+        # blades; units 0 (1) and 1 (adjoined) multiply by XOR, and two
+        # adjoined units give the unit's square.  No basis matrix is read.
         u = HScalar.unit(adjoined or "1")
-        self._unit_square = int((u * u).x)
+        square, w = int((u * u).x), len(self.units)
+        blade_rows = [[(self._offset[b], sign) for b, sign in
+                       (blade_mul(b1, b2, signature) for b2 in self.blades)] for b1 in self.blades]
+        self._product = [
+            [(k + (u1 ^ u2), sign * square if u1 & u2 else sign) for k, sign in row for u2 in range(w)]
+            for row in blade_rows for u1 in range(w)
+        ]
 
     # -- construction-time validation -------------------------------------
 
@@ -408,22 +414,12 @@ class Multivector:
         return Multivector._make(self.rep, [-c if c else c for c in self.coords])
 
     def scale(self, z) -> "Multivector":
-        """Every coefficient multiplied by ``z``, a number or an
-        :class:`HScalar` in the representation's subring."""
-        rep, c, exact = self.rep, self.coords, self.is_exact
+        """The product with the scalar ``z``, a number or an
+        :class:`HScalar` in the representation's subring; a number takes
+        this element's backend.  Backends and zeros follow :meth:`gp_blades`."""
         if not isinstance(z, HScalar):
-            z = HScalar.make(z, exact=exact)
-        elif z.is_exact != exact and any(c):
-            raise BackendMismatch("mixed exact/float scalar operands")
-        a, *rest = rep._coeff_parts(z)
-        b = rest[0] if rest else 0
-        if not b:
-            return Multivector._make(rep, [a * x if x else x for x in c])
-        # (a + b*u)(x + y*u) = (a*x + b*(u*u*y)) + (a*y + b*x)*u
-        negate, out = rep._unit_square < 0, []
-        for x, y in zip(c[::2], c[1::2]):
-            out += (a * x + b * (-y if negate else y), a * y + b * x) if x or y else (x, y)
-        return Multivector._make(rep, out)
+            z = HScalar.make(z, exact=self.is_exact)
+        return self.gp_blades(self.rep.scalar(z))
 
     # -- products -------------------------------------------------------------
 
@@ -433,15 +429,13 @@ class Multivector:
         return self.rep.decompose(self.to_matrix() @ other.to_matrix())
 
     def gp_blades(self, other: "Multivector") -> "Multivector":
-        """Geometric product computed directly on blades.
+        """Geometric product computed directly on the real basis.
 
-        Independent of the matrix route: each pair of non-zero blades is one
-        lookup in the representation's product table, built from
-        :func:`blade_mul` at construction, and the coefficients multiply as
-        pairs (a, b) meaning a + b*u, u being the adjoined unit of square
-        +-1 (b is absent for plain reps).  Terms are summed per blade in
-        pair order, so float results equal those of per-term HScalar
-        arithmetic.  A zero operand of the other backend gives zero.
+        Independent of the matrix route: each pair of non-zero coordinates
+        is one lookup in the representation's product table, built from
+        :func:`blade_mul` and the adjoined unit's square at construction,
+        and one multiplication.  Terms are summed per output coordinate in
+        pair order.  A zero operand of the other backend gives zero.
         """
         self._require_same_rep(other)
         rep = self.rep
@@ -450,44 +444,21 @@ class Multivector:
             if any(self.coords) and any(other.coords):
                 raise BackendMismatch("mixed exact/float multivector operands")
             return Multivector._make(rep, (_ZERO if exact else 0.0,) * len(self.coords))
-        table, blades, c1, c2 = rep._gp_table, rep.blades, self.coords, other.coords
-        zero = _ZERO if exact else 0.0
-        acc = {}
-        get = acc.get
-        if not rep.adjoined:
-            lhs = [(b, x) for b, x in zip(blades, c1) if x]
-            rhs = [(b, x) for b, x in zip(blades, c2) if x]
-            for b1, x1 in lhs:
-                row = table[b1]
-                for b2, x2 in rhs:
-                    blade, sign = row[b2]
-                    a = x1 * x2
-                    if sign < 0:
-                        a = -a
-                    s = get(blade)
-                    acc[blade] = a if s is None else s + a
-            return Multivector._make(rep, [get(b, zero) for b in blades])
-        # the unit's square rides on the right factor's u-part, so that
-        # x1*x2 + y1*(u*u*y2) is one expression for i and j
-        negate = rep._unit_square < 0
-        lhs = [(b, x, y) for b, x, y in zip(blades, c1[::2], c1[1::2]) if x or y]
-        rhs = [(b, x, y, -y if negate else y)
-               for b, x, y in zip(blades, c2[::2], c2[1::2]) if x or y]
-        for b1, x1, y1 in lhs:
-            row = table[b1]
-            for b2, x2, y2, uy2 in rhs:
-                blade, sign = row[b2]
-                a = x1 * x2 + y1 * uy2
-                b = x1 * y2 + y1 * x2
-                if sign < 0:
-                    a, b = -a, -b
-                s = get(blade)
-                if s is None:
-                    acc[blade] = [a, b]
+        table, out = rep._product, [None] * len(self.coords)
+        rhs = [(k2, x2) for k2, x2 in enumerate(other.coords) if x2]
+        for k1, x1 in enumerate(self.coords):
+            if not x1:
+                continue
+            row = table[k1]
+            for k2, x2 in rhs:
+                k, sign = row[k2]
+                a, s = x1 * x2, out[k]
+                if sign > 0:
+                    out[k] = a if s is None else s + a
                 else:
-                    s[0] += a
-                    s[1] += b
-        return Multivector._make(rep, [c for b in blades for c in get(b, (zero, zero))])
+                    out[k] = -a if s is None else s - a
+        zero = _ZERO if exact else 0.0
+        return Multivector._make(rep, [zero if c is None else c for c in out])
 
     # -- involutions -----------------------------------------------------------
 
@@ -538,7 +509,9 @@ class Multivector:
         return HMatrix.from_real_coords(flat)
 
     def max_abs(self) -> float:
-        return max(map(abs, map(float, self.coords)))
+        """Largest absolute coordinate, as a float; NaN when one is NaN."""
+        mags = list(map(abs, map(float, self.coords)))
+        return math.nan if math.isnan(sum(mags)) else max(mags)
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):

@@ -247,6 +247,13 @@ def _cmd_pauli(args) -> int:
 # ---------------------------------------------------------------- decompose ----
 
 
+def _matrix_cell(cell, row: int, col: int) -> HScalar:
+    """One ``[x,y,v,w]`` cell of a JSON matrix, at 1-based ``row``, ``col``."""
+    if not isinstance(cell, list) or len(cell) != 4:
+        raise ValueError(f"cell at row {row}, column {col} is not four numbers [x,y,v,w]")
+    return HScalar.flt(*map(_finite_float, cell))
+
+
 def _cmd_decompose(args) -> int:
     rep = get_rep(args.rep)
     raw = args.matrix
@@ -254,12 +261,8 @@ def _cmd_decompose(args) -> int:
         raw = sys.stdin.read()
     try:
         grid = json.loads(raw)
-        m = HMatrix(
-            [
-                [HScalar.flt(*map(_finite_float, cell)) for cell in row]
-                for row in grid
-            ]
-        )
+        m = HMatrix([[_matrix_cell(cell, r, c) for c, cell in enumerate(row, 1)]
+                     for r, row in enumerate(grid, 1)])
     except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
         print(f"error: bad matrix JSON ({exc})", file=sys.stderr)
         return 2

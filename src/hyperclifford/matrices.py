@@ -279,12 +279,11 @@ class HMatrix:
         return hash(self.coords)
 
     def max_abs(self) -> float:
-        """Largest absolute real coordinate, as a float."""
+        """Largest absolute real coordinate, as a float; NaN when one is NaN
+        (max() alone keeps a NaN only when it comes first)."""
         c = self.coords
-        mags = map(abs, map(float, c) if self.is_exact else c)
-        # per entry first, then over entries, as with HScalar.abs_max: max()
-        # keeps a NaN only when it comes first, so the grouping matters
-        return max(map(max, mags, mags, mags, mags))
+        mags = list(map(abs, map(float, c) if self.is_exact else c))
+        return math.nan if math.isnan(sum(mags)) else max(mags)
 
     def is_close(self, other: "HMatrix", tol: float = 1e-12) -> bool:
         return (self - other).max_abs() <= tol

@@ -206,6 +206,6 @@ def stabilizer_check(
         except ResultOutsideParavectorSpan:
             return False
         before, after = x.qform(), image.qform()
-        if (before - after).abs_max() > tol * (1.0 + before.abs_max()):
+        if not ((before - after).abs_max() <= tol * (1.0 + before.abs_max())):
             return False
     return True

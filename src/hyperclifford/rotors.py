@@ -245,16 +245,17 @@ def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
     """Decompose, certify and wrap a group-element matrix."""
     mv, residual = rep.decompose_residual(m)
-    if residual > _SPAN_TOL * (1.0 + m.max_abs()):
+    # each test accepts only on "<=", so a NaN norm is rejected
+    if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
         raise ValueError("matrix lies outside the representation span")
     one = rep.scalar(1, exact=False)
     spin = (mv.gp(mv.bar()) - one).max_abs()
     ghat_inv = rep.decompose(mv.hat().to_matrix().inverse())
     dag = (ghat_inv - mv.dagger()).max_abs()
     scale = 1.0 + mv.max_abs() ** 2
-    if spin > CERT_TOL * scale:
+    if not (spin <= CERT_TOL * scale):
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
-    if dag > CERT_TOL * scale:
+    if not (dag <= CERT_TOL * scale):
         raise ValueError(f"hat-inverse/dagger identity violated: residual {dag:.3e}")
     return Rotor(mv, ghat_inv, spin, dag, params)
 
@@ -279,7 +280,7 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
     xm = x.to_multivector().to_matrix().to_float()
     m = rotor.g.to_matrix() @ xm @ rotor.ghat_inv.to_matrix()
     coords, residual = x.space.project_matrix(m)
-    if residual > _SPAN_TOL * (1.0 + m.max_abs()):
+    if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
         raise ResultOutsideParavectorSpan(
             f"rotation image leaves the {x.space.name} span (residual {residual:.3e})"
         )

@@ -234,7 +234,9 @@ class HScalar:
         return fi * fj * fk * HScalar.flt(base)
 
     def abs_max(self) -> float:
-        return max(abs(float(self.x)), abs(float(self.y)), abs(float(self.v)), abs(float(self.w)))
+        """Largest absolute coefficient, as a float; NaN when one is NaN."""
+        mags = (abs(float(self.x)), abs(float(self.y)), abs(float(self.v)), abs(float(self.w)))
+        return math.nan if math.isnan(sum(mags)) else max(mags)
 
     def is_close(self, other: "HScalar", tol: float = 1e-12) -> bool:
         d = self - other

@@ -1,5 +1,6 @@
 """Representations, geometric product, involutions, dimension counts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -54,28 +55,42 @@ def sparse_mv(rep, exact, rng):
     return Multivector(rep, keep)
 
 
+def unit_product(u1, u2):
+    """The unit and the sign of HScalar.unit(u1) * HScalar.unit(u2)."""
+    comps = (HScalar.unit(u1) * HScalar.unit(u2)).coeffs()
+    ((spot, c),) = [(spot, c) for spot, c in enumerate(comps) if c]
+    return ("1", "i", "j", "ij")[spot], int(c)
+
+
 def gp_blades_reference(u, v):
-    """The per-term blade product: one blade_mul and HScalar multiply,
-    negate and add per blade pair, summed per blade in pair order."""
-    out = {}
-    for b1, z1 in u.coeffs.items():
-        for b2, z2 in v.coeffs.items():
-            blade, sign = blade_mul(b1, b2, u.rep.signature)
-            term = z1 * z2
-            if sign < 0:
-                term = -term
-            out[blade] = out[blade] + term if blade in out else term
-    return Multivector(u.rep, out)
+    """The per-term blade product: one term per pair of non-zero real
+    coordinates, its blade and sign from blade_mul, its unit and sign from
+    HScalar.unit products, summed per output coordinate in pair order."""
+    rep, out = u.rep, {}
+    for (b1, u1), x1 in zip(rep.basis, u.coords):
+        for (b2, u2), x2 in zip(rep.basis, v.coords):
+            if not (x1 and x2):
+                continue
+            blade, sign = blade_mul(b1, b2, rep.signature)
+            unit, unit_sign = unit_product(u1, u2)
+            term = x1 * x2 if sign * unit_sign > 0 else -(x1 * x2)
+            key = (blade, unit)
+            out[key] = out[key] + term if key in out else term
+    zero = Fraction(0) if u.is_exact else 0.0
+    return Multivector._make(rep, [out.get(key, zero) for key in rep.basis])
 
 
 @pytest.mark.parametrize("name", ALL_REPS)
-def test_gp_table_is_blade_mul(name):
+def test_product_table_is_blade_mul_and_unit_product(name):
     rep = get_rep(name)
-    assert list(rep._gp_table) == list(rep.blades)
-    for b1 in rep.blades:
-        assert list(rep._gp_table[b1]) == list(rep.blades)
-        for b2 in rep.blades:
-            assert rep._gp_table[b1][b2] == blade_mul(b1, b2, rep.signature)
+    assert len(rep._product) == len(rep.basis)
+    for (b1, u1), row in zip(rep.basis, rep._product):
+        assert len(row) == len(rep.basis)
+        assert len({k for k, _ in row}) == len(row)  # a signed permutation
+        for (b2, u2), entry in zip(rep.basis, row):
+            blade, sign = blade_mul(b1, b2, rep.signature)
+            unit, unit_sign = unit_product(u1, u2)
+            assert entry == (rep.basis.index((blade, unit)), sign * unit_sign)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -116,6 +131,50 @@ def test_gp_blades_mixed_backends_and_zero_operands():
     for mv in (exact, flt, zero):
         assert mv.gp_blades(zero) == zero
         assert zero.gp_blades(mv) == zero
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name, unit", [("c10bar", "i"), ("c30bar", "j"), ("h05bar", "j")])
+def test_scale_is_the_per_blade_scalar_product(name, unit, exact):
+    rep = get_rep(name)
+    rng = random.Random(f"scale-{name}-{exact}")
+    zero = HScalar.zero(exact)
+    for _ in range(6):
+        mv = sparse_mv(rep, exact, rng) if exact else random_mv(rep, exact, rng)
+        a, b = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if exact else rng.uniform(-2, 2)
+                for _ in range(2))
+        z = HScalar.make(a, exact=exact) + HScalar.make(b, exact=exact) * HScalar.unit(unit, exact)
+        got = mv.scale(z)
+        for blade in rep.blades:
+            assert got.coeffs.get(blade, zero) == z * mv.coeffs.get(blade, zero)
+        assert all(type(c) is type(zero.x) for c in got.coords)
+
+
+def test_scale_checks_subring_and_backends():
+    c30bar = get_rep("c30bar")
+    exact, flt = c30bar.generator(1), c30bar.generator(1, exact=False)
+    with pytest.raises(ValueError, match="outside the c30bar subring"):
+        exact.scale(HScalar.unit("i"))
+    with pytest.raises(BackendMismatch):
+        exact.scale(HScalar.flt(2.0))
+    with pytest.raises(BackendMismatch):
+        flt.scale(HScalar.exact(2))
+    assert not flt.scale(2).is_exact and exact.scale(2.5).is_exact
+    # a zero of the other backend gives zero in this element's backend
+    for mv, other_zero in ((exact, HScalar.flt()), (flt, HScalar.exact())):
+        got = mv.scale(other_zero)
+        assert not any(got.coords) and got.is_exact == mv.is_exact
+    float_zero = c30bar.decompose(HMatrix.zeros(2, exact=False))
+    assert float_zero.scale(HScalar.exact(3)) == float_zero
+    assert not float_zero.scale(HScalar.exact(3)).is_exact
+
+
+def test_max_abs_keeps_a_nan():
+    rep = get_rep("r30")
+    coords = [1.0, math.nan] + [0.0] * (len(rep.basis) - 2)
+    mv = Multivector._make(rep, coords)
+    assert math.isnan(mv.max_abs())
+    assert not mv.is_close(rep.decompose(HMatrix.zeros(2, exact=False)), tol=2.0)
 
 
 def involution_reference(mv, kind):

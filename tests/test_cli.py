@@ -344,3 +344,20 @@ def test_decompose_rejects_malformed_matrix_json(capsys, matrix):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "rep, matrix, cell",
+    [
+        ("r01", "[[[1]]]", "row 1, column 1"),
+        ("r01", "[[[1, 0, 0, 0, 0]]]", "row 1, column 1"),
+        ("r01", '[["1234"]]', "row 1, column 1"),
+        ("r30", "[[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0]]]", "row 2, column 2"),
+    ],
+    ids=["one-number", "five-numbers", "string", "short-last-cell"],
+)
+def test_decompose_requires_four_numbers_per_cell(capsys, rep, matrix, cell):
+    code, out, err = run(capsys, "decompose", "--rep", rep, "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and cell in err and "four numbers" in err

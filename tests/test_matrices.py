@@ -1,6 +1,7 @@
 """Matrices over the scalar ring: Pauli tables, tensor products,
 elimination."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -424,3 +425,12 @@ def test_inverse_matches_reference_on_rotor_matrices(space):
         g = _random_rotor(space, rng).g
         for m in (g.to_matrix(), g.hat().to_matrix()):
             assert_same_coords(m.inverse(), inverse_reference(m), exact=False)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 6, 15], ids=["entry0-x", "entry0-y", "entry1-v", "entry3-w"])
+def test_max_abs_keeps_a_nan(idx):
+    coords = [1.0] + [0.0] * 15
+    coords[idx] = float("nan")
+    m = HMatrix.from_real_coords(coords)
+    assert math.isnan(m.max_abs())
+    assert not m.is_close(HMatrix.zeros(2, exact=False), tol=2.0)

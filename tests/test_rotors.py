@@ -1,12 +1,13 @@
 """Rotors: exponentials, the rotation action, generator relations,
 sphere parametrizations."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from hyperclifford.algebra import get_rep
+from hyperclifford.algebra import Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
@@ -22,6 +23,7 @@ from hyperclifford.rotors import (
     null_split,
     quasi_sphere_point_r66,
     quasi_sphere_point_r66_via_rotors,
+    rotor_from_matrix,
     rotor_from_params,
     sphere_point,
     sphere_point_via_rotors,
@@ -393,3 +395,18 @@ def test_negative_radius_rejected():
         sphere_point(-1.0, [0] * 5)
     with pytest.raises(ValueError):
         quasi_sphere_point_r66(-1.0, [0] * 5, [0] * 5)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 5], ids=["entry0-x", "entry0-y", "entry1-y"])
+def test_rotor_from_matrix_rejects_a_nan_by_its_span_test(idx):
+    coords = [1.0, 0.0, 0.0, 0.0] + [0.0] * 8 + [1.0, 0.0, 0.0, 0.0]
+    coords[idx] = math.nan
+    with pytest.raises(ValueError, match="outside the representation span"):
+        rotor_from_matrix(get_rep("r30"), HMatrix.from_real_coords(coords))
+
+
+def test_act_rejects_a_nan_image_by_its_span_test():
+    rotor = rotor_from_params(RotorParams.m4())
+    bad = dataclasses.replace(rotor, ghat_inv=Multivector._make(rotor.rep, [math.nan] + list(rotor.g.coords[1:])))
+    with pytest.raises(ResultOutsideParavectorSpan):
+        act(bad, get_space("m4").paravector([1.0, 0.0, 0.0, 0.0]))

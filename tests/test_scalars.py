@@ -283,3 +283,13 @@ def test_subring_closure():
         h2 = exact(rng.randint(-5, 5), 0, rng.randint(-5, 5))
         prod = h1 * h2
         assert prod.y == 0 and prod.w == 0
+
+
+@pytest.mark.parametrize("spot", range(4), ids=["x", "y", "v", "w"])
+def test_abs_max_keeps_a_nan(spot):
+    # the raw constructor: HScalar.flt rejects NaN components
+    comps = [1.0, 0.0, 0.0, 0.0]
+    comps[spot] = math.nan
+    z = HScalar(*comps)
+    assert math.isnan(z.abs_max())
+    assert not z.is_close(HScalar.flt(), tol=2.0)
