@@ -30,15 +30,13 @@ special cases.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import BackendMismatch, HScalar
+from .scalars import BackendMismatch, HScalar, RealCoords
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -328,7 +326,7 @@ class AlgebraRep:
         return f"AlgebraRep({self.name})"
 
 
-class Multivector:
+class Multivector(RealCoords):
     """An algebra element as real coordinates over its representation's basis.
 
     ``coords`` holds one real coordinate per entry of ``rep.basis``: per
@@ -337,16 +335,20 @@ class Multivector:
     all ``float``, so a zero keeps its backend.  The constructor takes
     ``{blade: HScalar}`` and is the one place that checks subring and
     backend; ``coeffs`` is the on-demand ``{blade: HScalar}`` view of the
-    non-zero blades in canonical order.  Values are immutable.
+    non-zero blades in canonical order.  Values are immutable.  Sums,
+    negation, ``==`` and the norm come from :class:`RealCoords`.
     """
 
     __slots__ = ("rep", "coords")
+    _shape = "rep"
 
     def __init__(self, rep: AlgebraRep, coeffs):
         """Absent blades are zero; with no coefficients the element is the
-        exact zero.  Raises ``ValueError`` for a blade outside the
-        representation or a coefficient outside its subring, and
-        :class:`BackendMismatch` when exact and float coefficients meet."""
+        exact zero, which meets only exact operands (a float zero is
+        ``rep.scalar(0, exact=False)``).  Raises ``ValueError`` for a blade
+        outside the representation or a coefficient outside its subring,
+        and :class:`BackendMismatch` when exact and float coefficients
+        meet."""
         floats = {isinstance(z.x, float) for z in coeffs.values()}
         if len(floats) > 1:
             raise BackendMismatch("mixed exact/float coefficients in one multivector")
@@ -360,14 +362,6 @@ class Multivector:
         self.rep = rep
         self.coords = tuple(coords)
 
-    @classmethod
-    def _make(cls, rep: AlgebraRep, coords) -> "Multivector":
-        """Wrap coordinates a kernel produced; they are valid by construction."""
-        mv = object.__new__(cls)
-        mv.rep = rep
-        mv.coords = tuple(coords)
-        return mv
-
     @property
     def coeffs(self) -> dict:
         """The non-zero blades and their coefficients, in canonical order."""
@@ -375,48 +369,13 @@ class Multivector:
         parts = (c[k:k + w] for k in range(0, len(c), w))
         return {blade: rep._coeff(p) for blade, p in zip(rep.blades, parts) if any(p)}
 
-    # -- backend ---------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.coords[0].__class__ is not float
-
-    def to_float(self) -> "Multivector":
-        return Multivector._make(self.rep, map(float, self.coords))
-
     # -- linear structure ---------------------------------------------------
-
-    def _require_same_rep(self, other: "Multivector"):
-        if self.rep is not other.rep:
-            raise ValueError("multivectors belong to different representations")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        """Sum; a zero of the other backend leaves the other operand."""
-        self._require_same_rep(other)
-        a, b = self.coords, other.coords
-        exact = self.is_exact
-        if other.is_exact != exact:
-            if any(a) and any(b):
-                raise BackendMismatch("mixed exact/float multivector operands")
-            return other if any(b) else self
-        if exact:
-            # a Fraction sum costs about 1 us; adding a zero changes nothing
-            out = [y if not x else (x if not y else x + y) for x, y in zip(a, b)]
-        else:
-            out = map(operator.add, a, b)
-        return Multivector._make(self.rep, out)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        # zeros stay as they are: negating a Fraction costs about 1 us
-        return Multivector._make(self.rep, [-c if c else c for c in self.coords])
 
     def scale(self, z) -> "Multivector":
         """The product with the scalar ``z``, a number or an
         :class:`HScalar` in the representation's subring; a number takes
-        this element's backend.  Backends and zeros follow :meth:`gp_blades`."""
+        this element's backend, and an :class:`HScalar` of the other
+        backend raises :class:`BackendMismatch`, as in :meth:`gp_blades`."""
         if not isinstance(z, HScalar):
             z = HScalar.make(z, exact=self.is_exact)
         return self.gp_blades(self.rep.scalar(z))
@@ -425,7 +384,7 @@ class Multivector:
 
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product: matrix product then blade decomposition."""
-        self._require_same_rep(other)
+        self._peer(other)
         return self.rep.decompose(self.to_matrix() @ other.to_matrix())
 
     def gp_blades(self, other: "Multivector") -> "Multivector":
@@ -435,15 +394,12 @@ class Multivector:
         is one lookup in the representation's product table, built from
         :func:`blade_mul` and the adjoined unit's square at construction,
         and one multiplication.  Terms are summed per output coordinate in
-        pair order.  A zero operand of the other backend gives zero.
+        pair order.  Both operands share one representation and one
+        backend; an operand of the other backend raises
+        :class:`BackendMismatch`, zero or not.
         """
-        self._require_same_rep(other)
+        exact = self._peer(other)
         rep = self.rep
-        exact = self.is_exact
-        if other.is_exact != exact:
-            if any(self.coords) and any(other.coords):
-                raise BackendMismatch("mixed exact/float multivector operands")
-            return Multivector._make(rep, (_ZERO if exact else 0.0,) * len(self.coords))
         table, out = rep._product, [None] * len(self.coords)
         rhs = [(k2, x2) for k2, x2 in enumerate(other.coords) if x2]
         for k1, x1 in enumerate(self.coords):
@@ -506,24 +462,7 @@ class Multivector:
                     flat[idx] += c
                 else:
                     flat[idx] -= c
-        return HMatrix.from_real_coords(flat)
-
-    def max_abs(self) -> float:
-        """Largest absolute coordinate, as a float; NaN when one is NaN."""
-        mags = list(map(abs, map(float, self.coords)))
-        return math.nan if math.isnan(sum(mags)) else max(mags)
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.rep is other.rep and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.rep), self.coords))
-
-    def is_close(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        self._require_same_rep(other)
-        return (self - other).max_abs() <= tol
+        return HMatrix._make(rep.n, flat)
 
     def __repr__(self):
         parts = [f"({z}){''.join(f'e{i}' for i in blade) or '1'}" for blade, z in self.coeffs.items()]
@@ -702,7 +641,7 @@ def _permute_4x4(a: HMatrix, table, conjugate_entries: bool) -> HMatrix:
             if conjugate_entries:
                 y, v = -y, -v
             out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
-    return HMatrix.from_real_coords(out)
+    return HMatrix._make(4, out)
 
 
 def porteous_dagger_4x4(a: HMatrix) -> HMatrix:

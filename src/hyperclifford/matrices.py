@@ -25,12 +25,11 @@ against each other.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
-from .scalars import BackendMismatch, HScalar
+from .scalars import BackendMismatch, HScalar, RealCoords
 
 __all__ = [
     "SingularMatrix",
@@ -50,16 +49,18 @@ class SingularMatrix(ArithmeticError):
     """Raised when elimination cannot find an invertible pivot."""
 
 
-class HMatrix:
+class HMatrix(RealCoords):
     """Immutable square matrix over the hyperbolic-complex ring.
 
     Stored as ``n`` and ``coords``, the flat row-major tuple of the ``4n^2``
     real coordinates, ``x y v w`` per entry.  All coordinates are
     :class:`Fraction` (exact backend) or all are ``float``.  ``rows`` and
-    :meth:`entry` build :class:`HScalar` views on demand.
+    :meth:`entry` build :class:`HScalar` views on demand.  Sums, negation,
+    ``==`` and the norm come from :class:`RealCoords`.
     """
 
     __slots__ = ("n", "coords")
+    _shape = "n"
 
     def __init__(self, rows):
         """Build from rows of :class:`HScalar` entries.
@@ -84,14 +85,6 @@ class HMatrix:
         self.n = n
         self.coords = tuple(coords)
 
-    @classmethod
-    def _make(cls, n: int, coords) -> "HMatrix":
-        """Wrap coordinates a kernel produced; they are valid by construction."""
-        m = object.__new__(cls)
-        m.n = n
-        m.coords = tuple(coords)
-        return m
-
     # -- construction ----------------------------------------------------
 
     @classmethod
@@ -115,19 +108,20 @@ class HMatrix:
     @classmethod
     def from_real_coords(cls, coords) -> "HMatrix":
         """Inverse of :meth:`real_coords`: 4 real coefficients per entry,
-        row-major, all of them ``Fraction`` or all ``float``."""
+        row-major, all of them ``Fraction`` or all finite ``float``s;
+        ``ValueError`` names the index of a NaN or infinite coordinate."""
         q = len(coords)
         n = math.isqrt(q // 4)
         if q == 0 or 4 * n * n != q:
             raise ValueError("coordinate count is not 4 times a non-zero square")
         _check_coords(coords)
+        if coords[0].__class__ is float:
+            for k, c in enumerate(coords):
+                if not math.isfinite(c):
+                    raise ValueError(f"matrix coordinate {k} is not finite: {c}")
         return cls._make(n, coords)
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.coords[0].__class__ is not float
 
     def entry(self, r: int, c: int) -> HScalar:
         n = self.n
@@ -145,55 +139,15 @@ class HMatrix:
             for r in range(0, len(c), w)
         )
 
-    def to_float(self) -> "HMatrix":
-        if not self.is_exact:
-            return self
-        return HMatrix._make(self.n, map(float, self.coords))
-
     def real_coords(self):
         """All real coefficients, row-major, 4 per entry."""
         return self.coords
 
     # -- algebra -----------------------------------------------------------
 
-    def _peer(self, other: "HMatrix") -> bool:
-        """Check shape and backend of a second operand; True if exact."""
-        if not isinstance(other, HMatrix) or other.n != self.n:
-            raise ValueError("dimension mismatch")
-        exact = self.is_exact
-        if other.is_exact != exact:
-            raise BackendMismatch("mixed exact/float matrix operands")
-        return exact
-
-    def __add__(self, other: "HMatrix") -> "HMatrix":
-        a, b = self.coords, other.coords
-        if self._peer(other):
-            # a Fraction sum costs about 1 us; adding a zero changes nothing
-            out = [y if not x else (x if not y else x + y) for x, y in zip(a, b)]
-        else:
-            out = map(operator.add, a, b)
-        return HMatrix._make(self.n, out)
-
-    def __sub__(self, other: "HMatrix") -> "HMatrix":
-        a, b = self.coords, other.coords
-        if self._peer(other):
-            out = [x if not y else (-y if not x else x - y) for x, y in zip(a, b)]
-        else:
-            out = map(operator.sub, a, b)
-        return HMatrix._make(self.n, out)
-
-    def __neg__(self) -> "HMatrix":
-        return HMatrix._make(self.n, map(operator.neg, self.coords))
-
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
-        """Matrix product; a zero matrix times a matrix of the other
-        backend is the zero matrix of the left factor's backend."""
-        try:
-            exact = self._peer(other)
-        except BackendMismatch:
-            if any(self.coords) and any(other.coords):
-                raise
-            return HMatrix.zeros(self.n, exact=self.is_exact)
+        """Matrix product; both factors of one size and one backend."""
+        exact = self._peer(other)
         kernel = _matmul_exact if exact else _matmul_float
         return HMatrix._make(self.n, kernel(self.n, self.coords, other.coords))
 
@@ -206,11 +160,6 @@ class HMatrix:
             raise BackendMismatch("mixed exact/float scalar operands")
         kernel = _scale_exact if exact else _scale_float
         return HMatrix._make(self.n, kernel(z.coeffs(), self.coords))
-
-    def __mul__(self, z):
-        return self.scale(z)
-
-    __rmul__ = __mul__
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
@@ -267,26 +216,6 @@ class HMatrix:
                 if r != col and any(f):
                     aug[r] = [x - y for x, y in zip(aug[r], scale(f, pivot))]
         return HMatrix._make(n, [x for row in aug for x in row[w:]])
-
-    # -- comparison and norms ------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, HMatrix):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def max_abs(self) -> float:
-        """Largest absolute real coordinate, as a float; NaN when one is NaN
-        (max() alone keeps a NaN only when it comes first)."""
-        c = self.coords
-        mags = list(map(abs, map(float, c) if self.is_exact else c))
-        return math.nan if math.isnan(sum(mags)) else max(mags)
-
-    def is_close(self, other: "HMatrix", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
 
     @staticmethod
     def real_pairing(a: "HMatrix", b: "HMatrix"):
@@ -432,8 +361,6 @@ def _scale_float(z, m):
 
 def kron(a: HMatrix, b: HMatrix) -> HMatrix:
     """Kronecker product; a's (1,1) entry scales b into the top-left block."""
-    if a.is_exact != b.is_exact:
-        raise BackendMismatch("mixed backends in tensor product")
     ra, rb = a.rows, b.rows
     return HMatrix(
         [za * zb for za in row_a for zb in row_b]

@@ -167,9 +167,7 @@ class ParavectorSpace:
         gathered = self.rep._gather(m, [k for k, _ in self._slots])
         coords = tuple(c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered))
         rebuilt = self._scatter(coords)
-        # a zero rebuild leaves the matrix itself
-        residual = (m - rebuilt.to_matrix()).max_abs() if any(rebuilt.coords) else m.max_abs()
-        return coords, residual
+        return coords, (m - rebuilt.to_matrix()).max_abs()
 
     def __repr__(self):
         return f"ParavectorSpace({self.name}, dim={self.dim})"

@@ -13,18 +13,24 @@ Two coefficient backends are supported.  The exact backend stores
 claim is verified bit-exactly (multiplication tables, dimensions,
 commutators).  The float backend is used for exponentials and rotor
 numerics.  Backends never mix implicitly; converting exact values to float
-is explicit and one-directional via :meth:`HScalar.to_float`.
+is explicit and one-directional via :meth:`HScalar.to_float`.  The rule
+is the same for :class:`HScalar` and for every :class:`RealCoords` value
+(matrices, multivectors): an operation on operands of two backends raises
+:class:`BackendMismatch`, also when one of them is zero, and ``==`` is
+backend-strict, so values of two backends are never equal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 __all__ = [
     "BackendMismatch",
+    "RealCoords",
     "ZeroDivisor",
     "HScalar",
     "NullPair",
@@ -41,6 +47,97 @@ ZERO_DIVISOR_RTOL = 1e-12
 
 class BackendMismatch(TypeError):
     """Raised when exact and float operands meet in one operation."""
+
+
+class RealCoords:
+    """A value stored as ``coords``, a flat tuple of real coordinates that
+    are all :class:`Fraction` (exact backend) or all ``float``, and a shape
+    that a subclass names in ``_shape``: the slot that two operands must
+    share (a matrix's size, a multivector's representation).  The linear
+    structure, comparison and norms live here.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, shape, coords):
+        """Wrap coordinates a kernel produced; they are valid by construction."""
+        value = object.__new__(cls)
+        setattr(value, cls._shape, shape)
+        value.coords = tuple(coords)
+        return value
+
+    @property
+    def is_exact(self) -> bool:
+        return self.coords[0].__class__ is not float
+
+    def _like(self, coords):
+        """A value of this type and shape with the given coordinates."""
+        return self._make(getattr(self, self._shape), coords)
+
+    def to_float(self):
+        return self._like(map(float, self.coords)) if self.is_exact else self
+
+    def _peer(self, other) -> bool:
+        """Check type, shape and backend of a second operand; True if exact.
+
+        The one backend rule: an operand of the other backend raises
+        :class:`BackendMismatch`, zero or not.
+        """
+        shape = self._shape
+        if other.__class__ is not self.__class__ or getattr(other, shape) != getattr(self, shape):
+            raise ValueError(f"{self.__class__.__name__} operands differ in {shape}")
+        exact = self.is_exact
+        if other.is_exact != exact:
+            raise BackendMismatch(f"mixed exact/float {self.__class__.__name__} operands")
+        return exact
+
+    def __add__(self, other):
+        exact = self._peer(other)
+        a, b = self.coords, other.coords
+        if exact:
+            # a Fraction sum costs about 1 us; adding a zero changes nothing
+            out = [y if not x else (x if not y else x + y) for x, y in zip(a, b)]
+        else:
+            out = map(operator.add, a, b)
+        return self._like(out)
+
+    def __sub__(self, other):
+        exact = self._peer(other)
+        a, b = self.coords, other.coords
+        if exact:
+            out = [x if not y else (-y if not x else x - y) for x, y in zip(a, b)]
+        else:
+            out = map(operator.sub, a, b)
+        return self._like(out)
+
+    def __neg__(self):
+        # zeros stay as they are: negating a Fraction costs about 1 us
+        return self._like([-c if c else c for c in self.coords])
+
+    def __eq__(self, other):
+        """Same type, shape and backend, and equal coordinates."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        shape = self._shape
+        return (
+            getattr(self, shape) == getattr(other, shape)
+            and self.is_exact == other.is_exact
+            and self.coords == other.coords
+        )
+
+    def __hash__(self):
+        return hash((getattr(self, self._shape), self.coords))
+
+    def max_abs(self) -> float:
+        """Largest absolute real coordinate, as a float; NaN when one is NaN
+        (max() alone keeps a NaN only when it comes first)."""
+        c = self.coords
+        mags = list(map(abs, map(float, c) if self.is_exact else c))
+        return math.nan if math.isnan(sum(mags)) else max(mags)
+
+    def is_close(self, other, tol: float = 1e-12) -> bool:
+        return (self - other).max_abs() <= tol
 
 
 class ZeroDivisor(ZeroDivisionError):
@@ -158,10 +255,12 @@ class HScalar:
         return self.x == 0 and self.y == 0 and self.v == 0 and self.w == 0
 
     def __eq__(self, other):
+        """Equal components in the same backend."""
         if not isinstance(other, HScalar):
             return NotImplemented
         return (
-            self.x == other.x
+            self.is_exact == other.is_exact
+            and self.x == other.x
             and self.y == other.y
             and self.v == other.v
             and self.w == other.w

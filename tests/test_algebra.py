@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -49,9 +50,11 @@ def random_mv(rep, exact=False, rng=RNG):
 
 def sparse_mv(rep, exact, rng):
     """A random element on a random subset of the blades, so that some
-    output blades collect fewer terms than others."""
+    output blades collect fewer terms than others; the others are zeros
+    of the same backend."""
     full = random_mv(rep, exact, rng)
-    keep = {b: z for b, z in full.coeffs.items() if rng.random() < 0.6}
+    zero = HScalar.zero(exact)
+    keep = {b: z if rng.random() < 0.6 else zero for b, z in full.coeffs.items()}
     return Multivector(rep, keep)
 
 
@@ -122,15 +125,24 @@ def test_multivector_rejects_mixed_backends():
 
 def test_gp_blades_mixed_backends_and_zero_operands():
     r30 = get_rep("r30")
-    exact, flt = r30.generator(1), r30.generator(2, exact=False)
-    with pytest.raises(BackendMismatch):
-        exact.gp_blades(flt)
-    with pytest.raises(BackendMismatch):
-        flt.gp_blades(exact)
-    zero = Multivector(r30, {})
-    for mv in (exact, flt, zero):
-        assert mv.gp_blades(zero) == zero
-        assert zero.gp_blades(mv) == zero
+    # non-zero operands, then a zero of the other backend on either side
+    # or both: a zero is an operand like any other
+    exacts = (r30.generator(1), Multivector(r30, {}))
+    flts = (r30.generator(2, exact=False), r30.scalar(0, exact=False))
+    for exact, flt in product(exacts, flts):
+        for a, b in ((exact, flt), (flt, exact)):
+            for op in (a.__add__, a.__sub__, a.gp, a.gp_blades):
+                with pytest.raises(BackendMismatch):
+                    op(b)
+            with pytest.raises(BackendMismatch):
+                a.scale(HScalar.zero(b.is_exact))
+        # equal values of two backends are unequal
+        assert exact != exact.to_float() and exact.to_float() != exact
+        # within one backend, a zero factor gives zero
+        for mv in (exact, flt):
+            zero = r30.scalar(0, exact=mv.is_exact)
+            assert mv.gp_blades(zero) == zero
+            assert zero.gp_blades(mv) == zero
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -160,13 +172,13 @@ def test_scale_checks_subring_and_backends():
     with pytest.raises(BackendMismatch):
         flt.scale(HScalar.exact(2))
     assert not flt.scale(2).is_exact and exact.scale(2.5).is_exact
-    # a zero of the other backend gives zero in this element's backend
+    # a zero of the other backend raises like any other scalar
     for mv, other_zero in ((exact, HScalar.flt()), (flt, HScalar.exact())):
-        got = mv.scale(other_zero)
-        assert not any(got.coords) and got.is_exact == mv.is_exact
+        with pytest.raises(BackendMismatch):
+            mv.scale(other_zero)
     float_zero = c30bar.decompose(HMatrix.zeros(2, exact=False))
-    assert float_zero.scale(HScalar.exact(3)) == float_zero
-    assert not float_zero.scale(HScalar.exact(3)).is_exact
+    with pytest.raises(BackendMismatch):
+        float_zero.scale(HScalar.exact(3))
 
 
 def test_max_abs_keeps_a_nan():
@@ -180,7 +192,7 @@ def test_max_abs_keeps_a_nan():
 def involution_reference(mv, kind):
     """The per-blade involution: each coefficient conjugated for bar and
     hat, then negated when its blade's grade sign is negative."""
-    out = {}
+    out = {(): HScalar.zero(mv.is_exact)}
     for blade, z in mv.coeffs.items():
         c = z.conjugate() if kind in ("bar", "hat") else z
         if involution_sign(kind, len(blade)) < 0:
@@ -202,8 +214,8 @@ def test_coordinate_layout_matches_per_blade_references(name, exact):
     rng = random.Random(f"layout-{name}-{exact}")
     for _ in range(4):
         for mv in layout_operands(rep, exact, rng):
-            backend = Fraction if mv.is_exact else float  # a sparse draw may keep no blade
-            assert Multivector(rep, mv.coeffs) == mv
+            backend = Fraction if exact else float
+            assert Multivector(rep, {(): HScalar.zero(exact), **mv.coeffs}) == mv
             for kind in ("bar", "dagger", "hat"):
                 got, want = mv.involution(kind), involution_reference(mv, kind)
                 assert got == want
@@ -228,10 +240,11 @@ def test_float_zero_keeps_its_backend(name):
     assert not zero.bar().is_exact and not (-zero).is_exact
     assert not zero.gp_blades(zero).is_exact
     exact_one = rep.scalar(1)
-    # a zero operand of the other backend still gives zero, as matmul does
-    assert zero.gp_blades(exact_one) == zero and not zero.gp_blades(exact_one).is_exact
-    assert exact_one.gp_blades(zero) == zero and exact_one.gp_blades(zero).is_exact
-    assert (zero + exact_one) == exact_one
+    # a zero operand of the other backend raises, as matmul does
+    for a, b in ((zero, exact_one), (exact_one, zero)):
+        for op in (a.gp_blades, a.__add__):
+            with pytest.raises(BackendMismatch):
+                op(b)
 
 
 def to_matrix_reference(mv):
@@ -287,8 +300,8 @@ def assert_same_values(got, want, exact):
 def test_matrix_route_matches_per_blade_reference(name, exact):
     rep = get_rep(name)
     rng = random.Random(f"matrix-{name}-{exact}")
-    zero = Multivector(rep, {})
-    assert zero.to_matrix() == to_matrix_reference(zero) == HMatrix.zeros(rep.n)
+    zero = rep.scalar(0, exact=exact)
+    assert zero.to_matrix() == to_matrix_reference(zero) == HMatrix.zeros(rep.n, exact=exact)
     assert rep.decompose(HMatrix.zeros(rep.n, exact=exact)) == zero
     for k in range(8):
         make = random_mv if k % 2 else sparse_mv

@@ -4,7 +4,7 @@ elimination."""
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -217,6 +217,14 @@ def test_constructor_rejects_non_scalar_entries():
         HMatrix.from_real_coords([1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_from_real_coords_rejects_non_finite(bad):
+    coords = [1.0] + [0.0] * 15
+    coords[6] = bad
+    with pytest.raises(ValueError, match="coordinate 6 is not finite"):
+        HMatrix.from_real_coords(coords)
+
+
 def test_constructor_rejects_empty_and_non_square():
     with pytest.raises(ValueError):
         HMatrix([])
@@ -232,17 +240,20 @@ def test_constructor_rejects_empty_and_non_square():
 
 
 def test_mixed_backend_operations():
-    exact, flt = pauli2(1), pauli2(2).to_float()
-    for op in (exact.__add__, exact.__sub__, exact.__matmul__):
-        with pytest.raises(BackendMismatch):
-            op(flt)
-    with pytest.raises(BackendMismatch):
-        exact.scale(HScalar.flt(2.0))
-    # a zero factor keeps the left factor's backend, as the entry loop did
-    zero = HMatrix.zeros(2)
-    assert (zero @ flt).coords == HMatrix.zeros(2).coords
-    assert (zero @ flt).is_exact and not (flt @ zero).is_exact
-    assert flt @ zero == HMatrix.zeros(2, exact=False)
+    # non-zero operands, then a zero of the other backend on either side
+    # or both: a zero is an operand like any other
+    exacts = (pauli2(1), HMatrix.zeros(2))
+    flts = (pauli2(2).to_float(), HMatrix.zeros(2, exact=False))
+    for exact, flt in product(exacts, flts):
+        for a, b in ((exact, flt), (flt, exact)):
+            for op in (a.__add__, a.__sub__, a.__matmul__):
+                with pytest.raises(BackendMismatch):
+                    op(b)
+        for m, z in ((exact, HScalar.flt()), (exact, HScalar.flt(2.0)), (flt, HScalar.exact())):
+            with pytest.raises(BackendMismatch):
+                m.scale(z)
+        # equal values of two backends are unequal
+        assert exact != exact.to_float() and exact.to_float() != exact
 
 
 def test_views_build_entries_on_demand():
@@ -431,6 +442,6 @@ def test_inverse_matches_reference_on_rotor_matrices(space):
 def test_max_abs_keeps_a_nan(idx):
     coords = [1.0] + [0.0] * 15
     coords[idx] = float("nan")
-    m = HMatrix.from_real_coords(coords)
+    m = HMatrix._make(2, coords)  # from_real_coords rejects a NaN
     assert math.isnan(m.max_abs())
     assert not m.is_close(HMatrix.zeros(2, exact=False), tol=2.0)

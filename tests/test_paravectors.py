@@ -304,7 +304,7 @@ def to_multivector_reference(space, x):
     """The scale-and-add route: each basis element scaled by its non-zero
     coordinate, summed as multivectors in coordinate order."""
     exact = not isinstance(x.coords[0], float)
-    acc = Multivector(space.rep, {})
+    acc = space.rep.scalar(0, exact=exact)
     for b, c in zip(space.basis, x.coords):
         if c == 0:
             continue

@@ -402,7 +402,7 @@ def test_rotor_from_matrix_rejects_a_nan_by_its_span_test(idx):
     coords = [1.0, 0.0, 0.0, 0.0] + [0.0] * 8 + [1.0, 0.0, 0.0, 0.0]
     coords[idx] = math.nan
     with pytest.raises(ValueError, match="outside the representation span"):
-        rotor_from_matrix(get_rep("r30"), HMatrix.from_real_coords(coords))
+        rotor_from_matrix(get_rep("r30"), HMatrix._make(2, coords))  # from_real_coords rejects a NaN
 
 
 def test_act_rejects_a_nan_image_by_its_span_test():

@@ -123,6 +123,13 @@ def test_backend_mismatch_raises():
         HScalar.exact(1) + 0.5
 
 
+def test_equal_values_of_two_backends_are_unequal():
+    for v in (0, 1, Fraction(-3, 4)):
+        a, b = HScalar.exact(v, 0, v), HScalar.flt(v, 0, v)
+        assert a != b and b != a
+        assert b == a.to_float()
+
+
 def test_invert_examples():
     assert exact(2).invert() == exact(Fraction(1, 2))
     assert J.invert() == J
