@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 from .matrices import HMatrix, pauli2, sigma_ab
 from .scalars import BackendMismatch, HScalar, RealCoords
@@ -373,9 +374,11 @@ class Multivector(RealCoords):
 
     def scale(self, z) -> "Multivector":
         """The product with the scalar ``z``, a number or an
-        :class:`HScalar` in the representation's subring; a number takes
-        this element's backend, and an :class:`HScalar` of the other
-        backend raises :class:`BackendMismatch`, as in :meth:`gp_blades`."""
+        :class:`HScalar` in the representation's subring, computed by
+        :meth:`gp_blades` (on integer numerators on the exact backend).
+        A number takes this element's backend, except that a ``float``
+        never enters the exact backend; it and an :class:`HScalar` of the
+        other backend raise :class:`BackendMismatch`."""
         if not isinstance(z, HScalar):
             z = HScalar.make(z, exact=self.is_exact)
         return self.gp_blades(self.rep.scalar(z))
@@ -394,27 +397,36 @@ class Multivector(RealCoords):
         is one lookup in the representation's product table, built from
         :func:`blade_mul` and the adjoined unit's square at construction,
         and one multiplication.  Terms are summed per output coordinate in
-        pair order.  Both operands share one representation and one
+        pair order.  On the exact backend the terms are integers: each
+        operand is written as integer numerators over the lcm ``d`` of its
+        denominators, and each non-zero sum ``t`` becomes one
+        ``Fraction(t, d1 * d2)``, so the result is the same as summing
+        ``Fraction`` terms.  Both operands share one representation and one
         backend; an operand of the other backend raises
         :class:`BackendMismatch`, zero or not.
         """
         exact = self._peer(other)
         rep = self.rep
-        table, out = rep._product, [None] * len(self.coords)
-        rhs = [(k2, x2) for k2, x2 in enumerate(other.coords) if x2]
-        for k1, x1 in enumerate(self.coords):
-            if not x1:
-                continue
+        lhs = [(k, x) for k, x in enumerate(self.coords) if x]
+        rhs = [(k, x) for k, x in enumerate(other.coords) if x]
+        if exact:
+            d1 = lcm(*[x.denominator for _, x in lhs])
+            d2 = lcm(*[x.denominator for _, x in rhs])
+            lhs = [(k, x.numerator * (d1 // x.denominator)) for k, x in lhs]
+            rhs = [(k, x.numerator * (d2 // x.denominator)) for k, x in rhs]
+        table, out = rep._product, [0 if exact else 0.0] * len(self.coords)
+        for k1, x1 in lhs:
             row = table[k1]
             for k2, x2 in rhs:
                 k, sign = row[k2]
-                a, s = x1 * x2, out[k]
                 if sign > 0:
-                    out[k] = a if s is None else s + a
+                    out[k] += x1 * x2
                 else:
-                    out[k] = -a if s is None else s - a
-        zero = _ZERO if exact else 0.0
-        return Multivector._make(rep, [zero if c is None else c for c in out])
+                    out[k] -= x1 * x2
+        if exact:
+            d = d1 * d2
+            out = [Fraction(t, d) if t else _ZERO for t in out]
+        return Multivector._make(rep, out)
 
     # -- involutions -----------------------------------------------------------
 

@@ -163,6 +163,10 @@ class HScalar:
 
     @classmethod
     def exact(cls, x=0, y=0, v=0, w=0) -> "HScalar":
+        """Exact-backend scalar; a ``float`` component raises
+        :class:`BackendMismatch` (convert with ``Fraction(x)`` to mean it)."""
+        if isinstance(x, float) or isinstance(y, float) or isinstance(v, float) or isinstance(w, float):
+            raise BackendMismatch("a float component cannot enter the exact backend")
         return cls(Fraction(x), Fraction(y), Fraction(v), Fraction(w))
 
     @classmethod

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperclifford.algebra import (
     Multivector,
@@ -114,6 +115,72 @@ def test_gp_blades_matches_per_term_reference(name, exact):
                 assert all(type(c) is backend for c in got.coeffs[blade].coeffs())
 
 
+def exact_element(rep, values):
+    """The exact element with the given ``{basis index: Fraction}``
+    coordinates, the others zero."""
+    coords = [Fraction(0)] * len(rep.basis)
+    for k, x in values.items():
+        coords[k] = x
+    return Multivector._make(rep, coords)
+
+
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_gp_blades_integer_kernel_edge_cases(name):
+    """The exact product contracts integer numerators over one common
+    denominator per operand; these operands stress that step."""
+    rep = get_rep(name)
+    rng = random.Random(f"kernel-{name}")
+    size, last = len(rep.basis), len(rep.basis) - 1
+    primes = (999999937, 1000000007, 1000000009, 2**61 - 1)
+
+    def coprime():
+        return Fraction(rng.randint(-10**12, 10**12), rng.choice(primes) ** rng.randint(1, 2))
+
+    def small():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def dense(draw):
+        return exact_element(rep, {k: draw() for k in range(size)})
+
+    tiny = exact_element(rep, {**{k: small() for k in range(size)}, last: Fraction(1, 10**400)})
+    zero, x = exact_element(rep, {}), Fraction(3, 7)
+    # (1 + x b)(1 - x b): the two terms on the last basis element b cancel
+    plus, minus = exact_element(rep, {0: Fraction(1), last: x}), exact_element(rep, {0: Fraction(1), last: -x})
+    assert plus.gp_blades(minus).coords[last] == 0
+    cases = [
+        (dense(coprime), dense(coprime)),
+        (tiny, dense(small)), (dense(small), tiny), (tiny, tiny),
+        (plus, minus), (minus, plus),
+        (zero, dense(small)), (dense(coprime), zero), (zero, zero),
+        (exact_element(rep, {last: x}), exact_element(rep, {last: Fraction(-5, 11)})),
+        (exact_element(rep, {0: Fraction(2, 9)}), dense(coprime)),
+        (dense(coprime), exact_element(rep, {last: Fraction(1, 10**400)})),
+    ]
+    for u, v in cases:
+        got = u.gp_blades(v)
+        assert got == gp_blades_reference(u, v)
+        assert all(type(c) is Fraction for c in got.coords)
+
+
+def sparse_exact(rep):
+    """Exact elements on at most six basis elements, denominators up to 10**6."""
+    coord = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+    return st.dictionaries(st.integers(0, len(rep.basis) - 1), coord, max_size=6).map(
+        lambda values: exact_element(rep, values)
+    )
+
+
+@pytest.mark.parametrize("name", ["c30bar", "h05bar"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_gp_blades_is_the_matrix_product_and_associative(name, data):
+    rep = get_rep(name)
+    a, b, c = (data.draw(sparse_exact(rep)) for _ in range(3))
+    ab = a.gp_blades(b)
+    assert ab == a.gp(b)
+    assert ab.gp_blades(c) == a.gp_blades(b.gp_blades(c))
+
+
 def test_multivector_rejects_mixed_backends():
     r30 = get_rep("r30")
     with pytest.raises(BackendMismatch):
@@ -171,7 +238,10 @@ def test_scale_checks_subring_and_backends():
         exact.scale(HScalar.flt(2.0))
     with pytest.raises(BackendMismatch):
         flt.scale(HScalar.exact(2))
-    assert not flt.scale(2).is_exact and exact.scale(2.5).is_exact
+    assert not flt.scale(2).is_exact and exact.scale(Fraction(5, 2)).is_exact
+    # a float never enters the exact backend, not even through a number
+    with pytest.raises(BackendMismatch):
+        exact.scale(2.5)
     # a zero of the other backend raises like any other scalar
     for mv, other_zero in ((exact, HScalar.flt()), (flt, HScalar.exact())):
         with pytest.raises(BackendMismatch):

@@ -249,7 +249,7 @@ def test_mixed_backend_operations():
             for op in (a.__add__, a.__sub__, a.__matmul__):
                 with pytest.raises(BackendMismatch):
                     op(b)
-        for m, z in ((exact, HScalar.flt()), (exact, HScalar.flt(2.0)), (flt, HScalar.exact())):
+        for m, z in ((exact, HScalar.flt()), (exact, HScalar.flt(2.0)), (exact, 0.1), (flt, HScalar.exact())):
             with pytest.raises(BackendMismatch):
                 m.scale(z)
         # equal values of two backends are unequal

@@ -121,6 +121,10 @@ def test_backend_mismatch_raises():
         HScalar.exact(1) * HScalar.flt(1.0)
     with pytest.raises(BackendMismatch):
         HScalar.exact(1) + 0.5
+    # a float component never enters the exact backend, in any position
+    for k in range(4):
+        with pytest.raises(BackendMismatch):
+            HScalar.exact(*[0.1 if j == k else 0 for j in range(4)])
 
 
 def test_equal_values_of_two_backends_are_unequal():

@@ -1,0 +1,74 @@
+"""Compare what two source checkouts of hyperclifford answer.
+
+    python tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+For each checkout, a child interpreter imports the library from its
+``src`` and the calculator stream from its ``perfbench`` (read only, no
+bytecode written) and records:
+
+- each ``verify all --format json`` record as its ``check_id``,
+  ``status`` and ``float.hex(max_error)``;
+- the answer to each of the 3,000 seed-7 calc-stream requests
+  (``make_requests(7, 15)`` sent through ``call_cli``): exit code,
+  stdout and stderr.
+
+Prints every difference, the status counts and a SHA-256 of each side's
+records; exits 0 when the two sides agree and 1 when they differ.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+CHILD = r"""
+import json, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+from workloads import call_cli, make_requests
+out = call_cli(["verify", "all", "--format", "json"])[1]
+verify = [[c["check_id"], c["status"], float.hex(float(c["max_error"]))]
+          for c in json.loads(out)["checks"]]
+calc = [[" ".join(r.argv), *call_cli(r.argv)[:3]] for r in make_requests(7, 15)]
+json.dump({"verify": verify, "calc": calc}, sys.stdout, sort_keys=True)
+"""
+
+
+def records(root: Path) -> tuple[dict, str]:
+    """One checkout's records and the SHA-256 of their JSON text."""
+    text = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD, str(root.resolve())],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+def differences(name: str, old: list, new: list) -> list[str]:
+    lines = [f"{name}: {len(old)} records at the parent, {len(new)} at the change"] \
+        if len(old) != len(new) else []
+    for k, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            lines.append(f"{name}[{k}]:\n  parent {a!r}\n  change {b!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = argv if argv is not None else sys.argv[1:]
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    (old, old_sha), (new, new_sha) = (records(Path(a)) for a in args)
+    diff = differences("verify", old["verify"], new["verify"])
+    diff += differences("calc", old["calc"], new["calc"])
+    print("\n".join(diff) or "no differences")
+    for side, recs, sha in (("parent", old, old_sha), ("change", new, new_sha)):
+        statuses = Counter(status for _, status, _ in recs["verify"])
+        codes = Counter(rc for _, rc, _, _ in recs["calc"])
+        print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
