@@ -10,21 +10,24 @@ as exponentials
     r66  g = exp(-i phi/2 + j xi/2)   both index families       (4x4)
 
 and certified at construction: the spin condition and the identity
-hat(g)^-1 = dagger(g) are checked rather than assumed.
+hat(g)^-1 = dagger(g) are checked rather than assumed.  The exponential
+works on the two complex null components of the exponent over (1 +- j)/2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import add, mul
 
 from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, get_space
-from .scalars import HScalar, NullPair, from_null, to_null, trig_tilde
+from .scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords, trig_tilde
 
 __all__ = [
     "SeriesNonConvergence",
@@ -57,7 +60,7 @@ __all__ = [
 # Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)^-1 = dagger(g).
 CERT_TOL = 1e-12
 # The series exponential halves its argument until no entry exceeds _HALF_AT
-# (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
+# in modulus (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
 _HALF_AT, _MAX_HALVINGS, _SERIES_TOL = 0.5, 64, 1e-14
 # Relative bound on a matrix's part outside the span it must lie in.
 _SPAN_TOL = 1e-9
@@ -127,64 +130,63 @@ class RotorParams:
 # -- matrix exponential ---------------------------------------------------------
 
 
-def _scalar_square(m: HMatrix):
-    """If m equals s*identity for a real s, return s, else None."""
-    coords, diagonal = m.coords, 4 * m.n + 4
-    x, y, v, w = coords[:4]
-    if y != 0.0 or v != 0.0 or w != 0.0:
-        return None
-    for k in range(0, len(coords), 4):
-        c = coords[k:k + 4]
-        if k % diagonal == 0:
-            # component-wise ==, so that a NaN never matches
-            if not (c[0] == x and c[1] == y and c[2] == v and c[3] == w):
-                return None
-        elif c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0:
-            return None
-    return float(x)
+def _cmatmul(a: list, b: list, n: int) -> list:
+    """Product of two complex n x n matrices, row-major lists."""
+    cols = [b[c::n] for c in range(n)]
+    return [sum(map(mul, row, col)) for row in zip(*[iter(a)] * n) for col in cols]
 
 
-def mat_exp(x: HMatrix) -> HMatrix:
-    """Exponential of a float-backend matrix.
+def _ring_square(m: HMatrix):
+    """The coordinates of s when m = s*1 for a finite ring scalar s, else None."""
+    s = m.coords[:4]
+    return s if math.isfinite(sum(s)) and m.coords == (s + (0.0,) * (4 * m.n)) * (m.n - 1) + s else None
 
-    Arguments whose square is a real multiple of the identity use the
-    closed trigonometric/hyperbolic form; everything else falls back to
-    scaling-and-squaring with the series truncated at ``_SERIES_TOL``.
-    """
-    s = _scalar_square(x @ x)
-    if s is not None:
-        idm = HMatrix.identity(x.n, exact=False)
-        if s < 0.0:
-            t = math.sqrt(-s)
-            return idm.scale(HScalar.flt(math.cos(t))) + x.scale(
-                HScalar.flt(math.sin(t) / t if t else 1.0)
-            )
-        if s > 0.0:
-            t = math.sqrt(s)
-            return idm.scale(HScalar.flt(math.cosh(t))) + x.scale(
-                HScalar.flt(math.sinh(t) / t)
-            )
-        return HMatrix.identity(x.n, exact=False) + x
 
-    halvings = 0
-    scaled = x
-    while scaled.max_abs() > _HALF_AT:
+def _series(a: list, n: int) -> list:
+    """exp(a) for a complex n x n matrix by scaling and squaring."""
+    norm, halvings = max(map(abs, a)), 0
+    while norm > _HALF_AT:
         if halvings >= _MAX_HALVINGS:
             raise SeriesNonConvergence("exponential argument too large")
-        scaled = scaled.scale(HScalar.flt(0.5))
-        halvings += 1
-    acc = HMatrix.identity(x.n, exact=False)
-    term = HMatrix.identity(x.n, exact=False)
-    for k in range(1, 120):
-        term = (term @ scaled).scale(HScalar.flt(1.0 / k))
-        acc = acc + term
-        if term.max_abs() < _SERIES_TOL:
+        norm, halvings = norm * 0.5, halvings + 1
+    term = scaled = [z * 0.5 ** halvings for z in a]
+    acc = [1.0 + z if k % (n + 1) == 0 else z for k, z in enumerate(term)]
+    for k in range(2, 120):
+        term = [z / k for z in _cmatmul(term, scaled, n)]
+        acc = list(map(add, acc, term))
+        if max(map(abs, term)) < _SERIES_TOL:
             break
     else:
         raise SeriesNonConvergence("series failed to reach tolerance")
     for _ in range(halvings):
-        acc = acc @ acc
+        acc = _cmatmul(acc, acc, n)
+    if not all(map(cmath.isfinite, acc)):
+        raise SeriesNonConvergence("exponential argument too large")
     return acc
+
+
+def mat_exp(x: HMatrix) -> HMatrix:
+    """Exponential of a float-backend matrix, on its two complex null
+    components (:func:`to_null_coords`).  When x @ x = s*1 for a ring scalar
+    s, exp(x) = cosh r + (sinh r / r) x with r = sqrt(s) per component;
+    otherwise each component runs scaling-and-squaring.  Overflow raises
+    :class:`SeriesNonConvergence`."""
+    if x.is_exact:
+        raise BackendMismatch("mat_exp takes a float-backend matrix")
+    s = _ring_square(x @ x)
+    try:
+        if s is None:
+            plus, minus = to_null_coords(x.coords)
+            parts = (plus,) if minus == plus else (plus, minus)  # no j part: one component
+            exps = [_series(a, x.n) for a in parts]
+            return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
+        roots = [cmath.sqrt(z) for (z,) in to_null_coords(s)]
+        cs = [(cmath.cosh(r), cmath.sinh(r) / r if r else 1.0) for r in roots]
+    except OverflowError:
+        raise SeriesNonConvergence("exponential argument too large") from None
+    # + 0.0 clears a zero's sign: a real s gives the bits of the real closed form
+    cs = [q + 0.0 for q in from_null_coords(cs[0], cs[1])]
+    return HMatrix.identity(x.n, exact=False).scale(HScalar(*cs[:4])) + x.scale(HScalar(*cs[4:]))
 
 
 # -- rotor construction ------------------------------------------------------------
@@ -471,20 +473,18 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
 
 
 def null_factorize(rotor: Rotor) -> tuple[HMatrix, HMatrix]:
-    """Components of the rotor matrix over the idempotents (1+j)/2 and
-    (1-j)/2, entry by entry through :func:`to_null`; each is a complex
-    matrix (no hyperbolic part)."""
-    pairs = [[to_null(z) for z in row] for row in rotor.g.to_matrix().to_float().rows]
-    return HMatrix([[p.a for p in row] for row in pairs]), HMatrix([[p.b for p in row] for row in pairs])
+    """The rotor matrix's null components over (1+j)/2 and (1-j)/2: complex matrices."""
+    m = rotor.g.to_matrix().to_float()
+    return tuple(HMatrix._make(m.n, [q for z in a for q in (z.real, z.imag, 0.0, 0.0)])
+                 for a in to_null_coords(m.coords))
 
 
 def null_reconstruct(pair: tuple[HMatrix, HMatrix]) -> HMatrix:
-    """Inverse of :func:`null_factorize`, entry by entry through :func:`from_null`."""
-    plus, minus = pair
-    return HMatrix([
-        [from_null(NullPair(a, b)) for a, b in zip(pr, mr)]
-        for pr, mr in zip(plus.rows, minus.rows)
-    ])
+    """Inverse of :func:`null_factorize`, through :func:`from_null_coords`."""
+    coords = [m.to_float().coords for m in pair]
+    if pair[0].n != pair[1].n or any(any(c[2::4]) or any(c[3::4]) for c in coords):
+        raise ValueError("null components must be complex matrices (no j part) of one size")
+    return HMatrix._make(pair[0].n, from_null_coords(*(list(map(complex, c[0::4], c[1::4])) for c in coords)))
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:

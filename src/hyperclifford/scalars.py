@@ -37,6 +37,8 @@ __all__ = [
     "trig_tilde",
     "to_null",
     "from_null",
+    "to_null_coords",
+    "from_null_coords",
     "ZERO_DIVISOR_RTOL",
 ]
 
@@ -424,6 +426,19 @@ def from_null(p: NullPair) -> HScalar:
         (p.a.x - p.b.x) * half,
         (p.a.y - p.b.y) * half,
     )
+
+
+def to_null_coords(coords) -> tuple[list[complex], list[complex]]:
+    """:func:`to_null` of each entry of float coordinates ``x y v w`` per entry:
+    (x+v) + (y+w)i over e and (x-v) + (y-w)i over ebar, one complex list each."""
+    entries = list(zip(*[iter(coords)] * 4))
+    return [complex(x + v, y + w) for x, y, v, w in entries], [complex(x - v, y - w) for x, y, v, w in entries]
+
+
+def from_null_coords(plus, minus) -> list[float]:
+    """Inverse of :func:`to_null_coords`; halving before the sum keeps a finite pair finite."""
+    sums = [(0.5 * a + 0.5 * b, 0.5 * a - 0.5 * b) for a, b in zip(plus, minus)]
+    return [q for s, d in sums for q in (s.real, s.imag, d.real, d.imag)]
 
 
 def trig_tilde(phi: float, xi: float) -> tuple[HScalar, HScalar]:

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -69,14 +70,17 @@ def unit_product(u1, u2):
 def gp_blades_reference(u, v):
     """The per-term blade product: one term per pair of non-zero real
     coordinates, its blade and sign from blade_mul, its unit and sign from
-    HScalar.unit products, summed per output coordinate in pair order."""
+    HScalar.unit products, summed per output coordinate in pair order.
+    Both are memoised per pair, within one call."""
     rep, out = u.rep, {}
+    blade_pair = cache(partial(blade_mul, signature=rep.signature))
+    unit_pair = cache(unit_product)
     for (b1, u1), x1 in zip(rep.basis, u.coords):
         for (b2, u2), x2 in zip(rep.basis, v.coords):
             if not (x1 and x2):
                 continue
-            blade, sign = blade_mul(b1, b2, rep.signature)
-            unit, unit_sign = unit_product(u1, u2)
+            blade, sign = blade_pair(b1, b2)
+            unit, unit_sign = unit_pair(u1, u2)
             term = x1 * x2 if sign * unit_sign > 0 else -(x1 * x2)
             key = (blade, unit)
             out[key] = out[key] + term if key in out else term

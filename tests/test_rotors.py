@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperclifford.algebra import Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
@@ -13,7 +14,9 @@ from hyperclifford.paravectors import get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
     ResultOutsideParavectorSpan,
     RotorParams,
-    _scalar_square,
+    SeriesNonConvergence,
+    _exponent_matrix,
+    _ring_square,
     act,
     h1_null_pair,
     lorentz_generators,
@@ -31,7 +34,7 @@ from hyperclifford.rotors import (
     verify_index_commutators,
     verify_lorentz_commutators,
 )
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 RNG = random.Random(4242)
 
@@ -183,8 +186,8 @@ def taylor_exp(x: HMatrix) -> HMatrix:
 
 
 def test_series_and_closed_form_agree():
-    # mat_exp takes the closed form when the argument squares to a real
-    # multiple of the identity and scaling-and-squaring otherwise; both
+    # mat_exp takes the closed form when the argument squares to a ring
+    # scalar times the identity and scaling-and-squaring otherwise; both
     # branches must agree with the plain series
     rng = random.Random(5)
     for _ in range(20):
@@ -193,29 +196,108 @@ def test_series_and_closed_form_agree():
             pauli2(1).to_float().scale(HScalar.flt(0, a)),  # squares to -a^2
             pauli2(2).to_float().scale(HScalar.flt(0, 0, b)),  # squares to +b^2
             sigma_ab(0, 3).to_float().scale(HScalar.flt(0, a)),
-        ]
-        series = [
             # an m4 exponent: the square has an ij part
             pauli2(1).to_float().scale(HScalar.flt(0, -a / 2, b / 2))
             + pauli2(3).to_float().scale(HScalar.flt(0, b / 2, b / 2)),
+        ]
+        series = [
             # two commuting planes of an e6 exponent
             sigma_ab(0, 1).to_float().scale(HScalar.flt(0, a))
             + sigma_ab(2, 3).to_float().scale(HScalar.flt(0, b)),
         ]
         for x in closed_form + series:
-            assert (_scalar_square(x @ x) is None) == (x in series)
+            assert (_ring_square(x @ x) is None) == (x in series)
             got, want = mat_exp(x), taylor_exp(x)
             assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+
+
+PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+
+
+@st.composite
+def exponents(draw):
+    """m4 exponents with rotation and boost mixed, e6 exponents on one to
+    four planes and r66 exponents with both angles on each plane."""
+    angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)
+    space = draw(st.sampled_from(["m4", "e6", "r66"]))
+    if space == "m4":
+        return _exponent_matrix(RotorParams.m4(draw(st.tuples(angle, angle, angle)),
+                                               draw(st.tuples(rapidity, rapidity, rapidity))))
+    planes = draw(st.lists(st.sampled_from(PLANES), min_size=1, max_size=4, unique=True))
+    phi = {p: draw(angle) for p in planes}
+    if space == "e6":
+        return _exponent_matrix(RotorParams.e6(phi))
+    return _exponent_matrix(RotorParams.r66(phi, {p: draw(rapidity) for p in planes}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=exponents())
+def test_mat_exp_is_the_series_and_inverts_by_negation(x):
+    got, want = mat_exp(x), taylor_exp(x)
+    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+    one = HMatrix.identity(x.n, exact=False)
+    assert (got @ mat_exp(-x)).is_close(one, 1e-12 * (1.0 + got.max_abs()) ** 2)
+
+
+def real_closed_form(x: HMatrix) -> HMatrix:
+    """cos/sin or cosh/sinh of the real root of x @ x = s*1, from math."""
+    s = (x @ x).entry(0, 0).x
+    t = math.sqrt(abs(s))
+    if s < 0.0:
+        c, k = math.cos(t), math.sin(t) / t
+    elif s > 0.0:
+        c, k = math.cosh(t), math.sinh(t) / t
+    else:
+        c, k = 1.0, 1.0
+    return HMatrix.identity(x.n, exact=False).scale(HScalar.flt(c)) + x.scale(HScalar.flt(k))
+
+
+def test_real_square_closed_form_is_bit_exact():
+    # a real square takes the ring closed form's path through the null
+    # components and must come back with the real formula's bits, signs of
+    # zero included
+    rng = random.Random(11)
+    for _ in range(30):
+        a, b, c = (rng.uniform(-3, 3) for _ in range(3))
+        for x in (
+            pauli2(3).to_float().scale(HScalar.flt(0, 0, a)),  # m4 boost
+            pauli2(1).to_float().scale(HScalar.flt(0, 0, a)) + pauli2(2).to_float().scale(HScalar.flt(0, 0, b)),
+            pauli2(2).to_float().scale(HScalar.flt(0, a)),  # m4 rotation
+            _exponent_matrix(RotorParams.m4(phi=(a, b, c))),
+            _exponent_matrix(RotorParams.e6({(0, 3): a})),  # e6 plane
+            _exponent_matrix(RotorParams.r66({}, {(2, 5): b})),  # r66 boost plane
+            HMatrix.zeros(2, exact=False),
+        ):
+            assert (x @ x).entry(0, 0).y == 0.0  # a real square
+            got, want = mat_exp(x), real_closed_form(x)
+            assert list(map(float.hex, got.coords)) == list(map(float.hex, want.coords))
 
 
 def test_exponent_norm_guard():
     from hyperclifford.rotors import SeriesNonConvergence
 
-    # (1+i) sigma_1 squares to 2i times the identity: no closed form,
-    # and the magnitude defeats the scaling budget of 64 halvings
+    # (1+i) sigma_1 squares to 2i times the identity; at this magnitude
+    # its closed form overflows
     huge = pauli2(1).to_float().scale(HScalar.flt(1e30, 1e30))
     with pytest.raises(SeriesNonConvergence):
         mat_exp(huge)
+
+
+def test_mat_exp_rejects_exact_input():
+    for x in (pauli2(1), sigma_ab(0, 1) + sigma_ab(2, 3)):  # closed form, series
+        with pytest.raises(BackendMismatch):
+            mat_exp(x)
+
+
+@pytest.mark.parametrize("x", [
+    _exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1500.0))),  # real square
+    _exponent_matrix(RotorParams.m4(phi=(3.0, 0.0, 0.0), xi=(1500.0, 1.0, 0.0))),  # ring square
+    _exponent_matrix(RotorParams.r66({}, {(0, 1): 3000.0, (2, 3): 3000.0})),  # series
+    _exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1e200))),  # the square itself overflows
+], ids=["real-square", "ring-square", "series", "square"])
+def test_overflow_raises_series_non_convergence(x):
+    with pytest.raises(SeriesNonConvergence, match="too large"):
+        mat_exp(x)
 
 
 # -- generator relations -------------------------------------------------------
@@ -309,6 +391,13 @@ def test_null_factorize_roundtrip():
             r = rotor_from_params(random_params(space))
             rec = null_reconstruct(null_factorize(r))
             assert (rec - r.g.to_matrix()).max_abs() < 1e-12
+
+
+def test_null_reconstruct_rejects_bad_components():
+    two, four = HMatrix.identity(2, exact=False), HMatrix.identity(4, exact=False)
+    for pair in ((two, two.scale(HScalar.flt(0, 0, 1))), (two, four), (four, two)):
+        with pytest.raises(ValueError, match="null components"):
+            null_reconstruct(pair)
 
 
 # -- sphere parametrizations -----------------------------------------------------
