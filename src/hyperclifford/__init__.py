@@ -8,10 +8,9 @@ the verification harness.
 from .scalars import (
     BackendMismatch,
     HScalar,
-    NullPair,
     ZeroDivisor,
-    from_null,
-    to_null,
+    from_null_coords,
+    to_null_coords,
     trig_tilde,
 )
 from .matrices import (
@@ -55,8 +54,6 @@ from .rotors import (
     RotorParams,
     SeriesNonConvergence,
     act,
-    null_factorize,
-    null_reconstruct,
     quasi_sphere_point_r66,
     rotor_from_params,
     sphere_point,

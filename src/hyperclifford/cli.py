@@ -27,6 +27,8 @@ from .rotors import RotorParams, act, quasi_sphere_point_r66, rotor_from_params,
 from .scalars import HScalar
 
 _SIGN = {1: "+", -1: "-"}
+# the types of a decoded JSON number; a bool, a string or null is not one
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _default_tol() -> float:
@@ -181,7 +183,11 @@ def _cmd_boost(args) -> int:
             payload = json.loads(raw)
             if payload.get("space") != "m4":
                 raise ValueError("boost expects a vector in the m4 space")
-            vec = [_finite_float(c) for c in payload["coords"]]
+            vec = []
+            for k, c in enumerate(payload["coords"]):
+                if type(c) not in _JSON_NUMBERS:
+                    raise ValueError(f"coordinate {k} is not a number: {c!r}")
+                vec.append(_finite_float(c))
             if len(vec) != 4:
                 raise ValueError("m4 expects 4 coordinates")
         except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
@@ -249,7 +255,7 @@ def _cmd_pauli(args) -> int:
 
 def _matrix_cell(cell, row: int, col: int) -> HScalar:
     """One ``[x,y,v,w]`` cell of a JSON matrix, at 1-based ``row``, ``col``."""
-    if not isinstance(cell, list) or len(cell) != 4:
+    if not (isinstance(cell, list) and len(cell) == 4 and set(map(type, cell)) <= _JSON_NUMBERS):
         raise ValueError(f"cell at row {row}, column {col} is not four numbers [x,y,v,w]")
     return HScalar.flt(*map(_finite_float, cell))
 

@@ -107,7 +107,7 @@ class HMatrix(RealCoords):
 
     @classmethod
     def from_real_coords(cls, coords) -> "HMatrix":
-        """Inverse of :meth:`real_coords`: 4 real coefficients per entry,
+        """Inverse of :attr:`coords`: 4 real coefficients per entry,
         row-major, all of them ``Fraction`` or all finite ``float``s;
         ``ValueError`` names the index of a NaN or infinite coordinate."""
         q = len(coords)
@@ -138,10 +138,6 @@ class HMatrix(RealCoords):
             tuple(HScalar(c[k], c[k + 1], c[k + 2], c[k + 3]) for k in range(r, r + w, 4))
             for r in range(0, len(c), w)
         )
-
-    def real_coords(self):
-        """All real coefficients, row-major, 4 per entry."""
-        return self.coords
 
     # -- algebra -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import HScalar
+from .scalars import BackendMismatch, HScalar
 
 __all__ = [
     "ParavectorSpace",
@@ -53,6 +53,7 @@ _SPACES = {
     "hm4": ("c30bar", 3, ("1", "i", "j", "ij")),
 }
 SPACE_NAMES = tuple(_SPACES)
+_NUMBER_TYPES = frozenset((int, Fraction, float))
 
 
 def _single_slot(mv: Multivector):
@@ -103,14 +104,22 @@ class ParavectorSpace:
     # -- paravector construction ------------------------------------------------
 
     def paravector(self, coords) -> "Paravector":
-        """Coordinates may be floats (numeric work) or ints/Fractions
-        (bit-exact work); the backend follows the inputs.  Raises
-        ``ValueError`` naming the index of a NaN or infinite coordinate."""
+        """Coordinates may be floats (numeric work) or Fractions (bit-exact
+        work); ints fit either, and the backend follows the other inputs.
+        A Fraction next to a float raises :class:`BackendMismatch`, any
+        other type ``TypeError``, and ``ValueError`` names the index of a
+        NaN or infinite coordinate."""
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"{self.name} expects {self.dim} coordinates")
-        if not any(isinstance(c, float) for c in coords):
+        kinds = set(map(type, coords))
+        if not kinds <= _NUMBER_TYPES:
+            k, c = next((k, c) for k, c in enumerate(coords) if type(c) not in _NUMBER_TYPES)
+            raise TypeError(f"{self.name} coordinate {k} is not an int, Fraction or float: {c!r}")
+        if float not in kinds:
             return Paravector(self, map(Fraction, coords))
+        if Fraction in kinds:
+            raise BackendMismatch(f"{self.name} coordinates mix Fraction and float")
         coords = tuple(map(float, coords))
         for k, c in enumerate(coords):
             if not math.isfinite(c):

@@ -46,8 +46,6 @@ __all__ = [
     "verify_index_commutators",
     "verify_lorentz_commutators",
     "verify_null_split",
-    "null_factorize",
-    "null_reconstruct",
     "h1_null_pair",
     "sphere_point",
     "sphere_point_via_rotors",
@@ -165,6 +163,16 @@ def _series(a: list, n: int) -> list:
     return acc
 
 
+def _complex(parts: list) -> list:
+    """Complex numbers from a flat list of real and imaginary parts."""
+    return list(map(complex, parts[0::2], parts[1::2]))
+
+
+def _parts(zs) -> list:
+    """Inverse of :func:`_complex`."""
+    return [q for z in zs for q in (z.real, z.imag)]
+
+
 def mat_exp(x: HMatrix) -> HMatrix:
     """Exponential of a float-backend matrix, on its two complex null
     components (:func:`to_null_coords`).  When x @ x = s*1 for a ring scalar
@@ -178,15 +186,21 @@ def mat_exp(x: HMatrix) -> HMatrix:
         if s is None:
             plus, minus = to_null_coords(x.coords)
             parts = (plus,) if minus == plus else (plus, minus)  # no j part: one component
-            exps = [_series(a, x.n) for a in parts]
+            exps = [_parts(_series(_complex(a), x.n)) for a in parts]
             return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
-        roots = [cmath.sqrt(z) for (z,) in to_null_coords(s)]
-        cs = [(cmath.cosh(r), cmath.sinh(r) / r if r else 1.0) for r in roots]
+        roots = [cmath.sqrt(complex(*z)) for z in to_null_coords(s)]
+        cs = [_parts((cmath.cosh(r), cmath.sinh(r) / r if r else 1.0)) for r in roots]
     except OverflowError:
         raise SeriesNonConvergence("exponential argument too large") from None
     # + 0.0 clears a zero's sign: a real s gives the bits of the real closed form
     cs = [q + 0.0 for q in from_null_coords(cs[0], cs[1])]
     return HMatrix.identity(x.n, exact=False).scale(HScalar(*cs[:4])) + x.scale(HScalar(*cs[4:]))
+
+
+def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
+    """Closed-form null components exp(-i phi/2) exp(+- xi/2) of the h1 rotor."""
+    phase = complex(math.cos(phi / 2.0), -math.sin(phi / 2.0))
+    return phase * math.exp(xi / 2.0), phase * math.exp(-xi / 2.0)
 
 
 # -- rotor construction ------------------------------------------------------------
@@ -467,30 +481,6 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
         "reconstruction_failures": recon,
         "literal_form_nonzero": lit,
     }
-
-
-# -- null-basis factorization -----------------------------------------------------------
-
-
-def null_factorize(rotor: Rotor) -> tuple[HMatrix, HMatrix]:
-    """The rotor matrix's null components over (1+j)/2 and (1-j)/2: complex matrices."""
-    m = rotor.g.to_matrix().to_float()
-    return tuple(HMatrix._make(m.n, [q for z in a for q in (z.real, z.imag, 0.0, 0.0)])
-                 for a in to_null_coords(m.coords))
-
-
-def null_reconstruct(pair: tuple[HMatrix, HMatrix]) -> HMatrix:
-    """Inverse of :func:`null_factorize`, through :func:`from_null_coords`."""
-    coords = [m.to_float().coords for m in pair]
-    if pair[0].n != pair[1].n or any(any(c[2::4]) or any(c[3::4]) for c in coords):
-        raise ValueError("null components must be complex matrices (no j part) of one size")
-    return HMatrix._make(pair[0].n, from_null_coords(*(list(map(complex, c[0::4], c[1::4])) for c in coords)))
-
-
-def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
-    """Closed-form null components exp(-i phi/2) exp(+- xi/2)."""
-    phase = complex(math.cos(phi / 2.0), -math.sin(phi / 2.0))
-    return phase * math.exp(xi / 2.0), phase * math.exp(-xi / 2.0)
 
 
 # -- sphere parametrizations ---------------------------------------------------------------

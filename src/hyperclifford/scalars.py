@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -33,10 +32,7 @@ __all__ = [
     "RealCoords",
     "ZeroDivisor",
     "HScalar",
-    "NullPair",
     "trig_tilde",
-    "to_null",
-    "from_null",
     "to_null_coords",
     "from_null_coords",
     "ZERO_DIVISOR_RTOL",
@@ -374,71 +370,27 @@ class HScalar:
         return out
 
 
-@dataclass(frozen=True)
-class NullPair:
-    """Null-basis (double field) form of a hyperbolic-complex number.
-
-    Components are stored as complex-restricted scalars (no j or ij part)
-    so the same type serves the real and the complex double field; ``real``
-    says whether both components are real.
-    """
-
-    a: HScalar
-    b: HScalar
-
-    def __post_init__(self):
-        for c in (self.a, self.b):
-            if c.v != 0 or c.w != 0:
-                raise ValueError("null-pair components must be complex (no j part)")
-
-    @property
-    def real(self) -> bool:
-        return self.a.y == 0 and self.b.y == 0
-
-    def swap(self) -> "NullPair":
-        return NullPair(self.b, self.a)
-
-    def conjugate(self) -> "NullPair":
-        """Swap the components and conjugate each; for real pairs this is
-        the plain coordinate swap."""
-        return NullPair(self.b.conjugate(), self.a.conjugate())
-
-    def __mul__(self, other: "NullPair") -> "NullPair":
-        return NullPair(self.a * other.a, self.b * other.b)
+def to_null_coords(coords) -> tuple[list, list]:
+    """Null components of coordinates ``x y v w`` per entry, in their backend:
+    z = c1 + j*c2 with complex c1, c2 is (c1+c2) e + (c1-c2) ebar over the
+    idempotents e = (1+j)/2, ebar = (1-j)/2.  Each component is a flat list of
+    real and imaginary parts: ``x+v, y+w`` over e, ``x-v, y-w`` over ebar."""
+    plus, minus = [], []
+    for x, y, v, w in zip(*[iter(coords)] * 4):
+        plus += (x + v, y + w)
+        minus += (x - v, y - w)
+    return plus, minus
 
 
-def to_null(z: HScalar) -> NullPair:
-    """Coordinates of z over the idempotents e = (1+j)/2, ebar = (1-j)/2.
-
-    Writing z = c1 + j*c2 with complex c1, c2 gives z = (c1+c2) e + (c1-c2) ebar.
-    """
-    zero = z.x - z.x
-    a = HScalar(z.x + z.v, z.y + z.w, zero, zero)
-    b = HScalar(z.x - z.v, z.y - z.w, zero, zero)
-    return NullPair(a, b)
-
-
-def from_null(p: NullPair) -> HScalar:
-    half = Fraction(1, 2) if p.a.is_exact else 0.5
-    return HScalar(
-        (p.a.x + p.b.x) * half,
-        (p.a.y + p.b.y) * half,
-        (p.a.x - p.b.x) * half,
-        (p.a.y - p.b.y) * half,
-    )
-
-
-def to_null_coords(coords) -> tuple[list[complex], list[complex]]:
-    """:func:`to_null` of each entry of float coordinates ``x y v w`` per entry:
-    (x+v) + (y+w)i over e and (x-v) + (y-w)i over ebar, one complex list each."""
-    entries = list(zip(*[iter(coords)] * 4))
-    return [complex(x + v, y + w) for x, y, v, w in entries], [complex(x - v, y - w) for x, y, v, w in entries]
-
-
-def from_null_coords(plus, minus) -> list[float]:
-    """Inverse of :func:`to_null_coords`; halving before the sum keeps a finite pair finite."""
-    sums = [(0.5 * a + 0.5 * b, 0.5 * a - 0.5 * b) for a, b in zip(plus, minus)]
-    return [q for s, d in sums for q in (s.real, s.imag, d.real, d.imag)]
+def from_null_coords(plus, minus) -> list:
+    """Inverse of :func:`to_null_coords`; exact components give exact
+    coordinates.  Halving before the sum keeps a finite pair finite;
+    components of different length raise ``ValueError``."""
+    out = []
+    for a, b, c, d in zip(plus[0::2], plus[1::2], minus[0::2], minus[1::2], strict=True):
+        a, b, c, d = a / 2, b / 2, c / 2, d / 2
+        out += (a + c, b + d, a - c, b - d)
+    return out
 
 
 def trig_tilde(phi: float, xi: float) -> tuple[HScalar, HScalar]:

@@ -353,11 +353,27 @@ def test_decompose_rejects_malformed_matrix_json(capsys, matrix):
         ("r01", "[[[1, 0, 0, 0, 0]]]", "row 1, column 1"),
         ("r01", '[["1234"]]', "row 1, column 1"),
         ("r30", "[[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0]]]", "row 2, column 2"),
+        ("r01", '[[["1", 0, 0, 0]]]', "row 1, column 1"),
+        ("r30", "[[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [true, 0, 0, 0]]]", "row 2, column 2"),
     ],
-    ids=["one-number", "five-numbers", "string", "short-last-cell"],
+    ids=["one-number", "five-numbers", "string", "short-last-cell", "string-number", "bool"],
 )
 def test_decompose_requires_four_numbers_per_cell(capsys, rep, matrix, cell):
     code, out, err = run(capsys, "decompose", "--rep", rep, "--matrix", matrix)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and cell in err and "four numbers" in err
+
+
+@pytest.mark.parametrize(
+    "coords, index",
+    [('"1234"', 0), ("[true, 0, 0, 0]", 0), ('["2", "0", "0", "0"]', 0), ('[0, 0, "1", 0]', 2),
+     ("[0, null, 0, 0]", 1)],
+    ids=["string", "bool", "strings", "string-at-2", "null"],
+)
+def test_boost_json_coordinates_must_be_numbers(capsys, coords, index):
+    vec = '{"space": "m4", "coords": %s}' % coords
+    code, out, err = run(capsys, "boost", "--xi", "0.5", "--vector", vec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"coordinate {index}" in err

@@ -191,7 +191,7 @@ def test_pauli_index_errors():
 
 def test_real_coords_roundtrip():
     for m in (pauli4(8), pauli2(2).scale(H(0, 0, 1)), HMatrix.identity(3, exact=False)):
-        coords = m.real_coords()
+        coords = m.coords
         assert len(coords) == 4 * m.n * m.n
         assert HMatrix.from_real_coords(coords) == m
         assert HMatrix.from_real_coords(list(coords)).rows == m.rows

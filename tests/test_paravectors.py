@@ -20,7 +20,7 @@ from hyperclifford.paravectors import (
     wedge4,
 )
 from hyperclifford.physics import MomentumHM4, mass_qform
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 RNG = random.Random(314)
 
@@ -265,6 +265,22 @@ def test_space_mismatch_rejected():
 def test_wrong_coordinate_count():
     with pytest.raises(ValueError):
         get_space("m4").paravector([1, 2, 3])
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_fraction_next_to_float_is_a_backend_mismatch(index):
+    coords = [0.5, 0.0, 0.0, 0.0]
+    coords[index] = Fraction(1, 3)
+    with pytest.raises(BackendMismatch):
+        get_space("m4").paravector(coords)
+
+
+@pytest.mark.parametrize("bad", ["2", True, None, 1j, HScalar.exact(1)], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("others", [0, 0.5, Fraction(1, 2)], ids=["int", "float", "fraction"])
+def test_non_number_coordinates_rejected(bad, others):
+    with pytest.raises(TypeError, match=r"coordinate 2\b") as exc:
+        get_space("m4").paravector([others, others, bad, others])
+    assert exc.type is TypeError
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

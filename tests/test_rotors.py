@@ -21,8 +21,6 @@ from hyperclifford.rotors import (
     h1_null_pair,
     lorentz_generators,
     mat_exp,
-    null_factorize,
-    null_reconstruct,
     null_split,
     quasi_sphere_point_r66,
     quasi_sphere_point_r66_via_rotors,
@@ -34,7 +32,7 @@ from hyperclifford.rotors import (
     verify_index_commutators,
     verify_lorentz_commutators,
 )
-from hyperclifford.scalars import BackendMismatch, HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords
 
 RNG = random.Random(4242)
 
@@ -369,35 +367,37 @@ def test_single_generator_split():
 def test_null_factorize_pure_boost():
     xi = 0.9
     r = rotor_from_params(RotorParams.h1(0.0, xi))
-    plus, minus = null_factorize(r)
-    assert abs(plus.entry(0, 0).x - math.exp(xi / 2)) < 1e-14
-    assert abs(minus.entry(0, 0).x - math.exp(-xi / 2)) < 1e-14
-    assert abs(plus.entry(0, 0).y) < 1e-15 and abs(minus.entry(0, 0).y) < 1e-15
+    plus, minus = to_null_coords(r.g.to_matrix().coords)
+    assert abs(plus[0] - math.exp(xi / 2)) < 1e-14
+    assert abs(minus[0] - math.exp(-xi / 2)) < 1e-14
+    assert abs(plus[1]) < 1e-15 and abs(minus[1]) < 1e-15
 
 
 def test_null_factorize_pure_phase():
     phi = 1.1
     r = rotor_from_params(RotorParams.h1(phi, 0.0))
-    plus, minus = null_factorize(r)
-    assert (plus.entry(0, 0) - minus.entry(0, 0)).abs_max() < 1e-15
+    plus, minus = to_null_coords(r.g.to_matrix().coords)
+    assert max(abs(a - b) for a, b in zip(plus, minus)) < 1e-15
     want = h1_null_pair(phi, 0.0)[0]
-    assert abs(plus.entry(0, 0).x - want.real) < 1e-15
-    assert abs(plus.entry(0, 0).y - want.imag) < 1e-15
+    assert abs(plus[0] - want.real) < 1e-15
+    assert abs(plus[1] - want.imag) < 1e-15
 
 
 def test_null_factorize_roundtrip():
     for space in ("h1", "r66"):
         for _ in range(20):
-            r = rotor_from_params(random_params(space))
-            rec = null_reconstruct(null_factorize(r))
-            assert (rec - r.g.to_matrix()).max_abs() < 1e-12
+            m = rotor_from_params(random_params(space)).g.to_matrix()
+            rec = HMatrix.from_real_coords(from_null_coords(*to_null_coords(m.coords)))
+            assert (rec - m).max_abs() < 1e-12
 
 
 def test_null_reconstruct_rejects_bad_components():
-    two, four = HMatrix.identity(2, exact=False), HMatrix.identity(4, exact=False)
-    for pair in ((two, two.scale(HScalar.flt(0, 0, 1))), (two, four), (four, two)):
-        with pytest.raises(ValueError, match="null components"):
-            null_reconstruct(pair)
+    # the components of a 2x2 and of a 4x4 matrix cannot be joined
+    two, _ = to_null_coords(HMatrix.identity(2, exact=False).coords)
+    four, _ = to_null_coords(HMatrix.identity(4, exact=False).coords)
+    for pair in ((two, four), (four, two)):
+        with pytest.raises(ValueError):
+            from_null_coords(*pair)
 
 
 # -- sphere parametrizations -----------------------------------------------------

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperclifford.matrices import HMatrix
 from hyperclifford.scalars import (
     BackendMismatch,
     HScalar,
     ZeroDivisor,
-    from_null,
-    to_null,
+    from_null_coords,
+    to_null_coords,
     trig_tilde,
 )
 
@@ -232,11 +233,20 @@ def test_trig_tilde_pythagoras():
         assert (total - HScalar.flt(1)).abs_max() < 1e-12
 
 
+def null(z):
+    """The two null components of one scalar, as (real, imaginary) pairs."""
+    return to_null_coords(z.coeffs())
+
+
+def null_mul(p, q):
+    """Componentwise product of two null pairs: one complex product each."""
+    return tuple([a * c - b * d, a * d + b * c] for (a, b), (c, d) in zip(p, q))
+
+
 def test_to_null_hyperbolic_coordinates():
-    z = exact(5, 0, 3)
-    p = to_null(z)
-    assert p.a == exact(8) and p.b == exact(2)
-    assert p.real
+    plus, minus = null(exact(5, 0, 3))
+    assert plus == [8, 0] and minus == [2, 0]
+    assert all(type(c) is Fraction for c in plus + minus)
 
 
 def test_null_conjugation_is_swap():
@@ -244,8 +254,8 @@ def test_null_conjugation_is_swap():
     for _ in range(1000):
         z = exact(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0,
                   Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0)
-        assert to_null(z.conjugate()) == to_null(z).swap()
-        assert from_null(to_null(z)) == z
+        assert null(z.conjugate()) == null(z)[::-1]
+        assert from_null_coords(*null(z)) == list(z.coeffs())
 
 
 def test_null_product_law():
@@ -253,13 +263,12 @@ def test_null_product_law():
     for _ in range(1000):
         z1 = exact(rng.randint(-9, 9), 0, rng.randint(-9, 9), 0)
         z2 = exact(rng.randint(-9, 9), 0, rng.randint(-9, 9), 0)
-        p1, p2 = to_null(z1), to_null(z2)
-        assert to_null(z1 * z2) == p1 * p2
+        assert null(z1 * z2) == null_mul(null(z1), null(z2))
 
 
 def test_null_product_law_full_ring():
     # products whose factors have i or ij parts can still be real, and the
-    # product of the pairs must say so as to_null does
+    # product of the pairs must say so as the split does
     rng = random.Random(8)
     pairs = [(I, I), (IJ, IJ), (I, IJ)]
     for _ in range(500):
@@ -267,17 +276,55 @@ def test_null_product_law_full_ring():
         z2 = exact(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
         pairs.append((z1, z2))
     for z1, z2 in pairs:
-        assert to_null(z1 * z2) == to_null(z1) * to_null(z2)
-    assert (to_null(I) * to_null(I)).real and (to_null(IJ) * to_null(IJ)).real
+        assert null(z1 * z2) == null_mul(null(z1), null(z2))
+    for z in (I, IJ):
+        assert all(im == 0 for _, im in null_mul(null(z), null(z)))
 
 
 def test_null_full_ring_uses_conjugated_swap():
     # with complex components conjugation swaps and conjugates entrywise
     z = exact(1, 2, 3, 4)
-    p = to_null(z)
-    assert not p.real
-    assert to_null(z.conjugate()) == p.conjugate()
-    assert from_null(p) == z
+    plus, minus = null(z)
+    assert plus[1] != 0 and minus[1] != 0
+    assert null(z.conjugate()) == ([minus[0], -minus[1]], [plus[0], -plus[1]])
+    assert from_null_coords(plus, minus) == list(z.coeffs())
+
+
+def test_null_split_and_join_keep_the_exact_backend():
+    rng = random.Random(9)
+    coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(16)]
+    plus, minus = to_null_coords(coords)
+    back = from_null_coords(plus, minus)
+    assert back == coords
+    assert all(type(c) is Fraction for c in plus + minus + back)
+
+
+def test_null_split_of_floats_matches_complex_components():
+    z = HScalar.flt(0.25, -1.5, 2.0, 0.125)
+    plus, minus = null(z)
+    assert complex(*plus) == complex(z.x + z.v, z.y + z.w)
+    assert complex(*minus) == complex(z.x - z.v, z.y - z.w)
+    assert all(type(c) is float for c in plus + minus)
+
+
+def test_null_join_of_large_finite_components_stays_finite():
+    big = 1.6e308
+    assert from_null_coords([big, big], [big, big]) == [big, big, 0.0, 0.0]
+    # a scalar's coordinates and a matrix's come back unchanged
+    z = HScalar.flt(big)
+    assert from_null_coords(*null(z)) == list(z.coeffs())
+    m = HMatrix.identity(2, exact=False).scale(HScalar.flt(big, 0.0, 0.0, -big))
+    assert from_null_coords(*to_null_coords(m.coords)) == list(m.coords)
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [([1.0, 0.0], [1.0, 0.0, 2.0, 0.0]), ([1.0, 0.0, 2.0, 0.0], [1.0, 0.0]), ([1.0, 0.0, 2.0], [1.0, 0.0, 2.0])],
+    ids=["shorter-plus", "shorter-minus", "odd-length"],
+)
+def test_null_join_rejects_components_of_different_length(plus, minus):
+    with pytest.raises(ValueError):
+        from_null_coords(plus, minus)
 
 
 def test_subring_closure():
