@@ -3,15 +3,16 @@
 An :class:`HMatrix` stores its ``4n^2`` real coordinates, ``x y v w`` per
 entry in row-major order, all ``Fraction`` or all ``float``; entries are
 built as :class:`HScalar` only when read.  Arithmetic works on the
-coordinates.  The units 1, i, j, ij multiply as a signed group (unit a
-times unit b is unit a XOR b, negated when both have the i bit), so the
-exact product contracts only non-zero coordinates through that table,
-and exact sums skip zeros: a ``Fraction`` operation costs about 1 us.
-The float product keeps :meth:`HScalar.__mul__`'s terms, its
+coordinates, and every linear operation is one rectangular ring product
+per backend: ``@``, :meth:`HMatrix.scale`, :meth:`HMatrix.combine` and
+each elimination step of :meth:`HMatrix.inverse`.  The units 1, i, j, ij
+multiply as a signed group (unit a times unit b is unit a XOR b, negated
+when both have the i bit), so the exact product contracts only non-zero
+coordinates through that table: a ``Fraction`` operation costs about
+1 us.  The float product keeps :meth:`HScalar.__mul__`'s terms, its
 complex-subring shortcut and the column order of each entry's sum, so
-float results equal the entrywise HScalar loop bit for bit.  Inversion
-eliminates over the coordinate rows of ``[m | 1]`` with the same scaling
-kernels, building HScalars only for a pivot's modulus and inverse.
+float results equal the per-entry HScalar loop over non-zero entries bit
+for bit.  An output entry with no non-zero term is ``+0``.
 
 Provides the 2x2 Pauli matrices, the fifteen 4x4 Pauli matrices built as
 Kronecker products, and the signed antisymmetric lookup assigning a 4x4
@@ -27,7 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
+from operator import sub
 
 from .scalars import BackendMismatch, HScalar, RealCoords
 
@@ -143,19 +145,35 @@ class HMatrix(RealCoords):
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
         """Matrix product; both factors of one size and one backend."""
-        exact = self._peer(other)
-        kernel = _matmul_exact if exact else _matmul_float
-        return HMatrix._make(self.n, kernel(self.n, self.coords, other.coords))
+        n = self.n
+        return HMatrix._make(n, _product(self._peer(other), n, n, self.coords, other.coords))
 
     def scale(self, z) -> "HMatrix":
         """Every entry multiplied by the scalar ``z`` (on the left)."""
-        exact = self.is_exact
-        if not isinstance(z, HScalar):
-            z = HScalar.make(z, exact=exact)
-        elif z.is_exact != exact:
-            raise BackendMismatch("mixed exact/float scalar operands")
-        kernel = _scale_exact if exact else _scale_float
-        return HMatrix._make(self.n, kernel(z.coeffs(), self.coords))
+        return HMatrix.combine((z,), (self,))
+
+    @staticmethod
+    def combine(zs, mats) -> "HMatrix":
+        """The sum of ``z_k * m_k`` over matrices of one size and backend, each
+        ``z_k`` an :class:`HScalar` of that backend or a number; a zero
+        ``z_k`` costs nothing.  ``ValueError`` for no matrices, mixed sizes or
+        a count of scalars that differs."""
+        zs, mats = tuple(zs), tuple(mats)
+        if not mats or len(zs) != len(mats):
+            raise ValueError("combine takes one scalar per matrix, and at least one matrix")
+        first = mats[0]
+        exact = first.is_exact
+        for m in mats[1:]:
+            first._peer(m)
+        a = []
+        for z in zs:
+            if not isinstance(z, HScalar):
+                z = HScalar.make(z, exact=exact)
+            elif z.is_exact != exact:
+                raise BackendMismatch("mixed exact/float scalar operands")
+            a += (z.x, z.y, z.v, z.w)
+        b = first.coords if len(mats) == 1 else tuple(chain.from_iterable(m.coords for m in mats))
+        return HMatrix._make(first.n, _product(exact, 1, len(mats), a, b))
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
@@ -181,16 +199,17 @@ class HMatrix(RealCoords):
         quadratic-form modulus N(z) rather than naive magnitude: exact
         backend takes the first invertible entry, float backend the entry
         of largest modulus.  The rows of the augmented matrix ``[self | 1]``
-        are coordinate lists, scaled by the scalar kernels and subtracted
-        coordinate by coordinate, so the result equals elimination over
-        HScalar entries; HScalars are built only to take a pivot's modulus
-        and inverse.
+        are coordinate lists, and each step is two ring products: the pivot
+        row times its entry's inverse, then the column of factors times that
+        row, subtracted from every other row whose factor is non-zero.  So
+        the result equals elimination over HScalar entries in which a zero
+        entry's product is ``+0``; HScalars are built only to take a pivot's
+        modulus and inverse.
         """
         n, c, exact = self.n, self.coords, self.is_exact
         w = 4 * n
         one = HMatrix.identity(n, exact=exact).coords
         aug = [list(c[k:k + w] + one[k:k + w]) for k in range(0, len(c), w)]
-        scale = _scale_exact if exact else _scale_float
         for col in range(n):
             k = 4 * col
             pick, best = None, 0
@@ -205,12 +224,18 @@ class HMatrix(RealCoords):
             if pick is None:
                 raise SingularMatrix("no invertible pivot (zero-divisor column)")
             aug[col], aug[pick] = aug[pick], aug[col]
-            pivot = aug[col] = scale(HScalar(*aug[col][k:k + 4]).invert().coeffs(), aug[col])
-            for r in range(n):
-                f = aug[r][k:k + 4]
+            pivot = aug[col] = _product(exact, 1, 1, HScalar(*aug[col][k:k + 4]).invert().coeffs(), aug[col])
+            live, factors = [], []
+            for r, row in enumerate(aug):
+                f = row[k:k + 4]
                 # an entry with a coordinate left, however small, is eliminated
                 if r != col and any(f):
-                    aug[r] = [x - y for x, y in zip(aug[r], scale(f, pivot))]
+                    live.append(r)
+                    factors += f
+            if live:
+                update = iter(_product(exact, len(live), 1, factors, pivot))
+                for r in live:  # map stops at the row's end: each row takes 2n entries
+                    aug[r] = list(map(sub, aug[r], update))
         return HMatrix._make(n, [x for row in aug for x in row[w:]])
 
     @staticmethod
@@ -248,80 +273,53 @@ def _check_coords(coords):
     raise TypeError(f"matrix coordinates must be Fraction or float, not {', '.join(bad)}")
 
 
-def _matmul_exact(n, a, b):
-    """Contract only the non-zero coordinates through the unit table.
+def _product(exact, r, k, a, b):
+    """The ``r x c`` product of an ``r x k`` and a ``k x c`` ring matrix, on
+    flat row-major coordinates ``x y v w`` per entry.  Zero entries of either
+    factor are skipped, and an output entry with no non-zero term is ``+0``.
 
-    Exact sums do not depend on their order, so the result equals the
-    entrywise HScalar product; a Fraction operation costs about as much as
-    a whole float entry product, so structural zeros are worth skipping.
+    Exact: non-zero coordinates are contracted through the unit table (a
+    Fraction operation costs about as much as a whole float entry product),
+    and exact sums do not depend on their order.  Float: HScalar.__mul__'s
+    terms and complex-subring shortcut, each entry summed in column order,
+    so the result equals the per-entry HScalar loop bit for bit.
     """
-    width = 4 * n
-    rhs = [[] for _ in range(n)]
-    for idx in compress(range(len(b)), b):
-        k, rest = divmod(idx, width)
-        rhs[k].append((rest & ~3, rest & 3, b[idx]))
-    out = [None] * len(a)
-    for idx in compress(range(len(a)), a):
-        r, rest = divmod(idx, width)
-        k, u1 = divmod(rest, 4)
-        base, x1 = r * width, a[idx]
-        for off, u2, x2 in rhs[k]:
-            j = base + off + (u1 ^ u2)
-            p = x1 * x2
-            s = out[j]
-            if u1 & u2 & 1:
-                out[j] = -p if s is None else s - p
-            else:
-                out[j] = p if s is None else s + p
-    return [_ZERO if s is None else s for s in out]
-
-
-def _scale_exact(z, m):
-    """``z`` times each entry, over the non-zero coordinates of both."""
-    zc = [(u, c) for u, c in enumerate(z) if c]
-    out = [None] * len(m)
-    for idx in compress(range(len(m)), m):
-        u2, x2 = idx & 3, m[idx]
-        base = idx - u2
-        for u1, x1 in zc:
-            j = base + (u1 ^ u2)
-            p = x1 * x2
-            s = out[j]
-            if u1 & u2 & 1:
-                out[j] = -p if s is None else s - p
-            else:
-                out[j] = p if s is None else s + p
-    return [_ZERO if s is None else s for s in out]
-
-
-def _matmul_float(n, a, b):
-    """Entrywise products with HScalar.__mul__'s terms and complex-subring
-    shortcut, zero entries skipped and each entry summed in column order,
-    so the result equals the HScalar loop bit for bit.  A float multiply
-    costs about 30 ns, less than a branch that would skip a zero
-    coordinate."""
-    rhs = []
-    q = 0
-    for _ in range(n):
-        line = []
-        for col in range(n):
-            x, y, v, w = b[q:q + 4]
-            q += 4
-            if x == 0 and y == 0 and v == 0 and w == 0:
+    width = len(b) // k  # coordinates in a row of b and of the product
+    if exact:
+        rows = [None] * k  # indices of the non-zero coordinates of b's rows, on first use
+        out = [None] * (r * width)
+        for idx in compress(range(len(a)), a):
+            row, rest = divmod(idx, 4 * k)
+            kk, u1 = divmod(rest, 4)
+            lo = kk * width
+            line = rows[kk]
+            if line is None:
+                line = rows[kk] = list(compress(range(lo, lo + width), b[lo:lo + width]))
+            base, x1 = row * width - lo, a[idx]
+            for q in line:
+                u2 = q & 3
+                j = base + (q ^ u1)  # the entry of q in the output row, unit u1 ^ u2
+                p = x1 * b[q]
+                s = out[j]
+                if u1 & u2 & 1:
+                    out[j] = -p if s is None else s - p
+                else:
+                    out[j] = p if s is None else s + p
+        return [_ZERO if s is None else s for s in out]
+    c = width // 4
+    lhs = [[] for _ in range(k)]  # the non-zero entries of a's columns
+    for idx, (x, y, v, w) in enumerate(zip(*[iter(a)] * 4)):
+        if x or y or v or w:
+            row, kk = divmod(idx, k)
+            lhs[kk].append((row * c, x, y, v, w, not (v or w)))
+    acc = [None] * (r * c)
+    quads = zip(*[iter(b)] * 4)
+    for line in lhs:  # b's rows in order, so each entry sums in column order
+        for col, (x2, y2, v2, w2) in zip(range(c), quads):
+            if not line or not (x2 or y2 or v2 or w2):
                 continue
-            line.append((col, x, y, v, w, v == 0 and w == 0))
-        rhs.append(line)
-    out = []
-    q = 0
-    for _ in range(n):
-        acc = [None] * n
-        for k in range(n):
-            x1, y1, v1, w1 = a[q:q + 4]
-            q += 4
-            if x1 == 0 and y1 == 0 and v1 == 0 and w1 == 0:
-                continue
-            c1 = v1 == 0 and w1 == 0
-            for col, x2, y2, v2, w2, c2 in rhs[k]:
+            c2 = not (v2 or w2)
+            for base, x1, y1, v1, w1, c1 in line:
                 if c1 and c2:
                     px, py, pv, pw = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, v1, w1
                 else:
@@ -329,29 +327,12 @@ def _matmul_float(n, a, b):
                     py = x1 * y2 + y1 * x2 + v1 * w2 + w1 * v2
                     pv = x1 * v2 + v1 * x2 - y1 * w2 - w1 * y2
                     pw = x1 * w2 + w1 * x2 + y1 * v2 + v1 * y2
-                s = acc[col]
-                acc[col] = (px, py, pv, pw) if s is None else (s[0] + px, s[1] + py, s[2] + pv, s[3] + pw)
-        for s in acc:
-            out += _FLOAT_ZERO if s is None else s
-    return out
-
-
-def _scale_float(z, m):
-    """``z`` times each entry with HScalar.__mul__'s terms."""
-    x1, y1, v1, w1 = z
-    c1 = v1 == 0 and w1 == 0
+                j = base + col
+                s = acc[j]
+                acc[j] = (px, py, pv, pw) if s is None else (s[0] + px, s[1] + py, s[2] + pv, s[3] + pw)
     out = []
-    for q in range(0, len(m), 4):
-        x2, y2, v2, w2 = m[q:q + 4]
-        if c1 and v2 == 0 and w2 == 0:
-            out += (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, v1, w1)
-        else:
-            out += (
-                x1 * x2 - y1 * y2 + v1 * v2 - w1 * w2,
-                x1 * y2 + y1 * x2 + v1 * w2 + w1 * v2,
-                x1 * v2 + v1 * x2 - y1 * w2 - w1 * y2,
-                x1 * w2 + w1 * x2 + y1 * v2 + v1 * y2,
-            )
+    for s in acc:
+        out += _FLOAT_ZERO if s is None else s
     return out
 
 

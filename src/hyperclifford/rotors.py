@@ -237,20 +237,17 @@ def _sigma_ab_float(a: int, b: int) -> HMatrix:
 
 
 def _exponent_matrix(params: RotorParams) -> HMatrix:
+    """The sum of (-i phi + j xi) sigma / 2 over sigma_k (m4) or the planes'
+    sigma_ab (e6, r66); no plane is the zero exponent."""
     if params.space == "m4":
-        acc = HMatrix.zeros(2, exact=False)
-        for k in range(3):
-            s = _pauli2_float(k + 1)
-            coeff = HScalar.flt(0.0, -params.phi[k] / 2.0, params.xi[k] / 2.0, 0.0)
-            acc = acc + s.scale(coeff)
-        return acc
-    if params.space in ("e6", "r66"):
-        phi_by_plane, xi_by_plane = dict(params.phi_ab), dict(params.xi_ab)
-        acc = HMatrix.zeros(4, exact=False)
-        for ab in sorted(phi_by_plane.keys() | xi_by_plane.keys()):
-            acc = acc + _plane_exponent(*ab, phi_by_plane.get(ab, 0.0), xi_by_plane.get(ab, 0.0))
-        return acc
-    raise ValueError(f"no matrix exponent for space {params.space!r}")
+        terms = list(zip(params.phi, params.xi, map(_pauli2_float, (1, 2, 3))))
+    elif params.space in ("e6", "r66"):
+        phi, xi = dict(params.phi_ab), dict(params.xi_ab)
+        terms = [(phi.get(ab, 0.0), xi.get(ab, 0.0), _sigma_ab_float(*ab)) for ab in sorted(phi.keys() | xi.keys())]
+        terms = terms or [(0.0, 0.0, HMatrix.zeros(4, exact=False))]
+    else:
+        raise ValueError(f"no matrix exponent for space {params.space!r}")
+    return HMatrix.combine([HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0) for p, x, _ in terms], [m for *_, m in terms])
 
 
 def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
@@ -337,16 +334,11 @@ def _delta(a: int, b: int) -> int:
 
 def _index_rhs(maker, a, b, c, d, sign: int) -> HMatrix:
     """sign * i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac)."""
-    acc = HMatrix.zeros(4)
-    for coef, (p, q) in (
-        (_delta(a, c), (b, d)),
-        (-_delta(a, d), (b, c)),
-        (-_delta(b, c), (a, d)),
-        (_delta(b, d), (a, c)),
-    ):
-        if coef:
-            acc = acc + maker(p, q).scale(coef)
-    return acc.scale(HScalar.exact(0, sign))
+    terms = ((_delta(a, c), (b, d)), (-_delta(a, d), (b, c)), (-_delta(b, c), (a, d)), (_delta(b, d), (a, c)))
+    zero = Fraction(0)
+    return HMatrix.combine(
+        [HScalar(zero, Fraction(sign * k), zero, zero) for k, _ in terms], [maker(*pq) for _, pq in terms]
+    )
 
 
 def verify_index_commutators() -> dict:
@@ -406,12 +398,7 @@ def _eps(i, j, k) -> int:
 
 def _eps_sum(gens, a: int, b: int, sign: int = 1) -> HMatrix:
     """sign * i * sum_c eps_abc gens[c] for three 2x2 generators."""
-    acc = HMatrix.zeros(2)
-    for c in range(3):
-        e = _eps(a, b, c) * sign
-        if e:
-            acc = acc + gens[c].scale(e)
-    return acc.scale(HScalar.unit("i"))
+    return HMatrix.combine([HScalar.exact(0, sign * _eps(a, b, c)) for c in range(3)], gens)
 
 
 def verify_lorentz_commutators() -> dict:

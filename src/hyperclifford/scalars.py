@@ -306,7 +306,8 @@ class HScalar:
         modulus is NaN: a NaN coefficient, or a quadratic form that
         overflows to ``inf - inf``.
         """
-        n = self.modulus()
+        q = self.qform()
+        n = q.x * q.x + q.w * q.w
         if self.is_exact:
             if n == 0:
                 raise ZeroDivisor("element lies on the null cone")
@@ -316,7 +317,6 @@ class HScalar:
             mag = self.x * self.x + self.y * self.y + self.v * self.v + self.w * self.w
             if n <= ZERO_DIVISOR_RTOL * (1.0 + mag):
                 raise ZeroDivisor("quadratic-form modulus below threshold")
-        q = self.qform()
         zero = n - n
         inv_q = HScalar(q.x / n, zero, zero, -q.w / n)
         return self.conjugate() * inv_q
@@ -383,12 +383,17 @@ def to_null_coords(coords) -> tuple[list, list]:
 
 
 def from_null_coords(plus, minus) -> list:
-    """Inverse of :func:`to_null_coords`; exact components give exact
-    coordinates.  Halving before the sum keeps a finite pair finite;
-    components of different length raise ``ValueError``."""
+    """Inverse of :func:`to_null_coords`; int or ``Fraction`` components give
+    ``Fraction`` coordinates, and a mix of those with floats raises
+    :class:`BackendMismatch`.  Halving before the sum keeps a finite pair
+    finite; components of different length raise ``ValueError``."""
+    kinds = {*map(type, plus), *map(type, minus)}
+    if float in kinds and len(kinds) > 1:
+        raise BackendMismatch("mixed exact/float null components")
+    two = Fraction(2) if int in kinds else 2  # an int over Fraction(2) is a Fraction
     out = []
     for a, b, c, d in zip(plus[0::2], plus[1::2], minus[0::2], minus[1::2], strict=True):
-        a, b, c, d = a / 2, b / 2, c / 2, d / 2
+        a, b, c, d = a / two, b / two, c / two, d / two
         out += (a + c, b + d, a - c, b - d)
     return out
 

@@ -4,7 +4,9 @@ elimination."""
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
@@ -12,6 +14,7 @@ from hyperclifford.checks import _random_rotor
 from hyperclifford.matrices import (
     HMatrix,
     SingularMatrix,
+    _product,
     kron,
     pauli2,
     pauli4,
@@ -269,30 +272,26 @@ def test_views_build_entries_on_demand():
 # -- the coordinate kernels against the per-entry HScalar loops ------------------
 
 
-def matmul_reference(a, b):
-    """The per-entry product: HScalar multiply and add, zero entries
-    skipped, each entry summed in column order."""
-    zero = HScalar.zero(a.is_exact)
-    cols = tuple(zip(*b.rows))
+def product_reference(a_rows, b_rows):
+    """The per-entry product of matrices given as rows of HScalars, square
+    or rectangular, as flat coordinates: HScalar multiply and add, zero
+    entries skipped, each entry summed in column order, and ``+0`` where no
+    term is left."""
+    zero = HScalar.zero(a_rows[0][0].is_exact)
     out = []
-    for row in a.rows:
-        line = []
-        for col in cols:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            line.append(zero if acc is None else acc)
-        out.append(line)
-    return HMatrix(out)
+    for row in a_rows:
+        for col in zip(*b_rows):
+            terms = [x * y for x, y in zip(row, col) if not (x.is_zero or y.is_zero)]
+            out += (reduce(add, terms) if terms else zero).coeffs()
+    return out
 
 
 def inverse_reference(m):
     """Gauss-Jordan elimination over rows of HScalar entries, with the
     kernel's pivot rule: the first invertible entry (exact) or the one of
     largest modulus (float).  Rows are scaled and reduced with HScalar
-    multiply and subtract; an all-zero entry is skipped."""
+    multiply and subtract, a product with a zero entry being ``+0``; a
+    row whose factor is zero is skipped."""
     n, exact = m.n, m.is_exact
     a = [list(row) for row in m.rows]
     b = [list(row) for row in HMatrix.identity(n, exact=exact).rows]
@@ -311,19 +310,24 @@ def inverse_reference(m):
         a[col], a[pick] = a[pick], a[col]
         b[col], b[pick] = b[pick], b[col]
         inv_p = a[col][col].invert()
-        a[col] = [inv_p * z for z in a[col]]
-        b[col] = [inv_p * z for z in b[col]]
+        a[col] = [entry_product(inv_p, z) for z in a[col]]
+        b[col] = [entry_product(inv_p, z) for z in b[col]]
         for r in range(n):
             f = a[r][col]
             if r == col or f.is_zero:
                 continue
-            a[r] = [z - f * p for z, p in zip(a[r], a[col])]
-            b[r] = [z - f * p for z, p in zip(b[r], b[col])]
+            a[r] = [z - entry_product(f, p) for z, p in zip(a[r], a[col])]
+            b[r] = [z - entry_product(f, p) for z, p in zip(b[r], b[col])]
     return HMatrix(b)
 
 
+def entry_product(x, y):
+    """One entry's product in every kernel: ``+0`` when a factor is zero."""
+    return HScalar.zero(x.is_exact) if x.is_zero or y.is_zero else x * y
+
+
 def scale_reference(m, z):
-    return HMatrix([[z * a for a in row] for row in m.rows])
+    return HMatrix([[entry_product(z, a) for a in row] for row in m.rows])
 
 
 def add_reference(a, b):
@@ -391,12 +395,72 @@ def test_kernels_match_per_entry_reference(n, exact):
     for k, a in enumerate(pool):
         partners = [pool[(k + step) % len(pool)] for step in (0, 1, 7, 16)] + rng.sample(pool, 4)
         for b in partners:
-            assert_same_coords(a @ b, matmul_reference(a, b), exact)
+            assert_same_coords(a @ b, HMatrix._make(a.n, product_reference(a.rows, b.rows)), exact)
             assert_same_coords(a + b, add_reference(a, b), exact)
             assert_same_coords(a - b, sub_reference(a, b), exact)
         for z in (scalars[k % len(scalars)], rng.choice(scalars)):
             assert_same_coords(a.scale(z), scale_reference(a, z), exact)
         assert_same_inverse(a)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_rectangular_product_matches_per_entry_reference(exact):
+    rng = random.Random(f"product-{exact}")
+    for r, k, c in product((1, 2, 3), repeat=3):
+        for _ in range(12):
+            density = rng.choice((1.0, 0.5, 0.0))
+            a_rows, b_rows = (
+                [[random_scalar(rng.choice(UNIT_SUBSETS) if rng.random() < density else (), exact, rng)
+                  for _ in range(cols)] for _ in range(rows)]
+                for rows, cols in ((r, k), (k, c))
+            )
+            a = [x for row in a_rows for z in row for x in z.coeffs()]
+            b = [x for row in b_rows for z in row for x in z.coeffs()]
+            got, want = _product(exact, r, k, a, b), product_reference(a_rows, b_rows)
+            assert len(got) == 4 * r * c
+            if exact:
+                assert got == want and all(type(x) is Fraction for x in got)
+            else:
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_scale_of_a_zero_entry_is_positive_zero():
+    got = HMatrix.zeros(2, exact=False).scale(HScalar.flt(-1.0))
+    assert [x.hex() for x in got.coords] == [(0.0).hex()] * 16
+    got = pauli2(3).to_float().scale(HScalar.flt(-1.0, 0.0, 0.0, -0.0))
+    assert [x.hex() for x in got.coords[4:12]] == [(0.0).hex()] * 8
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_combine_is_the_sum_of_scaled_matrices(exact):
+    """combine(zs, mats) is the row of scalars times the column of flattened
+    matrices, so the per-entry reference sums z_k m_k in the order given."""
+    rng = random.Random(f"combine-{exact}")
+    for n in (1, 2, 4):
+        for count in (1, 3, 5):
+            mats = [random_hmatrix(n, rng.choice(UNIT_SUBSETS), exact, 0.6, rng) for _ in range(count)]
+            zs = [random_scalar(rng.choice(UNIT_SUBSETS), exact, rng) for _ in range(count)]
+            want = product_reference([zs], [[e for row in m.rows for e in row] for m in mats])
+            assert_same_coords(HMatrix.combine(zs, mats), HMatrix._make(n, want), exact)
+    assert HMatrix.combine([2, 0], [pauli2(1), pauli2(2)]) == pauli2(1).scale(2)
+
+
+def test_combine_checks_counts_sizes_and_backends():
+    two, three = HMatrix.identity(2), HMatrix.identity(3)
+    with pytest.raises(ValueError):
+        HMatrix.combine([H(1), H(1)], [two, three])
+    with pytest.raises(ValueError):
+        HMatrix.combine([H(1)], [two, two])
+    with pytest.raises(ValueError):
+        HMatrix.combine([H(1), H(1)], [two])
+    with pytest.raises(ValueError):
+        HMatrix.combine([], [])
+    with pytest.raises(BackendMismatch):
+        HMatrix.combine([H(1), H(1)], [two, two.to_float()])
+    with pytest.raises(BackendMismatch):
+        HMatrix.combine([H(1), HScalar.flt(1.0)], [two, two])
+    with pytest.raises(BackendMismatch):
+        HMatrix.combine([1, 0.5], [two, two])
 
 
 def assert_same_inverse(m):

@@ -65,6 +65,8 @@ def test_zero_params_give_identity():
             r = rotor_from_params(RotorParams.r66({}, {}))
         one = r.rep.scalar(1, exact=False)
         assert r.g.is_close(one, 1e-15)
+    for params in (RotorParams.e6({}), RotorParams.r66({}, {})):  # no plane: the zero exponent
+        assert _exponent_matrix(params) == HMatrix.zeros(4, exact=False)
 
 
 def test_h1_rotor_matches_scalar_exponential():

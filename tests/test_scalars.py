@@ -151,6 +151,17 @@ def test_invert_roundtrip(z):
         assert z * z.invert() == ONE
 
 
+def test_float_invert_is_the_conjugate_over_the_quadratic_form():
+    rng = random.Random(11)
+    for _ in range(200):
+        z = HScalar.flt(*(rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(3)), rng.uniform(1, 3))
+        q = z.qform()
+        n = q.x * q.x + q.w * q.w
+        want = z.conjugate() * HScalar(q.x / n, 0.0, 0.0, -q.w / n)
+        assert [c.hex() for c in z.invert().coeffs()] == [c.hex() for c in want.coeffs()]
+        assert n == z.modulus()
+
+
 def test_float_zero_divisor_threshold():
     near_null = HScalar.flt(1.0, 0.0, 1.0 + 1e-14, 0.0)
     with pytest.raises(ZeroDivisor):
@@ -297,6 +308,25 @@ def test_null_split_and_join_keep_the_exact_backend():
     back = from_null_coords(plus, minus)
     assert back == coords
     assert all(type(c) is Fraction for c in plus + minus + back)
+
+
+def test_null_join_of_int_components_is_exact():
+    back = from_null_coords(*to_null_coords([1, 0, 1, 0]))
+    assert back == [1, 0, 1, 0]
+    assert all(type(c) is Fraction for c in back)
+    mixed = from_null_coords([1, Fraction(1, 3)], [Fraction(0), 3])
+    assert mixed == [Fraction(1, 2), Fraction(5, 3), Fraction(1, 2), Fraction(-4, 3)]
+    assert all(type(c) is Fraction for c in mixed)
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [([Fraction(1), Fraction(0)], [1.0, 0.0]), ([1.0, 0.0], [1, 0]), ([1.0, Fraction(0)], [1.0, 0.0])],
+    ids=["exact-plus-float-minus", "float-plus-int-minus", "mixed-within-plus"],
+)
+def test_null_join_rejects_mixed_backends(plus, minus):
+    with pytest.raises(BackendMismatch):
+        from_null_coords(plus, minus)
 
 
 def test_null_split_of_floats_matches_complex_components():

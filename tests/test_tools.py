@@ -1,0 +1,66 @@
+"""The benchmark pair summary of ``tools/pairs.py`` on canned results."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+)
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
+    {"name": "req_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+]
+
+
+def results(walls, rates, failed=0):
+    return [
+        {"correct": True, "attempted": 100, "failed": failed,
+         "metrics": {"wall_s": {"value": w, "unit": "s"}, "req_per_s": {"value": r, "unit": "1/s"}}}
+        for w, r in zip(walls, rates)
+    ]
+
+
+def row(lines, name):
+    return next(line.split() for line in lines if line.startswith(name))
+
+
+def test_quartile_spread():
+    assert pairs.quartile_spread([3.0]) == 0.0
+    values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    assert pairs.quartile_spread(values) == q3 - q1 == 3.0
+
+
+def test_summary_reports_medians_spread_wins_and_bound():
+    parent = results([2.0, 2.2, 2.1, 2.3], [100.0, 90.0, 95.0, 85.0])
+    change = results([1.9, 2.3, 2.0, 2.2], [104.0, 88.0, 96.0, 86.0], failed=1)
+    lines, ok = pairs.summarize(METRICS, parent, change)
+    assert ok
+    wall = row(lines, "wall_s")
+    # parent median 2.15, change 2.1; the change won pairs 1, 3 and 4
+    assert wall[2:5] == ["2.15", "2.1", f"{pairs.quartile_spread([2.0, 2.2, 2.1, 2.3]):.3g}"]
+    assert wall[5] == "3/4"
+    assert wall[6] == f"{(2.1 - 2.15) / 2.15:+.1%}" and wall[-1] == "ok"
+    rate = row(lines, "req_per_s")
+    # higher is better: 104 > 100, 88 < 90, 96 > 95, 86 > 85
+    assert rate[2:4] == ["92.5", "92"] and rate[5] == "3/4"
+    assert rate[6] == f"{(92.5 - 92.0) / 92.5:+.1%}"
+    assert "parent: failed 0 of 400 operations, correct True" in lines
+    assert "change: failed 4 of 400 operations, correct True" in lines
+
+
+@pytest.mark.parametrize("walls, rates", [
+    ([2.5, 2.6, 2.5, 2.6], [100.0, 90.0, 95.0, 85.0]),  # wall_s 19% worse
+    ([2.0, 2.2, 2.1, 2.3], [70.0, 80.0, 75.0, 75.0]),  # req_per_s 19% worse
+], ids=["lower-is-better", "higher-is-better"])
+def test_summary_flags_a_metric_worse_than_its_bound(walls, rates):
+    parent = results([2.0, 2.2, 2.1, 2.3], [100.0, 90.0, 95.0, 85.0])
+    lines, ok = pairs.summarize(METRICS, parent, results(walls, rates))
+    assert not ok
+    assert sum(line.endswith("WORSE THAN BOUND") for line in lines) == 1
