@@ -344,13 +344,14 @@ class Multivector(RealCoords):
     _shape = "rep"
 
     def __init__(self, rep: AlgebraRep, coeffs):
-        """Absent blades are zero; with no coefficients the element is the
-        exact zero, which meets only exact operands (a float zero is
-        ``rep.scalar(0, exact=False)``).  Raises ``ValueError`` for a blade
-        outside the representation or a coefficient outside its subring,
-        and :class:`BackendMismatch` when exact and float coefficients
-        meet."""
+        """Absent blades are zero.  Raises ``ValueError`` for a mapping with
+        no coefficients, which carries no backend (a zero is
+        ``rep.scalar(0, exact=...)``), a blade outside the representation
+        or a coefficient outside its subring, and :class:`BackendMismatch`
+        when exact and float coefficients meet."""
         floats = {isinstance(z.x, float) for z in coeffs.values()}
+        if not floats:
+            raise ValueError("no coefficients, so no backend: use rep.scalar(0, exact=...) for a zero")
         if len(floats) > 1:
             raise BackendMismatch("mixed exact/float coefficients in one multivector")
         coords = [0.0 if True in floats else _ZERO] * len(rep.basis)

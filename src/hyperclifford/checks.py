@@ -24,16 +24,16 @@ any is NaN) and the check passes when it is at most the check's ``tol``.
 ``tol=None``, the default, is the tolerance of ``verify --tol``
 (``ctx.tol``); a bit-exact check says ``tol=0``.  A body that raises, at
 any point of its stream, is reported as ``fail`` with ``max_error``
-infinite.  Only a check whose verdict is not "the largest error is
-within tol" returns ``(ok, max_error)`` itself instead of yielding; the
-two printed-form deviations do.
+infinite.  A deviation states instead the count on which the published
+form fails, ``deviation=480`` say: its body yields that count, and the
+check reports ``deviation-documented`` when ``max_error`` equals it and
+``fail`` otherwise.  Whether the computed form holds is a check of its
+own.
 
 The id up to the first dot names the suite.  Checks run, and suites are
 listed, in registration order.  The checks of one suite run draw from
 one random stream, ``ctx.rng``, in that order, so a new check goes after
-the checks of its suite or their samples change.  With ``deviation=True``
-a passing check reports ``deviation-documented``: the published form
-demonstrably fails while the computed one holds.  Other keyword
+the checks of its suite or their samples change.  Other keyword
 arguments of :func:`check` are passed to the body.  Work that several
 checks share is a lazily built :class:`Context` attribute, paid for by
 the first check to read it.
@@ -81,9 +81,11 @@ from .physics import (
     stabilizer_check,
 )
 from .rotors import (
+    _INDEX_PAIRS,
     RotorParams,
     _eps_sum,
     _index_rhs,
+    _index_table,
     act,
     h1_null_pair,
     hyperbolic_generator,
@@ -122,15 +124,16 @@ class CheckReport:
 @dataclass(frozen=True)
 class CheckSpec:
     """One registered check: its record text, the body that computes its
-    errors, and the tolerance they are judged against (``None``: the
-    suite's ``ctx.tol``)."""
+    errors, and what its ``max_error`` is judged against: the stated count
+    of a deviation, else the tolerance (``None``: the suite's
+    ``ctx.tol``)."""
 
     check_id: str
     description: str
     claim: str
     body: Callable
     params: dict
-    deviation: bool
+    deviation: float | None
     tol: float | None
 
     @property
@@ -141,17 +144,14 @@ class CheckSpec:
         description, status, err = self.description, "fail", math.inf
         t0 = time.perf_counter()
         try:
-            outcome = self.body(ctx, **self.params)
-            if isinstance(outcome, tuple):  # a body that gives its own verdict
-                ok, err = outcome
-            else:
-                err = _max_error(outcome)
-                ok = err <= (ctx.tol if self.tol is None else self.tol)
+            err = _max_error(self.body(ctx, **self.params))
         except Exception as exc:  # a crashing check is a failing check
             description = f"{description} [error: {exc}]"
         else:
-            if ok:
-                status = "deviation-documented" if self.deviation else "pass"
+            if self.deviation is not None:
+                status = "deviation-documented" if err == self.deviation else "fail"
+            elif err <= (ctx.tol if self.tol is None else self.tol):
+                status = "pass"
         elapsed = (time.perf_counter() - t0) * 1000.0
         return CheckReport(self.check_id, description, self.claim, status, float(err), elapsed)
 
@@ -169,7 +169,7 @@ def _max_error(errors) -> float:
 REGISTRY: list[CheckSpec] = []
 
 
-def check(check_id: str, description: str, claim: str, *, deviation: bool = False,
+def check(check_id: str, description: str, claim: str, *, deviation: float | None = None,
           tol: float | None = None, **params):
     """Register the decorated body as the next check of its suite."""
 
@@ -354,15 +354,9 @@ check("commutators.index_jk", "mixed commutators with the hyperbolic extension K
 check("commutators.index_kk_computed", "K-K commutators against the computed right-hand side",
       "[K_ab, K_cd] = -i(d J) with J on the right, verified exactly",
       tol=0, key="failures_kk_computed")(_index_failures)
-
-
-@check("commutators.index_kk_printed", "K-K commutators against the published right-hand side",
-       "published -i(d K) form is not satisfied by this representation;"
-       " the computed -i(d J) form is", deviation=True)
-def _index_kk_printed(ctx):
-    res = ctx.index_commutators
-    printed = res["printed_kk_failures"]
-    return printed > 0 and res["failures_kk_computed"] == 0, float(printed)
+check("commutators.index_kk_printed", "K-K commutators against the published right-hand side",
+      "published -i(d K) form is not satisfied by this representation;"
+      " the computed -i(d J) form is", deviation=480, key="printed_kk_failures")(_index_failures)
 
 
 @check("commutators.lorentz", "rotation/boost generator commutators of the 2x2 algebra",
@@ -374,11 +368,9 @@ def _lorentz(ctx):
 @check("commutators.lorentz_kk_printed",
        "boost-boost commutators against the published right-hand side",
        "published -i e K form fails for every distinct pair;"
-       " the computed -i e J form holds", deviation=True)
+       " the computed -i e J form holds", deviation=6)
 def _lorentz_kk_printed(ctx):
-    res = ctx.lorentz_commutators
-    printed = res["printed_kk_failures"]
-    return printed == 6 and res["failures"]["kk_computed"] == 0, float(printed)
+    yield ctx.lorentz_commutators["printed_kk_failures"]
 
 
 def _split_failures(res: dict) -> int:
@@ -396,26 +388,21 @@ def _split_lorentz(ctx):
 @check("commutators.split_index", "idempotent split of the fifteen index-pair generators",
        "both commuting copies reproduce the index structure constants", tol=0)
 def _split_index(ctx):
-    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    jg = [su4_generator(a, b) for a, b in pairs]
-    kg = [hyperbolic_generator(a, b) for a, b in pairs]
-    idx = {p: k for k, p in enumerate(pairs)}
-    zero = HMatrix.zeros(4)
+    jg = [su4_generator(*p) for p in _INDEX_PAIRS]
+    kg = [hyperbolic_generator(*p) for p in _INDEX_PAIRS]
+    tables = {}  # the signed table of each split copy, by the copy's identity
 
     def struct(gens, x, y):
-        def signed(p, q):  # X_qp = -X_pq and X_pp = 0
-            if p == q:
-                return zero
-            return gens[idx[p, q]] if p < q else -gens[idx[q, p]]
-
-        return _index_rhs(signed, *pairs[x], *pairs[y], 1)
+        if id(gens) not in tables:
+            tables[id(gens)] = _index_table(gens)
+        return _index_rhs(tables[id(gens)], _INDEX_PAIRS[x], _INDEX_PAIRS[y], 1)
 
     yield _split_failures(verify_null_split(jg, kg, struct))
 
 
 @check("commutators.split_literal", "published closed form (J + ij K)/2 of the commuting split",
        "literal substitution of K = ij J collapses to zero;"
-       " the idempotent form (1 +- j)/2 J realizes the intended pair", deviation=True, tol=0)
+       " the idempotent form (1 +- j)/2 J realizes the intended pair", deviation=0)
 def _split_literal(ctx):
     rot, boo = lorentz_generators()
     # only the literal-form count matters here

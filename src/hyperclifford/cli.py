@@ -79,11 +79,9 @@ def _parse_floats(text: str, want: int, what: str) -> list[float]:
     try:
         vals = [_finite_float(tok) for tok in text.split(",")]
     except argparse.ArgumentTypeError as exc:
-        print(f"error: {what}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{what}: {exc}") from None
     if len(vals) != want:
-        print(f"error: {what} needs {want} comma-separated numbers", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{what} needs {want} comma-separated numbers")
     return vals
 
 
@@ -191,8 +189,7 @@ def _cmd_boost(args) -> int:
             if len(vec) != 4:
                 raise ValueError("m4 expects 4 coordinates")
         except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
-            print(f"error: bad vector JSON ({exc})", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad vector JSON ({exc})") from None
     else:
         vec = _parse_floats(raw, 4, "--vector")
     xi = [0.0, 0.0, 0.0]
@@ -270,11 +267,9 @@ def _cmd_decompose(args) -> int:
         m = HMatrix([[_matrix_cell(cell, r, c) for c, cell in enumerate(row, 1)]
                      for r, row in enumerate(grid, 1)])
     except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-        print(f"error: bad matrix JSON ({exc})", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad matrix JSON ({exc})") from None
     if m.n != rep.n:
-        print(f"error: {args.rep} expects {rep.n}x{rep.n} matrices", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.rep} expects {rep.n}x{rep.n} matrices")
     mv, residual = rep.decompose_residual(m)
     coeff_rows = [
         {

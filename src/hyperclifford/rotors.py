@@ -332,13 +332,40 @@ def _delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
-def _index_rhs(maker, a, b, c, d, sign: int) -> HMatrix:
-    """sign * i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac)."""
+# The fifteen index pairs a < b of 0..5, in the order of an index generator list.
+_INDEX_PAIRS = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+
+
+def _index_table(gens) -> dict:
+    """X_pq over all 36 ordered index pairs from the fifteen generators
+    X_ab, a < b, in ``_INDEX_PAIRS`` order: X_ba = -X_ab and X_aa = 0."""
+    table = {(a, a): HMatrix.zeros(gens[0].n) for a in range(6)}
+    for (a, b), x in zip(_INDEX_PAIRS, gens):
+        table[a, b], table[b, a] = x, -x
+    return table
+
+
+def _index_rhs(table: dict, ab, cd, sign: int) -> HMatrix:
+    """sign * i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the
+    index pairs ab, cd, read from an :func:`_index_table`."""
+    (a, b), (c, d) = ab, cd
     terms = ((_delta(a, c), (b, d)), (-_delta(a, d), (b, c)), (-_delta(b, c), (a, d)), (_delta(b, d), (a, c)))
     zero = Fraction(0)
     return HMatrix.combine(
-        [HScalar(zero, Fraction(sign * k), zero, zero) for k, _ in terms], [maker(*pq) for _, pq in terms]
+        [HScalar(zero, Fraction(sign * k), zero, zero) for k, _ in terms], [table[pq] for _, pq in terms]
     )
+
+
+def _count_relations(keys, j, k, rhs) -> list[int]:
+    """Failures of [J_p, J_q] = rhs(J, p, q, 1), [J_p, K_q] = rhs(K, p, q, 1),
+    the computed [K_p, K_q] = rhs(J, p, q, -1) and the printed
+    [K_p, K_q] = rhs(K, p, q, -1), over all ordered pairs of ``keys``."""
+    counts = [0] * 4
+    for p, q in product(keys, repeat=2):
+        jj, jk, kk = commutator(j[p], j[q]), commutator(j[p], k[q]), commutator(k[p], k[q])
+        for n, (lhs, gens, sign) in enumerate(((jj, j, 1), (jk, k, 1), (kk, j, -1), (kk, k, -1))):
+            counts[n] += lhs != rhs(gens, p, q, sign)
+    return counts
 
 
 def verify_index_commutators() -> dict:
@@ -349,40 +376,16 @@ def verify_index_commutators() -> dict:
     [K,K] = -i(d J); also counts how often the printed alternative
     [K,K] = -i(d K) fails, which documents the deviation.
     """
-    checked = failures_jj = failures_jk = failures_kk = 0
-    printed_kk_failures = 0
+    j = _index_table([su4_generator(*p) for p in _INDEX_PAIRS])
+    k = _index_table([hyperbolic_generator(*p) for p in _INDEX_PAIRS])
     pairs = [(a, b) for a, b in product(range(6), repeat=2) if a != b]
-    jmat = {p: su4_generator(*p) for p in pairs}
-    kmat = {p: hyperbolic_generator(*p) for p in pairs}
-    zero = HMatrix.zeros(4)
-    jmat.update({(a, a): zero for a in range(6)})
-    kmat.update({(a, a): zero for a in range(6)})
-
-    def j_of(p, q):
-        return jmat[(p, q)]
-
-    def k_of(p, q):
-        return kmat[(p, q)]
-    for a, b in pairs:
-        jab, kab = jmat[(a, b)], kmat[(a, b)]
-        for c, d in pairs:
-            jcd, kcd = jmat[(c, d)], kmat[(c, d)]
-            checked += 1
-            if commutator(jab, jcd) != _index_rhs(j_of, a, b, c, d, 1):
-                failures_jj += 1
-            if commutator(jab, kcd) != _index_rhs(k_of, a, b, c, d, 1):
-                failures_jk += 1
-            kk = commutator(kab, kcd)
-            if kk != _index_rhs(j_of, a, b, c, d, -1):
-                failures_kk += 1
-            if kk != _index_rhs(k_of, a, b, c, d, -1):
-                printed_kk_failures += 1
+    jj, jk, kk, printed = _count_relations(pairs, j, k, _index_rhs)
     return {
-        "checked": checked,
-        "failures_jj": failures_jj,
-        "failures_jk": failures_jk,
-        "failures_kk_computed": failures_kk,
-        "printed_kk_failures": printed_kk_failures,
+        "checked": len(pairs) ** 2,
+        "failures_jj": jj,
+        "failures_jk": jk,
+        "failures_kk_computed": kk,
+        "printed_kk_failures": printed,
     }
 
 
@@ -405,20 +408,8 @@ def verify_lorentz_commutators() -> dict:
     """Exact check of [J,J] = i e J, [J,K] = i e K, computed
     [K,K] = -i e J; counts failures of the printed [K,K] = -i e K."""
     rot, boo = lorentz_generators()
-    failures = {"jj": 0, "jk": 0, "kk_computed": 0}
-    printed_kk_failures = 0
-    for a in range(3):
-        for b in range(3):
-            if commutator(rot[a], rot[b]) != _eps_sum(rot, a, b):
-                failures["jj"] += 1
-            if commutator(rot[a], boo[b]) != _eps_sum(boo, a, b):
-                failures["jk"] += 1
-            kk = commutator(boo[a], boo[b])
-            if kk != _eps_sum(rot, a, b, sign=-1):
-                failures["kk_computed"] += 1
-            if a != b and kk != _eps_sum(boo, a, b, sign=-1):
-                printed_kk_failures += 1
-    return {"failures": failures, "printed_kk_failures": printed_kk_failures}
+    jj, jk, kk, printed = _count_relations(range(3), rot, boo, _eps_sum)
+    return {"failures": {"jj": jj, "jk": jk, "kk_computed": kk}, "printed_kk_failures": printed}
 
 
 def null_split(j_gens) -> tuple[list[HMatrix], list[HMatrix]]:

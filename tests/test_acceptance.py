@@ -157,7 +157,7 @@ def test_criterion_05_commutators():
         assert index["failures_jk"] == 0
         assert index["failures_kk_computed"] == 0
         # the printed form is demonstrably not satisfied: deviation-documented
-        assert index["printed_kk_failures"] > 0
+        assert index["printed_kk_failures"] == 480
         lor = verify_lorentz_commutators()
         assert all(v == 0 for v in lor["failures"].values())
         assert lor["printed_kk_failures"] == 6

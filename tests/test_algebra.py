@@ -57,7 +57,7 @@ def sparse_mv(rep, exact, rng):
     full = random_mv(rep, exact, rng)
     zero = HScalar.zero(exact)
     keep = {b: z if rng.random() < 0.6 else zero for b, z in full.coeffs.items()}
-    return Multivector(rep, keep)
+    return Multivector(rep, {(): zero, **keep})
 
 
 def unit_product(u1, u2):
@@ -198,7 +198,7 @@ def test_gp_blades_mixed_backends_and_zero_operands():
     r30 = get_rep("r30")
     # non-zero operands, then a zero of the other backend on either side
     # or both: a zero is an operand like any other
-    exacts = (r30.generator(1), Multivector(r30, {}))
+    exacts = (r30.generator(1), r30.scalar(0))
     flts = (r30.generator(2, exact=False), r30.scalar(0, exact=False))
     for exact, flt in product(exacts, flts):
         for a, b in ((exact, flt), (flt, exact)):
@@ -301,13 +301,17 @@ def test_coordinate_layout_matches_per_blade_references(name, exact):
 
 def test_involution_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown involution"):
-        Multivector(get_rep("r30"), {}).involution("tilde")
+        get_rep("r30").scalar(0).involution("tilde")
 
 
 @pytest.mark.parametrize("name", ALL_REPS)
 def test_float_zero_keeps_its_backend(name):
     rep = get_rep(name)
-    assert Multivector(rep, {}).is_exact
+    # an empty mapping carries no backend, so a round trip through the
+    # coefficients of a zero cannot silently make it exact
+    for exact in (True, False):
+        with pytest.raises(ValueError, match="exact="):
+            Multivector(rep, rep.scalar(0, exact=exact).coeffs)
     zero = rep.decompose(HMatrix.zeros(rep.n, exact=False))
     assert not zero.is_exact
     assert not zero.to_matrix().is_exact

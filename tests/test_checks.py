@@ -44,7 +44,7 @@ def test_registry_lists_every_check_in_suite_order(monkeypatch):
     assert checks.SUITE_NAMES == SUITES
     suites = [spec.suite for spec in checks.REGISTRY]
     assert suites == sorted(suites, key=SUITES.index)
-    assert {spec.check_id for spec in checks.REGISTRY if spec.deviation} == DEVIATIONS
+    assert {spec.check_id for spec in checks.REGISTRY if spec.deviation is not None} == DEVIATIONS
 
 
 def test_unknown_suite_is_a_key_error():
@@ -64,15 +64,20 @@ def test_runner_turns_each_result_into_a_record(monkeypatch):
     @checks.check("demo.pass", "within tolerance", "holds", err=0.25)
     def _within(ctx, err):
         draws.append(ctx.rng.random())
-        return err <= ctx.tol, err
+        yield err
 
-    @checks.check("demo.deviation", "published form", "fails as documented", deviation=True)
+    @checks.check("demo.deviation", "published form", "fails as documented", deviation=6)
     def _deviation(ctx):
-        return True, 6
+        yield 6
 
-    @checks.check("demo.deviation_lost", "published form", "should fail", deviation=True)
+    @checks.check("demo.deviation_lost", "published form", "should fail", deviation=6)
     def _lost(ctx):
-        return False, 0
+        yield 0
+
+    # a stated count of 0 is a deviation too, not a plain check
+    @checks.check("demo.deviation_zero", "published form", "fails nowhere", deviation=0)
+    def _zero(ctx):
+        yield from ()
 
     reports = checks.run_suite("demo", tol=0.5)
     rows = [(r.check_id, r.description, r.claim, r.status, r.max_error) for r in reports]
@@ -81,12 +86,32 @@ def test_runner_turns_each_result_into_a_record(monkeypatch):
         ("demo.pass", "within tolerance", "holds", "pass", 0.25),
         ("demo.deviation", "published form", "fails as documented", "deviation-documented", 6.0),
         ("demo.deviation_lost", "published form", "should fail", "fail", 0.0),
+        ("demo.deviation_zero", "published form", "fails nowhere", "deviation-documented", 0.0),
     ]
     assert all(r.elapsed_ms >= 0.0 and type(r.max_error) is float for r in reports)
     # one seeded stream per suite run, shared in check order
     stream = random.Random(checks._SEED)
     assert draws == [stream.random(), stream.random()]
     assert checks.run_suite("demo", tol=0.1)[1].status == "fail"
+
+
+@pytest.mark.parametrize("count", [479, 481, math.nan], ids=["one-fewer", "one-more", "nan"])
+def test_a_deviation_fails_on_any_other_count(monkeypatch, count):
+    monkeypatch.setattr(checks, "REGISTRY", [])
+
+    @checks.check("demo.moved", "published form", "fails on 480", deviation=480, tol=math.inf)
+    def _moved(ctx):
+        yield from (0, count)
+
+    @checks.check("demo.crash", "published form", "fails on 480", deviation=480)
+    def _crash(ctx):
+        yield 480
+        raise ValueError("after the count")
+
+    moved, crash = checks.run_suite("demo", tol=math.inf)
+    assert moved.status == "fail"
+    assert moved.max_error == count or math.isnan(count) and math.isnan(moved.max_error)
+    assert (crash.status, crash.max_error) == ("fail", math.inf)
 
 
 def _demo_records(monkeypatch, tol, *bodies):

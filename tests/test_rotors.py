@@ -4,6 +4,7 @@ sphere parametrizations."""
 import dataclasses
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ from hyperclifford.algebra import Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
+    _INDEX_PAIRS,
     ResultOutsideParavectorSpan,
     RotorParams,
     SeriesNonConvergence,
     _exponent_matrix,
+    _index_table,
     _ring_square,
     act,
     h1_null_pair,
@@ -309,7 +312,15 @@ def test_index_commutator_relations():
     assert result["failures_jj"] == 0
     assert result["failures_jk"] == 0
     assert result["failures_kk_computed"] == 0
-    assert result["printed_kk_failures"] > 0
+    assert result["printed_kk_failures"] == 480
+
+
+def test_index_table_is_signed():
+    table = _index_table([su4_generator(*p) for p in _INDEX_PAIRS])
+    assert len(table) == 36 and set(table) == set(product(range(6), repeat=2))
+    for (p, q), x in table.items():
+        assert table[q, p] == -x
+        assert x == (HMatrix.zeros(4) if p == q else su4_generator(p, q))
 
 
 def test_lorentz_commutator_relations():

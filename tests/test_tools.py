@@ -1,4 +1,5 @@
-"""The benchmark pair summary of ``tools/pairs.py`` on canned results."""
+"""The benchmark pair summary of ``tools/pairs.py`` and the record
+comparison of ``tools/compare_outputs.py``, on canned results."""
 
 import importlib.util
 import statistics
@@ -6,11 +7,17 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
-)
-pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(pairs)
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, compare_outputs = _tool("pairs"), _tool("compare_outputs")
 
 METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
@@ -64,3 +71,31 @@ def test_summary_flags_a_metric_worse_than_its_bound(walls, rates):
     lines, ok = pairs.summarize(METRICS, parent, results(walls, rates))
     assert not ok
     assert sum(line.endswith("WORSE THAN BOUND") for line in lines) == 1
+
+
+VERIFY = [
+    ["commutators.index_kk_printed", "deviation-documented", float.hex(480.0)],
+    ["commutators.lorentz", "pass", float.hex(0.0)],
+    ["rotations.boost", "pass", float.hex(2.5e-16)],
+]
+
+
+def test_equal_records_have_no_differences():
+    assert compare_outputs.differences("verify", VERIFY, [list(r) for r in VERIFY]) == []
+
+
+def test_one_changed_record_is_reported_with_both_sides():
+    changed = [list(r) for r in VERIFY]
+    changed[1][2] = float.hex(1.0)
+    assert compare_outputs.differences("verify", VERIFY, changed) == [
+        f"verify[1]:\n  parent {VERIFY[1]!r}\n  change {changed[1]!r}"]
+
+
+def test_a_length_mismatch_is_reported_first():
+    calc = [["boost --xi 1", 0, "1.0\n", ""], ["boost --xi 40", 2, "", "error: no pivot\n"]]
+    lines = compare_outputs.differences("calc", calc, calc[:1])
+    assert lines == ["calc: 2 records at the parent, 1 at the change"]
+    # the records both sides have are still compared
+    lines = compare_outputs.differences("calc", calc, [calc[1]])
+    assert lines[0] == "calc: 2 records at the parent, 1 at the change"
+    assert lines[1].startswith("calc[0]:")
