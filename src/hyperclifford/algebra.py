@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import lcm
+from operator import add, sub
 
 from .matrices import HMatrix, pauli2, sigma_ab
 from .scalars import BackendMismatch, HScalar, RealCoords
@@ -180,16 +181,16 @@ class AlgebraRep:
         }
         # the HScalar component (x y v w) of each unit
         self._spots = tuple(HScalar.unit(u).coeffs().index(1) for u in self.units)
-        # product table over the basis: _product[k1][k2] = (k, sign), with
-        # basis[k1] * basis[k2] = sign * basis[k].  One blade_mul per pair of
-        # blades; units 0 (1) and 1 (adjoined) multiply by XOR, and two
-        # adjoined units give the unit's square.  No basis matrix is read.
+        # gp_blades' table _product[k1][k2] = (k, sign), one blade_mul per
+        # pair of blades, no basis matrix read: over the blades for a j-rep's
+        # null pairs, else over the basis, where units 0 (1) and 1 (adjoined)
+        # multiply by XOR and two adjoined units give the unit's square.
         u = HScalar.unit(adjoined or "1")
         square, w = int((u * u).x), len(self.units)
-        blade_rows = [[(self._offset[b], sign) for b, sign in
+        blade_rows = [[(self._offset[b] // w, sign) for b, sign in
                        (blade_mul(b1, b2, signature) for b2 in self.blades)] for b1 in self.blades]
-        self._product = [
-            [(k + (u1 ^ u2), sign * square if u1 & u2 else sign) for k, sign in row for u2 in range(w)]
+        self._product = blade_rows if adjoined == "j" else [
+            [(w * k + (u1 ^ u2), sign * square if u1 & u2 else sign) for k, sign in row for u2 in range(w)]
             for row in blade_rows for u1 in range(w)
         ]
 
@@ -327,6 +328,20 @@ class AlgebraRep:
         return f"AlgebraRep({self.name})"
 
 
+def _terms(c, exact: bool, split: bool) -> tuple[list, int]:
+    """One gp_blades operand: ``(index, x)`` per non-zero coordinate or, if ``split``, ``(blade, a + b, a - b)``
+    per non-zero blade ``a + b j``; exact values as integer numerators over the returned lcm."""
+    d = 1
+    if exact:
+        nz = [(k, x) for k, x in enumerate(c) if x is not _ZERO and x]  # the shared zero skips __bool__
+        d, c = lcm(*[x.denominator for _, x in nz]), [0] * len(c)
+        for k, x in nz:
+            c[k] = x.numerator * (d // x.denominator)
+    if split:  # blade k has coordinates a, b at 2k, 2k + 1
+        return [(k, a + b, a - b) for k, a, b in zip(count(), c[0::2], c[1::2]) if a or b], d
+    return [(k, x) for k, x in enumerate(c) if x], d
+
+
 class Multivector(RealCoords):
     """An algebra element as real coordinates over its representation's basis.
 
@@ -392,42 +407,46 @@ class Multivector(RealCoords):
         return self.rep.decompose(self.to_matrix() @ other.to_matrix())
 
     def gp_blades(self, other: "Multivector") -> "Multivector":
-        """Geometric product computed directly on the real basis.
+        """Geometric product on the blades, independent of the matrix route.
 
-        Independent of the matrix route: each pair of non-zero coordinates
-        is one lookup in the representation's product table, built from
-        :func:`blade_mul` and the adjoined unit's square at construction,
-        and one multiplication.  Terms are summed per output coordinate in
-        pair order.  On the exact backend the terms are integers: each
-        operand is written as integer numerators over the lcm ``d`` of its
-        denominators, and each non-zero sum ``t`` becomes one
-        ``Fraction(t, d1 * d2)``, so the result is the same as summing
-        ``Fraction`` terms.  Both operands share one representation and one
-        backend; an operand of the other backend raises
+        Each pair of non-zero terms is one lookup in the table built from
+        :func:`blade_mul`, summed per output in pair order.  A j-rep (j
+        central, j^2 = 1) takes each blade coefficient ``a + b j`` as its
+        null pair ``(a + b, a - b)``: one pass sums ``P = sum(+-p1 p2)`` and
+        ``M = sum(+-m1 m2)``, joined as ``((P + M)/2, (P - M)/2)``.  Other
+        reps multiply real coordinates.  Exact terms are integer numerators
+        over each operand's lcm denominator; a non-zero output ``t`` is one
+        ``Fraction(t, d1 * d2)`` (twice that after a join), the value of
+        summing ``Fraction`` terms.  Operands of two backends raise
         :class:`BackendMismatch`, zero or not.
         """
         exact = self._peer(other)
-        rep = self.rep
-        lhs = [(k, x) for k, x in enumerate(self.coords) if x]
-        rhs = [(k, x) for k, x in enumerate(other.coords) if x]
-        if exact:
-            d1 = lcm(*[x.denominator for _, x in lhs])
-            d2 = lcm(*[x.denominator for _, x in rhs])
-            lhs = [(k, x.numerator * (d1 // x.denominator)) for k, x in lhs]
-            rhs = [(k, x.numerator * (d2 // x.denominator)) for k, x in rhs]
-        table, out = rep._product, [0 if exact else 0.0] * len(self.coords)
-        for k1, x1 in lhs:
-            row = table[k1]
-            for k2, x2 in rhs:
-                k, sign = row[k2]
-                if sign > 0:
-                    out[k] += x1 * x2
-                else:
-                    out[k] -= x1 * x2
-        if exact:
-            d = d1 * d2
-            out = [Fraction(t, d) if t else _ZERO for t in out]
-        return Multivector._make(rep, out)
+        rep, zero, split = self.rep, 0 if exact else 0.0, self.rep.adjoined == "j"
+        (lhs, d1), (rhs, d2) = _terms(self.coords, exact, split), _terms(other.coords, exact, split)
+        table, out = rep._product, [zero] * len(self.coords)
+        if split:  # the join halves P +- M: halve p1, m1 (floats) or double d1 (exact)
+            P, M, h, d1 = out[0::2], out[1::2], 1 if exact else 0.5, 2 * d1
+            for k1, p1, m1 in lhs:
+                row, p1, m1 = table[k1], p1 * h, m1 * h
+                for k2, p2, m2 in rhs:
+                    k, sign = row[k2]
+                    if sign > 0:
+                        P[k] += p1 * p2
+                        M[k] += m1 * m2
+                    else:
+                        P[k] -= p1 * p2
+                        M[k] -= m1 * m2
+            out[0::2], out[1::2] = map(add, P, M), map(sub, P, M)
+        else:
+            for k1, x1 in lhs:
+                row = table[k1]
+                for k2, x2 in rhs:
+                    k, sign = row[k2]
+                    if sign > 0:
+                        out[k] += x1 * x2
+                    else:
+                        out[k] -= x1 * x2
+        return Multivector._make(rep, [Fraction(t, d1 * d2) if t else _ZERO for t in out] if exact else out)
 
     # -- involutions -----------------------------------------------------------
 

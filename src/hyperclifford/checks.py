@@ -84,6 +84,7 @@ from .rotors import (
     _INDEX_PAIRS,
     RotorParams,
     _eps_sum,
+    _half,
     _index_rhs,
     _index_table,
     act,
@@ -405,8 +406,7 @@ def _split_index(ctx):
        " the idempotent form (1 +- j)/2 J realizes the intended pair", deviation=0)
 def _split_literal(ctx):
     rot, boo = lorentz_generators()
-    # only the literal-form count matters here
-    yield verify_null_split(rot, boo, lambda g, a, b: HMatrix.zeros(2))["literal_form_nonzero"]
+    yield sum((j + k.scale(HScalar.unit("ij"))).scale(_half()) != HMatrix.zeros(2) for j, k in zip(rot, boo))
 
 
 # ------------------------------------------------------------ involutions ----

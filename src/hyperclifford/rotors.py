@@ -437,15 +437,12 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
     a_set, b_set = null_split(j_gens)
     n = len(j_gens)
     unit_i = HScalar.unit("i")
-    cross = sum_err = recon = lit = 0
+    cross = sum_err = recon = 0
     for p in range(n):
         if (a_set[p] + b_set[p]) != j_gens[p]:
             recon += 1
         if (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]:
             recon += 1
-        literal = (j_gens[p] + k_gens[p].scale(HScalar.unit("ij"))).scale(_half())
-        if literal != HMatrix.zeros(j_gens[p].n):
-            lit += 1
         for q in range(n):
             if commutator(a_set[p], b_set[q]) != HMatrix.zeros(j_gens[p].n):
                 cross += 1
@@ -457,7 +454,6 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
         "cross_failures": cross,
         "structure_failures": sum_err,
         "reconstruction_failures": recon,
-        "literal_form_nonzero": lit,
     }
 
 

@@ -88,14 +88,70 @@ def gp_blades_reference(u, v):
     return Multivector._make(rep, [out.get(key, zero) for key in rep.basis])
 
 
+def gp_blades_null_reference(u, v):
+    """The per-term null-split product of a j-rep: each blade coefficient
+    a + b j as its null pair (p, m) = (a + b, a - b), one term per pair of
+    blades, its blade and sign from blade_mul, the p and m products summed
+    per output blade in pair order into P and M, joined as (P + M)/2 and
+    (P - M)/2.  The blade_mul results are memoised within one call."""
+    rep = u.rep
+    blade_pair = cache(partial(blade_mul, signature=rep.signature))
+
+    def pairs(mv):
+        c = mv.coords
+        return [(blade, c[2 * k] + c[2 * k + 1], c[2 * k] - c[2 * k + 1]) for k, blade in enumerate(rep.blades)]
+
+    sums = {blade: [0.0, 0.0] for blade in rep.blades}
+    for b1, p1, m1 in pairs(u):
+        for b2, p2, m2 in pairs(v):
+            blade, sign = blade_pair(b1, b2)
+            sums[blade][0] += sign * (p1 * p2)
+            sums[blade][1] += sign * (m1 * m2)
+    coords = [x for P, M in sums.values() for x in ((P + M) / 2, (P - M) / 2)]
+    return Multivector._make(rep, coords)
+
+
+def real_only_mv(rep, exact, rng):
+    """A random element whose blade coefficients have no adjoined-unit part."""
+    make = HScalar.exact if exact else HScalar.flt
+    coeffs = {b: make(z.x) for b, z in random_mv(rep, exact, rng).coeffs.items()}
+    return Multivector(rep, {(): HScalar.zero(exact), **coeffs})
+
+
+def negative_zeros(mv):
+    """The float element with every zero coordinate of ``mv`` written -0.0."""
+    return Multivector._make(mv.rep, [x if x else -0.0 for x in mv.coords])
+
+
+def assert_float_product(got, u, v):
+    """A float j-rep product: bit-exact against the null-split reference,
+    and within the summation bound of the real-basis reference, which sums
+    twice as many terms per coordinate: |new - old| <= 4 n eps S per
+    coordinate, for n blades and S the product of the operands' sums of
+    |a| + |b| over their blades."""
+    want = gp_blades_null_reference(u, v)
+    assert list(map(float.hex, got.coords)) == list(map(float.hex, want.coords))
+    old = gp_blades_reference(u, v)
+    bound = 4 * len(u.rep.blades) * 2.0**-53 * sum(map(abs, u.coords)) * sum(map(abs, v.coords))
+    assert all(abs(x - y) <= bound for x, y in zip(got.coords, old.coords))
+
+
 @pytest.mark.parametrize("name", ALL_REPS)
 def test_product_table_is_blade_mul_and_unit_product(name):
+    """The table gp_blades reads: over the blades for a j-rep, whose
+    products go through the null split; over the basis otherwise."""
     rep = get_rep(name)
-    assert len(rep._product) == len(rep.basis)
-    for (b1, u1), row in zip(rep.basis, rep._product):
-        assert len(row) == len(rep.basis)
+    keys = rep.blades if rep.adjoined == "j" else rep.basis
+    assert len(rep._product) == len(keys)
+    for key1, row in zip(keys, rep._product):
+        assert len(row) == len(keys)
         assert len({k for k, _ in row}) == len(row)  # a signed permutation
-        for (b2, u2), entry in zip(rep.basis, row):
+        for key2, entry in zip(keys, row):
+            if rep.adjoined == "j":
+                blade, sign = blade_mul(key1, key2, rep.signature)
+                assert entry == (rep.blades.index(blade), sign)
+                continue
+            (b1, u1), (b2, u2) = key1, key2
             blade, sign = blade_mul(b1, b2, rep.signature)
             unit, unit_sign = unit_product(u1, u2)
             assert entry == (rep.basis.index((blade, unit)), sign * unit_sign)
@@ -104,19 +160,32 @@ def test_product_table_is_blade_mul_and_unit_product(name):
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("name", ALL_REPS)
 def test_gp_blades_matches_per_term_reference(name, exact):
+    """Exact products equal the real-basis per-term reference.  Float
+    products of a j-rep take the null split, so they are pinned to the
+    null-split reference bit for bit; real-only operands never meet the
+    split's rounding and still equal the real-basis reference."""
     rep = get_rep(name)
     rng = random.Random(f"{name}-{exact}")
     backend = Fraction if exact else float
+    split = rep.adjoined == "j" and not exact
+    zero = rep.scalar(0, exact=exact)
     for k in range(12):
-        make = random_mv if k % 2 else sparse_mv
+        make = (sparse_mv, random_mv, real_only_mv)[k % 3]
         u, v = make(rep, exact, rng), make(rep, exact, rng)
-        for a, b in ((u, v), (v, u), (u.bar(), v), (-u, v.hat())):
-            got, want = a.gp_blades(b), gp_blades_reference(a, b)
+        pairs = [(u, v), (v, u), (u.bar(), v), (-u, v.hat()), (zero, u), (u, zero)]
+        if not exact:
+            pairs += [(negative_zeros(u), v), (u, negative_zeros(v))]
+        for a, b in pairs:
+            got = a.gp_blades(b)
+            if split and make is not real_only_mv:
+                assert_float_product(got, a, b)
+                continue
+            want = gp_blades_reference(a, b)
             assert got == want
             assert got.coeffs.keys() == want.coeffs.keys()
             for blade, z in want.coeffs.items():
                 assert [float(c) for c in got.coeffs[blade].coeffs()] == [float(c) for c in z.coeffs()]
-                assert all(type(c) is backend for c in got.coeffs[blade].coeffs())
+            assert all(type(c) is backend for c in got.coords)
 
 
 def exact_element(rep, values):
@@ -219,18 +288,24 @@ def test_gp_blades_mixed_backends_and_zero_operands():
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("name, unit", [("c10bar", "i"), ("c30bar", "j"), ("h05bar", "j")])
 def test_scale_is_the_per_blade_scalar_product(name, unit, exact):
+    """Exact scaling, and float scaling in c10bar, is the HScalar product
+    per blade; float scaling in a j-rep is the null-split product."""
     rep = get_rep(name)
     rng = random.Random(f"scale-{name}-{exact}")
     zero = HScalar.zero(exact)
-    for _ in range(6):
-        mv = sparse_mv(rep, exact, rng) if exact else random_mv(rep, exact, rng)
+    for k in range(9):
+        mv = (sparse_mv, random_mv, real_only_mv)[k % 3](rep, exact, rng)
         a, b = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if exact else rng.uniform(-2, 2)
                 for _ in range(2))
-        z = HScalar.make(a, exact=exact) + HScalar.make(b, exact=exact) * HScalar.unit(unit, exact)
-        got = mv.scale(z)
-        for blade in rep.blades:
-            assert got.coeffs.get(blade, zero) == z * mv.coeffs.get(blade, zero)
-        assert all(type(c) is type(zero.x) for c in got.coords)
+        for z in (HScalar.make(a, exact=exact) + HScalar.make(b, exact=exact) * HScalar.unit(unit, exact),
+                  HScalar.make(a, exact=exact), zero):
+            got = mv.scale(z)
+            assert all(type(c) is type(zero.x) for c in got.coords)
+            if unit == "j" and not exact:
+                assert_float_product(got, mv, rep.scalar(z))
+                continue
+            for blade in rep.blades:
+                assert got.coeffs.get(blade, zero) == z * mv.coeffs.get(blade, zero)
 
 
 def test_scale_checks_subring_and_backends():

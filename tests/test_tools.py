@@ -73,6 +73,29 @@ def test_summary_flags_a_metric_worse_than_its_bound(walls, rates):
     assert sum(line.endswith("WORSE THAN BOUND") for line in lines) == 1
 
 
+def test_summary_says_whether_the_change_may_claim_a_gain():
+    """A gain needs nine tenths of the pairs won and a median gap wider
+    than the parent's interquartile spread."""
+    parent = results([2.0, 2.1, 2.2, 2.3, 2.4, 2.0, 2.1, 2.2, 2.3, 2.4], [100.0] * 10)
+    spread = pairs.quartile_spread([2.0, 2.1, 2.2, 2.3, 2.4] * 2)
+    win = results([1.5, 1.6, 1.7, 1.8, 1.9, 1.5, 1.6, 1.7, 1.8, 2.5], [101.0] * 10)
+    loss = results([2.5, 2.6, 2.7, 2.8, 2.9, 2.5, 2.6, 2.7, 2.8, 2.9], [99.0] * 10)
+    # every pair won, by less than the parent's spread
+    close = results([1.99, 2.09, 2.19, 2.29, 2.39, 1.99, 2.09, 2.19, 2.29, 2.39], [100.5] * 10)
+    assert spread > 0.01
+    verdicts = {}
+    for label, change in (("win", win), ("loss", loss), ("close", close)):
+        lines, _ = pairs.summarize(METRICS, parent, change)
+        verdicts[label] = row(lines, "wall_s")[8], row(lines, "req_per_s")[8]
+    # win: 9 of 10 pairs and a 0.5 s gap; req_per_s won 10 of 10 by 1.0,
+    # above a parent spread of 0
+    assert verdicts["win"] == ("yes", "yes")
+    assert verdicts["loss"] == ("no", "no")
+    assert verdicts["close"] == ("no", "yes")
+    assert not pairs.is_gain(8, 10, 2.2, 1.0, 0.1, True)  # too few pairs won
+    assert pairs.is_gain(9, 10, 90.0, 95.0, 4.0, False)
+
+
 VERIFY = [
     ["commutators.index_kk_printed", "deviation-documented", float.hex(480.0)],
     ["commutators.lorentz", "pass", float.hex(0.0)],

@@ -12,10 +12,13 @@ that setting, so they may still leave ``__pycache__`` directories.
 
 For every ``end_to_end`` metric it prints both medians, the parent's
 interquartile spread, how many pairs the change won, how much worse the
-change's median is (as a share of the parent's, positive when worse) and
-whether that stays within the metric's bound.  It also prints each
-side's failed share of operations.  Exits 0 when every metric is within
-its bound and 1 otherwise.
+change's median is (as a share of the parent's, positive when worse),
+whether the change may claim a gain on it and whether it stays within
+the metric's bound.  A gain needs both: the change won at least nine
+tenths of the pairs (ties count for neither side), and its median is
+better than the parent's by more than the parent's interquartile
+spread.  It also prints each side's failed share of operations.  Exits
+0 when every metric is within its bound and 1 otherwise.
 """
 
 import json
@@ -45,6 +48,14 @@ def quartile_spread(values: list) -> float:
     return q3 - q1
 
 
+def is_gain(won: int, pairs: int, old_med: float, new_med: float, spread: float, lower: bool) -> bool:
+    """Whether paired results show a gain: at least nine tenths of the
+    pairs won, and the medians apart by more than the parent's spread in
+    the better direction."""
+    gap = old_med - new_med if lower else new_med - old_med
+    return 10 * won >= 9 * pairs and gap > spread
+
+
 def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, bool]:
     """Summary lines for the ``end_to_end`` metrics of paired results and
     whether every metric stays within its bound.
@@ -54,7 +65,7 @@ def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, boo
     ``bound`` (a share of the parent's median) fails the check.
     """
     lines = [f"{'metric':<12} {'unit':<5} {'parent':>10} {'change':>10} "
-             f"{'parent IQR':>10} {'won':>7} {'worse by':>9} {'bound':>6}  check"]
+             f"{'parent IQR':>10} {'won':>7} {'worse by':>9} {'bound':>6} {'gain':>4}  check"]
     ok = True
     for m in spec_metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -62,6 +73,7 @@ def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, boo
         new = [r["metrics"][name]["value"] for r in change]
         old_med, new_med = statistics.median(old), statistics.median(new)
         won = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        spread = quartile_spread(old)
         worse = (new_med - old_med) / old_med if old_med else 0.0
         if not lower:
             worse = -worse
@@ -69,8 +81,9 @@ def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, boo
         ok = ok and within
         lines.append(
             f"{name:<12} {m['unit']:<5} {old_med:>10.4g} {new_med:>10.4g} "
-            f"{quartile_spread(old):>10.3g} {won:>3}/{len(old):<3} {worse:>+9.1%} "
-            f"{m['bound']:>6.0%}  {'ok' if within else 'WORSE THAN BOUND'}"
+            f"{spread:>10.3g} {won:>3}/{len(old):<3} {worse:>+9.1%} {m['bound']:>6.0%} "
+            f"{'yes' if is_gain(won, len(old), old_med, new_med, spread, lower) else 'no':>4}  "
+            f"{'ok' if within else 'WORSE THAN BOUND'}"
         )
     for side, results in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in results)
