@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
-from math import lcm
-from operator import add, sub
+from math import gcd
+from operator import add, mul, sub
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import BackendMismatch, HScalar, RealCoords
+from .scalars import BackendMismatch, HScalar, RealCoords, _over_lcm
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -58,7 +58,7 @@ __all__ = [
     "porteous_hat_4x4",
 ]
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 REP_NAMES = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
 # the scalar units, in the order of HScalar's components x y v w
@@ -220,15 +220,15 @@ class AlgebraRep:
         """
         table = {}
         for key in self.basis:
-            pairs = tuple(
-                (idx, c) for idx, c in enumerate(self._basis_mat[key].coords) if c != 0
-            )
+            m = self._basis_mat[key]
+            pairs = tuple((idx, c) for idx, c in enumerate(m.nums) if c)
             rows = {idx // (4 * self.n) for idx, _ in pairs}
-            if len(rows) != self.n or len(pairs) != self.n or any(c not in (1, -1) for _, c in pairs):
+            if (m.den != 1 or len(rows) != self.n or len(pairs) != self.n
+                    or any(c not in (1, -1) for _, c in pairs)):
                 raise ValueError(
                     f"basis element {key} of {self.name} is not a signed-unit monomial matrix"
                 )
-            table[key] = tuple((idx, int(c)) for idx, c in pairs)
+            table[key] = pairs
         return table
 
     def _validate_orthogonality(self):
@@ -253,7 +253,7 @@ class AlgebraRep:
         for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
             k = index.get(tuple((4 * (self.n + 1) * r + spot, sign) for r in range(self.n)))
             if k is not None:
-                units[u] = Multivector._make(self, [Fraction(sign) if j == k else _ZERO for j in range(len(self.basis))])
+                units[u] = Multivector._new(self, (sign if j == k else 0 for j in range(len(self.basis))), 1)
         return units
 
     # -- HScalar <-> coordinates -------------------------------------------
@@ -282,27 +282,27 @@ class AlgebraRep:
         algebra's span lose their orthogonal complement; use
         :meth:`decompose_residual` when that matters.
         """
-        return Multivector._make(self, self._gather(m, range(len(self.basis))))
+        return Multivector._new(self, *self._gather(m, range(len(self.basis))))
 
-    def _gather(self, m: HMatrix, indices) -> list:
-        """A matrix's coordinates at the given basis indices.  The basis is
-        pairing-orthogonal (checked at construction), so each is the signed
-        sum of the real matrix coordinates its coordinate-table entry lists
-        over the norm n; the table comes from the basis matrices, not from
-        blade_mul."""
-        coords = m.coords
-        total0 = _ZERO if m.is_exact else 0.0
-        table, basis, n = self._coord_map, self.basis, self.n
+    def _gather(self, m: HMatrix, indices) -> tuple[list, int | None]:
+        """A matrix's coordinates at the given basis indices, as stored
+        numbers and their denominator (``None`` for floats; exact numerators
+        are not reduced).  The basis is pairing-orthogonal (checked at
+        construction), so each is the signed sum of the real matrix
+        coordinates its coordinate-table entry lists over the norm n; the
+        table comes from the basis matrices, not from blade_mul."""
+        nums, exact = m.nums, m.is_exact
+        table, basis, n, zero = self._coord_map, self.basis, self.n, 0 if exact else 0.0
         out = []
         for k in indices:
-            total = total0
+            total = zero
             for idx, sign in table[basis[k]]:
                 if sign > 0:
-                    total += coords[idx]
+                    total += nums[idx]
                 else:
-                    total -= coords[idx]
-            out.append(total / n)
-        return out
+                    total -= nums[idx]
+            out.append(total if exact else total / n)
+        return out, m.den * n if exact else None
 
     def decompose_residual(self, m: HMatrix) -> tuple["Multivector", float]:
         mv = self.decompose(m)
@@ -328,34 +328,29 @@ class AlgebraRep:
         return f"AlgebraRep({self.name})"
 
 
-def _terms(c, exact: bool, split: bool) -> tuple[list, int]:
-    """One gp_blades operand: ``(index, x)`` per non-zero coordinate or, if ``split``, ``(blade, a + b, a - b)``
-    per non-zero blade ``a + b j``; exact values as integer numerators over the returned lcm."""
-    d = 1
-    if exact:
-        nz = [(k, x) for k, x in enumerate(c) if x is not _ZERO and x]  # the shared zero skips __bool__
-        d, c = lcm(*[x.denominator for _, x in nz]), [0] * len(c)
-        for k, x in nz:
-            c[k] = x.numerator * (d // x.denominator)
+def _terms(c, split: bool) -> list:
+    """One gp_blades operand's stored numbers ``c``: ``(index, x)`` per non-zero
+    coordinate or, if ``split``, ``(blade, a + b, a - b)`` per non-zero blade ``a + b j``."""
     if split:  # blade k has coordinates a, b at 2k, 2k + 1
-        return [(k, a + b, a - b) for k, a, b in zip(count(), c[0::2], c[1::2]) if a or b], d
-    return [(k, x) for k, x in enumerate(c) if x], d
+        return [(k, a + b, a - b) for k, a, b in zip(count(), c[0::2], c[1::2]) if a or b]
+    return [(k, x) for k, x in enumerate(c) if x]
 
 
 class Multivector(RealCoords):
     """An algebra element as real coordinates over its representation's basis.
 
-    ``coords`` holds one real coordinate per entry of ``rep.basis``: per
-    blade, the 1 part of its coefficient, then the part along the adjoined
-    unit if the rep has one.  All are :class:`Fraction` (exact backend) or
-    all ``float``, so a zero keeps its backend.  The constructor takes
-    ``{blade: HScalar}`` and is the one place that checks subring and
-    backend; ``coeffs`` is the on-demand ``{blade: HScalar}`` view of the
-    non-zero blades in canonical order.  Values are immutable.  Sums,
-    negation, ``==`` and the norm come from :class:`RealCoords`.
+    There is one real coordinate per entry of ``rep.basis``: per blade,
+    the 1 part of its coefficient, then the part along the adjoined unit if
+    the rep has one.  They are held as :class:`RealCoords` holds them, int
+    numerators over one denominator (exact backend) or floats, so a zero
+    keeps its backend; ``coords`` is the ``Fraction`` or float view.  The
+    constructor takes ``{blade: HScalar}`` and is the one place that checks
+    subring and backend; ``coeffs`` is the on-demand ``{blade: HScalar}``
+    view of the non-zero blades in canonical order.  Values are immutable.
+    Sums, negation, ``==`` and the norm come from :class:`RealCoords`.
     """
 
-    __slots__ = ("rep", "coords")
+    __slots__ = ("rep", "nums", "den")
     _shape = "rep"
 
     def __init__(self, rep: AlgebraRep, coeffs):
@@ -369,22 +364,31 @@ class Multivector(RealCoords):
             raise ValueError("no coefficients, so no backend: use rep.scalar(0, exact=...) for a zero")
         if len(floats) > 1:
             raise BackendMismatch("mixed exact/float coefficients in one multivector")
-        coords = [0.0 if True in floats else _ZERO] * len(rep.basis)
+        spots, values = [], []
         for blade, z in coeffs.items():
             k = rep._offset.get(tuple(blade))
             if k is None:
                 raise ValueError(f"{blade} is not a blade of {rep.name}")
             parts = rep._coeff_parts(z)
-            coords[k:k + len(parts)] = parts
+            spots += range(k, k + len(parts))
+            values += parts
+        # only the given coefficients meet at their lcm; the other coordinates are zero
+        nums, den = (values, None) if True in floats else _over_lcm(values)
+        out = [0.0 if den is None else 0] * len(rep.basis)
+        for k, x in zip(spots, nums):
+            out[k] = x
         self.rep = rep
-        self.coords = tuple(coords)
+        self.nums, self.den = tuple(out), den
 
     @property
     def coeffs(self) -> dict:
         """The non-zero blades and their coefficients, in canonical order."""
-        rep, c, w = self.rep, self.coords, len(self.rep.units)
+        rep, c, den, w = self.rep, self.nums, self.den, len(self.rep.units)
         parts = (c[k:k + w] for k in range(0, len(c), w))
-        return {blade: rep._coeff(p) for blade, p in zip(rep.blades, parts) if any(p)}
+        return {
+            blade: rep._coeff(p if den is None else [Fraction(x, den) for x in p])
+            for blade, p in zip(rep.blades, parts) if any(p)
+        }
 
     # -- linear structure ---------------------------------------------------
 
@@ -414,18 +418,20 @@ class Multivector(RealCoords):
         central, j^2 = 1) takes each blade coefficient ``a + b j`` as its
         null pair ``(a + b, a - b)``: one pass sums ``P = sum(+-p1 p2)`` and
         ``M = sum(+-m1 m2)``, joined as ``((P + M)/2, (P - M)/2)``.  Other
-        reps multiply real coordinates.  Exact terms are integer numerators
-        over each operand's lcm denominator; a non-zero output ``t`` is one
-        ``Fraction(t, d1 * d2)`` (twice that after a join), the value of
-        summing ``Fraction`` terms.  Operands of two backends raise
-        :class:`BackendMismatch`, zero or not.
+        reps multiply real coordinates.  Exact terms are the operands' int
+        numerators, and the output is over the product of their denominators
+        (twice that after a join), reduced once.  Operands of two backends
+        raise :class:`BackendMismatch`, zero or not.
         """
         exact = self._peer(other)
         rep, zero, split = self.rep, 0 if exact else 0.0, self.rep.adjoined == "j"
-        (lhs, d1), (rhs, d2) = _terms(self.coords, exact, split), _terms(other.coords, exact, split)
-        table, out = rep._product, [zero] * len(self.coords)
-        if split:  # the join halves P +- M: halve p1, m1 (floats) or double d1 (exact)
-            P, M, h, d1 = out[0::2], out[1::2], 1 if exact else 0.5, 2 * d1
+        lhs, rhs = _terms(self.nums, split), _terms(other.nums, split)
+        table, out = rep._product, [zero] * len(self.nums)
+        den = self.den * other.den if exact else None
+        if split:  # the join halves P +- M: halve p1, m1 (floats) or double den (exact)
+            P, M, h = out[0::2], out[1::2], 1 if exact else 0.5
+            if exact:
+                den *= 2
             for k1, p1, m1 in lhs:
                 row, p1, m1 = table[k1], p1 * h, m1 * h
                 for k2, p2, m2 in rhs:
@@ -446,7 +452,7 @@ class Multivector(RealCoords):
                         out[k] += x1 * x2
                     else:
                         out[k] -= x1 * x2
-        return Multivector._make(rep, [Fraction(t, d1 * d2) if t else _ZERO for t in out] if exact else out)
+        return Multivector._new(rep, out, den)
 
     # -- involutions -----------------------------------------------------------
 
@@ -461,8 +467,10 @@ class Multivector(RealCoords):
             signs = self.rep._involution_signs[kind]
         except KeyError:
             raise ValueError(f"unknown involution {kind!r}") from None
-        out = [-c if s < 0 and c else c for c, s in zip(self.coords, signs)]
-        return Multivector._make(self.rep, out)
+        if self.den is not None:
+            return Multivector._new(self.rep, list(map(mul, self.nums, signs)), self.den)
+        # zeros stay as they are, so a float +0.0 does not become -0.0
+        return Multivector._new(self.rep, [-c if s < 0 and c else c for c, s in zip(self.nums, signs)], None)
 
     def bar(self) -> "Multivector":
         return self.involution("bar")
@@ -485,8 +493,8 @@ class Multivector(RealCoords):
         so results equal those of summing HScalar-scaled blade matrices.
         """
         rep = self.rep
-        flat = [_ZERO if self.is_exact else 0.0] * (4 * rep.n * rep.n)
-        for pairs, c in zip(rep._coord_map.values(), self.coords):
+        flat = [0 if self.is_exact else 0.0] * (4 * rep.n * rep.n)
+        for pairs, c in zip(rep._coord_map.values(), self.nums):
             if not c:
                 continue  # adding a zero changes no coordinate
             for idx, sign in pairs:
@@ -494,7 +502,7 @@ class Multivector(RealCoords):
                     flat[idx] += c
                 else:
                     flat[idx] -= c
-        return HMatrix._make(rep.n, flat)
+        return HMatrix._new(rep.n, flat, self.den)
 
     def __repr__(self):
         parts = [f"({z}){''.join(f'e{i}' for i in blade) or '1'}" for blade, z in self.coeffs.items()]
@@ -556,19 +564,25 @@ def ring_unit_multivectors(rep: AlgebraRep) -> dict[str, Multivector]:
 
 
 class _ExactEchelon:
-    """Incremental row echelon over the rationals with sparse rows."""
+    """Incremental row echelon of sparse int vectors, fraction-free: a
+    vector is reduced by integer multiples of the rows, so the rank is the
+    rank over the rationals."""
 
     def __init__(self):
-        self.rows = {}  # pivot column -> normalized sparse row
+        self.rows = {}  # pivot column -> sparse row, its entries without a common factor
 
     def reduce(self, vec: dict) -> dict:
-        vec = {k: Fraction(v) for k, v in vec.items() if v != 0}
+        vec = {k: v for k, v in vec.items() if v}
         for pivot in sorted(self.rows):
             c = vec.get(pivot)
             if not c:
                 continue
-            for k, val in self.rows[pivot].items():
-                nxt = vec.get(k, Fraction(0)) - c * val
+            row = self.rows[pivot]
+            g = gcd(row[pivot], c)
+            p, c = row[pivot] // g, c // g  # p * vec - c * row vanishes at the pivot
+            vec = {k: p * v for k, v in vec.items()}
+            for k, val in row.items():
+                nxt = vec.get(k, 0) - c * val
                 if nxt:
                     vec[k] = nxt
                 else:
@@ -580,9 +594,8 @@ class _ExactEchelon:
         red = self.reduce(vec)
         if not red:
             return False
-        pivot = min(red)
-        inv = 1 / red[pivot]
-        self.rows[pivot] = {k: v * inv for k, v in red.items()}
+        g = gcd(*red.values())
+        self.rows[min(red)] = {k: v // g for k, v in red.items()}
         return True
 
     @property
@@ -591,7 +604,9 @@ class _ExactEchelon:
 
 
 def _sparse_coords(m: HMatrix) -> dict:
-    return {idx: Fraction(c) for idx, c in enumerate(m.coords) if c != 0}
+    """The non-zero numerators of an exact matrix; its denominator, a
+    common scale, does not change a rank."""
+    return {idx: x for idx, x in enumerate(m.nums) if x}
 
 
 def enumerate_algebra(rep: AlgebraRep, multipliers=None) -> int:
@@ -627,7 +642,7 @@ def even_subalgebra(rep: AlgebraRep) -> tuple[tuple[Multivector, ...], int]:
     fixed as well.
     """
     hat = rep._involution_signs["hat"]
-    fixed = [Multivector._make(rep, [_ONE if j == k else _ZERO for j in range(len(hat))])
+    fixed = [Multivector._new(rep, (1 if j == k else 0 for j in range(len(hat))), 1)
              for k, sign in enumerate(hat) if sign > 0]
     return tuple(fixed), len(fixed)
 
@@ -665,7 +680,7 @@ _HAT_SRC = (
 def _permute_4x4(a: HMatrix, table, conjugate_entries: bool) -> HMatrix:
     if a.n != 4:
         raise ValueError("expects a 4x4 matrix")
-    coords, out = a.coords, []
+    coords, out = a.nums, []
     for line in table:
         for sr, sc, sign in line:
             k = 16 * (sr - 1) + 4 * (sc - 1)
@@ -673,7 +688,7 @@ def _permute_4x4(a: HMatrix, table, conjugate_entries: bool) -> HMatrix:
             if conjugate_entries:
                 y, v = -y, -v
             out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
-    return HMatrix._make(4, out)
+    return HMatrix._new(4, out, a.den)
 
 
 def porteous_dagger_4x4(a: HMatrix) -> HMatrix:

@@ -209,15 +209,13 @@ class Context:
 
 def _random_mv(rep, rng, exact: bool = False) -> Multivector:
     """Every coordinate random: uniform on [-1, 1], or on the exact backend
-    a fraction p/q with |p| <= 4 and 1 <= q <= 3.  Drawn in basis order:
-    per blade the 1 part, then the part along the rep's adjoined unit."""
-
-    def draw():
-        if exact:
-            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return rng.uniform(-1.0, 1.0)
-
-    return Multivector._make(rep, [draw() for _ in rep.basis])
+    a fraction p/q with |p| <= 4 and 1 <= q <= 3, drawn p first.  Drawn in
+    basis order: per blade the 1 part, then the part along the rep's
+    adjoined unit."""
+    if not exact:
+        return Multivector._make(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis])
+    pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rep.basis]
+    return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)  # over 6 = lcm(1, 2, 3)
 
 
 # ---------------------------------------------------------------- tables ----

@@ -42,8 +42,9 @@ def _default_tol() -> float:
 
 
 def _print_matrix(m: HMatrix, out):
-    width = max(len(str(z)) for row in m.rows for z in row)
-    for row in m.rows:
+    rows = m.rows
+    width = max(len(str(z)) for row in rows for z in row)
+    for row in rows:
         out.write("  [" + "  ".join(str(z).rjust(width) for z in row) + "]\n")
 
 
@@ -52,7 +53,9 @@ def _scalar_json(z: HScalar) -> list:
 
 
 def _matrix_json(m: HMatrix) -> list:
-    return [[_scalar_json(z) for z in row] for row in m.rows]
+    """Rows of ``[x, y, v, w]`` floats, each the float of its coordinate."""
+    c, w = m.to_float().nums, 4 * m.n
+    return [[list(c[k:k + 4]) for k in range(r, r + w, 4)] for r in range(0, len(c), w)]
 
 
 def _finite_float(raw) -> float:

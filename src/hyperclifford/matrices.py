@@ -1,16 +1,17 @@
 """Dense square matrices over the hyperbolic-complex scalars.
 
 An :class:`HMatrix` stores its ``4n^2`` real coordinates, ``x y v w`` per
-entry in row-major order, all ``Fraction`` or all ``float``; entries are
-built as :class:`HScalar` only when read.  Arithmetic works on the
-coordinates, and every linear operation is one rectangular ring product
-per backend: ``@``, :meth:`HMatrix.scale`, :meth:`HMatrix.combine` and
-each elimination step of :meth:`HMatrix.inverse`.  The units 1, i, j, ij
-multiply as a signed group (unit a times unit b is unit a XOR b, negated
-when both have the i bit), so the exact product contracts only non-zero
-coordinates through that table: a ``Fraction`` operation costs about
-1 us.  The float product keeps :meth:`HScalar.__mul__`'s terms, its
-complex-subring shortcut and the column order of each entry's sum, so
+entry in row-major order, as :class:`RealCoords` does: int numerators over
+one denominator (exact) or floats; entries are built as :class:`HScalar`
+only when read.  Arithmetic works on the stored numbers, and every linear
+operation is one rectangular ring product per backend: ``@``,
+:meth:`HMatrix.scale`, :meth:`HMatrix.combine` and each elimination step
+of :meth:`HMatrix.inverse`.  The units 1, i, j, ij multiply as a signed
+group (unit a times unit b is unit a XOR b, negated when both have the i
+bit), so the exact product contracts the non-zero int numerators through
+that table, over the product of the two denominators, and reduces the
+result once.  The float product keeps :meth:`HScalar.__mul__`'s terms,
+its complex-subring shortcut and the column order of each entry's sum, so
 float results equal the per-entry HScalar loop over non-zero entries bit
 for bit.  An output entry with no non-zero term is ``+0``.
 
@@ -29,9 +30,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
+from math import lcm
 from operator import sub
 
-from .scalars import BackendMismatch, HScalar, RealCoords
+from .scalars import BackendMismatch, HScalar, RealCoords, _over_lcm, _reduced, _stored
 
 __all__ = [
     "SingularMatrix",
@@ -54,14 +56,14 @@ class SingularMatrix(ArithmeticError):
 class HMatrix(RealCoords):
     """Immutable square matrix over the hyperbolic-complex ring.
 
-    Stored as ``n`` and ``coords``, the flat row-major tuple of the ``4n^2``
-    real coordinates, ``x y v w`` per entry.  All coordinates are
-    :class:`Fraction` (exact backend) or all are ``float``.  ``rows`` and
-    :meth:`entry` build :class:`HScalar` views on demand.  Sums, negation,
-    ``==`` and the norm come from :class:`RealCoords`.
+    Stored as ``n`` and the flat row-major ``4n^2`` real coordinates,
+    ``x y v w`` per entry, held as :class:`RealCoords` holds them (``nums``
+    over ``den``; ``coords`` is the ``Fraction`` or float view).  ``rows``
+    and :meth:`entry` build :class:`HScalar` views on demand.  Sums,
+    negation, ``==`` and the norm come from :class:`RealCoords`.
     """
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "nums", "den")
     _shape = "n"
 
     def __init__(self, rows):
@@ -85,27 +87,26 @@ class HMatrix(RealCoords):
                 coords += (z.x, z.y, z.v, z.w)
         _check_coords(coords)
         self.n = n
-        self.coords = tuple(coords)
+        self.nums, self.den = _stored(coords)
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "HMatrix":
-        zero, one = (_ZERO, _ONE) if exact else (0.0, 1.0)
-        coords = [zero] * (4 * n * n)
-        for k in range(0, len(coords), 4 * n + 4):
-            coords[k] = one
-        return cls._sized(n, coords)
+        nums = [0 if exact else 0.0] * (4 * n * n)
+        for k in range(0, len(nums), 4 * n + 4):
+            nums[k] = 1 if exact else 1.0
+        return cls._sized(n, nums, exact)
 
     @classmethod
     def zeros(cls, n: int, exact: bool = True) -> "HMatrix":
-        return cls._sized(n, [_ZERO if exact else 0.0] * (4 * n * n))
+        return cls._sized(n, [0 if exact else 0.0] * (4 * n * n), exact)
 
     @classmethod
-    def _sized(cls, n: int, coords) -> "HMatrix":
+    def _sized(cls, n: int, nums, exact: bool) -> "HMatrix":
         if n < 1:
             raise ValueError("matrix must have at least one entry")
-        return cls._make(n, coords)
+        return cls._new(n, nums, 1 if exact else None)
 
     @classmethod
     def from_real_coords(cls, coords) -> "HMatrix":
@@ -130,7 +131,8 @@ class HMatrix(RealCoords):
         if not (0 <= r < n and 0 <= c < n):
             raise IndexError("matrix index out of range")
         k = 4 * (r * n + c)
-        return HScalar(*self.coords[k:k + 4])
+        den, q = self.den, self.nums[k:k + 4]
+        return HScalar(*q) if den is None else HScalar(*[Fraction(x, den) for x in q])
 
     @property
     def rows(self) -> tuple:
@@ -145,8 +147,9 @@ class HMatrix(RealCoords):
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
         """Matrix product; both factors of one size and one backend."""
-        n = self.n
-        return HMatrix._make(n, _product(self._peer(other), n, n, self.coords, other.coords))
+        n, exact = self.n, self._peer(other)
+        out = _product(exact, n, n, self.nums, other.nums)
+        return HMatrix._new(n, out, self.den * other.den if exact else None)
 
     def scale(self, z) -> "HMatrix":
         """Every entry multiplied by the scalar ``z`` (on the left)."""
@@ -172,25 +175,32 @@ class HMatrix(RealCoords):
             elif z.is_exact != exact:
                 raise BackendMismatch("mixed exact/float scalar operands")
             a += (z.x, z.y, z.v, z.w)
-        b = first.coords if len(mats) == 1 else tuple(chain.from_iterable(m.coords for m in mats))
-        return HMatrix._make(first.n, _product(exact, 1, len(mats), a, b))
+        if not exact:
+            b = first.nums if len(mats) == 1 else tuple(chain.from_iterable(m.nums for m in mats))
+            return HMatrix._new(first.n, _product(False, 1, len(mats), a, b), None)
+        a, da = _over_lcm(a)
+        db, b = lcm(*[m.den for m in mats]), []  # the matrices meet at their lcm
+        for m in mats:
+            f = db // m.den
+            b += m.nums if f == 1 else [x * f for x in m.nums]
+        return HMatrix._new(first.n, _product(True, 1, len(mats), a, b), da * db)
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
-        n, c = self.n, self.coords
+        n, c = self.n, self.nums
         out = []
         for col in range(0, 4 * n, 4):
             for k in range(col, len(c), 4 * n):
                 out += (c[k], -c[k + 1], -c[k + 2], c[k + 3])
-        return HMatrix._make(n, out)
+        return HMatrix._new(n, out, self.den)
 
     def trace(self) -> HScalar:
-        c, step = self.coords, 4 * self.n + 4
+        c, step, den = self.nums, 4 * self.n + 4, self.den
         parts = list(c[:4])
         for k in range(step, len(c), step):
             for u in range(4):
                 parts[u] = parts[u] + c[k + u]
-        return HScalar(*parts)
+        return HScalar(*parts) if den is None else HScalar(*[Fraction(p, den) for p in parts])
 
     def inverse(self) -> "HMatrix":
         """Gauss-Jordan elimination over the scalar ring.
@@ -199,21 +209,25 @@ class HMatrix(RealCoords):
         quadratic-form modulus N(z) rather than naive magnitude: exact
         backend takes the first invertible entry, float backend the entry
         of largest modulus.  The rows of the augmented matrix ``[self | 1]``
-        are coordinate lists, and each step is two ring products: the pivot
-        row times its entry's inverse, then the column of factors times that
-        row, subtracted from every other row whose factor is non-zero.  So
-        the result equals elimination over HScalar entries in which a zero
+        are lists of stored numbers, each exact row over a denominator of
+        its own, and each step is two ring products: the pivot row times
+        its entry's inverse, then the column of factors times that row,
+        subtracted from every other row whose factor is non-zero.  So the
+        result equals elimination over HScalar entries in which a zero
         entry's product is ``+0``; HScalars are built only to take a pivot's
         modulus and inverse.
         """
-        n, c, exact = self.n, self.coords, self.is_exact
+        n, c, exact = self.n, self.nums, self.is_exact
         w = 4 * n
-        one = HMatrix.identity(n, exact=exact).coords
+        one = HMatrix.identity(n, exact=exact).nums
+        if exact:  # [self | 1] over self's denominator, row by row
+            one, dens = tuple(x * self.den for x in one), [self.den] * n
         aug = [list(c[k:k + w] + one[k:k + w]) for k in range(0, len(c), w)]
         for col in range(n):
             k = 4 * col
             pick, best = None, 0
             for r in range(col, n):
+                # a row's denominator does not change whether N(z) vanishes
                 m = HScalar(*aug[r][k:k + 4]).modulus()
                 if exact:
                     if m != 0:
@@ -224,7 +238,14 @@ class HMatrix(RealCoords):
             if pick is None:
                 raise SingularMatrix("no invertible pivot (zero-divisor column)")
             aug[col], aug[pick] = aug[pick], aug[col]
-            pivot = aug[col] = _product(exact, 1, 1, HScalar(*aug[col][k:k + 4]).invert().coeffs(), aug[col])
+            z = HScalar(*aug[col][k:k + 4])
+            if exact:  # (R/d)(z/d)^-1 = R z^-1, over z^-1's denominator
+                dens[col], dens[pick] = dens[pick], dens[col]
+                inv, e = _over_lcm(HScalar.exact(*z.coeffs()).invert().coeffs())
+                pivot, dens[col] = _reduced(_product(True, 1, 1, inv, aug[col]), e)
+            else:
+                pivot = _product(False, 1, 1, z.invert().coeffs(), aug[col])
+            aug[col] = pivot
             live, factors = [], []
             for r, row in enumerate(aug):
                 f = row[k:k + 4]
@@ -234,19 +255,29 @@ class HMatrix(RealCoords):
                     factors += f
             if live:
                 update = iter(_product(exact, len(live), 1, factors, pivot))
-                for r in live:  # map stops at the row's end: each row takes 2n entries
-                    aug[r] = list(map(sub, aug[r], update))
-        return HMatrix._make(n, [x for row in aug for x in row[w:]])
+                # map and zip stop at the row's end: each row takes 2n entries
+                if exact:  # R/d - (F/d)(P/e) = (R e - F P)/(d e)
+                    e = dens[col]
+                    for r in live:
+                        aug[r], dens[r] = _reduced([x * e - y for x, y in zip(aug[r], update)], dens[r] * e)
+                else:
+                    for r in live:
+                        aug[r] = list(map(sub, aug[r], update))
+        if not exact:
+            return HMatrix._new(n, [x for row in aug for x in row[w:]], None)
+        den = lcm(*dens)
+        return HMatrix._new(n, [x * (den // d) for row, d in zip(aug, dens) for x in row[w:]], den)
 
     @staticmethod
     def real_pairing(a: "HMatrix", b: "HMatrix"):
         """Euclidean pairing of the real coefficient vectors."""
-        ca, cb = a.coords, b.coords
+        exact = a._peer(b)
+        ca, cb = a.nums, b.nums
         total = None
         for k in range(0, len(ca), 4):
             t = ca[k] * cb[k] + ca[k + 1] * cb[k + 1] + ca[k + 2] * cb[k + 2] + ca[k + 3] * cb[k + 3]
             total = t if total is None else total + t
-        return total
+        return Fraction(total, a.den * b.den) if exact else total
 
     def __repr__(self):
         body = "; ".join(", ".join(str(z) for z in row) for row in self.rows)
@@ -259,7 +290,6 @@ class HMatrix(RealCoords):
 # within an entry).  Unit a times unit b is unit a ^ b, negated when both
 # codes have the i bit: i*i = ij*ij = -1, i*ij = -j, j*j = +1.
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 _FLOAT_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
@@ -278,16 +308,17 @@ def _product(exact, r, k, a, b):
     flat row-major coordinates ``x y v w`` per entry.  Zero entries of either
     factor are skipped, and an output entry with no non-zero term is ``+0``.
 
-    Exact: non-zero coordinates are contracted through the unit table (a
-    Fraction operation costs about as much as a whole float entry product),
-    and exact sums do not depend on their order.  Float: HScalar.__mul__'s
-    terms and complex-subring shortcut, each entry summed in column order,
-    so the result equals the per-entry HScalar loop bit for bit.
+    Exact: ``a`` and ``b`` are int numerators, and so is the product, over
+    the product of their denominators; non-zero numerators are contracted
+    through the unit table, and exact sums do not depend on their order.
+    Float: HScalar.__mul__'s terms and complex-subring shortcut, each entry
+    summed in column order, so the result equals the per-entry HScalar loop
+    bit for bit.
     """
     width = len(b) // k  # coordinates in a row of b and of the product
     if exact:
         rows = [None] * k  # indices of the non-zero coordinates of b's rows, on first use
-        out = [None] * (r * width)
+        out = [0] * (r * width)
         for idx in compress(range(len(a)), a):
             row, rest = divmod(idx, 4 * k)
             kk, u1 = divmod(rest, 4)
@@ -297,15 +328,12 @@ def _product(exact, r, k, a, b):
                 line = rows[kk] = list(compress(range(lo, lo + width), b[lo:lo + width]))
             base, x1 = row * width - lo, a[idx]
             for q in line:
-                u2 = q & 3
-                j = base + (q ^ u1)  # the entry of q in the output row, unit u1 ^ u2
-                p = x1 * b[q]
-                s = out[j]
-                if u1 & u2 & 1:
-                    out[j] = -p if s is None else s - p
+                j = base + (q ^ u1)  # the entry of q in the output row, unit u1 ^ (q & 3)
+                if u1 & q & 1:
+                    out[j] -= x1 * b[q]
                 else:
-                    out[j] = p if s is None else s + p
-        return [_ZERO if s is None else s for s in out]
+                    out[j] += x1 * b[q]
+        return out
     c = width // 4
     lhs = [[] for _ in range(k)]  # the non-zero entries of a's columns
     for idx, (x, y, v, w) in enumerate(zip(*[iter(a)] * 4)):

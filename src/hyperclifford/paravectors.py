@@ -27,7 +27,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import BackendMismatch, HScalar
+from .scalars import BackendMismatch, HScalar, _over_lcm
 
 __all__ = [
     "ParavectorSpace",
@@ -57,11 +57,11 @@ _NUMBER_TYPES = frozenset((int, Fraction, float))
 
 
 def _single_slot(mv: Multivector):
-    """The slot (basis index, sign) of an element whose only non-zero
+    """The slot (basis index, sign) of an exact element whose only non-zero
     coordinate is +-1; None for any other element."""
-    nonzero = [(k, c) for k, c in enumerate(mv.coords) if c]
-    if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
-        return nonzero[0][0], int(nonzero[0][1])
+    nonzero = [(k, c) for k, c in enumerate(mv.nums) if c]
+    if mv.den == 1 and len(nonzero) == 1 and nonzero[0][1] in (1, -1):
+        return nonzero[0]
     return None
 
 
@@ -96,8 +96,9 @@ class ParavectorSpace:
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
             # the real scalar coordinate is +-1 and every other one is zero
-            c = b.gp_blades(b.bar()).coords
-            if any(c[1:]) or c[0] * c[0] != 1:
+            q = b.gp_blades(b.bar())
+            c = q.nums
+            if q.den != 1 or any(c[1:]) or c[0] * c[0] != 1:
                 raise ValueError(f"basis element {k} of {self.name} is not metric-unit")
             yield 1 if c[0] > 0 else -1
 
@@ -138,14 +139,15 @@ class ParavectorSpace:
         so the value is collected slot by slot rather than read off the
         scalar coefficient alone.
         """
-        c = mv.coords
-        return HScalar(*(c[k] if sign > 0 else -c[k] for k, sign in self._unit_slots))
+        c, den = mv.nums, mv.den
+        parts = [c[k] if sign > 0 else -c[k] for k, sign in self._unit_slots]
+        return HScalar(*parts) if den is None else HScalar(*[Fraction(x, den) for x in parts])
 
     def ring_residual(self, mv: Multivector) -> float:
         """Largest coordinate of an element outside the span of the four
         scalar units; zero exactly when the element is ring-valued."""
-        inside = {k for k, _ in self._unit_slots}
-        return max((abs(float(c)) for k, c in enumerate(mv.coords) if k not in inside), default=0.0)
+        inside, den = {k for k, _ in self._unit_slots}, mv.den or 1
+        return max((abs(c) / den for k, c in enumerate(mv.nums) if k not in inside), default=0.0)
 
     # -- multivector conversion ----------------------------------------------------
 
@@ -156,13 +158,15 @@ class ParavectorSpace:
         """Scatter coordinates into multivector coordinates through the slots.
 
         Each coordinate fills the one slot of its basis element.  The
-        result keeps the coordinates' backend, also when they are zero.
+        result keeps the coordinates' backend, also when they are zero;
+        exact coordinates meet at their lcm before they are scattered.
         """
-        out = [0.0 if isinstance(coords[0], float) else Fraction(0)] * len(self.rep.basis)
-        for c, (k, sign) in zip(coords, self._slots, strict=True):
+        nums, den = (coords, None) if isinstance(coords[0], float) else _over_lcm(coords)
+        out = [0.0 if den is None else 0] * len(self.rep.basis)
+        for c, (k, sign) in zip(nums, self._slots, strict=True):
             if c:
                 out[k] = c if sign > 0 else -c
-        return Multivector._make(self.rep, out)
+        return Multivector._new(self.rep, out, den)
 
     def project_matrix(self, m: HMatrix) -> tuple[tuple, float]:
         """Coordinates of a matrix over the paravector basis plus the
@@ -173,7 +177,9 @@ class ParavectorSpace:
         follow the matrix's backend; the leftover is measured against the
         matrix rebuilt from them.
         """
-        gathered = self.rep._gather(m, [k for k, _ in self._slots])
+        gathered, den = self.rep._gather(m, [k for k, _ in self._slots])
+        if den is not None:
+            gathered = [Fraction(x, den) for x in gathered]
         coords = tuple(c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered))
         rebuilt = self._scatter(coords)
         return coords, (m - rebuilt.to_matrix()).max_abs()

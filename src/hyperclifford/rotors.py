@@ -256,12 +256,13 @@ def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
 
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
-    """Decompose, certify and wrap a group-element matrix."""
+    """Decompose, certify and wrap a group-element matrix, in its own
+    backend: an exact matrix is certified with exact residuals."""
     mv, residual = rep.decompose_residual(m)
     # each test accepts only on "<=", so a NaN norm is rejected
     if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
         raise ValueError("matrix lies outside the representation span")
-    one = rep.scalar(1, exact=False)
+    one = rep.scalar(1, exact=m.is_exact)
     spin = (mv.gp(mv.bar()) - one).max_abs()
     ghat_inv = rep.decompose(mv.hat().to_matrix().inverse())
     dag = (ghat_inv - mv.dagger()).max_abs()
@@ -347,9 +348,13 @@ def _index_table(gens) -> dict:
 
 def _index_rhs(table: dict, ab, cd, sign: int) -> HMatrix:
     """sign * i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the
-    index pairs ab, cd, read from an :func:`_index_table`."""
+    index pairs ab, cd, read from an :func:`_index_table`; only the terms
+    whose delta is non-zero are summed."""
     (a, b), (c, d) = ab, cd
     terms = ((_delta(a, c), (b, d)), (-_delta(a, d), (b, c)), (-_delta(b, c), (a, d)), (_delta(b, d), (a, c)))
+    terms = [(k, pq) for k, pq in terms if k]
+    if not terms:
+        return HMatrix.zeros(table[ab].n)
     zero = Fraction(0)
     return HMatrix.combine(
         [HScalar(zero, Fraction(sign * k), zero, zero) for k, _ in terms], [table[pq] for _, pq in terms]

@@ -8,12 +8,15 @@ and ``i``, ``j`` commuting with everything.  Restricting coefficients gives
 the familiar subrings: the reals (only ``1``), the complex numbers
 (``1, i``), and the hyperbolic (split-complex) numbers (``1, j``).
 
-Two coefficient backends are supported.  The exact backend stores
-:class:`fractions.Fraction` coefficients and is used wherever a structural
-claim is verified bit-exactly (multiplication tables, dimensions,
-commutators).  The float backend is used for exponentials and rotor
-numerics.  Backends never mix implicitly; converting exact values to float
-is explicit and one-directional via :meth:`HScalar.to_float`.  The rule
+Two coefficient backends are supported.  The exact backend is rational
+and is used wherever a structural claim is verified bit-exactly
+(multiplication tables, dimensions, commutators): an :class:`HScalar`
+holds four :class:`fractions.Fraction` components, and a
+:class:`RealCoords` value (a matrix, a multivector) holds int numerators
+over one shared denominator, so its kernels run on plain ints.  The float
+backend is used for exponentials and rotor numerics.  Backends never mix
+implicitly; converting exact values to float is explicit and
+one-directional via ``to_float``.  The rule
 is the same for :class:`HScalar` and for every :class:`RealCoords` value
 (matrices, multivectors): an operation on operands of two backends raises
 :class:`BackendMismatch`, also when one of them is zero, and ``==`` is
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 __all__ = [
@@ -48,33 +52,64 @@ class BackendMismatch(TypeError):
 
 
 class RealCoords:
-    """A value stored as ``coords``, a flat tuple of real coordinates that
-    are all :class:`Fraction` (exact backend) or all ``float``, and a shape
-    that a subclass names in ``_shape``: the slot that two operands must
-    share (a matrix's size, a multivector's representation).  The linear
-    structure, comparison and norms live here.
+    """A value with a flat tuple of real coordinates and a shape that a
+    subclass names in ``_shape``: the slot that two operands must share (a
+    matrix's size, a multivector's representation).  The linear structure,
+    comparison and norms live here.
+
+    Stored as ``nums`` and ``den``.  On the exact backend ``nums`` are
+    ``int`` numerators over one positive ``int`` denominator ``den``, kept
+    canonical: ``gcd(den, *nums) == 1``, so a zero is all-zero numerators
+    over ``den == 1``.  Equal values then have equal fields, and ``==`` and
+    ``hash`` compare tuples of ints.  On the float backend ``nums`` are the
+    float coordinates themselves and ``den`` is ``None``.  ``coords`` is
+    the public view: the coordinates as reduced ``Fraction`` values (exact,
+    built on each read) or floats.  Kernels work on ``nums``.
     """
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, shape, coords):
-        """Wrap coordinates a kernel produced; they are valid by construction."""
+        """Wrap coordinates that are all floats, or all ints and Fractions;
+        they are otherwise taken as valid."""
+        return cls._new(shape, *_stored(coords))
+
+    @classmethod
+    def _new(cls, shape, nums, den):
+        """The one constructor of stored values: float coordinates (``den``
+        None), or int numerators over ``den > 0``, reduced here."""
         value = object.__new__(cls)
         setattr(value, cls._shape, shape)
-        value.coords = tuple(coords)
+        if den is not None:
+            nums, den = _reduced(tuple(nums), den)
+        value.nums, value.den = tuple(nums), den
         return value
 
     @property
+    def coords(self) -> tuple:
+        den = self.den
+        if den is None:
+            return self.nums
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    @property
     def is_exact(self) -> bool:
-        return self.coords[0].__class__ is not float
+        return self.den is not None
 
     def _like(self, coords):
         """A value of this type and shape with the given coordinates."""
         return self._make(getattr(self, self._shape), coords)
 
     def to_float(self):
-        return self._like(map(float, self.coords)) if self.is_exact else self
+        """The float value; int true division rounds correctly, so each
+        coordinate is ``float`` of its Fraction, bit for bit."""
+        den = self.den
+        if den is None:
+            return self
+        return self._new(getattr(self, self._shape), [x / den for x in self.nums], None)
 
     def _peer(self, other) -> bool:
         """Check type, shape and backend of a second operand; True if exact.
@@ -85,33 +120,33 @@ class RealCoords:
         shape = self._shape
         if other.__class__ is not self.__class__ or getattr(other, shape) != getattr(self, shape):
             raise ValueError(f"{self.__class__.__name__} operands differ in {shape}")
-        exact = self.is_exact
-        if other.is_exact != exact:
+        exact = self.den is not None
+        if (other.den is not None) != exact:
             raise BackendMismatch(f"mixed exact/float {self.__class__.__name__} operands")
         return exact
 
+    def _combine(self, other, op):
+        """``op`` per coordinate; exact operands first meet at their lcm."""
+        shape = getattr(self, self._shape)
+        a, b = self.nums, other.nums
+        if not self._peer(other):
+            return self._new(shape, map(op, a, b), None)
+        da, db = self.den, other.den
+        if da == db:
+            return self._new(shape, map(op, a, b), da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return self._new(shape, [op(x * fa, y * fb) for x, y in zip(a, b)], den)
+
     def __add__(self, other):
-        exact = self._peer(other)
-        a, b = self.coords, other.coords
-        if exact:
-            # a Fraction sum costs about 1 us; adding a zero changes nothing
-            out = [y if not x else (x if not y else x + y) for x, y in zip(a, b)]
-        else:
-            out = map(operator.add, a, b)
-        return self._like(out)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        exact = self._peer(other)
-        a, b = self.coords, other.coords
-        if exact:
-            out = [x if not y else (-y if not x else x - y) for x, y in zip(a, b)]
-        else:
-            out = map(operator.sub, a, b)
-        return self._like(out)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        # zeros stay as they are: negating a Fraction costs about 1 us
-        return self._like([-c if c else c for c in self.coords])
+        # zeros stay as they are, so a float +0.0 does not become -0.0
+        return self._new(getattr(self, self._shape), [-c if c else c for c in self.nums], self.den)
 
     def __eq__(self, other):
         """Same type, shape and backend, and equal coordinates."""
@@ -120,22 +155,49 @@ class RealCoords:
         shape = self._shape
         return (
             getattr(self, shape) == getattr(other, shape)
-            and self.is_exact == other.is_exact
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((getattr(self, self._shape), self.coords))
+        return hash((getattr(self, self._shape), self.den, self.nums))
 
     def max_abs(self) -> float:
         """Largest absolute real coordinate, as a float; NaN when one is NaN
         (max() alone keeps a NaN only when it comes first)."""
-        c = self.coords
-        mags = list(map(abs, map(float, c) if self.is_exact else c))
+        den = self.den
+        if den is not None:
+            return max(map(abs, self.nums)) / den
+        mags = list(map(abs, self.nums))
         return math.nan if math.isnan(sum(mags)) else max(mags)
 
     def is_close(self, other, tol: float = 1e-12) -> bool:
         return (self - other).max_abs() <= tol
+
+
+def _stored(coords) -> tuple[tuple, int | None]:
+    """Coordinates as :class:`RealCoords` stores them: floats as they are,
+    over ``None``; ints and Fractions as numerators over their lcm
+    denominator, which is canonical."""
+    coords = tuple(coords)
+    if coords[0].__class__ is float:
+        return coords, None
+    nums, den = _over_lcm(coords)
+    return tuple(nums), den
+
+
+def _reduced(nums: list, den: int) -> tuple[list, int]:
+    """Int numerators over ``den`` with their common factor divided out."""
+    g = gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g != 1 else (nums, den)
+
+
+def _over_lcm(values) -> tuple[list, int]:
+    """Ints or Fractions as int numerators over the lcm of their
+    denominators; no common factor is left, and zeros alone give ``1``."""
+    dens = [x.denominator for x in values]
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
 
 
 class ZeroDivisor(ZeroDivisionError):

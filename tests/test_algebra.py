@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from hyperclifford.algebra import (
 )
 from hyperclifford.matrices import HMatrix, pauli2
 from hyperclifford.scalars import BackendMismatch, HScalar
+from test_scalars import assert_canonical, exact_coordinates
 
 RNG = random.Random(99)
 ALL_REPS = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
@@ -72,11 +74,11 @@ def gp_blades_reference(u, v):
     coordinates, its blade and sign from blade_mul, its unit and sign from
     HScalar.unit products, summed per output coordinate in pair order.
     Both are memoised per pair, within one call."""
-    rep, out = u.rep, {}
+    rep, out, cv = u.rep, {}, v.coords
     blade_pair = cache(partial(blade_mul, signature=rep.signature))
     unit_pair = cache(unit_product)
     for (b1, u1), x1 in zip(rep.basis, u.coords):
-        for (b2, u2), x2 in zip(rep.basis, v.coords):
+        for (b2, u2), x2 in zip(rep.basis, cv):
             if not (x1 and x2):
                 continue
             blade, sign = blade_pair(b1, b2)
@@ -740,3 +742,47 @@ def test_degenerate_basis_rejected():
     gen = HMatrix([[HScalar.unit("j")]])
     with pytest.raises(NonOrthogonalBasis):
         AlgebraRep("bad", Signature(1, 0), [gen], adjoined="j")
+
+
+# -- the exact integer form against per-coordinate Fraction references ---------
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), name=st.sampled_from(ALL_REPS))
+def test_exact_blade_operations_match_per_coordinate_fractions(data, name):
+    """involution, to_matrix, decompose, gp_blades, scale, sums, == and hash
+    of the integer form against the drawn Fraction coordinates, each
+    result stored canonically."""
+    rep = get_rep(name)
+    w = len(rep.units)
+
+    def draw(size):
+        return data.draw(st.lists(exact_coordinates, min_size=size, max_size=size))
+
+    cu, cv, cm, cz = draw(len(rep.basis)), draw(len(rep.basis)), draw(4 * rep.n * rep.n), draw(w)
+    u, v = Multivector._make(rep, cu), Multivector._make(rep, cv)
+
+    def check(got, want):
+        assert_canonical(got)
+        assert got.coords == tuple(want)
+
+    check(u, cu)
+    check(u + v, [x + y for x, y in zip(cu, cv)])
+    back = (u + v) - v
+    check(back, cu)
+    assert back == u and hash(back) == hash(u)
+    # each coordinate takes its basis element's sign
+    for kind in ("bar", "dagger", "hat"):
+        signs = [involution_sign(kind, len(b)) * (1 if unit == "1" or kind == "dagger" else -1)
+                 for b, unit in rep.basis]
+        check(u.involution(kind), [s * c for s, c in zip(signs, cu)])
+    # the coordinates times their basis matrices, summed
+    basis = [rep._basis_mat[key].coords for key in rep.basis]
+    check(u.to_matrix(), [sum(col) for col in zip(*([c * x for x in b] for c, b in zip(cu, basis)))])
+    # each basis matrix's pairing with the matrix over its own pairing
+    check(rep.decompose(HMatrix.from_real_coords(cm)),
+          [sum(map(mul, b, cm)) / sum(map(mul, b, b)) for b in basis])
+    check(u.gp_blades(v), gp_blades_reference(u, v).coords)
+    # the scalar times each blade's coefficient
+    z = rep._coeff(cz)
+    check(u.scale(z), [x for k in range(0, len(cu), w) for x in rep._coeff_parts(z * rep._coeff(cu[k:k + w]))])

@@ -9,6 +9,7 @@ from itertools import combinations, product
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperclifford.checks import _random_rotor
 from hyperclifford.matrices import (
@@ -22,7 +23,8 @@ from hyperclifford.matrices import (
     sigma_ab,
     sigma_ab_entry,
 )
-from hyperclifford.scalars import BackendMismatch, HScalar, ZeroDivisor
+from hyperclifford.scalars import BackendMismatch, HScalar, ZeroDivisor, _over_lcm
+from test_scalars import assert_canonical, exact_coordinates
 
 
 def H(x=0, y=0, v=0, w=0):
@@ -416,10 +418,13 @@ def test_rectangular_product_matches_per_entry_reference(exact):
             )
             a = [x for row in a_rows for z in row for x in z.coeffs()]
             b = [x for row in b_rows for z in row for x in z.coeffs()]
+            if exact:  # the kernel takes int numerators and returns them over da * db
+                (a, da), (b, db) = _over_lcm(a), _over_lcm(b)
             got, want = _product(exact, r, k, a, b), product_reference(a_rows, b_rows)
             assert len(got) == 4 * r * c
             if exact:
-                assert got == want and all(type(x) is Fraction for x in got)
+                assert all(type(x) is int for x in got)
+                assert [Fraction(x, da * db) for x in got] == want
             else:
                 assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -443,6 +448,14 @@ def test_combine_is_the_sum_of_scaled_matrices(exact):
             want = product_reference([zs], [[e for row in m.rows for e in row] for m in mats])
             assert_same_coords(HMatrix.combine(zs, mats), HMatrix._make(n, want), exact)
     assert HMatrix.combine([2, 0], [pauli2(1), pauli2(2)]) == pauli2(1).scale(2)
+
+
+def test_real_pairing_is_exact_and_backend_strict():
+    a, b = pauli2(1).scale(Fraction(1, 3)), pauli2(1).scale(HScalar.exact(Fraction(1, 2), 1))
+    assert HMatrix.real_pairing(a, b) == Fraction(1, 3)  # two entries of 1/3 * 1/2
+    assert HMatrix.real_pairing(a.to_float(), b.to_float()) == 1 / 3
+    with pytest.raises(BackendMismatch):
+        HMatrix.real_pairing(a, b.to_float())
 
 
 def test_combine_checks_counts_sizes_and_backends():
@@ -509,3 +522,55 @@ def test_max_abs_keeps_a_nan(idx):
     m = HMatrix._make(2, coords)  # from_real_coords rejects a NaN
     assert math.isnan(m.max_abs())
     assert not m.is_close(HMatrix.zeros(2, exact=False), tol=2.0)
+
+
+# -- the exact integer form against per-coordinate Fraction references ---------
+
+
+def fraction_product(a, b, rows, inner):
+    """The ring product of an ``rows x inner`` and an ``inner x cols``
+    matrix on flat lists of Fraction coordinates, one coordinate pair at a
+    time: unit u1 times unit u2 is unit u1 ^ u2, negated when both have the
+    i bit."""
+    cols = len(b) // (4 * inner)
+    out = [Fraction(0)] * (4 * rows * cols)
+    for r, k, c in product(range(rows), range(inner), range(cols)):
+        for u1, u2 in product(range(4), repeat=2):
+            term = a[4 * (r * inner + k) + u1] * b[4 * (k * cols + c) + u2]
+            out[4 * (r * cols + c) + (u1 ^ u2)] += -term if u1 & u2 & 1 else term
+    return out
+
+
+def fraction_scale(z, c):
+    """Every entry of the Fraction coordinates ``c`` times the scalar ``z``."""
+    return fraction_product(list(z), c, 1, 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]))
+def test_exact_products_match_per_coordinate_fractions(data, n):
+    """@, scale, combine and inverse of the integer form against the
+    Fraction reference, each result stored canonically."""
+    coords = data.draw(st.lists(st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
+                                min_size=3, max_size=3))
+    zs = data.draw(st.lists(st.lists(exact_coordinates, min_size=4, max_size=4), min_size=3, max_size=3))
+    mats = [HMatrix.from_real_coords(c) for c in coords]
+    (a, b, m), (ca, cb, cm) = mats, coords
+    got = a @ b
+    assert_canonical(got)
+    assert got.coords == tuple(fraction_product(ca, cb, n, n))
+    got = a.scale(HScalar.exact(*zs[0]))
+    assert_canonical(got)
+    assert got.coords == tuple(fraction_scale(zs[0], ca))
+    got = HMatrix.combine([HScalar.exact(*z) for z in zs], mats)
+    assert_canonical(got)
+    assert got.coords == tuple(map(sum, zip(*(fraction_scale(z, c) for z, c in zip(zs, coords)))))
+    try:
+        inv = m.inverse()
+    except (SingularMatrix, ZeroDivisor) as exc:
+        with pytest.raises(type(exc)):
+            inverse_reference(m)
+        return
+    assert_canonical(inv)
+    assert inv == inverse_reference(m)
+    assert fraction_product(cm, list(inv.coords), n, n) == list(HMatrix.identity(n).coords)

@@ -4,6 +4,7 @@ sphere parametrizations."""
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -95,6 +96,28 @@ def test_rotor_certificates():
             r = rotor_from_params(random_params(space))
             assert r.spin_residual <= 1e-12
             assert r.dagger_residual <= 1e-12
+
+
+def cayley_plane_rotor(b: HMatrix, t: Fraction) -> HMatrix:
+    """(1 + t B)^2 / (1 + t^2) for a plane generator B with B^2 = -1: the
+    rotation cos + sin B with the rational tangent t of half its angle."""
+    one = HMatrix.identity(b.n)
+    half = one + b.scale(t)
+    return (half @ half).scale(1 / (1 + t * t))
+
+
+@pytest.mark.parametrize(
+    "space, plane", [("m4", lambda: pauli2(3)), ("e6", lambda: sigma_ab(1, 2))], ids=["m4-sigma3", "e6-sigma12"]
+)
+def test_exact_rotor_certifies_in_its_own_backend(space, plane):
+    b = plane().scale(HScalar.exact(0, -1))  # B = -i sigma
+    assert b @ b == -HMatrix.identity(b.n)
+    g = cayley_plane_rotor(b, Fraction(1, 3))
+    r = rotor_from_matrix(get_space(space).rep, g)
+    assert r.g.is_exact and r.ghat_inv.is_exact
+    assert (r.spin_residual, r.dagger_residual) == (0.0, 0.0)
+    assert r.g.to_matrix() == g
+    assert r.ghat_inv == r.g.dagger()
 
 
 def test_identity_action():

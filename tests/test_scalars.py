@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperclifford.matrices import HMatrix
 from hyperclifford.scalars import (
@@ -381,3 +381,71 @@ def test_abs_max_keeps_a_nan(spot):
     z = HScalar(*comps)
     assert math.isnan(z.abs_max())
     assert not z.is_close(HScalar.flt(), tol=2.0)
+
+
+# -- the exact integer form: numerators over one denominator -------------------
+
+
+def assert_canonical(value):
+    """The stored form of an exact value: int numerators over a positive int
+    denominator with no common factor (a zero is over 1), and ``coords``
+    the reduced Fractions they stand for.  A float value has ``den`` None."""
+    nums, den = value.nums, value.den
+    if den is None:
+        assert all(type(x) is float for x in nums)
+        return
+    assert type(den) is int and den > 0 and all(type(x) is int for x in nums)
+    assert math.gcd(den, *nums) == 1
+    assert any(nums) or den == 1
+    assert value.coords == tuple(Fraction(x, den) for x in nums)
+    assert all(type(c) is Fraction for c in value.coords)
+
+
+# zeros, small fractions whose sums reduce, and denominators far beyond a float
+exact_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30),
+)
+coordinate_lists = st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(
+    st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
+    st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coordinate_lists)
+@example(([Fraction(1, 3)] + [Fraction(0)] * 3, [Fraction(1, 6)] + [Fraction(0)] * 3))
+@example(([Fraction(0)] * 4, [Fraction(0)] * 4))
+@example(([Fraction(1, 3), Fraction(2, 3), 0, 0], [Fraction(-1, 3), Fraction(1, 3), 0, 0]))
+def test_exact_linear_structure_matches_per_coordinate_fractions(pair):
+    """+, -, negation, ==, hash, max_abs and to_float of exact values
+    against the same operations on each drawn Fraction coordinate."""
+    ca, cb = ([Fraction(x) for x in c] for c in pair)
+    a, b = HMatrix.from_real_coords(ca), HMatrix.from_real_coords(cb)
+    assert a.coords == tuple(ca)
+    for value, want in (
+        (a, ca),
+        (a + b, [x + y for x, y in zip(ca, cb)]),
+        (a - b, [x - y for x, y in zip(ca, cb)]),
+        (-a, [-x for x in ca]),
+    ):
+        assert_canonical(value)
+        assert value.coords == tuple(want)
+        assert value == HMatrix.from_real_coords(want) and hash(value) == hash(HMatrix.from_real_coords(want))
+        assert [x.hex() for x in value.to_float().coords] == [float(x).hex() for x in want]
+        assert value.max_abs() == max(abs(float(x)) for x in want)
+    back = (a + b) - b
+    assert_canonical(back)
+    assert back == a and hash(back) == hash(a)
+    assert (a == b) == (ca == cb)
+    assert a != a.to_float()
+
+
+def test_a_reducing_sum_is_stored_reduced():
+    third, sixth = (HMatrix.from_real_coords([Fraction(1, d)] + [Fraction(0)] * 3) for d in (3, 6))
+    half = third + sixth
+    assert (half.nums, half.den) == ((1, 0, 0, 0), 2)
+    zero = third - third
+    assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == HMatrix.zeros(1) and hash(zero) == hash(HMatrix.zeros(1))

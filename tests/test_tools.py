@@ -103,6 +103,34 @@ VERIFY = [
 ]
 
 
+def test_pairs_run_from_the_first_seed_given(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 3, "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15}]}'
+    )
+    parent_dir, change_dir = tmp_path, tmp_path / "change"
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root, workload, seed, seconds))
+        return results([2.0 if root == parent_dir else 1.9], [1.0])[0]
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main([str(parent_dir), str(change_dir), "verify-matrix", "3", "21"]) == 0
+    # seeds 21..23; the parent goes first in the first and third pair
+    assert calls == [
+        (parent_dir, "verify-matrix", 21, 3), (change_dir, "verify-matrix", 21, 3),
+        (change_dir, "verify-matrix", 22, 3), (parent_dir, "verify-matrix", 22, 3),
+        (parent_dir, "verify-matrix", 23, 3), (change_dir, "verify-matrix", 23, 3),
+    ]
+    assert "3 pairs, seeds 21..23, 3 s each" in capsys.readouterr().out
+    calls.clear()
+    assert pairs.main([str(parent_dir), str(change_dir), "verify-matrix", "2"]) == 0
+    assert [seed for _, _, seed, _ in calls] == [1, 1, 2, 2]
+    for bad in (["verify-matrix", "2", "0"], ["verify-matrix", "0"], ["verify-matrix", "2", "x"]):
+        assert pairs.main([str(parent_dir), str(change_dir), *bad]) == 2
+    assert "[FIRST_SEED]" in capsys.readouterr().err
+
+
 def test_equal_records_have_no_differences():
     assert compare_outputs.differences("verify", VERIFY, [list(r) for r in VERIFY]) == []
 

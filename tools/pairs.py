@@ -1,14 +1,16 @@
 """Run the benchmark in two source checkouts as alternating pairs.
 
-    python tools/pairs.py PARENT_DIR CHANGE_DIR WORKLOAD PAIRS
+    python tools/pairs.py PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]
 
 Pair ``i`` (1 .. PAIRS) runs ``perfbench/run.py --workload WORKLOAD
---seed i --seconds S`` once in each checkout, with ``S`` the
+--seed FIRST_SEED+i-1 --seconds S`` once in each checkout, with ``S`` the
 ``run_seconds`` of the parent's ``BENCHMARK.json``; the parent goes first
-in odd pairs and the change in even ones.  Each run happens in its own
-checkout with bytecode writing off; the tool writes no file.  The
-benchmark's set-up probes run in isolated mode (``-I``), which ignores
-that setting, so they may still leave ``__pycache__`` directories.
+in odd pairs and the change in even ones.  FIRST_SEED defaults to 1; a
+later one (21, say) checks a claim on seeds not used while writing the
+change.  Each run happens in its own checkout with bytecode writing off;
+the tool writes no file.  The benchmark's set-up probes run in isolated
+mode (``-I``), which ignores that setting, so they may still leave
+``__pycache__`` directories.
 
 For every ``end_to_end`` metric it prints both medians, the parent's
 interquartile spread, how many pairs the change won, how much worse the
@@ -95,18 +97,20 @@ def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, boo
 
 def main(argv=None) -> int:
     args = argv if argv is not None else sys.argv[1:]
-    if len(args) != 4 or not args[3].isdigit() or int(args[3]) < 1:
+    counts = args[3:]
+    if len(args) not in (4, 5) or not all(a.isdigit() and int(a) >= 1 for a in counts):
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
     parent_dir, change_dir, workload, pairs = Path(args[0]), Path(args[1]), args[2], int(args[3])
+    first = int(args[4]) if len(args) == 5 else 1
     spec = json.loads((parent_dir / "BENCHMARK.json").read_text())
     parent, change = [], []
-    for seed in range(1, pairs + 1):
+    for i, seed in enumerate(range(first, first + pairs), start=1):
         order = [(parent_dir, parent), (change_dir, change)]
-        for root, results in order if seed % 2 else order[::-1]:
+        for root, results in order if i % 2 else order[::-1]:
             results.append(run_once(root, workload, seed, spec["run_seconds"]))
     lines, ok = summarize(spec["end_to_end"], parent, change)
-    print(f"{workload}: {pairs} pairs, seeds 1..{pairs}, {spec['run_seconds']} s each")
+    print(f"{workload}: {pairs} pairs, seeds {first}..{first + pairs - 1}, {spec['run_seconds']} s each")
     print("\n".join(lines))
     return 0 if ok else 1
 
