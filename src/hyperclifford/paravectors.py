@@ -15,7 +15,8 @@ ring_unit_multivectors reads off the representation's basis matrices:
                                                                   (-,+,+,+) x2
 
 hm4 carries extended momenta q + i*o + j*s + ij*u.  Every coordinate of
-every space is one real number, all Fraction or all float.
+every space is one real number, held as RealCoords holds it: an int
+numerator over one shared denominator (read as a Fraction), or a float.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import BackendMismatch, HScalar, _over_lcm
+from .scalars import BackendMismatch, HScalar, RealCoords, _stored
 
 __all__ = [
     "ParavectorSpace",
@@ -71,10 +72,10 @@ class ParavectorSpace:
     Every basis element is a *slot*: one signed multivector coordinate,
     ``_slots[a] = (basis index, +-1)``, and each paravector coordinate is
     one real number on its slot.  The slots are distinct (checked at
-    construction), so converting coordinates to a multivector is a signed
-    scatter into :attr:`Multivector.coords`, and projecting a matrix
-    gathers the slot coordinates alone, as :meth:`AlgebraRep.decompose`
-    gathers all of them.
+    construction), so converting a paravector to a multivector is a signed
+    scatter of its stored numbers over the same denominator, and
+    projecting a matrix gathers the slot coordinates alone, as
+    :meth:`AlgebraRep.decompose` gathers all of them.
     """
 
     def __init__(self, name: str, rep: AlgebraRep, basis):
@@ -105,26 +106,6 @@ class ParavectorSpace:
     # -- paravector construction ------------------------------------------------
 
     def paravector(self, coords) -> "Paravector":
-        """Coordinates may be floats (numeric work) or Fractions (bit-exact
-        work); ints fit either, and the backend follows the other inputs.
-        A Fraction next to a float raises :class:`BackendMismatch`, any
-        other type ``TypeError``, and ``ValueError`` names the index of a
-        NaN or infinite coordinate."""
-        coords = tuple(coords)
-        if len(coords) != self.dim:
-            raise ValueError(f"{self.name} expects {self.dim} coordinates")
-        kinds = set(map(type, coords))
-        if not kinds <= _NUMBER_TYPES:
-            k, c = next((k, c) for k, c in enumerate(coords) if type(c) not in _NUMBER_TYPES)
-            raise TypeError(f"{self.name} coordinate {k} is not an int, Fraction or float: {c!r}")
-        if float not in kinds:
-            return Paravector(self, map(Fraction, coords))
-        if Fraction in kinds:
-            raise BackendMismatch(f"{self.name} coordinates mix Fraction and float")
-        coords = tuple(map(float, coords))
-        for k, c in enumerate(coords):
-            if not math.isfinite(c):
-                raise ValueError(f"{self.name} coordinate {k} is not finite: {c}")
         return Paravector(self, coords)
 
     def basis_vector(self, index: int, scale: float = 1.0) -> "Paravector":
@@ -152,50 +133,60 @@ class ParavectorSpace:
     # -- multivector conversion ----------------------------------------------------
 
     def to_multivector(self, x: "Paravector") -> Multivector:
-        return self._scatter(x.coords)
-
-    def _scatter(self, coords) -> Multivector:
-        """Scatter coordinates into multivector coordinates through the slots.
-
-        Each coordinate fills the one slot of its basis element.  The
-        result keeps the coordinates' backend, also when they are zero;
-        exact coordinates meet at their lcm before they are scattered.
-        """
-        nums, den = (coords, None) if isinstance(coords[0], float) else _over_lcm(coords)
+        """Scatter the stored numbers of x onto the slots, over the same
+        denominator; the result keeps x's backend, also when x is zero."""
+        den = x.den
         out = [0.0 if den is None else 0] * len(self.rep.basis)
-        for c, (k, sign) in zip(nums, self._slots, strict=True):
+        for c, (k, sign) in zip(x.nums, self._slots):
             if c:
                 out[k] = c if sign > 0 else -c
         return Multivector._new(self.rep, out, den)
 
-    def project_matrix(self, m: HMatrix) -> tuple[tuple, float]:
-        """Coordinates of a matrix over the paravector basis plus the
+    def project_matrix(self, m: HMatrix) -> tuple["Paravector", float]:
+        """The paravector of a matrix's coordinates over the basis, plus the
         largest leftover component outside the span.
 
         Only the slot coordinates are gathered, the way
-        :meth:`AlgebraRep.decompose` gathers every coordinate, so they
-        follow the matrix's backend; the leftover is measured against the
-        matrix rebuilt from them.
+        :meth:`AlgebraRep.decompose` gathers every coordinate, so the
+        paravector follows the matrix's backend; the leftover is measured
+        against the matrix rebuilt from it.
         """
         gathered, den = self.rep._gather(m, [k for k, _ in self._slots])
-        if den is not None:
-            gathered = [Fraction(x, den) for x in gathered]
-        coords = tuple(c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered))
-        rebuilt = self._scatter(coords)
-        return coords, (m - rebuilt.to_matrix()).max_abs()
+        x = Paravector._new(self, [c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered)], den)
+        return x, (m - x.to_multivector().to_matrix()).max_abs()
 
     def __repr__(self):
         return f"ParavectorSpace({self.name}, dim={self.dim})"
 
 
-class Paravector:
-    """Coordinates over a paravector basis.  Immutable."""
+class Paravector(RealCoords):
+    """Coordinates over a paravector basis, held as :class:`RealCoords`
+    (``==`` and ``hash`` by value, sums, ``to_float``).  Immutable."""
 
-    __slots__ = ("space", "coords")
+    __slots__ = ("space", "nums", "den")
+    _shape = "space"
 
     def __init__(self, space: ParavectorSpace, coords):
+        """Floats (numeric work) or Fractions (bit-exact work); ints fit
+        either backend.  ``ValueError`` names a wrong count or the index of a
+        NaN or infinite coordinate; a Fraction next to a float raises
+        :class:`BackendMismatch`, and any other type ``TypeError``."""
+        coords = tuple(coords)
+        if len(coords) != space.dim:
+            raise ValueError(f"{space.name} expects {space.dim} coordinates")
+        kinds = set(map(type, coords))
+        if not kinds <= _NUMBER_TYPES:
+            k, c = next((k, c) for k, c in enumerate(coords) if type(c) not in _NUMBER_TYPES)
+            raise TypeError(f"{space.name} coordinate {k} is not an int, Fraction or float: {c!r}")
+        if float in kinds:
+            if Fraction in kinds:
+                raise BackendMismatch(f"{space.name} coordinates mix Fraction and float")
+            coords = tuple(map(float, coords))
+            for k, c in enumerate(coords):
+                if not math.isfinite(c):
+                    raise ValueError(f"{space.name} coordinate {k} is not finite: {c}")
         self.space = space
-        self.coords = tuple(coords)
+        self.nums, self.den = _stored(coords)
 
     def to_multivector(self) -> Multivector:
         return self.space.to_multivector(self)
@@ -203,8 +194,7 @@ class Paravector:
     def qform(self) -> HScalar:
         """The quadratic form x * bar(x); lies in the span of 1 and ij."""
         mv = self.to_multivector()
-        q = mv.gp_blades(mv.bar())
-        return self.space.ring_value(q)
+        return self.space.ring_value(mv.gp_blades(mv.bar()))
 
     def __repr__(self):
         return f"Paravector({self.space.name}, {list(self.coords)})"
@@ -224,30 +214,29 @@ def get_space(name: str) -> ParavectorSpace:
 # -- products -------------------------------------------------------------------
 
 
-def _require_same_space(x: Paravector, y: Paravector):
-    if x.space is not y.space:
-        raise ValueError("paravectors belong to different spaces")
-
-
 def dot(x: Paravector, y: Paravector) -> HScalar:
     """Symmetric product (x*bar(y) + y*bar(x)) / 2; equals the metric on
     basis pairs and the quadratic form on the diagonal."""
-    _require_same_space(x, y)
+    x._peer(y)
     mx, my = x.to_multivector(), y.to_multivector()
     s = mx.gp_blades(my.bar()) + my.gp_blades(mx.bar())
-    return x.space.ring_value(s.scale(Fraction(1, 2) if s.is_exact else 0.5))
+    return x.space.ring_value(s.scale(Fraction(1, 2)))
 
 
 def wedge2(x: Paravector, y: Paravector) -> Multivector:
     """Antisymmetric part (x*bar(y) - y*bar(x)) / 2, a biparavector."""
-    _require_same_space(x, y)
+    x._peer(y)
     mx, my = x.to_multivector(), y.to_multivector()
     s = mx.gp_blades(my.bar()) - my.gp_blades(mx.bar())
-    return s.scale(Fraction(1, 2) if s.is_exact else 0.5)
+    return s.scale(Fraction(1, 2))
 
 
-def _alternating_sum(mvs) -> Multivector:
-    """Sum over all argument permutations with sign, bars on even slots."""
+def _alternating_sum(xs) -> Multivector:
+    """Sum over all permutations of paravectors of one space, with sign,
+    bars on even slots."""
+    for y in xs[1:]:
+        xs[0]._peer(y)
+    mvs = [x.to_multivector() for x in xs]
     k = len(mvs)
     total = None
     for perm in permutations(range(k)):
@@ -263,25 +252,18 @@ def _alternating_sum(mvs) -> Multivector:
         if inversions % 2 == 1:
             term = -term
         total = term if total is None else total + term
-    if total.is_exact:
-        return total.scale(Fraction(1, math.factorial(k)))
-    return total.scale(1.0 / math.factorial(k))
+    return total.scale(Fraction(1, math.factorial(k)))
 
 
 def wedge3(x: Paravector, y: Paravector, v: Paravector) -> Multivector:
     """Triparavector: alternating sum of the six products a*bar(b)*c."""
-    _require_same_space(x, y)
-    _require_same_space(x, v)
-    return _alternating_sum([p.to_multivector() for p in (x, y, v)])
+    return _alternating_sum((x, y, v))
 
 
 def wedge4(x: Paravector, y: Paravector, v: Paravector, w: Paravector) -> Multivector:
     """Pseudoscalar part: alternating sum of the 24 products
     a*bar(b)*c*bar(d)."""
-    _require_same_space(x, y)
-    _require_same_space(x, v)
-    _require_same_space(x, w)
-    return _alternating_sum([p.to_multivector() for p in (x, y, v, w)])
+    return _alternating_sum((x, y, v, w))
 
 
 def quasi_sphere_residual(x: Paravector, r: float) -> float:

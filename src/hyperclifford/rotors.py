@@ -283,22 +283,25 @@ def rotor_from_params(params: RotorParams) -> Rotor:
 
 
 def act(rotor: Rotor, x: Paravector) -> Paravector:
-    """The rotation x -> g x hat(g)^-1, projected back to coordinates.
+    """The rotation x -> g x hat(g)^-1 as a paravector: exact when g and x
+    both are, in floats otherwise.
 
-    Raises :class:`ResultOutsideParavectorSpan` when the image leaks out
-    of the paravector span beyond ``_SPAN_TOL`` (relative to the coordinate
+    Raises :class:`ResultOutsideParavectorSpan` when the image is not finite
+    or leaks out of the span beyond ``_SPAN_TOL`` (relative to the coordinate
     size), which indicates g is not a valid transformation for the space.
     """
     if x.space.rep is not rotor.rep:
         raise ValueError("rotor and paravector use different representations")
-    xm = x.to_multivector().to_matrix().to_float()
-    m = rotor.g.to_matrix() @ xm @ rotor.ghat_inv.to_matrix()
-    coords, residual = x.space.project_matrix(m)
+    g, xm, h = rotor.g.to_matrix(), x.to_multivector().to_matrix(), rotor.ghat_inv.to_matrix()
+    if not (g.is_exact and xm.is_exact):
+        g, xm, h = g.to_float(), xm.to_float(), h.to_float()
+    m = g @ xm @ h
+    y, residual = x.space.project_matrix(m)
     if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
         raise ResultOutsideParavectorSpan(
             f"rotation image leaves the {x.space.name} span (residual {residual:.3e})"
         )
-    return x.space.paravector(coords)
+    return y
 
 
 # -- generator sets and their relations ------------------------------------------------

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperclifford.algebra import Multivector, get_rep, ring_unit_multivectors
 from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import (
     SPACE_NAMES,
+    Paravector,
     ParavectorSpace,
     dot,
     embed_momentum,
@@ -21,6 +23,7 @@ from hyperclifford.paravectors import (
 )
 from hyperclifford.physics import MomentumHM4, mass_qform
 from hyperclifford.scalars import BackendMismatch, HScalar
+from test_scalars import assert_canonical, exact_coordinates
 
 RNG = random.Random(314)
 
@@ -252,35 +255,47 @@ def test_hyper_coordinates_extract_roundtrip():
         x = hm4.paravector(coords)
         got, residual = hm4.project_matrix(x.to_multivector().to_matrix())
         assert residual < 1e-12
-        assert all(type(c) is float for c in got)
-        assert max(abs(a - b) for a, b in zip(coords, got)) < 1e-12
+        assert all(type(c) is float for c in got.coords)
+        assert max(abs(a - b) for a, b in zip(coords, got.coords)) < 1e-12
 
 
 def test_space_mismatch_rejected():
     m4, e6 = get_space("m4"), get_space("e6")
     with pytest.raises(ValueError):
         dot(m4.paravector([1, 0, 0, 0]), e6.paravector([1, 0, 0, 0, 0, 0]))
+    x, y = basis(m4, 0), basis(m4, 1)
+    with pytest.raises(ValueError, match="differ in space"):
+        wedge4(x, y, x, e6.paravector([1, 0, 0, 0, 0, 0]))
+    with pytest.raises(BackendMismatch):
+        wedge3(x, y, m4.paravector([0.0, 0.0, 1.0, 0.0]))
+
+
+# the two constructors that validate: the space's method and the class
+ENTRY_POINTS = (ParavectorSpace.paravector, Paravector)
 
 
 def test_wrong_coordinate_count():
-    with pytest.raises(ValueError):
-        get_space("m4").paravector([1, 2, 3])
+    for make in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="m4 expects 4 coordinates"):
+            make(get_space("m4"), [1, 2, 3])
 
 
 @pytest.mark.parametrize("index", [0, 3])
 def test_fraction_next_to_float_is_a_backend_mismatch(index):
     coords = [0.5, 0.0, 0.0, 0.0]
     coords[index] = Fraction(1, 3)
-    with pytest.raises(BackendMismatch):
-        get_space("m4").paravector(coords)
+    for make in ENTRY_POINTS:
+        with pytest.raises(BackendMismatch):
+            make(get_space("m4"), coords)
 
 
 @pytest.mark.parametrize("bad", ["2", True, None, 1j, HScalar.exact(1)], ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize("others", [0, 0.5, Fraction(1, 2)], ids=["int", "float", "fraction"])
 def test_non_number_coordinates_rejected(bad, others):
-    with pytest.raises(TypeError, match=r"coordinate 2\b") as exc:
-        get_space("m4").paravector([others, others, bad, others])
-    assert exc.type is TypeError
+    for make in ENTRY_POINTS:
+        with pytest.raises(TypeError, match=r"coordinate 2\b") as exc:
+            make(get_space("m4"), [others, others, bad, others])
+        assert exc.type is TypeError
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -288,8 +303,9 @@ def test_non_number_coordinates_rejected(bad, others):
 def test_non_finite_coordinates_rejected(bad, index):
     coords = [1.0, 0.0, 0.0, 0.0]
     coords[index] = bad
-    with pytest.raises(ValueError, match=rf"coordinate {index}\b"):
-        get_space("m4").paravector(coords)
+    for make in ENTRY_POINTS:
+        with pytest.raises(ValueError, match=rf"coordinate {index}\b"):
+            make(get_space("m4"), coords)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -352,6 +368,8 @@ def _parts(value):
     zero (the reference routes add signed zero products)."""
     if isinstance(value, Multivector):
         return [(blade, _parts(z)) for blade, z in value.coeffs.items()]
+    if isinstance(value, Paravector):
+        return _parts(value.coords)
     if isinstance(value, HScalar):
         return [_parts(c) for c in value.coeffs()]
     if isinstance(value, (tuple, list)):
@@ -409,6 +427,31 @@ def test_project_exact_matrix_gives_exact_coordinates(name):
             coords, residual = space.project_matrix(x.to_multivector().to_matrix())
             assert _parts(coords) == _parts(x.coords)
             assert residual == 0.0
+
+
+def named_exact_coordinates(name):
+    dim = get_space(name).dim
+    return st.tuples(st.just(name), st.lists(exact_coordinates, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACE_NAMES).flatmap(named_exact_coordinates))
+def test_exact_paravectors_are_stored_canonical(drawn):
+    """The stored form of an exact paravector: canonical numerators, ==
+    and hash by value whether an integer is written as an int or as a
+    Fraction, the input back from coords, and an exact projection of its
+    own matrix."""
+    name, coords = drawn
+    space = get_space(name)
+    x = space.paravector(coords)
+    assert_canonical(x)
+    as_ints = [int(c) if c.denominator == 1 else c for c in coords]
+    same = Paravector(space, as_ints)
+    assert same == x and hash(same) == hash(x)
+    assert x.coords == tuple(coords)
+    assert x != x.to_float()
+    back, residual = space.project_matrix(x.to_multivector().to_matrix())
+    assert back == x and residual == 0.0
 
 
 _C30 = get_rep("c30bar")

@@ -120,6 +120,21 @@ def test_exact_rotor_certifies_in_its_own_backend(space, plane):
     assert r.ghat_inv == r.g.dagger()
 
 
+def test_act_on_an_exact_rotor_stays_in_the_paravector_backend():
+    # tan(theta/2) = 1/3 gives cos(2 theta) = 7/25 and sin(2 theta) = 24/25
+    # in the (1, 2) plane of m4
+    m4 = get_space("m4")
+    g = cayley_plane_rotor(pauli2(3).scale(HScalar.exact(0, -1)), Fraction(1, 3))
+    r = rotor_from_matrix(m4.rep, g)
+    x = m4.paravector([1, 2, 3, 4])
+    out = act(r, x)
+    assert out == m4.paravector([1, Fraction(-58, 25), Fraction(69, 25), 4])
+    assert out.is_exact and out.qform() == x.qform()
+    out = act(r, x.to_float())
+    assert not out.is_exact
+    assert max(abs(a - b) for a, b in zip(out.coords, (1, -58 / 25, 69 / 25, 4))) < 1e-12
+
+
 def test_identity_action():
     m4 = get_space("m4")
     r = rotor_from_params(RotorParams.m4())

@@ -150,3 +150,27 @@ def test_a_length_mismatch_is_reported_first():
     lines = compare_outputs.differences("calc", calc, [calc[1]])
     assert lines[0] == "calc: 2 records at the parent, 1 at the change"
     assert lines[1].startswith("calc[0]:")
+
+
+def traced(counts, seconds=1.5, failed=24, correct=True):
+    metrics = {name: {"value": v, "unit": "count"} for name, v in counts.items()}
+    metrics["trace.wall_s"] = {"value": seconds, "unit": "s"}
+    return {"correct": correct, "attempted": 600, "failed": failed, "metrics": metrics}
+
+
+def test_traced_counts_compare_only_the_count_metrics():
+    counts = {"rotors.act.calls": 549, "paravectors.to_multivector.calls": 663}
+    old = traced(counts)
+    # a different wall time is not a difference
+    assert compare_outputs.count_differences("calc-stream", old, traced(counts, seconds=2.0)) == []
+    new = traced({"rotors.act.calls": 549, "paravectors.to_multivector.calls": 1201}, failed=25)
+    assert compare_outputs.count_differences("calc-stream", old, new) == [
+        "calc-stream failed: parent 24 change 25",
+        "calc-stream paravectors.to_multivector.calls: parent 663 change 1201",
+    ]
+    # a count the change lacks, and a run that is no longer correct
+    lacking = traced({"rotors.act.calls": 549}, correct=False)
+    assert compare_outputs.count_differences("calc-stream", old, lacking) == [
+        "calc-stream correct: parent True change False",
+        "calc-stream paravectors.to_multivector.calls: parent 663 change None",
+    ]

@@ -14,10 +14,18 @@ bytecode written) and records:
 
 Prints every difference, the status counts and a SHA-256 of each side's
 records; exits 0 when the two sides agree and 1 when they differ.
+
+Then, for each workload of the parent's ``BENCHMARK.json``, it runs
+``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
+each checkout (``S`` the parent's ``run_seconds``, bytecode writing off)
+and prints every metric of unit ``count`` that differs, and ``correct``
+or ``failed`` when they differ.  These count how much work a call path
+does, so they are reported but do not decide the exit status.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -54,6 +62,27 @@ def differences(name: str, old: list, new: list) -> list[str]:
     return lines
 
 
+def traced_run(root: Path, workload: str, seconds: int) -> dict:
+    """The result object (last line of output) of one traced seed-7 run."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "7", "--seconds", str(seconds), "--trace", "1"],
+        cwd=root, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def count_differences(workload: str, old: dict, new: dict) -> list[str]:
+    """One line per count metric (and ``correct``, ``failed``) whose value
+    differs between the parent's and the change's traced results; a
+    metric the change lacks reads ``None``."""
+    values = [(key, old[key], new[key]) for key in ("correct", "failed")]
+    values += [(name, m["value"], new["metrics"].get(name, {}).get("value"))
+               for name, m in old["metrics"].items() if m["unit"] == "count"]
+    return [f"{workload} {name}: parent {a} change {b}" for name, a, b in values if a != b]
+
+
 def main(argv=None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     if len(args) != 2:
@@ -67,6 +96,12 @@ def main(argv=None) -> int:
         statuses = Counter(status for _, status, _ in recs["verify"])
         codes = Counter(rc for _, rc, _, _ in recs["calc"])
         print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}")
+    spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
+    counts = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        old_run, new_run = (traced_run(Path(a), workload, spec["run_seconds"]) for a in args)
+        counts += count_differences(workload, old_run, new_run)
+    print("\n".join(["traced seed-7 counts differ:", *counts]) if counts else "traced seed-7 counts equal")
     return 1 if diff else 0
 
 
