@@ -707,7 +707,7 @@ def _pure_forms(ctx):
     b = rotor_from_params(RotorParams.m4(xi=(0.3, -1.1, 0.7)))
     yield (b.g.hat() - b.g.rep.decompose(b.g.to_matrix().inverse())).max_abs()
     g2 = rotor_from_params(RotorParams.e6({(0, 2): 0.8}))
-    yield (g2.ghat_inv - g2.g).max_abs()
+    yield (g2.g.dagger() - g2.g).max_abs()
     rot = rotor_from_params(RotorParams.e6({(2, 5): 0.8, (3, 4): -0.4}))
     yield (rot.g.hat() - rot.g).max_abs()
 

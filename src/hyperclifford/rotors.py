@@ -1,7 +1,7 @@
 """Rotor construction, the rotation action, and generator verification.
 
 A rotor is a group element g with g*bar(g) = 1 acting on paravectors by
-x -> g x hat(g)^-1, which preserves the quadratic form.  Rotors are built
+x -> g x dagger(g), which preserves the quadratic form.  Rotors are built
 as exponentials
 
     h1   g = exp(-i phi/2 + j xi/2)                      scalars
@@ -9,9 +9,10 @@ as exponentials
     e6   g = exp(-i phi/2),           phi = sum phi_ab sigma_ab (4x4)
     r66  g = exp(-i phi/2 + j xi/2)   both index families       (4x4)
 
-and certified at construction: the spin condition and the identity
-hat(g)^-1 = dagger(g) are checked rather than assumed.  The exponential
-works on the two complex null components of the exponent over (1 +- j)/2.
+and certified at construction by two products, g*bar(g) = 1 and
+hat(g)*dagger(g) = 1; the second is the identity hat(g)^-1 = dagger(g) that
+lets the action skip an inverse.  The exponential works on the two complex
+null components of the exponent over (1 +- j)/2.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
     "CERT_TOL",
 ]
 
-# Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)^-1 = dagger(g).
+# Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)*dagger(g) = 1.
 CERT_TOL = 1e-12
 # The series exponential halves its argument until no entry exceeds _HALF_AT
 # in modulus (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
@@ -208,15 +209,11 @@ def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class Rotor:
-    """A certified group element with its cached companions.
-
-    ``spin_residual`` and ``dagger_residual`` record how well g*bar(g) = 1
-    and hat(g)^-1 = dagger(g) hold; construction rejects anything beyond
-    the certificate tolerance.
-    """
+    """A certified group element g; ``spin_residual`` and ``dagger_residual``
+    record how well g*bar(g) = 1 and hat(g)*dagger(g) = 1 hold, which
+    construction bounds by the certificate tolerance."""
 
     g: Multivector
-    ghat_inv: Multivector
     spin_residual: float
     dagger_residual: float
     params: RotorParams | None = field(default=None, compare=False)
@@ -264,14 +261,13 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = 
         raise ValueError("matrix lies outside the representation span")
     one = rep.scalar(1, exact=m.is_exact)
     spin = (mv.gp(mv.bar()) - one).max_abs()
-    ghat_inv = rep.decompose(mv.hat().to_matrix().inverse())
-    dag = (ghat_inv - mv.dagger()).max_abs()
-    scale = 1.0 + mv.max_abs() ** 2
+    dag = (mv.hat().gp(mv.dagger()) - one).max_abs()
+    scale = 1.0 + (size := mv.max_abs()) * size  # overflows to inf where size ** 2 raises
     if not (spin <= CERT_TOL * scale):
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
     if not (dag <= CERT_TOL * scale):
         raise ValueError(f"hat-inverse/dagger identity violated: residual {dag:.3e}")
-    return Rotor(mv, ghat_inv, spin, dag, params)
+    return Rotor(mv, spin, dag, params)
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
@@ -283,8 +279,9 @@ def rotor_from_params(params: RotorParams) -> Rotor:
 
 
 def act(rotor: Rotor, x: Paravector) -> Paravector:
-    """The rotation x -> g x hat(g)^-1 as a paravector: exact when g and x
-    both are, in floats otherwise.
+    """The rotation x -> g x dagger(g) as a paravector: exact when g and x
+    both are, in floats otherwise, each coordinate then good to about
+    eps * |g|^2 * |x| absolute (eps * cosh(xi) * |x| for a boost).
 
     Raises :class:`ResultOutsideParavectorSpan` when the image is not finite
     or leaks out of the span beyond ``_SPAN_TOL`` (relative to the coordinate
@@ -292,7 +289,7 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
     """
     if x.space.rep is not rotor.rep:
         raise ValueError("rotor and paravector use different representations")
-    g, xm, h = rotor.g.to_matrix(), x.to_multivector().to_matrix(), rotor.ghat_inv.to_matrix()
+    g, xm, h = rotor.g.to_matrix(), x.to_multivector().to_matrix(), rotor.g.dagger().to_matrix()
     if not (g.is_exact and xm.is_exact):
         g, xm, h = g.to_float(), xm.to_float(), h.to_float()
     m = g @ xm @ h

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,13 +284,32 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
     assert option in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("xi", ["100", "1000"])
-def test_boost_arithmetic_failure_is_an_error_exit(capsys, xi):
-    # the rotor of a rapidity this large cannot be certified in floats
+@pytest.mark.parametrize("xi", ["20", "30", "40", "100"])
+@pytest.mark.parametrize("axis", ["1", "2", "3"])
+def test_large_rapidity_boost_keeps_the_sandwich_bound(capsys, axis, xi):
+    # a float sandwich g x dagger(g) keeps each coordinate to about
+    # eps * cosh(xi) * max|x| absolute, not relative to the coordinate
+    x = (0.3, -1.1, 0.7, 1.9)
+    code, out, _ = run(capsys, "boost", "--xi", xi, "--axis", axis, "--vector", ",".join(map(str, x)),
+                       "--format", "json")
+    assert code == 0
+    got = json.loads(out)["coords"]
+    k, ch, sh = int(axis), math.cosh(float(xi)), math.sinh(float(xi))
+    want = list(x)
+    want[0], want[k] = ch * x[0] + sh * x[k], sh * x[0] + ch * x[k]
+    bound = 1e-13 * ch * (1 + max(map(abs, x)))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= bound
+
+
+@pytest.mark.parametrize("xi, message", [
+    ("1000", "spin condition violated: residual nan"),  # cosh(xi/2)^2 overflows
+    ("1500", "exponential argument too large"),  # cosh(xi/2) overflows
+], ids=["1000", "1500"])
+def test_boost_arithmetic_failure_is_an_error_exit(capsys, xi, message):
     code, out, err = run(capsys, "boost", "--xi", xi, "--vector", "1,0,0,0")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: {message}\n"
 
 
 def test_boost_rejects_non_finite_paravector_json(capsys):

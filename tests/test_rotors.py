@@ -98,12 +98,14 @@ def test_rotor_certificates():
             assert r.dagger_residual <= 1e-12
 
 
-def cayley_plane_rotor(b: HMatrix, t: Fraction) -> HMatrix:
-    """(1 + t B)^2 / (1 + t^2) for a plane generator B with B^2 = -1: the
-    rotation cos + sin B with the rational tangent t of half its angle."""
+def cayley_plane_rotor(b: HMatrix, t: Fraction, square: int = -1) -> HMatrix:
+    """(1 + t B)^2 / (1 - square t^2) for a plane generator B with
+    B^2 = square: the rotation cos + sin B (square -1) or the boost
+    cosh + sinh B (square +1) with the rational tangent t of half its
+    angle or rapidity."""
     one = HMatrix.identity(b.n)
     half = one + b.scale(t)
-    return (half @ half).scale(1 / (1 + t * t))
+    return (half @ half).scale(1 / (1 - square * t * t))
 
 
 @pytest.mark.parametrize(
@@ -114,10 +116,29 @@ def test_exact_rotor_certifies_in_its_own_backend(space, plane):
     assert b @ b == -HMatrix.identity(b.n)
     g = cayley_plane_rotor(b, Fraction(1, 3))
     r = rotor_from_matrix(get_space(space).rep, g)
-    assert r.g.is_exact and r.ghat_inv.is_exact
+    assert r.g.is_exact
     assert (r.spin_residual, r.dagger_residual) == (0.0, 0.0)
     assert r.g.to_matrix() == g
-    assert r.ghat_inv == r.g.dagger()
+    assert r.g.hat().gp(r.g.dagger()) == r.rep.scalar(1)
+
+
+@pytest.mark.parametrize("k", [6, 9, 12, 15, 18, 20])
+def test_exact_cayley_boost_certifies_at_large_rapidity(k):
+    # B = j sigma3 and t = tanh(xi/2) = 1 - 2*10^-k: g = cosh xi + sinh xi B
+    # with xi = log(10^k - 1), 13.8 at k = 6 to 46.1 at k = 20
+    b = pauli2(3).scale(HScalar.exact(0, 0, 1))
+    assert b @ b == HMatrix.identity(2)
+    t = 1 - Fraction(2, 10**k)
+    m4 = get_space("m4")
+    r = rotor_from_matrix(m4.rep, cayley_plane_rotor(b, t, square=1))
+    assert (r.spin_residual, r.dagger_residual) == (0.0, 0.0)
+    x = m4.paravector([3, -11, 7, 19])
+    out = act(r, x)
+    # the action boosts by 2 xi: cosh 2xi = c^2 + s^2, sinh 2xi = 2cs
+    c, s = (1 + t * t) / (1 - t * t), 2 * t / (1 - t * t)
+    ch, sh = c * c + s * s, 2 * c * s
+    assert out == m4.paravector([3 * ch + 19 * sh, -11, 7, 3 * sh + 19 * ch])
+    assert out.is_exact and out.qform() == x.qform()
 
 
 def test_act_on_an_exact_rotor_stays_in_the_paravector_backend():
@@ -166,7 +187,7 @@ def test_qform_preserved_by_action():
 def test_plane_02_rotor_is_hat_inverse_invariant():
     # generators of mixed grade flip under graduation: hat(g) = g^-1
     g2 = rotor_from_params(RotorParams.e6({(0, 2): 0.8}))
-    assert (g2.ghat_inv - g2.g).max_abs() < 1e-13
+    assert (g2.g.dagger() - g2.g).max_abs() < 1e-13
 
 
 def test_pure_rotation_is_hat_invariant():
@@ -190,15 +211,14 @@ def test_action_rejects_mismatched_spaces():
 
 
 def test_action_detects_span_leak():
-    # an uncertified pseudo-rotor whose action produces a bivector
+    # an uncertified pseudo-rotor g = 1 + j, whose action (1 + j)^2 x = 2(1 + j) x
+    # has a j part that no real paravector coordinate carries
     from hyperclifford.rotors import Rotor
 
-    rep = get_rep("c30bar")
-    e1 = rep.generator(1, exact=False)
-    one = rep.scalar(1, exact=False)
-    fake = Rotor(g=e1, ghat_inv=one, spin_residual=0.0, dagger_residual=0.0)
+    g = get_rep("c30bar").scalar(HScalar.flt(1.0, 0.0, 1.0, 0.0))
+    fake = Rotor(g=g, spin_residual=0.0, dagger_residual=0.0)
     m4 = get_space("m4")
-    with pytest.raises(ResultOutsideParavectorSpan):
+    with pytest.raises(ResultOutsideParavectorSpan, match=r"residual 2\.000e\+00"):
         act(fake, m4.paravector([0, 0, 1, 0]))
 
 
@@ -547,6 +567,6 @@ def test_rotor_from_matrix_rejects_a_nan_by_its_span_test(idx):
 
 def test_act_rejects_a_nan_image_by_its_span_test():
     rotor = rotor_from_params(RotorParams.m4())
-    bad = dataclasses.replace(rotor, ghat_inv=Multivector._make(rotor.rep, [math.nan] + list(rotor.g.coords[1:])))
+    bad = dataclasses.replace(rotor, g=Multivector._make(rotor.rep, [math.nan] + list(rotor.g.coords[1:])))
     with pytest.raises(ResultOutsideParavectorSpan):
         act(bad, get_space("m4").paravector([1.0, 0.0, 0.0, 0.0]))

@@ -2,6 +2,8 @@
 comparison of ``tools/compare_outputs.py``, on canned results."""
 
 import importlib.util
+import json
+import math
 import statistics
 from pathlib import Path
 
@@ -174,3 +176,44 @@ def test_traced_counts_compare_only_the_count_metrics():
         "calc-stream correct: parent True change False",
         "calc-stream paravectors.to_multivector.calls: parent 663 change None",
     ]
+
+
+def answer(coords, code=0, err=""):
+    """Exit code, stdout and stderr of a calc record, as ``call_cli`` gives them."""
+    return code, json.dumps({"space": "m4", "coords": coords}, indent=2) + "\n", err
+
+
+def test_a_number_move_is_the_largest_relative_difference():
+    a = ["boost --xi=20", *answer([4.0, 0.5, -1.0, 0])]
+    assert compare_outputs.number_move(a, list(a)) == (0.0, None, None)
+    b = ["boost --xi=20", *answer([4.0 * (1 + 2e-16), 0.5, -1.0 * (1 + 1e-15), 0.0])]
+    rel, x, y = compare_outputs.number_move(a, b)
+    assert rel == pytest.approx(1e-15) and (x, y) == (-1.0, -1.0 * (1 + 1e-15))
+    # a change of structure, exit code, stderr or a non-finite number is not a move
+    for other in (answer([4.0, 0.5, -1.0]), answer([4.0, 0.5, -1.0, 0], code=2),
+                  answer([4.0, 0.5, -1.0, 0], err="warning\n"), answer([4.0, 0.5, -1.0, "0"]),
+                  answer([4.0, 0.5, -1.0, math.inf]), (0, "4.0 0.5\n", "")):
+        assert compare_outputs.number_move(a, ["boost --xi=20", *other]) is None
+
+
+def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
+    old = [
+        ["boost --xi=20", *answer([4.0, 0.5, -1.0, 0.0])],
+        ["boost --xi=40", *answer([8.0, 0.5, -1.0, 0.0])],
+        ["sphere --radius=1", *answer([1.0])],
+        ["boost --xi=45", 2, "", "error: no invertible pivot\n"],
+    ]
+    new = [
+        ["boost --xi=20", *answer([4.0 * (1 + 1e-15), 0.5, -1.0, 0.0])],
+        ["boost --xi=40", *answer([8.0, 0.5 * (1 + 3e-12), -1.0, 0.0])],
+        old[2],
+        ["boost --xi=45", *answer([9.0, 0.5, -1.0, 0.0])],
+    ]
+    lines = compare_outputs.calc_differences(old, new)
+    assert lines == [
+        f"calc[3]:\n  parent {old[3]!r}\n  change {new[3]!r}",
+        "calc boost: 2 answers moved only in their numbers, largest relative difference 3e-12"
+        f" (parent 0.5, change {0.5 * (1 + 3e-12)!r})",
+    ]
+    # a length mismatch is still reported first
+    assert compare_outputs.calc_differences(old, new[:1])[0] == "calc: 4 records at the parent, 1 at the change"

@@ -13,7 +13,10 @@ bytecode written) and records:
   stdout and stderr.
 
 Prints every difference, the status counts and a SHA-256 of each side's
-records; exits 0 when the two sides agree and 1 when they differ.
+records; exits 0 when the two sides agree and 1 when they differ.  Calc
+answers that keep their exit code, stderr and JSON structure and move
+only in their numbers are summed up in one line per command: how many
+moved, and the largest relative difference of any number.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
@@ -25,6 +28,7 @@ does, so they are reported but do not decide the exit status.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,13 +57,66 @@ def records(root: Path) -> tuple[dict, str]:
     return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
 
 
-def differences(name: str, old: list, new: list) -> list[str]:
+def differences(name: str, old: list, new: list, summed=frozenset()) -> list[str]:
+    """A line for a length mismatch, then each differing record pair in
+    full, except those at the indices in ``summed``."""
     lines = [f"{name}: {len(old)} records at the parent, {len(new)} at the change"] \
         if len(old) != len(new) else []
     for k, (a, b) in enumerate(zip(old, new)):
-        if a != b:
+        if a != b and k not in summed:
             lines.append(f"{name}[{k}]:\n  parent {a!r}\n  change {b!r}")
     return lines
+
+
+def _skeleton(value, numbers: list):
+    """A JSON value with each number replaced by 0; the numbers are
+    appended to ``numbers`` in document order."""
+    if isinstance(value, list):
+        return [_skeleton(v, numbers) for v in value]
+    if isinstance(value, dict):
+        return {k: _skeleton(v, numbers) for k, v in value.items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(value)
+        return 0
+    return value
+
+
+def number_move(a: list, b: list) -> tuple | None:
+    """The largest relative difference between the numbers of two calc
+    records ``[command, exit code, stdout, stderr]`` whose command, exit
+    code, stderr and JSON structure agree, as ``(difference, parent
+    number, change number)``; None when any of these differ or a number
+    is not finite."""
+    if a[:2] != b[:2] or a[3] != b[3]:
+        return None
+    xs, ys = [], []
+    try:
+        if _skeleton(json.loads(a[2]), xs) != _skeleton(json.loads(b[2]), ys):
+            return None
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, xs + ys)):
+        return None
+    moves = [(abs(x - y) / max(abs(x), abs(y)), x, y) for x, y in zip(xs, ys) if x != y]
+    return max(moves, default=(0.0, None, None))
+
+
+def calc_differences(old: list, new: list) -> list[str]:
+    """:func:`differences` of the calc records, with the answers that moved
+    only in their numbers (:func:`number_move`) summed up per command:
+    their count and the largest move, with the two numbers it was made of."""
+    moves = {k: number_move(a, b) for k, (a, b) in enumerate(zip(old, new)) if a != b}
+    moves = {k: move for k, move in moves.items() if move is not None}
+    summary = {}
+    for k, move in moves.items():
+        command = old[k][0].split()[0]
+        count, worst = summary.get(command, (0, move))
+        summary[command] = (count + 1, max(worst, move))
+    return differences("calc", old, new, moves.keys()) + [
+        f"calc {command}: {count} answers moved only in their numbers,"
+        f" largest relative difference {rel:.3g} (parent {x!r}, change {y!r})"
+        for command, (count, (rel, x, y)) in summary.items()
+    ]
 
 
 def traced_run(root: Path, workload: str, seconds: int) -> dict:
@@ -90,7 +147,7 @@ def main(argv=None) -> int:
         return 2
     (old, old_sha), (new, new_sha) = (records(Path(a)) for a in args)
     diff = differences("verify", old["verify"], new["verify"])
-    diff += differences("calc", old["calc"], new["calc"])
+    diff += calc_differences(old["calc"], new["calc"])
     print("\n".join(diff) or "no differences")
     for side, recs, sha in (("parent", old, old_sha), ("change", new, new_sha)):
         statuses = Counter(status for _, status, _ in recs["verify"])
