@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd
+from numbers import Rational
 from operator import add, mul, sub
 
 from .matrices import HMatrix, pauli2, sigma_ab
@@ -393,15 +394,17 @@ class Multivector(RealCoords):
     # -- linear structure ---------------------------------------------------
 
     def scale(self, z) -> "Multivector":
-        """The product with the scalar ``z``, a number or an
-        :class:`HScalar` in the representation's subring, computed by
-        :meth:`gp_blades` (on integer numerators on the exact backend).
-        A number takes this element's backend, except that a ``float``
-        never enters the exact backend; it and an :class:`HScalar` of the
-        other backend raise :class:`BackendMismatch`."""
-        if not isinstance(z, HScalar):
-            z = HScalar.make(z, exact=self.is_exact)
-        return self.gp_blades(self.rep.scalar(z))
+        """The product with the scalar ``z``: an :class:`HScalar` in the
+        representation's subring by :meth:`gp_blades`; a number, which takes
+        this element's backend (a ``float`` never enters the exact one), on
+        the stored numbers.  Mixed backends raise :class:`BackendMismatch`."""
+        if isinstance(z, HScalar):
+            return self.gp_blades(self.rep.scalar(z))
+        if not isinstance(z, Rational):
+            z = HScalar.make(z, exact=self.is_exact).x
+        if self.den is None:  # + 0.0 makes a zero +0.0, as gp_blades does
+            return Multivector._new(self.rep, [c * z + 0.0 for c in self.nums], None)
+        return Multivector._new(self.rep, [c * z.numerator for c in self.nums], self.den * z.denominator)
 
     # -- products -------------------------------------------------------------
 

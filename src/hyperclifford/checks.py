@@ -648,7 +648,8 @@ def _spin_condition(ctx):
 @check("rotations.hat_inverse_dagger", "inverse-of-graduation against reversion",
        "hat(g)^-1 = dagger(g) within 1e-12 for every rotor", tol=1e-12)
 def _hat_inverse_dagger(ctx):
-    yield from (r.dagger_residual for rs in ctx.rotors.values() for r in rs)
+    for g in (r.g for rs in ctx.rotors.values() for r in rs):
+        yield (g.hat().gp(g.dagger()) - g.rep.scalar(1, exact=g.is_exact)).max_abs()
 
 
 @check("rotations.qform_invariance", "quadratic-form preservation under the rotation action",

@@ -9,10 +9,10 @@ as exponentials
     e6   g = exp(-i phi/2),           phi = sum phi_ab sigma_ab (4x4)
     r66  g = exp(-i phi/2 + j xi/2)   both index families       (4x4)
 
-and certified at construction by two products, g*bar(g) = 1 and
-hat(g)*dagger(g) = 1; the second is the identity hat(g)^-1 = dagger(g) that
-lets the action skip an inverse.  The exponential works on the two complex
-null components of the exponent over (1 +- j)/2.
+and certified at construction by one product on their matrix, g @ adjoint(g)
+= 1: that is g*bar(g) = 1, as bar is the adjoint, and implies the identity
+hat(g)^-1 = dagger(g) that lets the action skip an inverse.  The exponential
+works on the two complex null components of the exponent over (1 +- j)/2.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
     "CERT_TOL",
 ]
 
-# Tolerance for the rotor certificates g*bar(g) = 1 and hat(g)*dagger(g) = 1.
+# Tolerance for the rotor certificate g @ adjoint(g) = 1.
 CERT_TOL = 1e-12
 # The series exponential halves its argument until no entry exceeds _HALF_AT
 # in modulus (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
@@ -209,13 +209,11 @@ def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class Rotor:
-    """A certified group element g; ``spin_residual`` and ``dagger_residual``
-    record how well g*bar(g) = 1 and hat(g)*dagger(g) = 1 hold, which
-    construction bounds by the certificate tolerance."""
+    """A certified group element g; ``spin_residual`` is how far g*bar(g) = 1
+    is from holding on g's matrix, within the certificate's bound."""
 
     g: Multivector
     spin_residual: float
-    dagger_residual: float
     params: RotorParams | None = field(default=None, compare=False)
 
     @property
@@ -253,21 +251,16 @@ def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
 
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
-    """Decompose, certify and wrap a group-element matrix, in its own
-    backend: an exact matrix is certified with exact residuals."""
+    """Decompose, certify and wrap a group-element matrix, in its own backend:
+    g*bar(g) = 1 as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2)."""
     mv, residual = rep.decompose_residual(m)
     # each test accepts only on "<=", so a NaN norm is rejected
-    if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
+    if not (residual <= _SPAN_TOL * (1.0 + (size := m.max_abs()))):
         raise ValueError("matrix lies outside the representation span")
-    one = rep.scalar(1, exact=m.is_exact)
-    spin = (mv.gp(mv.bar()) - one).max_abs()
-    dag = (mv.hat().gp(mv.dagger()) - one).max_abs()
-    scale = 1.0 + (size := mv.max_abs()) * size  # overflows to inf where size ** 2 raises
-    if not (spin <= CERT_TOL * scale):
+    spin = (m @ m.adjoint() - HMatrix.identity(m.n, exact=m.is_exact)).max_abs()
+    if not (spin <= CERT_TOL * (1.0 + size * size)):  # inf where size ** 2 raises
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
-    if not (dag <= CERT_TOL * scale):
-        raise ValueError(f"hat-inverse/dagger identity violated: residual {dag:.3e}")
-    return Rotor(mv, spin, dag, params)
+    return Rotor(mv, spin, params)
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
@@ -283,9 +276,9 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
     both are, in floats otherwise, each coordinate then good to about
     eps * |g|^2 * |x| absolute (eps * cosh(xi) * |x| for a boost).
 
-    Raises :class:`ResultOutsideParavectorSpan` when the image is not finite
-    or leaks out of the span beyond ``_SPAN_TOL`` (relative to the coordinate
-    size), which indicates g is not a valid transformation for the space.
+    Raises ``OverflowError`` when g and x are finite but the image is not, else
+    :class:`ResultOutsideParavectorSpan` when the image is not finite or leaks
+    out of the span beyond ``_SPAN_TOL`` (relative to its size): g is invalid.
     """
     if x.space.rep is not rotor.rep:
         raise ValueError("rotor and paravector use different representations")
@@ -294,7 +287,9 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
         g, xm, h = g.to_float(), xm.to_float(), h.to_float()
     m = g @ xm @ h
     y, residual = x.space.project_matrix(m)
-    if not (residual <= _SPAN_TOL * (1.0 + m.max_abs())):
+    if not (residual <= _SPAN_TOL * (1.0 + (size := m.max_abs()))):
+        if not math.isfinite(size) and math.isfinite(g.max_abs() + xm.max_abs()):
+            raise OverflowError("rotation image exceeds the float range")
         raise ResultOutsideParavectorSpan(
             f"rotation image leaves the {x.space.name} span (residual {residual:.3e})"
         )

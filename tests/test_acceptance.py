@@ -224,7 +224,8 @@ def test_criterion_08_rotation_invariance():
             for _ in range(200):
                 rotor = _random_rotor(name, rng)
                 assert rotor.spin_residual <= 1e-12
-                assert rotor.dagger_residual <= 1e-12
+                one = rotor.rep.scalar(1, exact=False)
+                assert (rotor.g.hat().gp(rotor.g.dagger()) - one).max_abs() <= 1e-12
                 x = space.paravector([rng.uniform(-2, 2) for _ in range(space.dim)])
                 before, after = x.qform(), act(rotor, x).qform()
                 assert (before - after).abs_max() <= 1e-10

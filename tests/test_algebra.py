@@ -310,6 +310,27 @@ def test_scale_is_the_per_blade_scalar_product(name, unit, exact):
                 assert got.coeffs.get(blade, zero) == z * mv.coeffs.get(blade, zero)
 
 
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_scale_by_a_number_is_the_product_with_its_scalar(name):
+    """A plain number scales the stored numbers: exact results equal the
+    product with its HScalar, float ones equal it within rounding (bit for
+    bit outside the j-reps' null split), and a float zero is +0.0."""
+    rep = get_rep(name)
+    rng = random.Random(f"scale-number-{name}")
+    for k in range(9):
+        mv = (sparse_mv, random_mv, real_only_mv)[k % 3](rep, True, rng)
+        for q in (Fraction(rng.randint(-6, 6), rng.randint(1, 5)), rng.randint(-3, 3), 0, Fraction(1, 2)):
+            got = mv.scale(q)
+            assert_canonical(got)
+            assert got == mv.scale(HScalar.exact(q))
+        flt = negative_zeros(mv.to_float())
+        for f in (rng.uniform(-2, 2), -1.0, 0.0, 2, Fraction(1, 3)):
+            got, want = flt.scale(f), flt.scale(HScalar.flt(f))
+            assert_canonical(got)
+            assert (got == want) if rep.adjoined != "j" else got.is_close(want, 1e-14)
+            assert all(math.copysign(1.0, c) > 0 for c in got.nums if not c)
+
+
 def test_scale_checks_subring_and_backends():
     c30bar = get_rep("c30bar")
     exact, flt = c30bar.generator(1), c30bar.generator(1, exact=False)
@@ -640,7 +661,7 @@ def test_bar_is_hat_then_dagger():
 
 
 def test_bar_equals_matrix_adjoint():
-    for name in ("r30", "c30bar", "r05", "h05bar"):
+    for name in ALL_REPS:
         rep = get_rep(name)
         for _ in range(20):
             u = random_mv(rep, exact=True)

@@ -304,7 +304,9 @@ def test_large_rapidity_boost_keeps_the_sandwich_bound(capsys, axis, xi):
 @pytest.mark.parametrize("xi, message", [
     ("1000", "spin condition violated: residual nan"),  # cosh(xi/2)^2 overflows
     ("1500", "exponential argument too large"),  # cosh(xi/2) overflows
-], ids=["1000", "1500"])
+    ("710.5", "rotation image exceeds the float range"),  # cosh(xi) overflows
+    ("711", "rotation image exceeds the float range"),
+], ids=["1000", "1500", "710.5", "711"])
 def test_boost_arithmetic_failure_is_an_error_exit(capsys, xi, message):
     code, out, err = run(capsys, "boost", "--xi", xi, "--vector", "1,0,0,0")
     assert code == 2

@@ -57,6 +57,11 @@ def random_params(space, rng=RNG):
     return RotorParams.r66(phi, xi)
 
 
+def dagger_residual(r) -> float:
+    """How far hat(g)*dagger(g) = 1 is from holding for a rotor's g."""
+    return (r.g.hat().gp(r.g.dagger()) - r.rep.scalar(1, exact=r.g.is_exact)).max_abs()
+
+
 def test_zero_params_give_identity():
     for space in ("h1", "m4", "e6", "r66"):
         if space == "h1":
@@ -95,7 +100,7 @@ def test_rotor_certificates():
         for _ in range(25):
             r = rotor_from_params(random_params(space))
             assert r.spin_residual <= 1e-12
-            assert r.dagger_residual <= 1e-12
+            assert dagger_residual(r) <= 1e-12
 
 
 def cayley_plane_rotor(b: HMatrix, t: Fraction, square: int = -1) -> HMatrix:
@@ -117,7 +122,7 @@ def test_exact_rotor_certifies_in_its_own_backend(space, plane):
     g = cayley_plane_rotor(b, Fraction(1, 3))
     r = rotor_from_matrix(get_space(space).rep, g)
     assert r.g.is_exact
-    assert (r.spin_residual, r.dagger_residual) == (0.0, 0.0)
+    assert (r.spin_residual, dagger_residual(r)) == (0.0, 0.0)
     assert r.g.to_matrix() == g
     assert r.g.hat().gp(r.g.dagger()) == r.rep.scalar(1)
 
@@ -131,7 +136,7 @@ def test_exact_cayley_boost_certifies_at_large_rapidity(k):
     t = 1 - Fraction(2, 10**k)
     m4 = get_space("m4")
     r = rotor_from_matrix(m4.rep, cayley_plane_rotor(b, t, square=1))
-    assert (r.spin_residual, r.dagger_residual) == (0.0, 0.0)
+    assert (r.spin_residual, dagger_residual(r)) == (0.0, 0.0)
     x = m4.paravector([3, -11, 7, 19])
     out = act(r, x)
     # the action boosts by 2 xi: cosh 2xi = c^2 + s^2, sinh 2xi = 2cs
@@ -197,6 +202,25 @@ def test_pure_rotation_is_hat_invariant():
     assert (m4rot.g.hat() - m4rot.g).max_abs() < 1e-13
 
 
+def test_rotor_path_takes_no_multivector_product(monkeypatch):
+    # rotors are certified and act on their matrices
+    spaces = ("h1", "m4", "e6", "r66")
+    for space in spaces:
+        get_space(space)  # built once, by blade products
+
+    def refuse(*args):
+        raise AssertionError("a Multivector product on the rotor path")
+
+    monkeypatch.setattr(Multivector, "gp", refuse)
+    monkeypatch.setattr(Multivector, "gp_blades", refuse)
+    rng = random.Random(22)
+    for space in spaces:
+        rotor_from_params(random_params(space, rng))
+    angles, xis = (0.3, 0.2, -0.4, 0.9, 0.1), (0.5, -0.3, 0.2, 0.0, 0.7)
+    assert len(sphere_point_via_rotors(1.0, angles)) == 6
+    assert len(quasi_sphere_point_r66_via_rotors(1.0, angles, xis)) == 12
+
+
 def test_pure_boost_hat_is_inverse():
     b = rotor_from_params(RotorParams.m4(xi=(0.3, -1.1, 0.7)))
     inv = b.rep.decompose(b.g.to_matrix().inverse())
@@ -216,7 +240,7 @@ def test_action_detects_span_leak():
     from hyperclifford.rotors import Rotor
 
     g = get_rep("c30bar").scalar(HScalar.flt(1.0, 0.0, 1.0, 0.0))
-    fake = Rotor(g=g, spin_residual=0.0, dagger_residual=0.0)
+    fake = Rotor(g=g, spin_residual=0.0)
     m4 = get_space("m4")
     with pytest.raises(ResultOutsideParavectorSpan, match=r"residual 2\.000e\+00"):
         act(fake, m4.paravector([0, 0, 1, 0]))

@@ -217,3 +217,14 @@ def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
     ]
     # a length mismatch is still reported first
     assert compare_outputs.calc_differences(old, new[:1])[0] == "calc: 4 records at the parent, 1 at the change"
+
+
+def test_source_lines_counts_the_python_lines_under_src(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tools.py").write_text("outside src\n")
+    assert compare_outputs.source_lines(tmp_path) == 4

@@ -12,11 +12,12 @@ bytecode written) and records:
   (``make_requests(7, 15)`` sent through ``call_cli``): exit code,
   stdout and stderr.
 
-Prints every difference, the status counts and a SHA-256 of each side's
-records; exits 0 when the two sides agree and 1 when they differ.  Calc
-answers that keep their exit code, stderr and JSON structure and move
-only in their numbers are summed up in one line per command: how many
-moved, and the largest relative difference of any number.
+Prints every difference, and for each side the status counts, a SHA-256
+of its records and the line count of its ``src``; exits 0 when the two
+sides agree and 1 when they differ.  Calc answers that keep their exit
+code, stderr and JSON structure and move only in their numbers are
+summed up in one line per command: how many moved, and the largest
+relative difference of any number.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
@@ -55,6 +56,11 @@ def records(root: Path) -> tuple[dict, str]:
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+def source_lines(root: Path) -> int:
+    """The number of lines in the Python files under ``root/src``."""
+    return sum(len(path.read_text().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
 def differences(name: str, old: list, new: list, summed=frozenset()) -> list[str]:
@@ -149,10 +155,11 @@ def main(argv=None) -> int:
     diff = differences("verify", old["verify"], new["verify"])
     diff += calc_differences(old["calc"], new["calc"])
     print("\n".join(diff) or "no differences")
-    for side, recs, sha in (("parent", old, old_sha), ("change", new, new_sha)):
+    for side, root, recs, sha in (("parent", args[0], old, old_sha), ("change", args[1], new, new_sha)):
         statuses = Counter(status for _, status, _ in recs["verify"])
         codes = Counter(rc for _, rc, _, _ in recs["calc"])
-        print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}")
+        print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}"
+              f"  src/ {source_lines(Path(root))} lines")
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
     counts = []
     for workload in (w["name"] for w in spec["workloads"]):
