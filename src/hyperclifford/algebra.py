@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 from math import gcd
 from numbers import Rational
@@ -309,6 +309,40 @@ class AlgebraRep:
         mv = self.decompose(m)
         return mv, (m - mv.to_matrix()).max_abs()
 
+    def _scatter(self, terms, den) -> HMatrix:
+        """The matrix over ``den`` (``None``: floats) of ``(pairs, stored number)``
+        terms, each non-zero number added with the signs of its ``(real_index,
+        sign)`` coordinate-table pairs (from the basis matrices, not blade_mul)."""
+        flat = [0.0 if den is None else 0] * (4 * self.n * self.n)
+        for pairs, c in terms:
+            if c:  # adding a zero changes no coordinate
+                for idx, sign in pairs:
+                    if sign > 0:
+                        flat[idx] += c
+                    else:
+                        flat[idx] -= c
+        return HMatrix._new(self.n, flat, den)
+
+    @cached_property
+    def _dagger_perm(self) -> tuple:
+        """``(source coordinate, sign)`` per real matrix coordinate of reversion,
+        read off to_matrix . dagger . decompose of each unit coordinate matrix."""
+        q, perm = 4 * self.n * self.n, {}
+        for src in range(q):
+            image = self.decompose(HMatrix._new(self.n, [int(k == src) for k in range(q)], 1)).dagger().to_matrix()
+            moved = [(dst, (src, c)) for dst, c in enumerate(image.nums) if c]
+            if image.den != 1 or len(moved) != 1:
+                raise ValueError(f"reversion on {self.name} is not a signed permutation of matrix coordinates")
+            perm.update(moved)
+        return tuple(perm[dst] for dst in range(q))
+
+    def dagger_matrix(self, m: HMatrix) -> HMatrix:
+        """``decompose(m).dagger().to_matrix()`` on a full-ring representation, in
+        m's backend, by :attr:`_dagger_perm` (``0 - x`` keeps a zero +0.0);
+        ``ValueError`` on a rep where an image is not +-1 in one coordinate."""
+        c = m.nums
+        return HMatrix._new(self.n, [c[k] if s > 0 else 0 - c[k] for k, s in self._dagger_perm], m.den)
+
     # -- convenience -----------------------------------------------------------
 
     def scalar(self, z, exact: bool = True) -> "Multivector":
@@ -487,25 +521,10 @@ class Multivector(RealCoords):
     # -- structure ---------------------------------------------------------------
 
     def to_matrix(self) -> HMatrix:
-        """The element's matrix in its representation.
-
-        Each non-zero coordinate is scattered into the real matrix
-        coordinates with the signs of the representation's coordinate
-        table, which is derived from the basis matrices at construction,
-        independent of blade_mul; the coordinates are summed in basis order,
-        so results equal those of summing HScalar-scaled blade matrices.
-        """
-        rep = self.rep
-        flat = [0 if self.is_exact else 0.0] * (4 * rep.n * rep.n)
-        for pairs, c in zip(rep._coord_map.values(), self.nums):
-            if not c:
-                continue  # adding a zero changes no coordinate
-            for idx, sign in pairs:
-                if sign > 0:
-                    flat[idx] += c
-                else:
-                    flat[idx] -= c
-        return HMatrix._new(rep.n, flat, self.den)
+        """The element's matrix in its representation: its coordinates
+        scattered in basis order (:meth:`AlgebraRep._scatter`), so results
+        equal those of summing HScalar-scaled blade matrices."""
+        return self.rep._scatter(zip(self.rep._coord_map.values(), self.nums), self.den)
 
     def __repr__(self):
         parts = [f"({z}){''.join(f'e{i}' for i in blade) or '1'}" for blade, z in self.coeffs.items()]

@@ -706,7 +706,7 @@ def _pure_forms(ctx):
     r = rotor_from_params(RotorParams.m4(phi=(0.4, -0.9, 1.2)))
     yield (r.g.hat() - r.g).max_abs()
     b = rotor_from_params(RotorParams.m4(xi=(0.3, -1.1, 0.7)))
-    yield (b.g.hat() - b.g.rep.decompose(b.g.to_matrix().inverse())).max_abs()
+    yield (b.g.hat() - b.rep.decompose(b.m.inverse())).max_abs()
     g2 = rotor_from_params(RotorParams.e6({(0, 2): 0.8}))
     yield (g2.g.dagger() - g2.g).max_abs()
     rot = rotor_from_params(RotorParams.e6({(2, 5): 0.8, (3, 4): -0.4}))
@@ -722,13 +722,12 @@ def _null_roundtrip(ctx):
 
     for _ in range(40):
         r = _random_rotor("h1", ctx.rng)
-        m = r.g.to_matrix()
-        yield roundtrip_error(m)
-        for (re, im), c in zip(to_null_coords(m.coords), h1_null_pair(r.params.phi[0], r.params.xi[0])):
+        yield roundtrip_error(r.m)
+        for (re, im), c in zip(to_null_coords(r.m.coords), h1_null_pair(r.params.phi[0], r.params.xi[0])):
             yield abs(re - c.real)
             yield abs(im - c.imag)
     for _ in range(10):
-        yield roundtrip_error(_random_rotor("r66", ctx.rng).g.to_matrix())
+        yield roundtrip_error(_random_rotor("r66", ctx.rng).m)
 
 
 # --------------------------------------------------------------- quantum ----

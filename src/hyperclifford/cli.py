@@ -121,8 +121,14 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------------ tables ----
 
 
+@lru_cache(maxsize=None)
+def _table_rows(rep_name: str) -> tuple:
+    """The calculator's table, built once; ``verify tables`` builds its own."""
+    return tuple(involution_table(rep_name))
+
+
 def _cmd_tables(args) -> int:
-    rows = involution_table(args.rep)
+    rows = _table_rows(args.rep)
     if args.format == "json":
         payload = [
             {

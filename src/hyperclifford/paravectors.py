@@ -93,6 +93,7 @@ class ParavectorSpace:
                     " on a slot of its own"
                 )
         self._slots = slots
+        self._slot_pairs = tuple(tuple((i, s * t) for i, t in rep._coord_map[rep.basis[k]]) for k, s in slots)
 
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
@@ -142,6 +143,10 @@ class ParavectorSpace:
                 out[k] = c if sign > 0 else -c
         return Multivector._new(self.rep, out, den)
 
+    def to_matrix(self, x: "Paravector") -> HMatrix:
+        """The matrix of x in x's backend, scattered through each slot's table pairs, sign folded in."""
+        return self.rep._scatter(zip(self._slot_pairs, x.nums), x.den)
+
     def project_matrix(self, m: HMatrix) -> tuple["Paravector", float]:
         """The paravector of a matrix's coordinates over the basis, plus the
         largest leftover component outside the span.
@@ -153,7 +158,7 @@ class ParavectorSpace:
         """
         gathered, den = self.rep._gather(m, [k for k, _ in self._slots])
         x = Paravector._new(self, [c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered)], den)
-        return x, (m - x.to_multivector().to_matrix()).max_abs()
+        return x, (m - self.to_matrix(x)).max_abs()
 
     def __repr__(self):
         return f"ParavectorSpace({self.name}, dim={self.dim})"

@@ -11,8 +11,9 @@ as exponentials
 
 and certified at construction by one product on their matrix, g @ adjoint(g)
 = 1: that is g*bar(g) = 1, as bar is the adjoint, and implies the identity
-hat(g)^-1 = dagger(g) that lets the action skip an inverse.  The exponential
-works on the two complex null components of the exponent over (1 +- j)/2.
+hat(g)^-1 = dagger(g) that lets the action skip an inverse.  A rotor holds
+that matrix and acts by two products with dagger(g), a signed permutation of
+its coordinates; exp works on the exponent's null components over (1 +- j)/2.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ __all__ = [
 
 # Tolerance for the rotor certificate g @ adjoint(g) = 1.
 CERT_TOL = 1e-12
-# The series exponential halves its argument until no entry exceeds _HALF_AT
-# in modulus (at most _MAX_HALVINGS times) and stops at a term below _SERIES_TOL.
-_HALF_AT, _MAX_HALVINGS, _SERIES_TOL = 0.5, 64, 1e-14
+# The series halves its argument until its 1-norm is at most _HALF_AT (at most
+# _MAX_HALVINGS times): its degree-15 Taylor remainder is then below 1e-18.
+_HALF_AT, _MAX_HALVINGS, _TAYLOR = 0.5, 64, tuple(1.0 / math.factorial(k) for k in range(16))
 # Relative bound on a matrix's part outside the span it must lie in.
 _SPAN_TOL = 1e-9
 
@@ -141,36 +142,32 @@ def _ring_square(m: HMatrix):
     return s if math.isfinite(sum(s)) and m.coords == (s + (0.0,) * (4 * m.n)) * (m.n - 1) + s else None
 
 
-def _series(a: list, n: int) -> list:
-    """exp(a) for a complex n x n matrix by scaling and squaring."""
-    norm, halvings = max(map(abs, a)), 0
-    while norm > _HALF_AT:
+def _series(parts: list, n: int) -> list:
+    """exp(a) for a complex n x n matrix a as flat real and imaginary parts, by
+    scaling and squaring: the degree-15 Taylor polynomial of the halved a in six
+    products (Paterson-Stockmeyer: a^2, a^3, a^4, then Horner in a^4)."""
+    a = list(map(complex, parts[0::2], parts[1::2]))
+    norm, halvings = max(sum(map(abs, a[c::n])) for c in range(n)), 0
+    while not norm <= _HALF_AT:  # a NaN norm too
         if halvings >= _MAX_HALVINGS:
             raise SeriesNonConvergence("exponential argument too large")
         norm, halvings = norm * 0.5, halvings + 1
-    term = scaled = [z * 0.5 ** halvings for z in a]
-    acc = [1.0 + z if k % (n + 1) == 0 else z for k, z in enumerate(term)]
-    for k in range(2, 120):
-        term = [z / k for z in _cmatmul(term, scaled, n)]
-        acc = list(map(add, acc, term))
-        if max(map(abs, term)) < _SERIES_TOL:
-            break
-    else:
-        raise SeriesNonConvergence("series failed to reach tolerance")
+    a1 = [z * 0.5 ** halvings for z in a]
+    a2 = _cmatmul(a1, a1, n)
+    powers = ([float(k % (n + 1) == 0) for k in range(n * n)], a1, a2, _cmatmul(a2, a1, n))
+    a4, acc = _cmatmul(a2, a2, n), None
+    for cs in (_TAYLOR[12:], _TAYLOR[8:12], _TAYLOR[4:8], _TAYLOR[:4]):
+        block = [sum(map(mul, cs, zs)) for zs in zip(*powers)]
+        acc = block if acc is None else list(map(add, _cmatmul(acc, a4, n), block))
     for _ in range(halvings):
         acc = _cmatmul(acc, acc, n)
     if not all(map(cmath.isfinite, acc)):
         raise SeriesNonConvergence("exponential argument too large")
-    return acc
-
-
-def _complex(parts: list) -> list:
-    """Complex numbers from a flat list of real and imaginary parts."""
-    return list(map(complex, parts[0::2], parts[1::2]))
+    return _parts(acc)
 
 
 def _parts(zs) -> list:
-    """Inverse of :func:`_complex`."""
+    """The flat real and imaginary parts of complex numbers."""
     return [q for z in zs for q in (z.real, z.imag)]
 
 
@@ -187,7 +184,7 @@ def mat_exp(x: HMatrix) -> HMatrix:
         if s is None:
             plus, minus = to_null_coords(x.coords)
             parts = (plus,) if minus == plus else (plus, minus)  # no j part: one component
-            exps = [_parts(_series(_complex(a), x.n)) for a in parts]
+            exps = [_series(a, x.n) for a in parts]
             return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
         roots = [cmath.sqrt(complex(*z)) for z in to_null_coords(s)]
         cs = [_parts((cmath.cosh(r), cmath.sinh(r) / r if r else 1.0)) for r in roots]
@@ -209,16 +206,18 @@ def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class Rotor:
-    """A certified group element g; ``spin_residual`` is how far g*bar(g) = 1
-    is from holding on g's matrix, within the certificate's bound."""
+    """A certified group element g, held as its matrix ``m`` in ``rep``;
+    ``spin_residual`` is how far g*bar(g) = 1 is from holding on ``m``."""
 
-    g: Multivector
+    rep: AlgebraRep
+    m: HMatrix
     spin_residual: float
     params: RotorParams | None = field(default=None, compare=False)
 
     @property
-    def rep(self) -> AlgebraRep:
-        return self.g.rep
+    def g(self) -> Multivector:
+        """The element, ``rep.decompose(m)``, built on each read."""
+        return self.rep.decompose(self.m)
 
 
 @lru_cache(maxsize=None)
@@ -251,16 +250,17 @@ def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
 
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
-    """Decompose, certify and wrap a group-element matrix, in its own backend:
-    g*bar(g) = 1 as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2)."""
-    mv, residual = rep.decompose_residual(m)
+    """Certify and wrap a group-element matrix, in its own backend: g*bar(g) = 1
+    as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2), after a span
+    test unless rep is the full ring (``len(rep.basis) == 4n^2``)."""
+    size = m.max_abs()
     # each test accepts only on "<=", so a NaN norm is rejected
-    if not (residual <= _SPAN_TOL * (1.0 + (size := m.max_abs()))):
+    if len(rep.basis) != 4 * m.n * m.n and not (rep.decompose_residual(m)[1] <= _SPAN_TOL * (1.0 + size)):
         raise ValueError("matrix lies outside the representation span")
     spin = (m @ m.adjoint() - HMatrix.identity(m.n, exact=m.is_exact)).max_abs()
     if not (spin <= CERT_TOL * (1.0 + size * size)):  # inf where size ** 2 raises
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
-    return Rotor(mv, spin, params)
+    return Rotor(rep, m, spin, params)
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
@@ -272,9 +272,10 @@ def rotor_from_params(params: RotorParams) -> Rotor:
 
 
 def act(rotor: Rotor, x: Paravector) -> Paravector:
-    """The rotation x -> g x dagger(g) as a paravector: exact when g and x
-    both are, in floats otherwise, each coordinate then good to about
-    eps * |g|^2 * |x| absolute (eps * cosh(xi) * |x| for a boost).
+    """The rotation x -> g x dagger(g) as a paravector, m @ x @ dagger(m) on
+    the rotor's matrix m: exact when g and x both are, in floats otherwise,
+    each coordinate then good to about eps * |g|^2 * |x| absolute
+    (eps * cosh(xi) * |x| for a boost).
 
     Raises ``OverflowError`` when g and x are finite but the image is not, else
     :class:`ResultOutsideParavectorSpan` when the image is not finite or leaks
@@ -282,10 +283,10 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
     """
     if x.space.rep is not rotor.rep:
         raise ValueError("rotor and paravector use different representations")
-    g, xm, h = rotor.g.to_matrix(), x.to_multivector().to_matrix(), rotor.g.dagger().to_matrix()
+    g, xm = rotor.m, x.space.to_matrix(x)
     if not (g.is_exact and xm.is_exact):
-        g, xm, h = g.to_float(), xm.to_float(), h.to_float()
-    m = g @ xm @ h
+        g, xm = g.to_float(), xm.to_float()
+    m = g @ xm @ rotor.rep.dagger_matrix(g)
     y, residual = x.space.project_matrix(m)
     if not (residual <= _SPAN_TOL * (1.0 + (size := m.max_abs()))):
         if not math.isfinite(size) and math.isfinite(g.max_abs() + xm.max_abs()):

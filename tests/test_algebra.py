@@ -720,6 +720,34 @@ def test_porteous_on_generator_images():
     assert porteous_hat_4x4(e1) == -e1
 
 
+@pytest.mark.parametrize("name", ["c10bar", "c30bar", "h05bar"])
+def test_matrix_dagger_is_the_multivector_dagger(name):
+    # every matrix of a full-ring representation is an element, and its
+    # reversion is a signed permutation of the real matrix coordinates
+    rep, rng = get_rep(name), random.Random(23)
+    assert len(rep.basis) == 4 * rep.n * rep.n
+    for exact in (True, False):
+        for _ in range(20):
+            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if exact else rng.uniform(-3.0, 3.0)
+                      for _ in range(4 * rep.n * rep.n)]
+            m = HMatrix._make(rep.n, coords)
+            got, want = rep.dagger_matrix(m), rep.decompose(m).dagger().to_matrix()
+            assert got.is_exact == exact and rep.dagger_matrix(got) == m
+            if exact:
+                assert got == want
+            else:
+                assert got.is_close(want, 1e-15 * (1.0 + m.max_abs()))
+            if name == "h05bar":
+                assert got == porteous_dagger_4x4(m)
+
+
+@pytest.mark.parametrize("name", ["r01", "r10", "r30", "r05"])
+def test_matrix_dagger_needs_a_full_ring_representation(name):
+    rep = get_rep(name)
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        rep.dagger_matrix(HMatrix.identity(rep.n))
+
+
 def test_even_subalgebra_r05():
     rep = get_rep("r05")
     basis, count = even_subalgebra(rep)

@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hyperclifford.algebra import Multivector, get_rep
+from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
@@ -203,22 +203,30 @@ def test_pure_rotation_is_hat_invariant():
 
 
 def test_rotor_path_takes_no_multivector_product(monkeypatch):
-    # rotors are certified and act on their matrices
+    # rotors are certified and act on their matrices, with no Multivector
+    # round trip: no product, no decomposition and no multivector's matrix
     spaces = ("h1", "m4", "e6", "r66")
     for space in spaces:
-        get_space(space)  # built once, by blade products
+        rep = get_space(space).rep  # the space is built once, by blade products,
+        rep.dagger_matrix(HMatrix.identity(rep.n))  # and its dagger permutation derived once
 
     def refuse(*args):
-        raise AssertionError("a Multivector product on the rotor path")
+        raise AssertionError("a Multivector product or round trip on the rotor path")
 
-    monkeypatch.setattr(Multivector, "gp", refuse)
-    monkeypatch.setattr(Multivector, "gp_blades", refuse)
-    rng = random.Random(22)
+    for owner, name in ((Multivector, "gp"), (Multivector, "gp_blades"), (Multivector, "to_matrix"),
+                        (AlgebraRep, "decompose")):
+        monkeypatch.setattr(owner, name, refuse)
+    rng, images = random.Random(22), []
     for space in spaces:
-        rotor_from_params(random_params(space, rng))
+        r = rotor_from_params(random_params(space, rng))
+        x = get_space(space).paravector([rng.uniform(-2, 2) for _ in range(get_space(space).dim)])
+        images.append((x, act(r, x)))
     angles, xis = (0.3, 0.2, -0.4, 0.9, 0.1), (0.5, -0.3, 0.2, 0.0, 0.7)
     assert len(sphere_point_via_rotors(1.0, angles)) == 6
     assert len(quasi_sphere_point_r66_via_rotors(1.0, angles, xis)) == 12
+    monkeypatch.undo()
+    for x, y in images:
+        assert (y.qform() - x.qform()).abs_max() < 1e-10
 
 
 def test_pure_boost_hat_is_inverse():
@@ -239,8 +247,8 @@ def test_action_detects_span_leak():
     # has a j part that no real paravector coordinate carries
     from hyperclifford.rotors import Rotor
 
-    g = get_rep("c30bar").scalar(HScalar.flt(1.0, 0.0, 1.0, 0.0))
-    fake = Rotor(g=g, spin_residual=0.0)
+    rep = get_rep("c30bar")
+    fake = Rotor(rep=rep, m=rep.scalar(HScalar.flt(1.0, 0.0, 1.0, 0.0)).to_matrix(), spin_residual=0.0)
     m4 = get_space("m4")
     with pytest.raises(ResultOutsideParavectorSpan, match=r"residual 2\.000e\+00"):
         act(fake, m4.paravector([0, 0, 1, 0]))
@@ -300,15 +308,16 @@ PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 @st.composite
-def exponents(draw):
-    """m4 exponents with rotation and boost mixed, e6 exponents on one to
-    four planes and r66 exponents with both angles on each plane."""
+def exponents(draw, spaces=("m4", "e6", "r66"), min_planes=1):
+    """m4 exponents with rotation and boost mixed, e6 exponents on
+    ``min_planes`` to four planes and r66 exponents with both angles on each
+    plane."""
     angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)
-    space = draw(st.sampled_from(["m4", "e6", "r66"]))
+    space = draw(st.sampled_from(spaces))
     if space == "m4":
         return _exponent_matrix(RotorParams.m4(draw(st.tuples(angle, angle, angle)),
                                                draw(st.tuples(rapidity, rapidity, rapidity))))
-    planes = draw(st.lists(st.sampled_from(PLANES), min_size=1, max_size=4, unique=True))
+    planes = draw(st.lists(st.sampled_from(PLANES), min_size=min_planes, max_size=4, unique=True))
     phi = {p: draw(angle) for p in planes}
     if space == "e6":
         return _exponent_matrix(RotorParams.e6(phi))
@@ -322,6 +331,28 @@ def test_mat_exp_is_the_series_and_inverts_by_negation(x):
     assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
     one = HMatrix.identity(x.n, exact=False)
     assert (got @ mat_exp(-x)).is_close(one, 1e-12 * (1.0 + got.max_abs()) ** 2)
+
+
+def component_norm(x: HMatrix) -> float:
+    """The larger 1-norm of x's two complex null components, the size that
+    the series branch of mat_exp halves."""
+    norms = []
+    for parts in to_null_coords(x.coords):
+        zs = list(map(complex, parts[0::2], parts[1::2]))
+        norms.append(max(sum(map(abs, zs[c::x.n])) for c in range(x.n)))
+    return max(norms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=exponents(spaces=("e6", "r66"), min_planes=2), halvings=st.integers(0, 3),
+       side=st.sampled_from([1 - 2.0**-30, 1 + 2.0**-30]))
+def test_mat_exp_is_the_series_on_both_sides_of_each_halving_threshold(x, halvings, side):
+    # the series halves a component until its 1-norm is at most 1/2: scale x
+    # so that its larger component lies just below or just above 2^halvings / 2
+    assume(_ring_square(x @ x) is None and component_norm(x) > 0.0)
+    x = x.scale(HScalar.flt(side * 2.0**halvings / 2.0 / component_norm(x)))
+    got, want = mat_exp(x), taylor_exp(x)
+    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
 
 
 def real_closed_form(x: HMatrix) -> HMatrix:
@@ -589,8 +620,17 @@ def test_rotor_from_matrix_rejects_a_nan_by_its_span_test(idx):
         rotor_from_matrix(get_rep("r30"), HMatrix._make(2, coords))  # from_real_coords rejects a NaN
 
 
+@pytest.mark.parametrize("idx", [0, 1, 5], ids=["entry0-x", "entry0-y", "entry1-y"])
+def test_rotor_from_matrix_rejects_a_nan_on_a_full_ring_by_its_spin_test(idx):
+    # c30bar spans every 2x2 matrix, so no span test runs there
+    coords = [1.0, 0.0, 0.0, 0.0] + [0.0] * 8 + [1.0, 0.0, 0.0, 0.0]
+    coords[idx] = math.nan
+    with pytest.raises(ValueError, match="spin condition violated: residual nan"):
+        rotor_from_matrix(get_rep("c30bar"), HMatrix._make(2, coords))
+
+
 def test_act_rejects_a_nan_image_by_its_span_test():
     rotor = rotor_from_params(RotorParams.m4())
-    bad = dataclasses.replace(rotor, g=Multivector._make(rotor.rep, [math.nan] + list(rotor.g.coords[1:])))
+    bad = dataclasses.replace(rotor, m=HMatrix._make(rotor.m.n, [math.nan] + list(rotor.m.coords[1:])))
     with pytest.raises(ResultOutsideParavectorSpan):
         act(bad, get_space("m4").paravector([1.0, 0.0, 0.0, 0.0]))

@@ -219,6 +219,14 @@ def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
     assert compare_outputs.calc_differences(old, new[:1])[0] == "calc: 4 records at the parent, 1 at the change"
 
 
+def test_suite_times_sum_the_checks_of_each_suite_in_first_seen_order():
+    times = [["rotations.spin_condition", 380.5], ["sphere.closed_form", 12.0],
+             ["rotations.boost", 1.5], ["quantum.interference", 0.25]]
+    assert compare_outputs.suite_times(times) == {"rotations": 382.0, "sphere": 12.0, "quantum": 0.25}
+    assert list(compare_outputs.suite_times(times)) == ["rotations", "sphere", "quantum"]
+    assert compare_outputs.suite_times([]) == {}
+
+
 def test_source_lines_counts_the_python_lines_under_src(tmp_path):
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)

@@ -13,8 +13,10 @@ bytecode written) and records:
   stdout and stderr.
 
 Prints every difference, and for each side the status counts, a SHA-256
-of its records and the line count of its ``src``; exits 0 when the two
-sides agree and 1 when they differ.  Calc answers that keep their exit
+of its records, the line count of its ``src`` and the in-process time of
+each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
+out of the records, so out of the differences and the SHA-256); exits 0
+when the two sides agree and 1 when they differ.  Calc answers that keep their exit
 code, stderr and JSON structure and move only in their numbers are
 summed up in one line per command: how many moved, and the largest
 relative difference of any number.
@@ -41,21 +43,35 @@ import json, sys
 root = sys.argv[1]
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 from workloads import call_cli, make_requests
-out = call_cli(["verify", "all", "--format", "json"])[1]
-verify = [[c["check_id"], c["status"], float.hex(float(c["max_error"]))]
-          for c in json.loads(out)["checks"]]
+checks = json.loads(call_cli(["verify", "all", "--format", "json"])[1])["checks"]
+verify = [[c["check_id"], c["status"], float.hex(float(c["max_error"]))] for c in checks]
 calc = [[" ".join(r.argv), *call_cli(r.argv)[:3]] for r in make_requests(7, 15)]
 json.dump({"verify": verify, "calc": calc}, sys.stdout, sort_keys=True)
+print()
+json.dump([[c["check_id"], c["elapsed_ms"]] for c in checks], sys.stdout)
 """
 
 
-def records(root: Path) -> tuple[dict, str]:
-    """One checkout's records and the SHA-256 of their JSON text."""
-    text = subprocess.run(
+def records(root: Path) -> tuple[dict, str, list]:
+    """One checkout's records, the SHA-256 of their JSON text and the
+    ``[check_id, elapsed_ms]`` pair of each verify record."""
+    out = subprocess.run(
         [sys.executable, "-B", "-c", CHILD, str(root.resolve())],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
-    return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+    text, _, times = out.partition("\n")
+    return json.loads(text), hashlib.sha256(text.encode()).hexdigest(), json.loads(times)
+
+
+def suite_times(times: list) -> dict:
+    """Milliseconds per verify suite, summed over ``[check_id, elapsed_ms]``
+    pairs; a check's suite is its id up to the first dot, and suites keep
+    the order in which they first appear."""
+    out = {}
+    for check_id, ms in times:
+        suite = check_id.split(".")[0]
+        out[suite] = out.get(suite, 0.0) + ms
+    return out
 
 
 def source_lines(root: Path) -> int:
@@ -151,15 +167,19 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
-    (old, old_sha), (new, new_sha) = (records(Path(a)) for a in args)
+    (old, old_sha, old_times), (new, new_sha, new_times) = (records(Path(a)) for a in args)
     diff = differences("verify", old["verify"], new["verify"])
     diff += calc_differences(old["calc"], new["calc"])
     print("\n".join(diff) or "no differences")
-    for side, root, recs, sha in (("parent", args[0], old, old_sha), ("change", args[1], new, new_sha)):
+    sides = (("parent", args[0], old, old_sha, old_times), ("change", args[1], new, new_sha, new_times))
+    for side, root, recs, sha, times in sides:
         statuses = Counter(status for _, status, _ in recs["verify"])
         codes = Counter(rc for _, rc, _, _ in recs["calc"])
         print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}"
               f"  src/ {source_lines(Path(root))} lines")
+    for side, *_, times in sides:
+        print(f"{side}: in-process ms per suite  "
+              + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
     counts = []
     for workload in (w["name"] for w in spec["workloads"]):
