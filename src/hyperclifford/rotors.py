@@ -13,7 +13,10 @@ and certified at construction by one product on their matrix, g @ adjoint(g)
 = 1: that is g*bar(g) = 1, as bar is the adjoint, and implies the identity
 hat(g)^-1 = dagger(g) that lets the action skip an inverse.  A rotor holds
 that matrix and acts by two products with dagger(g), a signed permutation of
-its coordinates; exp works on the exponent's null components over (1 +- j)/2.
+its coordinates.  exp works on null components over (1 +- j)/2.  When the
+exponent's generators pairwise anticommute (the sigma_k; planes sharing one
+index) it squares to s = sum z^2 of its ring coefficients z, and g = cosh r +
+(sinh r / r) * exponent with r^2 = s is built from s with no matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import add, mul
 
 from .algebra import AlgebraRep, Multivector
@@ -163,12 +166,41 @@ def _series(parts: list, n: int) -> list:
         acc = _cmatmul(acc, acc, n)
     if not all(map(cmath.isfinite, acc)):
         raise SeriesNonConvergence("exponential argument too large")
-    return _parts(acc)
+    return [q for z in acc for q in (z.real, z.imag)]
 
 
-def _parts(zs) -> list:
-    """The flat real and imaginary parts of complex numbers."""
-    return [q for z in zs for q in (z.real, z.imag)]
+def _cosh_sinhc(s: complex) -> tuple:
+    """cosh r / 2 and sinh r / r / 2 for r = sqrt(s), on one null component;
+    overflow raises :class:`SeriesNonConvergence`."""
+    r = cmath.sqrt(s)
+    try:
+        if cmath.isfinite(s):
+            return cmath.cosh(r) / 2, (cmath.sinh(r) / r if r else 1.0) / 2
+    except OverflowError:
+        pass
+    raise SeriesNonConvergence("exponential argument too large")
+
+
+def _closed_form(n: int, s, terms) -> HMatrix:
+    """cosh r * 1 + (sinh r / r) * sum z_k m_k over ``(z_k, m_k)`` terms whose
+    sum squares to s*1 (coordinates x y v w): r = sqrt(s) per null component
+    of s, once when they are equal (no j part), back as in from_null_coords
+    (+ 0.0 clears a zero's sign); one pass over the m_k's non-zero entries."""
+    x, y, v, w = s
+    plus, minus = complex(x + v, y + w), complex(x - v, y - w)
+    halves = _cosh_sinhc(plus)
+    halves = zip(halves, halves if minus == plus else _cosh_sinhc(minus))
+    c, k = (HScalar(a.real + b.real + 0.0, a.imag + b.imag + 0.0, a.real - b.real + 0.0, a.imag - b.imag + 0.0)
+            for a, b in halves)
+    out = [0.0] * (4 * n * n)
+    for d in range(0, len(out), 4 * n + 4):
+        out[d:d + 4] = c.x, c.y, c.v, c.w
+    for kz, m in [(k * z, m) for z, m in terms if not z.is_zero]:  # a zero adds nothing: no sum is -0.0
+        for q, entry in zip(range(0, len(out), 4), zip(*[iter(m.nums)] * 4)):
+            if any(entry):
+                p = kz * HScalar(*entry)
+                out[q:q + 4] = out[q] + p.x, out[q + 1] + p.y, out[q + 2] + p.v, out[q + 3] + p.w
+    return HMatrix._new(n, out, None)
 
 
 def mat_exp(x: HMatrix) -> HMatrix:
@@ -180,19 +212,14 @@ def mat_exp(x: HMatrix) -> HMatrix:
     if x.is_exact:
         raise BackendMismatch("mat_exp takes a float-backend matrix")
     s = _ring_square(x @ x)
-    try:
-        if s is None:
-            plus, minus = to_null_coords(x.coords)
-            parts = (plus,) if minus == plus else (plus, minus)  # no j part: one component
-            exps = [_series(a, x.n) for a in parts]
-            return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
-        roots = [cmath.sqrt(complex(*z)) for z in to_null_coords(s)]
-        cs = [_parts((cmath.cosh(r), cmath.sinh(r) / r if r else 1.0)) for r in roots]
+    if s is not None:
+        return _closed_form(x.n, s, [(HScalar.flt(1.0), x)])
+    plus, minus = to_null_coords(x.coords)
+    try:  # no j part: one component
+        exps = [_series(a, x.n) for a in ((plus,) if minus == plus else (plus, minus))]
     except OverflowError:
         raise SeriesNonConvergence("exponential argument too large") from None
-    # + 0.0 clears a zero's sign: a real s gives the bits of the real closed form
-    cs = [q + 0.0 for q in from_null_coords(cs[0], cs[1])]
-    return HMatrix.identity(x.n, exact=False).scale(HScalar(*cs[:4])) + x.scale(HScalar(*cs[4:]))
+    return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
@@ -230,23 +257,27 @@ def _sigma_ab_float(a: int, b: int) -> HMatrix:
     return sigma_ab(a, b).to_float()
 
 
-def _exponent_matrix(params: RotorParams) -> HMatrix:
-    """The sum of (-i phi + j xi) sigma / 2 over sigma_k (m4) or the planes'
-    sigma_ab (e6, r66); no plane is the zero exponent."""
+def _exponent_terms(params: RotorParams) -> tuple[list, tuple | None]:
+    """The exponent's terms (z, sigma), z = (-i phi + j xi)/2 on sigma_k (m4) or
+    a plane's sigma_ab (e6, r66), and its square sum z^2 when the sigmas
+    pairwise anticommute (sigma_k do; planes sharing one index), else None."""
     if params.space == "m4":
-        terms = list(zip(params.phi, params.xi, map(_pauli2_float, (1, 2, 3))))
+        angles, anticommute = zip(params.phi, params.xi, map(_pauli2_float, (1, 2, 3))), True
     elif params.space in ("e6", "r66"):
         phi, xi = dict(params.phi_ab), dict(params.xi_ab)
-        terms = [(phi.get(ab, 0.0), xi.get(ab, 0.0), _sigma_ab_float(*ab)) for ab in sorted(phi.keys() | xi.keys())]
-        terms = terms or [(0.0, 0.0, HMatrix.zeros(4, exact=False))]
+        planes = sorted(phi.keys() | xi.keys())
+        angles = [(phi.get(ab, 0.0), xi.get(ab, 0.0), _sigma_ab_float(*ab)) for ab in planes]
+        anticommute = all(len({*p} & {*q}) == 1 for p, q in combinations(planes, 2))
     else:
         raise ValueError(f"no matrix exponent for space {params.space!r}")
-    return HMatrix.combine([HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0) for p, x, _ in terms], [m for *_, m in terms])
+    terms = [(HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0), m) for p, x, m in angles]
+    return terms, sum((z * z for z, _ in terms), HScalar(0.0, 0.0, 0.0, 0.0)).coeffs() if anticommute else None
 
 
-def _plane_exponent(a: int, b: int, phi: float, xi: float) -> HMatrix:
-    """The (a, b) plane's term (-i phi + j xi) sigma_ab / 2 of an e6/r66 exponent."""
-    return _sigma_ab_float(a, b).scale(HScalar.flt(0.0, -phi / 2.0, xi / 2.0, 0.0))
+def _exponent_matrix(params: RotorParams) -> HMatrix:
+    """The sum of the :func:`_exponent_terms`; no plane is the zero exponent."""
+    terms, _ = _exponent_terms(params)
+    return HMatrix.combine(*zip(*terms)) if terms else HMatrix.zeros(4, exact=False)
 
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
@@ -268,7 +299,9 @@ def rotor_from_params(params: RotorParams) -> Rotor:
     if params.space == "h1":
         z = HScalar.flt(0.0, -params.phi[0] / 2.0, params.xi[0] / 2.0, 0.0)
         return rotor_from_matrix(rep, HMatrix([[z.exp()]]), params)
-    return rotor_from_matrix(rep, mat_exp(_exponent_matrix(params)), params)
+    terms, s = _exponent_terms(params)
+    m = mat_exp(HMatrix.combine(*zip(*terms))) if s is None else _closed_form(rep.n, s, terms)
+    return rotor_from_matrix(rep, m, params)
 
 
 def act(rotor: Rotor, x: Paravector) -> Paravector:
@@ -487,7 +520,8 @@ def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
         raise ValueError("radius must be nonnegative")
     g = HMatrix.identity(4, exact=False)
     for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
-        g = mat_exp(_plane_exponent(a, b, -sign * phi, -sign * xi)) @ g
+        z = HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0)
+        g = _closed_form(4, (z * z).coeffs(), [(z, _sigma_ab_float(a, b))]) @ g
     target = get_space(space)
     return act(rotor_from_matrix(target.rep, g), target.basis_vector(5, r)).coords
 
@@ -522,11 +556,7 @@ def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
         rr * c25 * s35 * s34,
         rr * c25 * c35,
     )
-    coords = [0.0] * 12
-    for a, z in enumerate(entries):
-        coords[a] = z.x
-        coords[a + 6] = z.w
-    return tuple(coords)
+    return tuple([z.x for z in entries] + [z.w for z in entries])
 
 
 def quasi_sphere_point_r66_via_rotors(r: float, phis, xis) -> tuple[float, ...]:

@@ -5,11 +5,12 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import get_space, quasi_sphere_contains
@@ -19,6 +20,7 @@ from hyperclifford.rotors import (
     RotorParams,
     SeriesNonConvergence,
     _exponent_matrix,
+    _exponent_terms,
     _index_table,
     _ring_square,
     act,
@@ -308,20 +310,24 @@ PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 @st.composite
-def exponents(draw, spaces=("m4", "e6", "r66"), min_planes=1):
-    """m4 exponents with rotation and boost mixed, e6 exponents on
-    ``min_planes`` to four planes and r66 exponents with both angles on each
+def rotor_params(draw, spaces=("m4", "e6", "r66"), min_planes=1):
+    """m4 parameters with rotation and boost mixed, e6 parameters on
+    ``min_planes`` to four planes and r66 parameters with both angles on each
     plane."""
     angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)
     space = draw(st.sampled_from(spaces))
     if space == "m4":
-        return _exponent_matrix(RotorParams.m4(draw(st.tuples(angle, angle, angle)),
-                                               draw(st.tuples(rapidity, rapidity, rapidity))))
+        return RotorParams.m4(draw(st.tuples(angle, angle, angle)), draw(st.tuples(rapidity, rapidity, rapidity)))
     planes = draw(st.lists(st.sampled_from(PLANES), min_size=min_planes, max_size=4, unique=True))
     phi = {p: draw(angle) for p in planes}
     if space == "e6":
-        return _exponent_matrix(RotorParams.e6(phi))
-    return _exponent_matrix(RotorParams.r66(phi, {p: draw(rapidity) for p in planes}))
+        return RotorParams.e6(phi)
+    return RotorParams.r66(phi, {p: draw(rapidity) for p in planes})
+
+
+def exponents(spaces=("m4", "e6", "r66"), min_planes=1):
+    """The exponent matrices of :func:`rotor_params`."""
+    return rotor_params(spaces, min_planes).map(_exponent_matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,6 +337,54 @@ def test_mat_exp_is_the_series_and_inverts_by_negation(x):
     assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
     one = HMatrix.identity(x.n, exact=False)
     assert (got @ mat_exp(-x)).is_close(one, 1e-12 * (1.0 + got.max_abs()) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=rotor_params())
+def test_rotor_matrix_is_the_series_of_its_exponent(params):
+    # anticommuting generators take the closed form from the ring square
+    # sum z^2, the others mat_exp: both are the exponential of the exponent
+    got, want = rotor_from_params(params).m, taylor_exp(_exponent_matrix(params))
+    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+
+
+def test_planes_anticommute_exactly_when_they_share_one_index():
+    # the rule the closed form rests on, on the exact matrices: each sigma
+    # squares to 1, the sigma_k pairwise anticommute, and two planes
+    # anticommute exactly when they share one index, which is the rule that
+    # sends a two-plane exponent to the closed form
+    pairs = list(combinations(PLANES, 2))
+    assert len(pairs) == 105
+    for p, q in pairs:
+        a, b = sigma_ab(*p), sigma_ab(*q)
+        shares_one = len({*p} & {*q}) == 1
+        assert shares_one == (a @ b + b @ a == HMatrix.zeros(4))
+        assert shares_one == (_exponent_terms(RotorParams.e6({p: 0.5, q: 0.25}))[1] is not None)
+    assert all(sigma_ab(*p) @ sigma_ab(*p) == HMatrix.identity(4) for p in PLANES)
+    sigmas = [pauli2(k) for k in (1, 2, 3)]
+    assert all(s @ s == HMatrix.identity(2) for s in sigmas)
+    assert all(a @ b + b @ a == HMatrix.zeros(2) for a, b in combinations(sigmas, 2))
+
+
+def test_anticommuting_exponents_take_no_matrix_product(monkeypatch):
+    # an m4 or one-plane rotor takes one product, its certificate, and the
+    # sphere's plane rotors take no mat_exp; commuting planes still do
+    for space in ("m4", "e6", "r66"):
+        get_space(space)  # the spaces are built once, by products
+    products, exps, matmul, mat_exp_ = [], [], HMatrix.__matmul__, rotors_module.mat_exp
+    monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(rotors_module, "mat_exp", lambda x: exps.append(1) or mat_exp_(x))
+    for params in (RotorParams.m4(phi=(0.4, -0.9, 1.2), xi=(0.3, -1.1, 0.7)), RotorParams.m4(xi=(0, 0, 2.0)),
+                   RotorParams.e6({(0, 3): 0.7}), RotorParams.r66({(2, 5): 0.8}, {(2, 5): -0.3})):
+        products.clear()
+        rotor_from_params(params)
+        assert len(products) == 1
+    angles, xis = (0.3, 0.2, -0.4, 0.9, 0.1), (0.5, -0.3, 0.2, 0.0, 0.7)
+    sphere_point_via_rotors(1.0, angles)
+    quasi_sphere_point_r66_via_rotors(1.0, angles, xis)
+    assert exps == []
+    rotor_from_params(RotorParams.e6({(0, 1): 0.3, (2, 3): -0.5}))
+    assert exps == [1]
 
 
 def component_norm(x: HMatrix) -> float:

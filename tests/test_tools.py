@@ -185,15 +185,30 @@ def answer(coords, code=0, err=""):
 
 def test_a_number_move_is_the_largest_relative_difference():
     a = ["boost --xi=20", *answer([4.0, 0.5, -1.0, 0])]
-    assert compare_outputs.number_move(a, list(a)) == (0.0, None, None)
+    assert compare_outputs.number_move(a, list(a)) == (0.0, None, None, 0.0)
     b = ["boost --xi=20", *answer([4.0 * (1 + 2e-16), 0.5, -1.0 * (1 + 1e-15), 0.0])]
-    rel, x, y = compare_outputs.number_move(a, b)
+    rel, x, y, absolute = compare_outputs.number_move(a, b)
     assert rel == pytest.approx(1e-15) and (x, y) == (-1.0, -1.0 * (1 + 1e-15))
+    assert absolute == 1.0 * (1 + 1e-15) - 1.0
     # a change of structure, exit code, stderr or a non-finite number is not a move
     for other in (answer([4.0, 0.5, -1.0]), answer([4.0, 0.5, -1.0, 0], code=2),
                   answer([4.0, 0.5, -1.0, 0], err="warning\n"), answer([4.0, 0.5, -1.0, "0"]),
                   answer([4.0, 0.5, -1.0, math.inf]), (0, "4.0 0.5\n", "")):
         assert compare_outputs.number_move(a, ["boost --xi=20", *other]) is None
+
+
+def test_a_number_move_near_zero_is_read_beside_the_largest_absolute_move():
+    # rounding noise around zero is the largest relative move, and the large
+    # pair's move, tiny beside its size, the largest absolute one
+    a = ["sphere --radius=1", *answer([2.220446049250313e-16, 1000.0, 0.5])]
+    b = ["sphere --radius=1", *answer([2.7755575615628914e-17, 1000.0 + 2**-40, 0.5])]
+    rel, x, y, absolute = compare_outputs.number_move(a, b)
+    assert (x, y) == (2.220446049250313e-16, 2.7755575615628914e-17) and rel == 0.875
+    assert absolute == 2**-40  # the large pair's move
+    assert compare_outputs.calc_differences([a], [b]) == [
+        "calc sphere: 1 answers moved only in their numbers, largest relative difference 0.875"
+        " (parent 2.220446049250313e-16, change 2.7755575615628914e-17), largest absolute difference 9.09e-13"
+    ]
 
 
 def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
@@ -213,7 +228,7 @@ def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
     assert lines == [
         f"calc[3]:\n  parent {old[3]!r}\n  change {new[3]!r}",
         "calc boost: 2 answers moved only in their numbers, largest relative difference 3e-12"
-        f" (parent 0.5, change {0.5 * (1 + 3e-12)!r})",
+        f" (parent 0.5, change {0.5 * (1 + 3e-12)!r}), largest absolute difference 1.5e-12",
     ]
     # a length mismatch is still reported first
     assert compare_outputs.calc_differences(old, new[:1])[0] == "calc: 4 records at the parent, 1 at the change"

@@ -18,8 +18,8 @@ each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
 out of the records, so out of the differences and the SHA-256); exits 0
 when the two sides agree and 1 when they differ.  Calc answers that keep their exit
 code, stderr and JSON structure and move only in their numbers are
-summed up in one line per command: how many moved, and the largest
-relative difference of any number.
+summed up in one line per command: how many moved, the largest
+relative difference of any number and the largest absolute one.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
@@ -104,11 +104,12 @@ def _skeleton(value, numbers: list):
 
 
 def number_move(a: list, b: list) -> tuple | None:
-    """The largest relative difference between the numbers of two calc
-    records ``[command, exit code, stdout, stderr]`` whose command, exit
-    code, stderr and JSON structure agree, as ``(difference, parent
-    number, change number)``; None when any of these differ or a number
-    is not finite."""
+    """The largest relative and the largest absolute difference between the
+    numbers of two calc records ``[command, exit code, stdout, stderr]``
+    whose command, exit code, stderr and JSON structure agree, as
+    ``(relative, parent number, change number, absolute)``; None when any of
+    these differ or a number is not finite.  Near zero a relative difference
+    can be large for rounding noise, which the absolute one shows."""
     if a[:2] != b[:2] or a[3] != b[3]:
         return None
     xs, ys = [], []
@@ -120,24 +121,26 @@ def number_move(a: list, b: list) -> tuple | None:
     if not all(map(math.isfinite, xs + ys)):
         return None
     moves = [(abs(x - y) / max(abs(x), abs(y)), x, y) for x, y in zip(xs, ys) if x != y]
-    return max(moves, default=(0.0, None, None))
+    return (*max(moves, default=(0.0, None, None)), max((abs(x - y) for x, y in zip(xs, ys)), default=0.0))
 
 
 def calc_differences(old: list, new: list) -> list[str]:
     """:func:`differences` of the calc records, with the answers that moved
     only in their numbers (:func:`number_move`) summed up per command:
-    their count and the largest move, with the two numbers it was made of."""
+    their count, the largest relative move with the two numbers it was made
+    of, and the largest absolute move."""
     moves = {k: number_move(a, b) for k, (a, b) in enumerate(zip(old, new)) if a != b}
     moves = {k: move for k, move in moves.items() if move is not None}
     summary = {}
     for k, move in moves.items():
         command = old[k][0].split()[0]
-        count, worst = summary.get(command, (0, move))
-        summary[command] = (count + 1, max(worst, move))
+        count, worst, largest = summary.get(command, (0, move[:3], 0.0))
+        summary[command] = (count + 1, max(worst, move[:3]), max(largest, move[3]))
     return differences("calc", old, new, moves.keys()) + [
         f"calc {command}: {count} answers moved only in their numbers,"
-        f" largest relative difference {rel:.3g} (parent {x!r}, change {y!r})"
-        for command, (count, (rel, x, y)) in summary.items()
+        f" largest relative difference {rel:.3g} (parent {x!r}, change {y!r}),"
+        f" largest absolute difference {largest:.3g}"
+        for command, (count, (rel, x, y), largest) in summary.items()
     ]
 
 
