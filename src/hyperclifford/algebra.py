@@ -291,9 +291,13 @@ class AlgebraRep:
         are not reduced).  The basis is pairing-orthogonal (checked at
         construction), so each is the signed sum of the real matrix
         coordinates its coordinate-table entry lists over the norm n; the
-        table comes from the basis matrices, not from blade_mul."""
+        table comes from the basis matrices, not from blade_mul.  Floats are
+        scaled by 1/n before the sum (without rounding, as n is 1, 2 or 4),
+        so the sum overflows only when the coordinate does."""
         nums, exact = m.nums, m.is_exact
         table, basis, n, zero = self._coord_map, self.basis, self.n, 0 if exact else 0.0
+        if not exact:
+            nums = tuple(map((1.0 / n).__mul__, nums))
         out = []
         for k in indices:
             total = zero
@@ -302,7 +306,7 @@ class AlgebraRep:
                     total += nums[idx]
                 else:
                     total -= nums[idx]
-            out.append(total if exact else total / n)
+            out.append(total)
         return out, m.den * n if exact else None
 
     def decompose_residual(self, m: HMatrix) -> tuple["Multivector", float]:

@@ -9,14 +9,15 @@ as exponentials
     e6   g = exp(-i phi/2),           phi = sum phi_ab sigma_ab (4x4)
     r66  g = exp(-i phi/2 + j xi/2)   both index families       (4x4)
 
-and certified at construction by one product on their matrix, g @ adjoint(g)
-= 1: that is g*bar(g) = 1, as bar is the adjoint, and implies the identity
-hat(g)^-1 = dagger(g) that lets the action skip an inverse.  A rotor holds
-that matrix and acts by two products with dagger(g), a signed permutation of
-its coordinates.  exp works on null components over (1 +- j)/2.  When the
-exponent's generators pairwise anticommute (the sigma_k; planes sharing one
-index) it squares to s = sum z^2 of its ring coefficients z, and g = cosh r +
-(sinh r / r) * exponent with r^2 = s is built from s with no matrix product.
+on a full ring (len(rep.basis) == 4n^2), and certified at construction by one
+product on their matrix, g @ adjoint(g) = 1: that is g*bar(g) = 1, as bar is
+the adjoint, and implies hat(g)^-1 = dagger(g), which lets the action skip an
+inverse.  A rotor holds that matrix and acts by two products with dagger(g), a
+signed permutation of its coordinates.  The exponent is X = sum z_k sigma_k
+(h1: one term z on the 1x1 identity).  When the sigma_k pairwise anticommute
+(h1, m4; planes sharing one index) X squares to s = sum z_k^2 and g = cosh r +
+(sinh r / r) X, r^2 = s, is built from s on its null components over (1 +- j)/2
+with no matrix product; any other exponent takes the series, mat_exp.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ CERT_TOL = 1e-12
 # The series halves its argument until its 1-norm is at most _HALF_AT (at most
 # _MAX_HALVINGS times): its degree-15 Taylor remainder is then below 1e-18.
 _HALF_AT, _MAX_HALVINGS, _TAYLOR = 0.5, 64, tuple(1.0 / math.factorial(k) for k in range(16))
-# Relative bound on a matrix's part outside the span it must lie in.
+# Relative bound on a rotation image's part outside the paravector span.
 _SPAN_TOL = 1e-9
 
 # Rotation planes of the five-rotation sphere composition, with the sign
@@ -80,6 +81,10 @@ class SeriesNonConvergence(ArithmeticError):
 class ResultOutsideParavectorSpan(ValueError):
     """Raised when a rotation result leaks out of the paravector span,
     which signals an invalid group element."""
+
+
+# space: (phi and xi count, the plane fields it takes)
+_ROTOR_SPACES = {"h1": (1, ()), "m4": (3, ()), "e6": (0, ("phi_ab",)), "r66": (0, ("phi_ab", "xi_ab"))}
 
 
 def _antisym_normalize(mapping) -> dict:
@@ -98,7 +103,9 @@ def _antisym_normalize(mapping) -> dict:
 
 @dataclass(frozen=True)
 class RotorParams:
-    """Rotation parameters; angles in radians, antisymmetry enforced."""
+    """Rotation parameters; angles in radians, antisymmetry enforced.  The
+    constructor checks the phi and xi counts (h1 one, m4 three, e6 and r66
+    none) and the plane fields of the space, and stores planes sorted."""
 
     space: str
     phi: tuple = ()
@@ -106,28 +113,35 @@ class RotorParams:
     phi_ab: tuple = ()
     xi_ab: tuple = ()
 
+    def __post_init__(self):
+        if self.space not in _ROTOR_SPACES:
+            raise ValueError(f"no rotors for space {self.space!r}")
+        count, planes = _ROTOR_SPACES[self.space]
+        for name in ("phi", "xi"):
+            angles = tuple(map(float, getattr(self, name)))
+            if len(angles) != count:
+                raise ValueError(f"{self.space} expects {count} {name} angles, got {len(angles)}")
+            object.__setattr__(self, name, angles)
+        for name in ("phi_ab", "xi_ab"):
+            if getattr(self, name) and name not in planes:
+                raise ValueError(f"{self.space} takes no {name}")
+            object.__setattr__(self, name, tuple(sorted(_antisym_normalize(getattr(self, name)).items())))
+
     @classmethod
     def h1(cls, phi: float = 0.0, xi: float = 0.0) -> "RotorParams":
-        return cls("h1", phi=(float(phi),), xi=(float(xi),))
+        return cls("h1", phi=(phi,), xi=(xi,))
 
     @classmethod
     def m4(cls, phi=(0.0, 0.0, 0.0), xi=(0.0, 0.0, 0.0)) -> "RotorParams":
-        phi, xi = tuple(map(float, phi)), tuple(map(float, xi))
-        if len(phi) != 3 or len(xi) != 3:
-            raise ValueError("m4 expects three rotation and three boost angles")
         return cls("m4", phi=phi, xi=xi)
 
     @classmethod
     def e6(cls, phi_ab=None) -> "RotorParams":
-        return cls("e6", phi_ab=tuple(sorted(_antisym_normalize(phi_ab).items())))
+        return cls("e6", phi_ab=phi_ab)
 
     @classmethod
     def r66(cls, phi_ab=None, xi_ab=None) -> "RotorParams":
-        return cls(
-            "r66",
-            phi_ab=tuple(sorted(_antisym_normalize(phi_ab).items())),
-            xi_ab=tuple(sorted(_antisym_normalize(xi_ab).items())),
-        )
+        return cls("r66", phi_ab=phi_ab, xi_ab=xi_ab)
 
 
 # -- matrix exponential ---------------------------------------------------------
@@ -137,12 +151,6 @@ def _cmatmul(a: list, b: list, n: int) -> list:
     """Product of two complex n x n matrices, row-major lists."""
     cols = [b[c::n] for c in range(n)]
     return [sum(map(mul, row, col)) for row in zip(*[iter(a)] * n) for col in cols]
-
-
-def _ring_square(m: HMatrix):
-    """The coordinates of s when m = s*1 for a finite ring scalar s, else None."""
-    s = m.coords[:4]
-    return s if math.isfinite(sum(s)) and m.coords == (s + (0.0,) * (4 * m.n)) * (m.n - 1) + s else None
 
 
 def _series(parts: list, n: int) -> list:
@@ -204,16 +212,12 @@ def _closed_form(n: int, s, terms) -> HMatrix:
 
 
 def mat_exp(x: HMatrix) -> HMatrix:
-    """Exponential of a float-backend matrix, on its two complex null
-    components (:func:`to_null_coords`).  When x @ x = s*1 for a ring scalar
-    s, exp(x) = cosh r + (sinh r / r) x with r = sqrt(s) per component;
-    otherwise each component runs scaling-and-squaring.  Overflow raises
+    """Exponential of a float-backend matrix by the series: each of its two
+    complex null components (:func:`to_null_coords`; one when x has no j
+    part) is scaled, squared back and joined.  Overflow raises
     :class:`SeriesNonConvergence`."""
     if x.is_exact:
         raise BackendMismatch("mat_exp takes a float-backend matrix")
-    s = _ring_square(x @ x)
-    if s is not None:
-        return _closed_form(x.n, s, [(HScalar.flt(1.0), x)])
     plus, minus = to_null_coords(x.coords)
     try:  # no j part: one component
         exps = [_series(a, x.n) for a in ((plus,) if minus == plus else (plus, minus))]
@@ -258,18 +262,18 @@ def _sigma_ab_float(a: int, b: int) -> HMatrix:
 
 
 def _exponent_terms(params: RotorParams) -> tuple[list, tuple | None]:
-    """The exponent's terms (z, sigma), z = (-i phi + j xi)/2 on sigma_k (m4) or
-    a plane's sigma_ab (e6, r66), and its square sum z^2 when the sigmas
-    pairwise anticommute (sigma_k do; planes sharing one index), else None."""
-    if params.space == "m4":
-        angles, anticommute = zip(params.phi, params.xi, map(_pauli2_float, (1, 2, 3))), True
-    elif params.space in ("e6", "r66"):
+    """The exponent's terms (z, sigma), z = (-i phi + j xi)/2 on the 1x1
+    identity (h1), sigma_k (m4) or a plane's sigma_ab (e6, r66), and its square
+    sum z^2 when the sigmas pairwise anticommute (one term does; sigma_k do;
+    planes sharing one index), else None."""
+    if params.space in ("e6", "r66"):
         phi, xi = dict(params.phi_ab), dict(params.xi_ab)
         planes = sorted(phi.keys() | xi.keys())
         angles = [(phi.get(ab, 0.0), xi.get(ab, 0.0), _sigma_ab_float(*ab)) for ab in planes]
         anticommute = all(len({*p} & {*q}) == 1 for p, q in combinations(planes, 2))
-    else:
-        raise ValueError(f"no matrix exponent for space {params.space!r}")
+    else:  # one term on the 1x1 identity (h1), or sigma_1..3 (m4)
+        sigmas = [HMatrix.identity(1, exact=False)] if params.space == "h1" else map(_pauli2_float, (1, 2, 3))
+        angles, anticommute = zip(params.phi, params.xi, sigmas), True
     terms = [(HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0), m) for p, x, m in angles]
     return terms, sum((z * z for z, _ in terms), HScalar(0.0, 0.0, 0.0, 0.0)).coeffs() if anticommute else None
 
@@ -282,23 +286,21 @@ def _exponent_matrix(params: RotorParams) -> HMatrix:
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
     """Certify and wrap a group-element matrix, in its own backend: g*bar(g) = 1
-    as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2), after a span
-    test unless rep is the full ring (``len(rep.basis) == 4n^2``)."""
+    as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2).  rep must be a
+    full ring of m's size (``len(rep.basis) == 4n^2``), where every matrix is
+    an element and dagger acts: else ``ValueError``."""
+    if m.n != rep.n or len(rep.basis) != 4 * rep.n * rep.n:
+        raise ValueError(f"rotors need a full-ring representation of {m.n}x{m.n} matrices, not {rep.name}")
     size = m.max_abs()
-    # each test accepts only on "<=", so a NaN norm is rejected
-    if len(rep.basis) != 4 * m.n * m.n and not (rep.decompose_residual(m)[1] <= _SPAN_TOL * (1.0 + size)):
-        raise ValueError("matrix lies outside the representation span")
     spin = (m @ m.adjoint() - HMatrix.identity(m.n, exact=m.is_exact)).max_abs()
-    if not (spin <= CERT_TOL * (1.0 + size * size)):  # inf where size ** 2 raises
+    # accepts only on "<=", so a NaN is rejected; inf where size ** 2 raises
+    if not (spin <= CERT_TOL * (1.0 + size * size)):
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
     return Rotor(rep, m, spin, params)
 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
     rep = get_space(params.space).rep
-    if params.space == "h1":
-        z = HScalar.flt(0.0, -params.phi[0] / 2.0, params.xi[0] / 2.0, 0.0)
-        return rotor_from_matrix(rep, HMatrix([[z.exp()]]), params)
     terms, s = _exponent_terms(params)
     m = mat_exp(HMatrix.combine(*zip(*terms))) if s is None else _closed_form(rep.n, s, terms)
     return rotor_from_matrix(rep, m, params)
@@ -518,10 +520,11 @@ def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
     space; xi extends each angle by its ij part."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    g = HMatrix.identity(4, exact=False)
+    g = None
     for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
         z = HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0)
-        g = _closed_form(4, (z * z).coeffs(), [(z, _sigma_ab_float(a, b))]) @ g
+        plane = _closed_form(4, (z * z).coeffs(), [(z, _sigma_ab_float(a, b))])
+        g = plane if g is None else plane @ g
     target = get_space(space)
     return act(rotor_from_matrix(target.rep, g), target.basis_vector(5, r)).coords
 

@@ -11,6 +11,7 @@ import pytest
 
 import hyperclifford
 from hyperclifford.cli import main
+from hyperclifford.rotors import sphere_point
 
 
 def run(capsys, *argv):
@@ -312,6 +313,31 @@ def test_boost_arithmetic_failure_is_an_error_exit(capsys, xi, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("xi", ["710", "710.4"])
+def test_boost_answers_up_to_the_float_range(capsys, xi):
+    # cosh xi is representable up to xi = 710.47; the image must not be
+    # taken for a span leak on the way (the gather scales before it sums)
+    code, out, err = run(capsys, "boost", "--xi", xi, "--vector", "1,0,0,0", "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)["coords"]
+    ch, sh = math.cosh(float(xi)), math.sinh(float(xi))
+    assert got[1:3] == [0.0, 0.0]
+    assert abs(got[0] - ch) <= 1e-13 * ch and abs(got[3] - sh) <= 1e-13 * sh
+
+
+def test_sphere_answers_near_the_float_range(capsys):
+    # the rotor path's image near the top of the float range is an answer,
+    # not a span leak.  The exit status compares the absolute max_deviation
+    # with --tol, which rounding at this radius exceeds, so the answer is
+    # judged here relative to the radius instead
+    r = 1e308
+    code, out, err = run(capsys, "sphere", "--angles", "1,2,3,4,5", "--radius", str(r), "--format", "json")
+    assert err == "" and code in (0, 1)
+    payload = json.loads(out)
+    assert payload["closed_form"] == list(sphere_point(r, (1, 2, 3, 4, 5)))
+    assert max(abs(a - b) for a, b in zip(payload["closed_form"], payload["rotor_path"])) <= 1e-14 * r
 
 
 def test_boost_rejects_non_finite_paravector_json(capsys):

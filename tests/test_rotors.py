@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
-from hyperclifford.paravectors import get_space, quasi_sphere_contains
+from hyperclifford.paravectors import SPACE_NAMES, get_space, quasi_sphere_contains
 from hyperclifford.rotors import (
     _INDEX_PAIRS,
     ResultOutsideParavectorSpan,
@@ -22,7 +22,6 @@ from hyperclifford.rotors import (
     _exponent_matrix,
     _exponent_terms,
     _index_table,
-    _ring_square,
     act,
     h1_null_pair,
     lorentz_generators,
@@ -86,6 +85,22 @@ def test_h1_rotor_matches_scalar_exponential():
     want = HScalar.flt(0.0, -phi / 2, xi / 2, 0.0).exp()
     got = r.g.to_matrix().entry(0, 0)
     assert (got - want).abs_max() < 1e-15
+
+
+def test_h1_rotor_is_the_scalar_exponential_and_its_null_pair():
+    # h1 takes the closed form of its one term: HScalar.exp (the four
+    # commuting factors) and h1_null_pair are its oracles, on the rapidities
+    # the rotor samplers draw (the closed form's root r = sqrt(z^2) costs
+    # about |r| eps relative, so the bound does not hold at large rapidity)
+    rng, eps = random.Random(12), 2.0**-52
+    for _ in range(2000):
+        phi, xi = rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0)
+        m = rotor_from_params(RotorParams.h1(phi, xi)).m
+        tol = 4 * eps * (1.0 + m.max_abs())
+        want = HScalar.flt(0.0, -phi / 2, xi / 2, 0.0).exp()
+        assert max(abs(a - b) for a, b in zip(m.coords, (want.x, want.y, want.v, want.w))) <= tol
+        for got, pair in zip(to_null_coords(m.coords), h1_null_pair(phi, xi)):
+            assert abs(complex(*got) - pair) <= tol
 
 
 def test_pure_boost_closed_form():
@@ -281,9 +296,9 @@ def taylor_exp(x: HMatrix) -> HMatrix:
 
 
 def test_series_and_closed_form_agree():
-    # mat_exp takes the closed form when the argument squares to a ring
-    # scalar times the identity and scaling-and-squaring otherwise; both
-    # branches must agree with the plain series
+    # mat_exp is the series alone: on arguments that square to a ring scalar
+    # times the identity (rotors build these in closed form) as on the
+    # others, it must agree with the plain series
     rng = random.Random(5)
     for _ in range(20):
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -301,7 +316,6 @@ def test_series_and_closed_form_agree():
             + sigma_ab(2, 3).to_float().scale(HScalar.flt(0, b)),
         ]
         for x in closed_form + series:
-            assert (_ring_square(x @ x) is None) == (x in series)
             got, want = mat_exp(x), taylor_exp(x)
             assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
 
@@ -310,12 +324,14 @@ PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 @st.composite
-def rotor_params(draw, spaces=("m4", "e6", "r66"), min_planes=1):
-    """m4 parameters with rotation and boost mixed, e6 parameters on
+def rotor_params(draw, spaces=("h1", "m4", "e6", "r66"), min_planes=1):
+    """h1 and m4 parameters with rotation and boost mixed, e6 parameters on
     ``min_planes`` to four planes and r66 parameters with both angles on each
     plane."""
     angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)
     space = draw(st.sampled_from(spaces))
+    if space == "h1":
+        return RotorParams.h1(draw(angle), draw(rapidity))
     if space == "m4":
         return RotorParams.m4(draw(st.tuples(angle, angle, angle)), draw(st.tuples(rapidity, rapidity, rapidity)))
     planes = draw(st.lists(st.sampled_from(PLANES), min_size=min_planes, max_size=4, unique=True))
@@ -325,7 +341,7 @@ def rotor_params(draw, spaces=("m4", "e6", "r66"), min_planes=1):
     return RotorParams.r66(phi, {p: draw(rapidity) for p in planes})
 
 
-def exponents(spaces=("m4", "e6", "r66"), min_planes=1):
+def exponents(spaces=("h1", "m4", "e6", "r66"), min_planes=1):
     """The exponent matrices of :func:`rotor_params`."""
     return rotor_params(spaces, min_planes).map(_exponent_matrix)
 
@@ -367,24 +383,30 @@ def test_planes_anticommute_exactly_when_they_share_one_index():
 
 
 def test_anticommuting_exponents_take_no_matrix_product(monkeypatch):
-    # an m4 or one-plane rotor takes one product, its certificate, and the
-    # sphere's plane rotors take no mat_exp; commuting planes still do
-    for space in ("m4", "e6", "r66"):
+    # an h1, m4 or one-plane rotor takes one product, its certificate, and the
+    # sphere's plane rotors take no mat_exp; commuting planes still do, and
+    # the series of mat_exp takes no ring product either
+    for space in ("h1", "m4", "e6", "r66"):
         get_space(space)  # the spaces are built once, by products
     products, exps, matmul, mat_exp_ = [], [], HMatrix.__matmul__, rotors_module.mat_exp
     monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     monkeypatch.setattr(rotors_module, "mat_exp", lambda x: exps.append(1) or mat_exp_(x))
-    for params in (RotorParams.m4(phi=(0.4, -0.9, 1.2), xi=(0.3, -1.1, 0.7)), RotorParams.m4(xi=(0, 0, 2.0)),
-                   RotorParams.e6({(0, 3): 0.7}), RotorParams.r66({(2, 5): 0.8}, {(2, 5): -0.3})):
+    for params in (RotorParams.h1(0.9, -0.4), RotorParams.m4(phi=(0.4, -0.9, 1.2), xi=(0.3, -1.1, 0.7)),
+                   RotorParams.m4(xi=(0, 0, 2.0)), RotorParams.e6({(0, 3): 0.7}),
+                   RotorParams.r66({(2, 5): 0.8}, {(2, 5): -0.3})):
         products.clear()
         rotor_from_params(params)
         assert len(products) == 1
     angles, xis = (0.3, 0.2, -0.4, 0.9, 0.1), (0.5, -0.3, 0.2, 0.0, 0.7)
+    products.clear()
     sphere_point_via_rotors(1.0, angles)
+    # four products compose the five planes, one certifies, two act
+    assert len(products) == 7
     quasi_sphere_point_r66_via_rotors(1.0, angles, xis)
     assert exps == []
+    products.clear()
     rotor_from_params(RotorParams.e6({(0, 1): 0.3, (2, 3): -0.5}))
-    assert exps == [1]
+    assert exps == [1] and len(products) == 1
 
 
 def component_norm(x: HMatrix) -> float:
@@ -403,7 +425,7 @@ def component_norm(x: HMatrix) -> float:
 def test_mat_exp_is_the_series_on_both_sides_of_each_halving_threshold(x, halvings, side):
     # the series halves a component until its 1-norm is at most 1/2: scale x
     # so that its larger component lies just below or just above 2^halvings / 2
-    assume(_ring_square(x @ x) is None and component_norm(x) > 0.0)
+    assume(component_norm(x) > 0.0)
     x = x.scale(HScalar.flt(side * 2.0**halvings / 2.0 / component_norm(x)))
     got, want = mat_exp(x), taylor_exp(x)
     assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
@@ -422,39 +444,40 @@ def real_closed_form(x: HMatrix) -> HMatrix:
     return HMatrix.identity(x.n, exact=False).scale(HScalar.flt(c)) + x.scale(HScalar.flt(k))
 
 
-def test_real_square_closed_form_is_bit_exact():
-    # a real square takes the ring closed form's path through the null
-    # components and must come back with the real formula's bits, signs of
-    # zero included
+@pytest.mark.parametrize("params", [
+    lambda a, b, c: RotorParams.m4(xi=(0.0, 0.0, 2 * a)),
+    lambda a, b, c: RotorParams.m4(xi=(2 * a, 2 * b, 0.0)),
+    lambda a, b, c: RotorParams.m4(phi=(0.0, -2 * a, 0.0)),
+    lambda a, b, c: RotorParams.m4(phi=(a, b, c)),
+    lambda a, b, c: RotorParams.e6({(0, 3): a}),
+    lambda a, b, c: RotorParams.r66({}, {(2, 5): b}),
+    lambda a, b, c: RotorParams.m4(),
+], ids=["m4-boost", "m4-two-boosts", "m4-rotation", "m4-rotations", "e6-plane", "r66-boost-plane", "identity"])
+def test_real_square_closed_form_is_bit_exact(params):
+    # a rotor whose exponent squares to a real scalar takes the ring closed
+    # form's path through the null components and must come back with the
+    # real formula's bits, signs of zero included
     rng = random.Random(11)
-    for _ in range(30):
-        a, b, c = (rng.uniform(-3, 3) for _ in range(3))
-        for x in (
-            pauli2(3).to_float().scale(HScalar.flt(0, 0, a)),  # m4 boost
-            pauli2(1).to_float().scale(HScalar.flt(0, 0, a)) + pauli2(2).to_float().scale(HScalar.flt(0, 0, b)),
-            pauli2(2).to_float().scale(HScalar.flt(0, a)),  # m4 rotation
-            _exponent_matrix(RotorParams.m4(phi=(a, b, c))),
-            _exponent_matrix(RotorParams.e6({(0, 3): a})),  # e6 plane
-            _exponent_matrix(RotorParams.r66({}, {(2, 5): b})),  # r66 boost plane
-            HMatrix.zeros(2, exact=False),
-        ):
-            assert (x @ x).entry(0, 0).y == 0.0  # a real square
-            got, want = mat_exp(x), real_closed_form(x)
-            assert list(map(float.hex, got.coords)) == list(map(float.hex, want.coords))
+    for _ in range(200):
+        p = params(*(rng.uniform(-3, 3) for _ in range(3)))
+        x = _exponent_matrix(p)
+        assert (x @ x).entry(0, 0).y == 0.0  # a real square
+        got, want = rotor_from_params(p).m, real_closed_form(x)
+        assert list(map(float.hex, got.coords)) == list(map(float.hex, want.coords))
 
 
 def test_exponent_norm_guard():
     from hyperclifford.rotors import SeriesNonConvergence
 
-    # (1+i) sigma_1 squares to 2i times the identity; at this magnitude
-    # its closed form overflows
+    # (1+i) sigma_1 at this magnitude needs more halvings than the series
+    # allows
     huge = pauli2(1).to_float().scale(HScalar.flt(1e30, 1e30))
     with pytest.raises(SeriesNonConvergence):
         mat_exp(huge)
 
 
 def test_mat_exp_rejects_exact_input():
-    for x in (pauli2(1), sigma_ab(0, 1) + sigma_ab(2, 3)):  # closed form, series
+    for x in (pauli2(1), sigma_ab(0, 1) + sigma_ab(2, 3)):  # a ring square, commuting planes
         with pytest.raises(BackendMismatch):
             mat_exp(x)
 
@@ -468,6 +491,17 @@ def test_mat_exp_rejects_exact_input():
 def test_overflow_raises_series_non_convergence(x):
     with pytest.raises(SeriesNonConvergence, match="too large"):
         mat_exp(x)
+
+
+@pytest.mark.parametrize("params", [
+    RotorParams.h1(0.3, 1500.0),
+    RotorParams.m4(phi=(3.0, 0.0, 0.0), xi=(1500.0, 1.0, 0.0)),
+    RotorParams.r66({}, {(0, 1): 1500.0}),  # closed form
+    RotorParams.r66({}, {(0, 1): 3000.0, (2, 3): 3000.0}),  # series
+], ids=["h1", "m4", "r66-plane", "r66-commuting-planes"])
+def test_rotor_overflow_raises_series_non_convergence_in_every_space(params):
+    with pytest.raises(SeriesNonConvergence, match="too large"):
+        rotor_from_params(params)
 
 
 # -- generator relations -------------------------------------------------------
@@ -659,6 +693,37 @@ def test_antisymmetric_parameter_normalization():
         RotorParams.e6({(2, 2): 1.0})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"space": "s3"}, "no rotors for space 's3'"),
+    ({"space": "h1"}, "h1 expects 1 phi angles, got 0"),
+    ({"space": "h1", "phi": (0.1,), "xi": (0.2, 0.3)}, "h1 expects 1 xi angles, got 2"),
+    ({"space": "m4", "phi": (1.0,)}, "m4 expects 3 phi angles, got 1"),
+    ({"space": "m4", "phi": (1, 2, 3, 4), "xi": (0, 0, 0, 5)}, "m4 expects 3 phi angles, got 4"),
+    ({"space": "e6", "phi": (1.0,)}, "e6 expects 0 phi angles, got 1"),
+    ({"space": "e6", "xi_ab": {(0, 1): 1.0}}, "e6 takes no xi_ab"),
+    ({"space": "m4", "phi": (0, 0, 0), "xi": (0, 0, 0), "phi_ab": {(0, 1): 1.0}}, "m4 takes no phi_ab"),
+    ({"space": "h1", "phi": (0,), "xi": (0,), "xi_ab": {(0, 1): 1.0}}, "h1 takes no xi_ab"),
+    ({"space": "r66", "phi_ab": {(0, 1): 1.0, (1, 0): 1.0}}, r"conflicting values for plane \(0, 1\)"),
+], ids=["space", "h1-no-angles", "h1-two-xi", "m4-one-phi", "m4-four-angles", "e6-phi", "e6-xi-plane",
+        "m4-plane", "h1-plane", "conflicting-planes"])
+def test_rotor_params_constructor_rejects_bad_input(kwargs, message):
+    # the dataclass constructor is the one validating entry: none of these
+    # may be dropped, ignored or turned into the identity rotor
+    with pytest.raises(ValueError, match=message):
+        RotorParams(**kwargs)
+
+
+def test_rotor_params_constructor_normalizes_what_it_keeps():
+    p = RotorParams("r66", phi_ab={(3, 1): 0.5, (0, 2): 0.25}, xi_ab=[((1, 0), 2)])
+    assert p == RotorParams.r66({(1, 3): -0.5, (0, 2): 0.25}, {(0, 1): -2.0})
+    assert p.phi_ab == (((0, 2), 0.25), ((1, 3), -0.5))
+    assert hash(p) == hash(RotorParams.r66(dict(p.phi_ab), dict(p.xi_ab)))
+    assert RotorParams("m4", phi=[1, 2, 3], xi=(0, 0, 0)).phi == (1.0, 2.0, 3.0)
+    assert RotorParams.m4() == RotorParams("m4", (0.0,) * 3, (0.0,) * 3)
+    assert RotorParams.h1() == RotorParams("h1", (0.0,), (0.0,))
+    assert RotorParams.e6() == RotorParams("e6") and RotorParams.r66() == RotorParams("r66")
+
+
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         sphere_point(-1.0, [0] * 5)
@@ -666,12 +731,19 @@ def test_negative_radius_rejected():
         quasi_sphere_point_r66(-1.0, [0] * 5, [0] * 5)
 
 
-@pytest.mark.parametrize("idx", [0, 1, 5], ids=["entry0-x", "entry0-y", "entry1-y"])
-def test_rotor_from_matrix_rejects_a_nan_by_its_span_test(idx):
-    coords = [1.0, 0.0, 0.0, 0.0] + [0.0] * 8 + [1.0, 0.0, 0.0, 0.0]
-    coords[idx] = math.nan
-    with pytest.raises(ValueError, match="outside the representation span"):
-        rotor_from_matrix(get_rep("r30"), HMatrix._make(2, coords))  # from_real_coords rejects a NaN
+@pytest.mark.parametrize("rep, n", [("r30", 2), ("r05", 4), ("c30bar", 4), ("h05bar", 2), ("c10bar", 2)])
+def test_rotor_from_matrix_needs_a_full_ring_of_the_matrix_size(rep, n):
+    # r30 and r05 span only part of their matrix rings, where dagger cannot
+    # act; a matrix of another size is no element of the representation
+    with pytest.raises(ValueError, match=f"full-ring representation of {n}x{n} matrices, not {rep}$"):
+        rotor_from_matrix(get_rep(rep), HMatrix.identity(n, exact=False))
+
+
+def test_every_paravector_space_sits_on_a_full_ring():
+    for name in SPACE_NAMES:
+        rep = get_space(name).rep
+        assert len(rep.basis) == 4 * rep.n * rep.n
+        assert rotor_from_matrix(rep, HMatrix.identity(rep.n)).spin_residual == 0.0
 
 
 @pytest.mark.parametrize("idx", [0, 1, 5], ids=["entry0-x", "entry0-y", "entry1-y"])

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,7 @@ def test_pairs_run_from_the_first_seed_given(tmp_path, monkeypatch, capsys):
         return results([2.0 if root == parent_dir else 1.9], [1.0])[0]
 
     monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "compile_sources", lambda root: None)
     assert pairs.main([str(parent_dir), str(change_dir), "verify-matrix", "3", "21"]) == 0
     # seeds 21..23; the parent goes first in the first and third pair
     assert calls == [
@@ -131,6 +133,36 @@ def test_pairs_run_from_the_first_seed_given(tmp_path, monkeypatch, capsys):
     for bad in (["verify-matrix", "2", "0"], ["verify-matrix", "0"], ["verify-matrix", "2", "x"]):
         assert pairs.main([str(parent_dir), str(change_dir), *bad]) == 2
     assert "[FIRST_SEED]" in capsys.readouterr().err
+
+
+def test_pairs_compile_both_checkouts_before_the_first_run(tmp_path, monkeypatch):
+    # stale bytecode in one checkout would make its runs compile (and count
+    # the compiler in peak_rss_mb), so both are compiled, untimed, first
+    for name in ("parent", "change"):
+        for sub in ("src/pkg", "perfbench"):
+            (tmp_path / name / sub).mkdir(parents=True)
+        (tmp_path / name / "src/pkg/mod.py").write_text("X = 1\n")
+        (tmp_path / name / "perfbench/run.py").write_text("Y = 2\n")
+    (tmp_path / "parent/BENCHMARK.json").write_text(
+        '{"run_seconds": 3, "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15}]}'
+    )
+    events = []
+
+    def run_once(root, workload, seed, seconds):
+        events.append(("run", root.name, sorted(p.name for p in root.rglob("*.pyc"))))
+        return results([2.0], [1.0])[0]
+
+    def compile_sources(root, compile_sources=pairs.compile_sources):
+        events.append(("compile", root.name))
+        compile_sources(root)
+
+    monkeypatch.setattr(pairs, "compile_sources", compile_sources)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "verify-matrix", "2"]) == 0
+    tag = sys.implementation.cache_tag
+    pycs = [f"mod.{tag}.pyc", f"run.{tag}.pyc"]
+    assert events == [("compile", "parent"), ("compile", "change"), ("run", "parent", pycs),
+                      ("run", "change", pycs), ("run", "change", pycs), ("run", "parent", pycs)]
 
 
 def test_equal_records_have_no_differences():

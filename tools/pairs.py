@@ -7,10 +7,11 @@ Pair ``i`` (1 .. PAIRS) runs ``perfbench/run.py --workload WORKLOAD
 ``run_seconds`` of the parent's ``BENCHMARK.json``; the parent goes first
 in odd pairs and the change in even ones.  FIRST_SEED defaults to 1; a
 later one (21, say) checks a claim on seeds not used while writing the
-change.  Each run happens in its own checkout with bytecode writing off;
-the tool writes no file.  The benchmark's set-up probes run in isolated
-mode (``-I``), which ignores that setting, so they may still leave
-``__pycache__`` directories.
+change.  Each run happens in its own checkout with bytecode writing off.
+Before pair 1, untimed, it runs ``python -m compileall -q src perfbench``
+in both checkouts, so that neither compiles a module from stale or missing
+bytecode inside its runs: it refreshes the (gitignored) ``__pycache__``
+directories there and writes no other file.
 
 For every ``end_to_end`` metric it prints both medians, the parent's
 interquartile spread, how many pairs the change won, how much worse the
@@ -40,6 +41,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def compile_sources(root: Path) -> None:
+    """Refresh the bytecode of a checkout's ``src`` and ``perfbench``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root, check=True)
 
 
 def quartile_spread(values: list) -> float:
@@ -105,6 +111,8 @@ def main(argv=None) -> int:
     first = int(args[4]) if len(args) == 5 else 1
     spec = json.loads((parent_dir / "BENCHMARK.json").read_text())
     parent, change = [], []
+    for root in (parent_dir, change_dir):
+        compile_sources(root)
     for i, seed in enumerate(range(first, first + pairs), start=1):
         order = [(parent_dir, parent), (change_dir, change)]
         for root, results in order if i % 2 else order[::-1]:
