@@ -6,7 +6,9 @@ with (a ValueError, or an ArithmeticError such as SingularMatrix,
 SeriesNonConvergence, ZeroDivisor or OverflowError).  The
 HYPERCLIFFORD_TOL environment variable overrides the default tolerance
 of numeric checks; like ``--tol`` it must be a finite number, zero or
-above.
+above.  ``sphere`` exits 1 when its two paths deviate by more than
+``tol * (1 + |radius|)``.  A ``--format json`` answer prints exactly as
+the standard ``json`` module prints it with ``indent=2``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import checks
 from .algebra import REP_NAMES, get_rep, involution_table
@@ -29,6 +32,31 @@ from .scalars import HScalar
 _SIGN = {1: "+", -1: "-"}
 # the types of a decoded JSON number; a bool, a string or null is not one
 _JSON_NUMBERS = frozenset((int, float))
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``obj`` as the ``json`` module prints it with ``indent=2``, byte for byte.
+    Exact JSON types only (a tuple is an array) and ``str`` keys, else TypeError."""
+    kind = obj.__class__
+    if kind is float:
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if kind is str:
+        return _json_string(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        parts = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    if kind is dict:
+        parts = [_json_string(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _default_tol() -> float:
@@ -100,7 +128,7 @@ def _cmd_verify(args) -> int:
     summary = checks.summarize(reports)
     if args.format == "json":
         payload = {"checks": [r.to_dict() for r in reports], "summary": summary}
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         wid = max(len(r.check_id) for r in reports)
         for r in reports:
@@ -140,7 +168,7 @@ def _cmd_tables(args) -> int:
             }
             for r in rows
         ]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     print(f"unit       bar  dagger  hat   ({args.rep})")
     for r in rows:
@@ -168,7 +196,7 @@ def _cmd_sphere(args) -> int:
         point = get_space("r66").paravector(coords)
         payload["membership_residual"] = quasi_sphere_residual(point, args.radius)
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print("closed form:", " ".join(f"{c: .12f}" for c in closed))
         print("rotor path: ", " ".join(f"{c: .12f}" for c in rotor))
@@ -177,7 +205,7 @@ def _cmd_sphere(args) -> int:
             print("extended coordinates (split twelve-space):")
             print("  ", " ".join(f"{c: .10f}" for c in payload["extended_coords"]))
             print(f"membership residual: {payload['membership_residual']:.3e}")
-    return 0 if dev <= tol else 1
+    return 0 if dev <= tol * (1.0 + abs(args.radius)) else 1
 
 
 # ------------------------------------------------------------------- boost ----
@@ -206,7 +234,7 @@ def _cmd_boost(args) -> int:
     rotor = rotor_from_params(RotorParams.m4(xi=xi))
     out = act(rotor, get_space("m4").paravector(vec))
     if args.format == "json":
-        print(json.dumps({"space": "m4", "coords": list(out.coords)}, indent=2))
+        print(_dumps({"space": "m4", "coords": list(out.coords)}))
     else:
         print(" ".join(f"{c: .12f}" for c in out.coords))
     return 0
@@ -225,7 +253,7 @@ def _cmd_interfere(args) -> int:
         "sign": lin.sign,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(f"P = {total:.12f}  regime={lin.regime}  theta={lin.theta:.12f}  sign={lin.sign:+d}")
     return 0
@@ -249,7 +277,7 @@ def _cmd_pauli(args) -> int:
         m = pauli4(args.k)
         label = f"sigma_{args.k} (4x4)"
     if args.format == "json":
-        print(json.dumps({"label": label, "matrix": _matrix_json(m)}, indent=2))
+        print(_dumps({"label": label, "matrix": _matrix_json(m)}))
     else:
         print(label)
         _print_matrix(m, sys.stdout)
@@ -288,7 +316,7 @@ def _cmd_decompose(args) -> int:
         for blade, z in mv.coeffs.items()
     ]
     if args.format == "json":
-        print(json.dumps({"coefficients": coeff_rows, "residual": residual}, indent=2))
+        print(_dumps({"coefficients": coeff_rows, "residual": residual}))
     else:
         for row in coeff_rows:
             z = HScalar.flt(*row["coeff"])

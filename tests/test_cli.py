@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hyperclifford
-from hyperclifford.cli import main
+import hyperclifford.cli as cli
+from hyperclifford.cli import _dumps, main
 from hyperclifford.rotors import sphere_point
 
 
@@ -329,15 +332,34 @@ def test_boost_answers_up_to_the_float_range(capsys, xi):
 
 def test_sphere_answers_near_the_float_range(capsys):
     # the rotor path's image near the top of the float range is an answer,
-    # not a span leak.  The exit status compares the absolute max_deviation
-    # with --tol, which rounding at this radius exceeds, so the answer is
-    # judged here relative to the radius instead
+    # not a span leak, and the exit status judges its deviation against
+    # the radius
     r = 1e308
     code, out, err = run(capsys, "sphere", "--angles", "1,2,3,4,5", "--radius", str(r), "--format", "json")
-    assert err == "" and code in (0, 1)
+    assert err == "" and code == 0
     payload = json.loads(out)
     assert payload["closed_form"] == list(sphere_point(r, (1, 2, 3, 4, 5)))
     assert max(abs(a - b) for a, b in zip(payload["closed_form"], payload["rotor_path"])) <= 1e-14 * r
+
+
+def test_sphere_judges_its_deviation_against_the_radius(capsys):
+    # rounding at radius 1e7 leaves an absolute deviation of a few 1e-9,
+    # above the default tolerance but far below tol * (1 + radius)
+    code, out, _ = run(capsys, "sphere", "--angles", "1,2,3,4,5", "--radius", "1e7")
+    assert code == 0
+    assert float(out.splitlines()[-1].split()[-1]) > 1e-10  # still printed absolute
+
+
+@pytest.mark.parametrize("r", [1.0, 1e7])
+def test_sphere_fails_a_rotor_path_off_by_more_than_the_scaled_tolerance(capsys, monkeypatch, r):
+    def off(radius, angles):
+        point = list(sphere_point(radius, angles))
+        point[2] += 1e-6 * (1.0 + radius)
+        return point
+
+    monkeypatch.setattr(cli, "sphere_point_via_rotors", off)
+    code, _, err = run(capsys, "sphere", "--angles", "1,2,3,4,5", "--radius", str(r))
+    assert (code, err) == (1, "")
 
 
 def test_boost_rejects_non_finite_paravector_json(capsys):
@@ -428,3 +450,60 @@ def test_boost_json_coordinates_must_be_numbers(capsys, coords, index):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and f"coordinate {index}" in err
+
+
+# ------------------------------------------------------------ JSON writer ----
+
+SPECIAL_TEXT = st.characters(exclude_categories=(), include_characters='"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-2**200, 2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.text(SPECIAL_TEXT),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(SPECIAL_TEXT), children),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example(())
+@example([[], {}, ()])
+@example({"a": [], "b": {"c": {}}, "": [[]]})
+@example('"\\\x00\x1f\ud800\u00e9')
+def test_dumps_prints_what_the_standard_encoder_prints_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 3), [Fraction(1)], {1: "a"}, {"a": {(1,): 2}}],
+                         ids=["set", "fraction", "nested-fraction", "int-key", "nested-tuple-key"])
+def test_dumps_rejects_what_is_not_json(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "tables"],
+    ["tables", "h05bar"],
+    ["sphere", "--angles", "0.1,0.2,0.3,0.4,0.5", "--hyperbolic", "0.5,-0.3,0.2,0,0.7"],
+    ["boost", "--xi", "0.5", "--axis", "1", "--vector", "1,0.5,0,0"],
+    ["interfere", "--p1", "0.3", "--p2", "0.6", "--lambda", "0.5"],
+    ["pauli", "--k", "10"],
+    ["decompose", "--rep", "r30", "--matrix", "[[[1, 0, 0, 0], [0, 2, 0, 0]], [[0, 0, -3, 0], [0, 0, 0, 0.5]]]"],
+], ids=lambda argv: argv[0])
+def test_json_answers_print_as_the_standard_encoder_with_indent_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

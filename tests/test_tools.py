@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -208,6 +209,63 @@ def test_traced_counts_compare_only_the_count_metrics():
         "calc-stream correct: parent True change False",
         "calc-stream paravectors.to_multivector.calls: parent 663 change None",
     ]
+
+
+
+def finished(counts, self_sum=0.92, wall=1.0):
+    """A traced run that exited 0: its detail line, then its result."""
+    detail = {"detail": {"layers": {"trace.self_sum_s": self_sum, "trace.raw_wall_s": wall}}}
+    out = f"wall_s 1.0 s\n{json.dumps(detail)}\n{json.dumps(traced(counts))}\n"
+    return subprocess.CompletedProcess([], 0, out, "")
+
+
+def crashed(err="Traceback ...\nRuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s\n"):
+    return subprocess.CompletedProcess([], 1, "wall_s 1.0 s\n", err)
+
+
+def test_a_traced_run_reads_as_its_coverage_and_result():
+    line, result = compare_outputs.traced_summary(finished({"cli.main.calls": 3000}, 0.9137, 1.25))
+    assert line == "self times cover 0.7310 of the traced window (0.9137 of 1.2500 s)"
+    assert result == traced({"cli.main.calls": 3000})
+
+
+def test_a_failed_traced_run_reads_as_its_exit_code_and_last_stderr_line():
+    line, result = compare_outputs.traced_summary(crashed())
+    assert line == "exited 1: RuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s"
+    assert result is None
+    assert compare_outputs.traced_summary(crashed(err="")) == ("exited 1: (no stderr)", None)
+
+
+def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 3, "workloads": [{"name": "verify-matrix"}, {"name": "calc-stream"}]}')
+    parent_dir, change_dir = str(tmp_path), str(tmp_path / "change")
+    recs = ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]])
+    runs = {(parent_dir, "verify-matrix"): finished({"rotors.act.calls": 5}),
+            (change_dir, "verify-matrix"): finished({"rotors.act.calls": 6}),
+            (parent_dir, "calc-stream"): finished({"rotors.act.calls": 5}, 0.95),
+            (change_dir, "calc-stream"): crashed()}
+    monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
+    monkeypatch.setattr(compare_outputs, "source_lines", lambda root: 10)
+    monkeypatch.setattr(compare_outputs, "traced_run", lambda root, workload, seconds: runs[str(root), workload])
+    assert compare_outputs.main([parent_dir, change_dir]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "no differences"
+    assert out[-7:] == [
+        "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
+        "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
+        "parent traced calc-stream: self times cover 0.9500 of the traced window (0.9500 of 1.0000 s)",
+        "change traced calc-stream: exited 1: RuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s",
+        "traced runs failed, counts not compared: calc-stream",
+        "traced seed-7 counts differ:",
+        "verify-matrix rotors.act.calls: parent 5 change 6",
+    ]
+    # with every traced run finished and equal counts the records decide
+    runs[change_dir, "verify-matrix"] = finished({"rotors.act.calls": 5})
+    runs[change_dir, "calc-stream"] = finished({"rotors.act.calls": 5}, 0.91)
+    assert compare_outputs.main([parent_dir, change_dir]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "traced seed-7 counts equal"
 
 
 def answer(coords, code=0, err=""):

@@ -16,17 +16,22 @@ Prints every difference, and for each side the status counts, a SHA-256
 of its records, the line count of its ``src`` and the in-process time of
 each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
 out of the records, so out of the differences and the SHA-256); exits 0
-when the two sides agree and 1 when they differ.  Calc answers that keep their exit
-code, stderr and JSON structure and move only in their numbers are
-summed up in one line per command: how many moved, the largest
-relative difference of any number and the largest absolute one.
+when the two sides agree and 1 when they differ or a traced run below
+fails.  Calc answers that keep their exit code, stderr and JSON
+structure and move only in their numbers are summed up in one line per
+command: how many moved, the largest relative difference of any number
+and the largest absolute one.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
 each checkout (``S`` the parent's ``run_seconds``, bytecode writing off)
-and prints every metric of unit ``count`` that differs, and ``correct``
-or ``failed`` when they differ.  These count how much work a call path
-does, so they are reported but do not decide the exit status.
+and prints, for each side, the share of the traced window that the layer
+self times cover (``trace.self_sum_s / trace.raw_wall_s``; ``run.py``
+fails a traced run below 0.9) or, for a run that exits non-zero, its exit
+code and the last line of its stderr.  Then it prints every metric of unit
+``count`` that differs, and ``correct`` or ``failed`` when they differ.
+These count how much work a call path does, so they are reported but do
+not decide the exit status; a failed traced run does, and exits 1.
 """
 
 import hashlib
@@ -144,15 +149,29 @@ def calc_differences(old: list, new: list) -> list[str]:
     ]
 
 
-def traced_run(root: Path, workload: str, seconds: int) -> dict:
-    """The result object (last line of output) of one traced seed-7 run."""
-    out = subprocess.run(
+def traced_run(root: Path, workload: str, seconds: int) -> subprocess.CompletedProcess:
+    """One traced seed-7 run, whatever its exit code."""
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "7", "--seconds", str(seconds), "--trace", "1"],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    )
+
+
+def traced_summary(done: subprocess.CompletedProcess) -> tuple[str, dict | None]:
+    """A line on one traced run and its result object (last line of
+    output): the coverage of its traced window by self times, read from
+    the detail line before the result, or for a failed run its exit code
+    and the last line of its stderr, with no result."""
+    if done.returncode:
+        err = done.stderr.strip().splitlines() or ["(no stderr)"]
+        return f"exited {done.returncode}: {err[-1]}", None
+    *_, detail, result = done.stdout.strip().splitlines()
+    layers = json.loads(detail)["detail"]["layers"]
+    total, wall = layers["trace.self_sum_s"], layers["trace.raw_wall_s"]
+    line = f"self times cover {total / wall:.4f} of the traced window ({total:.4f} of {wall:.4f} s)"
+    return line, json.loads(result)
 
 
 def count_differences(workload: str, old: dict, new: dict) -> list[str]:
@@ -184,12 +203,22 @@ def main(argv=None) -> int:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
-    counts = []
+    counts, failed = [], []
     for workload in (w["name"] for w in spec["workloads"]):
-        old_run, new_run = (traced_run(Path(a), workload, spec["run_seconds"]) for a in args)
-        counts += count_differences(workload, old_run, new_run)
-    print("\n".join(["traced seed-7 counts differ:", *counts]) if counts else "traced seed-7 counts equal")
-    return 1 if diff else 0
+        runs = []
+        for side, root in zip(("parent", "change"), args):
+            line, result = traced_summary(traced_run(Path(root), workload, spec["run_seconds"]))
+            print(f"{side} traced {workload}: {line}")
+            runs.append(result)
+        if None in runs:
+            failed.append(workload)
+        else:
+            counts += count_differences(workload, *runs)
+    if failed:
+        print(f"traced runs failed, counts not compared: {', '.join(failed)}")
+    print("\n".join(["traced seed-7 counts differ:", *counts]) if counts
+          else "traced seed-7 counts equal" + (" where both runs finished" if failed else ""))
+    return 1 if diff or failed else 0
 
 
 if __name__ == "__main__":
