@@ -39,7 +39,7 @@ from numbers import Rational
 from operator import add, mul, sub
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import BackendMismatch, HScalar, RealCoords, _over_lcm
+from .scalars import HScalar, RealCoords, _entering
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -259,14 +259,14 @@ class AlgebraRep:
 
     # -- HScalar <-> coordinates -------------------------------------------
 
-    def _coeff_parts(self, z: HScalar) -> tuple:
-        """Real coordinates of a blade coefficient: its 1 part, then its
-        adjoined-unit part; ``ValueError`` when it leaves the subring."""
+    def _coeff_spots(self, z: HScalar) -> tuple:
+        """Indices in x y v w of a blade coefficient's real coordinates (1, then
+        the adjoined unit); ``ValueError`` when it leaves the subring."""
         comps = z.coeffs()
         bad = [u for k, u in enumerate(_RING_UNITS) if comps[k] and k not in self._spots]
         if bad:
             raise ValueError(f"coefficient {z} uses units {bad} outside the {self.name} subring")
-        return tuple(comps[spot] for spot in self._spots)
+        return self._spots
 
     def _coeff(self, parts) -> HScalar:
         """The blade coefficient with the given real coordinates."""
@@ -393,29 +393,22 @@ class Multivector(RealCoords):
     _shape = "rep"
 
     def __init__(self, rep: AlgebraRep, coeffs):
-        """Absent blades are zero.  Raises ``ValueError`` for a mapping with
-        no coefficients, which carries no backend (a zero is
-        ``rep.scalar(0, exact=...)``), a blade outside the representation
-        or a coefficient outside its subring, and :class:`BackendMismatch`
-        when exact and float coefficients meet."""
-        floats = {isinstance(z.x, float) for z in coeffs.values()}
-        if not floats:
+        """Absent blades are zero.  The parts x y v w of each coefficient, in
+        the mapping's order, enter by :func:`~.scalars._entering`.  Raises
+        ``ValueError`` for a mapping with no coefficients, which carries no
+        backend (a zero is ``rep.scalar(0, exact=...)``), a blade outside the
+        representation or a coefficient outside its subring."""
+        if not coeffs:
             raise ValueError("no coefficients, so no backend: use rep.scalar(0, exact=...) for a zero")
-        if len(floats) > 1:
-            raise BackendMismatch("mixed exact/float coefficients in one multivector")
-        spots, values = [], []
-        for blade, z in coeffs.items():
+        # only the given coefficients meet at their lcm; the other coordinates are zero
+        nums, den = _entering([c for z in coeffs.values() for c in (z.x, z.y, z.v, z.w)], rep.name)
+        out = [0.0 if den is None else 0] * len(rep.basis)
+        for q, (blade, z) in zip(count(0, 4), coeffs.items()):
             k = rep._offset.get(tuple(blade))
             if k is None:
                 raise ValueError(f"{blade} is not a blade of {rep.name}")
-            parts = rep._coeff_parts(z)
-            spots += range(k, k + len(parts))
-            values += parts
-        # only the given coefficients meet at their lcm; the other coordinates are zero
-        nums, den = (values, None) if True in floats else _over_lcm(values)
-        out = [0.0 if den is None else 0] * len(rep.basis)
-        for k, x in zip(spots, nums):
-            out[k] = x
+            for d, spot in enumerate(rep._coeff_spots(z)):
+                out[k + d] = nums[q + spot]
         self.rep = rep
         self.nums, self.den = tuple(out), den
 

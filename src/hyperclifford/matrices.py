@@ -33,7 +33,7 @@ from itertools import chain, compress
 from math import lcm
 from operator import sub
 
-from .scalars import BackendMismatch, HScalar, RealCoords, _over_lcm, _reduced, _stored
+from .scalars import BackendMismatch, HScalar, RealCoords, _entering, _over_lcm, _reduced
 
 __all__ = [
     "SingularMatrix",
@@ -69,9 +69,10 @@ class HMatrix(RealCoords):
     def __init__(self, rows):
         """Build from rows of :class:`HScalar` entries.
 
-        Raises ``ValueError`` for an empty or non-square matrix,
-        ``TypeError`` for an entry that is not an :class:`HScalar` and
-        :class:`BackendMismatch` when exact and float entries meet.
+        Raises ``ValueError`` for an empty or non-square matrix and
+        ``TypeError`` for an entry that is not an :class:`HScalar`; the four
+        parts of every entry enter by :func:`~.scalars._entering`, so ints
+        are exact and a NaN, an infinity or a Fraction beside a float raise.
         """
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
@@ -85,9 +86,8 @@ class HMatrix(RealCoords):
                 if not isinstance(z, HScalar):
                     raise TypeError(f"matrix entry {z!r} is not an HScalar")
                 coords += (z.x, z.y, z.v, z.w)
-        _check_coords(coords)
         self.n = n
-        self.nums, self.den = _stored(coords)
+        self.nums, self.den = _entering(coords, "matrix")
 
     # -- construction ----------------------------------------------------
 
@@ -111,18 +111,13 @@ class HMatrix(RealCoords):
     @classmethod
     def from_real_coords(cls, coords) -> "HMatrix":
         """Inverse of :attr:`coords`: 4 real coefficients per entry,
-        row-major, all of them ``Fraction`` or all finite ``float``s;
-        ``ValueError`` names the index of a NaN or infinite coordinate."""
+        row-major, entering by :func:`~.scalars._entering` (ints are exact;
+        ``ValueError`` names the index of a NaN or infinite coordinate)."""
         q = len(coords)
         n = math.isqrt(q // 4)
         if q == 0 or 4 * n * n != q:
             raise ValueError("coordinate count is not 4 times a non-zero square")
-        _check_coords(coords)
-        if coords[0].__class__ is float:
-            for k, c in enumerate(coords):
-                if not math.isfinite(c):
-                    raise ValueError(f"matrix coordinate {k} is not finite: {c}")
-        return cls._make(n, coords)
+        return cls._new(n, *_entering(coords, "matrix"))
 
     # -- basic queries -----------------------------------------------------
 
@@ -158,9 +153,10 @@ class HMatrix(RealCoords):
     @staticmethod
     def combine(zs, mats) -> "HMatrix":
         """The sum of ``z_k * m_k`` over matrices of one size and backend, each
-        ``z_k`` an :class:`HScalar` of that backend or a number; a zero
-        ``z_k`` costs nothing.  ``ValueError`` for no matrices, mixed sizes or
-        a count of scalars that differs."""
+        ``z_k`` an :class:`HScalar` of that backend or a number, its parts
+        entering by :func:`~.scalars._entering`; a zero ``z_k`` costs nothing.
+        ``ValueError`` for no matrices, mixed sizes or a count of scalars that
+        differs."""
         zs, mats = tuple(zs), tuple(mats)
         if not mats or len(zs) != len(mats):
             raise ValueError("combine takes one scalar per matrix, and at least one matrix")
@@ -172,13 +168,13 @@ class HMatrix(RealCoords):
         for z in zs:
             if not isinstance(z, HScalar):
                 z = HScalar.make(z, exact=exact)
-            elif z.is_exact != exact:
-                raise BackendMismatch("mixed exact/float scalar operands")
             a += (z.x, z.y, z.v, z.w)
+        a, da = _entering(a, "scalar")
+        if (da is None) == exact:
+            raise BackendMismatch("mixed exact/float scalar operands")
         if not exact:
             b = first.nums if len(mats) == 1 else tuple(chain.from_iterable(m.nums for m in mats))
             return HMatrix._new(first.n, _product(False, 1, len(mats), a, b), None)
-        a, da = _over_lcm(a)
         db, b = lcm(*[m.den for m in mats]), []  # the matrices meet at their lcm
         for m in mats:
             f = db // m.den
@@ -291,16 +287,6 @@ class HMatrix(RealCoords):
 # codes have the i bit: i*i = ij*ij = -1, i*ij = -j, j*j = +1.
 
 _FLOAT_ZERO = (0.0, 0.0, 0.0, 0.0)
-
-
-def _check_coords(coords):
-    kinds = set(map(type, coords))
-    if kinds == {Fraction} or kinds == {float}:
-        return
-    if {Fraction, float} <= kinds:
-        raise BackendMismatch("mixed exact/float matrix entries")
-    bad = sorted(k.__name__ for k in kinds - {Fraction, float})
-    raise TypeError(f"matrix coordinates must be Fraction or float, not {', '.join(bad)}")
 
 
 def _product(exact, r, k, a, b):

@@ -28,7 +28,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import BackendMismatch, HScalar, RealCoords, _stored
+from .scalars import HScalar, RealCoords, _entering
 
 __all__ = [
     "ParavectorSpace",
@@ -54,7 +54,6 @@ _SPACES = {
     "hm4": ("c30bar", 3, ("1", "i", "j", "ij")),
 }
 SPACE_NAMES = tuple(_SPACES)
-_NUMBER_TYPES = frozenset((int, Fraction, float))
 
 
 def _single_slot(mv: Multivector):
@@ -172,26 +171,16 @@ class Paravector(RealCoords):
     _shape = "space"
 
     def __init__(self, space: ParavectorSpace, coords):
-        """Floats (numeric work) or Fractions (bit-exact work); ints fit
-        either backend.  ``ValueError`` names a wrong count or the index of a
-        NaN or infinite coordinate; a Fraction next to a float raises
-        :class:`BackendMismatch`, and any other type ``TypeError``."""
+        """Floats (numeric work) or Fractions (bit-exact work), entering by
+        :func:`~.scalars._entering`: ints fit either backend; a NaN or an
+        infinity raises ``ValueError``, a Fraction next to a float
+        :class:`BackendMismatch` and any other type ``TypeError``, each naming
+        the index.  A wrong count raises ``ValueError``."""
         coords = tuple(coords)
         if len(coords) != space.dim:
             raise ValueError(f"{space.name} expects {space.dim} coordinates")
-        kinds = set(map(type, coords))
-        if not kinds <= _NUMBER_TYPES:
-            k, c = next((k, c) for k, c in enumerate(coords) if type(c) not in _NUMBER_TYPES)
-            raise TypeError(f"{space.name} coordinate {k} is not an int, Fraction or float: {c!r}")
-        if float in kinds:
-            if Fraction in kinds:
-                raise BackendMismatch(f"{space.name} coordinates mix Fraction and float")
-            coords = tuple(map(float, coords))
-            for k, c in enumerate(coords):
-                if not math.isfinite(c):
-                    raise ValueError(f"{space.name} coordinate {k} is not finite: {c}")
         self.space = space
-        self.nums, self.den = _stored(coords)
+        self.nums, self.den = _entering(coords, space.name)
 
     def to_multivector(self) -> Multivector:
         return self.space.to_multivector(self)

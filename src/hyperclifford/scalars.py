@@ -21,6 +21,15 @@ is the same for :class:`HScalar` and for every :class:`RealCoords` value
 (matrices, multivectors): an operation on operands of two backends raises
 :class:`BackendMismatch`, also when one of them is zero, and ``==`` is
 backend-strict, so values of two backends are never equal.
+
+Numbers enter by one rule, :func:`_entering`, in every constructor that
+takes them from outside: ``HMatrix`` (rows and ``from_real_coords``),
+``HMatrix.combine``, ``Multivector`` and ``Paravector``.  Ints, Fractions
+and floats are numbers, and ints fit either backend; a Fraction beside a
+float raises :class:`BackendMismatch`, any other type ``TypeError`` and a
+NaN or infinite float ``ValueError``.  ``HScalar(x, y, v, w)`` is unchecked:
+kernels build their results with it, and ``HScalar.exact`` and
+``HScalar.flt`` are its checked forms.
 """
 
 from __future__ import annotations
@@ -184,6 +193,27 @@ def _stored(coords) -> tuple[tuple, int | None]:
         return coords, None
     nums, den = _over_lcm(coords)
     return tuple(nums), den
+
+
+def _entering(coords, what: str) -> tuple[tuple, int | None]:
+    """Numbers a constructor takes, checked by the module's one rule and
+    stored as :func:`_stored` stores them; errors name ``what`` and the index."""
+    coords = tuple(coords)
+    kinds = set(map(type, coords))
+    if kinds <= {int, Fraction}:
+        return _stored(coords)
+    if kinds <= {int, float}:
+        coords = tuple(map(float, coords))
+        if all(map(math.isfinite, coords)):
+            return coords, None
+    for k, c in enumerate(coords):
+        if type(c) not in (int, Fraction, float):
+            raise TypeError(f"{what} coordinate {k} is not an int, Fraction or float: {c!r}")
+    for k, c in enumerate(coords):  # a Fraction beside a float, or a float that is not finite
+        if type(c) is Fraction:
+            raise BackendMismatch(f"{what} coordinate {k} is a Fraction beside a float")
+        if not math.isfinite(c):
+            raise ValueError(f"{what} coordinate {k} is not finite: {c}")
 
 
 def _reduced(nums: list, den: int) -> tuple[list, int]:

@@ -834,4 +834,4 @@ def test_exact_blade_operations_match_per_coordinate_fractions(data, name):
     check(u.gp_blades(v), gp_blades_reference(u, v).coords)
     # the scalar times each blade's coefficient
     z = rep._coeff(cz)
-    check(u.scale(z), [x for k in range(0, len(cu), w) for x in rep._coeff_parts(z * rep._coeff(cu[k:k + w]))])
+    check(u.scale(z), [(z * rep._coeff(cu[k:k + w])).coeffs()[s] for k in range(0, len(cu), w) for s in rep._spots])

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyperclifford.algebra import Multivector, get_rep
 from hyperclifford.matrices import HMatrix
+from hyperclifford.paravectors import Paravector, get_space
 from hyperclifford.scalars import (
     BackendMismatch,
     HScalar,
@@ -449,3 +451,46 @@ def test_a_reducing_sum_is_stored_reduced():
     zero = third - third
     assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
     assert zero == HMatrix.zeros(1) and hash(zero) == hash(HMatrix.zeros(1))
+
+
+# Every public constructor takes its numbers by one rule: each builds from
+# four numbers x y v w, as an HScalar's parts or as coordinates, with the
+# bad one at the index the error must name.
+ENTRY_POINTS = {
+    "HMatrix rows": lambda parts: HMatrix([[HScalar(*parts)]]),
+    "from_real_coords": HMatrix.from_real_coords,
+    "combine": lambda parts: HMatrix.combine([HScalar(*parts)], [HMatrix.identity(2, exact=False)]),
+    "Multivector": lambda parts: Multivector(get_rep("c30bar"), {(): HScalar(*parts)}),
+    "rep.scalar": lambda parts: get_rep("c30bar").scalar(HScalar(*parts)),
+    "Paravector": lambda parts: Paravector(get_space("m4"), parts),
+    "space.paravector": lambda parts: get_space("m4").paravector(parts),
+}
+BAD_INPUTS = {
+    "nan": ([1.0, 0.0, math.nan, 0.0], ValueError, "coordinate 2 is not finite: nan"),
+    "inf": ([1.0, 0.0, math.inf, 0.0], ValueError, "coordinate 2 is not finite: inf"),
+    "-inf": ([1.0, 0.0, -math.inf, 0.0], ValueError, "coordinate 2 is not finite: -inf"),
+    "nan first": ([math.nan, 0.0, 0.0, 0.0], ValueError, "coordinate 0 is not finite: nan"),
+    "fraction beside float": ([1.0, 0.0, Fraction(1, 2), 0.0], BackendMismatch, "coordinate 2 is a Fraction"),
+    "float beside fraction": ([Fraction(1, 2), 0, 1.0, 0], BackendMismatch, "coordinate 0 is a Fraction"),
+    "non-number": ([1.0, 0.0, "1", 0.0], TypeError, "coordinate 2 is not an int, Fraction or float: '1'"),
+}
+
+
+def test_every_constructor_rejects_bad_numbers_where_they_enter():
+    wrong = []
+    for name, make in ENTRY_POINTS.items():
+        for case, (parts, error, message) in BAD_INPUTS.items():
+            try:
+                make(parts)
+            except Exception as exc:
+                if type(exc) is not error or message not in str(exc):
+                    wrong.append((name, case, repr(exc)))
+            else:
+                wrong.append((name, case, "accepted"))
+    assert wrong == []
+
+
+def test_every_constructor_takes_ints_beside_floats_as_floats():
+    for make in ENTRY_POINTS.values():
+        value = make([1, 0, 0.5, 0])
+        assert not value.is_exact and value == make([1.0, 0.0, 0.5, 0.0])
