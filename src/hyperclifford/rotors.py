@@ -16,8 +16,9 @@ inverse.  A rotor holds that matrix and acts by two products with dagger(g), a
 signed permutation of its coordinates.  The exponent is X = sum z_k sigma_k
 (h1: one term z on the 1x1 identity).  When the sigma_k pairwise anticommute
 (h1, m4; planes sharing one index) X squares to s = sum z_k^2 and g = cosh r +
-(sinh r / r) X, r^2 = s, is built from s on its null components over (1 +- j)/2
-with no matrix product; any other exponent takes the series, mat_exp.
+(sinh r / r) X is built on the null components over (1 +- j)/2 with no matrix
+product, r = z for one term and r^2 = s for several; any other exponent takes
+the series, mat_exp.
 """
 
 from __future__ import annotations
@@ -177,25 +178,30 @@ def _series(parts: list, n: int) -> list:
     return [q for z in acc for q in (z.real, z.imag)]
 
 
-def _cosh_sinhc(s: complex) -> tuple:
-    """cosh r / 2 and sinh r / r / 2 for r = sqrt(s), on one null component;
-    overflow raises :class:`SeriesNonConvergence`."""
-    r = cmath.sqrt(s)
+def _cosh_sinhc(r: complex) -> tuple:
+    """cosh r / 2 and sinh r / r / 2 on one null component; overflow raises
+    :class:`SeriesNonConvergence`."""
     try:
-        if cmath.isfinite(s):
+        if cmath.isfinite(r):
             return cmath.cosh(r) / 2, (cmath.sinh(r) / r if r else 1.0) / 2
     except OverflowError:
         pass
     raise SeriesNonConvergence("exponential argument too large")
 
 
-def _closed_form(n: int, s, terms) -> HMatrix:
-    """cosh r * 1 + (sinh r / r) * sum z_k m_k over ``(z_k, m_k)`` terms whose
-    sum squares to s*1 (coordinates x y v w): r = sqrt(s) per null component
-    of s, once when they are equal (no j part), back as in from_null_coords
-    (+ 0.0 clears a zero's sign); one pass over the m_k's non-zero entries."""
-    x, y, v, w = s
-    plus, minus = complex(x + v, y + w), complex(x - v, y - w)
+def _closed_form(n: int, terms) -> HMatrix:
+    """cosh r * 1 + (sinh r / r) * X, X = sum z_k m_k over ``(z_k, m_k)`` terms
+    with X^2 = r^2 * 1, per null component: r = z for one non-zero term (both
+    are even in r, so no root), else the root of sum z_k^2; once when the two
+    are equal (no j part), back as in from_null_coords (+ 0.0 clears a zero's
+    sign); one pass over the m_k's non-zero entries."""
+    terms = [(z, m) for z, m in terms if not z.is_zero]  # a zero adds nothing: no sum is -0.0
+    if len(terms) == 1:
+        x, y, v, w = terms[0][0].coeffs()
+        plus, minus = complex(x + v, y + w), complex(x - v, y - w)
+    else:
+        x, y, v, w = sum((z * z for z, _ in terms), HScalar(0.0, 0.0, 0.0, 0.0)).coeffs()
+        plus, minus = cmath.sqrt(complex(x + v, y + w)), cmath.sqrt(complex(x - v, y - w))
     halves = _cosh_sinhc(plus)
     halves = zip(halves, halves if minus == plus else _cosh_sinhc(minus))
     c, k = (HScalar(a.real + b.real + 0.0, a.imag + b.imag + 0.0, a.real - b.real + 0.0, a.imag - b.imag + 0.0)
@@ -203,7 +209,7 @@ def _closed_form(n: int, s, terms) -> HMatrix:
     out = [0.0] * (4 * n * n)
     for d in range(0, len(out), 4 * n + 4):
         out[d:d + 4] = c.x, c.y, c.v, c.w
-    for kz, m in [(k * z, m) for z, m in terms if not z.is_zero]:  # a zero adds nothing: no sum is -0.0
+    for kz, m in [(k * z, m) for z, m in terms]:
         for q, entry in zip(range(0, len(out), 4), zip(*[iter(m.nums)] * 4)):
             if any(entry):
                 p = kz * HScalar(*entry)
@@ -261,11 +267,11 @@ def _sigma_ab_float(a: int, b: int) -> HMatrix:
     return sigma_ab(a, b).to_float()
 
 
-def _exponent_terms(params: RotorParams) -> tuple[list, tuple | None]:
+def _exponent_terms(params: RotorParams) -> tuple[list, bool]:
     """The exponent's terms (z, sigma), z = (-i phi + j xi)/2 on the 1x1
-    identity (h1), sigma_k (m4) or a plane's sigma_ab (e6, r66), and its square
-    sum z^2 when the sigmas pairwise anticommute (one term does; sigma_k do;
-    planes sharing one index), else None."""
+    identity (h1), sigma_k (m4) or a plane's sigma_ab (e6, r66), and whether
+    the sigmas pairwise anticommute (one term does; sigma_k do; planes
+    sharing one index)."""
     if params.space in ("e6", "r66"):
         phi, xi = dict(params.phi_ab), dict(params.xi_ab)
         planes = sorted(phi.keys() | xi.keys())
@@ -275,7 +281,7 @@ def _exponent_terms(params: RotorParams) -> tuple[list, tuple | None]:
         sigmas = [HMatrix.identity(1, exact=False)] if params.space == "h1" else map(_pauli2_float, (1, 2, 3))
         angles, anticommute = zip(params.phi, params.xi, sigmas), True
     terms = [(HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0), m) for p, x, m in angles]
-    return terms, sum((z * z for z, _ in terms), HScalar(0.0, 0.0, 0.0, 0.0)).coeffs() if anticommute else None
+    return terms, anticommute
 
 
 def _exponent_matrix(params: RotorParams) -> HMatrix:
@@ -301,8 +307,8 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = 
 
 def rotor_from_params(params: RotorParams) -> Rotor:
     rep = get_space(params.space).rep
-    terms, s = _exponent_terms(params)
-    m = mat_exp(HMatrix.combine(*zip(*terms))) if s is None else _closed_form(rep.n, s, terms)
+    terms, anticommute = _exponent_terms(params)
+    m = _closed_form(rep.n, terms) if anticommute else mat_exp(HMatrix.combine(*zip(*terms)))
     return rotor_from_matrix(rep, m, params)
 
 
@@ -523,7 +529,7 @@ def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
     g = None
     for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
         z = HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0)
-        plane = _closed_form(4, (z * z).coeffs(), [(z, _sigma_ab_float(a, b))])
+        plane = _closed_form(4, [(z, _sigma_ab_float(a, b))])
         g = plane if g is None else plane @ g
     target = get_space(space)
     return act(rotor_from_matrix(target.rep, g), target.basis_vector(5, r)).coords
