@@ -338,61 +338,56 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verified Clifford algebra computations over hyperbolic-complex scalars",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = argparse.ArgumentParser(add_help=False)  # the one option every subcommand takes
+    formats.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = sub.add_parser("verify", parents=[formats], help="run verification suites")
     p.add_argument(
         "suite",
         nargs="?",
         default="all",
         choices=("all",) + checks.SUITE_NAMES,
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("tables", help="print computed involution sign tables")
+    p = sub.add_parser("tables", parents=[formats], help="print computed involution sign tables")
     p.add_argument("rep", choices=REP_NAMES)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("sphere", help="five-sphere point: closed form vs rotor path")
+    p = sub.add_parser("sphere", parents=[formats], help="five-sphere point: closed form vs rotor path")
     p.add_argument("--radius", type=_finite_float, default=1.0)
     p.add_argument("--angles", required=True, help="phi_25,phi_02,phi_01,phi_35,phi_34")
     p.add_argument("--hyperbolic", help="xi_25,xi_02,xi_01,xi_35,xi_34")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_sphere)
 
-    p = sub.add_parser("boost", help="apply a pure boost to a 4-vector")
+    p = sub.add_parser("boost", parents=[formats], help="apply a pure boost to a 4-vector")
     p.add_argument("--xi", type=_finite_float, required=True, help="rapidity")
     p.add_argument("--axis", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--vector", required=True, help="x0,x1,x2,x3")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_boost)
 
-    p = sub.add_parser("interfere", help="interference of two probabilities")
+    p = sub.add_parser("interfere", parents=[formats], help="interference of two probabilities")
     p.add_argument("--p1", type=_finite_float, required=True)
     p.add_argument("--p2", type=_finite_float, required=True)
     p.add_argument("--lambda", dest="lambda", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_interfere)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("pauli", help="print Pauli matrices")
+    p = sub.add_parser("pauli", parents=[formats], help="print Pauli matrices")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--k", type=int, help="4x4 matrix index 1..15")
     g.add_argument("--ab", help="index pair a,b with 0 <= a,b <= 5")
     g.add_argument("--two", type=int, help="2x2 matrix index 1..3")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_pauli)
 
-    p = sub.add_parser("decompose", help="blade coefficients of a JSON matrix")
+    p = sub.add_parser("decompose", parents=[formats], help="blade coefficients of a JSON matrix")
     p.add_argument("--rep", required=True, choices=REP_NAMES)
     p.add_argument(
         "--matrix",
         required=True,
         help="JSON rows of [x,y,v,w] 4-tuples, or - for stdin",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_decompose)
 
     return parser

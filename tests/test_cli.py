@@ -507,3 +507,35 @@ def test_json_answers_print_as_the_standard_encoder_with_indent_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# each subcommand with what it parses to besides "command" and "format"
+PARSES = {
+    "verify": (["verify"], {"suite": "all", "tol": None, "func": cli._cmd_verify}),
+    "verify suite": (["verify", "rotations", "--tol", "1e-9"],
+                     {"suite": "rotations", "tol": 1e-9, "func": cli._cmd_verify}),
+    "tables": (["tables", "r30"], {"rep": "r30", "func": cli._cmd_tables}),
+    "sphere": (["sphere", "--angles", "1,2,3,4,5"],
+               {"radius": 1.0, "angles": "1,2,3,4,5", "hyperbolic": None, "tol": None, "func": cli._cmd_sphere}),
+    "boost": (["boost", "--xi", "0.5", "--vector", "1,0,0,0"],
+              {"xi": 0.5, "axis": 3, "vector": "1,0,0,0", "func": cli._cmd_boost}),
+    "interfere": (["interfere", "--p1", "0.2", "--p2", "0.3", "--lambda", "0.5"],
+                  {"p1": 0.2, "p2": 0.3, "lambda": 0.5, "func": cli._cmd_interfere}),
+    "pauli": (["pauli", "--ab", "0,1"], {"k": None, "ab": "0,1", "two": None, "func": cli._cmd_pauli}),
+    "decompose": (["decompose", "--rep", "r30", "--matrix", "-"],
+                  {"rep": "r30", "matrix": "-", "func": cli._cmd_decompose}),
+}
+
+
+@pytest.mark.parametrize("argv, want", PARSES.values(), ids=PARSES)
+def test_every_subcommand_parses_the_same_with_and_without_format(argv, want):
+    parser = cli._build_parser()
+    for fmt, tail in (("text", []), ("json", ["--format", "json"]), ("text", ["--format", "text"])):
+        for args in (argv + tail, argv[:1] + tail + argv[1:]):
+            assert vars(parser.parse_args(args)) == {"command": argv[0], "format": fmt, **want}
+
+
+def test_format_is_declared_once_for_all_seven_subcommands():
+    (subcommands,) = [a.choices for a in cli._build_parser()._actions if a.dest == "command"]
+    assert set(subcommands) == {argv[0] for argv, _ in PARSES.values()}
+    assert len({id(p._option_string_actions["--format"]) for p in subcommands.values()}) == 1

@@ -19,6 +19,7 @@ from hyperclifford.rotors import (
     ResultOutsideParavectorSpan,
     RotorParams,
     SeriesNonConvergence,
+    _closed_form,
     _exponent_matrix,
     _exponent_terms,
     _index_table,
@@ -294,6 +295,31 @@ def taylor_exp(x: HMatrix) -> HMatrix:
     return acc
 
 
+def _truncated(a: int, d: int) -> int:
+    """a / d rounded toward zero, so a shrinking term reaches 0."""
+    return a // d if a >= 0 else -(-a // d)
+
+
+def fixed_point_exp(x: HMatrix, bits: int = 200) -> HMatrix:
+    """Reference exponential where a float Taylor series cannot reach: the
+    plain series of each complex null component in fixed point, ints over
+    2**bits, summed until a term vanishes and rounded to floats once."""
+    n, one, parts = x.n, 1 << bits, []
+    for comp in to_null_coords(x.coords):
+        a = [(int(math.ldexp(re, bits)), int(math.ldexp(im, bits))) for re, im in zip(comp[0::2], comp[1::2])]
+        term = [(one if k % (n + 1) == 0 else 0, 0) for k in range(n * n)]
+        acc, k = term, 0
+        while any(re or im for re, im in term):
+            k += 1
+            prods = [[(p * s - q * t, p * t + q * s) for (p, q), (s, t) in zip(term[r:r + n], a[c::n])]
+                     for r in range(0, n * n, n) for c in range(n)]
+            term = [(_truncated(sum(re for re, _ in e), k << bits), _truncated(sum(im for _, im in e), k << bits))
+                    for e in prods]
+            acc = [(p + s, q + t) for (p, q), (s, t) in zip(acc, term)]
+        parts.append([v / one for pair in acc for v in pair])
+    return HMatrix.from_real_coords(from_null_coords(*parts))
+
+
 def test_series_and_closed_form_agree():
     # mat_exp is the series alone: on arguments that square to a ring scalar
     # times the identity (rotors build these in closed form) as on the
@@ -323,11 +349,11 @@ PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 @st.composite
-def rotor_params(draw, spaces=("h1", "m4", "e6", "r66"), min_planes=1):
+def rotor_params(draw, spaces=("h1", "m4", "e6", "r66"), min_planes=1, max_rapidity=2.0):
     """h1 and m4 parameters with rotation and boost mixed, e6 parameters on
     ``min_planes`` to four planes and r66 parameters with both angles on each
     plane."""
-    angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0)
+    angle, rapidity = st.floats(-math.pi, math.pi), st.floats(-max_rapidity, max_rapidity)
     space = draw(st.sampled_from(spaces))
     if space == "h1":
         return RotorParams.h1(draw(angle), draw(rapidity))
@@ -346,12 +372,17 @@ def exponents(spaces=("h1", "m4", "e6", "r66"), min_planes=1):
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=exponents())
-def test_mat_exp_is_the_series_and_inverts_by_negation(x):
-    got, want = mat_exp(x), taylor_exp(x)
+@given(params=rotor_params(max_rapidity=50.0))
+def test_mat_exp_is_the_series_and_inverts_by_negation(params):
+    # up to rapidity 50 the reference is the closed form for anticommuting
+    # generators and the fixed-point series for the others; the product with
+    # exp(-x) rounds in proportion to |exp x| |exp -x|
+    x, (terms, anticommute) = _exponent_matrix(params), _exponent_terms(params)
+    got, back = mat_exp(x), mat_exp(-x)
+    want = _closed_form(x.n, terms) if anticommute else fixed_point_exp(x)
     assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
     one = HMatrix.identity(x.n, exact=False)
-    assert (got @ mat_exp(-x)).is_close(one, 1e-12 * (1.0 + got.max_abs()) ** 2)
+    assert (got @ back).is_close(one, 1e-12 * (1.0 + got.max_abs()) * (1.0 + back.max_abs()))
 
 
 @settings(max_examples=100, deadline=None)

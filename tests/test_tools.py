@@ -247,11 +247,13 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
             (parent_dir, "calc-stream"): finished({"rotors.act.calls": 5}, 0.95),
             (change_dir, "calc-stream"): crashed()}
     monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
-    monkeypatch.setattr(compare_outputs, "source_lines", lambda root: 10)
+    monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", lambda root, workload, seconds: runs[str(root), workload])
     assert compare_outputs.main([parent_dir, change_dir]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "no differences"
+    # the src/ total beside the status counts, then each module's lines
+    assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
     assert out[-7:] == [
         "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
         "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
@@ -339,5 +341,9 @@ def test_source_lines_counts_the_python_lines_under_src(tmp_path):
     (package / "a.py").write_text("x = 1\n\ny = 2\n")
     (package / "b.py").write_text("z = 3")  # no final newline
     (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("w = 4\n")
     (tmp_path / "tools.py").write_text("outside src\n")
-    assert compare_outputs.source_lines(tmp_path) == 4
+    lines = compare_outputs.source_lines(tmp_path)
+    # one count per module by dotted name, in name order
+    assert list(lines.items()) == [("pkg.__init__", 0), ("pkg.a", 3), ("pkg.b", 1), ("pkg.sub.c", 1)]

@@ -13,8 +13,8 @@ bytecode written) and records:
   stdout and stderr.
 
 Prints every difference, and for each side the status counts, a SHA-256
-of its records, the line count of its ``src`` and the in-process time of
-each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
+of its records, the line count of its ``src`` with that of each module
+beside it, and the in-process time of each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
 out of the records, so out of the differences and the SHA-256); exits 0
 when the two sides agree and 1 when they differ or a traced run below
 fails.  Calc answers that keep their exit code, stderr and JSON
@@ -79,9 +79,13 @@ def suite_times(times: list) -> dict:
     return out
 
 
-def source_lines(root: Path) -> int:
-    """The number of lines in the Python files under ``root/src``."""
-    return sum(len(path.read_text().splitlines()) for path in (root / "src").rglob("*.py"))
+def source_lines(root: Path) -> dict:
+    """The number of lines of each Python module under ``root/src``, by its
+    dotted name, in name order."""
+    src = root / "src"
+    lines = {".".join(path.relative_to(src).with_suffix("").parts): len(path.read_text().splitlines())
+             for path in src.rglob("*.py")}
+    return dict(sorted(lines.items()))
 
 
 def differences(name: str, old: list, new: list, summed=frozenset()) -> list[str]:
@@ -198,7 +202,10 @@ def main(argv=None) -> int:
         statuses = Counter(status for _, status, _ in recs["verify"])
         codes = Counter(rc for _, rc, _, _ in recs["calc"])
         print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}"
-              f"  src/ {source_lines(Path(root))} lines")
+              f"  src/ {sum(source_lines(Path(root)).values())} lines")
+    for side, root, *_ in sides:
+        print(f"{side}: src/ lines per module  "
+              + "  ".join(f"{name} {count}" for name, count in source_lines(Path(root)).items()))
     for side, *_, times in sides:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
