@@ -42,7 +42,6 @@ from .paravectors import (
     dot,
     embed_momentum,
     get_space,
-    quasi_sphere_contains,
     quasi_sphere_residual,
     wedge2,
     wedge3,

@@ -355,7 +355,7 @@ class AlgebraRep:
         return Multivector(self, {(): z})
 
     def generator(self, index: int, exact: bool = True) -> "Multivector":
-        return Multivector(self, {(index,): HScalar.one(exact)})
+        return Multivector(self, {(index,): HScalar.make(1, exact=exact)})
 
     def blade(self, blade: Blade, coeff=None, exact: bool = True) -> "Multivector":
         c = coeff if isinstance(coeff, HScalar) else HScalar.make(
@@ -395,11 +395,15 @@ class Multivector(RealCoords):
     def __init__(self, rep: AlgebraRep, coeffs):
         """Absent blades are zero.  The parts x y v w of each coefficient, in
         the mapping's order, enter by :func:`~.scalars._entering`.  Raises
+        ``TypeError`` for a coefficient that is not an :class:`HScalar` and
         ``ValueError`` for a mapping with no coefficients, which carries no
         backend (a zero is ``rep.scalar(0, exact=...)``), a blade outside the
         representation or a coefficient outside its subring."""
         if not coeffs:
             raise ValueError("no coefficients, so no backend: use rep.scalar(0, exact=...) for a zero")
+        for blade, z in coeffs.items():
+            if not isinstance(z, HScalar):
+                raise TypeError(f"{rep.name} coefficient {z!r} of blade {blade} is not an HScalar")
         # only the given coefficients meet at their lcm; the other coordinates are zero
         nums, den = _entering([c for z in coeffs.values() for c in (z.x, z.y, z.v, z.w)], rep.name)
         out = [0.0 if den is None else 0] * len(rep.basis)

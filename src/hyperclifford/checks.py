@@ -213,7 +213,7 @@ def _random_mv(rep, rng, exact: bool = False) -> Multivector:
     basis order: per blade the 1 part, then the part along the rep's
     adjoined unit."""
     if not exact:
-        return Multivector._make(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis])
+        return Multivector._new(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis], None)
     pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rep.basis]
     return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)  # over 6 = lcm(1, 2, 3)
 
@@ -659,7 +659,7 @@ def _qform_invariance(ctx):
         space = get_space(s)
         for r in ctx.rotors[s]:
             x = space.paravector([ctx.rng.uniform(-2, 2) for _ in range(space.dim)])
-            yield (x.qform() - act(r, x).qform()).abs_max()
+            yield (x.qform() - act(r, x).qform()).max_abs()
 
 
 @check("rotations.boost", "pure boost acting on a rest-frame vector",
@@ -718,7 +718,7 @@ def _pure_forms(ctx):
        " the scalar case matches exp(-i phi/2) exp(+- xi/2)", tol=1e-12)
 def _null_roundtrip(ctx):
     def roundtrip_error(m):
-        return (m._like(from_null_coords(*to_null_coords(m.coords))) - m).max_abs()
+        return (HMatrix._new(m.n, from_null_coords(*to_null_coords(m.coords)), None) - m).max_abs()
 
     for _ in range(40):
         r = _random_rotor("h1", ctx.rng)

@@ -291,7 +291,7 @@ def _matrix_cell(cell, row: int, col: int) -> HScalar:
     """One ``[x,y,v,w]`` cell of a JSON matrix, at 1-based ``row``, ``col``."""
     if not (isinstance(cell, list) and len(cell) == 4 and set(map(type, cell)) <= _JSON_NUMBERS):
         raise ValueError(f"cell at row {row}, column {col} is not four numbers [x,y,v,w]")
-    return HScalar.flt(*map(_finite_float, cell))
+    return HScalar(*map(_finite_float, cell))  # finite floats; HMatrix checks them again
 
 
 def _cmd_decompose(args) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "wedge3",
     "wedge4",
     "quasi_sphere_residual",
-    "quasi_sphere_contains",
     "embed_momentum",
 ]
 
@@ -269,12 +268,6 @@ def quasi_sphere_residual(x: Paravector, r: float) -> float:
     q = x.qform()
     parts = (abs(float(q.x) - r * r), abs(float(q.y)), abs(float(q.v)), abs(float(q.w)))
     return math.nan if any(map(math.isnan, parts)) else max(parts)
-
-
-def quasi_sphere_contains(x: Paravector, r: float, tol: float = 1e-10) -> bool:
-    """Whether x*bar(x) equals r^2 as a real number, all four scalar
-    components within tol."""
-    return quasi_sphere_residual(x, r) <= tol
 
 
 def embed_momentum(q, o, s, u) -> Paravector:

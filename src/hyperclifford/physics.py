@@ -32,8 +32,6 @@ __all__ = [
     "MomentumHM4",
     "mass_qform",
     "hermiticity_check",
-    "fiber_vector",
-    "fiber_paravector",
     "stabilizer_check",
 ]
 
@@ -158,24 +156,6 @@ def hermiticity_check(p: MomentumHM4, tol: float = 1e-10) -> bool:
     )
 
 
-# Fiber slot convention: the q and o spatial blocks fill the six
-# positive-signature slots in order, the hyperbolic-unit-carrying s and u
-# blocks fill the six negative-signature slots.
-def fiber_vector(p: MomentumHM4) -> tuple[float, ...]:
-    """Spatial parts of the four 4-vectors as a twelve-dimensional vector
-    (q1..q3, o1..o3, s1..s3, u1..u3)."""
-    return tuple(
-        float(c)
-        for block in (p.q, p.o, p.s, p.u)
-        for c in block[1:]
-    )
-
-
-def fiber_paravector(p: MomentumHM4) -> Paravector:
-    """The fiber vector as a split-signature twelve-space paravector."""
-    return get_space("r66").paravector(fiber_vector(p))
-
-
 def stabilizer_check(
     rotor: Rotor,
     p: MomentumHM4,
@@ -203,6 +183,6 @@ def stabilizer_check(
         except ResultOutsideParavectorSpan:
             return False
         before, after = x.qform(), image.qform()
-        if not ((before - after).abs_max() <= tol * (1.0 + before.abs_max())):
+        if not ((before - after).max_abs() <= tol * (1.0 + before.max_abs())):
             return False
     return True

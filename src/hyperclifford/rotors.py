@@ -34,7 +34,7 @@ from operator import add, mul
 from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, get_space
-from .scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords, trig_tilde
+from .scalars import BackendMismatch, HScalar, _floats, from_null_coords, to_null_coords, trig_tilde
 
 __all__ = [
     "SeriesNonConvergence",
@@ -88,25 +88,28 @@ class ResultOutsideParavectorSpan(ValueError):
 _ROTOR_SPACES = {"h1": (1, ()), "m4": (3, ()), "e6": (0, ("phi_ab",)), "r66": (0, ("phi_ab", "xi_ab"))}
 
 
-def _antisym_normalize(mapping) -> dict:
+def _antisym_normalize(mapping, what: str) -> tuple:
+    """Sorted planes ``(a, b)``, ``a < b``, the angle negated for ``a > b``."""
+    mapping = dict(mapping or {})
     out = {}
-    for (a, b), val in dict(mapping or {}).items():
+    for (a, b), val in zip(mapping, _floats(mapping.values(), what)):
         if not (0 <= a <= 5 and 0 <= b <= 5):
             raise ValueError("plane indices must lie in 0..5")
         if a == b:
             raise ValueError("plane indices must differ")
-        key, v = ((a, b), float(val)) if a < b else ((b, a), -float(val))
+        key, v = ((a, b), val) if a < b else ((b, a), -val)
         if key in out and out[key] != v:
             raise ValueError(f"conflicting values for plane {key}")
         out[key] = v
-    return out
+    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)
 class RotorParams:
     """Rotation parameters; angles in radians, antisymmetry enforced.  The
     constructor checks the phi and xi counts (h1 one, m4 three, e6 and r66
-    none) and the plane fields of the space, and stores planes sorted."""
+    none), the plane fields of the space and the angles, which enter by
+    :func:`~.scalars._entering` and are stored as floats, planes sorted."""
 
     space: str
     phi: tuple = ()
@@ -119,14 +122,14 @@ class RotorParams:
             raise ValueError(f"no rotors for space {self.space!r}")
         count, planes = _ROTOR_SPACES[self.space]
         for name in ("phi", "xi"):
-            angles = tuple(map(float, getattr(self, name)))
+            angles = _floats(getattr(self, name), f"{self.space} {name}")
             if len(angles) != count:
                 raise ValueError(f"{self.space} expects {count} {name} angles, got {len(angles)}")
             object.__setattr__(self, name, angles)
         for name in ("phi_ab", "xi_ab"):
             if getattr(self, name) and name not in planes:
                 raise ValueError(f"{self.space} takes no {name}")
-            object.__setattr__(self, name, tuple(sorted(_antisym_normalize(getattr(self, name)).items())))
+            object.__setattr__(self, name, _antisym_normalize(getattr(self, name), f"{self.space} {name}"))
 
     @classmethod
     def h1(cls, phi: float = 0.0, xi: float = 0.0) -> "RotorParams":
@@ -229,7 +232,7 @@ def mat_exp(x: HMatrix) -> HMatrix:
         exps = [_series(a, x.n) for a in ((plus,) if minus == plus else (plus, minus))]
     except OverflowError:
         raise SeriesNonConvergence("exponential argument too large") from None
-    return HMatrix._make(x.n, from_null_coords(exps[0], exps[-1]))
+    return HMatrix._new(x.n, from_null_coords(exps[0], exps[-1]), None)
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
@@ -280,14 +283,8 @@ def _exponent_terms(params: RotorParams) -> tuple[list, bool]:
     else:  # one term on the 1x1 identity (h1), or sigma_1..3 (m4)
         sigmas = [HMatrix.identity(1, exact=False)] if params.space == "h1" else map(_pauli2_float, (1, 2, 3))
         angles, anticommute = zip(params.phi, params.xi, sigmas), True
-    terms = [(HScalar.flt(0.0, -p / 2.0, x / 2.0, 0.0), m) for p, x, m in angles]
+    terms = [(HScalar(0.0, -p / 2.0, x / 2.0, 0.0), m) for p, x, m in angles]  # p and x entered by RotorParams
     return terms, anticommute
-
-
-def _exponent_matrix(params: RotorParams) -> HMatrix:
-    """The sum of the :func:`_exponent_terms`; no plane is the zero exponent."""
-    terms, _ = _exponent_terms(params)
-    return HMatrix.combine(*zip(*terms)) if terms else HMatrix.zeros(4, exact=False)
 
 
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:

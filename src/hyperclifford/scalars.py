@@ -23,13 +23,14 @@ is the same for :class:`HScalar` and for every :class:`RealCoords` value
 backend-strict, so values of two backends are never equal.
 
 Numbers enter by one rule, :func:`_entering`, in every constructor that
-takes them from outside: ``HMatrix`` (rows and ``from_real_coords``),
-``HMatrix.combine``, ``Multivector`` and ``Paravector``.  Ints, Fractions
-and floats are numbers, and ints fit either backend; a Fraction beside a
-float raises :class:`BackendMismatch`, any other type ``TypeError`` and a
-NaN or infinite float ``ValueError``.  ``HScalar(x, y, v, w)`` is unchecked:
-kernels build their results with it, and ``HScalar.exact`` and
-``HScalar.flt`` are its checked forms.
+takes them from outside: ``HScalar.exact`` and ``HScalar.flt``, ``HMatrix``
+(rows and ``from_real_coords``), ``HMatrix.combine``, ``Multivector``,
+``Paravector`` and ``RotorParams``.  Ints, Fractions and floats are
+numbers, and ints fit either backend; a Fraction beside a float raises
+:class:`BackendMismatch`, any other type ``TypeError`` and a NaN or
+infinite float ``ValueError``, naming the index.  Ring operations take
+only an :class:`HScalar` of the same backend.  ``HScalar(x, y, v, w)`` and
+``RealCoords._new`` are unchecked: kernels build their results with them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 __all__ = [
     "BackendMismatch",
@@ -79,12 +79,6 @@ class RealCoords:
     __slots__ = ()
 
     @classmethod
-    def _make(cls, shape, coords):
-        """Wrap coordinates that are all floats, or all ints and Fractions;
-        they are otherwise taken as valid."""
-        return cls._new(shape, *_stored(coords))
-
-    @classmethod
     def _new(cls, shape, nums, den):
         """The one constructor of stored values: float coordinates (``den``
         None), or int numerators over ``den > 0``, reduced here."""
@@ -107,10 +101,6 @@ class RealCoords:
     @property
     def is_exact(self) -> bool:
         return self.den is not None
-
-    def _like(self, coords):
-        """A value of this type and shape with the given coordinates."""
-        return self._make(getattr(self, self._shape), coords)
 
     def to_float(self):
         """The float value; int true division rounds correctly, so each
@@ -184,24 +174,16 @@ class RealCoords:
         return (self - other).max_abs() <= tol
 
 
-def _stored(coords) -> tuple[tuple, int | None]:
-    """Coordinates as :class:`RealCoords` stores them: floats as they are,
-    over ``None``; ints and Fractions as numerators over their lcm
-    denominator, which is canonical."""
-    coords = tuple(coords)
-    if coords[0].__class__ is float:
-        return coords, None
-    nums, den = _over_lcm(coords)
-    return tuple(nums), den
-
-
 def _entering(coords, what: str) -> tuple[tuple, int | None]:
     """Numbers a constructor takes, checked by the module's one rule and
-    stored as :func:`_stored` stores them; errors name ``what`` and the index."""
+    returned as :class:`RealCoords` stores them: floats over ``None``, or
+    ints and Fractions as int numerators over their lcm denominator, which
+    is canonical.  Errors name ``what`` and the index."""
     coords = tuple(coords)
     kinds = set(map(type, coords))
     if kinds <= {int, Fraction}:
-        return _stored(coords)
+        nums, den = _over_lcm(coords)
+        return tuple(nums), den
     if kinds <= {int, float}:
         coords = tuple(map(float, coords))
         if all(map(math.isfinite, coords)):
@@ -214,6 +196,13 @@ def _entering(coords, what: str) -> tuple[tuple, int | None]:
             raise BackendMismatch(f"{what} coordinate {k} is a Fraction beside a float")
         if not math.isfinite(c):
             raise ValueError(f"{what} coordinate {k} is not finite: {c}")
+
+
+def _floats(coords, what: str) -> tuple:
+    """Numbers taken as floats: :func:`_entering`'s check, then exact ones
+    converted as ``to_float`` converts them."""
+    nums, den = _entering(coords, what)
+    return nums if den is None else tuple(x / den for x in nums)
 
 
 def _reduced(nums: list, den: int) -> tuple[list, int]:
@@ -253,32 +242,21 @@ class HScalar:
 
     @classmethod
     def exact(cls, x=0, y=0, v=0, w=0) -> "HScalar":
-        """Exact-backend scalar; a ``float`` component raises
-        :class:`BackendMismatch` (convert with ``Fraction(x)`` to mean it)."""
-        if isinstance(x, float) or isinstance(y, float) or isinstance(v, float) or isinstance(w, float):
+        """Exact-backend scalar; the parts enter by :func:`_entering`, and a
+        ``float`` raises :class:`BackendMismatch` (mean it as ``Fraction(x)``)."""
+        if _entering((x, y, v, w), "HScalar")[1] is None:
             raise BackendMismatch("a float component cannot enter the exact backend")
         return cls(Fraction(x), Fraction(y), Fraction(v), Fraction(w))
 
     @classmethod
-    def flt(cls, x=0.0, y=0.0, v=0.0, w=0.0) -> "HScalar":
-        """Float-backend scalar; ``ValueError`` names a NaN or infinite component."""
-        z = cls(float(x), float(y), float(v), float(w))
-        if not (math.isfinite(z.x) and math.isfinite(z.y) and math.isfinite(z.v) and math.isfinite(z.w)):
-            name, c = next((n, c) for n, c in zip("xyvw", z.coeffs()) if not math.isfinite(c))
-            raise ValueError(f"HScalar component {name} is not finite: {c}")
-        return z
+    def flt(cls, x=0, y=0, v=0, w=0) -> "HScalar":
+        """Float-backend scalar; the parts enter by :func:`_entering`, and
+        ints and Fractions become floats."""
+        return cls(*_floats((x, y, v, w), "HScalar"))
 
     @classmethod
     def make(cls, x=0, y=0, v=0, w=0, exact: bool = True) -> "HScalar":
         return cls.exact(x, y, v, w) if exact else cls.flt(x, y, v, w)
-
-    @classmethod
-    def zero(cls, exact: bool = True) -> "HScalar":
-        return cls.make(exact=exact)
-
-    @classmethod
-    def one(cls, exact: bool = True) -> "HScalar":
-        return cls.make(1, exact=exact)
 
     @classmethod
     def unit(cls, name: str, exact: bool = True) -> "HScalar":
@@ -300,16 +278,13 @@ class HScalar:
         return HScalar(float(self.x), float(self.y), float(self.v), float(self.w))
 
     def _peer(self, other) -> "HScalar":
-        """Coerce a numeric operand onto this scalar's backend."""
-        if isinstance(other, HScalar):
-            if other.is_exact != self.is_exact:
-                raise BackendMismatch("mixed exact/float scalar operands")
-            return other
-        if isinstance(other, Rational):
-            return HScalar.make(other, exact=self.is_exact)
-        if isinstance(other, float) and not self.is_exact:
-            return HScalar.flt(other)
-        raise BackendMismatch(f"cannot combine {type(other).__name__} with this backend")
+        """A second operand, checked: an :class:`HScalar` of this backend.
+        Anything else raises :class:`BackendMismatch`, a ``TypeError``."""
+        if not isinstance(other, HScalar):
+            raise BackendMismatch(f"cannot combine {type(other).__name__} with an HScalar")
+        if other.is_exact != self.is_exact:
+            raise BackendMismatch("mixed exact/float scalar operands")
+        return other
 
     # -- ring operations -------------------------------------------------
 
@@ -321,9 +296,6 @@ class HScalar:
 
     def __sub__(self, other):
         return self + (-self._peer(other))
-
-    def __rsub__(self, other):
-        return self._peer(other) + (-self)
 
     def __neg__(self):
         return HScalar(-self.x, -self.y, -self.v, -self.w)
@@ -426,14 +398,14 @@ class HScalar:
         fk = HScalar.flt(math.cos(z.w), 0.0, 0.0, math.sin(z.w))
         return fi * fj * fk * HScalar.flt(base)
 
-    def abs_max(self) -> float:
+    def max_abs(self) -> float:
         """Largest absolute coefficient, as a float; NaN when one is NaN."""
         mags = (abs(float(self.x)), abs(float(self.y)), abs(float(self.v)), abs(float(self.w)))
         return math.nan if math.isnan(sum(mags)) else max(mags)
 
     def is_close(self, other: "HScalar", tol: float = 1e-12) -> bool:
         d = self - other
-        return d.abs_max() <= tol
+        return d.max_abs() <= tol
 
     # -- display ----------------------------------------------------------
 

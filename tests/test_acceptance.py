@@ -228,7 +228,7 @@ def test_criterion_08_rotation_invariance():
                 assert (rotor.g.hat().gp(rotor.g.dagger()) - one).max_abs() <= 1e-12
                 x = space.paravector([rng.uniform(-2, 2) for _ in range(space.dim)])
                 before, after = x.qform(), act(rotor, x).qform()
-                assert (before - after).abs_max() <= 1e-10
+                assert (before - after).max_abs() <= 1e-10
 
 
 def test_criterion_09_boost():

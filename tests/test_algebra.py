@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -25,11 +26,16 @@ from hyperclifford.algebra import (
     pseudoscalar,
 )
 from hyperclifford.matrices import HMatrix, pauli2
-from hyperclifford.scalars import BackendMismatch, HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar, _entering
 from test_scalars import assert_canonical, exact_coordinates
 
 RNG = random.Random(99)
 ALL_REPS = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
+
+
+def from_coords(rep, coords):
+    """The element with the given coordinates, ints and Fractions or floats."""
+    return Multivector._new(rep, *_entering(coords, rep.name))
 
 
 def random_mv(rep, exact=False, rng=RNG):
@@ -57,7 +63,7 @@ def sparse_mv(rep, exact, rng):
     output blades collect fewer terms than others; the others are zeros
     of the same backend."""
     full = random_mv(rep, exact, rng)
-    zero = HScalar.zero(exact)
+    zero = HScalar.make(exact=exact)
     keep = {b: z if rng.random() < 0.6 else zero for b, z in full.coeffs.items()}
     return Multivector(rep, {(): zero, **keep})
 
@@ -87,7 +93,7 @@ def gp_blades_reference(u, v):
             key = (blade, unit)
             out[key] = out[key] + term if key in out else term
     zero = Fraction(0) if u.is_exact else 0.0
-    return Multivector._make(rep, [out.get(key, zero) for key in rep.basis])
+    return from_coords(rep, [out.get(key, zero) for key in rep.basis])
 
 
 def gp_blades_null_reference(u, v):
@@ -110,19 +116,19 @@ def gp_blades_null_reference(u, v):
             sums[blade][0] += sign * (p1 * p2)
             sums[blade][1] += sign * (m1 * m2)
     coords = [x for P, M in sums.values() for x in ((P + M) / 2, (P - M) / 2)]
-    return Multivector._make(rep, coords)
+    return from_coords(rep, coords)
 
 
 def real_only_mv(rep, exact, rng):
     """A random element whose blade coefficients have no adjoined-unit part."""
     make = HScalar.exact if exact else HScalar.flt
     coeffs = {b: make(z.x) for b, z in random_mv(rep, exact, rng).coeffs.items()}
-    return Multivector(rep, {(): HScalar.zero(exact), **coeffs})
+    return Multivector(rep, {(): HScalar.make(exact=exact), **coeffs})
 
 
 def negative_zeros(mv):
     """The float element with every zero coordinate of ``mv`` written -0.0."""
-    return Multivector._make(mv.rep, [x if x else -0.0 for x in mv.coords])
+    return from_coords(mv.rep, [x if x else -0.0 for x in mv.coords])
 
 
 def assert_float_product(got, u, v):
@@ -196,7 +202,7 @@ def exact_element(rep, values):
     coords = [Fraction(0)] * len(rep.basis)
     for k, x in values.items():
         coords[k] = x
-    return Multivector._make(rep, coords)
+    return from_coords(rep, coords)
 
 
 @pytest.mark.parametrize("name", ALL_REPS)
@@ -265,6 +271,13 @@ def test_multivector_rejects_mixed_backends():
     assert not Multivector(r30, {(): HScalar.flt(1.0), (1,): HScalar.flt(2.0)}).is_exact
 
 
+@pytest.mark.parametrize("bad", [1.0, 2, Fraction(1, 2), "1", None], ids=["float", "int", "fraction", "str", "none"])
+def test_multivector_rejects_a_coefficient_that_is_not_a_scalar(bad):
+    # as HMatrix rows do: a TypeError naming the coefficient and its blade
+    with pytest.raises(TypeError, match=rf"r30 coefficient {re.escape(repr(bad))} of blade \(1,\) is not an HScalar"):
+        Multivector(get_rep("r30"), {(): HScalar.flt(1.0), (1,): bad})
+
+
 def test_gp_blades_mixed_backends_and_zero_operands():
     r30 = get_rep("r30")
     # non-zero operands, then a zero of the other backend on either side
@@ -277,7 +290,7 @@ def test_gp_blades_mixed_backends_and_zero_operands():
                 with pytest.raises(BackendMismatch):
                     op(b)
             with pytest.raises(BackendMismatch):
-                a.scale(HScalar.zero(b.is_exact))
+                a.scale(HScalar.make(exact=b.is_exact))
         # equal values of two backends are unequal
         assert exact != exact.to_float() and exact.to_float() != exact
         # within one backend, a zero factor gives zero
@@ -294,7 +307,7 @@ def test_scale_is_the_per_blade_scalar_product(name, unit, exact):
     per blade; float scaling in a j-rep is the null-split product."""
     rep = get_rep(name)
     rng = random.Random(f"scale-{name}-{exact}")
-    zero = HScalar.zero(exact)
+    zero = HScalar.make(exact=exact)
     for k in range(9):
         mv = (sparse_mv, random_mv, real_only_mv)[k % 3](rep, exact, rng)
         a, b = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if exact else rng.uniform(-2, 2)
@@ -356,7 +369,7 @@ def test_scale_checks_subring_and_backends():
 def test_max_abs_keeps_a_nan():
     rep = get_rep("r30")
     coords = [1.0, math.nan] + [0.0] * (len(rep.basis) - 2)
-    mv = Multivector._make(rep, coords)
+    mv = Multivector._new(rep, coords, None)  # the constructor rejects a NaN
     assert math.isnan(mv.max_abs())
     assert not mv.is_close(rep.decompose(HMatrix.zeros(2, exact=False)), tol=2.0)
 
@@ -364,7 +377,7 @@ def test_max_abs_keeps_a_nan():
 def involution_reference(mv, kind):
     """The per-blade involution: each coefficient conjugated for bar and
     hat, then negated when its blade's grade sign is negative."""
-    out = {(): HScalar.zero(mv.is_exact)}
+    out = {(): HScalar.make(exact=mv.is_exact)}
     for blade, z in mv.coeffs.items():
         c = z.conjugate() if kind in ("bar", "hat") else z
         if involution_sign(kind, len(blade)) < 0:
@@ -375,7 +388,7 @@ def involution_reference(mv, kind):
 
 def layout_operands(rep, exact, rng):
     """Dense, sparse and zero elements of one backend."""
-    zero = Multivector(rep, {(): HScalar.zero(exact)})
+    zero = Multivector(rep, {(): HScalar.make(exact=exact)})
     return [random_mv(rep, exact, rng), sparse_mv(rep, exact, rng), zero]
 
 
@@ -387,7 +400,7 @@ def test_coordinate_layout_matches_per_blade_references(name, exact):
     for _ in range(4):
         for mv in layout_operands(rep, exact, rng):
             backend = Fraction if exact else float
-            assert Multivector(rep, {(): HScalar.zero(exact), **mv.coeffs}) == mv
+            assert Multivector(rep, {(): HScalar.make(exact=exact), **mv.coeffs}) == mv
             for kind in ("bar", "dagger", "hat"):
                 got, want = mv.involution(kind), involution_reference(mv, kind)
                 assert got == want
@@ -730,7 +743,7 @@ def test_matrix_dagger_is_the_multivector_dagger(name):
         for _ in range(20):
             coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if exact else rng.uniform(-3.0, 3.0)
                       for _ in range(4 * rep.n * rep.n)]
-            m = HMatrix._make(rep.n, coords)
+            m = HMatrix.from_real_coords(coords)
             got, want = rep.dagger_matrix(m), rep.decompose(m).dagger().to_matrix()
             assert got.is_exact == exact and rep.dagger_matrix(got) == m
             if exact:
@@ -809,7 +822,7 @@ def test_exact_blade_operations_match_per_coordinate_fractions(data, name):
         return data.draw(st.lists(exact_coordinates, min_size=size, max_size=size))
 
     cu, cv, cm, cz = draw(len(rep.basis)), draw(len(rep.basis)), draw(4 * rep.n * rep.n), draw(w)
-    u, v = Multivector._make(rep, cu), Multivector._make(rep, cv)
+    u, v = from_coords(rep, cu), from_coords(rep, cv)
 
     def check(got, want):
         assert_canonical(got)

@@ -279,7 +279,7 @@ def product_reference(a_rows, b_rows):
     or rectangular, as flat coordinates: HScalar multiply and add, zero
     entries skipped, each entry summed in column order, and ``+0`` where no
     term is left."""
-    zero = HScalar.zero(a_rows[0][0].is_exact)
+    zero = HScalar.make(exact=a_rows[0][0].is_exact)
     out = []
     for row in a_rows:
         for col in zip(*b_rows):
@@ -325,7 +325,7 @@ def inverse_reference(m):
 
 def entry_product(x, y):
     """One entry's product in every kernel: ``+0`` when a factor is zero."""
-    return HScalar.zero(x.is_exact) if x.is_zero or y.is_zero else x * y
+    return HScalar.make(exact=x.is_exact) if x.is_zero or y.is_zero else x * y
 
 
 def scale_reference(m, z):
@@ -397,7 +397,7 @@ def test_kernels_match_per_entry_reference(n, exact):
     for k, a in enumerate(pool):
         partners = [pool[(k + step) % len(pool)] for step in (0, 1, 7, 16)] + rng.sample(pool, 4)
         for b in partners:
-            assert_same_coords(a @ b, HMatrix._make(a.n, product_reference(a.rows, b.rows)), exact)
+            assert_same_coords(a @ b, HMatrix.from_real_coords(product_reference(a.rows, b.rows)), exact)
             assert_same_coords(a + b, add_reference(a, b), exact)
             assert_same_coords(a - b, sub_reference(a, b), exact)
         for z in (scalars[k % len(scalars)], rng.choice(scalars)):
@@ -446,7 +446,7 @@ def test_combine_is_the_sum_of_scaled_matrices(exact):
             mats = [random_hmatrix(n, rng.choice(UNIT_SUBSETS), exact, 0.6, rng) for _ in range(count)]
             zs = [random_scalar(rng.choice(UNIT_SUBSETS), exact, rng) for _ in range(count)]
             want = product_reference([zs], [[e for row in m.rows for e in row] for m in mats])
-            assert_same_coords(HMatrix.combine(zs, mats), HMatrix._make(n, want), exact)
+            assert_same_coords(HMatrix.combine(zs, mats), HMatrix.from_real_coords(want), exact)
     assert HMatrix.combine([2, 0], [pauli2(1), pauli2(2)]) == pauli2(1).scale(2)
 
 
@@ -519,7 +519,7 @@ def test_inverse_matches_reference_on_rotor_matrices(space):
 def test_max_abs_keeps_a_nan(idx):
     coords = [1.0] + [0.0] * 15
     coords[idx] = float("nan")
-    m = HMatrix._make(2, coords)  # from_real_coords rejects a NaN
+    m = HMatrix._new(2, coords, None)  # from_real_coords rejects a NaN
     assert math.isnan(m.max_abs())
     assert not m.is_close(HMatrix.zeros(2, exact=False), tol=2.0)
 

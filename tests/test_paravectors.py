@@ -16,7 +16,7 @@ from hyperclifford.paravectors import (
     dot,
     embed_momentum,
     get_space,
-    quasi_sphere_contains,
+    quasi_sphere_residual,
     wedge2,
     wedge3,
     wedge4,
@@ -185,16 +185,16 @@ def test_quasi_sphere_membership():
     h1 = get_space("h1")
     g = HScalar.flt(0.0, -0.35, 0.6, 0.0).exp()  # exp(-i phi/2 + j xi/2)
     point = h1.paravector([g.x, g.y, g.v, g.w])
-    assert quasi_sphere_contains(point, 1.0, 1e-12)
+    assert quasi_sphere_residual(point, 1.0) <= 1e-12
     null_point = h1.paravector([1, 0, 1, 0])
-    assert not quasi_sphere_contains(null_point, 1.0, 1e-12)
-    assert not quasi_sphere_contains(null_point, 0.5, 1e-12)
+    assert not quasi_sphere_residual(null_point, 1.0) <= 1e-12
+    assert not quasi_sphere_residual(null_point, 0.5) <= 1e-12
 
 
 def test_quasi_sphere_rejects_negative_radius():
     h1 = get_space("h1")
     with pytest.raises(ValueError):
-        quasi_sphere_contains(h1.paravector([1, 0, 0, 0]), -1.0)
+        quasi_sphere_residual(h1.paravector([1, 0, 0, 0]), -1.0)
 
 
 def test_embed_momentum_real_reduces_to_minkowski():

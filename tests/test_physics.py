@@ -11,8 +11,6 @@ from hyperclifford.physics import (
     DomainError,
     Linearization,
     MomentumHM4,
-    fiber_paravector,
-    fiber_vector,
     hermiticity_check,
     interfere,
     linearize,
@@ -138,27 +136,6 @@ def test_hermiticity_invariant_under_lorentz_action():
         )
         x = act(r, m4.paravector([rng.uniform(0.5, 2), 0, 0, 0]))
         assert hermiticity_check(MomentumHM4(q=x.coords))
-
-
-def test_fiber_vector_layout():
-    p = MomentumHM4(q=(9, 1, 2, 3), o=(9, 4, 5, 6), s=(9, 7, 8, 9), u=(9, 10, 11, 12))
-    assert fiber_vector(p) == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
-
-
-def test_fiber_vector_zero():
-    assert fiber_vector(MomentumHM4.rest(2)) == (0,) * 12
-
-
-def test_fiber_paravector_signature():
-    # unit s_1 lands in a negative-signature slot
-    p = MomentumHM4(q=(0,) * 4, s=(0, 1, 0, 0))
-    x = fiber_paravector(p)
-    assert x.coords[6] == 1.0
-    assert float(x.qform().x) == pytest.approx(-1.0, abs=1e-15)
-    # equal q and s blocks cancel in the real part
-    p = MomentumHM4(q=(0, 1, 0, 0), s=(0, 1, 0, 0))
-    x = fiber_paravector(p)
-    assert float(x.qform().x) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_stabilizer_identity_and_random():

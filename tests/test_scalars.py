@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hyperclifford.algebra import Multivector, get_rep
 from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import Paravector, get_space
+from hyperclifford.rotors import RotorParams
 from hyperclifford.scalars import (
     BackendMismatch,
     HScalar,
@@ -114,9 +115,9 @@ def test_ring_axioms_float_tolerance():
 
     for _ in range(1000):
         a, b, c = rand(), rand(), rand()
-        scale = max(a.abs_max() * b.abs_max() * c.abs_max(), 1.0)
-        assert ((a * b) * c - a * (b * c)).abs_max() <= 1e-12 * scale
-        assert (a * (b + c) - (a * b + a * c)).abs_max() <= 1e-12 * scale
+        scale = max(a.max_abs() * b.max_abs() * c.max_abs(), 1.0)
+        assert ((a * b) * c - a * (b * c)).max_abs() <= 1e-12 * scale
+        assert (a * (b + c) - (a * b + a * c)).max_abs() <= 1e-12 * scale
 
 
 def test_backend_mismatch_raises():
@@ -128,6 +129,14 @@ def test_backend_mismatch_raises():
     for k in range(4):
         with pytest.raises(BackendMismatch):
             HScalar.exact(*[0.1 if j == k else 0 for j in range(4)])
+    # ring operations take only an HScalar of their backend, never a number
+    for z in (HScalar.exact(1, 2), HScalar.flt(1.0, 2.0)):
+        for number in (0, 2, Fraction(1, 2), 0.5):
+            for op in (z.__add__, z.__radd__, z.__sub__, z.__mul__, z.__rmul__):
+                with pytest.raises(BackendMismatch, match="cannot combine"):
+                    op(number)
+            with pytest.raises(TypeError):
+                number - z
 
 
 def test_equal_values_of_two_backends_are_unequal():
@@ -191,10 +200,9 @@ def test_invert_rejects_nan_modulus(z):
 def test_float_scalars_reject_non_finite_components(spot, value):
     comps = [1.0, 0.0, 0.0, 0.0]
     comps[spot] = value
-    name = "xyvw"[spot]
-    with pytest.raises(ValueError, match=f"component {name} "):
+    with pytest.raises(ValueError, match=f"HScalar coordinate {spot} is not finite"):
         HScalar.flt(*comps)
-    with pytest.raises(ValueError, match=f"component {name} "):
+    with pytest.raises(ValueError, match=f"HScalar coordinate {spot} is not finite"):
         HScalar.make(*comps, exact=False)
 
 
@@ -226,7 +234,7 @@ def test_exp_is_additive():
         b = HScalar.flt(*(rng.uniform(-1, 1) for _ in range(4)))
         lhs = (a + b).exp()
         rhs = a.exp() * b.exp()
-        assert (lhs - rhs).abs_max() < 1e-12
+        assert (lhs - rhs).max_abs() < 1e-12
 
 
 def test_trig_tilde_reductions():
@@ -243,7 +251,7 @@ def test_trig_tilde_pythagoras():
     for _ in range(200):
         c, s = trig_tilde(rng.uniform(-4, 4), rng.uniform(-3, 3))
         total = c * c + s * s
-        assert (total - HScalar.flt(1)).abs_max() < 1e-12
+        assert (total - HScalar.flt(1)).max_abs() < 1e-12
 
 
 def null(z):
@@ -381,7 +389,7 @@ def test_abs_max_keeps_a_nan(spot):
     comps = [1.0, 0.0, 0.0, 0.0]
     comps[spot] = math.nan
     z = HScalar(*comps)
-    assert math.isnan(z.abs_max())
+    assert math.isnan(z.max_abs())
     assert not z.is_close(HScalar.flt(), tol=2.0)
 
 
@@ -473,12 +481,14 @@ BAD_INPUTS = {
     "fraction beside float": ([1.0, 0.0, Fraction(1, 2), 0.0], BackendMismatch, "coordinate 2 is a Fraction"),
     "float beside fraction": ([Fraction(1, 2), 0, 1.0, 0], BackendMismatch, "coordinate 0 is a Fraction"),
     "non-number": ([1.0, 0.0, "1", 0.0], TypeError, "coordinate 2 is not an int, Fraction or float: '1'"),
+    "bool": ([1.0, 0.0, True, 0.0], TypeError, "coordinate 2 is not an int, Fraction or float: True"),
 }
 
 
-def test_every_constructor_rejects_bad_numbers_where_they_enter():
+def wrong_answers(entry_points) -> list:
+    """Each entry point and bad input that is not rejected as BAD_INPUTS says."""
     wrong = []
-    for name, make in ENTRY_POINTS.items():
+    for name, make in entry_points.items():
         for case, (parts, error, message) in BAD_INPUTS.items():
             try:
                 make(parts)
@@ -487,10 +497,48 @@ def test_every_constructor_rejects_bad_numbers_where_they_enter():
                     wrong.append((name, case, repr(exc)))
             else:
                 wrong.append((name, case, "accepted"))
-    assert wrong == []
+    return wrong
+
+
+def test_every_constructor_rejects_bad_numbers_where_they_enter():
+    assert wrong_answers(ENTRY_POINTS) == []
 
 
 def test_every_constructor_takes_ints_beside_floats_as_floats():
     for make in ENTRY_POINTS.values():
         value = make([1, 0, 0.5, 0])
         assert not value.is_exact and value == make([1.0, 0.0, 0.5, 0.0])
+
+
+# The constructors that take plain numbers, by the same rule and messages:
+# four numbers each, as a scalar's parts or as angles (planes in this order).
+NUMBER_ENTRY_POINTS = {
+    "HScalar.exact": lambda parts: HScalar.exact(*parts),
+    "HScalar.flt": lambda parts: HScalar.flt(*parts),
+    "HScalar.make": lambda parts: HScalar.make(*parts, exact=False),
+    "RotorParams.m4": lambda parts: RotorParams.m4(phi=parts[:3], xi=(parts[3], 0, 0)),
+    "RotorParams.r66": lambda parts: RotorParams.r66({(0, k + 1): c for k, c in enumerate(parts)}),
+}
+
+
+def test_every_number_constructor_rejects_bad_numbers_by_the_one_rule():
+    assert wrong_answers(NUMBER_ENTRY_POINTS) == []
+
+
+@pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
+def test_one_number_constructors_reject_what_is_not_an_int_fraction_or_float(value):
+    # each takes one number per scalar, through HScalar.make
+    for call in (lambda: get_rep("r30").scalar(value), lambda: HMatrix.combine([value], [HMatrix.identity(1)])):
+        with pytest.raises(TypeError, match=f"HScalar coordinate 0 is not an int, Fraction or float: {value!r}"):
+            call()
+
+
+def test_float_scalars_take_exact_numbers_as_floats():
+    assert [c.hex() for c in HScalar.flt(Fraction(1, 3), 2, Fraction(-5, 7)).coeffs()] == \
+        [(1 / 3).hex(), (2.0).hex(), (-5 / 7).hex(), (0.0).hex()]
+    assert HScalar.flt() == HScalar(0.0, 0.0, 0.0, 0.0)
+    assert RotorParams.h1(Fraction(1, 3), 1) == RotorParams.h1(1 / 3, 1.0)
+    assert RotorParams.e6({(1, 0): Fraction(1, 3)}).phi_ab == (((0, 1), -1 / 3),)
+    with pytest.raises(BackendMismatch, match="coordinate 0 is a Fraction beside a float"):
+        HScalar.flt(Fraction(1, 3), 0.0)
+

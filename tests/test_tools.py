@@ -1,5 +1,6 @@
-"""The benchmark pair summary of ``tools/pairs.py`` and the record
-comparison of ``tools/compare_outputs.py``, on canned results."""
+"""The benchmark pair summary of ``tools/pairs.py``, the record
+comparison of ``tools/compare_outputs.py`` and the unentered-function list
+of ``tools/reach.py``, on canned results and stubbed runs."""
 
 import importlib.util
 import json
@@ -21,7 +22,7 @@ def _tool(name):
     return module
 
 
-pairs, compare_outputs = _tool("pairs"), _tool("compare_outputs")
+pairs, compare_outputs, reach = _tool("pairs"), _tool("compare_outputs"), _tool("reach")
 
 METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
@@ -347,3 +348,62 @@ def test_source_lines_counts_the_python_lines_under_src(tmp_path):
     lines = compare_outputs.source_lines(tmp_path)
     # one count per module by dotted name, in name order
     assert list(lines.items()) == [("pkg.__init__", 0), ("pkg.a", 3), ("pkg.b", 1), ("pkg.sub.c", 1)]
+
+
+STUB_MODULE = """\
+def used():
+    return [x for x in range(2)]
+
+
+def unused():
+    return lambda: 1
+
+
+class Thing:
+    def method(self):
+        def inner():
+            pass
+        return 1
+
+    def never(self):
+        pass
+"""
+
+
+def test_reach_lists_each_named_function_that_no_call_entered(tmp_path, monkeypatch, capsys):
+    package = tmp_path / "src" / "hyperclifford"
+    package.mkdir(parents=True)
+    (package / "stub.py").write_text(STUB_MODULE)
+
+    def exercise(root):
+        # the stub loads inside the traced run, as the library does
+        spec = importlib.util.spec_from_file_location("stub", root / "src" / "hyperclifford" / "stub.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.used()
+        module.Thing().method()
+
+    monkeypatch.setattr(reach, "exercise", exercise)
+    assert reach.main([str(tmp_path)]) == 0
+    # lambdas, comprehensions and class bodies are not listed
+    assert capsys.readouterr().out.splitlines() == [
+        "hyperclifford.stub:5 unused",
+        "hyperclifford.stub:11 Thing.method.<locals>.inner",
+        "hyperclifford.stub:15 Thing.never",
+        "3 of 5 functions never entered",
+    ]
+
+
+def test_reach_sets_the_tracer_before_it_again():
+    def tracer(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        seen = reach.entered(lambda: test_quartile_spread())
+        assert sys.gettrace() is tracer
+    finally:
+        sys.settrace(previous)
+    code = test_quartile_spread.__code__
+    assert (code.co_filename, code.co_firstlineno, code.co_name) in seen
