@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
+from . import rotors
 from .algebra import (
     Multivector,
     enumerate_algebra,
@@ -181,7 +182,7 @@ def check(check_id: str, description: str, claim: str, *, deviation: float | Non
     return register
 
 
-_ROTOR_SPACES = ("h1", "m4", "e6", "r66")
+_ROTOR_SPACES = tuple(rotors._ROTOR_SPACES)
 
 
 class Context:
@@ -815,10 +816,10 @@ def _hermiticity(ctx):
        " quadratic form and leave the base scalar untouched", tol=0)
 def _stabilizer(ctx):
     p = MomentumHM4.rest(1.5)
-    yield not stabilizer_check(rotor_from_params(RotorParams.e6({})), p, samples=4)
+    yield not stabilizer_check(rotor_from_params(RotorParams.e6({})), p)
     for _ in range(4):
-        yield not stabilizer_check(_random_rotor("e6", ctx.rng), p, samples=4)
-        yield not stabilizer_check(_random_rotor("r66", ctx.rng), p, samples=4)
+        yield not stabilizer_check(_random_rotor("e6", ctx.rng), p)
+        yield not stabilizer_check(_random_rotor("r66", ctx.rng), p)
 
 
 # ----------------------------------------------------------------- driver ----

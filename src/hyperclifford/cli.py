@@ -218,21 +218,15 @@ def _cmd_boost(args) -> int:
             payload = json.loads(raw)
             if payload.get("space") != "m4":
                 raise ValueError("boost expects a vector in the m4 space")
-            vec = []
-            for k, c in enumerate(payload["coords"]):
-                if type(c) not in _JSON_NUMBERS:
-                    raise ValueError(f"coordinate {k} is not a number: {c!r}")
-                vec.append(_finite_float(c))
-            if len(vec) != 4:
-                raise ValueError("m4 expects 4 coordinates")
-        except (ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
+            x = get_space("m4").paravector(payload["coords"])
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad vector JSON ({exc})") from None
     else:
-        vec = _parse_floats(raw, 4, "--vector")
+        x = get_space("m4").paravector(_parse_floats(raw, 4, "--vector"))
     xi = [0.0, 0.0, 0.0]
     xi[args.axis - 1] = args.xi
     rotor = rotor_from_params(RotorParams.m4(xi=xi))
-    out = act(rotor, get_space("m4").paravector(vec))
+    out = act(rotor, x)
     if args.format == "json":
         print(_dumps({"space": "m4", "coords": list(out.coords)}))
     else:

@@ -107,11 +107,6 @@ class ParavectorSpace:
     def paravector(self, coords) -> "Paravector":
         return Paravector(self, coords)
 
-    def basis_vector(self, index: int, scale: float = 1.0) -> "Paravector":
-        coords = [0.0] * self.dim
-        coords[index] = scale
-        return self.paravector(coords)
-
     def ring_value(self, mv: Multivector) -> HScalar:
         """Value of an algebra element lying in the span of 1, i, j, ij.
 
@@ -218,10 +213,7 @@ def dot(x: Paravector, y: Paravector) -> HScalar:
 
 def wedge2(x: Paravector, y: Paravector) -> Multivector:
     """Antisymmetric part (x*bar(y) - y*bar(x)) / 2, a biparavector."""
-    x._peer(y)
-    mx, my = x.to_multivector(), y.to_multivector()
-    s = mx.gp_blades(my.bar()) - my.gp_blades(mx.bar())
-    return s.scale(Fraction(1, 2))
+    return _alternating_sum((x, y))
 
 
 def _alternating_sum(xs) -> Multivector:
@@ -242,9 +234,8 @@ def _alternating_sum(xs) -> Multivector:
             if slot % 2 == 1:
                 f = f.bar()
             term = f if term is None else term.gp_blades(f)
-        if inversions % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
+        odd = inversions % 2 == 1
+        total = term if total is None else (total - term if odd else total + term)
     return total.scale(Fraction(1, math.factorial(k)))
 
 

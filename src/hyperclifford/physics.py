@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .paravectors import Paravector, embed_momentum, get_space
 from .rotors import ResultOutsideParavectorSpan, Rotor, act
@@ -34,6 +34,9 @@ __all__ = [
     "hermiticity_check",
     "stabilizer_check",
 ]
+
+# The fiber vectors that stabilizer_check draws per rotor, and its tolerance.
+_STABILIZER_SAMPLES, _STABILIZER_TOL = 4, 1e-10
 
 
 class DomainError(ValueError):
@@ -104,26 +107,26 @@ def reconstruct_probability(lin: Linearization, p1: float, p2: float) -> float:
 @dataclass(frozen=True)
 class MomentumHM4:
     """Hyperbolic-complex momentum q + i*o + j*s + ij*u of four real
-    4-vectors; sixteen real degrees of freedom."""
+    4-vectors; sixteen real degrees of freedom, which enter once, by
+    :func:`~.paravectors.embed_momentum`, into the paravector it holds."""
 
     q: tuple
     o: tuple = (0, 0, 0, 0)
     s: tuple = (0, 0, 0, 0)
     u: tuple = (0, 0, 0, 0)
+    _paravector: Paravector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("q", "o", "s", "u"):
-            vec = tuple(getattr(self, name))
-            if len(vec) != 4:
-                raise ValueError(f"{name} must be a 4-vector")
-            object.__setattr__(self, name, vec)
+        for name in "qosu":
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "_paravector", embed_momentum(self.q, self.o, self.s, self.u))
 
     @classmethod
     def rest(cls, m: float) -> "MomentumHM4":
         return cls(q=(m, 0, 0, 0))
 
     def paravector(self) -> Paravector:
-        return embed_momentum(self.q, self.o, self.s, self.u)
+        return self._paravector
 
 
 def mass_qform(p: MomentumHM4) -> HScalar:
@@ -156,33 +159,28 @@ def hermiticity_check(p: MomentumHM4, tol: float = 1e-10) -> bool:
     )
 
 
-def stabilizer_check(
-    rotor: Rotor,
-    p: MomentumHM4,
-    samples: int = 8,
-    tol: float = 1e-10,
-) -> bool:
+def stabilizer_check(rotor: Rotor, p: MomentumHM4) -> bool:
     """Whether the fiber action of the rotor is compatible with the
     standard momentum.
 
     The standard momentum must sit on a real quasi-sphere, the rotor must
-    keep random fiber vectors inside the fiber span, and it must preserve
-    their quadratic form; the base scalar is untouched because the fiber
-    excludes it by construction.  The fiber vectors come from a fixed
-    seed, so the check is deterministic.
+    keep ``_STABILIZER_SAMPLES`` random fiber vectors inside the fiber span,
+    and it must preserve their quadratic form, each to ``_STABILIZER_TOL``;
+    the base scalar is untouched because the fiber excludes it by
+    construction.  The fiber vectors come from a fixed seed, so the check
+    is deterministic.
     """
-    if not hermiticity_check(p, tol):
+    if not hermiticity_check(p, _STABILIZER_TOL):
         return False
     rng = random.Random(20070816)
     space = get_space("r66")
-    for _ in range(samples):
-        coords = [rng.uniform(-1.0, 1.0) for _ in range(12)]
-        x = space.paravector(coords)
+    for _ in range(_STABILIZER_SAMPLES):
+        x = Paravector._new(space, [rng.uniform(-1.0, 1.0) for _ in range(12)], None)
         try:
             image = act(rotor, x)
         except ResultOutsideParavectorSpan:
             return False
         before, after = x.qform(), image.qform()
-        if not ((before - after).max_abs() <= tol * (1.0 + before.max_abs())):
+        if not ((before - after).max_abs() <= _STABILIZER_TOL * (1.0 + before.max_abs())):
             return False
     return True

@@ -34,7 +34,7 @@ from operator import add, mul
 from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, get_space
-from .scalars import BackendMismatch, HScalar, _floats, from_null_coords, to_null_coords, trig_tilde
+from .scalars import BackendMismatch, HScalar, _floats, _trig_tilde, from_null_coords, to_null_coords
 
 __all__ = [
     "SeriesNonConvergence",
@@ -90,7 +90,7 @@ _ROTOR_SPACES = {"h1": (1, ()), "m4": (3, ()), "e6": (0, ("phi_ab",)), "r66": (0
 
 def _antisym_normalize(mapping, what: str) -> tuple:
     """Sorted planes ``(a, b)``, ``a < b``, the angle negated for ``a > b``."""
-    mapping = dict(mapping or {})
+    mapping = dict(mapping)
     out = {}
     for (a, b), val in zip(mapping, _floats(mapping.values(), what)):
         if not (0 <= a <= 5 and 0 <= b <= 5):
@@ -121,15 +121,15 @@ class RotorParams:
         if self.space not in _ROTOR_SPACES:
             raise ValueError(f"no rotors for space {self.space!r}")
         count, planes = _ROTOR_SPACES[self.space]
-        for name in ("phi", "xi"):
-            angles = _floats(getattr(self, name), f"{self.space} {name}")
+        for name in ("phi", "xi"):  # an empty field has nothing to check
+            angles = _floats(getattr(self, name), f"{self.space} {name}") if getattr(self, name) else ()
             if len(angles) != count:
                 raise ValueError(f"{self.space} expects {count} {name} angles, got {len(angles)}")
             object.__setattr__(self, name, angles)
         for name in ("phi_ab", "xi_ab"):
-            if getattr(self, name) and name not in planes:
+            if (mapping := getattr(self, name)) and name not in planes:
                 raise ValueError(f"{self.space} takes no {name}")
-            object.__setattr__(self, name, _antisym_normalize(getattr(self, name), f"{self.space} {name}"))
+            object.__setattr__(self, name, _antisym_normalize(mapping, f"{self.space} {name}") if mapping else ())
 
     @classmethod
     def h1(cls, phi: float = 0.0, xi: float = 0.0) -> "RotorParams":
@@ -499,14 +499,28 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
 # -- sphere parametrizations ---------------------------------------------------------------
 
 
+def _sphere_entering(r, *kinds) -> list:
+    """The radius, then the five angles of each ``(name, angles)`` kind, as
+    floats by :func:`~.scalars._entering`; a radius below 0 or another count
+    of angles raises ``ValueError``."""
+    (r,) = _floats((r,), "sphere radius")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    out = [r]
+    for name, angles in kinds:
+        angles = _floats(angles, f"sphere {name}")
+        if len(angles) != 5:
+            raise ValueError(f"sphere {name} takes 5 angles, got {len(angles)}")
+        out.append(angles)
+    return out
+
+
 def sphere_point(r: float, angles) -> tuple[float, ...]:
     """Closed-form point on the five-sphere of radius r.
 
     ``angles`` are (phi_25, phi_02, phi_01, phi_35, phi_34).
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    p25, p02, p01, p35, p34 = map(float, angles)
+    r, (p25, p02, p01, p35, p34) = _sphere_entering(r, ("phi", angles))
     return (
         r * math.sin(p25) * math.sin(p02) * math.cos(p01),
         r * math.sin(p25) * math.sin(p02) * math.sin(p01),
@@ -520,22 +534,21 @@ def sphere_point(r: float, angles) -> tuple[float, ...]:
 def _sphere_via_rotors(space: str, r: float, phis, xis) -> tuple[float, ...]:
     """Compose the five plane rotors exp(sign * (i phi - j xi) sigma_ab / 2)
     of ``SPHERE_PLANES`` right-to-left and rotate (0, ..., 0, r) in the
-    space; xi extends each angle by its ij part."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    space; xi extends each angle by its ij part.  The numbers have entered."""
     g = None
-    for (a, b, sign), phi, xi in zip(SPHERE_PLANES, map(float, phis), map(float, xis)):
-        z = HScalar.flt(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0)
+    for (a, b, sign), phi, xi in zip(SPHERE_PLANES, phis, xis):
+        z = HScalar(0.0, sign * phi / 2.0, -sign * xi / 2.0, 0.0)
         plane = _closed_form(4, [(z, _sigma_ab_float(a, b))])
         g = plane if g is None else plane @ g
     target = get_space(space)
-    return act(rotor_from_matrix(target.rep, g), target.basis_vector(5, r)).coords
+    x = Paravector._new(target, [0.0] * 5 + [r] + [0.0] * (target.dim - 6), None)
+    return act(rotor_from_matrix(target.rep, g), x).coords
 
 
 def sphere_point_via_rotors(r: float, angles) -> tuple[float, ...]:
     """The same point produced by composing the five plane rotations
     right-to-left and rotating (0, 0, 0, 0, 0, r)."""
-    return _sphere_via_rotors("e6", r, angles, (0.0,) * 5)
+    return _sphere_via_rotors("e6", *_sphere_entering(r, ("phi", angles)), (0.0,) * 5)
 
 
 def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
@@ -545,15 +558,9 @@ def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
     complexified cosines and sines; real parts land on coordinates 0..5
     and the ij-proportional parts on coordinates 6..11.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    phis, xis = tuple(map(float, phis)), tuple(map(float, xis))
-    c25, s25 = trig_tilde(phis[0], xis[0])
-    c02, s02 = trig_tilde(phis[1], xis[1])
-    c01, s01 = trig_tilde(phis[2], xis[2])
-    c35, s35 = trig_tilde(phis[3], xis[3])
-    c34, s34 = trig_tilde(phis[4], xis[4])
-    rr = HScalar.flt(r)
+    r, phis, xis = _sphere_entering(r, ("phi", phis), ("xi", xis))
+    (c25, s25), (c02, s02), (c01, s01), (c35, s35), (c34, s34) = map(_trig_tilde, phis, xis)
+    rr = HScalar(r, 0.0, 0.0, 0.0)
     entries = (
         rr * s25 * s02 * c01,
         rr * s25 * s02 * s01,
@@ -567,4 +574,4 @@ def quasi_sphere_point_r66(r: float, phis, xis) -> tuple[float, ...]:
 
 def quasi_sphere_point_r66_via_rotors(r: float, phis, xis) -> tuple[float, ...]:
     """The same point via the generalized five-rotation composition."""
-    return _sphere_via_rotors("r66", r, phis, xis)
+    return _sphere_via_rotors("r66", *_sphere_entering(r, ("phi", phis), ("xi", xis)))

@@ -22,15 +22,16 @@ is the same for :class:`HScalar` and for every :class:`RealCoords` value
 :class:`BackendMismatch`, also when one of them is zero, and ``==`` is
 backend-strict, so values of two backends are never equal.
 
-Numbers enter by one rule, :func:`_entering`, in every constructor that
-takes them from outside: ``HScalar.exact`` and ``HScalar.flt``, ``HMatrix``
-(rows and ``from_real_coords``), ``HMatrix.combine``, ``Multivector``,
-``Paravector`` and ``RotorParams``.  Ints, Fractions and floats are
-numbers, and ints fit either backend; a Fraction beside a float raises
-:class:`BackendMismatch`, any other type ``TypeError`` and a NaN or
-infinite float ``ValueError``, naming the index.  Ring operations take
-only an :class:`HScalar` of the same backend.  ``HScalar(x, y, v, w)`` and
-``RealCoords._new`` are unchecked: kernels build their results with them.
+Numbers enter by one rule, :func:`_entering`, once, where they come from
+outside: ``HScalar.exact`` and ``HScalar.flt``, ``HMatrix`` (rows and
+``from_real_coords``), ``HMatrix.combine``, ``Multivector``, ``Paravector``,
+``RotorParams``, ``MomentumHM4``, :func:`trig_tilde` and the sphere points.
+Ints, Fractions and floats are numbers, and ints fit either backend; a
+Fraction beside a float raises :class:`BackendMismatch`, any other type
+``TypeError`` and a NaN or infinite float ``ValueError``, naming the index.
+Ring operations take only an :class:`HScalar` of the same backend.
+``HScalar(x, y, v, w)`` and ``RealCoords._new`` are unchecked: code inside
+builds with them and checks nothing again.
 """
 
 from __future__ import annotations
@@ -468,8 +469,14 @@ def trig_tilde(phi: float, xi: float) -> tuple[HScalar, HScalar]:
     cos -> cos(phi)cosh(xi) - ij sin(phi)sinh(xi)
     sin -> sin(phi)cosh(xi) + ij cos(phi)sinh(xi)
 
-    and cos^2 + sin^2 = 1 in the ring.
+    and cos^2 + sin^2 = 1 in the ring.  phi and xi enter by :func:`_entering`,
+    and the results are finite: ``cosh`` and ``sinh`` raise ``OverflowError``.
     """
-    c = HScalar.flt(math.cos(phi) * math.cosh(xi), 0.0, 0.0, -math.sin(phi) * math.sinh(xi))
-    s = HScalar.flt(math.sin(phi) * math.cosh(xi), 0.0, 0.0, math.cos(phi) * math.sinh(xi))
+    return _trig_tilde(*_floats((phi, xi), "trig_tilde"))
+
+
+def _trig_tilde(phi: float, xi: float) -> tuple[HScalar, HScalar]:
+    """:func:`trig_tilde` of two finite floats, unchecked."""
+    c = HScalar(math.cos(phi) * math.cosh(xi), 0.0, 0.0, -math.sin(phi) * math.sinh(xi))
+    s = HScalar(math.sin(phi) * math.cosh(xi), 0.0, 0.0, math.cos(phi) * math.sinh(xi))
     return c, s

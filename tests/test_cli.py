@@ -362,6 +362,15 @@ def test_sphere_fails_a_rotor_path_off_by_more_than_the_scaled_tolerance(capsys,
     assert (code, err) == (1, "")
 
 
+def test_boost_json_int_coordinates_answer_as_the_same_floats(capsys):
+    for xi, ints in (("0.5", [1, 0, 0, 0]), ("-1.25", [3, -2, 7, 1]), ("3.5", [2 ** 60 + 1, -5, 0, 9])):
+        answers = []
+        for coords in (ints, [float(c) for c in ints]):
+            vec = json.dumps({"space": "m4", "coords": coords})
+            answers.append(run(capsys, "boost", "--xi", xi, "--axis", "2", "--vector", vec, "--format", "json"))
+        assert answers[0] == answers[1]
+
+
 def test_boost_rejects_non_finite_paravector_json(capsys):
     vec = '{"space": "m4", "coords": [NaN, 0, 0, 0]}'
     code, _, err = run(capsys, "boost", "--xi", "1", "--vector", vec)

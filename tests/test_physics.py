@@ -141,25 +141,32 @@ def test_hermiticity_invariant_under_lorentz_action():
 def test_stabilizer_identity_and_random():
     rng = random.Random(27)
     p = MomentumHM4.rest(1.5)
-    assert stabilizer_check(rotor_from_params(RotorParams.e6({})), p, samples=4)
+    assert stabilizer_check(rotor_from_params(RotorParams.e6({})), p)
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     for _ in range(3):
         phi = {pl: rng.uniform(-2, 2) for pl in rng.sample(pairs, 3)}
-        assert stabilizer_check(rotor_from_params(RotorParams.e6(phi)), p, samples=4)
+        assert stabilizer_check(rotor_from_params(RotorParams.e6(phi)), p)
         xi = {pl: rng.uniform(-1, 1) for pl in rng.sample(pairs, 2)}
-        assert stabilizer_check(
-            rotor_from_params(RotorParams.r66(phi, xi)), p, samples=4
-        )
+        assert stabilizer_check(rotor_from_params(RotorParams.r66(phi, xi)), p)
 
 
 def test_stabilizer_rejects_nonreal_base():
     p = MomentumHM4(q=(1, 0, 0, 0), u=(1, 0, 0, 0))
-    assert not stabilizer_check(rotor_from_params(RotorParams.e6({})), p, samples=2)
+    assert not stabilizer_check(rotor_from_params(RotorParams.e6({})), p)
 
 
 def test_momentum_validation():
     with pytest.raises(ValueError):
         MomentumHM4(q=(1, 2, 3))
+
+
+def test_momentum_takes_its_numbers_by_the_one_rule_at_construction():
+    with pytest.raises(TypeError, match="hm4 coordinate 0 is not an int, Fraction or float"):
+        MomentumHM4(q=("1", 0, 0, 0))
+    with pytest.raises(ValueError, match="hm4 coordinate 0 is not finite"):
+        MomentumHM4(q=(math.nan, 0, 0, 0))
+    with pytest.raises(ValueError, match="hm4 coordinate 13 is not finite"):
+        MomentumHM4(q=(1, 0, 0, 0), u=(0, math.inf, 0, 0))
 
 
 def test_mass_qform_ring_value_has_no_i_or_j_part():

@@ -772,6 +772,36 @@ def test_negative_radius_rejected():
         quasi_sphere_point_r66(-1.0, [0] * 5, [0] * 5)
 
 
+# each sphere function as f(r, angles, xis); the e6 ones take no xis
+SPHERE_FUNCTIONS = {
+    "sphere_point": lambda r, phis, xis: sphere_point(r, phis),
+    "sphere_point_via_rotors": lambda r, phis, xis: sphere_point_via_rotors(r, phis),
+    "quasi_sphere_point_r66": quasi_sphere_point_r66,
+    "quasi_sphere_point_r66_via_rotors": quasi_sphere_point_r66_via_rotors,
+}
+
+
+@pytest.mark.parametrize("name", SPHERE_FUNCTIONS)
+def test_sphere_functions_take_their_numbers_by_the_one_rule(name):
+    f, five = SPHERE_FUNCTIONS[name], [0.1] * 5
+    assert len(f(1.0, five, five)) in (6, 12)
+    for count in (3, 4, 6, 7):
+        with pytest.raises(ValueError, match=f"takes 5 angles, got {count}"):
+            f(1.0, [0.1] * count, five)
+        if "quasi" in name:
+            with pytest.raises(ValueError, match=f"takes 5 angles, got {count}"):
+                f(1.0, five, [0.1] * count)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radius coordinate 0 is not finite"):
+            f(r, five, five)
+    for bad in ("0.1", True):
+        with pytest.raises(TypeError, match="coordinate 2 is not an int, Fraction or float"):
+            f(1.0, [0.1, 0.1, bad, 0.1, 0.1], five)
+        if "quasi" in name:
+            with pytest.raises(TypeError, match="coordinate 2 is not an int, Fraction or float"):
+                f(1.0, five, [0.1, 0.1, bad, 0.1, 0.1])
+
+
 @pytest.mark.parametrize("rep, n", [("r30", 2), ("r05", 4), ("c30bar", 4), ("h05bar", 2), ("c10bar", 2)])
 def test_rotor_from_matrix_needs_a_full_ring_of_the_matrix_size(rep, n):
     # r30 and r05 span only part of their matrix rings, where dagger cannot

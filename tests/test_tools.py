@@ -1,6 +1,6 @@
 """The benchmark pair summary of ``tools/pairs.py``, the record
-comparison of ``tools/compare_outputs.py`` and the unentered-function list
-of ``tools/reach.py``, on canned results and stubbed runs."""
+comparison of ``tools/compare_outputs.py`` and the unentered-function and
+unexecuted-line lists of ``tools/reach.py``, on canned results and stubbed runs."""
 
 import importlib.util
 import json
@@ -392,6 +392,60 @@ def test_reach_lists_each_named_function_that_no_call_entered(tmp_path, monkeypa
         "hyperclifford.stub:15 Thing.never",
         "3 of 5 functions never entered",
     ]
+
+
+LINES_MODULE = """\
+def used(flag=False):
+    total = 0
+    for x in range(2):
+        total += x
+    if flag:
+        total = -1
+        # a comment between two lines that never run
+        total += 1
+    return [
+        total,
+        x,
+    ]
+
+
+def unused():
+    return 1
+
+
+class Thing:
+    def method(self):
+        def inner():
+            pass
+        return 1
+"""
+
+
+def test_reach_lines_lists_the_lines_that_never_ran_as_ranges(tmp_path, monkeypatch, capsys):
+    package = tmp_path / "src" / "hyperclifford"
+    package.mkdir(parents=True)
+    (package / "stub.py").write_text(LINES_MODULE)
+    (package / "other.py").write_text("X = 1\n")
+
+    def exercise(root):
+        for name in ("other", "stub"):
+            spec = importlib.util.spec_from_file_location(name, root / "src" / "hyperclifford" / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        module.used()
+        module.Thing().method()
+
+    monkeypatch.setattr(reach, "exercise", exercise)
+    assert reach.main(["--lines", str(tmp_path)]) == 0
+    # a multi-line statement that ran counts whole; a comment holds no code,
+    # so lines 6 and 8 make one range; def lines ran when the module loaded
+    assert capsys.readouterr().out.splitlines() == [
+        "hyperclifford.other: 0 of 1",
+        "hyperclifford.stub: 4 of 17 6-8 16 22",
+        "4 of 18 lines that hold code never executed",
+    ]
+    assert reach.ranges([1, 2, 4, 7, 9], {1, 4, 7}) == ["1", "4-7"]
+    assert reach.ranges([1, 2], set()) == []
 
 
 def test_reach_sets_the_tracer_before_it_again():
