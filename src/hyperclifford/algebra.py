@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, count, product
 from math import gcd
 from numbers import Rational
@@ -122,6 +122,75 @@ def blade_mul(b1: Blade, b2: Blade, signature: Signature) -> tuple[Blade, int]:
     return tuple(out), sign
 
 
+def _blades(n: int) -> tuple:
+    """The canonical blades of n generators, by grade, then in order."""
+    return tuple(sorted((c for g in range(n + 1) for c in combinations(range(1, n + 1), g)),
+                        key=lambda b: (len(b), b)))
+
+
+# the most products one compiled chunk of a kernel holds (whole left rows)
+_CHUNK = 128
+
+
+class _Kernel(tuple):
+    """A signed-permutation product table, called as the product it stands
+    for: row k1 holds ``(k, sign)`` per right index k2, so coordinate k1
+    times coordinate k2 adds with ``sign`` to output k.  Called on two
+    iterables of coordinates and their backend's zero, it runs code generated
+    from the rows: one ``if`` per left coordinate, so a zero one adds
+    nothing, and each output summed in pair order.  Each chunk of left rows
+    (at most ``_CHUNK`` products) compiles on first use; of several, only
+    once a left coordinate in its rows is non-zero."""
+
+    def __new__(cls, rows):
+        table = super().__new__(cls, map(tuple, rows))
+        step = max(1, _CHUNK // len(table))
+        table._chunks = [partial(table._compile, i, lo, min(lo + step, len(table)))
+                         for i, lo in enumerate(range(0, len(table), step))]
+        return table
+
+    def __call__(self, a, b, zero) -> list:
+        chunks = self._chunks
+        if len(chunks) == 1:  # the one chunk starts from the zero
+            return chunks[0](a, b, zero)
+        a, b, out = tuple(a), tuple(b), [zero] * len(self)  # each chunk reads both
+        for chunk in chunks:
+            out = chunk(a, b, out)
+        return out
+
+    def _compile(self, i, lo, hi, a, b, out) -> list:
+        """Chunk i (left rows lo to hi) compiled in place of its stub, then run:
+        it continues the product ``out``, or starts it from the zero ``out``."""
+        whole, n = hi - lo == len(self), len(self)
+        if not (whole or any(a[lo:hi])):
+            return out
+        left = [f"a{k1}" for k1 in range(lo, hi)]
+        outs = [f"o{k}" for k in range(n)]
+        lines = ["def chunk(a, b, o):", f"    {', '.join(left)}, = {'a' if whole else f'a[{lo}:{hi}]'}"]
+        if not whole:
+            lines += [f"    if not ({' or '.join(left)}):", "        return o"]
+        lines += [f"    {', '.join(f'b{k2}' for k2 in range(n))}, = b",
+                  f"    {' = '.join(outs)} = o" if whole else f"    {', '.join(outs)}, = o"]
+        for k1, x in zip(range(lo, hi), left):
+            lines.append(f"    if {x}:")
+            lines += (f"        o{k} {'+' if sign > 0 else '-'}= {x} * b{k2}" for k2, (k, sign) in enumerate(self[k1]))
+        lines.append(f"    return [{', '.join(outs)}]")
+        namespace = {}
+        exec(compile("\n".join(lines), f"<product rows {lo}-{hi - 1}>", "exec"), namespace)
+        self._chunks[i] = namespace["chunk"]
+        return self._chunks[i](a, b, out)
+
+
+@lru_cache(maxsize=None)
+def _blade_product(signature: Signature) -> _Kernel:
+    """The product of the signature's blades, shared by its representations:
+    row k1 holds ``(k, sign)`` per blade k2, from :func:`blade_mul`."""
+    blades = _blades(signature.n)
+    index = {b: k for k, b in enumerate(blades)}
+    return _Kernel([[(index[b], sign) for b, sign in (blade_mul(b1, b2, signature) for b2 in blades)]
+                    for b1 in blades])
+
+
 def involution_sign(kind: str, grade: int) -> int:
     if kind == "hat":
         return -1 if grade % 2 else 1
@@ -145,13 +214,7 @@ class AlgebraRep:
         self.n = self.gens[0].n if self.gens else 1
         self._validate_generators()
 
-        self.blades = tuple(
-            sorted(
-                (tuple(c) for g in range(signature.n + 1)
-                 for c in combinations(range(1, signature.n + 1), g)),
-                key=lambda b: (len(b), b),
-            )
-        )
+        self.blades = _blades(signature.n)
         self._blade_mat = {(): HMatrix.identity(self.n)}
         for blade in self.blades:
             if blade:
@@ -182,18 +245,16 @@ class AlgebraRep:
         }
         # the HScalar component (x y v w) of each unit
         self._spots = tuple(HScalar.unit(u).coeffs().index(1) for u in self.units)
-        # gp_blades' table _product[k1][k2] = (k, sign), one blade_mul per
-        # pair of blades, no basis matrix read: over the blades for a j-rep's
-        # null pairs, else over the basis, where units 0 (1) and 1 (adjoined)
-        # multiply by XOR and two adjoined units give the unit's square.
-        u = HScalar.unit(adjoined or "1")
-        square, w = int((u * u).x), len(self.units)
-        blade_rows = [[(self._offset[b] // w, sign) for b, sign in
-                       (blade_mul(b1, b2, signature) for b2 in self.blades)] for b1 in self.blades]
-        self._product = blade_rows if adjoined == "j" else [
-            [(w * k + (u1 ^ u2), sign * square if u1 & u2 else sign) for k, sign in row for u2 in range(w)]
-            for row in blade_rows for u1 in range(w)
-        ]
+        # gp_blades' kernel, its table _product[k1][k2] = (k, sign) read off
+        # blade_mul, no basis matrix: the signature's blade product for a
+        # j-rep's null pairs and a rep with no adjoined unit; over the basis
+        # for i, where units 0 (1) and 1 (i) multiply by XOR and i i = -1.
+        self._product = _blade_product(signature)
+        if adjoined == "i":
+            self._product = _Kernel(
+                [(2 * k + (u1 ^ u2), -sign if u1 & u2 else sign) for k, sign in row for u2 in (0, 1)]
+                for row in self._product for u1 in (0, 1)
+            )
 
     # -- construction-time validation -------------------------------------
 
@@ -367,14 +428,6 @@ class AlgebraRep:
         return f"AlgebraRep({self.name})"
 
 
-def _terms(c, split: bool) -> list:
-    """One gp_blades operand's stored numbers ``c``: ``(index, x)`` per non-zero
-    coordinate or, if ``split``, ``(blade, a + b, a - b)`` per non-zero blade ``a + b j``."""
-    if split:  # blade k has coordinates a, b at 2k, 2k + 1
-        return [(k, a + b, a - b) for k, a, b in zip(count(), c[0::2], c[1::2]) if a or b]
-    return [(k, x) for k, x in enumerate(c) if x]
-
-
 class Multivector(RealCoords):
     """An algebra element as real coordinates over its representation's basis.
 
@@ -451,45 +504,32 @@ class Multivector(RealCoords):
     def gp_blades(self, other: "Multivector") -> "Multivector":
         """Geometric product on the blades, independent of the matrix route.
 
-        Each pair of non-zero terms is one lookup in the table built from
-        :func:`blade_mul`, summed per output in pair order.  A j-rep (j
-        central, j^2 = 1) takes each blade coefficient ``a + b j`` as its
-        null pair ``(a + b, a - b)``: one pass sums ``P = sum(+-p1 p2)`` and
-        ``M = sum(+-m1 m2)``, joined as ``((P + M)/2, (P - M)/2)``.  Other
-        reps multiply real coordinates.  Exact terms are the operands' int
-        numerators, and the output is over the product of their denominators
-        (twice that after a join), reduced once.  Operands of two backends
-        raise :class:`BackendMismatch`, zero or not.
+        The representation's kernel (:class:`_Kernel`, its table built from
+        :func:`blade_mul`) multiplies the coordinates.  A j-rep (j central,
+        j^2 = 1) takes each blade coefficient ``a + b j`` as its null pair
+        ``(a + b, a - b)``: the kernel sums ``P`` over the ``a + b`` and
+        ``M`` over the ``a - b``, joined as ``((P + M)/2, (P - M)/2)``.  Exact
+        coordinates are the operands' int numerators, and the output is over
+        the product of their denominators (twice that after a join), reduced
+        once.  Operands of two backends raise :class:`BackendMismatch`, zero
+        or not.
         """
         exact = self._peer(other)
-        rep, zero, split = self.rep, 0 if exact else 0.0, self.rep.adjoined == "j"
-        lhs, rhs = _terms(self.nums, split), _terms(other.nums, split)
-        table, out = rep._product, [zero] * len(self.nums)
-        den = self.den * other.den if exact else None
-        if split:  # the join halves P +- M: halve p1, m1 (floats) or double den (exact)
-            P, M, h = out[0::2], out[1::2], 1 if exact else 0.5
-            if exact:
-                den *= 2
-            for k1, p1, m1 in lhs:
-                row, p1, m1 = table[k1], p1 * h, m1 * h
-                for k2, p2, m2 in rhs:
-                    k, sign = row[k2]
-                    if sign > 0:
-                        P[k] += p1 * p2
-                        M[k] += m1 * m2
-                    else:
-                        P[k] -= p1 * p2
-                        M[k] -= m1 * m2
-            out[0::2], out[1::2] = map(add, P, M), map(sub, P, M)
+        rep, c, d = self.rep, self.nums, other.nums
+        kernel, den = rep._product, self.den * other.den if exact else None
+        if rep.adjoined != "j":
+            return Multivector._new(rep, kernel(c, d, 0 if exact else 0.0), den)
+        # the join halves P +- M: halve the left pair (floats) or double den (exact)
+        a, b, x, y = c[0::2], c[1::2], d[0::2], d[1::2]
+        if exact:
+            den *= 2
+            P = kernel(map(add, a, b), map(add, x, y), 0)
+            M = kernel(map(sub, a, b), map(sub, x, y), 0)
         else:
-            for k1, x1 in lhs:
-                row = table[k1]
-                for k2, x2 in rhs:
-                    k, sign = row[k2]
-                    if sign > 0:
-                        out[k] += x1 * x2
-                    else:
-                        out[k] -= x1 * x2
+            P = kernel([(s + t) * 0.5 for s, t in zip(a, b)], map(add, x, y), 0.0)
+            M = kernel([(s - t) * 0.5 for s, t in zip(a, b)], map(sub, x, y), 0.0)
+        out = [None] * len(c)
+        out[0::2], out[1::2] = map(add, P, M), map(sub, P, M)
         return Multivector._new(rep, out, den)
 
     # -- involutions -----------------------------------------------------------

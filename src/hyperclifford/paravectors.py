@@ -28,7 +28,7 @@ from itertools import permutations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
-from .scalars import HScalar, RealCoords, _entering
+from .scalars import HScalar, RealCoords, _entering, _floats
 
 __all__ = [
     "ParavectorSpace",
@@ -250,12 +250,28 @@ def wedge4(x: Paravector, y: Paravector, v: Paravector, w: Paravector) -> Multiv
     return _alternating_sum((x, y, v, w))
 
 
+def _sphere_entering(r, *kinds) -> list:
+    """The radius, then the five angles of each ``(name, angles)`` kind, as
+    floats by :func:`~.scalars._entering`; a radius below 0 or another count
+    of angles raises ``ValueError``."""
+    (r,) = _floats((r,), "sphere radius")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    out = [r]
+    for name, angles in kinds:
+        angles = _floats(angles, f"sphere {name}")
+        if len(angles) != 5:
+            raise ValueError(f"sphere {name} takes 5 angles, got {len(angles)}")
+        out.append(angles)
+    return out
+
+
 def quasi_sphere_residual(x: Paravector, r: float) -> float:
     """How far x*bar(x) is from the real number r^2: the largest of
     |x - r^2|, |y|, |v| and |w| over its four scalar components, NaN when
-    any of them is NaN."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    any of them is NaN.  The radius enters as the sphere functions' does
+    (:func:`_sphere_entering`)."""
+    (r,) = _sphere_entering(r)
     q = x.qform()
     parts = (abs(float(q.x) - r * r), abs(float(q.y)), abs(float(q.v)), abs(float(q.w)))
     return math.nan if any(map(math.isnan, parts)) else max(parts)

@@ -89,14 +89,16 @@ def reconstruct_probability(lin: Linearization, p1: float, p2: float) -> float:
     uses the ring's quadratic form z*bar(z), which is real for these
     amplitudes.
     """
+    _check_probability(p1, "P1")
+    _check_probability(p2, "P2")
     a1, a2 = math.sqrt(p1), math.sqrt(p2)
     if lin.regime == "complex":
         re = a1 + math.cos(lin.theta) * a2
         im = math.sin(lin.theta) * a2
         return re * re + im * im
-    z = HScalar.flt(a1, 0.0, 0.0, 0.0) + HScalar.flt(
+    z = HScalar(a1, 0.0, 0.0, 0.0) + HScalar(
         math.cosh(lin.theta), 0.0, math.sinh(lin.theta), 0.0
-    ) * HScalar.flt(lin.sign * a2)
+    ) * HScalar(lin.sign * a2, 0.0, 0.0, 0.0)
     q = z.qform()
     return float(q.x)
 

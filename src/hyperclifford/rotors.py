@@ -33,7 +33,7 @@ from operator import add, mul
 
 from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, commutator, pauli2, sigma_ab
-from .paravectors import Paravector, get_space
+from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _trig_tilde, from_null_coords, to_null_coords
 
 __all__ = [
@@ -497,22 +497,6 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
 
 
 # -- sphere parametrizations ---------------------------------------------------------------
-
-
-def _sphere_entering(r, *kinds) -> list:
-    """The radius, then the five angles of each ``(name, angles)`` kind, as
-    floats by :func:`~.scalars._entering`; a radius below 0 or another count
-    of angles raises ``ValueError``."""
-    (r,) = _floats((r,), "sphere radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    out = [r]
-    for name, angles in kinds:
-        angles = _floats(angles, f"sphere {name}")
-        if len(angles) != 5:
-            raise ValueError(f"sphere {name} takes 5 angles, got {len(angles)}")
-        out.append(angles)
-    return out
 
 
 def sphere_point(r: float, angles) -> tuple[float, ...]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hyperclifford.algebra import (
     Multivector,
     Signature,
+    _Kernel,
     blade_mul,
     enumerate_algebra,
     even_subalgebra,
@@ -241,6 +242,97 @@ def test_gp_blades_integer_kernel_edge_cases(name):
         got = u.gp_blades(v)
         assert got == gp_blades_reference(u, v)
         assert all(type(c) is Fraction for c in got.coords)
+
+
+def gp_blades_loop(u, v):
+    """The pair loop over ``rep._product`` that gp_blades ran before its
+    straight-line kernels, kept as their oracle: one term per pair of
+    non-zero terms, summed per output in pair order; a j-rep takes each
+    blade ``a + b j`` as its null pair, halving the left one (floats) or
+    doubling the denominator (exact) for the join ``(P + M, P - M)``."""
+    rep, exact = u.rep, u.is_exact
+    zero, split = 0 if exact else 0.0, rep.adjoined == "j"
+
+    def terms(c):
+        if split:
+            return [(k, a + b, a - b) for k, (a, b) in enumerate(zip(c[0::2], c[1::2])) if a or b]
+        return [(k, x) for k, x in enumerate(c) if x]
+
+    lhs, rhs, out = terms(u.nums), terms(v.nums), [zero] * len(u.nums)
+    den = u.den * v.den if exact else None
+    if split:
+        P, M, h = out[0::2], out[1::2], 1 if exact else 0.5
+        if exact:
+            den *= 2
+        for k1, p1, m1 in lhs:
+            row, p1, m1 = rep._product[k1], p1 * h, m1 * h
+            for k2, p2, m2 in rhs:
+                k, sign = row[k2]
+                if sign > 0:
+                    P[k] += p1 * p2
+                    M[k] += m1 * m2
+                else:
+                    P[k] -= p1 * p2
+                    M[k] -= m1 * m2
+        out[0::2], out[1::2] = [p + m for p, m in zip(P, M)], [p - m for p, m in zip(P, M)]
+    else:
+        for k1, x1 in lhs:
+            row = rep._product[k1]
+            for k2, x2 in rhs:
+                k, sign = row[k2]
+                if sign > 0:
+                    out[k] += x1 * x2
+                else:
+                    out[k] -= x1 * x2
+    return Multivector._new(rep, out, den)
+
+
+def kernel_operand(rep, exact, density, rng):
+    """Stored numbers of an element, each coordinate non-zero with
+    probability ``density``: floats of magnitude 1e-300 to 1e300, the zeros
+    +0.0 or -0.0; exact, int numerators of up to 40 digits over a
+    denominator of up to 12 digits."""
+    if exact:
+        nums = [rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 40)) if rng.random() < density else 0
+                for _ in rep.basis]
+        return Multivector._new(rep, nums, rng.randint(1, 10**12))
+    nums = [rng.choice((-1.0, 1.0)) * rng.random() * 10.0**rng.randint(-300, 300) if rng.random() < density
+            else rng.choice((0.0, -0.0)) for _ in rep.basis]
+    return Multivector._new(rep, nums, None)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_gp_blades_kernel_is_the_pair_loop(name, exact):
+    """The straight-line kernels give what the pair loop gave: floats bit
+    for bit, zero signs, overflows and underflows included; exact results
+    as the same numerators over the same denominator."""
+    rep = get_rep(name)
+    rng = random.Random(f"kernel-loop-{name}-{exact}")
+    for density in (0.05, 0.3, 0.7, 1.0):
+        for _ in range(150):
+            u, v = (kernel_operand(rep, exact, density, rng) for _ in range(2))
+            got, want = u.gp_blades(v), gp_blades_loop(u, v)
+            if exact:
+                assert (got.nums, got.den) == (want.nums, want.den)
+            else:
+                assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
+
+
+def test_one_kernel_per_blade_table_compiled_per_chunk_of_rows_it_reaches():
+    # representations of one signature share its blade table and its kernel
+    assert get_rep("r30")._product is get_rep("c30bar")._product
+    assert get_rep("r05")._product is get_rep("h05bar")._product
+    # 32 rows of 32 products: eight chunks of 128, compiled when a row is reached
+    rows = get_rep("r05")._product
+    kernel = _Kernel(rows)
+    a, b = [0] * 32, list(range(1, 33))
+    a[5] = 3
+    want = [0] * 32
+    for k2, (k, sign) in enumerate(rows[5]):
+        want[k] += sign * 3 * b[k2]
+    assert kernel(a, b, 0) == want
+    assert [not isinstance(chunk, partial) for chunk in kernel._chunks] == [False, True] + [False] * 6
 
 
 def sparse_exact(rep):

@@ -1,6 +1,7 @@
 """Paravector spaces: metrics, quadratic forms, wedge products,
 quasi-spheres, momentum embedding."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -195,6 +196,18 @@ def test_quasi_sphere_rejects_negative_radius():
     h1 = get_space("h1")
     with pytest.raises(ValueError):
         quasi_sphere_residual(h1.paravector([1, 0, 0, 0]), -1.0)
+
+
+def test_quasi_sphere_residual_takes_its_radius_by_the_one_rule():
+    # as the sphere functions take theirs: finite, an int, Fraction or float
+    x = get_space("h1").paravector([1.0, 0, 0, 0])
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sphere radius coordinate 0 is not finite"):
+            quasi_sphere_residual(x, r)
+    for bad in (True, "1"):
+        with pytest.raises(TypeError, match="sphere radius coordinate 0 is not an int, Fraction or float"):
+            quasi_sphere_residual(x, bad)
+    assert quasi_sphere_residual(x, 1) == quasi_sphere_residual(x, Fraction(1)) == 0.0
 
 
 def test_embed_momentum_real_reduces_to_minkowski():

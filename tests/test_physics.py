@@ -68,6 +68,15 @@ def test_linearize_hyperbolic_regime():
         )
 
 
+@pytest.mark.parametrize("regime", ["complex", "hyperbolic"])
+def test_reconstruct_probability_checks_its_probabilities(regime):
+    # as interfere and linearize do: each of P1 and P2 lies in [0, 1]
+    lin = Linearization(regime, 0.25, 1)
+    for p1, p2, name in ((-0.1, 0.5, "P1"), (0.5, -0.1, "P2"), (1.5, 0.5, "P1"), (0.5, math.nan, "P2")):
+        with pytest.raises(DomainError, match=f"{name} = .* is not a probability"):
+            reconstruct_probability(lin, p1, p2)
+
+
 def test_linearize_boundary_agreement():
     for p1, p2 in ((0.25, 0.25), (0.6, 0.15)):
         lin = linearize(p1, p2, 1.0)

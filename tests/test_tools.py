@@ -250,11 +250,14 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", lambda root, workload, seconds: runs[str(root), workload])
+    monkeypatch.setattr(compare_outputs, "setup_split", lambda root: [20.0, 12.25, 4.0])
     assert compare_outputs.main([parent_dir, change_dir]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "no differences"
     # the src/ total beside the status counts, then each module's lines
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
+    assert out[7:9] == [f"{side}: set-up ms, median of 5 fresh interpreters  import 20.0  get_rep 12.2  get_space 4.0"
+                        for side in ("parent", "change")]
     assert out[-7:] == [
         "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
         "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
@@ -269,6 +272,24 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     runs[change_dir, "calc-stream"] = finished({"rotors.act.calls": 5}, 0.91)
     assert compare_outputs.main([parent_dir, change_dir]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "traced seed-7 counts equal"
+
+
+def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
+    # a stand-in library whose three set-up stages sleep 40, 2 x 15 and 60 ms
+    pkg = tmp_path / "src" / "hyperclifford"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("import time\ntime.sleep(0.04)\n")
+    (pkg / "algebra.py").write_text(
+        "import time\nREP_NAMES = ('a', 'b')\ndef get_rep(name):\n    time.sleep(0.015)\n")
+    (pkg / "paravectors.py").write_text(
+        "import time\nSPACE_NAMES = ('s',)\ndef get_space(name):\n    time.sleep(0.06)\n")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 3)
+    split = compare_outputs.setup_split(tmp_path)
+    assert len(split) == len(compare_outputs.SETUP_STAGES) == 3
+    for ms, slept in zip(split, (40, 30, 60)):
+        assert slept <= ms < slept + 500
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def answer(coords, code=0, err=""):

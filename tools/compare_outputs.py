@@ -14,13 +14,19 @@ bytecode written) and records:
 
 Prints every difference, and for each side the status counts, a SHA-256
 of its records, the line count of its ``src`` with that of each module
-beside it, and the in-process time of each verify suite (the sum of its checks' ``elapsed_ms``; times are kept
-out of the records, so out of the differences and the SHA-256); exits 0
-when the two sides agree and 1 when they differ or a traced run below
-fails.  Calc answers that keep their exit code, stderr and JSON
-structure and move only in their numbers are summed up in one line per
-command: how many moved, the largest relative difference of any number
-and the largest absolute one.
+beside it, and the in-process time of each verify suite (the sum of its
+checks' ``elapsed_ms``; times are kept out of the records, so out of the
+differences and the SHA-256); exits 0 when the two sides agree and 1 when
+they differ or a traced run below fails.  Calc answers that keep their
+exit code, stderr and JSON structure and move only in their numbers are
+summed up in one line per command: how many moved, the largest relative
+difference of any number and the largest absolute one.
+
+For each side it also prints its set-up split into stages: importing
+``hyperclifford``, ``get_rep`` over every representation, then
+``get_space`` over every paravector space, each in ms as the median of 5
+fresh interpreters.  One untimed run before them compiles the bytecode
+they read into a temporary directory, never into the checkout.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
@@ -38,8 +44,10 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +85,40 @@ def suite_times(times: list) -> dict:
         suite = check_id.split(".")[0]
         out[suite] = out.get(suite, 0.0) + ms
     return out
+
+
+SETUP_CHILD = r"""
+import sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1] + "/src")
+t0 = perf_counter()
+import hyperclifford
+from hyperclifford.algebra import REP_NAMES, get_rep
+from hyperclifford.paravectors import SPACE_NAMES, get_space
+t1 = perf_counter()
+for name in REP_NAMES:
+    get_rep(name)
+t2 = perf_counter()
+for name in SPACE_NAMES:
+    get_space(name)
+print(t1 - t0, t2 - t1, perf_counter() - t2)
+"""
+SETUP_STAGES = ("import", "get_rep", "get_space")
+SETUP_RUNS = 5
+
+
+def setup_split(root: Path) -> list[float]:
+    """Milliseconds of one checkout's set-up per stage of ``SETUP_STAGES``,
+    each the median over ``SETUP_RUNS`` fresh interpreters.  Their bytecode is
+    compiled by one untimed run into a temporary directory, so that every
+    checkout is timed from compiled modules and none is written to."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = cache
+        samples = [subprocess.run([sys.executable, "-c", SETUP_CHILD, str(root.resolve())], env=env,
+                                  capture_output=True, text=True, check=True).stdout.split()
+                   for _ in range(SETUP_RUNS + 1)][1:]
+    return [statistics.median(float(s[k]) for s in samples) * 1e3 for k in range(len(SETUP_STAGES))]
 
 
 def source_lines(root: Path) -> dict:
@@ -209,6 +251,9 @@ def main(argv=None) -> int:
     for side, *_, times in sides:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
+    for side, root, *_ in sides:
+        print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters  "
+              + "  ".join(f"{stage} {ms:.1f}" for stage, ms in zip(SETUP_STAGES, setup_split(Path(root)))))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
     counts, failed = [], []
     for workload in (w["name"] for w in spec["workloads"]):
