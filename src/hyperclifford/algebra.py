@@ -39,7 +39,7 @@ from numbers import Rational
 from operator import add, mul, sub
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import HScalar, RealCoords, _entering
+from .scalars import _RING_UNITS, HScalar, RealCoords, _entering
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -62,8 +62,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 REP_NAMES = ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar")
-# the scalar units, in the order of HScalar's components x y v w
-_RING_UNITS = ("1", "i", "j", "ij")
 
 Blade = tuple
 
@@ -244,7 +242,7 @@ class AlgebraRep:
             for kind in ("bar", "dagger", "hat")
         }
         # the HScalar component (x y v w) of each unit
-        self._spots = tuple(HScalar.unit(u).coeffs().index(1) for u in self.units)
+        self._spots = tuple(map(_RING_UNITS.index, self.units))
         # gp_blades' kernel, its table _product[k1][k2] = (k, sign) read off
         # blade_mul, no basis matrix: the signature's blade product for a
         # j-rep's null pairs and a rep with no adjoined unit; over the basis
@@ -315,8 +313,14 @@ class AlgebraRep:
         for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
             k = index.get(tuple((4 * (self.n + 1) * r + spot, sign) for r in range(self.n)))
             if k is not None:
-                units[u] = Multivector._new(self, (sign if j == k else 0 for j in range(len(self.basis))), 1)
+                units[u] = self._basis_element(k, sign)
         return units
+
+    def _basis_element(self, k: int, sign: int = 1, exact: bool = True) -> "Multivector":
+        """``sign`` times basis element ``k``, built on the stored numbers."""
+        nums = [0 if exact else 0.0] * len(self.basis)
+        nums[k] = sign if exact else float(sign)
+        return Multivector._new(self, nums, 1 if exact else None)
 
     # -- HScalar <-> coordinates -------------------------------------------
 
@@ -416,13 +420,17 @@ class AlgebraRep:
         return Multivector(self, {(): z})
 
     def generator(self, index: int, exact: bool = True) -> "Multivector":
-        return Multivector(self, {(index,): HScalar.make(1, exact=exact)})
+        return self.blade((index,), exact=exact)
 
     def blade(self, blade: Blade, coeff=None, exact: bool = True) -> "Multivector":
-        c = coeff if isinstance(coeff, HScalar) else HScalar.make(
-            1 if coeff is None else coeff, exact=exact
-        )
-        return Multivector(self, {tuple(blade): c})
+        """The blade times ``coeff`` (by default 1), entering as a :class:`Multivector` coefficient."""
+        blade = tuple(blade)
+        if coeff is not None:
+            z = coeff if isinstance(coeff, HScalar) else HScalar.make(coeff, exact=exact)
+            return Multivector(self, {blade: z})
+        if blade not in self._offset:
+            raise ValueError(f"{blade} is not a blade of {self.name}")
+        return self._basis_element(self._offset[blade], exact=exact)
 
     def __repr__(self):
         return f"AlgebraRep({self.name})"
@@ -576,14 +584,12 @@ class Multivector(RealCoords):
 
 
 def _unit_1x1(name: str) -> HMatrix:
-    return HMatrix([[HScalar.unit(name)]])
+    return HMatrix._new(1, [int(u == name) for u in _RING_UNITS], 1)
 
 
 @lru_cache(maxsize=None)
 def get_rep(name: str) -> AlgebraRep:
     """Shared, construction-validated representation instances."""
-    unit_j = HScalar.unit("j")
-    unit_i = HScalar.unit("i")
     if name == "r01":
         return AlgebraRep("r01", Signature(0, 1), [_unit_1x1("i")])
     if name == "r10":
@@ -591,11 +597,11 @@ def get_rep(name: str) -> AlgebraRep:
     if name == "c10bar":
         return AlgebraRep("c10bar", Signature(1, 0), [_unit_1x1("j")], adjoined="i")
     if name in ("r30", "c30bar"):
-        gens = [pauli2(k).scale(unit_j) for k in (1, 2, 3)]
+        gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
         adj = "j" if name == "c30bar" else ""
         return AlgebraRep(name, Signature(3, 0), gens, adjoined=adj)
     if name in ("r05", "h05bar"):
-        gens = [sigma_ab(0, k).scale(unit_i) for k in range(1, 6)]
+        gens = [sigma_ab(0, k).scale(HScalar.unit("i")) for k in range(1, 6)]
         adj = "j" if name == "h05bar" else ""
         return AlgebraRep(name, Signature(0, 5), gens, adjoined=adj)
     raise ValueError(f"unknown representation {name!r}")
@@ -603,7 +609,7 @@ def get_rep(name: str) -> AlgebraRep:
 
 def pseudoscalar(rep: AlgebraRep) -> Multivector:
     """Ordered product of all generators (the highest-grade blade)."""
-    acc = rep.scalar(1)
+    acc = rep._basis_element(0)
     for k in range(1, rep.signature.n + 1):
         acc = acc.gp_blades(rep.generator(k))
     return acc
@@ -705,25 +711,15 @@ def even_subalgebra(rep: AlgebraRep) -> tuple[tuple[Multivector, ...], int]:
     fixed as well.
     """
     hat = rep._involution_signs["hat"]
-    fixed = [Multivector._new(rep, (1 if j == k else 0 for j in range(len(hat))), 1)
-             for k, sign in enumerate(hat) if sign > 0]
+    fixed = [rep._basis_element(k) for k, sign in enumerate(hat) if sign > 0]
     return tuple(fixed), len(fixed)
 
 
 # -- explicit entry-permutation involutions ----------------------------------------
 
 
-def porteous_conjugate_2x2(a: HMatrix) -> HMatrix:
-    """Conjugation of a 2x2 matrix by entry permutation alone.
-
-    Fixes the identity and negates each Pauli matrix without touching the
-    hypercomplex units inside the entries.
-    """
-    if a.n != 2:
-        raise ValueError("expects a 2x2 matrix")
-    (a11, a12), (a21, a22) = a.rows
-    return HMatrix([[a22, -a12], [-a21, a11]])
-
+# per output entry, row by row: (source row, source column, sign), 1-based
+_CONJUGATE_SRC = (((2, 2, 1), (1, 2, -1)), ((2, 1, -1), (1, 1, 1)))
 
 _DAGGER_SRC = (
     ((2, 2, 1), (1, 2, -1), (4, 2, 1), (3, 2, -1)),
@@ -740,30 +736,41 @@ _HAT_SRC = (
 )
 
 
-def _permute_4x4(a: HMatrix, table, conjugate_entries: bool) -> HMatrix:
-    if a.n != 4:
-        raise ValueError("expects a 4x4 matrix")
+def _permute(a: HMatrix, table, conjugate_entries: bool = False) -> HMatrix:
+    """The signed entry permutation ``table`` of a matrix of its size."""
+    n = len(table)
+    if a.n != n:
+        raise ValueError(f"expects a {n}x{n} matrix")
     coords, out = a.nums, []
     for line in table:
         for sr, sc, sign in line:
-            k = 16 * (sr - 1) + 4 * (sc - 1)
+            k = 4 * (n * (sr - 1) + sc - 1)
             x, y, v, w = coords[k:k + 4]
             if conjugate_entries:
                 y, v = -y, -v
             out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
-    return HMatrix._new(4, out, a.den)
+    return HMatrix._new(n, out, a.den)
+
+
+def porteous_conjugate_2x2(a: HMatrix) -> HMatrix:
+    """Conjugation of a 2x2 matrix by entry permutation alone.
+
+    Fixes the identity and negates each Pauli matrix without touching the
+    hypercomplex units inside the entries.
+    """
+    return _permute(a, _CONJUGATE_SRC)
 
 
 def porteous_dagger_4x4(a: HMatrix) -> HMatrix:
     """Reversion of a 4x4 matrix as a signed entry permutation."""
-    return _permute_4x4(a, _DAGGER_SRC, conjugate_entries=False)
+    return _permute(a, _DAGGER_SRC)
 
 
 def porteous_hat_4x4(a: HMatrix) -> HMatrix:
     """Graduation of a 4x4 matrix: signed permutation of the entrywise
     scalar conjugates, chosen so that bar = hat-then-dagger is plain
     conjugate-transposition."""
-    return _permute_4x4(a, _HAT_SRC, conjugate_entries=True)
+    return _permute(a, _HAT_SRC, conjugate_entries=True)
 
 
 # -- published sign tables ------------------------------------------------------------
@@ -798,7 +805,7 @@ def _catalog(rep_name: str):
     rows = [row for row in gens if row[1] not in units.values()]
     if rep_name == "c30bar":
         # j is c30bar's coefficient unit: j e_k is the blade e_k with coefficient j
-        rows += [(f"sigma{k}", rep.blade((k,), HScalar.unit("j")), False) for k in (1, 2, 3)]
+        rows += [(f"sigma{k}", rep._basis_element(rep.basis.index(((k,), "j"))), False) for k in (1, 2, 3)]
     if rep_name == "h05bar":
         rows += [(f"sigma0{k}", (-units["i"]).gp_blades(rep.generator(k)), False) for k in range(1, 6)]
         rows += [(f"sigma{k}{l}", units["i"].gp_blades(rep.blade((k, l))), False)

@@ -285,7 +285,7 @@ def _matrix_cell(cell, row: int, col: int) -> HScalar:
     """One ``[x,y,v,w]`` cell of a JSON matrix, at 1-based ``row``, ``col``."""
     if not (isinstance(cell, list) and len(cell) == 4 and set(map(type, cell)) <= _JSON_NUMBERS):
         raise ValueError(f"cell at row {row}, column {col} is not four numbers [x,y,v,w]")
-    return HScalar(*map(_finite_float, cell))  # finite floats; HMatrix checks them again
+    return HScalar(*map(float, cell))  # HMatrix takes them by the one rule
 
 
 def _cmd_decompose(args) -> int:
@@ -297,7 +297,7 @@ def _cmd_decompose(args) -> int:
         grid = json.loads(raw)
         m = HMatrix([[_matrix_cell(cell, r, c) for c, cell in enumerate(row, 1)]
                      for r, row in enumerate(grid, 1)])
-    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"bad matrix JSON ({exc})") from None
     if m.n != rep.n:
         raise ValueError(f"{args.rep} expects {rep.n}x{rep.n} matrices")
@@ -313,8 +313,7 @@ def _cmd_decompose(args) -> int:
         print(_dumps({"coefficients": coeff_rows, "residual": residual}))
     else:
         for row in coeff_rows:
-            z = HScalar.flt(*row["coeff"])
-            print(f"{row['blade'].ljust(12)} {z}")
+            print(f"{row['blade'].ljust(12)} {HScalar(*row['coeff'])}")
         print(f"residual outside span: {residual:.3e}")
     return 0
 

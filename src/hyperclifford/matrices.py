@@ -4,13 +4,14 @@ An :class:`HMatrix` stores its ``4n^2`` real coordinates, ``x y v w`` per
 entry in row-major order, as :class:`RealCoords` does: int numerators over
 one denominator (exact) or floats; entries are built as :class:`HScalar`
 only when read.  Arithmetic works on the stored numbers, and every linear
-operation is one rectangular ring product per backend: ``@``,
-:meth:`HMatrix.scale`, :meth:`HMatrix.combine` and each elimination step
-of :meth:`HMatrix.inverse`.  The units 1, i, j, ij multiply as a signed
-group (unit a times unit b is unit a XOR b, negated when both have the i
-bit), so the exact product contracts the non-zero int numerators through
-that table, over the product of the two denominators, and reduces the
-result once.  The float product keeps :meth:`HScalar.__mul__`'s terms,
+operation is one rectangular ring product per backend: ``@``, each
+elimination step of :meth:`HMatrix.inverse`, and one linear-combination
+kernel, which :meth:`HMatrix.combine` runs after the rule and
+:meth:`HMatrix.scale` after a backend check.  The units 1, i, j, ij
+multiply as a signed group (unit a times unit b is unit a XOR b, negated
+when both have the i bit), so the exact product contracts the non-zero
+int numerators through that table, over the product of the two
+denominators, and reduces the result once.  The float product keeps :meth:`HScalar.__mul__`'s terms,
 its complex-subring shortcut and the column order of each entry's sum, so
 float results equal the per-entry HScalar loop over non-zero entries bit
 for bit.  An output entry with no non-zero term is ``+0``.
@@ -19,7 +20,7 @@ Provides the 2x2 Pauli matrices, the fifteen 4x4 Pauli matrices built as
 Kronecker products, and the signed antisymmetric lookup assigning a 4x4
 Pauli matrix to every ordered index pair (a, b) with 0 <= a, b <= 5.  The
 fifteen matrices are constructed twice, once by tensor product and once
-from hard-coded entry tables, and the two constructions are asserted equal
+from hard-coded int entry tables, and the two constructions are asserted equal
 at import of the table so transcription and construction errors surface
 against each other.
 """
@@ -147,8 +148,15 @@ class HMatrix(RealCoords):
         return HMatrix._new(n, out, self.den * other.den if exact else None)
 
     def scale(self, z) -> "HMatrix":
-        """Every entry multiplied by the scalar ``z`` (on the left)."""
-        return HMatrix.combine((z,), (self,))
+        """Every entry times the scalar ``z`` (on the left): a number, entering by
+        :meth:`HScalar.make`, or an :class:`HScalar`, whose backend is checked as
+        a ring operation checks it, not its parts."""
+        exact = self.is_exact
+        if not isinstance(z, HScalar):
+            z = HScalar.make(z, exact=exact)
+        elif z.is_exact != exact:
+            raise BackendMismatch("mixed exact/float scalar operands")
+        return _weighted_sum(*(_over_lcm(z.coeffs()) if exact else (z.coeffs(), None)), (self,))
 
     @staticmethod
     def combine(zs, mats) -> "HMatrix":
@@ -172,14 +180,7 @@ class HMatrix(RealCoords):
         a, da = _entering(a, "scalar")
         if (da is None) == exact:
             raise BackendMismatch("mixed exact/float scalar operands")
-        if not exact:
-            b = first.nums if len(mats) == 1 else tuple(chain.from_iterable(m.nums for m in mats))
-            return HMatrix._new(first.n, _product(False, 1, len(mats), a, b), None)
-        db, b = lcm(*[m.den for m in mats]), []  # the matrices meet at their lcm
-        for m in mats:
-            f = db // m.den
-            b += m.nums if f == 1 else [x * f for x in m.nums]
-        return HMatrix._new(first.n, _product(True, 1, len(mats), a, b), da * db)
+        return _weighted_sum(a, da, mats)
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
@@ -237,7 +238,7 @@ class HMatrix(RealCoords):
             z = HScalar(*aug[col][k:k + 4])
             if exact:  # (R/d)(z/d)^-1 = R z^-1, over z^-1's denominator
                 dens[col], dens[pick] = dens[pick], dens[col]
-                inv, e = _over_lcm(HScalar.exact(*z.coeffs()).invert().coeffs())
+                inv, e = _over_lcm(HScalar(*map(Fraction, z.coeffs())).invert().coeffs())
                 pivot, dens[col] = _reduced(_product(True, 1, 1, inv, aug[col]), e)
             else:
                 pivot = _product(False, 1, 1, z.invert().coeffs(), aug[col])
@@ -287,6 +288,21 @@ class HMatrix(RealCoords):
 # codes have the i bit: i*i = ij*ij = -1, i*ij = -j, j*j = +1.
 
 _FLOAT_ZERO = (0.0, 0.0, 0.0, 0.0)
+
+
+def _weighted_sum(a, den, mats) -> HMatrix:
+    """The sum of ``z_k * m_k``, unchecked: ``a`` holds the parts x y v w of each
+    ``z_k``, stored numbers over ``den`` (``None``: floats) in the backend of the
+    matrices, which meet at the lcm of their denominators and share one size."""
+    first = mats[0]
+    if den is None:
+        b = first.nums if len(mats) == 1 else tuple(chain.from_iterable(m.nums for m in mats))
+        return HMatrix._new(first.n, _product(False, 1, len(mats), a, b), None)
+    db, b = lcm(*[m.den for m in mats]), []
+    for m in mats:
+        f = db // m.den
+        b += m.nums if f == 1 else [x * f for x in m.nums]
+    return HMatrix._new(first.n, _product(True, 1, len(mats), a, b), den * db)
 
 
 def _product(exact, r, k, a, b):
@@ -352,12 +368,9 @@ def _product(exact, r, k, a, b):
 
 def kron(a: HMatrix, b: HMatrix) -> HMatrix:
     """Kronecker product; a's (1,1) entry scales b into the top-left block."""
-    ra, rb = a.rows, b.rows
-    return HMatrix(
-        [za * zb for za in row_a for zb in row_b]
-        for row_a in ra
-        for row_b in rb
-    )
+    ra, rb = a.rows, b.rows  # the entry products check the backends
+    parts = [p for row_a in ra for row_b in rb for za in row_a for zb in row_b for p in (za * zb).coeffs()]
+    return HMatrix._new(a.n * b.n, *(_over_lcm(parts) if a.is_exact else (parts, None)))
 
 
 def commutator(a: HMatrix, b: HMatrix) -> HMatrix:
@@ -366,20 +379,21 @@ def commutator(a: HMatrix, b: HMatrix) -> HMatrix:
 
 # -- Pauli matrices -----------------------------------------------------------
 
-def _h(x=0, y=0):
-    return HScalar.exact(x, y)
+
+def _from_table(rows) -> HMatrix:
+    """The exact matrix of rows of int entries, 1j marking an i-coefficient."""
+    return HMatrix._new(len(rows), [int(p) for row in rows for c in row for p in (c.real, c.imag, 0, 0)], 1)
+
+
+_PAULI2 = {1: [[0, 1], [1, 0]], 2: [[0, -1j], [1j, 0]], 3: [[1, 0], [0, -1]]}
 
 
 @lru_cache(maxsize=None)
 def pauli2(i: int) -> HMatrix:
     """The 2x2 Pauli matrices, exact backend."""
-    if i == 1:
-        return HMatrix([[_h(0), _h(1)], [_h(1), _h(0)]])
-    if i == 2:
-        return HMatrix([[_h(0), _h(0, -1)], [_h(0, 1), _h(0)]])
-    if i == 3:
-        return HMatrix([[_h(1), _h(0)], [_h(0), _h(-1)]])
-    raise ValueError("pauli2 index must be 1, 2 or 3")
+    if i not in _PAULI2:
+        raise ValueError("pauli2 index must be 1, 2 or 3")
+    return _from_table(_PAULI2[i])
 
 
 # Entry tables for the fifteen 4x4 matrices; 1j marks an i-coefficient.
@@ -407,16 +421,7 @@ def pauli4_literal(k: int) -> HMatrix:
     """The hard-coded entry table for the k-th 4x4 Pauli matrix."""
     if k not in _LITERALS:
         raise ValueError("pauli4 index must be in 1..15")
-    rows = []
-    for row in _LITERALS[k]:
-        out = []
-        for c in row:
-            if isinstance(c, complex):
-                out.append(_h(int(c.real), int(c.imag)))
-            else:
-                out.append(_h(c))
-        rows.append(out)
-    return HMatrix(rows)
+    return _from_table(_LITERALS[k])
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .paravectors import Paravector, embed_momentum, get_space
 from .rotors import ResultOutsideParavectorSpan, Rotor, act
-from .scalars import HScalar
+from .scalars import HScalar, _floats
 
 __all__ = [
     "DomainError",
@@ -47,15 +48,18 @@ class DegenerateAmplitude(ValueError):
     """Raised when P1*P2 = 0 leaves the relative phase undetermined."""
 
 
-def _check_probability(p: float, name: str):
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} = {p} is not a probability")
+def _probabilities(what: str, p1, p2, *more) -> tuple:
+    """P1, P2 and the numbers after them as floats: a number outside [0, 1], NaN
+    too, raises :class:`DomainError`; then all enter by the one rule."""
+    for p, name in ((p1, "P1"), (p2, "P2")):
+        if type(p) in (int, Fraction, float) and not 0 <= p <= 1:
+            raise DomainError(f"{name} = {p} is not a probability")
+    return _floats((p1, p2, *more), what)
 
 
 def interfere(p1: float, p2: float, lam: float) -> float:
     """Total probability with interference parameter lam."""
-    _check_probability(p1, "P1")
-    _check_probability(p2, "P2")
+    p1, p2, lam = _probabilities("interfere", p1, p2, lam)
     return p1 + p2 + 2.0 * math.sqrt(p1 * p2) * lam
 
 
@@ -73,8 +77,7 @@ def linearize(p1: float, p2: float, lam: float) -> Linearization:
     recovers the probability.  |lam| >= 1: lam = sign*cosh(theta), and the
     quadratic form of sqrt(P1) + sign*e^(j theta) sqrt(P2) recovers it.
     """
-    _check_probability(p1, "P1")
-    _check_probability(p2, "P2")
+    p1, p2, lam = _probabilities("linearize", p1, p2, lam)
     if p1 * p2 == 0.0:
         raise DegenerateAmplitude("relative phase is undetermined when P1*P2 = 0")
     if abs(lam) <= 1.0:
@@ -87,17 +90,20 @@ def reconstruct_probability(lin: Linearization, p1: float, p2: float) -> float:
 
     The complex regime uses the complex modulus; the hyperbolic regime
     uses the ring's quadratic form z*bar(z), which is real for these
-    amplitudes.
+    amplitudes.  The record is checked where it enters, here: ``ValueError``
+    for another regime or a sign not the int 1 or -1; theta enters by the rule.
     """
-    _check_probability(p1, "P1")
-    _check_probability(p2, "P2")
+    p1, p2 = _probabilities("reconstruct_probability", p1, p2)
+    if lin.regime not in ("complex", "hyperbolic") or type(lin.sign) is not int or lin.sign not in (1, -1):
+        raise ValueError(f"{lin!r} has no regime 'complex' or 'hyperbolic' with the int sign 1 or -1")
+    (theta,) = _floats((lin.theta,), "Linearization theta")
     a1, a2 = math.sqrt(p1), math.sqrt(p2)
     if lin.regime == "complex":
-        re = a1 + math.cos(lin.theta) * a2
-        im = math.sin(lin.theta) * a2
+        re = a1 + math.cos(theta) * a2
+        im = math.sin(theta) * a2
         return re * re + im * im
     z = HScalar(a1, 0.0, 0.0, 0.0) + HScalar(
-        math.cosh(lin.theta), 0.0, math.sinh(lin.theta), 0.0
+        math.cosh(theta), 0.0, math.sinh(theta), 0.0
     ) * HScalar(lin.sign * a2, 0.0, 0.0, 0.0)
     q = z.qform()
     return float(q.x)

@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from operator import add, mul
 
 from .algebra import AlgebraRep, Multivector
-from .matrices import HMatrix, commutator, pauli2, sigma_ab
+from .matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _trig_tilde, from_null_coords, to_null_coords
 
@@ -89,14 +89,14 @@ _ROTOR_SPACES = {"h1": (1, ()), "m4": (3, ()), "e6": (0, ("phi_ab",)), "r66": (0
 
 
 def _antisym_normalize(mapping, what: str) -> tuple:
-    """Sorted planes ``(a, b)``, ``a < b``, the angle negated for ``a > b``."""
+    """Sorted planes ``(a, b)``, ``a < b``, the angle negated for ``a > b``;
+    an error names a plane that is not a pair of different ints in 0..5."""
     mapping = dict(mapping)
     out = {}
-    for (a, b), val in zip(mapping, _floats(mapping.values(), what)):
-        if not (0 <= a <= 5 and 0 <= b <= 5):
-            raise ValueError("plane indices must lie in 0..5")
-        if a == b:
-            raise ValueError("plane indices must differ")
+    for plane, val in zip(mapping, _floats(mapping.values(), what)):
+        a, b = plane if type(plane) is tuple and len(plane) == 2 else (None, None)
+        if not (type(a) is int and type(b) is int and 0 <= a <= 5 and 0 <= b <= 5 and a != b):
+            raise ValueError(f"{what} plane {plane!r} is not a pair of two different ints in 0..5")
         key, v = ((a, b), val) if a < b else ((b, a), -val)
         if key in out and out[key] != v:
             raise ValueError(f"conflicting values for plane {key}")
@@ -305,7 +305,10 @@ def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = 
 def rotor_from_params(params: RotorParams) -> Rotor:
     rep = get_space(params.space).rep
     terms, anticommute = _exponent_terms(params)
-    m = _closed_form(rep.n, terms) if anticommute else mat_exp(HMatrix.combine(*zip(*terms)))
+    if anticommute:
+        return rotor_from_matrix(rep, _closed_form(rep.n, terms), params)
+    zs, sigmas = zip(*terms)
+    m = mat_exp(_weighted_sum([q for z in zs for q in z.coeffs()], None, sigmas))
     return rotor_from_matrix(rep, m, params)
 
 
@@ -338,17 +341,17 @@ def act(rotor: Rotor, x: Paravector) -> Paravector:
 # -- generator sets and their relations ------------------------------------------------
 
 
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
+
 def _half() -> HScalar:
-    return HScalar.exact(Fraction(1, 2))
+    return HScalar(_HALF, _ZERO, _ZERO, _ZERO)
 
 
 def lorentz_generators() -> tuple[list[HMatrix], list[HMatrix]]:
     """Rotation generators sigma_k/2 and boost generators ij*sigma_k/2."""
-    half = _half()
-    ij_half = HScalar.exact(0, 0, 0, Fraction(1, 2))
-    rotations = [pauli2(k).scale(half) for k in (1, 2, 3)]
-    boosts = [pauli2(k).scale(ij_half) for k in (1, 2, 3)]
-    return rotations, boosts
+    rotations = [pauli2(k).scale(_half()) for k in (1, 2, 3)]
+    return rotations, [j.scale(HScalar.unit("ij")) for j in rotations]
 
 
 def su4_generator(a: int, b: int) -> HMatrix:
@@ -361,10 +364,6 @@ def su4_generator(a: int, b: int) -> HMatrix:
 def hyperbolic_generator(a: int, b: int) -> HMatrix:
     """K_ab = ij * J_ab, the hyperbolic extension of the index generators."""
     return su4_generator(a, b).scale(HScalar.unit("ij"))
-
-
-def _delta(a: int, b: int) -> int:
-    return 1 if a == b else 0
 
 
 # The fifteen index pairs a < b of 0..5, in the order of an index generator list.
@@ -385,14 +384,10 @@ def _index_rhs(table: dict, ab, cd, sign: int) -> HMatrix:
     index pairs ab, cd, read from an :func:`_index_table`; only the terms
     whose delta is non-zero are summed."""
     (a, b), (c, d) = ab, cd
-    terms = ((_delta(a, c), (b, d)), (-_delta(a, d), (b, c)), (-_delta(b, c), (a, d)), (_delta(b, d), (a, c)))
-    terms = [(k, pq) for k, pq in terms if k]
+    terms = [(k, pq) for k, pq in ((a == c, (b, d)), (-(a == d), (b, c)), (-(b == c), (a, d)), (b == d, (a, c))) if k]
     if not terms:
         return HMatrix.zeros(table[ab].n)
-    zero = Fraction(0)
-    return HMatrix.combine(
-        [HScalar(zero, Fraction(sign * k), zero, zero) for k, _ in terms], [table[pq] for _, pq in terms]
-    )
+    return _weighted_sum([q for k, _ in terms for q in (0, sign * k, 0, 0)], 1, [table[pq] for _, pq in terms])
 
 
 def _count_relations(keys, j, k, rhs) -> list[int]:
@@ -428,19 +423,10 @@ def verify_index_commutators() -> dict:
     }
 
 
-_EPS = {}
-for perm in permutations((0, 1, 2)):
-    inv = sum(1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y])
-    _EPS[perm] = -1 if inv % 2 else 1
-
-
-def _eps(i, j, k) -> int:
-    return _EPS.get((i, j, k), 0)
-
-
 def _eps_sum(gens, a: int, b: int, sign: int = 1) -> HMatrix:
-    """sign * i * sum_c eps_abc gens[c] for three 2x2 generators."""
-    return HMatrix.combine([HScalar.exact(0, sign * _eps(a, b, c)) for c in range(3)], gens)
+    """sign * i * sum_c eps_abc gens[c] for three 2x2 generators, with
+    eps_abc = (a - b)(b - c)(c - a)/2 on 0..2."""
+    return _weighted_sum([q for c in range(3) for q in (0, sign * (a - b) * (b - c) * (c - a) // 2, 0, 0)], 1, gens)
 
 
 def verify_lorentz_commutators() -> dict:
@@ -459,12 +445,9 @@ def null_split(j_gens) -> tuple[list[HMatrix], list[HMatrix]]:
     (ij)^2 = -1; the idempotent form realizes the intended pair of
     commuting factors.
     """
-    h = Fraction(1, 2)
-    ep = HScalar.exact(h, 0, h)
-    em = HScalar.exact(h, 0, -h)
-    a = [g.scale(ep) for g in j_gens]
-    b = [g.scale(em) for g in j_gens]
-    return a, b
+    ep = HScalar(_HALF, _ZERO, _HALF, _ZERO)
+    em = HScalar(_HALF, _ZERO, -_HALF, _ZERO)
+    return [g.scale(ep) for g in j_gens], [g.scale(em) for g in j_gens]
 
 
 def verify_null_split(j_gens, k_gens, struct) -> dict:

@@ -23,15 +23,16 @@ is the same for :class:`HScalar` and for every :class:`RealCoords` value
 backend-strict, so values of two backends are never equal.
 
 Numbers enter by one rule, :func:`_entering`, once, where they come from
-outside: ``HScalar.exact`` and ``HScalar.flt``, ``HMatrix`` (rows and
-``from_real_coords``), ``HMatrix.combine``, ``Multivector``, ``Paravector``,
-``RotorParams``, ``MomentumHM4``, :func:`trig_tilde` and the sphere points.
-Ints, Fractions and floats are numbers, and ints fit either backend; a
-Fraction beside a float raises :class:`BackendMismatch`, any other type
-``TypeError`` and a NaN or infinite float ``ValueError``, naming the index.
-Ring operations take only an :class:`HScalar` of the same backend.
-``HScalar(x, y, v, w)`` and ``RealCoords._new`` are unchecked: code inside
-builds with them and checks nothing again.
+outside: ``HScalar.exact``, ``flt`` and ``make``, ``HMatrix`` (rows,
+``from_real_coords``, ``combine``), ``Multivector``, ``Paravector``,
+``RotorParams``, ``MomentumHM4``, :func:`trig_tilde`, the sphere points and
+the physics functions.  Ints, Fractions and floats are numbers, and ints fit
+either backend; a Fraction beside a float raises :class:`BackendMismatch`,
+any other type ``TypeError`` and a NaN or infinite float ``ValueError``,
+naming the index.  Ring operations and ``HMatrix.scale`` check only that an
+:class:`HScalar` operand has their backend.  ``HScalar(x, y, v, w)`` and
+``RealCoords._new`` are unchecked: the library builds every value it
+computes, constants too, with them and never runs the rule on it again.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
     "ZERO_DIVISOR_RTOL",
 ]
 
+# the scalar units, in the order of HScalar's components x y v w
+_RING_UNITS = ("1", "i", "j", "ij")
 # Relative threshold below which the float backend treats the quadratic-form
 # modulus as vanishing (the element sits on the null cone and has no inverse).
 ZERO_DIVISOR_RTOL = 1e-12
@@ -261,13 +264,10 @@ class HScalar:
 
     @classmethod
     def unit(cls, name: str, exact: bool = True) -> "HScalar":
-        try:
-            spot = {"1": 0, "i": 1, "j": 2, "ij": 3}[name]
-        except KeyError:
-            raise ValueError(f"unknown unit {name!r}") from None
-        coeffs = [0, 0, 0, 0]
-        coeffs[spot] = 1
-        return cls.make(*coeffs, exact=exact)
+        if name not in _RING_UNITS:
+            raise ValueError(f"unknown unit {name!r}")
+        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        return cls(*(one if u == name else zero for u in _RING_UNITS))
 
     # -- backend --------------------------------------------------------
 
@@ -394,10 +394,10 @@ class HScalar:
         """
         z = self if not self.is_exact else self.to_float()
         base = math.exp(z.x)
-        fi = HScalar.flt(math.cos(z.y), math.sin(z.y))
-        fj = HScalar.flt(math.cosh(z.v), 0.0, math.sinh(z.v))
-        fk = HScalar.flt(math.cos(z.w), 0.0, 0.0, math.sin(z.w))
-        return fi * fj * fk * HScalar.flt(base)
+        fi = HScalar(math.cos(z.y), math.sin(z.y), 0.0, 0.0)
+        fj = HScalar(math.cosh(z.v), 0.0, math.sinh(z.v), 0.0)
+        fk = HScalar(math.cos(z.w), 0.0, 0.0, math.sin(z.w))
+        return fi * fj * fk * HScalar(base, 0.0, 0.0, 0.0)
 
     def max_abs(self) -> float:
         """Largest absolute coefficient, as a float; NaN when one is NaN."""

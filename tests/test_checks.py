@@ -1,11 +1,20 @@
-"""The check registry and its runner, exercised without the real checks."""
+"""The check registry and its runner, exercised without the real checks,
+then every real check, run once, and where the numbers they check come
+from."""
 
+import importlib.util
+import json
 import math
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from hyperclifford import checks
+from hyperclifford import checks, cli
+from hyperclifford.algebra import REP_NAMES, get_rep
+from hyperclifford.matrices import pauli2, pauli4, pauli4_literal, sigma_ab
+from hyperclifford.paravectors import SPACE_NAMES, get_space
 
 # Every published check, in the order `verify all` reports them.
 CHECK_IDS = [
@@ -176,10 +185,83 @@ def test_an_empty_stream_has_zero_error(monkeypatch):
     assert _demo_records(monkeypatch, 0.0, (None, body), (0, body)) == [("pass", 0.0), ("pass", 0.0)]
 
 
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reach = _tool("reach")
+
+
 @pytest.fixture(scope="module")
-def all_records():
+def all_records_and_census():
+    """Every record of ``verify all``, run once for the module, and the
+    calls of the one rule it made, counted by origin (``tools/reach.py``)."""
+    records = []
+    census = reach.census(lambda: records.extend(checks.run_all()))
+    return records, census
+
+
+@pytest.fixture(scope="module")
+def all_records(all_records_and_census):
     """Every record of ``verify all``, run once for the module."""
-    return checks.run_all()
+    return all_records_and_census[0]
+
+
+# One calculator request of each kind, decompose in both formats.
+CALC_REQUESTS = [
+    ["tables", "c30bar"],
+    ["sphere", "--angles", "0.1,0.2,0.3,0.4,0.5", "--radius", "2"],
+    ["sphere", "--angles", "0.1,0.2,0.3,0.4,0.5", "--hyperbolic", "0.5,-0.3,0.2,0,0.7"],
+    ["boost", "--xi", "0.5", "--axis", "1", "--vector", "1,0.5,0,0"],
+    ["boost", "--xi", "30", "--axis", "2", "--vector", '{"space": "m4", "coords": [1, 0.5, 0, 0]}'],
+    ["interfere", "--p1", "0.3", "--p2", "0.6", "--lambda", "1.5"],
+    ["pauli", "--k", "10"],
+    ["pauli", "--ab", "4,1"],
+    ["pauli", "--two", "2"],
+    ["decompose", "--rep", "c30bar", "--matrix", "[[[1, 0, 0, 0], [0, 2, 0, 0]], [[0, 0, -3, 0], [0, 0, 0, 0.5]]]"],
+    ["decompose", "--rep", "h05bar", "--matrix", json.dumps([[[float(r == c), 0, 0.5, 0] for c in range(4)]
+                                                             for r in range(4)]), "--format", "json"],
+]
+
+
+def _set_up():
+    """The cached builders of every representation, space and Pauli table,
+    called past their caches."""
+    for name in REP_NAMES:
+        get_rep.__wrapped__(name)
+    for name in SPACE_NAMES:
+        get_space.__wrapped__(name)
+    for k in range(1, 16):
+        pauli4_literal.__wrapped__(k)
+        pauli4.__wrapped__(k)
+    for k in (1, 2, 3):
+        pauli2.__wrapped__(k)
+    for a, b in product(range(6), repeat=2):
+        if a != b:
+            sigma_ab.__wrapped__(a, b)
+
+
+def test_the_library_runs_the_rule_only_on_numbers_from_outside(all_records_and_census, capsys):
+    """Each call of scalars._entering, climbed past the checked entries,
+    starts in the checks, the calculator or outside the package: the
+    library builds its own values with the unchecked kernels.  Counted over
+    ``verify all`` (the fixture's run), over one calculator request of each
+    kind and over the set-up builders."""
+    def requests():
+        for argv in CALC_REQUESTS:
+            assert cli.main(list(argv)) == 0, argv
+
+    for counts in (all_records_and_census[1], reach.census(requests), reach.census(_set_up)):
+        assert {where: n for (kind, where), n in counts.items() if kind == "library"} == {}
+    # the census sees the boundary: verify's checks and the calculator's commands
+    assert {where.split()[0] for kind, where in all_records_and_census[1]} == {"hyperclifford.checks"}
+    assert ("boundary", "hyperclifford.cli _cmd_boost") in reach.census(requests)
+    capsys.readouterr()
 
 
 def test_every_check_keeps_its_status_and_every_exact_check_its_zero_error(all_records):

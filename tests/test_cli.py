@@ -386,6 +386,16 @@ def test_decompose_rejects_non_finite_matrix_json(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_decompose_takes_each_json_number_once_by_the_one_rule(capsys, number):
+    # a cell's shape is checked by the calculator, its numbers by HMatrix,
+    # whose error names the coordinate (row 2, column 2, part v)
+    matrix = f"[[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [0, 0, {number}, 0]]]"
+    code, out, err = run(capsys, "decompose", "--rep", "r30", "--matrix", matrix)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad matrix JSON (matrix coordinate 14 is not finite: {float(number)})\n"
+
+
 def _fresh_process(argv):
     """Exit code, stdout and stderr of one call in a new interpreter."""
     src = str(Path(hyperclifford.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from hyperclifford.physics import (
     stabilizer_check,
 )
 from hyperclifford.rotors import RotorParams, act, rotor_from_params
-from hyperclifford.scalars import HScalar
+from hyperclifford.scalars import BackendMismatch, HScalar
 
 
 def test_interfere_examples():
@@ -75,6 +76,52 @@ def test_reconstruct_probability_checks_its_probabilities(regime):
     for p1, p2, name in ((-0.1, 0.5, "P1"), (0.5, -0.1, "P2"), (1.5, 0.5, "P1"), (0.5, math.nan, "P2")):
         with pytest.raises(DomainError, match=f"{name} = .* is not a probability"):
             reconstruct_probability(lin, p1, p2)
+
+
+@pytest.mark.parametrize("call", [interfere, linearize], ids=["interfere", "linearize"])
+@pytest.mark.parametrize("numbers, error, message", [
+    ((0.5, 0.5, math.nan), ValueError, "coordinate 2 is not finite: nan"),
+    ((0.5, 0.5, math.inf), ValueError, "coordinate 2 is not finite: inf"),
+    ((0.5, 0.5, -math.inf), ValueError, "coordinate 2 is not finite: -inf"),
+    ((True, 0.5, 1.0), TypeError, "coordinate 0 is not an int, Fraction or float: True"),
+    ((0.5, 0.5, False), TypeError, "coordinate 2 is not an int, Fraction or float: False"),
+    (("1", 0.5, 1.0), TypeError, "coordinate 0 is not an int, Fraction or float: '1'"),
+    ((0.5, 0.5, "1"), TypeError, "coordinate 2 is not an int, Fraction or float: '1'"),
+    ((Fraction(1, 2), 0.5, 1.0), BackendMismatch, "coordinate 0 is a Fraction beside a float"),
+], ids=["nan-lambda", "inf-lambda", "-inf-lambda", "bool-p1", "bool-lambda", "str-p1", "str-lambda",
+        "fraction-beside-float"])
+def test_physics_numbers_enter_by_the_one_rule(call, numbers, error, message):
+    # before its domain checks, each function takes P1, P2 and lambda by
+    # scalars._entering, so a non-finite lambda no longer answers nan or inf
+    with pytest.raises(error, match=f"^{call.__name__} {message}"):
+        call(*numbers)
+
+
+def test_physics_numbers_enter_as_floats():
+    # ints and Fractions alone are numbers too; a NaN or infinite
+    # probability stays a DomainError, as test_reconstruct_probability_checks_its_probabilities pins
+    assert interfere(Fraction(1, 4), Fraction(1, 4), 1) == interfere(0.25, 0.25, 1.0) == 1.0
+    assert linearize(Fraction(1, 4), 1, 0) == linearize(0.25, 1.0, 0.0)
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="P1 = .* is not a probability"):
+            interfere(p, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("lin, message", [
+    (Linearization("hyperbolic", 0.5, 2), "int sign 1 or -1"),
+    (Linearization("complex", 0.5, -2), "int sign 1 or -1"),
+    (Linearization("hyperbolic", 0.5, True), "int sign 1 or -1"),
+    (Linearization("hyperbolic", 0.5, 1.0), "int sign 1 or -1"),
+    (Linearization("nonsense", 0.5, 1), "no regime 'complex' or 'hyperbolic'"),
+    (Linearization("complex", math.nan, 1), "Linearization theta coordinate 0 is not finite: nan"),
+    (Linearization("hyperbolic", math.nan, 1), "Linearization theta coordinate 0 is not finite: nan"),
+    (Linearization("hyperbolic", math.inf, 1), "Linearization theta coordinate 0 is not finite: inf"),
+], ids=["sign-2", "sign--2", "sign-bool", "sign-float", "regime", "nan-theta-complex", "nan-theta-hyperbolic",
+        "inf-theta"])
+def test_reconstruct_probability_checks_the_record_where_it_enters(lin, message):
+    # linearize makes only records that pass; one made by hand is checked here
+    with pytest.raises(ValueError, match=message):
+        reconstruct_probability(lin, 0.25, 0.25)
 
 
 def test_linearize_boundary_agreement():

@@ -4,6 +4,7 @@ sphere parametrizations."""
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -752,6 +753,17 @@ def test_rotor_params_constructor_rejects_bad_input(kwargs, message):
     # may be dropped, ignored or turned into the identity rotor
     with pytest.raises(ValueError, match=message):
         RotorParams(**kwargs)
+
+
+@pytest.mark.parametrize("plane", [
+    (True, 2), (1, False), (1.0, 2), (Fraction(1), 2), 1, (1, 2, 3), "12", (0,), (0, 6), (-1, 2), (2, 2),
+], ids=["bool", "bool-second", "float", "fraction", "int", "triple", "str", "single", "six", "negative", "equal"])
+def test_rotor_params_planes_are_pairs_of_different_ints_in_0_to_5(plane):
+    # a plane is checked where it enters, and the error names it: (True, 2)
+    # was kept as (1, 2), and (1.0, 2) failed only later, in rotor_from_params
+    for make in (lambda: RotorParams.e6({plane: 0.1}), lambda: RotorParams.r66(xi_ab={plane: 0.1})):
+        with pytest.raises(ValueError, match=f"plane {re.escape(repr(plane))} is not a pair of two different ints"):
+            make()
 
 
 def test_rotor_params_constructor_normalizes_what_it_keeps():

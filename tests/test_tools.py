@@ -1,6 +1,7 @@
 """The benchmark pair summary of ``tools/pairs.py``, the record
-comparison of ``tools/compare_outputs.py`` and the unentered-function and
-unexecuted-line lists of ``tools/reach.py``, on canned results and stubbed runs."""
+comparison of ``tools/compare_outputs.py`` and the unentered-function,
+unexecuted-line and rule-call lists of ``tools/reach.py``, on canned
+results and stubbed runs."""
 
 import importlib.util
 import json
@@ -482,3 +483,56 @@ def test_reach_sets_the_tracer_before_it_again():
         sys.settrace(previous)
     code = test_quartile_spread.__code__
     assert (code.co_filename, code.co_firstlineno, code.co_name) in seen
+
+
+def test_census_counts_each_call_of_the_rule_at_its_origin():
+    from hyperclifford.matrices import HMatrix
+    from hyperclifford.rotors import RotorParams
+    from hyperclifford.scalars import HScalar
+
+    # a function of the package that re-enters a value it made is library code
+    namespace = {"__name__": "hyperclifford.stub", "HScalar": HScalar}
+    exec("def remake(z):\n    return HScalar.flt(*z.coeffs())\n", namespace)
+
+    def run():
+        HScalar.flt(0.5)  # the checked entries are climbed past: this test is the origin
+        HMatrix.identity(2).scale(2)
+        RotorParams.e6({(0, 1): 0.25})
+        namespace["remake"](HScalar(1.0, 0.0, 0.0, 0.0))
+
+    before = sys.modules["hyperclifford.scalars"]._entering
+    counts = reach.census(run)
+    assert sys.modules["hyperclifford.scalars"]._entering is before
+    here = f"{__name__} test_census_counts_each_call_of_the_rule_at_its_origin.<locals>.run"
+    assert counts == {("boundary", here): 3, ("library", "hyperclifford.stub remake"): 1}
+
+
+def test_reach_entering_prints_each_stage_by_origin(monkeypatch, capsys):
+    from hyperclifford.scalars import HScalar
+
+    namespace = {"__name__": "hyperclifford.stub", "HScalar": HScalar}
+    exec("def remake(z):\n    return HScalar.flt(*z.coeffs())\n", namespace)
+    one = HScalar(1.0, 0.0, 0.0, 0.0)
+
+    def first():
+        for _ in range(3):
+            namespace["remake"](one)
+        HScalar.flt(2.0)
+
+    def second():
+        HScalar.exact(1)
+
+    cleared = []
+    monkeypatch.setattr(reach, "stages", lambda root: [("first", first), ("second", second)])
+    monkeypatch.setattr(reach, "clear_caches", lambda: cleared.append(True))
+    assert reach.main(["--entering", "somewhere"]) == 0
+    here = f"{__name__} test_reach_entering_prints_each_stage_by_origin.<locals>"
+    assert capsys.readouterr().out.splitlines() == [
+        "library       3 hyperclifford.stub remake",
+        f"boundary      1 {here}.first",
+        "first: 4 calls of _entering, 1 at the boundary, 3 library-made",
+        f"boundary      1 {here}.second",
+        "second: 1 calls of _entering, 1 at the boundary, 0 library-made",
+    ]
+    assert cleared == [True, True]  # each stage starts from cold caches
+    assert reach.main(["--entering", "--lines"]) == 2
