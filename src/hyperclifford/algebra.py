@@ -32,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 from math import gcd
 from numbers import Rational
-from operator import add, mul, sub
+from operator import mul
 
 from .matrices import HMatrix, pauli2, sigma_ab
-from .scalars import _RING_UNITS, HScalar, RealCoords, _entering
+from .scalars import _RING_UNITS, BackendMismatch, HScalar, RealCoords, _entering, _over_lcm
 
 __all__ = [
     "NonOrthogonalBasis",
@@ -126,57 +126,62 @@ def _blades(n: int) -> tuple:
                         key=lambda b: (len(b), b)))
 
 
-# the most products one compiled chunk of a kernel holds (whole left rows)
-_CHUNK = 128
+# the left rows under one guard of a compiled blade product
+_BLOCK = 4
 
 
 class _Kernel(tuple):
-    """A signed-permutation product table, called as the product it stands
-    for: row k1 holds ``(k, sign)`` per right index k2, so coordinate k1
-    times coordinate k2 adds with ``sign`` to output k.  Called on two
-    iterables of coordinates and their backend's zero, it runs code generated
-    from the rows: one ``if`` per left coordinate, so a zero one adds
-    nothing, and each output summed in pair order.  Each chunk of left rows
-    (at most ``_CHUNK`` products) compiles on first use; of several, only
-    once a left coordinate in its rows is non-zero."""
+    """A signed-permutation product table: row k1 holds ``(k, sign)`` per
+    right index k2, so coordinate k1 times coordinate k2 adds with ``sign``
+    to output k.  Its two products are code generated from the rows, each
+    compiled on first use.  ``product(a, b, zero)`` multiplies coordinates
+    of the backend whose zero it is given: each block of ``_BLOCK`` left
+    rows sits under one ``if`` on its left coordinates, and under it each
+    output is one sum ``o_k = o_k + a_k1 * b_k2 - ...`` in k1 order, so in
+    the order of the pairs.  A zero left coordinate in a live block adds a
+    signed zero, which never changes a sum started at ``+0.0``: results are
+    the pair loop's bit for bit when the operands and null sums are finite.
+    ``joined(c, d, h, zero)`` takes a j-rep's coordinates ``a, b`` of each
+    blade ``a + b j`` to the null pairs ``(a +- b) * h`` (left) and ``a +- b``
+    (right), runs ``product`` on the sums (P) and on the differences (M)
+    and returns ``P + M, P - M`` per blade."""
 
-    def __new__(cls, rows):
-        table = super().__new__(cls, map(tuple, rows))
-        step = max(1, _CHUNK // len(table))
-        table._chunks = [partial(table._compile, i, lo, min(lo + step, len(table)))
-                         for i, lo in enumerate(range(0, len(table), step))]
-        return table
+    @cached_property
+    def product(self):
+        n = len(self)
+        lines = ["def product(a, b, zero):", f"    {_names('a', n)}, = a", f"    {_names('b', n)}, = b",
+                 f"    {' = '.join(f'o{k}' for k in range(n))} = zero"]
+        for lo in range(0, n, _BLOCK):
+            rows = range(lo, min(lo + _BLOCK, n))
+            terms = [f"o{k}" for k in range(n)]
+            for k1 in rows:
+                for k2, (k, sign) in enumerate(self[k1]):
+                    terms[k] += f" {'+' if sign > 0 else '-'} a{k1} * b{k2}"
+            lines.append(f"    if {' or '.join(f'a{k1}' for k1 in rows)}:")
+            lines += (f"        o{k} = {sum_k}" for k, sum_k in enumerate(terms))
+        lines.append(f"    return [{_names('o', n)}]")
+        return _compiled(lines, "product")
 
-    def __call__(self, a, b, zero) -> list:
-        chunks = self._chunks
-        if len(chunks) == 1:  # the one chunk starts from the zero
-            return chunks[0](a, b, zero)
-        a, b, out = tuple(a), tuple(b), [zero] * len(self)  # each chunk reads both
-        for chunk in chunks:
-            out = chunk(a, b, out)
-        return out
+    @cached_property
+    def joined(self):
+        n = len(self)
+        lines = ["def joined(c, d, h, zero):", f"    {_names('c', 2 * n)}, = c", f"    {_names('d', 2 * n)}, = d"]
+        for out, op in (("p", "+"), ("m", "-")):
+            left = "".join(f"(c{2 * k} {op} c{2 * k + 1}) * h, " for k in range(n))
+            right = "".join(f"d{2 * k} {op} d{2 * k + 1}, " for k in range(n))
+            lines.append(f"    {_names(out, n)}, = product(({left}), ({right}), zero)")
+        lines.append(f"    return [{', '.join(f'p{k} + m{k}, p{k} - m{k}' for k in range(n))}]")
+        return _compiled(lines, "joined", product=self.product)
 
-    def _compile(self, i, lo, hi, a, b, out) -> list:
-        """Chunk i (left rows lo to hi) compiled in place of its stub, then run:
-        it continues the product ``out``, or starts it from the zero ``out``."""
-        whole, n = hi - lo == len(self), len(self)
-        if not (whole or any(a[lo:hi])):
-            return out
-        left = [f"a{k1}" for k1 in range(lo, hi)]
-        outs = [f"o{k}" for k in range(n)]
-        lines = ["def chunk(a, b, o):", f"    {', '.join(left)}, = {'a' if whole else f'a[{lo}:{hi}]'}"]
-        if not whole:
-            lines += [f"    if not ({' or '.join(left)}):", "        return o"]
-        lines += [f"    {', '.join(f'b{k2}' for k2 in range(n))}, = b",
-                  f"    {' = '.join(outs)} = o" if whole else f"    {', '.join(outs)}, = o"]
-        for k1, x in zip(range(lo, hi), left):
-            lines.append(f"    if {x}:")
-            lines += (f"        o{k} {'+' if sign > 0 else '-'}= {x} * b{k2}" for k2, (k, sign) in enumerate(self[k1]))
-        lines.append(f"    return [{', '.join(outs)}]")
-        namespace = {}
-        exec(compile("\n".join(lines), f"<product rows {lo}-{hi - 1}>", "exec"), namespace)
-        self._chunks[i] = namespace["chunk"]
-        return self._chunks[i](a, b, out)
+
+def _names(prefix: str, n: int) -> str:
+    return ", ".join(f"{prefix}{k}" for k in range(n))
+
+
+def _compiled(lines: list, name: str, **namespace):
+    """The function ``name`` defined by the source ``lines``, its globals ``namespace``."""
+    exec(compile("\n".join(lines), f"<blade {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=None)
@@ -185,18 +190,15 @@ def _blade_product(signature: Signature) -> _Kernel:
     row k1 holds ``(k, sign)`` per blade k2, from :func:`blade_mul`."""
     blades = _blades(signature.n)
     index = {b: k for k, b in enumerate(blades)}
-    return _Kernel([[(index[b], sign) for b, sign in (blade_mul(b1, b2, signature) for b2 in blades)]
-                    for b1 in blades])
+    return _Kernel(tuple((index[b], sign) for b, sign in (blade_mul(b1, b2, signature) for b2 in blades))
+                   for b1 in blades)
 
 
 def involution_sign(kind: str, grade: int) -> int:
-    if kind == "hat":
-        return -1 if grade % 2 else 1
-    if kind == "dagger":
-        return -1 if (grade * (grade - 1) // 2) % 2 else 1
-    if kind == "bar":
-        return -1 if (grade * (grade + 1) // 2) % 2 else 1
-    raise ValueError(f"unknown involution {kind!r}")
+    flips = {"hat": grade, "dagger": grade * (grade - 1) // 2, "bar": grade * (grade + 1) // 2}
+    if kind not in flips:
+        raise ValueError(f"unknown involution {kind!r}")
+    return -1 if flips[kind] % 2 else 1
 
 
 class AlgebraRep:
@@ -250,7 +252,7 @@ class AlgebraRep:
         self._product = _blade_product(signature)
         if adjoined == "i":
             self._product = _Kernel(
-                [(2 * k + (u1 ^ u2), -sign if u1 & u2 else sign) for k, sign in row for u2 in (0, 1)]
+                tuple((2 * k + (u1 ^ u2), -sign if u1 & u2 else sign) for k, sign in row for u2 in (0, 1))
                 for row in self._product for u1 in (0, 1)
             )
 
@@ -299,9 +301,7 @@ class AlgebraRep:
             for b in range(a + 1, len(keys)):
                 vb = sparse[keys[b]]
                 if sum(c * vb[idx] for idx, c in va.items() if idx in vb) != 0:
-                    raise NonOrthogonalBasis(
-                        f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal"
-                    )
+                    raise NonOrthogonalBasis(f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal")
 
     def _find_ring_units(self) -> dict:
         """The scalar units of 1, i, j, ij that the representation holds,
@@ -313,14 +313,15 @@ class AlgebraRep:
         for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
             k = index.get(tuple((4 * (self.n + 1) * r + spot, sign) for r in range(self.n)))
             if k is not None:
-                units[u] = self._basis_element(k, sign)
+                units[u] = self._element(k, [sign], 1)
         return units
 
-    def _basis_element(self, k: int, sign: int = 1, exact: bool = True) -> "Multivector":
-        """``sign`` times basis element ``k``, built on the stored numbers."""
-        nums = [0 if exact else 0.0] * len(self.basis)
-        nums[k] = sign if exact else float(sign)
-        return Multivector._new(self, nums, 1 if exact else None)
+    def _element(self, k: int, parts, den) -> "Multivector":
+        """The element whose stored numbers are ``parts`` from coordinate ``k``
+        on and zero elsewhere, over ``den`` (``None``: floats)."""
+        nums = [0.0 if den is None else 0] * len(self.basis)
+        nums[k:k + len(parts)] = parts
+        return Multivector._new(self, nums, den)
 
     # -- HScalar <-> coordinates -------------------------------------------
 
@@ -415,22 +416,31 @@ class AlgebraRep:
     # -- convenience -----------------------------------------------------------
 
     def scalar(self, z, exact: bool = True) -> "Multivector":
-        if not isinstance(z, HScalar):
-            z = HScalar.make(z, exact=exact)
-        return Multivector(self, {(): z})
+        return Multivector(self, {(): z}) if isinstance(z, HScalar) else self._times(0, z, exact)
 
     def generator(self, index: int, exact: bool = True) -> "Multivector":
         return self.blade((index,), exact=exact)
 
     def blade(self, blade: Blade, coeff=None, exact: bool = True) -> "Multivector":
-        """The blade times ``coeff`` (by default 1), entering as a :class:`Multivector` coefficient."""
+        """The blade times ``coeff`` (by default 1): an :class:`HScalar` enters
+        as a :class:`Multivector` coefficient, a number by :meth:`_times`."""
         blade = tuple(blade)
-        if coeff is not None:
-            z = coeff if isinstance(coeff, HScalar) else HScalar.make(coeff, exact=exact)
-            return Multivector(self, {blade: z})
+        if isinstance(coeff, HScalar):
+            return Multivector(self, {blade: coeff})
         if blade not in self._offset:
             raise ValueError(f"{blade} is not a blade of {self.name}")
-        return self._basis_element(self._offset[blade], exact=exact)
+        k = self._offset[blade]
+        if coeff is None:
+            return self._element(k, [1], 1) if exact else self._element(k, [1.0], None)
+        return self._times(k, coeff, exact)
+
+    def _times(self, k: int, z, exact: bool) -> "Multivector":
+        """Basis element ``k`` times the number ``z``, entering by the one rule
+        once in the backend ``exact`` names (a float never enters the exact one)."""
+        (num,), den = _entering((z,), "HScalar")
+        if den is None and exact:
+            raise BackendMismatch("a float component cannot enter the exact backend")
+        return self._element(k, [num if den is None or exact else num / den], den if exact else None)
 
     def __repr__(self):
         return f"AlgebraRep({self.name})"
@@ -494,8 +504,12 @@ class Multivector(RealCoords):
         representation's subring by :meth:`gp_blades`; a number, which takes
         this element's backend (a ``float`` never enters the exact one), on
         the stored numbers.  Mixed backends raise :class:`BackendMismatch`."""
-        if isinstance(z, HScalar):
-            return self.gp_blades(self.rep.scalar(z))
+        if isinstance(z, HScalar):  # a ring operation: backend and subring, not the parts
+            if z.is_exact != self.is_exact:
+                raise BackendMismatch("mixed exact/float scalar operands")
+            parts = [z.coeffs()[spot] for spot in self.rep._coeff_spots(z)]
+            nums, den = _over_lcm(parts) if self.den is not None else (parts, None)
+            return self.gp_blades(self.rep._element(0, nums, den))
         if not isinstance(z, Rational):
             z = HScalar.make(z, exact=self.is_exact).x
         if self.den is None:  # + 0.0 makes a zero +0.0, as gp_blades does
@@ -510,35 +524,23 @@ class Multivector(RealCoords):
         return self.rep.decompose(self.to_matrix() @ other.to_matrix())
 
     def gp_blades(self, other: "Multivector") -> "Multivector":
-        """Geometric product on the blades, independent of the matrix route.
-
-        The representation's kernel (:class:`_Kernel`, its table built from
-        :func:`blade_mul`) multiplies the coordinates.  A j-rep (j central,
-        j^2 = 1) takes each blade coefficient ``a + b j`` as its null pair
-        ``(a + b, a - b)``: the kernel sums ``P`` over the ``a + b`` and
-        ``M`` over the ``a - b``, joined as ``((P + M)/2, (P - M)/2)``.  Exact
-        coordinates are the operands' int numerators, and the output is over
-        the product of their denominators (twice that after a join), reduced
-        once.  Operands of two backends raise :class:`BackendMismatch`, zero
-        or not.
+        """Geometric product on the blades, independent of the matrix route:
+        one call of the representation's kernel (:class:`_Kernel`, its table
+        built from :func:`blade_mul`) on the stored numbers, so exact output
+        is over the product of the denominators, reduced once.  A j-rep (j
+        central, j^2 = 1) runs ``joined``: each blade coefficient ``a + b j``
+        as its null pair ``(a + b, a - b)``, ``P`` summed over the ``a + b``
+        and ``M`` over the ``a - b``, joined as ``((P + M)/2, (P - M)/2)``.
+        Operands of two backends raise :class:`BackendMismatch`, zero or not.
         """
         exact = self._peer(other)
         rep, c, d = self.rep, self.nums, other.nums
         kernel, den = rep._product, self.den * other.den if exact else None
         if rep.adjoined != "j":
-            return Multivector._new(rep, kernel(c, d, 0 if exact else 0.0), den)
-        # the join halves P +- M: halve the left pair (floats) or double den (exact)
-        a, b, x, y = c[0::2], c[1::2], d[0::2], d[1::2]
-        if exact:
-            den *= 2
-            P = kernel(map(add, a, b), map(add, x, y), 0)
-            M = kernel(map(sub, a, b), map(sub, x, y), 0)
-        else:
-            P = kernel([(s + t) * 0.5 for s, t in zip(a, b)], map(add, x, y), 0.0)
-            M = kernel([(s - t) * 0.5 for s, t in zip(a, b)], map(sub, x, y), 0.0)
-        out = [None] * len(c)
-        out[0::2], out[1::2] = map(add, P, M), map(sub, P, M)
-        return Multivector._new(rep, out, den)
+            return Multivector._new(rep, kernel.product(c, d, 0 if exact else 0.0), den)
+        if exact:  # the join halves P +- M: double den (exact) or halve the left pair (floats)
+            return Multivector._new(rep, kernel.joined(c, d, 1, 0), 2 * den)
+        return Multivector._new(rep, kernel.joined(c, d, 0.5, 0.0), None)
 
     # -- involutions -----------------------------------------------------------
 
@@ -598,18 +600,16 @@ def get_rep(name: str) -> AlgebraRep:
         return AlgebraRep("c10bar", Signature(1, 0), [_unit_1x1("j")], adjoined="i")
     if name in ("r30", "c30bar"):
         gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
-        adj = "j" if name == "c30bar" else ""
-        return AlgebraRep(name, Signature(3, 0), gens, adjoined=adj)
+        return AlgebraRep(name, Signature(3, 0), gens, adjoined="j" if name == "c30bar" else "")
     if name in ("r05", "h05bar"):
         gens = [sigma_ab(0, k).scale(HScalar.unit("i")) for k in range(1, 6)]
-        adj = "j" if name == "h05bar" else ""
-        return AlgebraRep(name, Signature(0, 5), gens, adjoined=adj)
+        return AlgebraRep(name, Signature(0, 5), gens, adjoined="j" if name == "h05bar" else "")
     raise ValueError(f"unknown representation {name!r}")
 
 
 def pseudoscalar(rep: AlgebraRep) -> Multivector:
     """Ordered product of all generators (the highest-grade blade)."""
-    acc = rep._basis_element(0)
+    acc = rep._element(0, [1], 1)
     for k in range(1, rep.signature.n + 1):
         acc = acc.gp_blades(rep.generator(k))
     return acc
@@ -711,7 +711,7 @@ def even_subalgebra(rep: AlgebraRep) -> tuple[tuple[Multivector, ...], int]:
     fixed as well.
     """
     hat = rep._involution_signs["hat"]
-    fixed = [rep._basis_element(k) for k, sign in enumerate(hat) if sign > 0]
+    fixed = [rep._element(k, [1], 1) for k, sign in enumerate(hat) if sign > 0]
     return tuple(fixed), len(fixed)
 
 
@@ -805,7 +805,7 @@ def _catalog(rep_name: str):
     rows = [row for row in gens if row[1] not in units.values()]
     if rep_name == "c30bar":
         # j is c30bar's coefficient unit: j e_k is the blade e_k with coefficient j
-        rows += [(f"sigma{k}", rep._basis_element(rep.basis.index(((k,), "j"))), False) for k in (1, 2, 3)]
+        rows += [(f"sigma{k}", rep._element(rep.basis.index(((k,), "j")), [1], 1), False) for k in (1, 2, 3)]
     if rep_name == "h05bar":
         rows += [(f"sigma0{k}", (-units["i"]).gp_blades(rep.generator(k)), False) for k in range(1, 6)]
         rows += [(f"sigma{k}{l}", units["i"].gp_blades(rep.blade((k, l))), False)

@@ -161,8 +161,9 @@ class HMatrix(RealCoords):
     @staticmethod
     def combine(zs, mats) -> "HMatrix":
         """The sum of ``z_k * m_k`` over matrices of one size and backend, each
-        ``z_k`` an :class:`HScalar` of that backend or a number, its parts
-        entering by :func:`~.scalars._entering`; a zero ``z_k`` costs nothing.
+        ``z_k`` an :class:`HScalar` of that backend or a number, all their parts
+        entering by one :func:`~.scalars._entering`; numbers alone take a float
+        backend as floats.  A zero ``z_k`` costs nothing.
         ``ValueError`` for no matrices, mixed sizes or a count of scalars that
         differs."""
         zs, mats = tuple(zs), tuple(mats)
@@ -173,11 +174,11 @@ class HMatrix(RealCoords):
         for m in mats[1:]:
             first._peer(m)
         a = []
-        for z in zs:
-            if not isinstance(z, HScalar):
-                z = HScalar.make(z, exact=exact)
-            a += (z.x, z.y, z.v, z.w)
-        a, da = _entering(a, "scalar")
+        for z in zs:  # a number z is the scalar (z, 0, 0, 0)
+            a += (z.x, z.y, z.v, z.w) if isinstance(z, HScalar) else (z, 0, 0, 0)
+        a, da = _entering(a, "HScalar")
+        if da is not None and not exact and not any(isinstance(z, HScalar) for z in zs):
+            a, da = [x / da for x in a], None  # numbers alone take the matrices' float backend
         if (da is None) == exact:
             raise BackendMismatch("mixed exact/float scalar operands")
         return _weighted_sum(a, da, mats)

@@ -1,5 +1,6 @@
 """Representations, geometric product, involutions, dimension counts."""
 
+import copy
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hyperclifford.algebra import (
     Multivector,
     Signature,
+    _BLOCK,
     _Kernel,
     blade_mul,
     enumerate_algebra,
@@ -301,38 +303,74 @@ def kernel_operand(rep, exact, density, rng):
     return Multivector._new(rep, nums, None)
 
 
+def block_edge_operands(rep, exact, rng) -> list:
+    """Stored numbers at the edges of the kernel's blocks of ``_BLOCK`` table
+    rows (two coordinates per row on a j-rep), the others drawn dense as in
+    :func:`kernel_operand`: non-zero coordinates in one block only; every
+    other block zero; live blocks whose coordinates but the first, or but
+    the last, are zero (+0.0 or -0.0 on floats); and on a j-rep, blades
+    ``a + b j`` with ``b = a`` or ``b = -a``, so one null sum is zero."""
+    width = 2 if rep.adjoined == "j" else 1
+    size, blocks = _BLOCK * width, -(-len(rep._product) // _BLOCK)
+
+    def keep(live):
+        nums = kernel_operand(rep, exact, 1.0, rng).nums
+        return [x if live(k) else 0 if exact else rng.choice((0.0, -0.0)) for k, x in enumerate(nums)]
+
+    cases = [keep(lambda k, b=b: k // size == b) for b in range(blocks)]
+    cases += [keep(lambda k: k // size % 2 == 0), keep(lambda k: k % size == 0), keep(lambda k: k % size == size - 1)]
+    if width == 2:
+        for c in (kernel_operand(rep, exact, density, rng).nums for density in (0.3, 1.0)):
+            cases.append([c[k - 1] * rng.choice((1, -1)) if k % 2 else x for k, x in enumerate(c)])
+    return cases
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("name", ALL_REPS)
 def test_gp_blades_kernel_is_the_pair_loop(name, exact):
     """The straight-line kernels give what the pair loop gave: floats bit
     for bit, zero signs, overflows and underflows included; exact results
-    as the same numerators over the same denominator."""
+    as the same numerators over the same denominator.  Random draws, then
+    operands at the edges of the kernel's blocks on either side."""
     rep = get_rep(name)
     rng = random.Random(f"kernel-loop-{name}-{exact}")
-    for density in (0.05, 0.3, 0.7, 1.0):
-        for _ in range(150):
-            u, v = (kernel_operand(rep, exact, density, rng) for _ in range(2))
-            got, want = u.gp_blades(v), gp_blades_loop(u, v)
-            if exact:
-                assert (got.nums, got.den) == (want.nums, want.den)
-            else:
-                assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
+    pairs = [[kernel_operand(rep, exact, density, rng) for _ in range(2)]
+             for density in (0.05, 0.3, 0.7, 1.0) for _ in range(150)]
+    edges = [Multivector._new(rep, nums, rng.randint(1, 10**12) if exact else None)
+             for nums in block_edge_operands(rep, exact, rng)]
+    dense = kernel_operand(rep, exact, 1.0, rng)
+    pairs += [pair for u in edges for pair in ((u, dense), (dense, u), (u, u))]
+    pairs += list(zip(edges, edges[1:]))
+    for u, v in pairs:
+        got, want = u.gp_blades(v), gp_blades_loop(u, v)
+        if exact:
+            assert (got.nums, got.den) == (want.nums, want.den)
+        else:
+            assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
 
 
-def test_one_kernel_per_blade_table_compiled_per_chunk_of_rows_it_reaches():
+def test_one_kernel_per_blade_table_compiled_on_first_use():
     # representations of one signature share its blade table and its kernel
     assert get_rep("r30")._product is get_rep("c30bar")._product
     assert get_rep("r05")._product is get_rep("h05bar")._product
-    # 32 rows of 32 products: eight chunks of 128, compiled when a row is reached
+    # 32 rows of 32 products: nothing compiled until the first product, then one function
     rows = get_rep("r05")._product
     kernel = _Kernel(rows)
+    assert vars(kernel) == {}
     a, b = [0] * 32, list(range(1, 33))
     a[5] = 3
     want = [0] * 32
     for k2, (k, sign) in enumerate(rows[5]):
         want[k] += sign * 3 * b[k2]
-    assert kernel(a, b, 0) == want
-    assert [not isinstance(chunk, partial) for chunk in kernel._chunks] == [False, True] + [False] * 6
+    assert kernel.product(a, b, 0) == want
+    assert list(vars(kernel)) == ["product"]
+    # the null split and join are compiled by the first j-rep product
+    shared, rep = get_rep("h05bar"), copy.copy(get_rep("h05bar"))
+    rep._product = kernel
+    u, v = ([k % 7 - 3 for k in range(64)], [(-1) ** k * k for k in range(64)])
+    got = Multivector._new(rep, u, 1).gp_blades(Multivector._new(rep, v, 1))
+    assert got.nums == Multivector._new(shared, u, 1).gp_blades(Multivector._new(shared, v, 1)).nums
+    assert list(vars(kernel)) == ["product", "joined"]
 
 
 def sparse_exact(rep):

@@ -527,7 +527,7 @@ def test_every_number_constructor_rejects_bad_numbers_by_the_one_rule():
 
 @pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
 def test_one_number_constructors_reject_what_is_not_an_int_fraction_or_float(value):
-    # each takes one number per scalar, through HScalar.make
+    # each takes one number per scalar and names it as an HScalar's coordinate 0
     for call in (lambda: get_rep("r30").scalar(value), lambda: HMatrix.combine([value], [HMatrix.identity(1)])):
         with pytest.raises(TypeError, match=f"HScalar coordinate 0 is not an int, Fraction or float: {value!r}"):
             call()

@@ -251,7 +251,7 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", lambda root, workload, seconds: runs[str(root), workload])
-    monkeypatch.setattr(compare_outputs, "setup_split", lambda root: [20.0, 12.25, 4.0])
+    monkeypatch.setattr(compare_outputs, "setup_split", lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0]))
     assert compare_outputs.main([parent_dir, change_dir]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "no differences"
@@ -259,6 +259,8 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
     assert out[7:9] == [f"{side}: set-up ms, median of 5 fresh interpreters  import 20.0  get_rep 12.2  get_space 4.0"
                         for side in ("parent", "change")]
+    assert out[9:11] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38  get_space 0.00"
+                         for side in ("parent", "change")]
     assert out[-7:] == [
         "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
         "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
@@ -276,20 +278,24 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
 
 
 def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
-    # a stand-in library whose three set-up stages sleep 40, 2 x 15 and 60 ms
+    # a stand-in library whose three set-up stages sleep 40, 2 x 15 and 60 ms;
+    # the last also holds 32 MiB it has written
     pkg = tmp_path / "src" / "hyperclifford"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("import time\ntime.sleep(0.04)\n")
     (pkg / "algebra.py").write_text(
         "import time\nREP_NAMES = ('a', 'b')\ndef get_rep(name):\n    time.sleep(0.015)\n")
     (pkg / "paravectors.py").write_text(
-        "import time\nSPACE_NAMES = ('s',)\ndef get_space(name):\n    time.sleep(0.06)\n")
+        "import time\nSPACE_NAMES = ('s',)\nHELD = []\n"
+        "def get_space(name):\n    time.sleep(0.06)\n    HELD.append(b'x' * (32 << 20))\n")
     before = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 3)
-    split = compare_outputs.setup_split(tmp_path)
-    assert len(split) == len(compare_outputs.SETUP_STAGES) == 3
+    split, growth = compare_outputs.setup_split(tmp_path)
+    assert len(split) == len(growth) == len(compare_outputs.SETUP_STAGES) == 3
     for ms, slept in zip(split, (40, 30, 60)):
         assert slept <= ms < slept + 500
+    assert 0 <= growth[0] < 8 and 0 <= growth[1] < 8
+    assert 31 <= growth[2] < 40
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -505,6 +511,23 @@ def test_census_counts_each_call_of_the_rule_at_its_origin():
     assert sys.modules["hyperclifford.scalars"]._entering is before
     here = f"{__name__} test_census_counts_each_call_of_the_rule_at_its_origin.<locals>.run"
     assert counts == {("boundary", here): 3, ("library", "hyperclifford.stub remake"): 1}
+
+
+def test_census_counts_one_rule_call_per_plain_number_and_none_for_a_ring_scale():
+    from hyperclifford.algebra import get_rep
+    from hyperclifford.matrices import HMatrix, pauli2
+    from hyperclifford.scalars import HScalar
+
+    rep, j = get_rep("c30bar"), HScalar.unit("j")
+    e1, sigma1 = rep.generator(1), pauli2(1)
+    calls = {
+        "combine": lambda: HMatrix.combine([2], [sigma1]),
+        "scalar": lambda: rep.scalar(2),
+        "blade": lambda: rep.blade((1,), 2),
+        "scale": lambda: e1.scale(j),  # a ring operation: backend and subring only
+    }
+    assert {name: sum(reach.census(call).values()) for name, call in calls.items()} == \
+        {"combine": 1, "scalar": 1, "blade": 1, "scale": 0}
 
 
 def test_reach_entering_prints_each_stage_by_origin(monkeypatch, capsys):

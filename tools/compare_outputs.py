@@ -25,8 +25,10 @@ difference of any number and the largest absolute one.
 For each side it also prints its set-up split into stages: importing
 ``hyperclifford``, ``get_rep`` over every representation, then
 ``get_space`` over every paravector space, each in ms as the median of 5
-fresh interpreters.  One untimed run before them compiles the bytecode
-they read into a temporary directory, never into the checkout.
+fresh interpreters, and then from the same interpreters how many MB each
+stage raised the peak resident set size (Linux's ``VmHWM``).  One untimed run
+before them compiles the bytecode they read into a temporary directory,
+never into the checkout.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
@@ -90,35 +92,45 @@ def suite_times(times: list) -> dict:
 SETUP_CHILD = r"""
 import sys
 from time import perf_counter
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 sys.path.insert(0, sys.argv[1] + "/src")
-t0 = perf_counter()
+r0, t0 = peak(), perf_counter()
 import hyperclifford
 from hyperclifford.algebra import REP_NAMES, get_rep
 from hyperclifford.paravectors import SPACE_NAMES, get_space
-t1 = perf_counter()
+t1, r1 = perf_counter(), peak()
 for name in REP_NAMES:
     get_rep(name)
-t2 = perf_counter()
+t2, r2 = perf_counter(), peak()
 for name in SPACE_NAMES:
     get_space(name)
-print(t1 - t0, t2 - t1, perf_counter() - t2)
+t3, r3 = perf_counter(), peak()
+print(t1 - t0, t2 - t1, t3 - t2, r1 - r0, r2 - r1, r3 - r2)
 """
 SETUP_STAGES = ("import", "get_rep", "get_space")
 SETUP_RUNS = 5
 
 
-def setup_split(root: Path) -> list[float]:
-    """Milliseconds of one checkout's set-up per stage of ``SETUP_STAGES``,
-    each the median over ``SETUP_RUNS`` fresh interpreters.  Their bytecode is
-    compiled by one untimed run into a temporary directory, so that every
-    checkout is timed from compiled modules and none is written to."""
+def setup_split(root: Path) -> tuple[list[float], list[float]]:
+    """One checkout's set-up per stage of ``SETUP_STAGES``: milliseconds, and
+    megabytes (MiB) by which the stage raised the interpreter's peak resident
+    set size, each the median over ``SETUP_RUNS`` fresh interpreters.  The
+    peak is Linux's ``VmHWM``, that of the interpreter's own memory:
+    ``ru_maxrss`` would start at this process's size, which Linux carries
+    over into a child.  The bytecode is compiled by one untimed run into a
+    temporary directory, so that every checkout is timed from compiled
+    modules and none is written to."""
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
         samples = [subprocess.run([sys.executable, "-c", SETUP_CHILD, str(root.resolve())], env=env,
                                   capture_output=True, text=True, check=True).stdout.split()
                    for _ in range(SETUP_RUNS + 1)][1:]
-    return [statistics.median(float(s[k]) for s in samples) * 1e3 for k in range(len(SETUP_STAGES))]
+    stages = len(SETUP_STAGES)
+    medians = [statistics.median(float(s[k]) for s in samples) for k in range(2 * stages)]
+    return [t * 1e3 for t in medians[:stages]], [kib / 1024 for kib in medians[stages:]]
 
 
 def source_lines(root: Path) -> dict:
@@ -251,9 +263,13 @@ def main(argv=None) -> int:
     for side, *_, times in sides:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
-    for side, root, *_ in sides:
+    splits = [setup_split(Path(root)) for _, root, *_ in sides]
+    for (side, *_), (times, _) in zip(sides, splits):
         print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters  "
-              + "  ".join(f"{stage} {ms:.1f}" for stage, ms in zip(SETUP_STAGES, setup_split(Path(root)))))
+              + "  ".join(f"{stage} {ms:.1f}" for stage, ms in zip(SETUP_STAGES, times)))
+    for (side, *_), (_, growth) in zip(sides, splits):
+        print(f"{side}: set-up peak-RSS growth MB, same interpreters  "
+              + "  ".join(f"{stage} {mb:.2f}" for stage, mb in zip(SETUP_STAGES, growth)))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
     counts, failed = [], []
     for workload in (w["name"] for w in spec["workloads"]):

@@ -51,7 +51,8 @@ CHECKED = frozenset(
     for module, names in {
         "scalars": ("_entering", "_floats", "HScalar.exact", "HScalar.flt", "HScalar.make", "trig_tilde"),
         "matrices": ("HMatrix.__init__", "HMatrix.from_real_coords", "HMatrix.combine", "HMatrix.scale"),
-        "algebra": ("Multivector.__init__", "Multivector.scale", "AlgebraRep.scalar", "AlgebraRep.blade"),
+        "algebra": ("Multivector.__init__", "Multivector.scale", "AlgebraRep.scalar", "AlgebraRep.blade",
+                    "AlgebraRep._times"),
         "paravectors": ("Paravector.__init__", "ParavectorSpace.paravector", "_sphere_entering",
                         "quasi_sphere_residual", "embed_momentum"),
         "rotors": (_DATACLASS_INIT, "RotorParams.__post_init__", "RotorParams.h1", "RotorParams.m4",
