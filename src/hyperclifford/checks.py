@@ -213,10 +213,28 @@ def _random_mv(rep, rng, exact: bool = False) -> Multivector:
     a fraction p/q with |p| <= 4 and 1 <= q <= 3, drawn p first.  Drawn in
     basis order: per blade the 1 part, then the part along the rep's
     adjoined unit."""
-    if not exact:
-        return Multivector._new(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis], None)
-    pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rep.basis]
+    if not exact:  # uniform(-1.0, 1.0) by its definition
+        return Multivector._new(rep, [-1.0 + 2.0 * rng.random() for _ in rep.basis], None)
+    pairs = _draw_pairs(rng, len(rep.basis), 4, 3)
     return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)  # over 6 = lcm(1, 2, 3)
+
+
+def _draw_pairs(rng, count: int, top: int, dens: int) -> list:
+    """``count`` pairs ``(rng.randint(-top, top), rng.randint(1, dens))``,
+    drawn from the same bits as ``randint`` draws them: ``getrandbits`` of
+    the range's bit length, again while the value is out of range."""
+    bits, span = rng.getrandbits, 2 * top + 1
+    kp, kq = span.bit_length(), dens.bit_length()
+    pairs = []
+    for _ in range(count):
+        p = bits(kp)
+        while p >= span:
+            p = bits(kp)
+        q = bits(kq)
+        while q >= dens:
+            q = bits(kq)
+        pairs.append((p - top, q + 1))
+    return pairs
 
 
 # ---------------------------------------------------------------- tables ----
@@ -492,14 +510,9 @@ def _quaternions(ctx):
        "componentwise product law and conjugation-as-swap,"
        " bit-exact on 1000 samples", tol=0)
 def _null_scalar(ctx):
-    rng = ctx.rng
-
-    def draw():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
     for _ in range(1000):
-        z1 = HScalar.exact(draw(), 0, draw(), 0)
-        z2 = HScalar.exact(draw(), 0, draw(), 0)
+        x1, v1, x2, v2 = (Fraction(p, q) for p, q in _draw_pairs(ctx.rng, 4, 9, 4))
+        z1, z2 = HScalar.exact(x1, 0, v1, 0), HScalar.exact(x2, 0, v2, 0)
         p1, p2 = to_null_coords(z1.coeffs()), to_null_coords(z2.coeffs())
         prod = to_null_coords((z1 * z2).coeffs())
         yield any(z != [a * c - b * d, a * d + b * c] for z, (a, b), (c, d) in zip(prod, p1, p2))
@@ -561,7 +574,7 @@ def _r66_reduction(ctx):
 
 
 def _random_exact_vector(space, rng):
-    return space.paravector([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)])
+    return space.paravector([Fraction(p, q) for p, q in _draw_pairs(rng, 4, 6, 3)])
 
 
 @check("wedge.split", "product x bar(y) against its symmetric/antisymmetric parts",
@@ -594,8 +607,7 @@ def _wedge_degenerate(ctx):
     space, rng = get_space("m4"), ctx.rng
     for _ in range(12):
         x, y, v = (_random_exact_vector(space, rng) for _ in range(3))
-        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        mu = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        lam, mu = (Fraction(p, q) for p, q in _draw_pairs(rng, 2, 3, 2))
         dep = space.paravector(
             [lam * a + mu * b for a, b in zip(x.coords, y.coords)]
         )
@@ -783,7 +795,7 @@ def _regime_boundary(ctx):
 def _mass_reduction(ctx):
     space = get_space("m4")
     for _ in range(50):
-        q = [Fraction(ctx.rng.randint(-8, 8), ctx.rng.randint(1, 3)) for _ in range(4)]
+        q = [Fraction(p, d) for p, d in _draw_pairs(ctx.rng, 4, 8, 3)]
         p = embed_momentum(q, (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
         yield p.qform() != space.paravector(q).qform()
 

@@ -34,7 +34,7 @@ from operator import add, mul
 from .algebra import AlgebraRep, Multivector
 from .matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
-from .scalars import BackendMismatch, HScalar, _floats, _trig_tilde, from_null_coords, to_null_coords
+from .scalars import BackendMismatch, HScalar, _floats, _null_coords, _trig_tilde, from_null_coords
 
 __all__ = [
     "SeriesNonConvergence",
@@ -227,7 +227,7 @@ def mat_exp(x: HMatrix) -> HMatrix:
     :class:`SeriesNonConvergence`."""
     if x.is_exact:
         raise BackendMismatch("mat_exp takes a float-backend matrix")
-    plus, minus = to_null_coords(x.coords)
+    plus, minus = _null_coords(x.nums)
     try:  # no j part: one component
         exps = [_series(a, x.n) for a in ((plus,) if minus == plus else (plus, minus))]
     except OverflowError:

@@ -25,11 +25,12 @@ backend-strict, so values of two backends are never equal.
 Numbers enter by one rule, :func:`_entering`, once, where they come from
 outside: ``HScalar.exact``, ``flt`` and ``make``, ``HMatrix`` (rows,
 ``from_real_coords``, ``combine``), ``Multivector``, ``Paravector``,
-``RotorParams``, ``MomentumHM4``, :func:`trig_tilde`, the sphere points and
-the physics functions.  Ints, Fractions and floats are numbers, and ints fit
-either backend; a Fraction beside a float raises :class:`BackendMismatch`,
-any other type ``TypeError`` and a NaN or infinite float ``ValueError``,
-naming the index.  Ring operations and ``HMatrix.scale`` check only that an
+``RotorParams``, ``MomentumHM4``, :func:`trig_tilde`,
+:func:`to_null_coords`, the sphere points and the physics functions.  Ints,
+Fractions and floats are numbers, and ints fit either backend; a Fraction
+beside a float raises :class:`BackendMismatch`, any other type
+``TypeError`` and a NaN or infinite float ``ValueError``, naming the
+index.  Ring operations and ``HMatrix.scale`` check only that an
 :class:`HScalar` operand has their backend.  ``HScalar(x, y, v, w)`` and
 ``RealCoords._new`` are unchecked: the library builds every value it
 computes, constants too, with them and never runs the rule on it again.
@@ -303,6 +304,16 @@ class HScalar:
 
     def __mul__(self, other):
         o = self._peer(other)
+        if self.x.__class__ is not float:  # exact: int numerators over the product of the lcms
+            (x1, y1, v1, w1), da = _over_lcm(self.coeffs())
+            (x2, y2, v2, w2), db = _over_lcm(o.coeffs())
+            den = da * db
+            return HScalar(
+                Fraction(x1 * x2 - y1 * y2 + v1 * v2 - w1 * w2, den),
+                Fraction(x1 * y2 + y1 * x2 + v1 * w2 + w1 * v2, den),
+                Fraction(x1 * v2 + v1 * x2 - y1 * w2 - w1 * y2, den),
+                Fraction(x1 * w2 + w1 * x2 + y1 * v2 + v1 * y2, den),
+            )
         x1, y1, v1, w1 = self.x, self.y, self.v, self.w
         x2, y2, v2, w2 = o.x, o.y, o.v, o.w
         # complex-subring fast path (the dominant case in matrix work)
@@ -439,9 +450,22 @@ def to_null_coords(coords) -> tuple[list, list]:
     """Null components of coordinates ``x y v w`` per entry, in their backend:
     z = c1 + j*c2 with complex c1, c2 is (c1+c2) e + (c1-c2) ebar over the
     idempotents e = (1+j)/2, ebar = (1-j)/2.  Each component is a flat list of
-    real and imaginary parts: ``x+v, y+w`` over e, ``x-v, y-w`` over ebar."""
+    real and imaginary parts: ``x+v, y+w`` over e, ``x-v, y-w`` over ebar.
+    The coordinates enter by :func:`_entering`, and a count that is not a
+    multiple of 4 raises ``ValueError``; exact ones give ``Fraction`` parts."""
+    nums, den = _entering(coords, "to_null_coords")
+    if len(nums) % 4:
+        raise ValueError(f"to_null_coords takes 4 coordinates per entry, not {len(nums)}")
+    plus, minus = _null_coords(nums)
+    if den is None:
+        return plus, minus
+    return [Fraction(n, den) for n in plus], [Fraction(n, den) for n in minus]
+
+
+def _null_coords(nums) -> tuple[list, list]:
+    """:func:`to_null_coords` of float coordinates or int numerators, unchecked."""
     plus, minus = [], []
-    for x, y, v, w in zip(*[iter(coords)] * 4):
+    for x, y, v, w in zip(*[iter(nums)] * 4):
         plus += (x + v, y + w)
         minus += (x - v, y - w)
     return plus, minus

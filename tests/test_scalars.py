@@ -120,6 +120,48 @@ def test_ring_axioms_float_tolerance():
         assert (a * (b + c) - (a * b + a * c)).max_abs() <= 1e-12 * scale
 
 
+def fraction_product(a, b):
+    """The exact product on the Fraction parts themselves: the oracle of the
+    int-numerator multiply."""
+    x1, y1, v1, w1 = a.coeffs()
+    x2, y2, v2, w2 = b.coeffs()
+    return (
+        x1 * x2 - y1 * y2 + v1 * v2 - w1 * w2,
+        x1 * y2 + y1 * x2 + v1 * w2 + w1 * v2,
+        x1 * v2 + v1 * x2 - y1 * w2 - w1 * y2,
+        x1 * w2 + w1 * x2 + y1 * v2 + v1 * y2,
+    )
+
+
+def test_exact_product_matches_the_fraction_formula():
+    rng = random.Random(13)
+    big = 10**30
+
+    def part(top, dens):
+        return Fraction(rng.randint(-top, top), rng.randint(1, dens))
+
+    cases = [
+        (exact(), exact(1, 2, 3, 4)),  # zero
+        (exact(0, 0, 0, 0), exact()),
+        (HScalar(1, -2, 3, 0), HScalar(Fraction(1, 3), 5, 0, 7)),  # int parts, unchecked
+        (exact(Fraction(1, 2), Fraction(-1, 3)), exact(Fraction(5, 7), 2)),  # complex subring
+        (exact(big - 1, 0, Fraction(big + 3, big - 7)), exact(Fraction(-big, 3), Fraction(1, big + 1), 0, big)),
+    ]
+    for _ in range(300):  # mixed denominators, complex-subring operands among them
+        a = exact(part(9, 7), part(9, 7), part(9, 7), part(9, 7))
+        b = exact(part(9, 5), part(9, 5))
+        cases += [(a, b), (b, a), (b, b), (a, a)]
+    for _ in range(50):  # numerators near 10**30
+        cases.append((exact(*(part(big, big) for _ in range(4))), exact(*(part(big, 3) for _ in range(4)))))
+    for a, b in cases:
+        got, want = (a * b).coeffs(), fraction_product(a, b)
+        assert got == want
+        # reduced Fractions, each the oracle's own numerator and denominator
+        assert all(type(c) is Fraction for c in got)
+        assert [(c.numerator, c.denominator) for c in got] == [(c.numerator, c.denominator) for c in map(Fraction, want)]
+    assert HScalar.__rmul__ is HScalar.__mul__
+
+
 def test_backend_mismatch_raises():
     with pytest.raises(BackendMismatch):
         HScalar.exact(1) * HScalar.flt(1.0)
@@ -329,6 +371,19 @@ def test_null_join_of_int_components_is_exact():
     assert all(type(c) is Fraction for c in mixed)
 
 
+def test_null_split_takes_whole_entries_by_the_one_rule():
+    for coords in ([1, 2, 3], [1, 2, 3, 4, 5], [0.5] * 7):
+        with pytest.raises(ValueError, match=f"4 coordinates per entry, not {len(coords)}"):
+            to_null_coords(coords)
+    assert to_null_coords([]) == ([], [])
+    # ints give Fractions, and ints beside floats give floats
+    plus, minus = to_null_coords([1, Fraction(1, 2), 3, 0])
+    assert (plus, minus) == ([4, Fraction(1, 2)], [-2, Fraction(1, 2)])
+    assert all(type(c) is Fraction for c in plus + minus)
+    plus, minus = to_null_coords([1, 0, 0.5, 0])
+    assert (plus, minus) == ([1.5, 0.0], [0.5, 0.0]) and all(type(c) is float for c in plus + minus)
+
+
 @pytest.mark.parametrize(
     "plus, minus",
     [([Fraction(1), Fraction(0)], [1.0, 0.0]), ([1.0, 0.0], [1, 0]), ([1.0, Fraction(0)], [1.0, 0.0])],
@@ -511,13 +566,15 @@ def test_every_constructor_takes_ints_beside_floats_as_floats():
 
 
 # The constructors that take plain numbers, by the same rule and messages:
-# four numbers each, as a scalar's parts or as angles (planes in this order).
+# four numbers each, as a scalar's parts, as angles (planes in this order) or
+# as the coordinates of one entry.
 NUMBER_ENTRY_POINTS = {
     "HScalar.exact": lambda parts: HScalar.exact(*parts),
     "HScalar.flt": lambda parts: HScalar.flt(*parts),
     "HScalar.make": lambda parts: HScalar.make(*parts, exact=False),
     "RotorParams.m4": lambda parts: RotorParams.m4(phi=parts[:3], xi=(parts[3], 0, 0)),
     "RotorParams.r66": lambda parts: RotorParams.r66({(0, k + 1): c for k, c in enumerate(parts)}),
+    "to_null_coords": to_null_coords,
 }
 
 

@@ -42,14 +42,16 @@ from pathlib import Path
 # The checked entries, by module and qualified name: each hands the numbers
 # its caller gave on to the rule, so a call of the rule is counted where the
 # first frame outside them is.  They are the public constructors, the
-# sphere functions and trig_tilde, the physics functions and the
-# pass-throughs embed_momentum and MomentumHM4.rest, with the helpers that
-# take numbers for them, and the __init__ that dataclasses generate.
+# sphere functions, trig_tilde and to_null_coords, the physics functions
+# and the pass-throughs embed_momentum and MomentumHM4.rest, with the
+# helpers that take numbers for them, and the __init__ that dataclasses
+# generate.
 _DATACLASS_INIT = "__create_fn__.<locals>.__init__"
 CHECKED = frozenset(
     (f"hyperclifford.{module}", name)
     for module, names in {
-        "scalars": ("_entering", "_floats", "HScalar.exact", "HScalar.flt", "HScalar.make", "trig_tilde"),
+        "scalars": ("_entering", "_floats", "HScalar.exact", "HScalar.flt", "HScalar.make", "trig_tilde",
+                    "to_null_coords"),
         "matrices": ("HMatrix.__init__", "HMatrix.from_real_coords", "HMatrix.combine", "HMatrix.scale"),
         "algebra": ("Multivector.__init__", "Multivector.scale", "AlgebraRep.scalar", "AlgebraRep.blade",
                     "AlgebraRep._times"),
