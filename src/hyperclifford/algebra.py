@@ -180,7 +180,7 @@ def _names(prefix: str, n: int) -> str:
 
 def _compiled(lines: list, name: str, **namespace):
     """The function ``name`` defined by the source ``lines``, its globals ``namespace``."""
-    exec(compile("\n".join(lines), f"<blade {name}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<generated {name}>", "exec"), namespace)
     return namespace[name]
 
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add, mul
+from operator import add
 
-from .algebra import AlgebraRep, Multivector
+from .algebra import AlgebraRep, Multivector, _compiled, _names
 from .matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _null_coords, _trig_tilde, from_null_coords
@@ -151,16 +151,29 @@ class RotorParams:
 # -- matrix exponential ---------------------------------------------------------
 
 
-def _cmatmul(a: list, b: list, n: int) -> list:
-    """Product of two complex n x n matrices, row-major lists."""
-    cols = [b[c::n] for c in range(n)]
-    return [sum(map(mul, row, col)) for row in zip(*[iter(a)] * n) for col in cols]
+@lru_cache(maxsize=None)
+def _kernels(n: int) -> tuple:
+    """Straight-line code for complex n x n matrices as row-major lists,
+    compiled on first use: ``product(a, b)``, entry (r, c) being ``0 + a_r0 *
+    b_0c + a_r1 * b_1c + ...``, and the Horner block ``block(c0, c1, c2, c3,
+    x, y, z)``, entry k being ``0 + c0 * {1.0|0.0} + c1 * x_k + c2 * y_k + c3 *
+    z_k``.  Each sum runs from the int 0 in the order of ``sum(map(mul, ...))``
+    over the same terms, so bit for bit as that loop."""
+    m = n * n
+    unpack = [f"    {_names(v, m)}, = {v}" for v in "abxyz"]
+    product = ", ".join(" + ".join(["0", *(f"a{r + k} * b{k * n + c}" for k in range(n))])
+                        for r in range(0, m, n) for c in range(n))
+    block = ", ".join(f"0 + c0 * {float(k % (n + 1) == 0)} + c1 * x{k} + c2 * y{k} + c3 * z{k}" for k in range(m))
+    return (_compiled(["def product(a, b):", *unpack[:2], f"    return [{product}]"], "product"),
+            _compiled(["def block(c0, c1, c2, c3, x, y, z):", *unpack[2:], f"    return [{block}]"], "block"))
 
 
 def _series(parts: list, n: int) -> list:
     """exp(a) for a complex n x n matrix a as flat real and imaginary parts, by
     scaling and squaring: the degree-15 Taylor polynomial of the halved a in six
-    products (Paterson-Stockmeyer: a^2, a^3, a^4, then Horner in a^4)."""
+    products (Paterson-Stockmeyer: a^2, a^3, a^4, then Horner in a^4), each
+    product and Horner block one call of :func:`_kernels`."""
+    product, block = _kernels(n)
     a = list(map(complex, parts[0::2], parts[1::2]))
     norm, halvings = max(sum(map(abs, a[c::n])) for c in range(n)), 0
     while not norm <= _HALF_AT:  # a NaN norm too
@@ -168,14 +181,13 @@ def _series(parts: list, n: int) -> list:
             raise SeriesNonConvergence("exponential argument too large")
         norm, halvings = norm * 0.5, halvings + 1
     a1 = [z * 0.5 ** halvings for z in a]
-    a2 = _cmatmul(a1, a1, n)
-    powers = ([float(k % (n + 1) == 0) for k in range(n * n)], a1, a2, _cmatmul(a2, a1, n))
-    a4, acc = _cmatmul(a2, a2, n), None
+    a2 = product(a1, a1)
+    powers, a4, acc = (a1, a2, product(a2, a1)), product(a2, a2), None
     for cs in (_TAYLOR[12:], _TAYLOR[8:12], _TAYLOR[4:8], _TAYLOR[:4]):
-        block = [sum(map(mul, cs, zs)) for zs in zip(*powers)]
-        acc = block if acc is None else list(map(add, _cmatmul(acc, a4, n), block))
+        terms = block(*cs, *powers)
+        acc = terms if acc is None else list(map(add, product(acc, a4), terms))
     for _ in range(halvings):
-        acc = _cmatmul(acc, acc, n)
+        acc = product(acc, acc)
     if not all(map(cmath.isfinite, acc)):
         raise SeriesNonConvergence("exponential argument too large")
     return [q for z in acc for q in (z.real, z.imag)]
@@ -390,13 +402,26 @@ def _index_rhs(table: dict, ab, cd, sign: int) -> HMatrix:
     return _weighted_sum([q for k, _ in terms for q in (0, sign * k, 0, 0)], 1, [table[pq] for _, pq in terms])
 
 
+def _commutators(gens, keys):
+    """``(p, q, [X_p, X_q])`` over all ordered pairs of ``keys``, X = ``gens``:
+    each product X_p @ X_q is built once, and [X_p, X_q] and [X_q, X_p] are
+    its two differences with X_q @ X_p; no antisymmetry is assumed."""
+    keys = list(keys)
+    for m, p in enumerate(keys):
+        yield p, p, (pp := gens[p] @ gens[p]) - pp
+        for q in keys[m + 1:]:
+            pq, qp = gens[p] @ gens[q], gens[q] @ gens[p]
+            yield p, q, pq - qp
+            yield q, p, qp - pq
+
+
 def _count_relations(keys, j, k, rhs) -> list[int]:
     """Failures of [J_p, J_q] = rhs(J, p, q, 1), [J_p, K_q] = rhs(K, p, q, 1),
     the computed [K_p, K_q] = rhs(J, p, q, -1) and the printed
     [K_p, K_q] = rhs(K, p, q, -1), over all ordered pairs of ``keys``."""
     counts = [0] * 4
-    for p, q in product(keys, repeat=2):
-        jj, jk, kk = commutator(j[p], j[q]), commutator(j[p], k[q]), commutator(k[p], k[q])
+    for (p, q, jj), (_, _, kk) in zip(_commutators(j, keys), _commutators(k, keys)):
+        jk = commutator(j[p], k[q])
         for n, (lhs, gens, sign) in enumerate(((jj, j, 1), (jk, k, 1), (kk, j, -1), (kk, k, -1))):
             counts[n] += lhs != rhs(gens, p, q, sign)
     return counts
@@ -461,17 +486,14 @@ def verify_null_split(j_gens, k_gens, struct) -> dict:
     unit_i = HScalar.unit("i")
     cross = sum_err = recon = 0
     for p in range(n):
-        if (a_set[p] + b_set[p]) != j_gens[p]:
-            recon += 1
-        if (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]:
-            recon += 1
-        for q in range(n):
-            if commutator(a_set[p], b_set[q]) != HMatrix.zeros(j_gens[p].n):
-                cross += 1
-            if commutator(a_set[p], a_set[q]) != struct(a_set, p, q):
-                sum_err += 1
-            if commutator(b_set[p], b_set[q]) != struct(b_set, p, q):
-                sum_err += 1
+        recon += (a_set[p] + b_set[p]) != j_gens[p]
+        recon += (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]
+    zero = HMatrix.zeros(j_gens[0].n) if n else None
+    for p, q in product(range(n), repeat=2):
+        cross += commutator(a_set[p], b_set[q]) != zero
+    for gens in (a_set, b_set):
+        for p, q, lhs in _commutators(gens, range(n)):
+            sum_err += lhs != struct(gens, p, q)
     return {
         "cross_failures": cross,
         "structure_failures": sum_err,

@@ -452,12 +452,17 @@ def to_null_coords(coords) -> tuple[list, list]:
     idempotents e = (1+j)/2, ebar = (1-j)/2.  Each component is a flat list of
     real and imaginary parts: ``x+v, y+w`` over e, ``x-v, y-w`` over ebar.
     The coordinates enter by :func:`_entering`, and a count that is not a
-    multiple of 4 raises ``ValueError``; exact ones give ``Fraction`` parts."""
+    multiple of 4 raises ``ValueError``; exact ones give ``Fraction`` parts,
+    and a float sum outside the float range raises ``OverflowError`` naming
+    its entry."""
     nums, den = _entering(coords, "to_null_coords")
     if len(nums) % 4:
         raise ValueError(f"to_null_coords takes 4 coordinates per entry, not {len(nums)}")
     plus, minus = _null_coords(nums)
     if den is None:
+        if not all(map(math.isfinite, plus + minus)):
+            k = next(k for k, c in enumerate(zip(plus, minus)) if not all(map(math.isfinite, c)))
+            raise OverflowError(f"to_null_coords entry {k // 2} has a null component outside the float range")
         return plus, minus
     return [Fraction(n, den) for n in plus], [Fraction(n, den) for n in minus]
 

@@ -186,6 +186,39 @@ def test_decompose_command(capsys):
     ]
 
 
+def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch):
+    # the series exponential and the relation loops serve the verifier alone:
+    # with each raising, one request of every calc-stream command succeeds
+    from hyperclifford import rotors
+    from hyperclifford.algebra import get_rep
+
+    def refuse(*args):
+        raise AssertionError("the calculator entered a verifier-only path")
+
+    for name in ("mat_exp", "_count_relations", "verify_null_split"):
+        monkeypatch.setattr(rotors, name, refuse)
+    angles, xis = "--angles=0.3,-1.2,2.0,0.4,-0.8", "--hyperbolic=0.2,-0.5,0.1,0.9,-0.3"
+    requests = [
+        ("boost", "--xi=0.7", "--axis=2", "--vector=1,0.5,-0.3,0.2", "--format=json"),
+        ("boost", "--xi=30", "--axis=3", "--vector=1,0.7,0,0", "--format=json"),
+        ("sphere", "--radius=1.5", angles, "--format=json"),
+        ("sphere", "--radius=1.5", angles, xis, "--format=json"),
+        ("interfere", "--p1=0.3", "--p2=0.6", "--lambda=0.5", "--format=json"),
+        ("pauli", "--k", "7", "--format", "json"),
+        ("pauli", "--ab", "1,4", "--format", "json"),
+        ("pauli", "--two", "2", "--format", "json"),
+        ("tables", "h05bar", "--format", "json"),
+    ]
+    for rep in ("r30", "c30bar", "r05", "h05bar"):
+        n = get_rep(rep).n
+        grid = [[[float(r == c), 0.0, 0.0, 0.0] for c in range(n)] for r in range(n)]
+        requests.append(("decompose", "--rep", rep, "--matrix", json.dumps(grid), "--format", "json"))
+    for argv in requests:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
+
+
 def test_decompose_rejects_bad_json(capsys):
     code, _, err = run(capsys, "decompose", "--rep", "r30", "--matrix", "not-json")
     assert code == 2

@@ -7,6 +7,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,9 +23,11 @@ from hyperclifford.rotors import (
     SeriesNonConvergence,
     _closed_form,
     _exponent_terms,
+    _index_rhs,
     _index_table,
     act,
     h1_null_pair,
+    hyperbolic_generator,
     lorentz_generators,
     mat_exp,
     null_split,
@@ -37,6 +40,7 @@ from hyperclifford.rotors import (
     su4_generator,
     verify_index_commutators,
     verify_lorentz_commutators,
+    verify_null_split,
 )
 from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords
 
@@ -473,6 +477,79 @@ def test_mat_exp_is_the_series_on_both_sides_of_each_halving_threshold(x, halvin
     assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
 
 
+def loop_cmatmul(a: list, b: list, n: int) -> list:
+    """The complex matmul that the generated series kernels replaced: their oracle."""
+    cols = [b[c::n] for c in range(n)]
+    return [sum(map(mul, row, col)) for row in zip(*[iter(a)] * n) for col in cols]
+
+
+def loop_mat_exp(x: HMatrix) -> HMatrix:
+    """mat_exp as the loops computed it before the generated kernels: the
+    same scaling and squaring, each product by :func:`loop_cmatmul` and each
+    Horner block one ``sum(map(mul, cs, zs))`` per entry."""
+    n, exps = x.n, []
+    plus, minus = to_null_coords(x.coords)
+    for parts in (plus,) if minus == plus else (plus, minus):
+        a = list(map(complex, parts[0::2], parts[1::2]))
+        norm, halvings = max(sum(map(abs, a[c::n])) for c in range(n)), 0
+        while not norm <= rotors_module._HALF_AT:
+            norm, halvings = norm * 0.5, halvings + 1
+        a1 = [z * 0.5 ** halvings for z in a]
+        a2 = loop_cmatmul(a1, a1, n)
+        powers = ([float(k % (n + 1) == 0) for k in range(n * n)], a1, a2, loop_cmatmul(a2, a1, n))
+        a4, acc, taylor = loop_cmatmul(a2, a2, n), None, rotors_module._TAYLOR
+        for cs in (taylor[12:], taylor[8:12], taylor[4:8], taylor[:4]):
+            block = [sum(map(mul, cs, zs)) for zs in zip(*powers)]
+            acc = block if acc is None else list(map(add, loop_cmatmul(acc, a4, n), block))
+        for _ in range(halvings):
+            acc = loop_cmatmul(acc, acc, n)
+        exps.append([q for z in acc for q in (z.real, z.imag)])
+    return HMatrix._new(n, from_null_coords(exps[0], exps[-1]), None)
+
+
+def complex_hex(zs) -> list:
+    return [(float.hex(z.real), float.hex(z.imag)) for z in zs]
+
+
+def random_complex(rng, m: int, sparse: bool) -> list:
+    """m complex entries with 0j and signed-zero parts among them, mostly
+    zero when ``sparse``."""
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2) * 2.0 ** rng.randint(-60, 60)))
+    return [0j if sparse and rng.random() < 0.7 else
+            rng.choice((0j, complex(-0.0, -0.0), complex(part(), part()))) for _ in range(m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_series_kernels_are_the_loops_bit_for_bit(n):
+    # the generated product and Horner block sum the old loops' terms in the
+    # old order from the int 0, so each part agrees by float.hex, signs of
+    # zero included
+    rng = random.Random(100 + n)
+    product_, block = rotors_module._kernels(n)
+    assert rotors_module._kernels(n) == (product_, block)  # compiled once per size
+    identity = [float(k % (n + 1) == 0) for k in range(n * n)]
+    for k in range(400):
+        a, b, c = (random_complex(rng, n * n, sparse=k % 2 == 1) for _ in range(3))
+        assert complex_hex(product_(a, b)) == complex_hex(loop_cmatmul(a, b, n))
+        cs = [rng.uniform(-1, 1) for _ in range(4)]
+        want = [sum(map(mul, cs, zs)) for zs in zip(identity, a, b, c)]
+        assert complex_hex(block(*cs, a, b, c)) == complex_hex(want)
+
+
+def test_mat_exp_is_the_loop_series_bit_for_bit():
+    # seeded e6 and r66 exponents that take the series, m4 exponents and
+    # dense 2x2 matrices, each also scaled to just below, at and just above
+    # each halving threshold of its larger null component
+    rng = random.Random(36)
+    xs = [_exponent_matrix(random_params(space, rng)) for space in ("e6", "r66", "m4") for _ in range(6)]
+    xs += [HMatrix.from_real_coords([rng.uniform(-2, 2) for _ in range(16)]) for _ in range(6)]
+    xs += [x.scale(HScalar.flt(side * 2.0**halvings / 2.0 / component_norm(x)))
+           for x in xs[::3] for halvings in range(4) for side in (1 - 2.0**-30, 1.0, 1 + 2.0**-30)]
+    for x in xs:
+        assert list(map(float.hex, mat_exp(x).coords)) == list(map(float.hex, loop_mat_exp(x).coords))
+
+
 def real_closed_form(x: HMatrix) -> HMatrix:
     """cos/sin or cosh/sinh of the real root of x @ x = s*1, from math."""
     s = (x @ x).entry(0, 0).x
@@ -529,7 +606,8 @@ def test_mat_exp_rejects_exact_input():
     _exponent_matrix(RotorParams.m4(phi=(3.0, 0.0, 0.0), xi=(1500.0, 1.0, 0.0))),  # ring square
     _exponent_matrix(RotorParams.r66({}, {(0, 1): 3000.0, (2, 3): 3000.0})),  # series
     _exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1e200))),  # the square itself overflows
-], ids=["real-square", "ring-square", "series", "square"])
+    HMatrix.from_real_coords([1.6e308, 0.0, 1.6e308, 0.0]),  # a null component x + v overflows
+], ids=["real-square", "ring-square", "series", "square", "null-sum"])
 def test_overflow_raises_series_non_convergence(x):
     with pytest.raises(SeriesNonConvergence, match="too large"):
         mat_exp(x)
@@ -556,6 +634,40 @@ def test_index_commutator_relations():
     assert result["failures_jk"] == 0
     assert result["failures_kk_computed"] == 0
     assert result["printed_kk_failures"] == 480
+
+
+def test_relation_loops_build_each_ordered_product_once(monkeypatch):
+    # [X_p, X_q] is read as X_p X_q - X_q X_p from one product per ordered
+    # pair: 3,600 products for the index relations (5,400 when each
+    # commutator built both of its own), 36 for the Lorentz ones (54) and
+    # 900 for the split index generators (1,350); the results stay
+    products, matmul = [], HMatrix.__matmul__
+    monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+
+    def counted(run):
+        products.clear()
+        return run(), len(products)
+
+    assert counted(verify_index_commutators) == ({
+        "checked": 900, "failures_jj": 0, "failures_jk": 0, "failures_kk_computed": 0, "printed_kk_failures": 480,
+    }, 3600)
+    assert counted(verify_lorentz_commutators) == ({"failures": {"jj": 0, "jk": 0, "kk_computed": 0},
+                                                    "printed_kk_failures": 6}, 36)
+    jg, kg = [su4_generator(*p) for p in _INDEX_PAIRS], [hyperbolic_generator(*p) for p in _INDEX_PAIRS]
+
+    def struct(gens, x, y):
+        return _index_rhs(_index_table(gens), _INDEX_PAIRS[x], _INDEX_PAIRS[y], 1)
+
+    clean = {"cross_failures": 0, "structure_failures": 0, "reconstruction_failures": 0}
+    assert counted(lambda: verify_null_split(jg, kg, struct)) == (clean, 900)
+    # with the structure constants of the swapped pair, each failing ordered
+    # pair is still counted, as a loop over the commutators counts it
+    def swapped(gens, x, y):
+        return struct(gens, y, x)
+
+    want = sum(commutator(g[p], g[q]) != swapped(g, p, q)
+               for g in null_split(jg) for p, q in product(range(15), repeat=2))
+    assert verify_null_split(jg, kg, swapped)["structure_failures"] == want > 0
 
 
 def test_index_table_is_signed():

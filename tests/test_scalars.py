@@ -16,6 +16,7 @@ from hyperclifford.scalars import (
     BackendMismatch,
     HScalar,
     ZeroDivisor,
+    _null_coords,
     from_null_coords,
     to_null_coords,
     trig_tilde,
@@ -410,6 +411,19 @@ def test_null_join_of_large_finite_components_stays_finite():
     assert from_null_coords(*null(z)) == list(z.coeffs())
     m = HMatrix.identity(2, exact=False).scale(HScalar.flt(big, 0.0, 0.0, -big))
     assert from_null_coords(*to_null_coords(m.coords)) == list(m.coords)
+
+
+@pytest.mark.parametrize("coords, entry", [
+    ([1.6e308, 0.0, 1.6e308, 0.0], 0),  # x + v
+    ([0.0] * 4 + [1.0, -1.6e308, 0.0, 1.6e308], 1),  # y - w
+    ([0.0] * 8 + [-1.6e308, 0.0, 1.6e308, 0.0] + [1.6e308, 0.0, 1.6e308, 0.0], 2),  # x - v; the first entry named
+])
+def test_null_split_of_floats_raises_when_a_component_overflows(coords, entry):
+    # the sums x +- v and y +- w of finite coordinates can leave the float range
+    with pytest.raises(OverflowError, match=f"to_null_coords entry {entry} "):
+        to_null_coords(coords)
+    # the library's unchecked split, which mat_exp takes, still overflows to inf
+    assert not all(map(math.isfinite, sum(_null_coords(coords), [])))
 
 
 @pytest.mark.parametrize(

@@ -227,8 +227,13 @@ def crashed(err="Traceback ...\nRuntimeError: self times 0.8 s do not add up to 
 
 def test_a_traced_run_reads_as_its_coverage_and_result():
     line, result = compare_outputs.traced_summary(finished({"cli.main.calls": 3000}, 0.9137, 1.25))
-    assert line == "self times cover 0.7310 of the traced window (0.9137 of 1.2500 s)"
+    assert line == "self times cover 0.7310 of the traced window (0.9137 of 1.2500 s), margin -0.1690 over 0.9 LOW"
     assert result == traced({"cli.main.calls": 3000})
+    # a margin under 0.005 over run.py's floor is flagged, a wider one is not
+    line, _ = compare_outputs.traced_summary(finished({}, 0.9016, 1.0))
+    assert line.endswith("(0.9016 of 1.0000 s), margin +0.0016 over 0.9 LOW")
+    line, _ = compare_outputs.traced_summary(finished({}, 0.906, 1.0))
+    assert line.endswith("(0.9060 of 1.0000 s), margin +0.0060 over 0.9")
 
 
 def test_a_failed_traced_run_reads_as_its_exit_code_and_last_stderr_line():
@@ -262,9 +267,12 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     assert out[9:11] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38  get_space 0.00"
                          for side in ("parent", "change")]
     assert out[-7:] == [
-        "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
-        "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s)",
-        "parent traced calc-stream: self times cover 0.9500 of the traced window (0.9500 of 1.0000 s)",
+        "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s),"
+        " margin +0.0200 over 0.9",
+        "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s),"
+        " margin +0.0200 over 0.9",
+        "parent traced calc-stream: self times cover 0.9500 of the traced window (0.9500 of 1.0000 s),"
+        " margin +0.0500 over 0.9",
         "change traced calc-stream: exited 1: RuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s",
         "traced runs failed, counts not compared: calc-stream",
         "traced seed-7 counts differ:",

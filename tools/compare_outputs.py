@@ -34,12 +34,14 @@ Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed 7 --seconds S --trace 1`` once in
 each checkout (``S`` the parent's ``run_seconds``, bytecode writing off)
 and prints, for each side, the share of the traced window that the layer
-self times cover (``trace.self_sum_s / trace.raw_wall_s``; ``run.py``
-fails a traced run below 0.9) or, for a run that exits non-zero, its exit
-code and the last line of its stderr.  Then it prints every metric of unit
-``count`` that differs, and ``correct`` or ``failed`` when they differ.
-These count how much work a call path does, so they are reported but do
-not decide the exit status; a failed traced run does, and exits 1.
+self times cover (``trace.self_sum_s / trace.raw_wall_s``) and its margin
+over ``COVERAGE_FLOOR``, below which ``run.py`` fails a traced run, flagged
+``LOW`` under ``MARGIN_FLAG`` (noise alone can then fail the run), or, for
+a run that exits non-zero, its exit code and the last line of its stderr.
+Then it prints every metric of unit ``count`` that differs, and
+``correct`` or ``failed`` when they differ.  These count how much work a
+call path does, so they are reported but do not decide the exit status; a
+failed traced run does, and exits 1.
 """
 
 import hashlib
@@ -207,6 +209,11 @@ def calc_differences(old: list, new: list) -> list[str]:
     ]
 
 
+# run.py fails a traced run whose self times cover less of its window than
+# COVERAGE_FLOOR; a margin under MARGIN_FLAG is within run-to-run noise
+COVERAGE_FLOOR, MARGIN_FLAG = 0.9, 0.005
+
+
 def traced_run(root: Path, workload: str, seconds: int) -> subprocess.CompletedProcess:
     """One traced seed-7 run, whatever its exit code."""
     return subprocess.run(
@@ -220,15 +227,18 @@ def traced_run(root: Path, workload: str, seconds: int) -> subprocess.CompletedP
 def traced_summary(done: subprocess.CompletedProcess) -> tuple[str, dict | None]:
     """A line on one traced run and its result object (last line of
     output): the coverage of its traced window by self times, read from
-    the detail line before the result, or for a failed run its exit code
-    and the last line of its stderr, with no result."""
+    the detail line before the result, and its margin over
+    ``COVERAGE_FLOOR``, flagged under ``MARGIN_FLAG``; or for a failed run
+    its exit code and the last line of its stderr, with no result."""
     if done.returncode:
         err = done.stderr.strip().splitlines() or ["(no stderr)"]
         return f"exited {done.returncode}: {err[-1]}", None
     *_, detail, result = done.stdout.strip().splitlines()
     layers = json.loads(detail)["detail"]["layers"]
     total, wall = layers["trace.self_sum_s"], layers["trace.raw_wall_s"]
-    line = f"self times cover {total / wall:.4f} of the traced window ({total:.4f} of {wall:.4f} s)"
+    margin = total / wall - COVERAGE_FLOOR
+    line = (f"self times cover {total / wall:.4f} of the traced window ({total:.4f} of {wall:.4f} s),"
+            f" margin {margin:+.4f} over {COVERAGE_FLOOR}" + (" LOW" if margin < MARGIN_FLAG else ""))
     return line, json.loads(result)
 
 
