@@ -30,7 +30,7 @@ special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, count, product
@@ -70,8 +70,7 @@ class NonOrthogonalBasis(ValueError):
     """Raised when a representation's basis matrices fail the pairing check."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "p q")):
     """Counts of generators squaring to +1 (p) and to -1 (q).
 
     The scalar product of the underlying quadratic space carries a minus
@@ -80,8 +79,7 @@ class Signature:
     e^2 = -1 for the remaining q.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -294,14 +292,22 @@ class AlgebraRep:
         return table
 
     def _validate_orthogonality(self):
-        keys = list(self.basis)
-        sparse = {k: dict(self._coord_map[k]) for k in keys}
-        for a in range(len(keys)):
-            va = sparse[keys[a]]
-            for b in range(a + 1, len(keys)):
-                vb = sparse[keys[b]]
-                if sum(c * vb[idx] for idx, c in va.items() if idx in vb) != 0:
-                    raise NonOrthogonalBasis(f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal")
+        """Raise :class:`NonOrthogonalBasis` for the first pair of basis elements,
+        in basis order, whose pairing is not 0.  Each pairing is summed over the
+        real coordinates the two share, found by an index of the elements at
+        each coordinate, so a pair that shares none costs nothing."""
+        keys, table, sharing = self.basis, self._coord_map, {}
+        for b, key in enumerate(keys):
+            for idx, c in table[key]:
+                sharing.setdefault(idx, []).append((b, c))
+        for a, key in enumerate(keys):
+            pairings = {}
+            for idx, c in table[key]:
+                for b, cb in sharing[idx]:
+                    if b > a:
+                        pairings[b] = pairings.get(b, 0) + c * cb
+            if failed := [b for b, p in pairings.items() if p]:
+                raise NonOrthogonalBasis(f"basis elements {key} and {keys[min(failed)]} are not pairing-orthogonal")
 
     def _find_ring_units(self) -> dict:
         """The scalar units of 1, i, j, ij that the representation holds,
@@ -776,13 +782,7 @@ def porteous_hat_4x4(a: HMatrix) -> HMatrix:
 # -- published sign tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
-    unit: str
-    bar: int
-    dagger: int
-    hat: int
-    derived: bool = False
+TableRow = namedtuple("TableRow", "unit bar dagger hat derived", defaults=(False,))
 
 
 def _unit_signs(mv: Multivector) -> tuple[int, int, int]:

@@ -44,10 +44,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from . import rotors
 from .algebra import (
@@ -110,33 +109,20 @@ DEFAULT_TOL = 1e-10
 _SEED = 20070816
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    description: str
-    claim: str
-    status: str
-    max_error: float
-    elapsed_ms: float
+class CheckReport(namedtuple("CheckReport", "check_id description claim status max_error elapsed_ms")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(namedtuple("CheckSpec", "check_id description claim body params deviation tol")):
     """One registered check: its record text, the body that computes its
-    errors, and what its ``max_error`` is judged against: the stated count
-    of a deviation, else the tolerance (``None``: the suite's
-    ``ctx.tol``)."""
+    errors (with the keyword arguments ``params``), and what its
+    ``max_error`` is judged against: the stated count of a deviation, else
+    the tolerance (``None``: the suite's ``ctx.tol``)."""
 
-    check_id: str
-    description: str
-    claim: str
-    body: Callable
-    params: dict
-    deviation: float | None
-    tol: float | None
+    __slots__ = ()
 
     @property
     def suite(self) -> str:

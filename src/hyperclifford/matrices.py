@@ -368,10 +368,18 @@ def _product(exact, r, k, a, b):
 
 
 def kron(a: HMatrix, b: HMatrix) -> HMatrix:
-    """Kronecker product; a's (1,1) entry scales b into the top-left block."""
-    ra, rb = a.rows, b.rows  # the entry products check the backends
-    parts = [p for row_a in ra for row_b in rb for za in row_a for zb in row_b for p in (za * zb).coeffs()]
-    return HMatrix._new(a.n * b.n, *(_over_lcm(parts) if a.is_exact else (parts, None)))
+    """Kronecker product; a's (1,1) entry scales b into the top-left block.
+    One ring product of a's entries as a column and b's as a row holds each
+    entry product, a row of b's entries per ``(entry of a, row of b)``; those
+    rows are then taken in Kronecker order.  Mixed backends raise
+    :class:`BackendMismatch`."""
+    n, m, exact = a.n, b.n, a.is_exact
+    if b.is_exact != exact:
+        raise BackendMismatch("mixed exact/float HMatrix operands")
+    products, w = _product(exact, n * n, 1, a.nums, b.nums), 4 * m
+    rows = [products[k:k + w] for k in range(0, len(products), w)]  # row ia * m + rb: a's entry ia times b's row rb
+    parts = [x for ra in range(0, n * n, n) for rb in range(m) for ia in range(ra, ra + n) for x in rows[ia * m + rb]]
+    return HMatrix._new(n * m, parts, a.den * b.den if exact else None)
 
 
 def commutator(a: HMatrix, b: HMatrix) -> HMatrix:

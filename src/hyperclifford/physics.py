@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .paravectors import Paravector, embed_momentum, get_space
@@ -63,11 +63,8 @@ def interfere(p1: float, p2: float, lam: float) -> float:
     return p1 + p2 + 2.0 * math.sqrt(p1 * p2) * lam
 
 
-@dataclass(frozen=True)
-class Linearization:
-    regime: str  # "complex" | "hyperbolic"
-    theta: float
-    sign: int
+# regime: "complex" | "hyperbolic"
+Linearization = namedtuple("Linearization", "regime theta sign")
 
 
 def linearize(p1: float, p2: float, lam: float) -> Linearization:
@@ -112,22 +109,23 @@ def reconstruct_probability(lin: Linearization, p1: float, p2: float) -> float:
 # -- mass operator ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentumHM4:
+class MomentumHM4(namedtuple("MomentumHM4", "q o s u")):
     """Hyperbolic-complex momentum q + i*o + j*s + ij*u of four real
     4-vectors; sixteen real degrees of freedom, which enter once, by
-    :func:`~.paravectors.embed_momentum`, into the paravector it holds."""
+    :func:`~.paravectors.embed_momentum`, into the paravector it holds.
+    ``_make`` and ``_replace`` build through the constructor as well."""
 
-    q: tuple
-    o: tuple = (0, 0, 0, 0)
-    s: tuple = (0, 0, 0, 0)
-    u: tuple = (0, 0, 0, 0)
-    _paravector: Paravector = field(init=False, repr=False, compare=False)
+    def __new__(cls, q, o=(0, 0, 0, 0), s=(0, 0, 0, 0), u=(0, 0, 0, 0)):
+        self = super().__new__(cls, *map(tuple, (q, o, s, u)))
+        self.__dict__["_paravector"] = embed_momentum(*self)
+        return self
 
-    def __post_init__(self):
-        for name in "qosu":
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "_paravector", embed_momentum(self.q, self.o, self.s, self.u))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MomentumHM4 is immutable")
+
+    @classmethod
+    def _make(cls, fields) -> "MomentumHM4":
+        return cls(*fields)
 
     @classmethod
     def rest(cls, m: float) -> "MomentumHM4":

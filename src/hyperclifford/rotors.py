@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -104,32 +104,33 @@ def _antisym_normalize(mapping, what: str) -> tuple:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class RotorParams:
+class RotorParams(namedtuple("RotorParams", "space phi xi phi_ab xi_ab")):
     """Rotation parameters; angles in radians, antisymmetry enforced.  The
     constructor checks the phi and xi counts (h1 one, m4 three, e6 and r66
     none), the plane fields of the space and the angles, which enter by
-    :func:`~.scalars._entering` and are stored as floats, planes sorted."""
+    :func:`~.scalars._entering` and are stored as floats, planes sorted;
+    ``_make`` and ``_replace`` build through it as well."""
 
-    space: str
-    phi: tuple = ()
-    xi: tuple = ()
-    phi_ab: tuple = ()
-    xi_ab: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.space not in _ROTOR_SPACES:
-            raise ValueError(f"no rotors for space {self.space!r}")
-        count, planes = _ROTOR_SPACES[self.space]
-        for name in ("phi", "xi"):  # an empty field has nothing to check
-            angles = _floats(getattr(self, name), f"{self.space} {name}") if getattr(self, name) else ()
-            if len(angles) != count:
-                raise ValueError(f"{self.space} expects {count} {name} angles, got {len(angles)}")
-            object.__setattr__(self, name, angles)
-        for name in ("phi_ab", "xi_ab"):
-            if (mapping := getattr(self, name)) and name not in planes:
-                raise ValueError(f"{self.space} takes no {name}")
-            object.__setattr__(self, name, _antisym_normalize(mapping, f"{self.space} {name}") if mapping else ())
+    def __new__(cls, space: str, phi=(), xi=(), phi_ab=(), xi_ab=()):
+        if space not in _ROTOR_SPACES:
+            raise ValueError(f"no rotors for space {space!r}")
+        count, planes = _ROTOR_SPACES[space]
+        kept = []
+        for name, angles in (("phi", phi), ("xi", xi)):  # an empty field has nothing to check
+            kept.append(_floats(angles, f"{space} {name}") if angles else ())
+            if len(kept[-1]) != count:
+                raise ValueError(f"{space} expects {count} {name} angles, got {len(kept[-1])}")
+        for name, mapping in (("phi_ab", phi_ab), ("xi_ab", xi_ab)):
+            if mapping and name not in planes:
+                raise ValueError(f"{space} takes no {name}")
+            kept.append(_antisym_normalize(mapping, f"{space} {name}") if mapping else ())
+        return super().__new__(cls, space, *kept)
+
+    @classmethod
+    def _make(cls, fields) -> "RotorParams":
+        return cls(*fields)
 
     @classmethod
     def h1(cls, phi: float = 0.0, xi: float = 0.0) -> "RotorParams":
@@ -256,15 +257,12 @@ def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
 # -- rotor construction ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rotor:
+class Rotor(namedtuple("Rotor", "rep m spin_residual params", defaults=(None,))):
     """A certified group element g, held as its matrix ``m`` in ``rep``;
-    ``spin_residual`` is how far g*bar(g) = 1 is from holding on ``m``."""
+    ``spin_residual`` is how far g*bar(g) = 1 is from holding on ``m``, and
+    ``params`` the :class:`RotorParams` it was built from, if any."""
 
-    rep: AlgebraRep
-    m: HMatrix
-    spin_residual: float
-    params: RotorParams | None = field(default=None, compare=False)
+    __slots__ = ()
 
     @property
     def g(self) -> Multivector:

@@ -8,12 +8,15 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperclifford.algebra import (
+    AlgebraRep,
     Multivector,
+    NonOrthogonalBasis,
     Signature,
     _BLOCK,
     _Kernel,
@@ -929,11 +932,54 @@ def test_rep_mismatch_rejected():
 
 def test_degenerate_basis_rejected():
     # adjoining j to the hyperbolic generator duplicates a basis element
-    from hyperclifford.algebra import AlgebraRep, NonOrthogonalBasis
-
     gen = HMatrix([[HScalar.unit("j")]])
     with pytest.raises(NonOrthogonalBasis):
         AlgebraRep("bad", Signature(1, 0), [gen], adjoined="j")
+
+
+def _pairwise_orthogonality(rep):
+    """The check as it was, every pair of basis elements in order: the oracle."""
+    keys = list(rep.basis)
+    sparse = {k: dict(rep._coord_map[k]) for k in keys}
+    for a in range(len(keys)):
+        va = sparse[keys[a]]
+        for b in range(a + 1, len(keys)):
+            vb = sparse[keys[b]]
+            if sum(c * vb[idx] for idx, c in va.items() if idx in vb) != 0:
+                raise NonOrthogonalBasis(f"basis elements {keys[a]} and {keys[b]} are not pairing-orthogonal")
+
+
+def _refusal(check, basis, table):
+    """The message with which ``check`` refuses the coordinate table, or None."""
+    try:
+        check(SimpleNamespace(basis=basis, _coord_map=table))
+    except NonOrthogonalBasis as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_a_non_orthogonal_basis_is_refused_at_the_pairwise_loops_first_pair(name):
+    """Every table of the package passes both checks (in c30bar, r05 and
+    h05bar a real coordinate lies under several elements, whose pairings
+    cancel).  Then coordinates of one element are put onto another, and
+    both name the same first pair in the same message."""
+    rep, rng = get_rep(name), random.Random(name)
+    basis, table = rep.basis, rep._coord_map
+    assert _refusal(AlgebraRep._validate_orthogonality, basis, table) is None
+    assert _refusal(_pairwise_orthogonality, basis, table) is None
+    refused = 0
+    for _ in range(20):
+        bad = dict(table)
+        for _ in range(rng.randint(1, 3)):
+            target, source = rng.sample(basis, 2)
+            pairs = dict(bad[target])
+            pairs.update(rng.sample(table[source], rng.randint(1, len(table[source]))))
+            bad[target] = tuple(sorted(pairs.items()))
+        want = _refusal(_pairwise_orthogonality, basis, bad)
+        assert _refusal(AlgebraRep._validate_orthogonality, basis, bad) == want
+        refused += want is not None
+    assert refused >= 10
 
 
 # -- the exact integer form against per-coordinate Fraction references ---------

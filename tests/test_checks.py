@@ -102,6 +102,11 @@ def test_runner_turns_each_result_into_a_record(monkeypatch):
     stream = random.Random(checks._SEED)
     assert draws == [stream.random(), stream.random()]
     assert checks.run_suite("demo", tol=0.1)[1].status == "fail"
+    # a record's dict, which `verify --format json` prints, keeps the field order
+    assert list(reports[1].to_dict().items()) == [
+        ("check_id", "demo.pass"), ("description", "within tolerance"), ("claim", "holds"), ("status", "pass"),
+        ("max_error", 0.25), ("elapsed_ms", reports[1].elapsed_ms),
+    ]
 
 
 @pytest.mark.parametrize("count", [479, 481, math.nan], ids=["one-fewer", "one-more", "nan"])

@@ -440,6 +440,16 @@ def _fresh_process(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_importing_the_calculator_loads_no_dataclasses():
+    # dataclasses imports inspect, and with it ast, dis and tokenize: the
+    # larger part of what importing the package cost every command
+    src = str(Path(hyperclifford.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperclifford.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_one_process_answers_like_fresh_processes(capsys, monkeypatch):
     # the parser is built once per process; a usage error must not leave
     # state behind that changes later answers

@@ -62,6 +62,51 @@ def test_kron_block_layout():
     assert kron(pauli2(1), pauli2(1)) == pauli4(7)
 
 
+def _kron_loop(a, b):
+    """kron as it was, one HScalar product per pair of entries: the oracle."""
+    ra, rb = a.rows, b.rows  # the entry products check the backends
+    parts = [p for row_a in ra for row_b in rb for za in row_a for zb in row_b for p in (za * zb).coeffs()]
+    return HMatrix._new(a.n * b.n, *(_over_lcm(parts) if a.is_exact else (parts, None)))
+
+
+# every pair of the identity and the 2x2 Pauli matrices, then 4x4 (x) 2x2
+# and 2x2 (x) 4x4 with entries off the complex subring and over denominators
+KRON_CASES = list(product([HMatrix.identity(2)] + [pauli2(k) for k in (1, 2, 3)], repeat=2)) + [
+    (pauli4(8).scale(H(Fraction(1, 3), -2, Fraction(1, 2), 5)), pauli2(2).scale(H(0, Fraction(3, 4), -1))),
+    (pauli2(3).scale(H(-1, 0, 0, Fraction(2, 7))), pauli4(14) + pauli4(1).scale(H(0, 0, Fraction(-5, 6)))),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kron_is_the_per_entry_loop(exact):
+    """Exact: the same numerators over the same denominator.  Float: the
+    same bits in every part of an entry whose two factor entries are both
+    non-zero, ``-0.0`` parts included; an entry with a zero factor is
+    ``+0.0`` in every part, as ``@`` makes an entry with no non-zero term,
+    where the loop's product of the zero kept the sign IEEE gives it."""
+    for a, b in KRON_CASES:
+        if not exact:
+            a, b = a.to_float(), b.to_float()
+        got, want = kron(a, b), _kron_loop(a, b)
+        assert got == want
+        if exact:
+            assert (got.nums, got.den) == (want.nums, want.den)
+            continue
+        m, width = b.n, a.n * b.n
+        for k, (r, c) in enumerate(product(range(width), repeat=2)):
+            parts, loop = got.nums[4 * k:4 * k + 4], want.nums[4 * k:4 * k + 4]
+            if a.entry(r // m, c // m).is_zero or b.entry(r % m, c % m).is_zero:
+                loop = (0.0,) * 4
+            assert list(map(float.hex, parts)) == list(map(float.hex, loop)), (r, c)
+
+
+def test_kron_refuses_mixed_backends_as_the_loop_did():
+    for a, b in ((pauli2(1), pauli2(2).to_float()), (pauli4(3).to_float(), HMatrix.identity(2))):
+        for build in (kron, _kron_loop):
+            with pytest.raises(BackendMismatch):
+                build(a, b)
+
+
 def test_pauli4_hermitian_and_involutive():
     for k in range(1, 16):
         m = pauli4(k)

@@ -216,6 +216,23 @@ def test_momentum_validation():
         MomentumHM4(q=(1, 2, 3))
 
 
+def test_momentum_is_an_immutable_record_that_every_route_builds_through_its_checks():
+    p = MomentumHM4(q=[2, 0, 0, 0], u=(3, 0, 0, 0))
+    assert repr(p) == "MomentumHM4(q=(2, 0, 0, 0), o=(0, 0, 0, 0), s=(0, 0, 0, 0), u=(3, 0, 0, 0))"
+    same = MomentumHM4((2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (3, 0, 0, 0))
+    assert p == same and hash(p) == hash(same) and p.paravector() == same.paravector()
+    for name in ("q", "_paravector", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (1, 0, 0, 0))
+    moved = p._replace(s=[0, 1, 0, 0])
+    assert moved.s == (0, 1, 0, 0)
+    assert moved.paravector() == MomentumHM4((2, 0, 0, 0), s=(0, 1, 0, 0), u=(3, 0, 0, 0)).paravector()
+    with pytest.raises(ValueError, match="hm4 coordinate 5 is not finite"):
+        p._replace(o=(0, math.nan, 0, 0))
+    with pytest.raises(TypeError, match="hm4 coordinate 0 is not an int, Fraction or float"):
+        MomentumHM4._make([("1", 0, 0, 0), (0,) * 4, (0,) * 4, (0,) * 4])
+
+
 def test_momentum_takes_its_numbers_by_the_one_rule_at_construction():
     with pytest.raises(TypeError, match="hm4 coordinate 0 is not an int, Fraction or float"):
         MomentumHM4(q=("1", 0, 0, 0))

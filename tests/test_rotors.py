@@ -1,7 +1,6 @@
 """Rotors: exponentials, the rotation action, generator relations,
 sphere parametrizations."""
 
-import dataclasses
 import math
 import random
 import re
@@ -19,6 +18,7 @@ from hyperclifford.paravectors import SPACE_NAMES, get_space, quasi_sphere_resid
 from hyperclifford.rotors import (
     _INDEX_PAIRS,
     ResultOutsideParavectorSpan,
+    Rotor,
     RotorParams,
     SeriesNonConvergence,
     _closed_form,
@@ -272,8 +272,6 @@ def test_action_rejects_mismatched_spaces():
 def test_action_detects_span_leak():
     # an uncertified pseudo-rotor g = 1 + j, whose action (1 + j)^2 x = 2(1 + j) x
     # has a j part that no real paravector coordinate carries
-    from hyperclifford.rotors import Rotor
-
     rep = get_rep("c30bar")
     fake = Rotor(rep=rep, m=rep.scalar(HScalar.flt(1.0, 0.0, 1.0, 0.0)).to_matrix(), spin_residual=0.0)
     m4 = get_space("m4")
@@ -861,7 +859,7 @@ def test_antisymmetric_parameter_normalization():
 ], ids=["space", "h1-no-angles", "h1-two-xi", "m4-one-phi", "m4-four-angles", "e6-phi", "e6-xi-plane",
         "m4-plane", "h1-plane", "conflicting-planes"])
 def test_rotor_params_constructor_rejects_bad_input(kwargs, message):
-    # the dataclass constructor is the one validating entry: none of these
+    # the constructor is the one validating entry: none of these
     # may be dropped, ignored or turned into the identity rotor
     with pytest.raises(ValueError, match=message):
         RotorParams(**kwargs)
@@ -887,6 +885,19 @@ def test_rotor_params_constructor_normalizes_what_it_keeps():
     assert RotorParams.m4() == RotorParams("m4", (0.0,) * 3, (0.0,) * 3)
     assert RotorParams.h1() == RotorParams("h1", (0.0,), (0.0,))
     assert RotorParams.e6() == RotorParams("e6") and RotorParams.r66() == RotorParams("r66")
+
+
+def test_rotor_params_make_and_replace_build_through_the_constructor():
+    p = RotorParams.r66({(3, 1): 0.5})
+    assert repr(p) == "RotorParams(space='r66', phi=(), xi=(), phi_ab=(((1, 3), -0.5),), xi_ab=())"
+    assert p._replace(xi_ab={(1, 0): 2}) == RotorParams.r66({(1, 3): -0.5}, {(0, 1): -2.0})
+    assert RotorParams._make(["m4", [1, 2, 3], (0, 0, 0), (), ()]).phi == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="m4 expects 3 phi angles, got 2"):
+        RotorParams.m4()._replace(phi=(1, 2))
+    with pytest.raises(ValueError, match="e6 takes no xi_ab"):
+        RotorParams._make(("e6", (), (), (), {(0, 1): 1.0}))
+    with pytest.raises(AttributeError):
+        p.phi_ab = ()
 
 
 def test_negative_radius_rejected():
@@ -952,6 +963,7 @@ def test_rotor_from_matrix_rejects_a_nan_on_a_full_ring_by_its_spin_test(idx):
 
 def test_act_rejects_a_nan_image_by_its_span_test():
     rotor = rotor_from_params(RotorParams.m4())
-    bad = dataclasses.replace(rotor, m=HMatrix._new(rotor.m.n, [math.nan] + list(rotor.m.coords[1:]), None))
+    bad_m = HMatrix._new(rotor.m.n, [math.nan] + list(rotor.m.coords[1:]), None)
+    bad = Rotor(rotor.rep, bad_m, rotor.spin_residual, rotor.params)
     with pytest.raises(ResultOutsideParavectorSpan):
         act(bad, get_space("m4").paravector([1.0, 0.0, 0.0, 0.0]))

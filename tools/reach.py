@@ -44,9 +44,8 @@ from pathlib import Path
 # first frame outside them is.  They are the public constructors, the
 # sphere functions, trig_tilde and to_null_coords, the physics functions
 # and the pass-throughs embed_momentum and MomentumHM4.rest, with the
-# helpers that take numbers for them, and the __init__ that dataclasses
-# generate.
-_DATACLASS_INIT = "__create_fn__.<locals>.__init__"
+# helpers that take numbers for them.  RotorParams and MomentumHM4 check
+# in __new__, which their _make (and so _replace) calls too.
 CHECKED = frozenset(
     (f"hyperclifford.{module}", name)
     for module, names in {
@@ -57,11 +56,11 @@ CHECKED = frozenset(
                     "AlgebraRep._times"),
         "paravectors": ("Paravector.__init__", "ParavectorSpace.paravector", "_sphere_entering",
                         "quasi_sphere_residual", "embed_momentum"),
-        "rotors": (_DATACLASS_INIT, "RotorParams.__post_init__", "RotorParams.h1", "RotorParams.m4",
+        "rotors": ("RotorParams.__new__", "RotorParams._make", "RotorParams.h1", "RotorParams.m4",
                    "RotorParams.e6", "RotorParams.r66", "_antisym_normalize", "sphere_point",
                    "sphere_point_via_rotors", "quasi_sphere_point_r66", "quasi_sphere_point_r66_via_rotors"),
-        "physics": (_DATACLASS_INIT, "_probabilities", "interfere", "linearize", "reconstruct_probability",
-                    "MomentumHM4.__post_init__", "MomentumHM4.rest"),
+        "physics": ("_probabilities", "interfere", "linearize", "reconstruct_probability", "MomentumHM4.__new__",
+                    "MomentumHM4._make", "MomentumHM4.rest"),
     }.items()
     for name in names
 )
