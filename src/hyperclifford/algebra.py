@@ -35,7 +35,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 from math import gcd
-from numbers import Rational
 from operator import mul
 
 from .matrices import HMatrix, pauli2, sigma_ab
@@ -509,14 +508,16 @@ class Multivector(RealCoords):
         """The product with the scalar ``z``: an :class:`HScalar` in the
         representation's subring by :meth:`gp_blades`; a number, which takes
         this element's backend (a ``float`` never enters the exact one), on
-        the stored numbers.  Mixed backends raise :class:`BackendMismatch`."""
+        the stored numbers.  Anything but an int or a ``Fraction`` enters by
+        :meth:`HScalar.make`, so a ``bool`` raises ``TypeError``.  Mixed
+        backends raise :class:`BackendMismatch`."""
         if isinstance(z, HScalar):  # a ring operation: backend and subring, not the parts
             if z.is_exact != self.is_exact:
                 raise BackendMismatch("mixed exact/float scalar operands")
             parts = [z.coeffs()[spot] for spot in self.rep._coeff_spots(z)]
             nums, den = _over_lcm(parts) if self.den is not None else (parts, None)
             return self.gp_blades(self.rep._element(0, nums, den))
-        if not isinstance(z, Rational):
+        if z.__class__ not in (int, Fraction):
             z = HScalar.make(z, exact=self.is_exact).x
         if self.den is None:  # + 0.0 makes a zero +0.0, as gp_blades does
             return Multivector._new(self.rep, [c * z + 0.0 for c in self.nums], None)

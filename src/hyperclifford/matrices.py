@@ -4,10 +4,11 @@ An :class:`HMatrix` stores its ``4n^2`` real coordinates, ``x y v w`` per
 entry in row-major order, as :class:`RealCoords` does: int numerators over
 one denominator (exact) or floats; entries are built as :class:`HScalar`
 only when read.  Arithmetic works on the stored numbers, and every linear
-operation is one rectangular ring product per backend: ``@``, each
-elimination step of :meth:`HMatrix.inverse`, and one linear-combination
-kernel, which :meth:`HMatrix.combine` runs after the rule and
-:meth:`HMatrix.scale` after a backend check.  The units 1, i, j, ij
+operation is one rectangular ring product per backend: ``@`` and one
+linear-combination kernel, which :meth:`HMatrix.scale` runs after a backend
+check and the library's sums of scaled matrices call directly.
+:meth:`HMatrix.inverse` alone works on :class:`HScalar` entries, since its
+pivots need each entry's modulus and inverse.  The units 1, i, j, ij
 multiply as a signed group (unit a times unit b is unit a XOR b, negated
 when both have the i bit), so the exact product contracts the non-zero
 int numerators through that table, over the product of the two
@@ -32,9 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import lcm
-from operator import sub
 
-from .scalars import BackendMismatch, HScalar, RealCoords, _entering, _over_lcm, _reduced
+from .scalars import BackendMismatch, HScalar, RealCoords, _entering, _over_lcm
 
 __all__ = [
     "SingularMatrix",
@@ -158,31 +158,6 @@ class HMatrix(RealCoords):
             raise BackendMismatch("mixed exact/float scalar operands")
         return _weighted_sum(*(_over_lcm(z.coeffs()) if exact else (z.coeffs(), None)), (self,))
 
-    @staticmethod
-    def combine(zs, mats) -> "HMatrix":
-        """The sum of ``z_k * m_k`` over matrices of one size and backend, each
-        ``z_k`` an :class:`HScalar` of that backend or a number, all their parts
-        entering by one :func:`~.scalars._entering`; numbers alone take a float
-        backend as floats.  A zero ``z_k`` costs nothing.
-        ``ValueError`` for no matrices, mixed sizes or a count of scalars that
-        differs."""
-        zs, mats = tuple(zs), tuple(mats)
-        if not mats or len(zs) != len(mats):
-            raise ValueError("combine takes one scalar per matrix, and at least one matrix")
-        first = mats[0]
-        exact = first.is_exact
-        for m in mats[1:]:
-            first._peer(m)
-        a = []
-        for z in zs:  # a number z is the scalar (z, 0, 0, 0)
-            a += (z.x, z.y, z.v, z.w) if isinstance(z, HScalar) else (z, 0, 0, 0)
-        a, da = _entering(a, "HScalar")
-        if da is not None and not exact and not any(isinstance(z, HScalar) for z in zs):
-            a, da = [x / da for x in a], None  # numbers alone take the matrices' float backend
-        if (da is None) == exact:
-            raise BackendMismatch("mixed exact/float scalar operands")
-        return _weighted_sum(a, da, mats)
-
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
         n, c = self.n, self.nums
@@ -201,70 +176,37 @@ class HMatrix(RealCoords):
         return HScalar(*parts) if den is None else HScalar(*[Fraction(p, den) for p in parts])
 
     def inverse(self) -> "HMatrix":
-        """Gauss-Jordan elimination over the scalar ring.
+        """Gauss-Jordan elimination over rows of :class:`HScalar` entries.
 
         The ring has zero divisors, so pivots are selected by the
         quadratic-form modulus N(z) rather than naive magnitude: exact
         backend takes the first invertible entry, float backend the entry
-        of largest modulus.  The rows of the augmented matrix ``[self | 1]``
-        are lists of stored numbers, each exact row over a denominator of
-        its own, and each step is two ring products: the pivot row times
-        its entry's inverse, then the column of factors times that row,
-        subtracted from every other row whose factor is non-zero.  So the
-        result equals elimination over HScalar entries in which a zero
-        entry's product is ``+0``; HScalars are built only to take a pivot's
-        modulus and inverse.
+        of largest modulus.  Each row of ``[self | 1]`` is scaled and reduced
+        with HScalar multiply and subtract; a product with a zero entry is
+        ``+0``, and a row whose factor is zero is skipped.
         """
-        n, c, exact = self.n, self.nums, self.is_exact
-        w = 4 * n
-        one = HMatrix.identity(n, exact=exact).nums
-        if exact:  # [self | 1] over self's denominator, row by row
-            one, dens = tuple(x * self.den for x in one), [self.den] * n
-        aug = [list(c[k:k + w] + one[k:k + w]) for k in range(0, len(c), w)]
+        n, exact = self.n, self.is_exact
+        zero = HScalar(*[Fraction(0) if exact else 0.0] * 4)
+        aug = [list(r + e) for r, e in zip(self.rows, HMatrix.identity(n, exact).rows)]
         for col in range(n):
-            k = 4 * col
             pick, best = None, 0
             for r in range(col, n):
-                # a row's denominator does not change whether N(z) vanishes
-                m = HScalar(*aug[r][k:k + 4]).modulus()
-                if exact:
-                    if m != 0:
-                        pick = r
-                        break
-                elif m > best:
+                m = aug[r][col].modulus()  # N(z) >= 0, so an exact pivot is the first m > 0
+                if m > best:
                     pick, best = r, m
+                    if exact:
+                        break
             if pick is None:
                 raise SingularMatrix("no invertible pivot (zero-divisor column)")
             aug[col], aug[pick] = aug[pick], aug[col]
-            z = HScalar(*aug[col][k:k + 4])
-            if exact:  # (R/d)(z/d)^-1 = R z^-1, over z^-1's denominator
-                dens[col], dens[pick] = dens[pick], dens[col]
-                inv, e = _over_lcm(HScalar(*map(Fraction, z.coeffs())).invert().coeffs())
-                pivot, dens[col] = _reduced(_product(True, 1, 1, inv, aug[col]), e)
-            else:
-                pivot = _product(False, 1, 1, z.invert().coeffs(), aug[col])
-            aug[col] = pivot
-            live, factors = [], []
+            inv = aug[col][col].invert()
+            pivot = aug[col] = [zero if z.is_zero else inv * z for z in aug[col]]
             for r, row in enumerate(aug):
-                f = row[k:k + 4]
-                # an entry with a coordinate left, however small, is eliminated
-                if r != col and any(f):
-                    live.append(r)
-                    factors += f
-            if live:
-                update = iter(_product(exact, len(live), 1, factors, pivot))
-                # map and zip stop at the row's end: each row takes 2n entries
-                if exact:  # R/d - (F/d)(P/e) = (R e - F P)/(d e)
-                    e = dens[col]
-                    for r in live:
-                        aug[r], dens[r] = _reduced([x * e - y for x, y in zip(aug[r], update)], dens[r] * e)
-                else:
-                    for r in live:
-                        aug[r] = list(map(sub, aug[r], update))
-        if not exact:
-            return HMatrix._new(n, [x for row in aug for x in row[w:]], None)
-        den = lcm(*dens)
-        return HMatrix._new(n, [x * (den // d) for row, d in zip(aug, dens) for x in row[w:]], den)
+                f = row[col]
+                if r != col and not f.is_zero:  # z - (+0) is z, to the bit
+                    aug[r] = [z if p.is_zero else z - f * p for z, p in zip(row, pivot)]
+        coords = [c for row in aug for z in row[n:] for c in z.coeffs()]
+        return HMatrix._new(n, *(_over_lcm(coords) if exact else (coords, None)))
 
     @staticmethod
     def real_pairing(a: "HMatrix", b: "HMatrix"):

@@ -23,8 +23,8 @@ is the same for :class:`HScalar` and for every :class:`RealCoords` value
 backend-strict, so values of two backends are never equal.
 
 Numbers enter by one rule, :func:`_entering`, once, where they come from
-outside: ``HScalar.exact``, ``flt`` and ``make``, ``HMatrix`` (rows,
-``from_real_coords``, ``combine``), ``Multivector``, ``Paravector``,
+outside: ``HScalar.exact``, ``flt`` and ``make``, ``HMatrix`` (rows and
+``from_real_coords``), ``Multivector``, ``Paravector``,
 ``RotorParams``, ``MomentumHM4``, :func:`trig_tilde`,
 :func:`to_null_coords`, the sphere points and the physics functions.  Ints,
 Fractions and floats are numbers, and ints fit either backend; a Fraction

@@ -16,6 +16,7 @@ from hyperclifford.matrices import (
     HMatrix,
     SingularMatrix,
     _product,
+    _weighted_sum,
     kron,
     pauli2,
     pauli4,
@@ -482,17 +483,20 @@ def test_scale_of_a_zero_entry_is_positive_zero():
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-def test_combine_is_the_sum_of_scaled_matrices(exact):
-    """combine(zs, mats) is the row of scalars times the column of flattened
-    matrices, so the per-entry reference sums z_k m_k in the order given."""
+def test_weighted_sum_is_the_sum_of_scaled_matrices(exact):
+    """_weighted_sum(a, den, mats) is the row of scalars times the column of
+    flattened matrices, so the per-entry reference sums z_k m_k in the order
+    given; exact matrices meet at the lcm of their denominators."""
     rng = random.Random(f"combine-{exact}")
     for n in (1, 2, 4):
         for count in (1, 3, 5):
             mats = [random_hmatrix(n, rng.choice(UNIT_SUBSETS), exact, 0.6, rng) for _ in range(count)]
             zs = [random_scalar(rng.choice(UNIT_SUBSETS), exact, rng) for _ in range(count)]
             want = product_reference([zs], [[e for row in m.rows for e in row] for m in mats])
-            assert_same_coords(HMatrix.combine(zs, mats), HMatrix.from_real_coords(want), exact)
-    assert HMatrix.combine([2, 0], [pauli2(1), pauli2(2)]) == pauli2(1).scale(2)
+            a = [x for z in zs for x in z.coeffs()]
+            got = _weighted_sum(*(_over_lcm(a) if exact else (a, None)), mats)
+            assert_same_coords(got, HMatrix.from_real_coords(want), exact)
+    assert _weighted_sum([2, 0, 0, 0] + [0] * 4, 1, [pauli2(1), pauli2(2)]) == pauli2(1).scale(2)
 
 
 def test_real_pairing_is_exact_and_backend_strict():
@@ -501,24 +505,6 @@ def test_real_pairing_is_exact_and_backend_strict():
     assert HMatrix.real_pairing(a.to_float(), b.to_float()) == 1 / 3
     with pytest.raises(BackendMismatch):
         HMatrix.real_pairing(a, b.to_float())
-
-
-def test_combine_checks_counts_sizes_and_backends():
-    two, three = HMatrix.identity(2), HMatrix.identity(3)
-    with pytest.raises(ValueError):
-        HMatrix.combine([H(1), H(1)], [two, three])
-    with pytest.raises(ValueError):
-        HMatrix.combine([H(1)], [two, two])
-    with pytest.raises(ValueError):
-        HMatrix.combine([H(1), H(1)], [two])
-    with pytest.raises(ValueError):
-        HMatrix.combine([], [])
-    with pytest.raises(BackendMismatch):
-        HMatrix.combine([H(1), H(1)], [two, two.to_float()])
-    with pytest.raises(BackendMismatch):
-        HMatrix.combine([H(1), HScalar.flt(1.0)], [two, two])
-    with pytest.raises(BackendMismatch):
-        HMatrix.combine([1, 0.5], [two, two])
 
 
 def assert_same_inverse(m):
@@ -594,7 +580,7 @@ def fraction_scale(z, c):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), n=st.sampled_from([1, 2, 3]))
 def test_exact_products_match_per_coordinate_fractions(data, n):
-    """@, scale, combine and inverse of the integer form against the
+    """@, scale, a weighted sum and inverse of the integer form against the
     Fraction reference, each result stored canonically."""
     coords = data.draw(st.lists(st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
                                 min_size=3, max_size=3))
@@ -607,7 +593,7 @@ def test_exact_products_match_per_coordinate_fractions(data, n):
     got = a.scale(HScalar.exact(*zs[0]))
     assert_canonical(got)
     assert got.coords == tuple(fraction_scale(zs[0], ca))
-    got = HMatrix.combine([HScalar.exact(*z) for z in zs], mats)
+    got = _weighted_sum(*_over_lcm([x for z in zs for x in z]), mats)
     assert_canonical(got)
     assert got.coords == tuple(map(sum, zip(*(fraction_scale(z, c) for z, c in zip(zs, coords)))))
     try:

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
-from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
+from hyperclifford.matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import SPACE_NAMES, get_space, quasi_sphere_residual
 from hyperclifford.rotors import (
     _INDEX_PAIRS,
@@ -66,7 +66,10 @@ def random_params(space, rng=RNG):
 def _exponent_matrix(params: RotorParams) -> HMatrix:
     """The sum of the ``_exponent_terms``; no plane is the zero exponent."""
     terms, _ = _exponent_terms(params)
-    return HMatrix.combine(*zip(*terms)) if terms else HMatrix.zeros(4, exact=False)
+    if not terms:
+        return HMatrix.zeros(4, exact=False)
+    zs, sigmas = zip(*terms)
+    return _weighted_sum([q for z in zs for q in z.coeffs()], None, sigmas)
 
 
 def dagger_residual(r) -> float:

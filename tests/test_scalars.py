@@ -536,7 +536,6 @@ def test_a_reducing_sum_is_stored_reduced():
 ENTRY_POINTS = {
     "HMatrix rows": lambda parts: HMatrix([[HScalar(*parts)]]),
     "from_real_coords": HMatrix.from_real_coords,
-    "combine": lambda parts: HMatrix.combine([HScalar(*parts)], [HMatrix.identity(2, exact=False)]),
     "Multivector": lambda parts: Multivector(get_rep("c30bar"), {(): HScalar(*parts)}),
     "rep.scalar": lambda parts: get_rep("c30bar").scalar(HScalar(*parts)),
     "Paravector": lambda parts: Paravector(get_space("m4"), parts),
@@ -599,7 +598,10 @@ def test_every_number_constructor_rejects_bad_numbers_by_the_one_rule():
 @pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
 def test_one_number_constructors_reject_what_is_not_an_int_fraction_or_float(value):
     # each takes one number per scalar and names it as an HScalar's coordinate 0
-    for call in (lambda: get_rep("r30").scalar(value), lambda: HMatrix.combine([value], [HMatrix.identity(1)])):
+    e1 = get_rep("r30").generator(1)
+    calls = [lambda: get_rep("r30").scalar(value), lambda: HMatrix.identity(1).scale(value)]
+    calls += [lambda: e1.scale(value), lambda: e1.to_float().scale(value)]
+    for call in calls:
         with pytest.raises(TypeError, match=f"HScalar coordinate 0 is not an int, Fraction or float: {value!r}"):
             call()
 

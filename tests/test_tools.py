@@ -79,6 +79,22 @@ def test_summary_flags_a_metric_worse_than_its_bound(walls, rates):
     assert sum(line.endswith("WORSE THAN BOUND") for line in lines) == 1
 
 
+@pytest.mark.parametrize("walls, rates, check", [
+    ([2.4, 2.5, 2.6, 2.5], [120.0, 125.0, 130.0, 135.0], "unresolved"),
+    ([0.5, 0.6, 0.7, 0.9], [210.0, 220.0, 230.0, 240.0], "ok"),  # every run beats every parent run
+    ([3.5, 3.6, 3.7, 3.8], [60.0, 65.0, 70.0, 75.0], "WORSE THAN BOUND"),
+], ids=["within", "beats-every-run", "worse"])
+def test_summary_calls_a_metric_unresolved_when_the_parent_spreads_wider_than_the_bound(walls, rates, check):
+    """The parent's interquartile spreads, 2.5 s of a 2.5 s median and 125
+    of a 125 median, are wider than the 15% bounds; the exit status follows
+    the bound alone."""
+    parent = results([1.0, 2.0, 3.0, 4.0], [50.0, 100.0, 150.0, 200.0])
+    lines, ok = pairs.summarize(METRICS, parent, results(walls, rates))
+    for name in ("wall_s", "req_per_s"):
+        assert next(line for line in lines if line.startswith(name)).endswith(f"  {check}")
+    assert ok == (check != "WORSE THAN BOUND")
+
+
 def test_summary_says_whether_the_change_may_claim_a_gain():
     """A gain needs nine tenths of the pairs won and a median gap wider
     than the parent's interquartile spread."""
@@ -523,19 +539,19 @@ def test_census_counts_each_call_of_the_rule_at_its_origin():
 
 def test_census_counts_one_rule_call_per_plain_number_and_none_for_a_ring_scale():
     from hyperclifford.algebra import get_rep
-    from hyperclifford.matrices import HMatrix, pauli2
+    from hyperclifford.matrices import pauli2
     from hyperclifford.scalars import HScalar
 
     rep, j = get_rep("c30bar"), HScalar.unit("j")
     e1, sigma1 = rep.generator(1), pauli2(1)
     calls = {
-        "combine": lambda: HMatrix.combine([2], [sigma1]),
+        "matrix scale": lambda: sigma1.scale(2),
         "scalar": lambda: rep.scalar(2),
         "blade": lambda: rep.blade((1,), 2),
-        "scale": lambda: e1.scale(j),  # a ring operation: backend and subring only
+        "ring scale": lambda: e1.scale(j),  # a ring operation: backend and subring only
     }
     assert {name: sum(reach.census(call).values()) for name, call in calls.items()} == \
-        {"combine": 1, "scalar": 1, "blade": 1, "scale": 0}
+        {"matrix scale": 1, "scalar": 1, "blade": 1, "ring scale": 0}
 
 
 def test_reach_entering_prints_each_stage_by_origin(monkeypatch, capsys):

@@ -20,8 +20,12 @@ whether the change may claim a gain on it and whether it stays within
 the metric's bound.  A gain needs both: the change won at least nine
 tenths of the pairs (ties count for neither side), and its median is
 better than the parent's by more than the parent's interquartile
-spread.  It also prints each side's failed share of operations.  Exits
-0 when every metric is within its bound and 1 otherwise.
+spread.  A metric within its bound is ``unresolved`` rather than ``ok``
+when the parent's interquartile spread is wider than the bound (as a
+share of the parent's median), unless every run of the change beats
+every run of the parent.  It also prints each side's failed share of
+operations.  Exits 0 when every metric is within its bound and 1
+otherwise; an unresolved metric does not change the exit status.
 """
 
 import json
@@ -87,11 +91,17 @@ def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, boo
             worse = -worse
         within = worse <= m["bound"]
         ok = ok and within
+        beats_all = max(new) < min(old) if lower else min(new) > max(old)
+        if not within:
+            check = "WORSE THAN BOUND"
+        elif spread > m["bound"] * abs(old_med) and not beats_all:
+            check = "unresolved"  # the runs spread too widely to tell the medians apart
+        else:
+            check = "ok"
         lines.append(
             f"{name:<12} {m['unit']:<5} {old_med:>10.4g} {new_med:>10.4g} "
             f"{spread:>10.3g} {won:>3}/{len(old):<3} {worse:>+9.1%} {m['bound']:>6.0%} "
-            f"{'yes' if is_gain(won, len(old), old_med, new_med, spread, lower) else 'no':>4}  "
-            f"{'ok' if within else 'WORSE THAN BOUND'}"
+            f"{'yes' if is_gain(won, len(old), old_med, new_med, spread, lower) else 'no':>4}  {check}"
         )
     for side, results in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in results)

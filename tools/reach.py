@@ -51,7 +51,7 @@ CHECKED = frozenset(
     for module, names in {
         "scalars": ("_entering", "_floats", "HScalar.exact", "HScalar.flt", "HScalar.make", "trig_tilde",
                     "to_null_coords"),
-        "matrices": ("HMatrix.__init__", "HMatrix.from_real_coords", "HMatrix.combine", "HMatrix.scale"),
+        "matrices": ("HMatrix.__init__", "HMatrix.from_real_coords", "HMatrix.scale"),
         "algebra": ("Multivector.__init__", "Multivector.scale", "AlgebraRep.scalar", "AlgebraRep.blade",
                     "AlgebraRep._times"),
         "paravectors": ("Paravector.__init__", "ParavectorSpace.paravector", "_sphere_entering",
