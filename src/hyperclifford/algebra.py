@@ -35,7 +35,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 from math import gcd
-from operator import mul
 
 from .matrices import HMatrix, pauli2, sigma_ab
 from .scalars import _RING_UNITS, BackendMismatch, HScalar, RealCoords, _entering, _over_lcm
@@ -233,11 +232,12 @@ class AlgebraRep:
         # Multivector coordinates: blade -> index of its real coordinate,
         # the adjoined-unit coordinate following it
         self._offset = {b: k * len(self.units) for k, b in enumerate(self.blades)}
-        # per involution, the sign of each basis element: its grade sign,
-        # negated on the adjoined unit by bar and hat (they conjugate it)
-        self._involution_signs = {
-            kind: tuple(involution_sign(kind, len(b)) * (1 if u == "1" or kind == "dagger" else -1)
-                        for b, u in self.basis)
+        # per involution, the basis elements it negates: the grade sign of
+        # the blade, flipped on the adjoined unit by bar and hat (they
+        # conjugate it), is -1
+        self._involution_flips = {
+            kind: tuple(k for k, (b, u) in enumerate(self.basis)
+                        if involution_sign(kind, len(b)) * (1 if u == "1" or kind == "dagger" else -1) < 0)
             for kind in ("bar", "dagger", "hat")
         }
         # the HScalar component (x y v w) of each unit
@@ -552,20 +552,19 @@ class Multivector(RealCoords):
     # -- involutions -----------------------------------------------------------
 
     def involution(self, kind: str) -> "Multivector":
-        """Apply bar, dagger or hat.
+        """Apply bar, dagger or hat: a sign map (:meth:`RealCoords._signed`).
 
         Each coordinate takes its basis element's sign: the grade sign of
         its blade, negated on the adjoined-unit part by bar and hat (they
-        conjugate the coefficient), not by dagger.
+        conjugate the coefficient), not by dagger.  Only the coordinates
+        of sign -1 are negated, a zero left as it is, so a float +0.0 does
+        not become -0.0; exact numerators keep their denominator, unreduced.
         """
         try:
-            signs = self.rep._involution_signs[kind]
+            flips = self.rep._involution_flips[kind]
         except KeyError:
             raise ValueError(f"unknown involution {kind!r}") from None
-        if self.den is not None:
-            return Multivector._new(self.rep, list(map(mul, self.nums, signs)), self.den)
-        # zeros stay as they are, so a float +0.0 does not become -0.0
-        return Multivector._new(self.rep, [-c if s < 0 and c else c for c, s in zip(self.nums, signs)], None)
+        return self._signed(flips)
 
     def bar(self) -> "Multivector":
         return self.involution("bar")
@@ -717,8 +716,8 @@ def even_subalgebra(rep: AlgebraRep) -> tuple[tuple[Multivector, ...], int]:
     them; with an adjoined unit the odd blades paired with the unit are
     fixed as well.
     """
-    hat = rep._involution_signs["hat"]
-    fixed = [rep._element(k, [1], 1) for k, sign in enumerate(hat) if sign > 0]
+    flips = rep._involution_flips["hat"]
+    fixed = [rep._element(k, [1], 1) for k in range(len(rep.basis)) if k not in flips]
     return tuple(fixed), len(fixed)
 
 

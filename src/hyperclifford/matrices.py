@@ -159,13 +159,10 @@ class HMatrix(RealCoords):
         return _weighted_sum(*(_over_lcm(z.coeffs()) if exact else (z.coeffs(), None)), (self,))
 
     def adjoint(self) -> "HMatrix":
-        """Conjugate transpose with scalar conjugation i -> -i, j -> -j."""
-        n, c = self.n, self.nums
-        out = []
-        for col in range(0, 4 * n, 4):
-            for k in range(col, len(c), 4 * n):
-                out += (c[k], -c[k + 1], -c[k + 2], c[k + 3])
-        return HMatrix._new(n, out, self.den)
+        """Conjugate transpose with scalar conjugation i -> -i, j -> -j: a
+        sign map (:meth:`RealCoords._signed`) of the transposed numbers, so
+        a zero part keeps its sign and exact numerators are not reduced again."""
+        return self._signed(*_adjoint_map(self.n))
 
     def trace(self) -> HScalar:
         c, step, den = self.nums, 4 * self.n + 4, self.den
@@ -307,6 +304,15 @@ def _product(exact, r, k, a, b):
     for s in acc:
         out += _FLOAT_ZERO if s is None else s
     return out
+
+
+@lru_cache(maxsize=None)
+def _adjoint_map(n: int) -> tuple[tuple, tuple]:
+    """The conjugate transpose of an ``n x n`` matrix as a sign map: the
+    positions of each entry's i and j parts, and the order that reads entry
+    (r, c) from entry (c, r)."""
+    order = tuple(4 * (c * n + r) + u for r in range(n) for c in range(n) for u in range(4))
+    return tuple(k for k in range(4 * n * n) if k % 4 in (1, 2)), order
 
 
 def kron(a: HMatrix, b: HMatrix) -> HMatrix:

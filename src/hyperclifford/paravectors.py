@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
 from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
@@ -217,36 +217,44 @@ def wedge2(x: Paravector, y: Paravector) -> Multivector:
 
 
 def _alternating_sum(xs) -> Multivector:
-    """Sum over all permutations of paravectors of one space, with sign,
-    bars on even slots."""
+    """The sum over all k! orders of k paravectors of one space, with the
+    order's sign and bars on the odd slots, over k!.  The terms are grouped
+    by the two arguments that fill slots (0, 1), and for k = 4 also slots
+    (2, 3), each group one antisymmetrized product
+    ``A_ab = x_a bar(x_b) - x_b bar(x_a)``:
+
+        k = 2:  A_01
+        k = 3:  A_01 x_2 - A_02 x_1 + A_12 x_0
+        k = 4:  A_01 A_23 - A_02 A_13 + A_03 A_12 + A_12 A_03 - A_13 A_02 + A_23 A_01
+
+    That is 2, 9 and 18 blade products and k bars.  Exact results equal the
+    permutation sum's; floats of k > 2 round differently."""
     for y in xs[1:]:
         xs[0]._peer(y)
     mvs = [x.to_multivector() for x in xs]
+    bars = [mv.bar() for mv in mvs]
     k = len(mvs)
-    total = None
-    for perm in permutations(range(k)):
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        term = None
-        for slot in range(k):
-            f = mvs[perm[slot]]
-            if slot % 2 == 1:
-                f = f.bar()
-            term = f if term is None else term.gp_blades(f)
-        odd = inversions % 2 == 1
-        total = term if total is None else (total - term if odd else total + term)
+    A = {(a, b): mvs[a].gp_blades(bars[b]) - mvs[b].gp_blades(bars[a]) for a, b in combinations(range(k), 2)}
+    if k == 2:
+        total = A[0, 1]
+    elif k == 3:
+        total = A[0, 1].gp_blades(mvs[2]) - A[0, 2].gp_blades(mvs[1]) + A[1, 2].gp_blades(mvs[0])
+    else:
+        total = (A[0, 1].gp_blades(A[2, 3]) - A[0, 2].gp_blades(A[1, 3]) + A[0, 3].gp_blades(A[1, 2])
+                 + A[1, 2].gp_blades(A[0, 3]) - A[1, 3].gp_blades(A[0, 2]) + A[2, 3].gp_blades(A[0, 1]))
     return total.scale(Fraction(1, math.factorial(k)))
 
 
 def wedge3(x: Paravector, y: Paravector, v: Paravector) -> Multivector:
-    """Triparavector: alternating sum of the six products a*bar(b)*c."""
+    """Triparavector: the alternating sum of the six products a*bar(b)*c,
+    taken as three antisymmetrized pairs times the third argument."""
     return _alternating_sum((x, y, v))
 
 
 def wedge4(x: Paravector, y: Paravector, v: Paravector, w: Paravector) -> Multivector:
-    """Pseudoscalar part: alternating sum of the 24 products
-    a*bar(b)*c*bar(d)."""
+    """Pseudoscalar part: the alternating sum of the 24 products
+    a*bar(b)*c*bar(d), taken as the six products of two antisymmetrized
+    pairs."""
     return _alternating_sum((x, y, v, w))
 
 

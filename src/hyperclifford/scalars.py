@@ -148,6 +148,21 @@ class RealCoords:
     def __sub__(self, other):
         return self._combine(other, operator.sub)
 
+    def _signed(self, flips, order=None):
+        """A sign map: the stored numbers in ``order`` (as stored by default),
+        negated at the positions ``flips``.  Zeros stay as they are, so a
+        float +0.0 does not become -0.0.  Signs leave no common factor, so
+        exact numerators keep their denominator and are not reduced again."""
+        out = list(self.nums) if order is None else [self.nums[k] for k in order]
+        for k in flips:
+            c = out[k]
+            if c:
+                out[k] = -c
+        value = object.__new__(self.__class__)
+        setattr(value, self._shape, getattr(self, self._shape))
+        value.nums, value.den = tuple(out), self.den
+        return value
+
     def __neg__(self):
         # zeros stay as they are, so a float +0.0 does not become -0.0
         return self._new(getattr(self, self._shape), [-c if c else c for c in self.nums], self.den)

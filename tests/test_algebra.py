@@ -508,21 +508,47 @@ def test_max_abs_keeps_a_nan():
 
 
 def involution_reference(mv, kind):
-    """The per-blade involution: each coefficient conjugated for bar and
-    hat, then negated when its blade's grade sign is negative."""
-    out = {(): HScalar.make(exact=mv.is_exact)}
-    for blade, z in mv.coeffs.items():
-        c = z.conjugate() if kind in ("bar", "hat") else z
-        if involution_sign(kind, len(blade)) < 0:
-            c = -c
-        out[blade] = c
-    return Multivector(mv.rep, out)
+    """The per-blade involution on the stored coordinates: each blade's
+    coefficient conjugated for bar and hat, then negated when its blade's
+    grade sign is negative.  A zero part is kept as it is, so a float +0.0
+    stays +0.0 and a -0.0 stays -0.0."""
+    rep, nums = mv.rep, list(mv.nums)
+    for blade in rep.blades:
+        for d, unit in enumerate(rep.units):
+            z = HScalar.unit(unit)
+            z = z.conjugate() if kind in ("bar", "hat") else z
+            k = rep._offset[blade] + d  # z is +-unit, so its parts sum to its sign
+            if involution_sign(kind, len(blade)) * sum(z.coeffs()) < 0 and nums[k]:
+                nums[k] = -nums[k]
+    return Multivector._new(rep, nums, mv.den)
+
+
+def involution_comprehension(mv, kind):
+    """The involution as one sign per coordinate, the comprehension that ran
+    before the sign map, kept as its oracle: floats negated where the sign
+    is -1 and the number is not zero, exact numerators multiplied by their
+    signs and reduced by ``_new``."""
+    rep = mv.rep
+    signs = [involution_sign(kind, len(b)) * (1 if u == "1" or kind == "dagger" else -1) for b, u in rep.basis]
+    if mv.is_exact:
+        return Multivector._new(rep, list(map(mul, mv.nums, signs)), mv.den)
+    return Multivector._new(rep, [-c if s < 0 and c else c for c, s in zip(mv.nums, signs)], None)
+
+
+def signed_zeros(mv, rng):
+    """The float element with each zero coordinate of ``mv`` stored as +0.0
+    or -0.0 at random."""
+    return Multivector._new(mv.rep, [c if c else rng.choice((0.0, -0.0)) for c in mv.nums], None)
 
 
 def layout_operands(rep, exact, rng):
-    """Dense, sparse and zero elements of one backend."""
+    """Dense, sparse and zero elements of one backend; on floats also the
+    sparse and zero ones with zeros stored as -0.0 and as a mix of both."""
     zero = Multivector(rep, {(): HScalar.make(exact=exact)})
-    return [random_mv(rep, exact, rng), sparse_mv(rep, exact, rng), zero]
+    operands = [random_mv(rep, exact, rng), sparse_mv(rep, exact, rng), zero]
+    if not exact:
+        operands += [f(mv) for mv in operands[1:] for f in (negative_zeros, partial(signed_zeros, rng=rng))]
+    return operands
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -537,10 +563,27 @@ def test_coordinate_layout_matches_per_blade_references(name, exact):
             for kind in ("bar", "dagger", "hat"):
                 got, want = mv.involution(kind), involution_reference(mv, kind)
                 assert got == want
-                assert [float(c) for c in got.coords] == [float(c) for c in want.coords]
+                assert list(map(float.hex, map(float, got.coords))) == list(map(float.hex, map(float, want.coords)))
                 assert all(type(c) is backend for c in got.coords)
             if mv.is_exact:
                 assert rep.decompose(mv.to_matrix()) == mv
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ALL_REPS)
+def test_involution_is_the_per_coordinate_comprehension(name, exact):
+    rep = get_rep(name)
+    rng = random.Random(f"sign-map-{name}-{exact}")
+    for _ in range(4):
+        for mv in layout_operands(rep, exact, rng):
+            for kind in ("bar", "dagger", "hat"):
+                got, want = mv.involution(kind), involution_comprehension(mv, kind)
+                assert_canonical(got)
+                assert got.rep is rep and got.den == want.den
+                if exact:
+                    assert got.nums == want.nums
+                else:
+                    assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
 
 
 def test_involution_rejects_unknown_kind():

@@ -176,6 +176,44 @@ def test_adjoint_conjugates_scalars():
     assert jm.adjoint() == -jm
 
 
+def adjoint_reference(m):
+    """The conjugate transpose entry by entry: entry (r, c) of the result is
+    entry (c, r) with its i and j parts negated, a zero part kept as it is."""
+    n, c = m.n, m.nums
+    out = []
+    for r in range(n):
+        for col in range(n):
+            k = 4 * (col * n + r)
+            out += (c[k], *(-p if p else p for p in c[k + 1:k + 3]), c[k + 3])
+    return out
+
+
+def test_float_adjoint_keeps_the_sign_of_every_zero():
+    # a +0.0 part stays +0.0 and a -0.0 part -0.0, as __neg__ and the involutions keep them
+    assert list(map(float.hex, HMatrix.identity(1, exact=False).adjoint().nums)) == [
+        float.hex(x) for x in (1.0, 0.0, 0.0, 0.0)]
+    rng = random.Random(39)
+    for n in (1, 2, 4):
+        for _ in range(20):
+            nums = [rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(4 * n * n)]
+            m = HMatrix._new(n, nums, None)
+            got = m.adjoint()
+            assert list(map(float.hex, got.nums)) == list(map(float.hex, adjoint_reference(m)))
+            assert list(map(float.hex, got.adjoint().nums)) == list(map(float.hex, nums))
+
+
+def test_exact_adjoint_is_canonical_and_the_stored_numerators_transposed():
+    rng = random.Random(40)
+    for n in (1, 2, 4):
+        for _ in range(20):
+            den = rng.choice((1, 2, 6, 35))
+            m = HMatrix._new(n, [rng.choice((0, rng.randint(-9, 9))) for _ in range(4 * n * n)], den)
+            got = m.adjoint()
+            assert_canonical(got)
+            want = HMatrix._new(n, adjoint_reference(m), m.den)
+            assert (got.nums, got.den) == (want.nums, want.den)
+
+
 def test_inverse_roundtrip_exact():
     rng = random.Random(12)
     for _ in range(50):

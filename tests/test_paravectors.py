@@ -4,6 +4,7 @@ quasi-spheres, momentum embedding."""
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,7 +166,7 @@ def test_wedge4_antisymmetry_and_dependence():
 
 
 def test_wedge4_of_basis_is_pseudoscalar():
-    # brute-force 24-term alternating sum fixes the constant: exactly ij
+    # the 24-term alternating sum fixes the constant: exactly ij
     m4 = get_space("m4")
     e = [basis(m4, k) for k in range(4)]
     out = wedge4(*e)
@@ -180,6 +181,68 @@ def test_wedge3_of_dependent_arguments():
     m4 = get_space("m4")
     x, y = rand_exact(m4), rand_exact(m4)
     assert not wedge3(x, y, x).coeffs
+
+
+def alternating_sum_loop(xs):
+    """The sum over all k! permutations of the arguments, with sign, bars on
+    the odd slots, over k!: the loop that ``_alternating_sum`` ran before it
+    grouped its terms by slot pairs, kept as its oracle."""
+    mvs = [x.to_multivector() for x in xs]
+    k, total = len(mvs), None
+    for perm in permutations(range(k)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        term = None
+        for slot in range(k):
+            f = mvs[perm[slot]].bar() if slot % 2 else mvs[perm[slot]]
+            term = f if term is None else term.gp_blades(f)
+        total = term if total is None else (total - term if inversions % 2 else total + term)
+    return total.scale(Fraction(1, math.factorial(k)))
+
+
+WEDGES = ((2, wedge2), (3, wedge3), (4, wedge4))
+
+
+def wedge_arguments(space, k, exact, rng):
+    """k random paravectors of one backend, some coordinates zero; then the
+    same with the last argument repeating the first, and with the second
+    argument zero."""
+    def draw():
+        if exact:
+            return [rng.choice((0, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))) for _ in range(space.dim)]
+        return [rng.choice((0.0, rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(space.dim)]
+
+    xs = [space.paravector(draw()) for _ in range(k)]
+    zero = space.paravector([0 if exact else 0.0] * space.dim)
+    return [xs, xs[:-1] + xs[:1], xs[:1] + [zero] + xs[2:]]
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_exact_wedges_are_the_permutation_sum(name):
+    space, rng = get_space(name), random.Random(f"wedge-{name}")
+    for k, wedge in WEDGES:
+        for _ in range(2):
+            for xs in wedge_arguments(space, k, True, rng):
+                got, want = wedge(*xs), alternating_sum_loop(xs)
+                assert_canonical(got)
+                assert (got.nums, got.den) == (want.nums, want.den)
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_float_wedges_are_the_permutation_sum_within_rounding(name):
+    # wedge2 is the same two products bit for bit; wedge3 and wedge4 sum
+    # grouped terms in another order, so each coordinate may move by up to
+    # k * eps * (product over the arguments of the sum of |coordinates|),
+    # about ten times the largest move seen on these seeds
+    space, rng = get_space(name), random.Random(f"float-wedge-{name}")
+    for k, wedge in WEDGES:
+        for _ in range(4):
+            for xs in wedge_arguments(space, k, False, rng):
+                got, want = wedge(*xs), alternating_sum_loop(xs)
+                assert_canonical(got)
+                if k == 2:
+                    assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
+                bound = k * 2.0**-53 * math.prod(sum(map(abs, x.nums)) for x in xs)
+                assert all(abs(a - b) <= bound for a, b in zip(got.nums, want.nums))
 
 
 def test_quasi_sphere_membership():

@@ -242,37 +242,61 @@ def crashed(err="Traceback ...\nRuntimeError: self times 0.8 s do not add up to 
 
 
 def test_a_traced_run_reads_as_its_coverage_and_result():
-    line, result = compare_outputs.traced_summary(finished({"cli.main.calls": 3000}, 0.9137, 1.25))
-    assert line == "self times cover 0.7310 of the traced window (0.9137 of 1.2500 s), margin -0.1690 over 0.9 LOW"
+    line, result, margin = compare_outputs.traced_summary(finished({"cli.main.calls": 3000}, 0.9137, 1.25))
+    assert line == "self times cover 0.7310 of the traced window (0.9137 of 1.2500 s), margin -0.1690 over 0.9"
     assert result == traced({"cli.main.calls": 3000})
-    # a margin under 0.005 over run.py's floor is flagged, a wider one is not
-    line, _ = compare_outputs.traced_summary(finished({}, 0.9016, 1.0))
-    assert line.endswith("(0.9016 of 1.0000 s), margin +0.0016 over 0.9 LOW")
-    line, _ = compare_outputs.traced_summary(finished({}, 0.906, 1.0))
+    assert margin == pytest.approx(0.9137 / 1.25 - 0.9)
+    line, _, margin = compare_outputs.traced_summary(finished({}, 0.906, 1.0))
     assert line.endswith("(0.9060 of 1.0000 s), margin +0.0060 over 0.9")
+    assert margin == pytest.approx(0.006)
+
+
+def test_the_minimum_margin_is_flagged_low_under_the_flag():
+    # a margin under 0.005 over run.py's floor is flagged, a wider one is not
+    assert compare_outputs.minimum_margin({7: 0.0119, 3: 0.0016, 11: 0.0103}) == \
+        "minimum margin +0.0016 over 0.9 (seed 3 of 3) LOW"
+    assert compare_outputs.minimum_margin({7: 0.0119, 11: 0.006}) == "minimum margin +0.0060 over 0.9 (seed 11 of 2)"
+    assert compare_outputs.minimum_margin({7: 0.0049}) == "minimum margin +0.0049 over 0.9 (seed 7 of 1) LOW"
 
 
 def test_a_failed_traced_run_reads_as_its_exit_code_and_last_stderr_line():
-    line, result = compare_outputs.traced_summary(crashed())
+    line, result, margin = compare_outputs.traced_summary(crashed())
     assert line == "exited 1: RuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s"
-    assert result is None
-    assert compare_outputs.traced_summary(crashed(err="")) == ("exited 1: (no stderr)", None)
+    assert result is None and margin is None
+    assert compare_outputs.traced_summary(crashed(err="")) == ("exited 1: (no stderr)", None, None)
 
 
-def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, monkeypatch, capsys):
+def stub_comparison(tmp_path, monkeypatch, runs):
+    """Two checkouts whose records agree, with the traced runs ``runs``
+    keyed by (root, workload, seed); returns the roots and the order in
+    which the runs were asked for."""
     (tmp_path / "src").mkdir()
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 3, "workloads": [{"name": "verify-matrix"}, {"name": "calc-stream"}]}')
     parent_dir, change_dir = str(tmp_path), str(tmp_path / "change")
     recs = ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]])
-    runs = {(parent_dir, "verify-matrix"): finished({"rotors.act.calls": 5}),
-            (change_dir, "verify-matrix"): finished({"rotors.act.calls": 6}),
-            (parent_dir, "calc-stream"): finished({"rotors.act.calls": 5}, 0.95),
-            (change_dir, "calc-stream"): crashed()}
+    asked = []
+
+    def traced_run(root, workload, seconds, seed):
+        asked.append((str(root), workload, seed))
+        return runs[str(root), workload, seed]
+
     monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
-    monkeypatch.setattr(compare_outputs, "traced_run", lambda root, workload, seconds: runs[str(root), workload])
+    monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
     monkeypatch.setattr(compare_outputs, "setup_split", lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0]))
+    return parent_dir, change_dir, asked
+
+
+def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, monkeypatch, capsys):
+    runs = {}
+    parent_dir, change_dir, _ = stub_comparison(tmp_path, monkeypatch, runs)
+    runs.update({(parent_dir, "verify-matrix", 7): finished({"rotors.act.calls": 5}),
+                 (change_dir, "verify-matrix", 7): finished({"rotors.act.calls": 6})})
+    for seed in (7, 3, 11):
+        runs[parent_dir, "calc-stream", seed] = finished({"rotors.act.calls": 5}, 0.95)
+        runs[change_dir, "calc-stream", seed] = finished({"rotors.act.calls": 5}, 0.95)
+    runs[change_dir, "calc-stream", 3] = crashed()
     assert compare_outputs.main([parent_dir, change_dir]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "no differences"
@@ -282,23 +306,54 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
                         for side in ("parent", "change")]
     assert out[9:11] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38  get_space 0.00"
                          for side in ("parent", "change")]
-    assert out[-7:] == [
-        "parent traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s),"
-        " margin +0.0200 over 0.9",
-        "change traced verify-matrix: self times cover 0.9200 of the traced window (0.9200 of 1.0000 s),"
-        " margin +0.0200 over 0.9",
-        "parent traced calc-stream: self times cover 0.9500 of the traced window (0.9500 of 1.0000 s),"
-        " margin +0.0500 over 0.9",
-        "change traced calc-stream: exited 1: RuntimeError: self times 0.8 s do not add up to the traced wall time 1.0 s",
+    cover = "self times cover {0:.4f} of the traced window ({0:.4f} of 1.0000 s), margin {1:+.4f} over 0.9"
+    assert out[11:] == [
+        f"parent traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
+        f"change traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
+        "parent traced verify-matrix: minimum margin +0.0200 over 0.9 (seed 7 of 1)",
+        "change traced verify-matrix: minimum margin +0.0200 over 0.9 (seed 7 of 1)",
+        f"parent traced calc-stream seed 7: {cover.format(0.95, 0.05)}",
+        f"change traced calc-stream seed 7: {cover.format(0.95, 0.05)}",
+        f"parent traced calc-stream seed 3: {cover.format(0.95, 0.05)}",
+        "change traced calc-stream seed 3: exited 1: RuntimeError: self times 0.8 s do not add up to the traced"
+        " wall time 1.0 s",
+        f"parent traced calc-stream seed 11: {cover.format(0.95, 0.05)}",
+        f"change traced calc-stream seed 11: {cover.format(0.95, 0.05)}",
+        "parent traced calc-stream: minimum margin +0.0500 over 0.9 (seed 7 of 3)",
+        "change traced calc-stream: minimum margin +0.0500 over 0.9 (seed 7 of 2)",
         "traced runs failed, counts not compared: calc-stream",
         "traced seed-7 counts differ:",
         "verify-matrix rotors.act.calls: parent 5 change 6",
     ]
     # with every traced run finished and equal counts the records decide
-    runs[change_dir, "verify-matrix"] = finished({"rotors.act.calls": 5})
-    runs[change_dir, "calc-stream"] = finished({"rotors.act.calls": 5}, 0.91)
+    runs[change_dir, "verify-matrix", 7] = finished({"rotors.act.calls": 5})
+    runs[change_dir, "calc-stream", 3] = finished({"rotors.act.calls": 5}, 0.91)
     assert compare_outputs.main([parent_dir, change_dir]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "traced seed-7 counts equal"
+
+
+def test_traced_calc_stream_runs_three_seeds_alternating_and_compares_the_seed_7_counts(
+        tmp_path, monkeypatch, capsys):
+    runs = {}
+    parent_dir, change_dir, asked = stub_comparison(tmp_path, monkeypatch, runs)
+    runs[parent_dir, "verify-matrix", 7] = runs[change_dir, "verify-matrix", 7] = finished({})
+    coverage = {(parent_dir, 7): 0.9119, (change_dir, 7): 0.9103, (parent_dir, 3): 0.9111,
+                (change_dir, 3): 0.9044, (parent_dir, 11): 0.9074, (change_dir, 11): 0.9098}
+    for (root, seed), covered in coverage.items():
+        # only seed 7's counts are compared, so the other seeds' may differ freely
+        runs[root, "calc-stream", seed] = finished({"cli.main.calls": 3000 if seed == 7 else seed}, covered)
+    assert compare_outputs.main([parent_dir, change_dir]) == 0
+    assert asked == [(parent_dir, "verify-matrix", 7), (change_dir, "verify-matrix", 7)] + [
+        (root, "calc-stream", seed) for seed in (7, 3, 11) for root in (parent_dir, change_dir)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[-9:-3]] == [
+        f"{side} traced calc-stream seed {seed}" for seed in (7, 3, 11) for side in ("parent", "change")]
+    assert "margin +0.0044 over 0.9" in out[-6] and "LOW" not in out[-6]
+    assert out[-3:] == [
+        "parent traced calc-stream: minimum margin +0.0074 over 0.9 (seed 11 of 3)",
+        "change traced calc-stream: minimum margin +0.0044 over 0.9 (seed 3 of 3) LOW",
+        "traced seed-7 counts equal",
+    ]
 
 
 def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
