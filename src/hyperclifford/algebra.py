@@ -350,29 +350,30 @@ class AlgebraRep:
 
     def decompose(self, m: HMatrix) -> "Multivector":
         """Coordinates of a matrix over the basis via the real pairing, in
-        the matrix's backend; see :meth:`_gather`.  Matrices outside the
-        algebra's span lose their orthogonal complement; use
-        :meth:`decompose_residual` when that matters.
+        the matrix's backend: :meth:`_gather` of the whole coordinate table.
+        Matrices outside the algebra's span lose their orthogonal complement;
+        use :meth:`decompose_residual` when that matters.
         """
-        return Multivector._new(self, *self._gather(m, range(len(self.basis))))
+        return Multivector._new(self, *self._gather(m, self._coord_map.values()))
 
-    def _gather(self, m: HMatrix, indices) -> tuple[list, int | None]:
-        """A matrix's coordinates at the given basis indices, as stored
-        numbers and their denominator (``None`` for floats; exact numerators
-        are not reduced).  The basis is pairing-orthogonal (checked at
-        construction), so each is the signed sum of the real matrix
-        coordinates its coordinate-table entry lists over the norm n; the
-        table comes from the basis matrices, not from blade_mul.  Floats are
+    def _gather(self, m: HMatrix, tables) -> tuple[list, int | None]:
+        """A matrix's coordinate along each of ``tables``, each a tuple of
+        ``(real_index, sign)`` pairs as :meth:`_scatter` takes them (a
+        coordinate-table entry, a sign folded in or not), as stored numbers
+        and their denominator (``None`` for floats; exact numerators are not
+        reduced).  The basis is pairing-orthogonal (checked at construction),
+        so each is the signed sum of the real coordinates its table lists
+        over the norm n, from +0 (a float zero sum is +0.0).  Floats are
         scaled by 1/n before the sum (without rounding, as n is 1, 2 or 4),
         so the sum overflows only when the coordinate does."""
         nums, exact = m.nums, m.is_exact
-        table, basis, n, zero = self._coord_map, self.basis, self.n, 0 if exact else 0.0
+        n, zero = self.n, 0 if exact else 0.0
         if not exact:
             nums = tuple(map((1.0 / n).__mul__, nums))
         out = []
-        for k in indices:
+        for pairs in tables:
             total = zero
-            for idx, sign in table[basis[k]]:
+            for idx, sign in pairs:
                 if sign > 0:
                     total += nums[idx]
                 else:
@@ -399,9 +400,10 @@ class AlgebraRep:
         return HMatrix._new(self.n, flat, den)
 
     @cached_property
-    def _dagger_perm(self) -> tuple:
-        """``(source coordinate, sign)`` per real matrix coordinate of reversion,
-        read off to_matrix . dagger . decompose of each unit coordinate matrix."""
+    def _dagger_perm(self) -> tuple[tuple, tuple]:
+        """Reversion as the ``(flips, order)`` of a sign map of the real matrix
+        coordinates (:meth:`RealCoords._signed`), read off to_matrix . dagger
+        . decompose of each unit coordinate matrix."""
         q, perm = 4 * self.n * self.n, {}
         for src in range(q):
             image = self.decompose(HMatrix._new(self.n, [int(k == src) for k in range(q)], 1)).dagger().to_matrix()
@@ -409,14 +411,17 @@ class AlgebraRep:
             if image.den != 1 or len(moved) != 1:
                 raise ValueError(f"reversion on {self.name} is not a signed permutation of matrix coordinates")
             perm.update(moved)
-        return tuple(perm[dst] for dst in range(q))
+        return tuple(dst for dst in range(q) if perm[dst][1] < 0), tuple(perm[dst][0] for dst in range(q))
 
     def dagger_matrix(self, m: HMatrix) -> HMatrix:
         """``decompose(m).dagger().to_matrix()`` on a full-ring representation, in
-        m's backend, by :attr:`_dagger_perm` (``0 - x`` keeps a zero +0.0);
-        ``ValueError`` on a rep where an image is not +-1 in one coordinate."""
-        c = m.nums
-        return HMatrix._new(self.n, [c[k] if s > 0 else 0 - c[k] for k, s in self._dagger_perm], m.den)
+        m's backend: the sign map :attr:`_dagger_perm`, so a zero keeps its sign
+        and exact numerators keep their denominator; ``ValueError`` for a
+        matrix of another size and on a rep where an image is not +-1 in one
+        coordinate."""
+        if m.n != self.n:
+            raise ValueError(f"{self.name} takes {self.n}x{self.n} matrices, not {m.n}x{m.n}")
+        return m._signed(*self._dagger_perm)
 
     # -- convenience -----------------------------------------------------------
 
@@ -742,20 +747,22 @@ _HAT_SRC = (
 )
 
 
-def _permute(a: HMatrix, table, conjugate_entries: bool = False) -> HMatrix:
-    """The signed entry permutation ``table`` of a matrix of its size."""
-    n = len(table)
-    if a.n != n:
-        raise ValueError(f"expects a {n}x{n} matrix")
-    coords, out = a.nums, []
-    for line in table:
-        for sr, sc, sign in line:
-            k = 4 * (n * (sr - 1) + sc - 1)
-            x, y, v, w = coords[k:k + 4]
-            if conjugate_entries:
-                y, v = -y, -v
-            out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
-    return HMatrix._new(n, out, a.den)
+@lru_cache(maxsize=None)
+def _permute(n: int, table, conjugate_entries: bool = False) -> tuple[tuple, tuple]:
+    """The signed entry permutation ``table`` of an ``n x n`` matrix (its
+    entries conjugated too when ``conjugate_entries``) as the ``(flips,
+    order)`` of a sign map (:meth:`RealCoords._signed`): each part is read
+    from its source entry, negated when the entry's sign and the
+    conjugation of an i or j part disagree."""
+    if len(table) != n:
+        raise ValueError(f"expects a {len(table)}x{len(table)} matrix")
+    flips, order = [], []
+    for sr, sc, sign in (entry for line in table for entry in line):
+        for u in range(4):
+            if (sign < 0) != (conjugate_entries and u in (1, 2)):
+                flips.append(len(order))
+            order.append(4 * (n * (sr - 1) + sc - 1) + u)
+    return tuple(flips), tuple(order)
 
 
 def porteous_conjugate_2x2(a: HMatrix) -> HMatrix:
@@ -764,19 +771,19 @@ def porteous_conjugate_2x2(a: HMatrix) -> HMatrix:
     Fixes the identity and negates each Pauli matrix without touching the
     hypercomplex units inside the entries.
     """
-    return _permute(a, _CONJUGATE_SRC)
+    return a._signed(*_permute(a.n, _CONJUGATE_SRC))
 
 
 def porteous_dagger_4x4(a: HMatrix) -> HMatrix:
     """Reversion of a 4x4 matrix as a signed entry permutation."""
-    return _permute(a, _DAGGER_SRC)
+    return a._signed(*_permute(a.n, _DAGGER_SRC))
 
 
 def porteous_hat_4x4(a: HMatrix) -> HMatrix:
     """Graduation of a 4x4 matrix: signed permutation of the entrywise
     scalar conjugates, chosen so that bar = hat-then-dagger is plain
     conjugate-transposition."""
-    return _permute(a, _HAT_SRC, conjugate_entries=True)
+    return a._signed(*_permute(a.n, _HAT_SRC, conjugate_entries=True))
 
 
 # -- published sign tables ------------------------------------------------------------

@@ -629,12 +629,11 @@ def _random_rotor(space: str, rng):
                 xi=[rng.uniform(-2, 2) for _ in range(3)],
             )
         )
-    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    chosen = rng.sample(pairs, rng.randint(1, 4))
+    chosen = rng.sample(_INDEX_PAIRS, rng.randint(1, 4))
     phi = {p: rng.uniform(-math.pi, math.pi) for p in chosen}
     if space == "e6":
         return rotor_from_params(RotorParams.e6(phi))
-    xi = {p: rng.uniform(-1.5, 1.5) for p in rng.sample(pairs, rng.randint(1, 4))}
+    xi = {p: rng.uniform(-1.5, 1.5) for p in rng.sample(_INDEX_PAIRS, rng.randint(1, 4))}
     return rotor_from_params(RotorParams.r66(phi, xi))
 
 

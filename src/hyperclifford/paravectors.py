@@ -112,10 +112,12 @@ class ParavectorSpace:
 
         The units i and ij may sit on blades (pseudoscalar realizations),
         so the value is collected slot by slot rather than read off the
-        scalar coefficient alone.
+        scalar coefficient alone.  A slot of sign -1 negates a non-zero
+        number only, as :meth:`RealCoords._signed` does, so a zero part
+        keeps its sign.
         """
         c, den = mv.nums, mv.den
-        parts = [c[k] if sign > 0 else -c[k] for k, sign in self._unit_slots]
+        parts = [-c[k] if sign < 0 and c[k] else c[k] for k, sign in self._unit_slots]
         return HScalar(*parts) if den is None else HScalar(*[Fraction(x, den) for x in parts])
 
     def ring_residual(self, mv: Multivector) -> float:
@@ -144,13 +146,13 @@ class ParavectorSpace:
         """The paravector of a matrix's coordinates over the basis, plus the
         largest leftover component outside the span.
 
-        Only the slot coordinates are gathered, the way
-        :meth:`AlgebraRep.decompose` gathers every coordinate, so the
-        paravector follows the matrix's backend; the leftover is measured
-        against the matrix rebuilt from it.
+        One :meth:`AlgebraRep._gather` along the slot pairs, each slot's sign
+        folded in: the table :meth:`to_matrix` scatters through, read the
+        other way.  The paravector follows the matrix's backend, a float zero
+        coordinate is +0.0, and the leftover is measured against the matrix
+        rebuilt from it.
         """
-        gathered, den = self.rep._gather(m, [k for k, _ in self._slots])
-        x = Paravector._new(self, [c if sign > 0 else -c for (_, sign), c in zip(self._slots, gathered)], den)
+        x = Paravector._new(self, *self.rep._gather(m, self._slot_pairs))
         return x, (m - self.to_matrix(x)).max_abs()
 
     def __repr__(self):

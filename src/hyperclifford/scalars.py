@@ -164,8 +164,10 @@ class RealCoords:
         return value
 
     def __neg__(self):
-        # zeros stay as they are, so a float +0.0 does not become -0.0
-        return self._new(getattr(self, self._shape), [-c if c else c for c in self.nums], self.den)
+        """Every coordinate negated: the sign map (:meth:`_signed`) that flips
+        them all, so a zero keeps its sign and exact numerators keep their
+        denominator."""
+        return self._signed(range(len(self.nums)))
 
     def __eq__(self, other):
         """Same type, shape and backend, and equal coordinates."""
@@ -331,7 +333,8 @@ class HScalar:
             )
         x1, y1, v1, w1 = self.x, self.y, self.v, self.w
         x2, y2, v2, w2 = o.x, o.y, o.v, o.w
-        # complex-subring fast path (the dominant case in matrix work)
+        # complex-subring shortcut: matrices._product repeats it, since float
+        # matrix products must equal this per-entry product bit for bit
         if v1 == 0 and w1 == 0 and v2 == 0 and w2 == 0:
             return HScalar(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, v1, w1)
         return HScalar(

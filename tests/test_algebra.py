@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from operator import mul
+from operator import mul, neg
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +19,9 @@ from hyperclifford.algebra import (
     NonOrthogonalBasis,
     Signature,
     _BLOCK,
+    _CONJUGATE_SRC,
+    _DAGGER_SRC,
+    _HAT_SRC,
     _Kernel,
     blade_mul,
     enumerate_algebra,
@@ -930,11 +933,129 @@ def test_matrix_dagger_is_the_multivector_dagger(name):
                 assert got == porteous_dagger_4x4(m)
 
 
+def test_matrix_dagger_rejects_another_size():
+    # the sign map keeps its operand's size, so a 2x2 matrix would come back
+    # as a 2x2 matrix of four coordinates
+    for name, other in (("c10bar", 2), ("c30bar", 4), ("h05bar", 2)):
+        with pytest.raises(ValueError, match=f"takes .* matrices, not {other}x{other}"):
+            get_rep(name).dagger_matrix(HMatrix.identity(other))
+
+
 @pytest.mark.parametrize("name", ["r01", "r10", "r30", "r05"])
 def test_matrix_dagger_needs_a_full_ring_representation(name):
     rep = get_rep(name)
     with pytest.raises(ValueError, match="not a signed permutation"):
         rep.dagger_matrix(HMatrix.identity(rep.n))
+
+
+def permute_reference(a, table, conjugate_entries=False):
+    """The signed entry permutation as the entry loop that ran before the sign
+    map, kept as its oracle: each entry read from its source, its i and j
+    parts negated for conjugation, then the whole entry negated by a sign -1,
+    a zero included; exact numerators reduced by ``_new``."""
+    n, coords, out = len(table), a.nums, []
+    for line in table:
+        for sr, sc, sign in line:
+            k = 4 * (n * (sr - 1) + sc - 1)
+            x, y, v, w = coords[k:k + 4]
+            if conjugate_entries:
+                y, v = -y, -v
+            out += (-x, -y, -v, -w) if sign < 0 else (x, y, v, w)
+    return HMatrix._new(n, out, a.den)
+
+
+def dagger_comprehension(rep, m):
+    """``dagger_matrix`` as the comprehension that ran before the sign map,
+    kept as its oracle: ``0 - x`` where the sign is -1 (a zero made +0.0),
+    exact numerators reduced by ``_new``."""
+    flips, order = rep._dagger_perm
+    c = m.nums
+    return HMatrix._new(rep.n, [0 - c[k] if dst in flips else c[k] for dst, k in enumerate(order)], m.den)
+
+
+def negation_comprehension(value):
+    """``-x`` as the comprehension through ``_new`` that ran before the sign
+    map, kept as its oracle."""
+    return value._new(getattr(value, value._shape), [-c if c else c for c in value.nums], value.den)
+
+
+def entry_maps(rep):
+    """The fixed signed maps of matrix coordinates that apply to a rep's
+    matrices, each with its oracle."""
+    maps = [(rep.dagger_matrix, partial(dagger_comprehension, rep)), (neg, negation_comprehension)]
+    if rep.n == 2:
+        maps.append((porteous_conjugate_2x2, partial(permute_reference, table=_CONJUGATE_SRC)))
+    if rep.n == 4:
+        maps += [(porteous_dagger_4x4, partial(permute_reference, table=_DAGGER_SRC)),
+                 (porteous_hat_4x4, partial(permute_reference, table=_HAT_SRC, conjugate_entries=True))]
+    return maps
+
+
+def sources(f, n):
+    """The source coordinate of each output coordinate of the signed map
+    ``f``, read off its image of the exact matrix of coordinates 1 .. 4n^2."""
+    return [abs(x) - 1 for x in f(HMatrix._new(n, range(1, 4 * n * n + 1), 1)).nums]
+
+
+def signed_zero_matrix(n, rng):
+    """A float matrix of +0.0, -0.0 and other parts at random."""
+    return HMatrix._new(n, [rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(4 * n * n)], None)
+
+
+def assert_zeros_keep_their_sign(f, n, rng):
+    """Each zero part of the signed map ``f``'s image of random matrices with
+    signed zeros is its source part, to the bit."""
+    src = sources(f, n)
+    for _ in range(20):
+        m = signed_zero_matrix(n, rng)
+        got = f(m).nums
+        zeros = [k for k, c in enumerate(got) if not c]
+        assert [got[k].hex() for k in zeros] == [m.nums[src[k]].hex() for k in zeros]
+
+
+def test_porteous_maps_keep_the_sign_of_every_zero():
+    # the entry loop negated whole entries, so the identity's +0.0 parts
+    # came back -0.0; a sign map negates non-zero parts only
+    rng = random.Random(40)
+    for f, n in ((porteous_conjugate_2x2, 2), (porteous_dagger_4x4, 4), (porteous_hat_4x4, 4)):
+        assert list(map(float.hex, f(HMatrix.identity(n, exact=False)).nums)) == \
+            list(map(float.hex, HMatrix.identity(n, exact=False).nums))
+        assert_zeros_keep_their_sign(f, n, rng)
+
+
+def test_porteous_maps_reject_another_size():
+    for f, other in ((porteous_conjugate_2x2, 4), (porteous_dagger_4x4, 2), (porteous_hat_4x4, 1)):
+        with pytest.raises(ValueError, match="expects a [24]x[24] matrix"):
+            f(HMatrix.identity(other))
+
+
+@pytest.mark.parametrize("name", ["c30bar", "h05bar"])
+def test_matrix_dagger_keeps_the_sign_of_every_zero(name):
+    # 0 - x made every negated zero +0.0, a -0.0 included
+    rep = get_rep(name)
+    assert_zeros_keep_their_sign(rep.dagger_matrix, rep.n, random.Random(f"dagger-zeros-{name}"))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ["c10bar", "c30bar", "h05bar"])
+def test_signed_entry_maps_are_their_loops(name, exact):
+    # dagger_matrix, -x and the Porteous maps equal the loops they replaced
+    # bit for bit on every non-zero part; exact results are canonical and
+    # the numerators and denominator the loops built through _new
+    rep, rng = get_rep(name), random.Random(f"entry-maps-{name}-{exact}")
+    mats = [random_mv(rep, exact, rng).to_matrix(), sparse_mv(rep, exact, rng).to_matrix(),
+            HMatrix.zeros(rep.n, exact=exact)]
+    if not exact:
+        mats += [signed_zero_matrix(rep.n, rng) for _ in range(4)]
+    for m in mats:
+        for f, reference in entry_maps(rep):
+            got, want = f(m), reference(m)
+            assert_canonical(got)
+            assert got.n == want.n == m.n and got.den == want.den
+            if exact:
+                assert got.nums == want.nums
+            else:
+                assert [x.hex() if x else None for x in got.nums] == [x.hex() if x else None for x in want.nums]
 
 
 def test_even_subalgebra_r05():

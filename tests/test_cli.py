@@ -187,10 +187,10 @@ def test_decompose_command(capsys):
 
 
 def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch):
-    # the series exponential, the relation loops and matrix inversion serve
-    # the verifier alone: with each raising, one request of every calc-stream
-    # command succeeds
-    from hyperclifford import rotors
+    # the series exponential, the relation loops, matrix inversion and the
+    # Porteous entry maps serve the verifier alone: with each raising, one
+    # request of every calc-stream command succeeds
+    from hyperclifford import algebra, rotors
     from hyperclifford.algebra import get_rep
     from hyperclifford.matrices import HMatrix
 
@@ -200,6 +200,7 @@ def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch
     for name in ("mat_exp", "_count_relations", "verify_null_split"):
         monkeypatch.setattr(rotors, name, refuse)
     monkeypatch.setattr(HMatrix, "inverse", refuse)
+    monkeypatch.setattr(algebra, "_permute", refuse)
     angles, xis = "--angles=0.3,-1.2,2.0,0.4,-0.8", "--hyperbolic=0.2,-0.5,0.1,0.9,-0.3"
     requests = [
         ("boost", "--xi=0.7", "--axis=2", "--vector=1,0.5,-0.3,0.2", "--format=json"),

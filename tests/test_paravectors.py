@@ -483,6 +483,76 @@ def test_slot_route_matches_reference(name, exact):
                 assert _parts(space.project_matrix(m)) == _parts(project_matrix_reference(space, m))
 
 
+def project_sign_pass(space, m):
+    """``project_matrix``'s paravector as the gather by basis index and the
+    sign pass that ran before one gather along the slot pairs, kept as its
+    oracle: each slot's coordinate gathered along its coordinate-table
+    entry, then negated when the slot's sign is -1, a zero included."""
+    rep = space.rep
+    gathered, den = rep._gather(m, [rep._coord_map[rep.basis[k]] for k, _ in space._slots])
+    return Paravector._new(space, [c if sign > 0 else -c for (_, sign), c in zip(space._slots, gathered)], den)
+
+
+def signed_zero_coords(size, rng):
+    return [rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(size)]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_projection_is_the_sign_pass_on_non_zero_parts(name, exact):
+    # bit for bit on every non-zero coordinate; exact results are canonical
+    # and the numerators and denominator the sign pass built through _new
+    space, rng = get_space(name), random.Random(f"sign-pass-{name}-{exact}")
+    size = 4 * space.rep.n * space.rep.n
+    for density in (1.0, 0.4, 0.0):
+        for _ in range(5):
+            x = space.paravector(_random_coords(space, rng, exact, density))
+            outside = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(size)] if exact \
+                else signed_zero_coords(size, rng)
+            for m in (x.to_multivector().to_matrix(), HMatrix.from_real_coords(outside)):
+                got, want = space.project_matrix(m)[0], project_sign_pass(space, m)
+                assert_canonical(got)
+                assert got.den == want.den
+                if exact:
+                    assert got.nums == want.nums
+                else:
+                    assert [c.hex() if c else None for c in got.nums] == [c.hex() if c else None for c in want.nums]
+
+
+def test_projection_gives_every_zero_coordinate_as_plus_zero():
+    # the sign pass turned a +0.0 gathered on a slot of sign -1 into -0.0: r66
+    # coordinates 6, 8 and 10 and hm4 coordinates 6 and 14 of the identity
+    rng = random.Random(40)
+    for name in SPACE_NAMES:
+        space = get_space(name)
+        n = space.rep.n
+        mats = [HMatrix.identity(n, exact=False), HMatrix.zeros(n, exact=False)]
+        mats += [HMatrix.from_real_coords(signed_zero_coords(4 * n * n, rng)) for _ in range(10)]
+        for m in mats:
+            x, _ = space.project_matrix(m)
+            assert [c.hex() for c in x.nums if not c] == [(0.0).hex()] * x.nums.count(0.0), name
+
+
+def test_ring_value_keeps_the_sign_of_every_zero():
+    # a unit slot of sign -1 read its coordinate c as -c, so a +0.0 came back -0.0
+    e6 = get_space("e6")
+    x = e6.paravector([1.0, 0.5, 0, 0, 0, 0.25])
+    assert [c.hex() for c in x.qform().coeffs()] == [c.hex() for c in (1.3125, 0.0, 0.0, 0.0)]
+    for name, want in (("e6", (1.0, 0.0, 0.0, 0.0)), ("r66", (0.0, 0.0, 0.0, 0.0))):
+        space = get_space(name)
+        x = space.paravector([1.0, 0.5] + [0.0] * (space.dim - 3) + [0.25])
+        y = space.paravector([0.5] + [0.0] * (space.dim - 2) + [2.0])
+        assert [c.hex() for c in dot(x, y).coeffs()] == [c.hex() for c in want]
+    rng = random.Random(40)
+    for name in SPACE_NAMES:
+        space = get_space(name)
+        for _ in range(10):
+            mv = Multivector._new(space.rep, signed_zero_coords(len(space.rep.basis), rng), None)
+            slots = [mv.nums[k] for k, _ in space._unit_slots]
+            parts = space.ring_value(mv).coeffs()
+            assert [c.hex() for c in parts if not c] == [c.hex() for c in slots if not c]
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("name", SPACE_NAMES)
 def test_project_zero_matrix_follows_its_backend(name, exact):

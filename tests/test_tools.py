@@ -154,6 +154,26 @@ def test_pairs_run_from_the_first_seed_given(tmp_path, monkeypatch, capsys):
     assert "[FIRST_SEED]" in capsys.readouterr().err
 
 
+def test_pairs_print_every_run_before_the_summary(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3, "end_to_end": METRICS}))
+    walls = iter([2.0, 1.9, 1.8, 2.1, 2.2, 2.05])  # in the order of the runs
+
+    def run_once(root, workload, seed, seconds):
+        return results([next(walls)], [float(seed)])[0]
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "compile_sources", lambda root: None)
+    assert pairs.main([str(tmp_path), str(tmp_path / "change"), "verify-blades", "3", "31"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the parent runs first in odd pairs, and each line reads parent then change
+    assert out[1:4] == [
+        "pair 1 seed 31 first parent  wall_s 2 1.9  req_per_s 31 31",
+        "pair 2 seed 32 first change  wall_s 2.1 1.8  req_per_s 32 32",
+        "pair 3 seed 33 first parent  wall_s 2.2 2.05  req_per_s 33 33",
+    ]
+    assert out[4].startswith("metric") and row(out, "wall_s")[2:4] == ["2.1", "1.9"]
+
+
 def test_pairs_compile_both_checkouts_before_the_first_run(tmp_path, monkeypatch):
     # stale bytecode in one checkout would make its runs compile (and count
     # the compiler in peak_rss_mb), so both are compiled, untimed, first

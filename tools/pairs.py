@@ -13,11 +13,13 @@ in both checkouts, so that neither compiles a module from stale or missing
 bytecode inside its runs: it refreshes the (gitignored) ``__pycache__``
 directories there and writes no other file.
 
-For every ``end_to_end`` metric it prints both medians, the parent's
-interquartile spread, how many pairs the change won, how much worse the
-change's median is (as a share of the parent's, positive when worse),
-whether the change may claim a gain on it and whether it stays within
-the metric's bound.  A gain needs both: the change won at least nine
+First it prints one line per pair: the seed, the side that ran first and
+both sides' value of every ``end_to_end`` metric, parent then change, so
+that every run is on record.  Then, for every ``end_to_end`` metric, it
+prints both medians, the parent's interquartile spread, how many pairs
+the change won, how much worse the change's median is (as a share of
+the parent's, positive when worse), whether the change may claim a gain
+on it and whether it stays within the metric's bound.  A gain needs both: the change won at least nine
 tenths of the pairs (ties count for neither side), and its median is
 better than the parent's by more than the parent's interquartile
 spread.  A metric within its bound is ``unresolved`` rather than ``ok``
@@ -66,6 +68,18 @@ def is_gain(won: int, pairs: int, old_med: float, new_med: float, spread: float,
     the better direction."""
     gap = old_med - new_med if lower else new_med - old_med
     return 10 * won >= 9 * pairs and gap > spread
+
+
+def run_lines(spec_metrics: list, first: int, parent: list, change: list) -> list:
+    """One line per pair of results: its seed (pair ``i`` runs seed
+    ``first + i - 1``), the side that ran first and, per ``end_to_end``
+    metric, the parent's value then the change's."""
+    lines = []
+    for i, (old, new) in enumerate(zip(parent, change), start=1):
+        values = "  ".join(f"{name} {old['metrics'][name]['value']:.6g} {new['metrics'][name]['value']:.6g}"
+                           for name in (m["name"] for m in spec_metrics))
+        lines.append(f"pair {i} seed {first + i - 1} first {'parent' if i % 2 else 'change'}  {values}")
+    return lines
 
 
 def summarize(spec_metrics: list, parent: list, change: list) -> tuple[list, bool]:
@@ -129,7 +143,7 @@ def main(argv=None) -> int:
             results.append(run_once(root, workload, seed, spec["run_seconds"]))
     lines, ok = summarize(spec["end_to_end"], parent, change)
     print(f"{workload}: {pairs} pairs, seeds {first}..{first + pairs - 1}, {spec['run_seconds']} s each")
-    print("\n".join(lines))
+    print("\n".join(run_lines(spec["end_to_end"], first, parent, change) + lines))
     return 0 if ok else 1
 
 
