@@ -349,10 +349,11 @@ class AlgebraRep:
     # -- blade/matrix conversion ---------------------------------------------
 
     def decompose(self, m: HMatrix) -> "Multivector":
-        """Coordinates of a matrix over the basis via the real pairing, in
-        the matrix's backend: :meth:`_gather` of the whole coordinate table.
-        Matrices outside the algebra's span lose their orthogonal complement;
-        use :meth:`decompose_residual` when that matters.
+        """Coordinates of an ``n x n`` matrix over the basis via the real
+        pairing, in the matrix's backend: :meth:`_gather` of the whole
+        coordinate table, so another size raises ``ValueError``.  Matrices
+        outside the algebra's span lose their orthogonal complement; use
+        :meth:`decompose_residual` when that matters.
         """
         return Multivector._new(self, *self._gather(m, self._coord_map.values()))
 
@@ -361,13 +362,16 @@ class AlgebraRep:
         ``(real_index, sign)`` pairs as :meth:`_scatter` takes them (a
         coordinate-table entry, a sign folded in or not), as stored numbers
         and their denominator (``None`` for floats; exact numerators are not
-        reduced).  The basis is pairing-orthogonal (checked at construction),
-        so each is the signed sum of the real coordinates its table lists
-        over the norm n, from +0 (a float zero sum is +0.0).  Floats are
-        scaled by 1/n before the sum (without rounding, as n is 1, 2 or 4),
-        so the sum overflows only when the coordinate does."""
+        reduced).  ``m`` is ``n x n``; another size raises ``ValueError``, as
+        :meth:`dagger_matrix` does.  The basis is pairing-orthogonal (checked
+        at construction), so each is the signed sum of the real coordinates
+        its table lists over the norm n, from +0 (a float zero sum is +0.0).
+        Floats are scaled by 1/n before the sum (without rounding, as n is 1,
+        2 or 4), so the sum overflows only when the coordinate does."""
         nums, exact = m.nums, m.is_exact
         n, zero = self.n, 0 if exact else 0.0
+        if m.n != n:
+            raise ValueError(f"{self.name} takes {n}x{n} matrices, not {m.n}x{m.n}")
         if not exact:
             nums = tuple(map((1.0 / n).__mul__, nums))
         out = []

@@ -299,8 +299,6 @@ def _cmd_decompose(args) -> int:
                      for r, row in enumerate(grid, 1)])
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad matrix JSON ({exc})") from None
-    if m.n != rep.n:
-        raise ValueError(f"{args.rep} expects {rep.n}x{rep.n} matrices")
     mv, residual = rep.decompose_residual(m)
     coeff_rows = [
         {

@@ -60,8 +60,8 @@ class HMatrix(RealCoords):
     Stored as ``n`` and the flat row-major ``4n^2`` real coordinates,
     ``x y v w`` per entry, held as :class:`RealCoords` holds them (``nums``
     over ``den``; ``coords`` is the ``Fraction`` or float view).  ``rows``
-    and :meth:`entry` build :class:`HScalar` views on demand.  Sums,
-    negation, ``==`` and the norm come from :class:`RealCoords`.
+    builds :class:`HScalar` views on demand.  Sums, negation, ``==`` and
+    the norm come from :class:`RealCoords`.
     """
 
     __slots__ = ("n", "nums", "den")
@@ -121,14 +121,6 @@ class HMatrix(RealCoords):
         return cls._new(n, *_entering(coords, "matrix"))
 
     # -- basic queries -----------------------------------------------------
-
-    def entry(self, r: int, c: int) -> HScalar:
-        n = self.n
-        if not (0 <= r < n and 0 <= c < n):
-            raise IndexError("matrix index out of range")
-        k = 4 * (r * n + c)
-        den, q = self.den, self.nums[k:k + 4]
-        return HScalar(*q) if den is None else HScalar(*[Fraction(x, den) for x in q])
 
     @property
     def rows(self) -> tuple:

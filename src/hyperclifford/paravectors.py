@@ -143,7 +143,8 @@ class ParavectorSpace:
         return self.rep._scatter(zip(self._slot_pairs, x.nums), x.den)
 
     def project_matrix(self, m: HMatrix) -> tuple["Paravector", float]:
-        """The paravector of a matrix's coordinates over the basis, plus the
+        """The paravector of an ``n x n`` matrix's coordinates over the basis
+        (``n`` the rep's size; another size raises ``ValueError``), plus the
         largest leftover component outside the span.
 
         One :meth:`AlgebraRep._gather` along the slot pairs, each slot's sign

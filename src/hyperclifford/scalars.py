@@ -192,9 +192,6 @@ class RealCoords:
         mags = list(map(abs, self.nums))
         return math.nan if math.isnan(sum(mags)) else max(mags)
 
-    def is_close(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
-
 
 def _entering(coords, what: str) -> tuple[tuple, int | None]:
     """Numbers a constructor takes, checked by the module's one rule and
@@ -432,10 +429,6 @@ class HScalar:
         """Largest absolute coefficient, as a float; NaN when one is NaN."""
         mags = (abs(float(self.x)), abs(float(self.y)), abs(float(self.v)), abs(float(self.w)))
         return math.nan if math.isnan(sum(mags)) else max(mags)
-
-    def is_close(self, other: "HScalar", tol: float = 1e-12) -> bool:
-        d = self - other
-        return d.max_abs() <= tol
 
     # -- display ----------------------------------------------------------
 

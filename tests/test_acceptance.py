@@ -40,6 +40,7 @@ from hyperclifford.rotors import (
     verify_lorentz_commutators,
 )
 from hyperclifford.scalars import HScalar, from_null_coords, to_null_coords
+from oracles import random_params
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -194,26 +195,6 @@ def test_criterion_07_hyperbolic_quasi_sphere():
             assert abs(float(q.w)) <= 1e-10
 
 
-def _random_rotor(space, rng):
-    if space == "h1":
-        return rotor_from_params(
-            RotorParams.h1(rng.uniform(-math.pi, math.pi), rng.uniform(-2, 2))
-        )
-    if space == "m4":
-        return rotor_from_params(
-            RotorParams.m4(
-                phi=[rng.uniform(-math.pi, math.pi) for _ in range(3)],
-                xi=[rng.uniform(-2, 2) for _ in range(3)],
-            )
-        )
-    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    phi = {p: rng.uniform(-math.pi, math.pi) for p in rng.sample(pairs, 3)}
-    if space == "e6":
-        return rotor_from_params(RotorParams.e6(phi))
-    xi = {p: rng.uniform(-1.5, 1.5) for p in rng.sample(pairs, 3)}
-    return rotor_from_params(RotorParams.r66(phi, xi))
-
-
 def test_criterion_08_rotation_invariance():
     """8. 200 random rotor/paravector pairs per space preserve the
     quadratic form within 1e-10; every rotor certificate holds at 1e-12."""
@@ -222,7 +203,7 @@ def test_criterion_08_rotation_invariance():
         for name in ("h1", "m4", "e6", "r66"):
             space = get_space(name)
             for _ in range(200):
-                rotor = _random_rotor(name, rng)
+                rotor = rotor_from_params(random_params(name, rng))
                 assert rotor.spin_residual <= 1e-12
                 one = rotor.rep.scalar(1, exact=False)
                 assert (rotor.g.hat().gp(rotor.g.dagger()) - one).max_abs() <= 1e-12
@@ -325,11 +306,11 @@ def test_criterion_12_null_basis():
             assert to_null_coords(z1.conjugate().coeffs()) == p1[::-1]
             assert from_null_coords(*p1) == list(z1.coeffs())
         for _ in range(50):
-            m = _random_rotor("h1", rng).g.to_matrix()
+            m = rotor_from_params(random_params("h1", rng)).g.to_matrix()
             rec = HMatrix.from_real_coords(from_null_coords(*to_null_coords(m.coords)))
             assert (rec - m).max_abs() <= 1e-12
         for _ in range(10):
-            m = _random_rotor("r66", rng).g.to_matrix()
+            m = rotor_from_params(random_params("r66", rng)).g.to_matrix()
             rec = HMatrix.from_real_coords(from_null_coords(*to_null_coords(m.coords)))
             assert (rec - m).max_abs() <= 1e-12
 
@@ -344,7 +325,7 @@ def test_criterion_13_mass_operator():
             p = MomentumHM4(q=tuple(rng.uniform(-2, 2) for _ in range(4)))
             assert hermiticity_check(p)
         for _ in range(50):
-            rotor = _random_rotor("m4", rng)
+            rotor = rotor_from_params(random_params("m4", rng))
             x = act(rotor, space.paravector([rng.uniform(0.5, 2), 0, 0, 0]))
             assert hermiticity_check(MomentumHM4(q=x.coords))
         for _ in range(50):

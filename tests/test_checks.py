@@ -12,9 +12,12 @@ from pathlib import Path
 import pytest
 
 from hyperclifford import checks, cli
-from hyperclifford.algebra import REP_NAMES, Multivector, get_rep
+from hyperclifford.algebra import REP_NAMES, get_rep
 from hyperclifford.matrices import pauli2, pauli4, pauli4_literal, sigma_ab
 from hyperclifford.paravectors import SPACE_NAMES, get_space
+from oracles import oracle_tests
+
+globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
 
 # Every published check, in the order `verify all` reports them.
 CHECK_IDS = [
@@ -286,40 +289,3 @@ def test_every_check_keeps_its_status_and_every_exact_check_its_zero_error(all_r
     assert len(exact) == 36
     assert {cid: errors[cid] for cid in exact} == dict.fromkeys(exact, 0.0)
     assert [r.check_id for r in all_records if "[error:" in r.description] == []
-
-
-# Every (top, dens) that a check draws exact samples with, and dens = 1,
-# where randint(1, 1) still takes a bit.
-DRAWN_PAIRS = [(4, 3), (9, 4), (6, 3), (3, 2), (8, 3), (4, 1)]
-
-
-@pytest.mark.parametrize("top, dens", DRAWN_PAIRS)
-def test_pairs_drawn_from_raw_bits_are_the_randint_pairs(top, dens):
-    for seed in range(3):
-        old, new = random.Random(seed), random.Random(seed)
-        want = [(old.randint(-top, top), old.randint(1, dens)) for _ in range(300)]
-        assert checks._draw_pairs(new, 300, top, dens) == want
-        assert new.getstate() == old.getstate()
-
-
-def _old_random_mv(rep, rng, exact):
-    """The random multivector as drawn by randint and uniform."""
-    if not exact:
-        return Multivector._new(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis], None)
-    pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rep.basis]
-    return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)
-
-
-def _bits(mv):
-    """A multivector's stored fields, floats as their hex."""
-    return [x if mv.is_exact else x.hex() for x in mv.nums], mv.den
-
-
-@pytest.mark.parametrize("name", REP_NAMES)
-def test_random_multivectors_are_drawn_as_randint_and_uniform_draw_them(name):
-    rep = get_rep(name)
-    for seed, exact in product(range(3), (False, True)):
-        old, new = random.Random(seed), random.Random(seed)
-        for _ in range(20):
-            assert _bits(checks._random_mv(rep, new, exact)) == _bits(_old_random_mv(rep, old, exact))
-        assert new.getstate() == old.getstate()

@@ -485,6 +485,11 @@ def test_decompose_rejects_malformed_matrix_json(capsys, matrix):
     assert err.startswith("error: ")
 
 
+def test_decompose_of_another_size_exits_2_with_the_library_error(capsys):
+    code, out, err = run(capsys, "decompose", "--rep", "r30", "--matrix", "[[[1, 0, 0, 0]]]")
+    assert (code, out, err) == (2, "", "error: r30 takes 2x2 matrices, not 1x1\n")
+
+
 @pytest.mark.parametrize(
     "rep, matrix, cell",
     [

@@ -4,7 +4,6 @@ quasi-spheres, momentum embedding."""
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,17 @@ from hyperclifford.paravectors import (
 )
 from hyperclifford.physics import MomentumHM4, mass_qform
 from hyperclifford.scalars import BackendMismatch, HScalar
-from test_scalars import assert_canonical, exact_coordinates
+from oracles import (
+    assert_canonical,
+    exact_coordinates,
+    oracle_tests,
+    random_coords,
+    same_bits,
+    same_values,
+    signed_zero_coords,
+)
+
+globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
 
 RNG = random.Random(314)
 
@@ -181,68 +190,6 @@ def test_wedge3_of_dependent_arguments():
     m4 = get_space("m4")
     x, y = rand_exact(m4), rand_exact(m4)
     assert not wedge3(x, y, x).coeffs
-
-
-def alternating_sum_loop(xs):
-    """The sum over all k! permutations of the arguments, with sign, bars on
-    the odd slots, over k!: the loop that ``_alternating_sum`` ran before it
-    grouped its terms by slot pairs, kept as its oracle."""
-    mvs = [x.to_multivector() for x in xs]
-    k, total = len(mvs), None
-    for perm in permutations(range(k)):
-        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        term = None
-        for slot in range(k):
-            f = mvs[perm[slot]].bar() if slot % 2 else mvs[perm[slot]]
-            term = f if term is None else term.gp_blades(f)
-        total = term if total is None else (total - term if inversions % 2 else total + term)
-    return total.scale(Fraction(1, math.factorial(k)))
-
-
-WEDGES = ((2, wedge2), (3, wedge3), (4, wedge4))
-
-
-def wedge_arguments(space, k, exact, rng):
-    """k random paravectors of one backend, some coordinates zero; then the
-    same with the last argument repeating the first, and with the second
-    argument zero."""
-    def draw():
-        if exact:
-            return [rng.choice((0, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))) for _ in range(space.dim)]
-        return [rng.choice((0.0, rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(space.dim)]
-
-    xs = [space.paravector(draw()) for _ in range(k)]
-    zero = space.paravector([0 if exact else 0.0] * space.dim)
-    return [xs, xs[:-1] + xs[:1], xs[:1] + [zero] + xs[2:]]
-
-
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_exact_wedges_are_the_permutation_sum(name):
-    space, rng = get_space(name), random.Random(f"wedge-{name}")
-    for k, wedge in WEDGES:
-        for _ in range(2):
-            for xs in wedge_arguments(space, k, True, rng):
-                got, want = wedge(*xs), alternating_sum_loop(xs)
-                assert_canonical(got)
-                assert (got.nums, got.den) == (want.nums, want.den)
-
-
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_float_wedges_are_the_permutation_sum_within_rounding(name):
-    # wedge2 is the same two products bit for bit; wedge3 and wedge4 sum
-    # grouped terms in another order, so each coordinate may move by up to
-    # k * eps * (product over the arguments of the sum of |coordinates|),
-    # about ten times the largest move seen on these seeds
-    space, rng = get_space(name), random.Random(f"float-wedge-{name}")
-    for k, wedge in WEDGES:
-        for _ in range(4):
-            for xs in wedge_arguments(space, k, False, rng):
-                got, want = wedge(*xs), alternating_sum_loop(xs)
-                assert_canonical(got)
-                if k == 2:
-                    assert list(map(float.hex, got.nums)) == list(map(float.hex, want.nums))
-                bound = k * 2.0**-53 * math.prod(sum(map(abs, x.nums)) for x in xs)
-                assert all(abs(a - b) <= bound for a, b in zip(got.nums, want.nums))
 
 
 def test_quasi_sphere_membership():
@@ -405,120 +352,6 @@ def test_float_zero_paravector_stays_float():
     assert m4.paravector([0] * 4).qform().is_exact
 
 
-# -- the slot route against the scale-and-add and real-pairing routes -----------
-
-
-def to_multivector_reference(space, x):
-    """The scale-and-add route: each basis element scaled by its non-zero
-    coordinate, summed as multivectors in coordinate order."""
-    exact = not isinstance(x.coords[0], float)
-    acc = space.rep.scalar(0, exact=exact)
-    for b, c in zip(space.basis, x.coords):
-        if c == 0:
-            continue
-        elem = b if exact else b.to_float()
-        acc = acc + elem.scale(HScalar.make(c, exact=exact))
-    return acc
-
-
-def project_matrix_reference(space, m):
-    """The real-pairing route for a float matrix: each coordinate is the
-    pairing of m with its basis matrix over that matrix's norm, and the
-    residual is taken against the sum of the basis matrices scaled by the
-    coordinates."""
-    basis = [e.to_matrix().to_float() for e in space.basis]
-    coords = tuple(
-        float(HMatrix.real_pairing(bm, m)) / float(HMatrix.real_pairing(bm, bm)) for bm in basis
-    )
-    acc = HMatrix.zeros(space.rep.n, exact=False)
-    for bm, c in zip(basis, coords):
-        acc = acc + bm.scale(HScalar.flt(c))
-    return coords, (m - acc).max_abs()
-
-
-def _parts(value):
-    """A value as nested (type, number) pairs, blades in dict order.
-
-    Comparing these with == checks equal values of equal types; it treats
-    0.0 and -0.0 as equal, because the routes may differ in the sign of a
-    zero (the reference routes add signed zero products)."""
-    if isinstance(value, Multivector):
-        return [(blade, _parts(z)) for blade, z in value.coeffs.items()]
-    if isinstance(value, Paravector):
-        return _parts(value.coords)
-    if isinstance(value, HScalar):
-        return [_parts(c) for c in value.coeffs()]
-    if isinstance(value, (tuple, list)):
-        return [_parts(v) for v in value]
-    return (type(value), value)
-
-
-def _random_coords(space, rng, exact, density):
-    def number():
-        if rng.random() >= density:
-            return Fraction(0) if exact else 0.0
-        if exact:
-            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        return rng.uniform(-2, 2)
-
-    return [number() for _ in range(space.dim)]
-
-
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_slot_route_matches_reference(name, exact):
-    space = get_space(name)
-    rng = random.Random(f"{name}-{exact}")
-    size = 4 * space.rep.n * space.rep.n
-    for density in (1.0, 0.4, 0.0):  # dense, sparse, zero
-        for _ in range(15):
-            x = space.paravector(_random_coords(space, rng, exact, density))
-            mv = x.to_multivector()
-            assert _parts(mv) == _parts(to_multivector_reference(space, x))
-            if exact:
-                continue  # the real-pairing reference projects float matrices
-            inside = mv.to_matrix().to_float()
-            outside = HMatrix.from_real_coords([rng.uniform(-2, 2) for _ in range(size)])
-            for m in (inside, outside):
-                assert _parts(space.project_matrix(m)) == _parts(project_matrix_reference(space, m))
-
-
-def project_sign_pass(space, m):
-    """``project_matrix``'s paravector as the gather by basis index and the
-    sign pass that ran before one gather along the slot pairs, kept as its
-    oracle: each slot's coordinate gathered along its coordinate-table
-    entry, then negated when the slot's sign is -1, a zero included."""
-    rep = space.rep
-    gathered, den = rep._gather(m, [rep._coord_map[rep.basis[k]] for k, _ in space._slots])
-    return Paravector._new(space, [c if sign > 0 else -c for (_, sign), c in zip(space._slots, gathered)], den)
-
-
-def signed_zero_coords(size, rng):
-    return [rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(size)]
-
-
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_projection_is_the_sign_pass_on_non_zero_parts(name, exact):
-    # bit for bit on every non-zero coordinate; exact results are canonical
-    # and the numerators and denominator the sign pass built through _new
-    space, rng = get_space(name), random.Random(f"sign-pass-{name}-{exact}")
-    size = 4 * space.rep.n * space.rep.n
-    for density in (1.0, 0.4, 0.0):
-        for _ in range(5):
-            x = space.paravector(_random_coords(space, rng, exact, density))
-            outside = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(size)] if exact \
-                else signed_zero_coords(size, rng)
-            for m in (x.to_multivector().to_matrix(), HMatrix.from_real_coords(outside)):
-                got, want = space.project_matrix(m)[0], project_sign_pass(space, m)
-                assert_canonical(got)
-                assert got.den == want.den
-                if exact:
-                    assert got.nums == want.nums
-                else:
-                    assert [c.hex() if c else None for c in got.nums] == [c.hex() if c else None for c in want.nums]
-
-
 def test_projection_gives_every_zero_coordinate_as_plus_zero():
     # the sign pass turned a +0.0 gathered on a slot of sign -1 into -0.0: r66
     # coordinates 6, 8 and 10 and hm4 coordinates 6 and 14 of the identity
@@ -530,19 +363,19 @@ def test_projection_gives_every_zero_coordinate_as_plus_zero():
         mats += [HMatrix.from_real_coords(signed_zero_coords(4 * n * n, rng)) for _ in range(10)]
         for m in mats:
             x, _ = space.project_matrix(m)
-            assert [c.hex() for c in x.nums if not c] == [(0.0).hex()] * x.nums.count(0.0), name
+            assert same_bits([c for c in x.nums if not c], [0.0] * x.nums.count(0.0)), name
 
 
 def test_ring_value_keeps_the_sign_of_every_zero():
     # a unit slot of sign -1 read its coordinate c as -c, so a +0.0 came back -0.0
     e6 = get_space("e6")
     x = e6.paravector([1.0, 0.5, 0, 0, 0, 0.25])
-    assert [c.hex() for c in x.qform().coeffs()] == [c.hex() for c in (1.3125, 0.0, 0.0, 0.0)]
+    assert same_bits(x.qform(), HScalar(1.3125, 0.0, 0.0, 0.0))
     for name, want in (("e6", (1.0, 0.0, 0.0, 0.0)), ("r66", (0.0, 0.0, 0.0, 0.0))):
         space = get_space(name)
         x = space.paravector([1.0, 0.5] + [0.0] * (space.dim - 3) + [0.25])
         y = space.paravector([0.5] + [0.0] * (space.dim - 2) + [2.0])
-        assert [c.hex() for c in dot(x, y).coeffs()] == [c.hex() for c in want]
+        assert same_bits(dot(x, y), HScalar(*want))
     rng = random.Random(40)
     for name in SPACE_NAMES:
         space = get_space(name)
@@ -550,7 +383,16 @@ def test_ring_value_keeps_the_sign_of_every_zero():
             mv = Multivector._new(space.rep, signed_zero_coords(len(space.rep.basis), rng), None)
             slots = [mv.nums[k] for k, _ in space._unit_slots]
             parts = space.ring_value(mv).coeffs()
-            assert [c.hex() for c in parts if not c] == [c.hex() for c in slots if not c]
+            assert same_bits([c for c in parts if not c], [c for c in slots if not c])
+
+
+def test_projection_rejects_another_size():
+    # it failed only in the residual, and read a larger matrix's first entries
+    for name in SPACE_NAMES:
+        n = get_space(name).rep.n
+        for other in {1, 2, 4} - {n}:
+            with pytest.raises(ValueError, match=f"^{get_space(name).rep.name} takes {n}x{n} matrices, not {other}x"):
+                get_space(name).project_matrix(HMatrix.identity(other, exact=False))
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -559,7 +401,7 @@ def test_project_zero_matrix_follows_its_backend(name, exact):
     space = get_space(name)
     coords, residual = space.project_matrix(HMatrix.zeros(space.rep.n, exact=exact))
     zero = Fraction(0) if exact else 0.0
-    assert _parts(coords) == _parts((zero,) * space.dim)
+    assert same_values(coords.coords, (zero,) * space.dim)
     assert residual == 0.0
 
 
@@ -569,9 +411,9 @@ def test_project_exact_matrix_gives_exact_coordinates(name):
     rng = random.Random(name)
     for density in (1.0, 0.4):
         for _ in range(5):
-            x = space.paravector(_random_coords(space, rng, True, density))
+            x = space.paravector(random_coords(space, rng, True, density))
             coords, residual = space.project_matrix(x.to_multivector().to_matrix())
-            assert _parts(coords) == _parts(x.coords)
+            assert same_values(coords, x)
             assert residual == 0.0
 
 

@@ -6,14 +6,13 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
-from hyperclifford.matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
+from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
 from hyperclifford.paravectors import SPACE_NAMES, get_space, quasi_sphere_residual
 from hyperclifford.rotors import (
     _INDEX_PAIRS,
@@ -43,33 +42,11 @@ from hyperclifford.rotors import (
     verify_null_split,
 )
 from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords
+from oracles import component_norm, exponent_matrix, oracle_tests, random_params, same_bits, within
+
+globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
 
 RNG = random.Random(4242)
-
-
-def random_params(space, rng=RNG):
-    if space == "h1":
-        return RotorParams.h1(rng.uniform(-math.pi, math.pi), rng.uniform(-2, 2))
-    if space == "m4":
-        return RotorParams.m4(
-            phi=[rng.uniform(-math.pi, math.pi) for _ in range(3)],
-            xi=[rng.uniform(-2, 2) for _ in range(3)],
-        )
-    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    phi = {p: rng.uniform(-math.pi, math.pi) for p in rng.sample(pairs, 3)}
-    if space == "e6":
-        return RotorParams.e6(phi)
-    xi = {p: rng.uniform(-1.5, 1.5) for p in rng.sample(pairs, 3)}
-    return RotorParams.r66(phi, xi)
-
-
-def _exponent_matrix(params: RotorParams) -> HMatrix:
-    """The sum of the ``_exponent_terms``; no plane is the zero exponent."""
-    terms, _ = _exponent_terms(params)
-    if not terms:
-        return HMatrix.zeros(4, exact=False)
-    zs, sigmas = zip(*terms)
-    return _weighted_sum([q for z in zs for q in z.coeffs()], None, sigmas)
 
 
 def dagger_residual(r) -> float:
@@ -88,16 +65,16 @@ def test_zero_params_give_identity():
         else:
             r = rotor_from_params(RotorParams.r66({}, {}))
         one = r.rep.scalar(1, exact=False)
-        assert r.g.is_close(one, 1e-15)
+        assert within(1e-15)(r.g, one)
     for params in (RotorParams.e6({}), RotorParams.r66({}, {})):  # no plane: the zero exponent
-        assert _exponent_matrix(params) == HMatrix.zeros(4, exact=False)
+        assert exponent_matrix(params) == HMatrix.zeros(4, exact=False)
 
 
 def test_h1_rotor_matches_scalar_exponential():
     phi, xi = 0.9, -0.4
     r = rotor_from_params(RotorParams.h1(phi, xi))
     want = HScalar.flt(0.0, -phi / 2, xi / 2, 0.0).exp()
-    got = r.g.to_matrix().entry(0, 0)
+    got = r.g.to_matrix().rows[0][0]
     assert (got - want).max_abs() < 1e-15
 
 
@@ -122,13 +99,13 @@ def test_pure_boost_closed_form():
     want = HMatrix.identity(2, exact=False).scale(
         HScalar.flt(math.cosh(xi / 2))
     ) + pauli2(3).to_float().scale(HScalar.flt(0, 0, math.sinh(xi / 2)))
-    assert r.g.to_matrix().is_close(want, 1e-14)
+    assert within(1e-14)(r.g.to_matrix(), want)
 
 
 def test_rotor_certificates():
     for space in ("h1", "m4", "e6", "r66"):
         for _ in range(25):
-            r = rotor_from_params(random_params(space))
+            r = rotor_from_params(random_params(space, RNG))
             assert r.spin_residual <= 1e-12
             assert dagger_residual(r) <= 1e-12
 
@@ -213,7 +190,7 @@ def test_qform_preserved_by_action():
     for space_name in ("h1", "m4", "e6", "r66"):
         space = get_space(space_name)
         for _ in range(30):
-            r = rotor_from_params(random_params(space_name))
+            r = rotor_from_params(random_params(space_name, RNG))
             x = space.paravector([RNG.uniform(-2, 2) for _ in range(space.dim)])
             before, after = x.qform(), act(r, x).qform()
             assert (before - after).max_abs() < 1e-10
@@ -353,10 +330,7 @@ def test_series_and_closed_form_agree():
         ]
         for x in closed_form + series:
             got, want = mat_exp(x), taylor_exp(x)
-            assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
-
-
-PLANES = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+            assert within(1e-12 * (1.0 + want.max_abs()))(got, want)
 
 
 @st.composite
@@ -370,7 +344,7 @@ def rotor_params(draw, spaces=("h1", "m4", "e6", "r66"), min_planes=1, max_rapid
         return RotorParams.h1(draw(angle), draw(rapidity))
     if space == "m4":
         return RotorParams.m4(draw(st.tuples(angle, angle, angle)), draw(st.tuples(rapidity, rapidity, rapidity)))
-    planes = draw(st.lists(st.sampled_from(PLANES), min_size=min_planes, max_size=4, unique=True))
+    planes = draw(st.lists(st.sampled_from(_INDEX_PAIRS), min_size=min_planes, max_size=4, unique=True))
     phi = {p: draw(angle) for p in planes}
     if space == "e6":
         return RotorParams.e6(phi)
@@ -379,7 +353,7 @@ def rotor_params(draw, spaces=("h1", "m4", "e6", "r66"), min_planes=1, max_rapid
 
 def exponents(spaces=("h1", "m4", "e6", "r66"), min_planes=1):
     """The exponent matrices of :func:`rotor_params`."""
-    return rotor_params(spaces, min_planes).map(_exponent_matrix)
+    return rotor_params(spaces, min_planes).map(exponent_matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,12 +362,12 @@ def test_mat_exp_is_the_series_and_inverts_by_negation(params):
     # up to rapidity 50 the reference is the closed form for anticommuting
     # generators and the fixed-point series for the others; the product with
     # exp(-x) rounds in proportion to |exp x| |exp -x|
-    x, (terms, anticommute) = _exponent_matrix(params), _exponent_terms(params)
+    x, (terms, anticommute) = exponent_matrix(params), _exponent_terms(params)
     got, back = mat_exp(x), mat_exp(-x)
     want = _closed_form(x.n, terms) if anticommute else fixed_point_exp(x)
-    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+    assert within(1e-12 * (1.0 + want.max_abs()))(got, want)
     one = HMatrix.identity(x.n, exact=False)
-    assert (got @ back).is_close(one, 1e-12 * (1.0 + got.max_abs()) * (1.0 + back.max_abs()))
+    assert within(1e-12 * (1.0 + got.max_abs()) * (1.0 + back.max_abs()))(got @ back, one)
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,8 +375,8 @@ def test_mat_exp_is_the_series_and_inverts_by_negation(params):
 def test_rotor_matrix_is_the_series_of_its_exponent(params):
     # anticommuting generators take the closed form from the ring square
     # sum z^2, the others mat_exp: both are the exponential of the exponent
-    got, want = rotor_from_params(params).m, taylor_exp(_exponent_matrix(params))
-    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+    got, want = rotor_from_params(params).m, taylor_exp(exponent_matrix(params))
+    assert within(1e-12 * (1.0 + want.max_abs()))(got, want)
 
 
 def test_planes_anticommute_exactly_when_they_share_one_index():
@@ -410,14 +384,14 @@ def test_planes_anticommute_exactly_when_they_share_one_index():
     # squares to 1, the sigma_k pairwise anticommute, and two planes
     # anticommute exactly when they share one index, which is the rule that
     # sends a two-plane exponent to the closed form
-    pairs = list(combinations(PLANES, 2))
+    pairs = list(combinations(_INDEX_PAIRS, 2))
     assert len(pairs) == 105
     for p, q in pairs:
         a, b = sigma_ab(*p), sigma_ab(*q)
         shares_one = len({*p} & {*q}) == 1
         assert shares_one == (a @ b + b @ a == HMatrix.zeros(4))
         assert shares_one == (_exponent_terms(RotorParams.e6({p: 0.5, q: 0.25}))[1])
-    assert all(sigma_ab(*p) @ sigma_ab(*p) == HMatrix.identity(4) for p in PLANES)
+    assert all(sigma_ab(*p) @ sigma_ab(*p) == HMatrix.identity(4) for p in _INDEX_PAIRS)
     sigmas = [pauli2(k) for k in (1, 2, 3)]
     assert all(s @ s == HMatrix.identity(2) for s in sigmas)
     assert all(a @ b + b @ a == HMatrix.zeros(2) for a, b in combinations(sigmas, 2))
@@ -450,20 +424,10 @@ def test_anticommuting_exponents_take_no_matrix_product(monkeypatch):
     assert exps == [1] and len(products) == 1
 
 
-def component_norm(x: HMatrix) -> float:
-    """The larger 1-norm of x's two complex null components, the size that
-    the series branch of mat_exp halves."""
-    norms = []
-    for parts in to_null_coords(x.coords):
-        zs = list(map(complex, parts[0::2], parts[1::2]))
-        norms.append(max(sum(map(abs, zs[c::x.n])) for c in range(x.n)))
-    return max(norms)
-
-
 @settings(max_examples=100, deadline=None)
 @given(x=exponents(spaces=("e6", "r66"), min_planes=2), halvings=st.integers(0, 3),
        side=st.sampled_from([1 - 2.0**-30, 1 + 2.0**-30]))
-@example(x=_exponent_matrix(RotorParams.e6({(0, 1): 0.0, (0, 2): 2.2250738585e-313})),
+@example(x=exponent_matrix(RotorParams.e6({(0, 1): 0.0, (0, 2): 2.2250738585e-313})),
          halvings=0, side=1 - 2.0**-30)
 def test_mat_exp_is_the_series_on_both_sides_of_each_halving_threshold(x, halvings, side):
     # the series halves a component until its 1-norm is at most 1/2: scale x
@@ -475,85 +439,17 @@ def test_mat_exp_is_the_series_on_both_sides_of_each_halving_threshold(x, halvin
         x = x.scale(HScalar.flt(2.0**600))
     x = x.scale(HScalar.flt(side * 2.0**halvings / 2.0 / component_norm(x)))
     got, want = mat_exp(x), taylor_exp(x)
-    assert got.is_close(want, 1e-12 * (1.0 + want.max_abs()))
+    assert within(1e-12 * (1.0 + want.max_abs()))(got, want)
 
 
-def loop_cmatmul(a: list, b: list, n: int) -> list:
-    """The complex matmul that the generated series kernels replaced: their oracle."""
-    cols = [b[c::n] for c in range(n)]
-    return [sum(map(mul, row, col)) for row in zip(*[iter(a)] * n) for col in cols]
-
-
-def loop_mat_exp(x: HMatrix) -> HMatrix:
-    """mat_exp as the loops computed it before the generated kernels: the
-    same scaling and squaring, each product by :func:`loop_cmatmul` and each
-    Horner block one ``sum(map(mul, cs, zs))`` per entry."""
-    n, exps = x.n, []
-    plus, minus = to_null_coords(x.coords)
-    for parts in (plus,) if minus == plus else (plus, minus):
-        a = list(map(complex, parts[0::2], parts[1::2]))
-        norm, halvings = max(sum(map(abs, a[c::n])) for c in range(n)), 0
-        while not norm <= rotors_module._HALF_AT:
-            norm, halvings = norm * 0.5, halvings + 1
-        a1 = [z * 0.5 ** halvings for z in a]
-        a2 = loop_cmatmul(a1, a1, n)
-        powers = ([float(k % (n + 1) == 0) for k in range(n * n)], a1, a2, loop_cmatmul(a2, a1, n))
-        a4, acc, taylor = loop_cmatmul(a2, a2, n), None, rotors_module._TAYLOR
-        for cs in (taylor[12:], taylor[8:12], taylor[4:8], taylor[:4]):
-            block = [sum(map(mul, cs, zs)) for zs in zip(*powers)]
-            acc = block if acc is None else list(map(add, loop_cmatmul(acc, a4, n), block))
-        for _ in range(halvings):
-            acc = loop_cmatmul(acc, acc, n)
-        exps.append([q for z in acc for q in (z.real, z.imag)])
-    return HMatrix._new(n, from_null_coords(exps[0], exps[-1]), None)
-
-
-def complex_hex(zs) -> list:
-    return [(float.hex(z.real), float.hex(z.imag)) for z in zs]
-
-
-def random_complex(rng, m: int, sparse: bool) -> list:
-    """m complex entries with 0j and signed-zero parts among them, mostly
-    zero when ``sparse``."""
-    def part():
-        return rng.choice((0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2) * 2.0 ** rng.randint(-60, 60)))
-    return [0j if sparse and rng.random() < 0.7 else
-            rng.choice((0j, complex(-0.0, -0.0), complex(part(), part()))) for _ in range(m)]
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_series_kernels_are_the_loops_bit_for_bit(n):
-    # the generated product and Horner block sum the old loops' terms in the
-    # old order from the int 0, so each part agrees by float.hex, signs of
-    # zero included
-    rng = random.Random(100 + n)
-    product_, block = rotors_module._kernels(n)
-    assert rotors_module._kernels(n) == (product_, block)  # compiled once per size
-    identity = [float(k % (n + 1) == 0) for k in range(n * n)]
-    for k in range(400):
-        a, b, c = (random_complex(rng, n * n, sparse=k % 2 == 1) for _ in range(3))
-        assert complex_hex(product_(a, b)) == complex_hex(loop_cmatmul(a, b, n))
-        cs = [rng.uniform(-1, 1) for _ in range(4)]
-        want = [sum(map(mul, cs, zs)) for zs in zip(identity, a, b, c)]
-        assert complex_hex(block(*cs, a, b, c)) == complex_hex(want)
-
-
-def test_mat_exp_is_the_loop_series_bit_for_bit():
-    # seeded e6 and r66 exponents that take the series, m4 exponents and
-    # dense 2x2 matrices, each also scaled to just below, at and just above
-    # each halving threshold of its larger null component
-    rng = random.Random(36)
-    xs = [_exponent_matrix(random_params(space, rng)) for space in ("e6", "r66", "m4") for _ in range(6)]
-    xs += [HMatrix.from_real_coords([rng.uniform(-2, 2) for _ in range(16)]) for _ in range(6)]
-    xs += [x.scale(HScalar.flt(side * 2.0**halvings / 2.0 / component_norm(x)))
-           for x in xs[::3] for halvings in range(4) for side in (1 - 2.0**-30, 1.0, 1 + 2.0**-30)]
-    for x in xs:
-        assert list(map(float.hex, mat_exp(x).coords)) == list(map(float.hex, loop_mat_exp(x).coords))
+def test_series_kernels_are_compiled_once_per_size():
+    for n in (1, 2, 4):
+        assert rotors_module._kernels(n) == rotors_module._kernels(n)
 
 
 def real_closed_form(x: HMatrix) -> HMatrix:
     """cos/sin or cosh/sinh of the real root of x @ x = s*1, from math."""
-    s = (x @ x).entry(0, 0).x
+    s = (x @ x).rows[0][0].x
     t = math.sqrt(abs(s))
     if s < 0.0:
         c, k = math.cos(t), math.sin(t) / t
@@ -580,10 +476,10 @@ def test_real_square_closed_form_is_bit_exact(params):
     rng = random.Random(11)
     for _ in range(200):
         p = params(*(rng.uniform(-3, 3) for _ in range(3)))
-        x = _exponent_matrix(p)
-        assert (x @ x).entry(0, 0).y == 0.0  # a real square
+        x = exponent_matrix(p)
+        assert (x @ x).rows[0][0].y == 0.0  # a real square
         got, want = rotor_from_params(p).m, real_closed_form(x)
-        assert list(map(float.hex, got.coords)) == list(map(float.hex, want.coords))
+        assert same_bits(got, want)
 
 
 def test_exponent_norm_guard():
@@ -603,10 +499,10 @@ def test_mat_exp_rejects_exact_input():
 
 
 @pytest.mark.parametrize("x", [
-    _exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1500.0))),  # real square
-    _exponent_matrix(RotorParams.m4(phi=(3.0, 0.0, 0.0), xi=(1500.0, 1.0, 0.0))),  # ring square
-    _exponent_matrix(RotorParams.r66({}, {(0, 1): 3000.0, (2, 3): 3000.0})),  # series
-    _exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1e200))),  # the square itself overflows
+    exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1500.0))),  # real square
+    exponent_matrix(RotorParams.m4(phi=(3.0, 0.0, 0.0), xi=(1500.0, 1.0, 0.0))),  # ring square
+    exponent_matrix(RotorParams.r66({}, {(0, 1): 3000.0, (2, 3): 3000.0})),  # series
+    exponent_matrix(RotorParams.m4(xi=(0.0, 0.0, 1e200))),  # the square itself overflows
     HMatrix.from_real_coords([1.6e308, 0.0, 1.6e308, 0.0]),  # a null component x + v overflows
 ], ids=["real-square", "ring-square", "series", "square", "null-sum"])
 def test_overflow_raises_series_non_convergence(x):
@@ -755,7 +651,7 @@ def test_null_factorize_pure_phase():
 def test_null_factorize_roundtrip():
     for space in ("h1", "r66"):
         for _ in range(20):
-            m = rotor_from_params(random_params(space)).g.to_matrix()
+            m = rotor_from_params(random_params(space, RNG)).g.to_matrix()
             rec = HMatrix.from_real_coords(from_null_coords(*to_null_coords(m.coords)))
             assert (rec - m).max_abs() < 1e-12
 

@@ -21,6 +21,9 @@ from hyperclifford.scalars import (
     to_null_coords,
     trig_tilde,
 )
+from oracles import assert_canonical, exact_coordinates, oracle_tests, same_bits, same_values, within
+
+globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
 
 ONE = HScalar.exact(1)
 I = HScalar.unit("i")
@@ -28,8 +31,7 @@ J = HScalar.unit("j")
 IJ = HScalar.unit("ij")
 
 
-def exact(x=0, y=0, v=0, w=0):
-    return HScalar.exact(x, y, v, w)
+exact = HScalar.exact
 
 
 small_fractions = st.fractions(
@@ -48,6 +50,7 @@ def test_unit_multiplication_table():
     assert J * I == IJ
     assert I * IJ == -J
     assert J * IJ == I
+    assert HScalar.__rmul__ is HScalar.__mul__
 
 
 def test_idempotents():
@@ -121,48 +124,6 @@ def test_ring_axioms_float_tolerance():
         assert (a * (b + c) - (a * b + a * c)).max_abs() <= 1e-12 * scale
 
 
-def fraction_product(a, b):
-    """The exact product on the Fraction parts themselves: the oracle of the
-    int-numerator multiply."""
-    x1, y1, v1, w1 = a.coeffs()
-    x2, y2, v2, w2 = b.coeffs()
-    return (
-        x1 * x2 - y1 * y2 + v1 * v2 - w1 * w2,
-        x1 * y2 + y1 * x2 + v1 * w2 + w1 * v2,
-        x1 * v2 + v1 * x2 - y1 * w2 - w1 * y2,
-        x1 * w2 + w1 * x2 + y1 * v2 + v1 * y2,
-    )
-
-
-def test_exact_product_matches_the_fraction_formula():
-    rng = random.Random(13)
-    big = 10**30
-
-    def part(top, dens):
-        return Fraction(rng.randint(-top, top), rng.randint(1, dens))
-
-    cases = [
-        (exact(), exact(1, 2, 3, 4)),  # zero
-        (exact(0, 0, 0, 0), exact()),
-        (HScalar(1, -2, 3, 0), HScalar(Fraction(1, 3), 5, 0, 7)),  # int parts, unchecked
-        (exact(Fraction(1, 2), Fraction(-1, 3)), exact(Fraction(5, 7), 2)),  # complex subring
-        (exact(big - 1, 0, Fraction(big + 3, big - 7)), exact(Fraction(-big, 3), Fraction(1, big + 1), 0, big)),
-    ]
-    for _ in range(300):  # mixed denominators, complex-subring operands among them
-        a = exact(part(9, 7), part(9, 7), part(9, 7), part(9, 7))
-        b = exact(part(9, 5), part(9, 5))
-        cases += [(a, b), (b, a), (b, b), (a, a)]
-    for _ in range(50):  # numerators near 10**30
-        cases.append((exact(*(part(big, big) for _ in range(4))), exact(*(part(big, 3) for _ in range(4)))))
-    for a, b in cases:
-        got, want = (a * b).coeffs(), fraction_product(a, b)
-        assert got == want
-        # reduced Fractions, each the oracle's own numerator and denominator
-        assert all(type(c) is Fraction for c in got)
-        assert [(c.numerator, c.denominator) for c in got] == [(c.numerator, c.denominator) for c in map(Fraction, want)]
-    assert HScalar.__rmul__ is HScalar.__mul__
-
-
 def test_backend_mismatch_raises():
     with pytest.raises(BackendMismatch):
         HScalar.exact(1) * HScalar.flt(1.0)
@@ -212,7 +173,7 @@ def test_float_invert_is_the_conjugate_over_the_quadratic_form():
         q = z.qform()
         n = q.x * q.x + q.w * q.w
         want = z.conjugate() * HScalar(q.x / n, 0.0, 0.0, -q.w / n)
-        assert [c.hex() for c in z.invert().coeffs()] == [c.hex() for c in want.coeffs()]
+        assert same_bits(z.invert(), want)
         assert n == z.modulus()
 
 
@@ -258,9 +219,9 @@ def test_exp_hyperbolic_angle():
 
 
 def test_exp_special_values():
-    assert HScalar.flt(0).exp().is_close(HScalar.flt(1), 1e-15)
+    assert within(1e-15)(HScalar.flt(0).exp(), HScalar.flt(1))
     quarter = HScalar.flt(0, math.pi / 2).exp()
-    assert quarter.is_close(HScalar.flt(0, 1), 1e-15)
+    assert within(1e-15)(quarter, HScalar.flt(0, 1))
 
 
 def test_exp_overflow():
@@ -309,8 +270,7 @@ def null_mul(p, q):
 
 def test_to_null_hyperbolic_coordinates():
     plus, minus = null(exact(5, 0, 3))
-    assert plus == [8, 0] and minus == [2, 0]
-    assert all(type(c) is Fraction for c in plus + minus)
+    assert same_values((plus, minus), ([Fraction(8), Fraction(0)], [Fraction(2), Fraction(0)]))
 
 
 def test_null_conjugation_is_swap():
@@ -359,17 +319,14 @@ def test_null_split_and_join_keep_the_exact_backend():
     coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(16)]
     plus, minus = to_null_coords(coords)
     back = from_null_coords(plus, minus)
-    assert back == coords
-    assert all(type(c) is Fraction for c in plus + minus + back)
+    assert same_values(back, coords) and all(type(c) is Fraction for c in plus + minus)
 
 
 def test_null_join_of_int_components_is_exact():
     back = from_null_coords(*to_null_coords([1, 0, 1, 0]))
-    assert back == [1, 0, 1, 0]
-    assert all(type(c) is Fraction for c in back)
+    assert same_values(back, [Fraction(1), Fraction(0), Fraction(1), Fraction(0)])
     mixed = from_null_coords([1, Fraction(1, 3)], [Fraction(0), 3])
-    assert mixed == [Fraction(1, 2), Fraction(5, 3), Fraction(1, 2), Fraction(-4, 3)]
-    assert all(type(c) is Fraction for c in mixed)
+    assert same_values(mixed, [Fraction(1, 2), Fraction(5, 3), Fraction(1, 2), Fraction(-4, 3)])
 
 
 def test_null_split_takes_whole_entries_by_the_one_rule():
@@ -379,10 +336,8 @@ def test_null_split_takes_whole_entries_by_the_one_rule():
     assert to_null_coords([]) == ([], [])
     # ints give Fractions, and ints beside floats give floats
     plus, minus = to_null_coords([1, Fraction(1, 2), 3, 0])
-    assert (plus, minus) == ([4, Fraction(1, 2)], [-2, Fraction(1, 2)])
-    assert all(type(c) is Fraction for c in plus + minus)
-    plus, minus = to_null_coords([1, 0, 0.5, 0])
-    assert (plus, minus) == ([1.5, 0.0], [0.5, 0.0]) and all(type(c) is float for c in plus + minus)
+    assert same_values((plus, minus), ([Fraction(4), Fraction(1, 2)], [Fraction(-2), Fraction(1, 2)]))
+    assert same_values(to_null_coords([1, 0, 0.5, 0]), ([1.5, 0.0], [0.5, 0.0]))
 
 
 @pytest.mark.parametrize(
@@ -459,33 +414,13 @@ def test_abs_max_keeps_a_nan(spot):
     comps[spot] = math.nan
     z = HScalar(*comps)
     assert math.isnan(z.max_abs())
-    assert not z.is_close(HScalar.flt(), tol=2.0)
+    assert not within(2.0)(z, HScalar.flt())
 
 
 # -- the exact integer form: numerators over one denominator -------------------
 
 
-def assert_canonical(value):
-    """The stored form of an exact value: int numerators over a positive int
-    denominator with no common factor (a zero is over 1), and ``coords``
-    the reduced Fractions they stand for.  A float value has ``den`` None."""
-    nums, den = value.nums, value.den
-    if den is None:
-        assert all(type(x) is float for x in nums)
-        return
-    assert type(den) is int and den > 0 and all(type(x) is int for x in nums)
-    assert math.gcd(den, *nums) == 1
-    assert any(nums) or den == 1
-    assert value.coords == tuple(Fraction(x, den) for x in nums)
-    assert all(type(c) is Fraction for c in value.coords)
-
-
 # zeros, small fractions whose sums reduce, and denominators far beyond a float
-exact_coordinates = st.one_of(
-    st.just(Fraction(0)),
-    st.fractions(min_value=-8, max_value=8, max_denominator=12),
-    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30),
-)
 coordinate_lists = st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(
     st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
     st.lists(exact_coordinates, min_size=4 * n * n, max_size=4 * n * n),
@@ -512,7 +447,7 @@ def test_exact_linear_structure_matches_per_coordinate_fractions(pair):
         assert_canonical(value)
         assert value.coords == tuple(want)
         assert value == HMatrix.from_real_coords(want) and hash(value) == hash(HMatrix.from_real_coords(want))
-        assert [x.hex() for x in value.to_float().coords] == [float(x).hex() for x in want]
+        assert same_bits(value.to_float().coords, [float(x) for x in want])
         assert value.max_abs() == max(abs(float(x)) for x in want)
     back = (a + b) - b
     assert_canonical(back)
@@ -607,11 +542,9 @@ def test_one_number_constructors_reject_what_is_not_an_int_fraction_or_float(val
 
 
 def test_float_scalars_take_exact_numbers_as_floats():
-    assert [c.hex() for c in HScalar.flt(Fraction(1, 3), 2, Fraction(-5, 7)).coeffs()] == \
-        [(1 / 3).hex(), (2.0).hex(), (-5 / 7).hex(), (0.0).hex()]
+    assert same_bits(HScalar.flt(Fraction(1, 3), 2, Fraction(-5, 7)), HScalar(1 / 3, 2.0, -5 / 7, 0.0))
     assert HScalar.flt() == HScalar(0.0, 0.0, 0.0, 0.0)
     assert RotorParams.h1(Fraction(1, 3), 1) == RotorParams.h1(1 / 3, 1.0)
     assert RotorParams.e6({(1, 0): Fraction(1, 3)}).phi_ab == (((0, 1), -1 / 3),)
     with pytest.raises(BackendMismatch, match="coordinate 0 is a Fraction beside a float"):
         HScalar.flt(Fraction(1, 3), 0.0)
-
