@@ -211,13 +211,12 @@ class AlgebraRep:
         self._validate_generators()
 
         self.blades = _blades(signature.n)
+        # each blade's matrix is its prefix's times its last generator, the
+        # left fold of its generators; the blades run by grade, prefixes first
         self._blade_mat = {(): HMatrix.identity(self.n)}
-        for blade in self.blades:
-            if blade:
-                m = self.gens[blade[0] - 1]
-                for idx in blade[1:]:
-                    m = m @ self.gens[idx - 1]
-                self._blade_mat[blade] = m
+        for blade in self.blades[1:]:
+            last = self.gens[blade[-1] - 1]
+            self._blade_mat[blade] = self._blade_mat[blade[:-1]] @ last if len(blade) > 1 else last
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)
         self._basis_mat = {}

@@ -85,18 +85,16 @@ from .rotors import (
     RotorParams,
     _eps_sum,
     _half,
+    _index_generators,
     _index_rhs,
-    _index_table,
     act,
     h1_null_pair,
-    hyperbolic_generator,
     lorentz_generators,
     quasi_sphere_point_r66,
     quasi_sphere_point_r66_via_rotors,
     rotor_from_params,
     sphere_point,
     sphere_point_via_rotors,
-    su4_generator,
     verify_index_commutators,
     verify_lorentz_commutators,
     verify_null_split,
@@ -386,22 +384,13 @@ def _split_failures(res: dict) -> int:
        " and each copy keeps the structure constants", tol=0)
 def _split_lorentz(ctx):
     rot, boo = lorentz_generators()
-    yield _split_failures(verify_null_split(rot, boo, _eps_sum))
+    yield _split_failures(verify_null_split(dict(enumerate(rot)), dict(enumerate(boo)), range(3), _eps_sum))
 
 
 @check("commutators.split_index", "idempotent split of the fifteen index-pair generators",
        "both commuting copies reproduce the index structure constants", tol=0)
 def _split_index(ctx):
-    jg = [su4_generator(*p) for p in _INDEX_PAIRS]
-    kg = [hyperbolic_generator(*p) for p in _INDEX_PAIRS]
-    tables = {}  # the signed table of each split copy, by the copy's identity
-
-    def struct(gens, x, y):
-        if id(gens) not in tables:
-            tables[id(gens)] = _index_table(gens)
-        return _index_rhs(tables[id(gens)], _INDEX_PAIRS[x], _INDEX_PAIRS[y], 1)
-
-    yield _split_failures(verify_null_split(jg, kg, struct))
+    yield _split_failures(verify_null_split(*_index_generators(), _INDEX_PAIRS, _index_rhs))
 
 
 @check("commutators.split_literal", "published closed form (J + ij K)/2 of the commuting split",

@@ -337,10 +337,10 @@ def _from_table(rows) -> HMatrix:
 _PAULI2 = {1: [[0, 1], [1, 0]], 2: [[0, -1j], [1j, 0]], 3: [[1, 0], [0, -1]]}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli2(i: int) -> HMatrix:
-    """The 2x2 Pauli matrices, exact backend."""
-    if i not in _PAULI2:
+    """The 2x2 Pauli matrices, exact backend; ``i`` an int in 1..3."""
+    if type(i) is not int or i not in _PAULI2:
         raise ValueError("pauli2 index must be 1, 2 or 3")
     return _from_table(_PAULI2[i])
 
@@ -365,22 +365,23 @@ _LITERALS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli4_literal(k: int) -> HMatrix:
-    """The hard-coded entry table for the k-th 4x4 Pauli matrix."""
-    if k not in _LITERALS:
-        raise ValueError("pauli4 index must be in 1..15")
+    """The hard-coded entry table for the k-th 4x4 Pauli matrix, ``k`` an int in 1..15."""
+    if type(k) is not int or k not in _LITERALS:
+        raise ValueError("pauli4_literal index must be in 1..15")
     return _from_table(_LITERALS[k])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli4(k: int) -> HMatrix:
-    """The fifteen 4x4 Pauli matrices, generated by tensor products.
+    """The fifteen 4x4 Pauli matrices, generated by tensor products; ``k``
+    an int in 1..15.
 
     Groups of three: s_i x 1, 1 x s_i, s_1 x s_i, s_2 x s_i, s_3 x s_i.
     Each result is asserted equal to its hard-coded literal.
     """
-    if not 1 <= k <= 15:
+    if not (type(k) is int and 1 <= k <= 15):
         raise ValueError("pauli4 index must be in 1..15")
     group, member = divmod(k - 1, 3)
     e2 = HMatrix.identity(2)
@@ -411,14 +412,16 @@ SIGMA_AB_INDEX = (
 
 
 def sigma_ab_entry(a: int, b: int) -> tuple[int, int]:
-    if not (0 <= a <= 5 and 0 <= b <= 5):
-        raise ValueError("sigma_ab indices must lie in 0..5")
+    """The (index, sign) of sigma_ab: two ints in 0..5 (``type(k) is int``,
+    so no bool or float), not equal."""
+    if not (type(a) is int and type(b) is int and 0 <= a <= 5 and 0 <= b <= 5):
+        raise ValueError("sigma_ab indices must be ints in 0..5")
     if a == b:
         raise ValueError("sigma_ab is undefined on the diagonal")
     return SIGMA_AB_INDEX[a][b]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sigma_ab(a: int, b: int) -> HMatrix:
     """Signed lookup of the generator matrix for the index pair (a, b)."""
     k, sign = sigma_ab_entry(a, b)

@@ -376,28 +376,26 @@ def hyperbolic_generator(a: int, b: int) -> HMatrix:
     return su4_generator(a, b).scale(HScalar.unit("ij"))
 
 
-# The fifteen index pairs a < b of 0..5, in the order of an index generator list.
+# The fifteen index pairs a < b of 0..5, the generators the split runs over.
 _INDEX_PAIRS = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
-def _index_table(gens) -> dict:
-    """X_pq over all 36 ordered index pairs from the fifteen generators
-    X_ab, a < b, in ``_INDEX_PAIRS`` order: X_ba = -X_ab and X_aa = 0."""
-    table = {(a, a): HMatrix.zeros(gens[0].n) for a in range(6)}
-    for (a, b), x in zip(_INDEX_PAIRS, gens):
-        table[a, b], table[b, a] = x, -x
-    return table
+def _index_generators() -> tuple[dict, dict]:
+    """J_ab and K_ab keyed by all 36 ordered index pairs (a, b), the sign
+    read off the signed table: J_ba = -J_ab and J_aa = 0."""
+    j = {p: su4_generator(*p) for p in product(range(6), repeat=2)}
+    return j, {p: hyperbolic_generator(*p) for p in j}
 
 
-def _index_rhs(table: dict, ab, cd, sign: int) -> HMatrix:
-    """sign * i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the
-    index pairs ab, cd, read from an :func:`_index_table`; only the terms
-    whose delta is non-zero are summed."""
+def _index_rhs(gens: dict, ab, cd) -> HMatrix:
+    """i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the index
+    pairs ab, cd, X read from ``gens`` keyed by ordered index pair; only
+    the terms whose delta is non-zero are summed."""
     (a, b), (c, d) = ab, cd
     terms = [(k, pq) for k, pq in ((a == c, (b, d)), (-(a == d), (b, c)), (-(b == c), (a, d)), (b == d, (a, c))) if k]
     if not terms:
-        return HMatrix.zeros(table[ab].n)
-    return _weighted_sum([q for k, _ in terms for q in (0, sign * k, 0, 0)], 1, [table[pq] for _, pq in terms])
+        return HMatrix.zeros(gens[ab].n)
+    return _weighted_sum([q for k, _ in terms for q in (0, int(k), 0, 0)], 1, [gens[pq] for _, pq in terms])
 
 
 def _commutators(gens, keys):
@@ -414,14 +412,15 @@ def _commutators(gens, keys):
 
 
 def _count_relations(keys, j, k, rhs) -> list[int]:
-    """Failures of [J_p, J_q] = rhs(J, p, q, 1), [J_p, K_q] = rhs(K, p, q, 1),
-    the computed [K_p, K_q] = rhs(J, p, q, -1) and the printed
-    [K_p, K_q] = rhs(K, p, q, -1), over all ordered pairs of ``keys``."""
+    """Failures of [J_p, J_q] = F_J, [J_p, K_q] = F_K, the computed
+    [K_p, K_q] = -F_J and the printed [K_p, K_q] = -F_K over all ordered
+    pairs of ``keys``, with J and K keyed by the family's labels and each
+    right-hand side F_X = rhs(X, p, q) built once per ordered pair."""
     counts = [0] * 4
     for (p, q, jj), (_, _, kk) in zip(_commutators(j, keys), _commutators(k, keys)):
-        jk = commutator(j[p], k[q])
-        for n, (lhs, gens, sign) in enumerate(((jj, j, 1), (jk, k, 1), (kk, j, -1), (kk, k, -1))):
-            counts[n] += lhs != rhs(gens, p, q, sign)
+        fj, fk = rhs(j, p, q), rhs(k, p, q)
+        for n, (lhs, want) in enumerate(((jj, fj), (commutator(j[p], k[q]), fk), (kk, -fj), (kk, -fk))):
+            counts[n] += lhs != want
     return counts
 
 
@@ -433,9 +432,8 @@ def verify_index_commutators() -> dict:
     [K,K] = -i(d J); also counts how often the printed alternative
     [K,K] = -i(d K) fails, which documents the deviation.
     """
-    j = _index_table([su4_generator(*p) for p in _INDEX_PAIRS])
-    k = _index_table([hyperbolic_generator(*p) for p in _INDEX_PAIRS])
-    pairs = [(a, b) for a, b in product(range(6), repeat=2) if a != b]
+    j, k = _index_generators()
+    pairs = [(a, b) for a, b in j if a != b]
     jj, jk, kk, printed = _count_relations(pairs, j, k, _index_rhs)
     return {
         "checked": len(pairs) ** 2,
@@ -446,10 +444,11 @@ def verify_index_commutators() -> dict:
     }
 
 
-def _eps_sum(gens, a: int, b: int, sign: int = 1) -> HMatrix:
-    """sign * i * sum_c eps_abc gens[c] for three 2x2 generators, with
-    eps_abc = (a - b)(b - c)(c - a)/2 on 0..2."""
-    return _weighted_sum([q for c in range(3) for q in (0, sign * (a - b) * (b - c) * (c - a) // 2, 0, 0)], 1, gens)
+def _eps_sum(gens, a: int, b: int) -> HMatrix:
+    """i * sum_c eps_abc gens[c] for three 2x2 generators keyed by axis
+    0..2, with eps_abc = (a - b)(b - c)(c - a)/2."""
+    eps = [q for c in range(3) for q in (0, (a - b) * (b - c) * (c - a) // 2, 0, 0)]
+    return _weighted_sum(eps, 1, [gens[c] for c in range(3)])
 
 
 def verify_lorentz_commutators() -> dict:
@@ -460,38 +459,43 @@ def verify_lorentz_commutators() -> dict:
     return {"failures": {"jj": jj, "jk": jk, "kk_computed": kk}, "printed_kk_failures": printed}
 
 
-def null_split(j_gens) -> tuple[list[HMatrix], list[HMatrix]]:
+def null_split(j_gens: dict) -> tuple[dict, dict]:
     """Split into two commuting copies via the idempotents (1 +- j)/2.
 
-    A = e+ J and B = e- J, equivalently A = (J - iK)/2 and B = (J + iK)/2
-    for K = ij J.  The combination (J + ijK)/2 collapses to zero because
-    (ij)^2 = -1; the idempotent form realizes the intended pair of
-    commuting factors.
+    ``j_gens`` maps each label of a family (an ordered index pair, or an
+    axis 0..2 of the Lorentz family) to its generator J, and the copies
+    come back keyed by the same labels: A = e+ J and B = e- J, equivalently
+    A = (J - iK)/2 and B = (J + iK)/2 for K = ij J.  The combination
+    (J + ijK)/2 collapses to zero because (ij)^2 = -1; the idempotent form
+    realizes the intended pair of commuting factors.
     """
     ep = HScalar(_HALF, _ZERO, _HALF, _ZERO)
     em = HScalar(_HALF, _ZERO, -_HALF, _ZERO)
-    return [g.scale(ep) for g in j_gens], [g.scale(em) for g in j_gens]
+    return {p: g.scale(ep) for p, g in j_gens.items()}, {p: g.scale(em) for p, g in j_gens.items()}
 
 
-def verify_null_split(j_gens, k_gens, struct) -> dict:
+def verify_null_split(j_gens: dict, k_gens: dict, keys, rhs) -> dict:
     """Check the split reproduces the parent structure constants.
 
-    ``struct(gens, a, b)`` must return the expected commutator of the
-    a-th and b-th generators built from ``gens``.
+    ``j_gens`` and ``k_gens`` map the family's labels to J and K = ij J,
+    as :func:`null_split` takes them.  Over ``keys`` the copies must
+    rebuild J and K and commute with each other, and over every ordered
+    pair p, q of ``keys`` each copy X must satisfy [X_p, X_q] = rhs(X, p, q),
+    the family's right-hand side read off the copy and built once.
     """
     a_set, b_set = null_split(j_gens)
-    n = len(j_gens)
+    keys = list(keys)
     unit_i = HScalar.unit("i")
     cross = sum_err = recon = 0
-    for p in range(n):
+    for p in keys:
         recon += (a_set[p] + b_set[p]) != j_gens[p]
         recon += (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]
-    zero = HMatrix.zeros(j_gens[0].n) if n else None
-    for p, q in product(range(n), repeat=2):
+    zero = HMatrix.zeros(j_gens[keys[0]].n) if keys else None
+    for p, q in product(keys, repeat=2):
         cross += commutator(a_set[p], b_set[q]) != zero
     for gens in (a_set, b_set):
-        for p, q, lhs in _commutators(gens, range(n)):
-            sum_err += lhs != struct(gens, p, q)
+        for p, q, lhs in _commutators(gens, keys):
+            sum_err += lhs != rhs(gens, p, q)
     return {
         "cross_failures": cross,
         "structure_failures": sum_err,

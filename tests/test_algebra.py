@@ -326,17 +326,19 @@ def test_generators_anticommute_in_matrices():
 
 
 def test_gp_matrix_route_matches_blade_route():
+    rng = random.Random("test_gp_matrix_route_matches_blade_route")
     for name in ("r30", "c30bar", "r05", "h05bar", "c10bar"):
         rep = get_rep(name)
         for _ in range(100):
-            u, v = random_mv(rep), random_mv(rep)
+            u, v = random_mv(rep, False, rng), random_mv(rep, False, rng)
             assert within(1e-11)(u.gp(v), u.gp_blades(v))
 
 
 def test_gp_exact_routes_agree_bitwise():
+    rng = random.Random("test_gp_exact_routes_agree_bitwise")
     rep = get_rep("h05bar")
     for _ in range(20):
-        u, v = random_mv(rep, exact=True), random_mv(rep, exact=True)
+        u, v = random_mv(rep, True, rng), random_mv(rep, True, rng)
         assert u.gp(v) == u.gp_blades(v)
 
 
@@ -410,10 +412,11 @@ def test_dagger_reverses_two_blade():
 
 
 def test_involution_product_rules():
+    rng = random.Random("test_involution_product_rules")
     for name in ("r30", "h05bar"):
         rep = get_rep(name)
         for _ in range(50):
-            u, v = random_mv(rep), random_mv(rep)
+            u, v = random_mv(rep, False, rng), random_mv(rep, False, rng)
             uv = u.gp_blades(v)
             assert within(1e-12)(uv.dagger(), v.dagger().gp_blades(u.dagger()))
             assert within(1e-12)(uv.hat(), u.hat().gp_blades(v.hat()))
@@ -421,19 +424,21 @@ def test_involution_product_rules():
 
 
 def test_bar_is_hat_then_dagger():
+    rng = random.Random("test_bar_is_hat_then_dagger")
     for name in ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar"):
         rep = get_rep(name)
         for _ in range(20):
-            u = random_mv(rep, exact=True)
+            u = random_mv(rep, True, rng)
             assert u.bar() == u.hat().dagger()
             assert u.bar() == u.dagger().hat()
 
 
 def test_bar_equals_matrix_adjoint():
+    rng = random.Random("test_bar_equals_matrix_adjoint")
     for name in REP_NAMES:
         rep = get_rep(name)
         for _ in range(20):
-            u = random_mv(rep, exact=True)
+            u = random_mv(rep, True, rng)
             assert u.bar().to_matrix() == u.to_matrix().adjoint()
 
 
@@ -446,10 +451,11 @@ def test_decompose_recovers_bivector():
 
 
 def test_decompose_roundtrip():
+    rng = random.Random("test_decompose_roundtrip")
     for name in ("r30", "h05bar"):
         rep = get_rep(name)
         for _ in range(50):
-            u = random_mv(rep)
+            u = random_mv(rep, False, rng)
             again = rep.decompose(u.to_matrix())
             assert within(1e-12)(again, u)
 
@@ -467,9 +473,10 @@ def test_porteous_2x2():
 
 
 def test_porteous_4x4_against_grade_rules():
+    rng = random.Random("test_porteous_4x4_against_grade_rules")
     rep = get_rep("r05")
     for _ in range(25):
-        u = random_mv(rep, exact=True)
+        u = random_mv(rep, True, rng)
         m = u.to_matrix()
         assert porteous_dagger_4x4(m) == u.dagger().to_matrix()
         assert porteous_hat_4x4(m) == u.hat().to_matrix()

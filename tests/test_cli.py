@@ -197,7 +197,7 @@ def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("the calculator entered a verifier-only path")
 
-    for name in ("mat_exp", "_count_relations", "verify_null_split"):
+    for name in ("mat_exp", "_count_relations", "verify_null_split", "_index_rhs", "_eps_sum"):
         monkeypatch.setattr(rotors, name, refuse)
     monkeypatch.setattr(HMatrix, "inverse", refuse)
     monkeypatch.setattr(algebra, "_permute", refuse)

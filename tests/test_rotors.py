@@ -22,8 +22,8 @@ from hyperclifford.rotors import (
     SeriesNonConvergence,
     _closed_form,
     _exponent_terms,
+    _index_generators,
     _index_rhs,
-    _index_table,
     act,
     h1_null_pair,
     hyperbolic_generator,
@@ -45,8 +45,6 @@ from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to
 from oracles import component_norm, exponent_matrix, oracle_tests, random_params, same_bits, within
 
 globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
-
-RNG = random.Random(4242)
 
 
 def dagger_residual(r) -> float:
@@ -103,9 +101,10 @@ def test_pure_boost_closed_form():
 
 
 def test_rotor_certificates():
+    rng = random.Random("test_rotor_certificates")
     for space in ("h1", "m4", "e6", "r66"):
         for _ in range(25):
-            r = rotor_from_params(random_params(space, RNG))
+            r = rotor_from_params(random_params(space, rng))
             assert r.spin_residual <= 1e-12
             assert dagger_residual(r) <= 1e-12
 
@@ -187,11 +186,12 @@ def test_boost_action_on_rest_vector(xi, m):
 
 
 def test_qform_preserved_by_action():
+    rng = random.Random("test_qform_preserved_by_action")
     for space_name in ("h1", "m4", "e6", "r66"):
         space = get_space(space_name)
         for _ in range(30):
-            r = rotor_from_params(random_params(space_name, RNG))
-            x = space.paravector([RNG.uniform(-2, 2) for _ in range(space.dim)])
+            r = rotor_from_params(random_params(space_name, rng))
+            x = space.paravector([rng.uniform(-2, 2) for _ in range(space.dim)])
             before, after = x.qform(), act(r, x).qform()
             assert (before - after).max_abs() < 1e-10
 
@@ -537,42 +537,47 @@ def test_relation_loops_build_each_ordered_product_once(monkeypatch):
     # [X_p, X_q] is read as X_p X_q - X_q X_p from one product per ordered
     # pair: 3,600 products for the index relations (5,400 when each
     # commutator built both of its own), 36 for the Lorentz ones (54) and
-    # 900 for the split index generators (1,350); the results stay
-    products, matmul = [], HMatrix.__matmul__
+    # 900 for the split index generators (1,350); and each right-hand side
+    # F_J, F_K once per ordered pair, the K-K relations reading -F_J and
+    # -F_K: 1,080 weighted sums for the index relations (2,160 when each
+    # was built once per sign); the results stay
+    products, sums, matmul = [], [], HMatrix.__matmul__
     monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    weighted_sum = rotors_module._weighted_sum
+    monkeypatch.setattr(rotors_module, "_weighted_sum", lambda *args: sums.append(1) or weighted_sum(*args))
 
     def counted(run):
         products.clear()
-        return run(), len(products)
+        sums.clear()
+        return run(), len(products), len(sums)
 
     assert counted(verify_index_commutators) == ({
         "checked": 900, "failures_jj": 0, "failures_jk": 0, "failures_kk_computed": 0, "printed_kk_failures": 480,
-    }, 3600)
+    }, 3600, 1080)
     assert counted(verify_lorentz_commutators) == ({"failures": {"jj": 0, "jk": 0, "kk_computed": 0},
-                                                    "printed_kk_failures": 6}, 36)
-    jg, kg = [su4_generator(*p) for p in _INDEX_PAIRS], [hyperbolic_generator(*p) for p in _INDEX_PAIRS]
-
-    def struct(gens, x, y):
-        return _index_rhs(_index_table(gens), _INDEX_PAIRS[x], _INDEX_PAIRS[y], 1)
-
+                                                    "printed_kk_failures": 6}, 36, 18)
+    jg, kg = _index_generators()
     clean = {"cross_failures": 0, "structure_failures": 0, "reconstruction_failures": 0}
-    assert counted(lambda: verify_null_split(jg, kg, struct)) == (clean, 900)
+    assert counted(lambda: verify_null_split(jg, kg, _INDEX_PAIRS, _index_rhs))[:2] == (clean, 900)
     # with the structure constants of the swapped pair, each failing ordered
     # pair is still counted, as a loop over the commutators counts it
-    def swapped(gens, x, y):
-        return struct(gens, y, x)
+    def swapped(gens, p, q):
+        return _index_rhs(gens, q, p)
 
     want = sum(commutator(g[p], g[q]) != swapped(g, p, q)
-               for g in null_split(jg) for p, q in product(range(15), repeat=2))
-    assert verify_null_split(jg, kg, swapped)["structure_failures"] == want > 0
+               for g in null_split(jg) for p, q in product(_INDEX_PAIRS, repeat=2))
+    assert verify_null_split(jg, kg, _INDEX_PAIRS, swapped)["structure_failures"] == want > 0
 
 
 def test_index_table_is_signed():
-    table = _index_table([su4_generator(*p) for p in _INDEX_PAIRS])
-    assert len(table) == 36 and set(table) == set(product(range(6), repeat=2))
-    for (p, q), x in table.items():
-        assert table[q, p] == -x
-        assert x == (HMatrix.zeros(4) if p == q else su4_generator(p, q))
+    # the generators read off the signed table for all 36 ordered index
+    # pairs: J_ba = -J_ab, and J_aa = 0
+    half = HScalar.exact(Fraction(1, 2))
+    for p, q in product(range(6), repeat=2):
+        x = su4_generator(p, q)
+        assert su4_generator(q, p) == -x
+        assert x == (HMatrix.zeros(4) if p == q else sigma_ab(p, q).scale(half))
+        assert hyperbolic_generator(p, q) == x.scale(HScalar.unit("ij"))
 
 
 def test_lorentz_commutator_relations():
@@ -597,7 +602,7 @@ def test_index_commutator_example():
 
 def test_null_split_properties():
     rot, boo = lorentz_generators()
-    a_set, b_set = null_split(rot)
+    a_set, b_set = null_split(dict(enumerate(rot)))
     for p in range(3):
         assert a_set[p] + b_set[p] == rot[p]
         assert (a_set[p] - b_set[p]).scale(HScalar.unit("i")) == boo[p]
@@ -621,7 +626,7 @@ def test_single_generator_split():
 
     half = Fraction(1, 2)
     j = HMatrix.identity(1).scale(HScalar.exact(half))
-    a_set, b_set = null_split([j])
+    a_set, b_set = null_split({0: j})
     assert a_set[0] == HMatrix.identity(1).scale(HScalar.exact(half, 0, half) * HScalar.exact(half))
     assert b_set[0] == HMatrix.identity(1).scale(HScalar.exact(half, 0, -half) * HScalar.exact(half))
 
@@ -649,9 +654,10 @@ def test_null_factorize_pure_phase():
 
 
 def test_null_factorize_roundtrip():
+    rng = random.Random("test_null_factorize_roundtrip")
     for space in ("h1", "r66"):
         for _ in range(20):
-            m = rotor_from_params(random_params(space, RNG)).g.to_matrix()
+            m = rotor_from_params(random_params(space, rng)).g.to_matrix()
             rec = HMatrix.from_real_coords(from_null_coords(*to_null_coords(m.coords)))
             assert (rec - m).max_abs() < 1e-12
 

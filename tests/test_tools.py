@@ -118,6 +118,18 @@ def test_summary_says_whether_the_change_may_claim_a_gain():
     assert pairs.is_gain(9, 10, 90.0, 95.0, 4.0, False)
 
 
+@pytest.mark.parametrize("count, gain", [(4, "no"), (9, "no"), (10, "yes")])
+def test_summary_calls_a_gain_only_from_ten_pairs(count, gain):
+    """Every pair won by a gap far wider than the parent's spread is still
+    no gain below ten pairs; the exit status follows the bounds alone."""
+    parent = results([2.0, 2.1] * 5, [100.0, 101.0] * 5)
+    change = results([1.0] * 10, [200.0] * 10)
+    lines, ok = pairs.summarize(METRICS, parent[:count], change[:count])
+    assert ok
+    for name in ("wall_s", "req_per_s"):
+        assert row(lines, name)[5] == f"{count}/{count}" and row(lines, name)[8] == gain
+
+
 VERIFY = [
     ["commutators.index_kk_printed", "deviation-documented", float.hex(480.0)],
     ["commutators.lorentz", "pass", float.hex(0.0)],

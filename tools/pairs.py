@@ -19,13 +19,14 @@ that every run is on record.  Then, for every ``end_to_end`` metric, it
 prints both medians, the parent's interquartile spread, how many pairs
 the change won, how much worse the change's median is (as a share of
 the parent's, positive when worse), whether the change may claim a gain
-on it and whether it stays within the metric's bound.  A gain needs both: the change won at least nine
-tenths of the pairs (ties count for neither side), and its median is
-better than the parent's by more than the parent's interquartile
-spread.  A metric within its bound is ``unresolved`` rather than ``ok``
-when the parent's interquartile spread is wider than the bound (as a
-share of the parent's median), unless every run of the change beats
-every run of the parent.  It also prints each side's failed share of
+on it and whether it stays within the metric's bound.  A gain needs all
+three: at least ten pairs, the change won at least nine tenths of them
+(ties count for neither side), and its median is better than the
+parent's by more than the parent's interquartile spread.  A metric
+within its bound is ``unresolved`` rather than ``ok`` when the parent's
+interquartile spread is wider than the bound (as a share of the
+parent's median), unless every run of the change beats every run of
+the parent.  It also prints each side's failed share of
 operations.  Exits 0 when every metric is within its bound and 1
 otherwise; an unresolved metric does not change the exit status.
 """
@@ -63,11 +64,12 @@ def quartile_spread(values: list) -> float:
 
 
 def is_gain(won: int, pairs: int, old_med: float, new_med: float, spread: float, lower: bool) -> bool:
-    """Whether paired results show a gain: at least nine tenths of the
-    pairs won, and the medians apart by more than the parent's spread in
-    the better direction."""
+    """Whether paired results show a gain: at least ten pairs, at least
+    nine tenths of them won, and the medians apart by more than the
+    parent's spread in the better direction.  Below ten pairs it is never
+    a gain, however wide the gap."""
     gap = old_med - new_med if lower else new_med - old_med
-    return 10 * won >= 9 * pairs and gap > spread
+    return pairs >= 10 and 10 * won >= 9 * pairs and gap > spread
 
 
 def run_lines(spec_metrics: list, first: int, parent: list, change: list) -> list:
