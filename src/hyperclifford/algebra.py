@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, count, product
 from math import gcd
 
@@ -130,17 +130,19 @@ class _Kernel(tuple):
     """A signed-permutation product table: row k1 holds ``(k, sign)`` per
     right index k2, so coordinate k1 times coordinate k2 adds with ``sign``
     to output k.  Its two products are code generated from the rows, each
-    compiled on first use.  ``product(a, b, zero)`` multiplies coordinates
-    of the backend whose zero it is given: each block of ``_BLOCK`` left
-    rows sits under one ``if`` on its left coordinates, and under it each
-    output is one sum ``o_k = o_k + a_k1 * b_k2 - ...`` in k1 order, so in
-    the order of the pairs.  A zero left coordinate in a live block adds a
-    signed zero, which never changes a sum started at ``+0.0``: results are
-    the pair loop's bit for bit when the operands and null sums are finite.
-    ``joined(c, d, h, zero)`` takes a j-rep's coordinates ``a, b`` of each
-    blade ``a + b j`` to the null pairs ``(a +- b) * h`` (left) and ``a +- b``
-    (right), runs ``product`` on the sums (P) and on the differences (M)
-    and returns ``P + M, P - M`` per blade."""
+    compiled by the first ``gp_blades`` that runs it.  Set-up compiles
+    none: a product of basis elements reads one entry of the rows
+    (:meth:`AlgebraRep._basis_product`).  ``product(a, b, zero)`` multiplies
+    coordinates of the backend whose zero it is given: each block of
+    ``_BLOCK`` left rows sits under one ``if`` on its left coordinates, and
+    under it each output is one sum ``o_k = o_k + a_k1 * b_k2 - ...`` in k1
+    order, so in the order of the pairs.  A zero left coordinate in a live
+    block adds a signed zero, which never changes a sum started at ``+0.0``:
+    results are the pair loop's bit for bit when the operands and null sums
+    are finite.  ``joined(c, d, h, zero)`` takes a j-rep's coordinates
+    ``a, b`` of each blade ``a + b j`` to the null pairs ``(a +- b) * h``
+    (left) and ``a +- b`` (right), runs ``product`` on the sums (P) and on
+    the differences (M) and returns ``P + M, P - M`` per blade."""
 
     @cached_property
     def product(self):
@@ -197,16 +199,20 @@ def involution_sign(kind: str, grade: int) -> int:
     return -1 if flips[kind] % 2 else 1
 
 
+def _single_slot(mv: "Multivector"):
+    """The slot (basis index, sign) of an exact element whose only non-zero
+    coordinate is +-1; None for any other element."""
+    nonzero = [(k, c) for k, c in enumerate(mv.nums) if c]
+    return nonzero[0] if mv.den == 1 and len(nonzero) == 1 and nonzero[0][1] in (1, -1) else None
+
+
 class AlgebraRep:
     """A validated matrix representation of one of the named algebras."""
 
     def __init__(self, name: str, signature: Signature, gens, adjoined: str = ""):
         if adjoined not in ("", "i", "j"):
             raise ValueError("adjoined unit must be '', 'i' or 'j'")
-        self.name = name
-        self.signature = signature
-        self.gens = tuple(gens)
-        self.adjoined = adjoined
+        self.name, self.signature, self.gens, self.adjoined = name, signature, tuple(gens), adjoined
         self.n = self.gens[0].n if self.gens else 1
         self._validate_generators()
 
@@ -219,12 +225,8 @@ class AlgebraRep:
             self._blade_mat[blade] = self._blade_mat[blade[:-1]] @ last if len(blade) > 1 else last
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)
-        self._basis_mat = {}
-        for blade, unit in self.basis:
-            m = self._blade_mat[blade]
-            if unit != "1":
-                m = m.scale(HScalar.unit(unit))
-            self._basis_mat[(blade, unit)] = m
+        self._basis_mat = {(b, u): self._blade_mat[b] if u == "1" else self._blade_mat[b].scale(HScalar.unit(u))
+                           for b, u in self.basis}
         self._coord_map = self._signed_coords()
         self._validate_orthogonality()
         self._ring_units = self._find_ring_units()
@@ -261,11 +263,9 @@ class AlgebraRep:
             want = idm if self.signature.square(k) > 0 else -idm
             if sq != want:
                 raise ValueError(f"generator {k} squares incorrectly in {self.name}")
-        for a in range(len(self.gens)):
-            for b in range(a + 1, len(self.gens)):
-                anti = self.gens[a] @ self.gens[b] + self.gens[b] @ self.gens[a]
-                if anti != HMatrix.zeros(self.n):
-                    raise ValueError(f"generators {a+1},{b+1} fail to anticommute in {self.name}")
+        for (a, ga), (b, gb) in combinations(enumerate(self.gens, start=1), 2):
+            if ga @ gb + gb @ ga != HMatrix.zeros(self.n):
+                raise ValueError(f"generators {a},{b} fail to anticommute in {self.name}")
 
     def _signed_coords(self) -> dict:
         """Coordinate table of the matrix route, read off the basis matrices.
@@ -455,6 +455,23 @@ class AlgebraRep:
             raise BackendMismatch("a float component cannot enter the exact backend")
         return self._element(k, [num if den is None or exact else num / den], den if exact else None)
 
+    def _basis_product(self, a: "Multivector", b: "Multivector") -> "Multivector":
+        """``a.gp_blades(b)`` of two exact elements of this representation, each
+        +-1 on one coordinate: one entry of ``_product``, the table the kernel
+        is generated from, so no kernel is compiled.  A j-rep's table is over its
+        blades (``k >> 1``); the unit bits ``k & 1`` multiply by XOR, as j^2 = 1.
+        Any other operand raises ``ValueError``."""
+        slots = [_single_slot(x) if x.rep is self else None for x in (a, b)]
+        if None in slots:
+            raise ValueError(f"not two elements of {self.name} that are +-1 on one coordinate")
+        (k1, s1), (k2, s2) = slots
+        if self.adjoined == "j":
+            k, sign = self._product[k1 >> 1][k2 >> 1]
+            k = 2 * k + ((k1 ^ k2) & 1)
+        else:
+            k, sign = self._product[k1][k2]
+        return self._element(k, [s1 * s2 * sign], 1)
+
     def __repr__(self):
         return f"AlgebraRep({self.name})"
 
@@ -622,11 +639,9 @@ def get_rep(name: str) -> AlgebraRep:
 
 
 def pseudoscalar(rep: AlgebraRep) -> Multivector:
-    """Ordered product of all generators (the highest-grade blade)."""
-    acc = rep._element(0, [1], 1)
-    for k in range(1, rep.signature.n + 1):
-        acc = acc.gp_blades(rep.generator(k))
-    return acc
+    """Ordered product of all generators (the highest-grade blade), read off
+    the blade table by :meth:`AlgebraRep._basis_product`: no kernel is compiled."""
+    return reduce(rep._basis_product, map(rep.generator, range(1, rep.signature.n + 1)), rep._element(0, [1], 1))
 
 
 def ring_unit_multivectors(rep: AlgebraRep) -> dict[str, Multivector]:
@@ -814,11 +829,10 @@ def _catalog(rep_name: str):
     gens = [(f"e{k}", rep.generator(k), False) for k in range(1, rep.signature.n + 1)]
     rows = [row for row in gens if row[1] not in units.values()]
     if rep_name == "c30bar":
-        # j is c30bar's coefficient unit: j e_k is the blade e_k with coefficient j
-        rows += [(f"sigma{k}", rep._element(rep.basis.index(((k,), "j")), [1], 1), False) for k in (1, 2, 3)]
+        rows += [(f"sigma{k}", rep._basis_product(units["j"], rep.generator(k)), False) for k in (1, 2, 3)]
     if rep_name == "h05bar":
-        rows += [(f"sigma0{k}", (-units["i"]).gp_blades(rep.generator(k)), False) for k in range(1, 6)]
-        rows += [(f"sigma{k}{l}", units["i"].gp_blades(rep.blade((k, l))), False)
+        rows += [(f"sigma0{k}", rep._basis_product(-units["i"], rep.generator(k)), False) for k in range(1, 6)]
+        rows += [(f"sigma{k}{l}", rep._basis_product(units["i"], rep.blade((k, l))), False)
                  for k, l in combinations(range(1, 6), 2)]
     return rows + [(u, mv, u == "ij") for u, mv in units.items() if u != "1"]
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
+from .algebra import AlgebraRep, Multivector, _single_slot, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
 from .scalars import HScalar, RealCoords, _entering, _floats
 
@@ -55,15 +55,6 @@ _SPACES = {
 SPACE_NAMES = tuple(_SPACES)
 
 
-def _single_slot(mv: Multivector):
-    """The slot (basis index, sign) of an exact element whose only non-zero
-    coordinate is +-1; None for any other element."""
-    nonzero = [(k, c) for k, c in enumerate(mv.nums) if c]
-    if mv.den == 1 and len(nonzero) == 1 and nonzero[0][1] in (1, -1):
-        return nonzero[0]
-    return None
-
-
 class ParavectorSpace:
     """An ordered paravector basis with its induced diagonal metric.
 
@@ -77,30 +68,24 @@ class ParavectorSpace:
     """
 
     def __init__(self, name: str, rep: AlgebraRep, basis):
-        self.name = name
-        self.rep = rep
-        self.basis = tuple(basis)
+        self.name, self.rep, self.basis = name, rep, tuple(basis)
         self.dim = len(self.basis)
-        self.metric = tuple(self._metric_signs())
         self._unit_slots = tuple(map(_single_slot, ring_unit_multivectors(rep).values()))
         slots = tuple(map(_single_slot, self.basis))
         for a, slot in enumerate(slots):
             if slot is None or slot[0] in {s[0] for s in slots[:a]}:
-                raise ValueError(
-                    f"basis element {a} of {name} is not +-1 in one coordinate,"
-                    " on a slot of its own"
-                )
+                raise ValueError(f"basis element {a} of {name} is not +-1 in one coordinate, on a slot of its own")
         self._slots = slots
         self._slot_pairs = tuple(tuple((i, s * t) for i, t in rep._coord_map[rep.basis[k]]) for k, s in slots)
+        self.metric = tuple(self._metric_signs())
 
     def _metric_signs(self):
         for k, b in enumerate(self.basis):
-            # the real scalar coordinate is +-1 and every other one is zero
-            q = b.gp_blades(b.bar())
-            c = q.nums
-            if q.den != 1 or any(c[1:]) or c[0] * c[0] != 1:
+            # b bar(b), one entry of the blade table, is +-1 on the real scalar coordinate
+            index, sign = _single_slot(self.rep._basis_product(b, b.bar()))
+            if index:
                 raise ValueError(f"basis element {k} of {self.name} is not metric-unit")
-            yield 1 if c[0] > 0 else -1
+            yield sign
 
     # -- paravector construction ------------------------------------------------
 
@@ -193,13 +178,15 @@ class Paravector(RealCoords):
 
 @lru_cache(maxsize=None)
 def get_space(name: str) -> ParavectorSpace:
+    """The shared space ``name``: its basis and metric read off the blade table
+    (:meth:`AlgebraRep._basis_product`), so it compiles no kernel."""
     if name not in _SPACES:
         raise ValueError(f"unknown paravector space {name!r}")
     rep_name, n, unit_names = _SPACES[name]
     rep = get_rep(rep_name)
     units = ring_unit_multivectors(rep)
     base = [units["1"]] + [rep.generator(k) for k in range(1, n + 1)]
-    return ParavectorSpace(name, rep, [units[u].gp_blades(b) for u in unit_names for b in base])
+    return ParavectorSpace(name, rep, [rep._basis_product(units[u], b) for u in unit_names for b in base])
 
 
 # -- products -------------------------------------------------------------------
@@ -292,7 +279,6 @@ def embed_momentum(q, o, s, u) -> Paravector:
     """Hyperbolic-complex momentum paravector q + i*o + j*s + ij*u from
     four real 4-vectors: the hm4 coordinates (*q, *o, *s, *u).  Int or
     Fraction inputs stay exact."""
-    for vec in (q, o, s, u):
-        if len(vec) != 4:
-            raise ValueError("momentum components must be 4-vectors")
+    if any(len(vec) != 4 for vec in (q, o, s, u)):
+        raise ValueError("momentum components must be 4-vectors")
     return get_space("hm4").paravector([*q, *o, *s, *u])

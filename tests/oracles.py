@@ -412,6 +412,14 @@ def gp_blades_loop(u, v):
     return Multivector._new(rep, out, den)
 
 
+def signed_basis_pairs(name, exact):
+    """Every ordered pair of the representation's exact elements that are
+    +1 or -1 on one coordinate."""
+    rep = get_rep(name)
+    signed = [rep._element(k, [sign], 1) for k in range(len(rep.basis)) for sign in (1, -1)]
+    return list(product(signed, repeat=2))
+
+
 def scale_per_blade(mv, z):
     """The HScalar product of z with each blade's coefficient."""
     zero = HScalar.make(exact=mv.is_exact)
@@ -1176,6 +1184,9 @@ ORACLES = {
     "test_algebra::test_gp_blades_kernel_is_the_pair_loop": [
         Row(f"{GP} algebra._Kernel.product algebra._Kernel.joined", gp_blades_loop, kernel_pairs, REP_NAMES, BOTH,
             same_bits)],
+    "test_algebra::test_a_product_of_basis_elements_is_its_blade_table_entry": [
+        Row("algebra.AlgebraRep._basis_product", Multivector.gp_blades, signed_basis_pairs, REP_NAMES, EXACT,
+            same_bits, call=lambda a, b: a.rep._basis_product(a, b))],
     "test_algebra::test_scale_is_the_per_blade_scalar_product": [
         Row(f"{MV}.scale", scale_per_blade, part(scale_cases, 0), SCALED, BOTH, same_values),
         Row(f"{MV}.scale", by_scalar(gp_blades_null_reference), part(scale_cases, 1), SCALED[1:], FLOAT, same_bits),

@@ -4,13 +4,17 @@ import copy
 import math
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperclifford
 from hyperclifford.algebra import (
     REP_NAMES,
     AlgebraRep,
@@ -30,6 +34,7 @@ from hyperclifford.algebra import (
     pseudoscalar,
 )
 from hyperclifford.matrices import HMatrix, pauli2
+from hyperclifford.paravectors import SPACE_NAMES
 from hyperclifford.scalars import BackendMismatch, HScalar
 from oracles import (
     assert_canonical,
@@ -95,6 +100,30 @@ def test_one_kernel_per_blade_table_compiled_on_first_use():
     got = Multivector._new(rep, u, 1).gp_blades(Multivector._new(rep, v, 1))
     assert got.nums == Multivector._new(shared, u, 1).gp_blades(Multivector._new(shared, v, 1)).nums
     assert list(vars(kernel)) == ["product", "joined"]
+
+
+@pytest.mark.parametrize("name", REP_NAMES)
+def test_a_basis_product_takes_only_exact_elements_that_are_one_signed_unit(name):
+    rep = get_rep(name)
+    last = rep._element(len(rep.basis) - 1, [1], 1)
+    stranger = get_rep("r10" if name == "r01" else "r01").scalar(1)
+    for other in (rep.scalar(1) + last, last.scale(2), last.to_float(), rep.scalar(Fraction(1, 2)), stranger):
+        for a, b in ((last, other), (other, last)):
+            with pytest.raises(ValueError, match=f"not two elements of {name} that are"):
+                rep._basis_product(a, b)
+
+
+def test_building_every_representation_and_space_compiles_no_kernel():
+    # a fresh interpreter, so no product of an earlier test has compiled a kernel
+    src = str(Path(hyperclifford.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperclifford\n"
+            "from hyperclifford.algebra import REP_NAMES, get_rep\n"
+            "from hyperclifford.paravectors import SPACE_NAMES, get_space\n"
+            "reps = [get_rep(name) for name in REP_NAMES]\n"
+            "spaces = [get_space(name) for name in SPACE_NAMES]\n"
+            "print(len(spaces), [vars(rep._product) for rep in reps])")
+    done = subprocess.run([sys.executable, "-B", "-c", code, src], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(SPACE_NAMES)} {[{}] * len(REP_NAMES)}\n", "")
 
 
 def sparse_exact(rep):

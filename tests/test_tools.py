@@ -316,7 +316,8 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
-    monkeypatch.setattr(compare_outputs, "setup_split", lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0]))
+    monkeypatch.setattr(compare_outputs, "setup_split",
+                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3]))
     return parent_dir, change_dir, asked
 
 
@@ -334,8 +335,8 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     assert out[0] == "no differences"
     # the src/ total beside the status counts, then each module's lines
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
-    assert out[7:9] == [f"{side}: set-up ms, median of 5 fresh interpreters  import 20.0  get_rep 12.2  get_space 4.0"
-                        for side in ("parent", "change")]
+    assert out[7:9] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions compiled)"
+                        "  import 20.0 (0)  get_rep 12.2 (0)  get_space 4.0 (3)" for side in ("parent", "change")]
     assert out[9:11] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38  get_space 0.00"
                          for side in ("parent", "change")]
     cover = "self times cover {0:.4f} of the traced window ({0:.4f} of 1.0000 s), margin {1:+.4f} over 0.9"
@@ -388,26 +389,47 @@ def test_traced_calc_stream_runs_three_seeds_alternating_and_compares_the_seed_7
     ]
 
 
-def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
-    # a stand-in library whose three set-up stages sleep 40, 2 x 15 and 60 ms;
-    # the last also holds 32 MiB it has written
-    pkg = tmp_path / "src" / "hyperclifford"
+def stand_in_library(root):
+    """A stand-in library whose three set-up stages sleep 40, 2 x 15 and 60
+    ms; the last also holds 32 MiB it has written.  Its import builds a
+    representation with one kernel function compiled, ``get_rep`` builds
+    two more on a shared table and ``get_space`` compiles two functions of
+    that table."""
+    pkg = root / "src" / "hyperclifford"
     pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("import time\ntime.sleep(0.04)\n")
+    (pkg / "__init__.py").write_text(
+        "import time\ntime.sleep(0.04)\nfrom .algebra import HELD, AlgebraRep, Table\n"
+        "HELD.append(AlgebraRep(Table()))\nHELD[0]._product.product = print\n")
     (pkg / "algebra.py").write_text(
-        "import time\nREP_NAMES = ('a', 'b')\ndef get_rep(name):\n    time.sleep(0.015)\n")
+        "import time\nREP_NAMES = ('a', 'b')\nclass Table:\n    pass\n"
+        "class AlgebraRep:\n    def __init__(self, table):\n        self._product = table\n"
+        "SHARED, HELD = Table(), []\n"
+        "def get_rep(name):\n    time.sleep(0.015)\n    HELD.append(AlgebraRep(SHARED))\n")
     (pkg / "paravectors.py").write_text(
-        "import time\nSPACE_NAMES = ('s',)\nHELD = []\n"
-        "def get_space(name):\n    time.sleep(0.06)\n    HELD.append(b'x' * (32 << 20))\n")
+        "import time\nfrom .algebra import HELD, SHARED\nSPACE_NAMES = ('s',)\n"
+        "def get_space(name):\n    time.sleep(0.06)\n    HELD.append(b'x' * (32 << 20))\n"
+        "    SHARED.product = SHARED.joined = print\n")
+
+
+def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
+    stand_in_library(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 3)
-    split, growth = compare_outputs.setup_split(tmp_path)
+    split, growth, _ = compare_outputs.setup_split(tmp_path)
     assert len(split) == len(growth) == len(compare_outputs.SETUP_STAGES) == 3
     for ms, slept in zip(split, (40, 30, 60)):
         assert slept <= ms < slept + 500
     assert 0 <= growth[0] < 8 and 0 <= growth[1] < 8
     assert 31 <= growth[2] < 40
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_setup_split_counts_the_kernel_functions_each_stage_compiled(tmp_path, monkeypatch):
+    # the import compiles one function, get_rep none, and get_space two of
+    # the one table its two representations share
+    stand_in_library(tmp_path)
+    monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 1)
+    assert compare_outputs.setup_split(tmp_path)[2] == [1, 0, 2]
 
 
 def answer(coords, code=0, err=""):

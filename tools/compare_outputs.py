@@ -28,7 +28,10 @@ For each side it also prints its set-up split into stages: importing
 fresh interpreters, and then from the same interpreters how many MB each
 stage raised the peak resident set size (Linux's ``VmHWM``).  One untimed run
 before them compiles the bytecode they read into a temporary directory,
-never into the checkout.
+never into the checkout, and counts the kernel functions each stage
+compiled, printed in parentheses after its ms: the entries of ``vars()`` of
+each distinct ``_product`` table of the representations that exist after
+the stage, found by the garbage collector, so that counting builds none.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed N --seconds S --trace 1`` in each
@@ -96,47 +99,60 @@ def suite_times(times: list) -> dict:
 
 
 SETUP_CHILD = r"""
-import sys
+import gc, sys
 from time import perf_counter
 def peak():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+compiled = []
+def count():
+    if len(sys.argv) > 2:  # the untimed run: kernel functions compiled so far
+        from hyperclifford.algebra import AlgebraRep
+        tables = {id(rep._product): rep._product for rep in gc.get_objects() if isinstance(rep, AlgebraRep)}
+        compiled.append(sum(len(vars(table)) for table in tables.values()))
 sys.path.insert(0, sys.argv[1] + "/src")
 r0, t0 = peak(), perf_counter()
 import hyperclifford
 from hyperclifford.algebra import REP_NAMES, get_rep
 from hyperclifford.paravectors import SPACE_NAMES, get_space
 t1, r1 = perf_counter(), peak()
+count()
 for name in REP_NAMES:
     get_rep(name)
 t2, r2 = perf_counter(), peak()
+count()
 for name in SPACE_NAMES:
     get_space(name)
 t3, r3 = perf_counter(), peak()
-print(t1 - t0, t2 - t1, t3 - t2, r1 - r0, r2 - r1, r3 - r2)
+count()
+print(t1 - t0, t2 - t1, t3 - t2, r1 - r0, r2 - r1, r3 - r2, *compiled)
 """
 SETUP_STAGES = ("import", "get_rep", "get_space")
 SETUP_RUNS = 5
 
 
-def setup_split(root: Path) -> tuple[list[float], list[float]]:
+def setup_split(root: Path) -> tuple[list[float], list[float], list[int]]:
     """One checkout's set-up per stage of ``SETUP_STAGES``: milliseconds, and
     megabytes (MiB) by which the stage raised the interpreter's peak resident
-    set size, each the median over ``SETUP_RUNS`` fresh interpreters.  The
-    peak is Linux's ``VmHWM``, that of the interpreter's own memory:
-    ``ru_maxrss`` would start at this process's size, which Linux carries
-    over into a child.  The bytecode is compiled by one untimed run into a
-    temporary directory, so that every checkout is timed from compiled
-    modules and none is written to."""
+    set size, each the median over ``SETUP_RUNS`` fresh interpreters, and the
+    number of kernel functions the stage compiled.  The peak is Linux's
+    ``VmHWM``, that of the interpreter's own memory: ``ru_maxrss`` would
+    start at this process's size, which Linux carries over into a child.
+    One untimed run first compiles the bytecode into a temporary directory,
+    so that every checkout is timed from compiled modules and none is
+    written to, and counts the kernel functions after each stage; the timed
+    runs do not count."""
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
-        samples = [subprocess.run([sys.executable, "-c", SETUP_CHILD, str(root.resolve())], env=env,
-                                  capture_output=True, text=True, check=True).stdout.split()
-                   for _ in range(SETUP_RUNS + 1)][1:]
+        counting, *samples = [subprocess.run([sys.executable, "-c", SETUP_CHILD, str(root.resolve()), *flag],
+                                             env=env, capture_output=True, text=True, check=True).stdout.split()
+                              for flag in [["count"]] + [[]] * SETUP_RUNS]
     stages = len(SETUP_STAGES)
     medians = [statistics.median(float(s[k]) for s in samples) for k in range(2 * stages)]
-    return [t * 1e3 for t in medians[:stages]], [kib / 1024 for kib in medians[stages:]]
+    totals = [0] + [int(c) for c in counting[2 * stages:]]
+    return ([t * 1e3 for t in medians[:stages]], [kib / 1024 for kib in medians[stages:]],
+            [b - a for a, b in zip(totals, totals[1:])])
 
 
 def source_lines(root: Path) -> dict:
@@ -289,10 +305,10 @@ def main(argv=None) -> int:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
     splits = [setup_split(Path(root)) for _, root, *_ in sides]
-    for (side, *_), (times, _) in zip(sides, splits):
-        print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters  "
-              + "  ".join(f"{stage} {ms:.1f}" for stage, ms in zip(SETUP_STAGES, times)))
-    for (side, *_), (_, growth) in zip(sides, splits):
+    for (side, *_), (times, _, compiled) in zip(sides, splits):
+        print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters (kernel functions compiled)  "
+              + "  ".join(f"{stage} {ms:.1f} ({n})" for stage, ms, n in zip(SETUP_STAGES, times, compiled)))
+    for (side, *_), (_, growth, _) in zip(sides, splits):
         print(f"{side}: set-up peak-RSS growth MB, same interpreters  "
               + "  ".join(f"{stage} {mb:.2f}" for stage, mb in zip(SETUP_STAGES, growth)))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
