@@ -130,9 +130,11 @@ class _Kernel(tuple):
     """A signed-permutation product table: row k1 holds ``(k, sign)`` per
     right index k2, so coordinate k1 times coordinate k2 adds with ``sign``
     to output k.  Its two products are code generated from the rows, each
-    compiled by the first ``gp_blades`` that runs it.  Set-up compiles
-    none: a product of basis elements reads one entry of the rows
-    (:meth:`AlgebraRep._basis_product`).  ``product(a, b, zero)`` multiplies
+    compiled by the first ``gp_blades`` that runs it.  Set-up and the
+    calculator compile none: a product of basis elements reads one entry of
+    the rows (:meth:`AlgebraRep._basis_product`), and ``qform`` and ``dot``
+    run these sums restricted to a paravector space's unit slots
+    (``ParavectorSpace._unit_product``).  ``product(a, b, zero)`` multiplies
     coordinates of the backend whose zero it is given: each block of
     ``_BLOCK`` left rows sits under one ``if`` on its left coordinates, and
     under it each output is one sum ``o_k = o_k + a_k1 * b_k2 - ...`` in k1

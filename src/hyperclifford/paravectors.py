@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraRep, Multivector, _single_slot, get_rep, ring_unit_multivectors
+from .algebra import AlgebraRep, Multivector, _compiled, _names, _single_slot, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
 from .scalars import HScalar, RealCoords, _entering, _floats
 
@@ -95,14 +95,16 @@ class ParavectorSpace:
     def ring_value(self, mv: Multivector) -> HScalar:
         """Value of an algebra element lying in the span of 1, i, j, ij.
 
-        The units i and ij may sit on blades (pseudoscalar realizations),
-        so the value is collected slot by slot rather than read off the
-        scalar coefficient alone.  A slot of sign -1 negates a non-zero
-        number only, as :meth:`RealCoords._signed` does, so a zero part
-        keeps its sign.
-        """
-        c, den = mv.nums, mv.den
-        parts = [-c[k] if sign < 0 and c[k] else c[k] for k, sign in self._unit_slots]
+        The units i and ij may sit on blades (pseudoscalar realizations), so
+        the value is collected slot by slot (:meth:`_ring`), not off the scalar
+        coefficient alone."""
+        return self._ring([mv.nums[k] for k, _ in self._unit_slots], mv.den)
+
+    def _ring(self, parts, den) -> HScalar:
+        """The ring value of the numbers on the unit slots over ``den`` (``None``:
+        floats).  A slot of sign -1 negates a non-zero number only, as
+        :meth:`RealCoords._signed` does, so a zero part keeps its sign."""
+        parts = [-c if sign < 0 and c else c for c, (_, sign) in zip(parts, self._unit_slots)]
         return HScalar(*parts) if den is None else HScalar(*[Fraction(x, den) for x in parts])
 
     def ring_residual(self, mv: Multivector) -> float:
@@ -110,6 +112,42 @@ class ParavectorSpace:
         scalar units; zero exactly when the element is ring-valued."""
         inside, den = {k for k, _ in self._unit_slots}, mv.den or 1
         return max((abs(c) / den for k, c in enumerate(mv.nums) if k not in inside), default=0.0)
+
+    @cached_property
+    def _unit_product(self):
+        """``unit_product(x, y, h, zero)``: the unit-slot numbers of ``x * bar(y)``
+        from two paravectors' stored numbers, generated from the rows of
+        ``rep._product`` by the first call.  Each is the :class:`~.algebra._Kernel`
+        sum over the pairs of slot rows that land on it, from ``zero`` in k1 order
+        (a j-rep's null pairs give ``P`` and ``M``, joined as ``P +- M``).  A dropped
+        term has a non-slot zero factor: with finite null sums, results are the kernel's bit for bit."""
+        rep, w = self.rep, 2 if self.rep.adjoined == "j" else 1  # coordinates per row
+        flips = rep._involution_flips["bar"]
+        # per slot coordinate, its signed number in x and in bar(y)
+        left = {k: (sign, f"x{a}") for a, (k, sign) in enumerate(self._slots)}
+        right = {k: (-sign if k in flips else sign, f"y{a}") for a, (k, sign) in enumerate(self._slots)}
+        rows = sorted({k // w for k in left})
+        lines = ["def unit_product(x, y, h, zero):", *(f"    {_names(v, self.dim)}, = {v}" for v in "xy")]
+        for op in "pm"[:w]:  # a j-rep's null sums (p) and differences (m); else the coordinates
+            for side, numbers, scale in (("l", left, " * h" if w == 2 else ""), ("r", right, "")):
+                for r in rows:  # row r's signed numbers, the second negated in a difference
+                    pair = "".join(f" {'+-'[(sign < 0) != (op == 'm' and k % w == 1)]} {name}"
+                                   for k, (sign, name) in sorted(numbers.items()) if k // w == r)
+                    lines.append(f"    {side}{op}{r} = ({pair}){scale}")
+            for out in sorted({k // w for k, _ in self._unit_slots}):
+                terms = "".join(f" {'+-'[sign < 0]} l{op}{k1} * r{op}{k2}" for k1 in rows
+                                for k2, (k, sign) in enumerate(rep._product[k1]) if k == out and k2 in rows)
+                lines.append(f"    {op}{out} = zero{terms}")
+        parts = (f"p{k // w} {'-' if k % w else '+'} m{k // w}" if w == 2 else f"p{k}" for k, _ in self._unit_slots)
+        lines.append(f"    return [{', '.join(parts)}]")
+        return _compiled(lines, "unit_product")
+
+    def _unit_numbers(self, x: "Paravector", y: "Paravector") -> tuple[list, int | None]:
+        """:attr:`_unit_product` of ``x._peer(y)``-checked operands, and its
+        denominator as ``gp_blades`` gives it (``None`` for floats)."""
+        if x._peer(y):
+            return self._unit_product(x.nums, y.nums, 1, 0), (2 if self.rep.adjoined == "j" else 1) * x.den * y.den
+        return self._unit_product(x.nums, y.nums, 0.5, 0.0), None
 
     # -- multivector conversion ----------------------------------------------------
 
@@ -168,9 +206,9 @@ class Paravector(RealCoords):
         return self.space.to_multivector(self)
 
     def qform(self) -> HScalar:
-        """The quadratic form x * bar(x); lies in the span of 1 and ij."""
-        mv = self.to_multivector()
-        return self.space.ring_value(mv.gp_blades(mv.bar()))
+        """The quadratic form x * bar(x), in the span of 1 and ij: ``ring_value``
+        of ``gp_blades`` bit for bit, from its unit-slot sums alone."""
+        return self.space._ring(*self.space._unit_numbers(self, self))
 
     def __repr__(self):
         return f"Paravector({self.space.name}, {list(self.coords)})"
@@ -194,11 +232,11 @@ def get_space(name: str) -> ParavectorSpace:
 
 def dot(x: Paravector, y: Paravector) -> HScalar:
     """Symmetric product (x*bar(y) + y*bar(x)) / 2; equals the metric on
-    basis pairs and the quadratic form on the diagonal."""
-    x._peer(y)
-    mx, my = x.to_multivector(), y.to_multivector()
-    s = mx.gp_blades(my.bar()) + my.gp_blades(mx.bar())
-    return x.space.ring_value(s.scale(Fraction(1, 2)))
+    basis pairs and the quadratic form on the diagonal.  Both products are their
+    unit-slot sums alone, added and halved as ``scale`` halves: ``(a + b) * 0.5 + 0.0``."""
+    (a, den), (b, _) = x.space._unit_numbers(x, y), x.space._unit_numbers(y, x)
+    sums = [p + q for p, q in zip(a, b)] if den else [(p + q) * 0.5 + 0.0 for p, q in zip(a, b)]
+    return x.space._ring(sums, den and 2 * den)
 
 
 def wedge2(x: Paravector, y: Paravector) -> Multivector:

@@ -1066,6 +1066,40 @@ def sign_pass_cases(name, exact):
     return cases
 
 
+def qform_reference(x):
+    """``qform`` as the ring value of the whole blade product x * bar(x), the
+    route that the unit-slot sums replaced, kept as their oracle."""
+    mv = x.to_multivector()
+    return x.space.ring_value(mv.gp_blades(mv.bar()))
+
+
+def dot_reference(x, y):
+    """``dot`` as the ring value of the two whole blade products, summed and
+    scaled by one half, kept as the oracle of its unit-slot sums."""
+    mx, my = x.to_multivector(), y.to_multivector()
+    return x.space.ring_value((mx.gp_blades(my.bar()) + my.gp_blades(mx.bar())).scale(Fraction(1, 2)))
+
+
+@cache
+def unit_slot_cases(name, exact):
+    """Dense, sparse and zero paravectors, and pairs of them: exact with
+    denominators up to 10**6, or floats with signed zeros, subnormal, tiny
+    and large coordinates."""
+    space, rng = get_space(name), random.Random(f"unit-slots-{name}-{exact}")
+
+    def number(density):
+        if rng.random() >= density:
+            return 0 if exact else rng.choice((0.0, -0.0))
+        if exact:
+            return rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))))
+        scale = rng.choice((1.0, 1.0, 1.0, 2.0**-1040, 1e-300, 1e150))  # subnormal, tiny and large among them
+        return rng.uniform(-2, 2) * scale
+
+    xs = [space.paravector([number(density) for _ in range(space.dim)])
+          for density in (1.0, 0.6, 0.3, 0.0) for _ in range(60)]
+    return [(x,) for x in xs], [(x, y) for x, y in zip(xs, xs[1:] + xs[:1])] + [(x, x) for x in xs[::10]]
+
+
 # -- the oracles: rotor series -------------------------------------------------
 
 
@@ -1263,6 +1297,11 @@ ORACLES = {
         Row(f"{SPACE}.to_multivector", to_multivector_reference, part(slot_cases, 0), SPACE_NAMES, BOTH, same_values),
         Row(f"{SPACE}.project_matrix {SPACE}.to_matrix", project_matrix_reference, part(slot_cases, 1), SPACE_NAMES,
             BOTH, same_values)],
+    "test_paravectors::test_qform_and_dot_sum_only_the_unit_slots_of_the_blade_product": [
+        Row(f"paravectors.{kernel} {SPACE}._unit_numbers {SPACE}._unit_product", oracle, part(unit_slot_cases, k),
+            SPACE_NAMES, (exact,), same_values if exact else same_bits)
+        for k, (kernel, oracle) in enumerate((("Paravector.qform", qform_reference), ("dot", dot_reference)))
+        for exact in (False, True)],
     "test_paravectors::test_projection_is_the_sign_pass_on_non_zero_parts": [
         Row(f"{SPACE}.project_matrix", project_sign_pass, sign_pass_cases, SPACE_NAMES, BOTH, same_nonzero_bits,
             call=lambda space, m: space.project_matrix(m)[0])],

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hyperclifford
 import hyperclifford.cli as cli
+from hyperclifford.algebra import REP_NAMES
 from hyperclifford.cli import _dumps, main
 from hyperclifford.rotors import sphere_point
 
@@ -186,21 +187,9 @@ def test_decompose_command(capsys):
     ]
 
 
-def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch):
-    # the series exponential, the relation loops, matrix inversion and the
-    # Porteous entry maps serve the verifier alone: with each raising, one
-    # request of every calc-stream command succeeds
-    from hyperclifford import algebra, rotors
-    from hyperclifford.algebra import get_rep
-    from hyperclifford.matrices import HMatrix
-
-    def refuse(*args):
-        raise AssertionError("the calculator entered a verifier-only path")
-
-    for name in ("mat_exp", "_count_relations", "verify_null_split", "_index_rhs", "_eps_sum"):
-        monkeypatch.setattr(rotors, name, refuse)
-    monkeypatch.setattr(HMatrix, "inverse", refuse)
-    monkeypatch.setattr(algebra, "_permute", refuse)
+def calc_requests():
+    """One request of every calc-stream command, ``sphere`` with and without
+    its hyperbolic angles and ``decompose`` on each matrix representation."""
     angles, xis = "--angles=0.3,-1.2,2.0,0.4,-0.8", "--hyperbolic=0.2,-0.5,0.1,0.9,-0.3"
     requests = [
         ("boost", "--xi=0.7", "--axis=2", "--vector=1,0.5,-0.3,0.2", "--format=json"),
@@ -213,14 +202,50 @@ def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch
         ("pauli", "--two", "2", "--format", "json"),
         ("tables", "h05bar", "--format", "json"),
     ]
-    for rep in ("r30", "c30bar", "r05", "h05bar"):
-        n = get_rep(rep).n
+    for rep, n in (("r30", 2), ("c30bar", 2), ("r05", 4), ("h05bar", 4)):
         grid = [[[float(r == c), 0.0, 0.0, 0.0] for c in range(n)] for r in range(n)]
         requests.append(("decompose", "--rep", rep, "--matrix", json.dumps(grid), "--format", "json"))
-    for argv in requests:
+    return requests
+
+
+def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch):
+    # the series exponential, the relation loops, matrix inversion, the
+    # Porteous entry maps and the whole blade product serve the verifier
+    # alone: with each raising, one request of every calc-stream command
+    # succeeds
+    from hyperclifford import algebra, rotors
+    from hyperclifford.algebra import Multivector
+    from hyperclifford.matrices import HMatrix
+
+    def refuse(*args):
+        raise AssertionError("the calculator entered a verifier-only path")
+
+    for name in ("mat_exp", "_count_relations", "verify_null_split", "_index_rhs", "_eps_sum"):
+        monkeypatch.setattr(rotors, name, refuse)
+    monkeypatch.setattr(HMatrix, "inverse", refuse)
+    monkeypatch.setattr(Multivector, "gp_blades", refuse)
+    monkeypatch.setattr(algebra, "_permute", refuse)
+    for argv in calc_requests():
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         json.loads(out)
+
+
+def test_the_calculator_compiles_no_blade_product_kernel():
+    # a fresh interpreter, so no product of an earlier test has compiled a
+    # kernel: after one request of every calc-stream command no table of
+    # blade products holds a compiled function
+    src = str(Path(hyperclifford.__file__).resolve().parents[1])
+    code = ("import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from hyperclifford.algebra import REP_NAMES, get_rep\n"
+            "from hyperclifford.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "print(codes, [vars(get_rep(name)._product) for name in REP_NAMES])")
+    done = subprocess.run([sys.executable, "-B", "-c", code, src, json.dumps(calc_requests())],
+                          capture_output=True, text=True, timeout=120)
+    want = f"{[0] * len(calc_requests())} {[{}] * len(REP_NAMES)}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 def test_decompose_rejects_bad_json(capsys):

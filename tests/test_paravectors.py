@@ -346,6 +346,17 @@ def test_non_finite_hyper_coordinate_components_rejected(bad, component):
         embed_momentum(*blocks)
 
 
+def test_a_space_compiles_its_unit_slot_kernel_on_its_first_product():
+    shared = get_space("r66")
+    space = ParavectorSpace("r66", shared.rep, shared.basis)
+    coords = [0.5, -1.25, 0, 2, 0, 0, 0.75, 0, 0, -3, 0, 1]
+    assert not [key for key, value in vars(space).items() if callable(value)]
+    assert space.paravector(coords).qform() == shared.paravector(coords).qform()
+    assert dot(space.paravector(coords), space.paravector(coords[::-1])) == dot(
+        shared.paravector(coords), shared.paravector(coords[::-1]))
+    assert [key for key, value in vars(space).items() if callable(value)] == ["_unit_product"]
+
+
 def test_float_zero_paravector_stays_float():
     m4 = get_space("m4")
     zero, one = m4.paravector([0.0] * 4), m4.paravector([1.0, 0, 0, 0])

@@ -306,14 +306,16 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 3, "workloads": [{"name": "verify-matrix"}, {"name": "calc-stream"}]}')
     parent_dir, change_dir = str(tmp_path), str(tmp_path / "change")
-    recs = ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]])
+    # the parent's calc answers compiled two blade-table kernel functions, the change's one space kernel
+    recs = {root: ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]], compiled)
+            for root, compiled in ((parent_dir, [2, 0]), (change_dir, [0, 1]))}
     asked = []
 
     def traced_run(root, workload, seconds, seed):
         asked.append((str(root), workload, seed))
         return runs[str(root), workload, seed]
 
-    monkeypatch.setattr(compare_outputs, "records", lambda root: recs)
+    monkeypatch.setattr(compare_outputs, "records", lambda root: recs[str(root)])
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
     monkeypatch.setattr(compare_outputs, "setup_split",
@@ -335,12 +337,15 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     assert out[0] == "no differences"
     # the src/ total beside the status counts, then each module's lines
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
-    assert out[7:9] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions compiled)"
-                        "  import 20.0 (0)  get_rep 12.2 (0)  get_space 4.0 (3)" for side in ("parent", "change")]
-    assert out[9:11] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38  get_space 0.00"
-                         for side in ("parent", "change")]
+    assert out[7:9] == [f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
+                        f"  blade tables {tables}  paravector spaces {spaces}"
+                        for side, tables, spaces in (("parent", 2, 0), ("change", 0, 1))]
+    assert out[9:11] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions compiled)"
+                         "  import 20.0 (0)  get_rep 12.2 (0)  get_space 4.0 (3)" for side in ("parent", "change")]
+    assert out[11:13] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38"
+                          "  get_space 0.00" for side in ("parent", "change")]
     cover = "self times cover {0:.4f} of the traced window ({0:.4f} of 1.0000 s), margin {1:+.4f} over 0.9"
-    assert out[11:] == [
+    assert out[13:] == [
         f"parent traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
         f"change traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
         "parent traced verify-matrix: minimum margin +0.0200 over 0.9 (seed 7 of 1)",
@@ -394,7 +399,7 @@ def stand_in_library(root):
     ms; the last also holds 32 MiB it has written.  Its import builds a
     representation with one kernel function compiled, ``get_rep`` builds
     two more on a shared table and ``get_space`` compiles two functions of
-    that table."""
+    that table and builds a space that holds a third beside its name."""
     pkg = root / "src" / "hyperclifford"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text(
@@ -406,9 +411,10 @@ def stand_in_library(root):
         "SHARED, HELD = Table(), []\n"
         "def get_rep(name):\n    time.sleep(0.015)\n    HELD.append(AlgebraRep(SHARED))\n")
     (pkg / "paravectors.py").write_text(
-        "import time\nfrom .algebra import HELD, SHARED\nSPACE_NAMES = ('s',)\n"
+        "import time\nfrom .algebra import HELD, SHARED\nSPACE_NAMES = ('s',)\nclass ParavectorSpace:\n    pass\n"
         "def get_space(name):\n    time.sleep(0.06)\n    HELD.append(b'x' * (32 << 20))\n"
-        "    SHARED.product = SHARED.joined = print\n")
+        "    SHARED.product = SHARED.joined = print\n"
+        "    HELD.append(ParavectorSpace())\n    HELD[-1].name, HELD[-1].kernel = name, print\n")
 
 
 def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
@@ -426,10 +432,10 @@ def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(t
 
 def test_setup_split_counts_the_kernel_functions_each_stage_compiled(tmp_path, monkeypatch):
     # the import compiles one function, get_rep none, and get_space two of
-    # the one table its two representations share
+    # the one table its two representations share and one its space holds
     stand_in_library(tmp_path)
     monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 1)
-    assert compare_outputs.setup_split(tmp_path)[2] == [1, 0, 2]
+    assert compare_outputs.setup_split(tmp_path)[2] == [1, 0, 3]
 
 
 def answer(coords, code=0, err=""):

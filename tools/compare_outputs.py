@@ -9,14 +9,16 @@ bytecode written) and records:
 - each ``verify all --format json`` record as its ``check_id``,
   ``status`` and ``float.hex(max_error)``;
 - the answer to each of the 3,000 seed-7 calc-stream requests
-  (``make_requests(7, 15)`` sent through ``call_cli``): exit code,
-  stdout and stderr.
+  (``make_requests(7, 15)`` sent through ``call_cli``, before the
+  verifier runs): exit code, stdout and stderr.
 
 Prints every difference, and for each side the status counts, a SHA-256
 of its records, the line count of its ``src`` with that of each module
-beside it, and the in-process time of each verify suite (the sum of its
+beside it, the in-process time of each verify suite (the sum of its
 checks' ``elapsed_ms``; times are kept out of the records, so out of the
-differences and the SHA-256); exits 0 when the two sides agree and 1 when
+differences and the SHA-256) and the kernel functions compiled by the end
+of the calc answers (counted as below, the blade tables' apart from the
+paravector spaces'); exits 0 when the two sides agree and 1 when
 they differ or a traced run below fails.  Calc answers that keep their
 exit code, stderr and JSON structure and move only in their numbers are
 summed up in one line per command: how many moved, the largest relative
@@ -31,7 +33,8 @@ before them compiles the bytecode they read into a temporary directory,
 never into the checkout, and counts the kernel functions each stage
 compiled, printed in parentheses after its ms: the entries of ``vars()`` of
 each distinct ``_product`` table of the representations that exist after
-the stage, found by the garbage collector, so that counting builds none.
+the stage, and the functions their paravector spaces hold in ``vars()``,
+found by the garbage collector, so that counting builds none.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed N --seconds S --trace 1`` in each
@@ -62,29 +65,47 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+# the kernel functions compiled so far, found by the garbage collector so that
+# counting builds none: the entries of vars() of each distinct _product table of
+# the representations, and the functions the paravector spaces hold
+KERNELS = r"""
+def kernels():
+    import gc
+    from hyperclifford import algebra, paravectors
+    space, objects = getattr(paravectors, "ParavectorSpace", ()), gc.get_objects()
+    tables = {id(rep._product): rep._product for rep in objects if isinstance(rep, algebra.AlgebraRep)}
+    held = [v for x in objects if isinstance(x, space) for v in vars(x).values() if callable(v)]
+    return sum(len(vars(table)) for table in tables.values()), len(held)
+"""
+
 CHILD = r"""
 import json, sys
 root = sys.argv[1]
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 from workloads import call_cli, make_requests
+calc = [[" ".join(r.argv), *call_cli(r.argv)[:3]] for r in make_requests(7, 15)]
+compiled = kernels()
 checks = json.loads(call_cli(["verify", "all", "--format", "json"])[1])["checks"]
 verify = [[c["check_id"], c["status"], float.hex(float(c["max_error"]))] for c in checks]
-calc = [[" ".join(r.argv), *call_cli(r.argv)[:3]] for r in make_requests(7, 15)]
 json.dump({"verify": verify, "calc": calc}, sys.stdout, sort_keys=True)
 print()
 json.dump([[c["check_id"], c["elapsed_ms"]] for c in checks], sys.stdout)
+print()
+json.dump(compiled, sys.stdout)
 """
 
 
-def records(root: Path) -> tuple[dict, str, list]:
-    """One checkout's records, the SHA-256 of their JSON text and the
-    ``[check_id, elapsed_ms]`` pair of each verify record."""
+def records(root: Path) -> tuple[dict, str, list, list]:
+    """One checkout's records, the SHA-256 of their JSON text, the
+    ``[check_id, elapsed_ms]`` pair of each verify record and the kernel
+    functions compiled by the end of the calc answers, which run first: those
+    of the blade tables and those the paravector spaces hold."""
     out = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, str(root.resolve())],
+        [sys.executable, "-B", "-c", KERNELS + CHILD, str(root.resolve())],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
-    text, _, times = out.partition("\n")
-    return json.loads(text), hashlib.sha256(text.encode()).hexdigest(), json.loads(times)
+    text, times, compiled = out.split("\n")
+    return json.loads(text), hashlib.sha256(text.encode()).hexdigest(), json.loads(times), json.loads(compiled)
 
 
 def suite_times(times: list) -> dict:
@@ -99,7 +120,7 @@ def suite_times(times: list) -> dict:
 
 
 SETUP_CHILD = r"""
-import gc, sys
+import sys
 from time import perf_counter
 def peak():
     with open("/proc/self/status") as status:
@@ -107,9 +128,7 @@ def peak():
 compiled = []
 def count():
     if len(sys.argv) > 2:  # the untimed run: kernel functions compiled so far
-        from hyperclifford.algebra import AlgebraRep
-        tables = {id(rep._product): rep._product for rep in gc.get_objects() if isinstance(rep, AlgebraRep)}
-        compiled.append(sum(len(vars(table)) for table in tables.values()))
+        compiled.append(sum(kernels()))
 sys.path.insert(0, sys.argv[1] + "/src")
 r0, t0 = peak(), perf_counter()
 import hyperclifford
@@ -145,7 +164,7 @@ def setup_split(root: Path) -> tuple[list[float], list[float], list[int]]:
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
-        counting, *samples = [subprocess.run([sys.executable, "-c", SETUP_CHILD, str(root.resolve()), *flag],
+        counting, *samples = [subprocess.run([sys.executable, "-c", KERNELS + SETUP_CHILD, str(root.resolve()), *flag],
                                              env=env, capture_output=True, text=True, check=True).stdout.split()
                               for flag in [["count"]] + [[]] * SETUP_RUNS]
     stages = len(SETUP_STAGES)
@@ -288,12 +307,13 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
-    (old, old_sha, old_times), (new, new_sha, new_times) = (records(Path(a)) for a in args)
+    results = [records(Path(a)) for a in args]
+    (old, *_), (new, *_) = results
     diff = differences("verify", old["verify"], new["verify"])
     diff += calc_differences(old["calc"], new["calc"])
     print("\n".join(diff) or "no differences")
-    sides = (("parent", args[0], old, old_sha, old_times), ("change", args[1], new, new_sha, new_times))
-    for side, root, recs, sha, times in sides:
+    sides = [(side, root, *result) for side, root, result in zip(("parent", "change"), args, results)]
+    for side, root, recs, sha, _, _ in sides:
         statuses = Counter(status for _, status, _ in recs["verify"])
         codes = Counter(rc for _, rc, _, _ in recs["calc"])
         print(f"{side}: sha256 {sha}  verify {dict(statuses)}  calc exit codes {dict(codes)}"
@@ -301,9 +321,12 @@ def main(argv=None) -> int:
     for side, root, *_ in sides:
         print(f"{side}: src/ lines per module  "
               + "  ".join(f"{name} {count}" for name, count in source_lines(Path(root)).items()))
-    for side, *_, times in sides:
+    for side, *_, times, _ in sides:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
+    for side, *_, (tables, spaces) in sides:
+        print(f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
+              f"  blade tables {tables}  paravector spaces {spaces}")
     splits = [setup_split(Path(root)) for _, root, *_ in sides]
     for (side, *_), (times, _, compiled) in zip(sides, splits):
         print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters (kernel functions compiled)  "
