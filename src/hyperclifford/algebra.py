@@ -129,22 +129,31 @@ _BLOCK = 4
 class _Kernel(tuple):
     """A signed-permutation product table: row k1 holds ``(k, sign)`` per
     right index k2, so coordinate k1 times coordinate k2 adds with ``sign``
-    to output k.  Its two products are code generated from the rows, each
-    compiled by the first ``gp_blades`` that runs it.  Set-up and the
-    calculator compile none: a product of basis elements reads one entry of
-    the rows (:meth:`AlgebraRep._basis_product`), and ``qform`` and ``dot``
-    run these sums restricted to a paravector space's unit slots
-    (``ParavectorSpace._unit_product``).  ``product(a, b, zero)`` multiplies
-    coordinates of the backend whose zero it is given: each block of
-    ``_BLOCK`` left rows sits under one ``if`` on its left coordinates, and
-    under it each output is one sum ``o_k = o_k + a_k1 * b_k2 - ...`` in k1
-    order, so in the order of the pairs.  A zero left coordinate in a live
-    block adds a signed zero, which never changes a sum started at ``+0.0``:
-    results are the pair loop's bit for bit when the operands and null sums
-    are finite.  ``joined(c, d, h, zero)`` takes a j-rep's coordinates
-    ``a, b`` of each blade ``a + b j`` to the null pairs ``(a +- b) * h``
-    (left) and ``a +- b`` (right), runs ``product`` on the sums (P) and on
-    the differences (M) and returns ``P + M, P - M`` per blade."""
+    to output k.  Its products are code generated from the rows, each
+    compiled by its first caller.  Set-up compiles none: a product of basis
+    elements reads one entry of the rows (:meth:`AlgebraRep._basis_product`).
+    ``product(a, b, zero)`` multiplies coordinates of the backend whose zero
+    it is given: each block of ``_BLOCK`` left rows sits under one ``if`` on
+    its left coordinates, and under it each output is one sum
+    ``o_k = o_k + a_k1 * b_k2 - ...`` in k1 order, so in the order of the
+    pairs.  A zero left coordinate in a live block adds a signed zero, which
+    never changes a sum started at ``+0.0``: results are the pair loop's bit
+    for bit when the operands and null sums are finite.  ``joined(c, d, h,
+    zero)`` takes a j-rep's coordinates ``a, b`` of each blade ``a + b j`` to
+    the null pairs ``(a +- b) * h`` (left) and ``a +- b`` (right), runs
+    ``product`` on the sums (P) and on the differences (M) and returns
+    ``P + M, P - M`` per blade.  :meth:`restricted` runs the same sums on
+    operands that are zero off a few coordinates (``qform`` and ``dot``)."""
+
+    def _terms(self, rows, cols, a: str, b: str) -> dict:
+        """Per output k, the signed products ``a<k1> * b<k2>`` of left rows
+        ``rows`` and right rows ``cols`` that land on k, in k1 order."""
+        terms = {}
+        for k1 in rows:
+            for k2 in cols:
+                k, sign = self[k1][k2]
+                terms.setdefault(k, []).append((sign, f"{a}{k1} * {b}{k2}"))
+        return terms
 
     @cached_property
     def product(self):
@@ -153,12 +162,9 @@ class _Kernel(tuple):
                  f"    {' = '.join(f'o{k}' for k in range(n))} = zero"]
         for lo in range(0, n, _BLOCK):
             rows = range(lo, min(lo + _BLOCK, n))
-            terms = [f"o{k}" for k in range(n)]
-            for k1 in rows:
-                for k2, (k, sign) in enumerate(self[k1]):
-                    terms[k] += f" {'+' if sign > 0 else '-'} a{k1} * b{k2}"
+            terms = self._terms(rows, range(n), "a", "b")
             lines.append(f"    if {' or '.join(f'a{k1}' for k1 in rows)}:")
-            lines += (f"        o{k} = {sum_k}" for k, sum_k in enumerate(terms))
+            lines += (f"        o{k} = {_sum([(1, f'o{k}'), *terms[k]])}" for k in range(n))
         lines.append(f"    return [{_names('o', n)}]")
         return _compiled(lines, "product")
 
@@ -166,16 +172,64 @@ class _Kernel(tuple):
     def joined(self):
         n = len(self)
         lines = ["def joined(c, d, h, zero):", f"    {_names('c', 2 * n)}, = c", f"    {_names('d', 2 * n)}, = d"]
+        c, d = ({k: (1, f"{v}{k}") for k in range(2 * n)} for v in "cd")
         for out, op in (("p", "+"), ("m", "-")):
-            left = "".join(f"(c{2 * k} {op} c{2 * k + 1}) * h, " for k in range(n))
-            right = "".join(f"d{2 * k} {op} d{2 * k + 1}, " for k in range(n))
+            left = "".join(f"({pair}) * h, " for pair in _row_sums(c, op, 2).values())
+            right = "".join(f"{pair}, " for pair in _row_sums(d, op, 2).values())
             lines.append(f"    {_names(out, n)}, = product(({left}), ({right}), zero)")
-        lines.append(f"    return [{', '.join(f'p{k} + m{k}, p{k} - m{k}' for k in range(n))}]")
+        lines.append(f"    return [{', '.join(map(_join, range(2 * n)))}]")
         return _compiled(lines, "joined", product=self.product)
+
+    def restricted(self, left, right, outputs, joined: bool):
+        """``restricted(x, y, h, zero)``: the coordinates ``outputs`` of
+        ``joined`` (if ``joined``) or ``product`` of two operands that are zero
+        off a few coordinates: ``left[a] = (k, sign)`` puts ``sign * x[a]`` on
+        coordinate k, and ``right`` puts ``y`` likewise.  Each sum is the full
+        call's less its terms with a factor on a zero coordinate, which with
+        finite null sums change no float: results are the full call's."""
+        w = 2 if joined else 1  # coordinates per row
+        lines = ["def restricted(x, y, h, zero):", f"    {_names('x', len(left))}, = x",
+                 f"    {_names('y', len(right))}, = y"]
+        # per operand, each kept coordinate's signed number
+        sides = [{k: (sign, f"{v}{a}") for a, (k, sign) in enumerate(kept)} for v, kept in (("x", left), ("y", right))]
+        for out, op in (("p", "+"), ("m", "-"))[:w]:  # a j-rep's null sums and differences
+            lrows, rrows = (_row_sums(numbers, op, w) for numbers in sides)
+            lines += (f"    l{out}{r} = ({pair}){' * h' if joined else ''}" for r, pair in lrows.items())
+            lines += (f"    r{out}{r} = {pair}" for r, pair in rrows.items())
+            terms = self._terms(lrows, rrows, f"l{out}", f"r{out}")
+            for k in sorted({k // w for k in outputs}):
+                lines.append(f"    {out}{k} = {_sum([(1, 'zero'), *terms.get(k, [])])}")
+        lines.append(f"    return [{', '.join(_join(k) if joined else f'p{k}' for k in outputs)}]")
+        return _compiled(lines, "restricted")
 
 
 def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{k}" for k in range(n))
+
+
+def _sum(terms) -> str:
+    """The source of the sum of the ``(sign, operand)`` terms, left to right."""
+    text = "".join(f" {'+' if sign > 0 else '-'} {operand}" for sign, operand in terms)
+    return text[3:] if text.startswith(" +") else f"-{text[3:]}"
+
+
+def _row_sums(numbers: dict, op: str, w: int) -> dict:
+    """Per row r of ``w`` coordinates, the source of the sum of the signed
+    numbers ``{coordinate: (sign, name)}`` on it, a coordinate not among
+    them zero and the second negated when ``op`` is ``-``: a j-rep's null
+    sum or difference ``c_2r +- c_2r+1`` (``w = 2``), or ``c_r`` (``w = 1``)."""
+    rows = {}
+    for k, (sign, name) in sorted(numbers.items()):
+        if k % w and op == "-":
+            sign = -sign
+        rows.setdefault(k // w, []).append((sign, name))
+    return {r: _sum(terms) for r, terms in rows.items()}
+
+
+def _join(k: int) -> str:
+    """The source of coordinate k of a joined product: ``P + M`` on a blade's
+    real coordinate, ``P - M`` on its j one."""
+    return f"p{k // 2} {'-' if k % 2 else '+'} m{k // 2}"
 
 
 def _compiled(lines: list, name: str, **namespace):
@@ -457,6 +511,14 @@ class AlgebraRep:
             raise BackendMismatch("a float component cannot enter the exact backend")
         return self._element(k, [num if den is None or exact else num / den], den if exact else None)
 
+    def _kernel_scale(self, den):
+        """``(h, zero, den)`` of a kernel product whose operands' denominators
+        multiply to ``den`` (``None``: floats).  A j-rep's ``P +- M`` counts each
+        term twice: exact, ``den`` doubles; floats take ``h = 0.5``."""
+        if den is None:
+            return 0.5, 0.0, None
+        return 1, 0, 2 * den if self.adjoined == "j" else den
+
     def _basis_product(self, a: "Multivector", b: "Multivector") -> "Multivector":
         """``a.gp_blades(b)`` of two exact elements of this representation, each
         +-1 on one coordinate: one entry of ``_product``, the table the kernel
@@ -567,14 +629,11 @@ class Multivector(RealCoords):
         and ``M`` over the ``a - b``, joined as ``((P + M)/2, (P - M)/2)``.
         Operands of two backends raise :class:`BackendMismatch`, zero or not.
         """
-        exact = self._peer(other)
-        rep, c, d = self.rep, self.nums, other.nums
-        kernel, den = rep._product, self.den * other.den if exact else None
-        if rep.adjoined != "j":
-            return Multivector._new(rep, kernel.product(c, d, 0 if exact else 0.0), den)
-        if exact:  # the join halves P +- M: double den (exact) or halve the left pair (floats)
-            return Multivector._new(rep, kernel.joined(c, d, 1, 0), 2 * den)
-        return Multivector._new(rep, kernel.joined(c, d, 0.5, 0.0), None)
+        rep = self.rep
+        h, zero, den = rep._kernel_scale(self.den * other.den if self._peer(other) else None)
+        if rep.adjoined == "j":
+            return Multivector._new(rep, rep._product.joined(self.nums, other.nums, h, zero), den)
+        return Multivector._new(rep, rep._product.product(self.nums, other.nums, zero), den)
 
     # -- involutions -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraRep, Multivector, _compiled, _names, _single_slot, get_rep, ring_unit_multivectors
+from .algebra import AlgebraRep, Multivector, _single_slot, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
 from .scalars import HScalar, RealCoords, _entering, _floats
 
@@ -116,38 +116,18 @@ class ParavectorSpace:
     @cached_property
     def _unit_product(self):
         """``unit_product(x, y, h, zero)``: the unit-slot numbers of ``x * bar(y)``
-        from two paravectors' stored numbers, generated from the rows of
-        ``rep._product`` by the first call.  Each is the :class:`~.algebra._Kernel`
-        sum over the pairs of slot rows that land on it, from ``zero`` in k1 order
-        (a j-rep's null pairs give ``P`` and ``M``, joined as ``P +- M``).  A dropped
-        term has a non-slot zero factor: with finite null sums, results are the kernel's bit for bit."""
-        rep, w = self.rep, 2 if self.rep.adjoined == "j" else 1  # coordinates per row
-        flips = rep._involution_flips["bar"]
-        # per slot coordinate, its signed number in x and in bar(y)
-        left = {k: (sign, f"x{a}") for a, (k, sign) in enumerate(self._slots)}
-        right = {k: (-sign if k in flips else sign, f"y{a}") for a, (k, sign) in enumerate(self._slots)}
-        rows = sorted({k // w for k in left})
-        lines = ["def unit_product(x, y, h, zero):", *(f"    {_names(v, self.dim)}, = {v}" for v in "xy")]
-        for op in "pm"[:w]:  # a j-rep's null sums (p) and differences (m); else the coordinates
-            for side, numbers, scale in (("l", left, " * h" if w == 2 else ""), ("r", right, "")):
-                for r in rows:  # row r's signed numbers, the second negated in a difference
-                    pair = "".join(f" {'+-'[(sign < 0) != (op == 'm' and k % w == 1)]} {name}"
-                                   for k, (sign, name) in sorted(numbers.items()) if k // w == r)
-                    lines.append(f"    {side}{op}{r} = ({pair}){scale}")
-            for out in sorted({k // w for k, _ in self._unit_slots}):
-                terms = "".join(f" {'+-'[sign < 0]} l{op}{k1} * r{op}{k2}" for k1 in rows
-                                for k2, (k, sign) in enumerate(rep._product[k1]) if k == out and k2 in rows)
-                lines.append(f"    {op}{out} = zero{terms}")
-        parts = (f"p{k // w} {'-' if k % w else '+'} m{k // w}" if w == 2 else f"p{k}" for k, _ in self._unit_slots)
-        lines.append(f"    return [{', '.join(parts)}]")
-        return _compiled(lines, "unit_product")
+        from two paravectors' stored numbers, the blade kernel's sums restricted
+        to the slots (:meth:`~.algebra._Kernel.restricted`), compiled by the first call."""
+        flips = self.rep._involution_flips["bar"]
+        bar = tuple((k, -sign if k in flips else sign) for k, sign in self._slots)
+        outputs = [k for k, _ in self._unit_slots]
+        return self.rep._product.restricted(self._slots, bar, outputs, self.rep.adjoined == "j")
 
     def _unit_numbers(self, x: "Paravector", y: "Paravector") -> tuple[list, int | None]:
         """:attr:`_unit_product` of ``x._peer(y)``-checked operands, and its
         denominator as ``gp_blades`` gives it (``None`` for floats)."""
-        if x._peer(y):
-            return self._unit_product(x.nums, y.nums, 1, 0), (2 if self.rep.adjoined == "j" else 1) * x.den * y.den
-        return self._unit_product(x.nums, y.nums, 0.5, 0.0), None
+        h, zero, den = self.rep._kernel_scale(x.den * y.den if x._peer(y) else None)
+        return self._unit_product(x.nums, y.nums, h, zero), den
 
     # -- multivector conversion ----------------------------------------------------
 
