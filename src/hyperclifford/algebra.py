@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, count, product
 from math import gcd
+from operator import xor
 
 from .matrices import HMatrix, pauli2, sigma_ab
 from .scalars import _RING_UNITS, BackendMismatch, HScalar, RealCoords, _entering, _over_lcm
@@ -127,11 +128,12 @@ _BLOCK = 4
 
 
 class _Kernel(tuple):
-    """A signed-permutation product table: row k1 holds ``(k, sign)`` per
-    right index k2, so coordinate k1 times coordinate k2 adds with ``sign``
-    to output k.  Its products are code generated from the rows, each
-    compiled by its first caller.  Set-up compiles none: a product of basis
-    elements reads one entry of the rows (:meth:`AlgebraRep._basis_product`).
+    """A signed-permutation product table (:func:`_blade_product`): row k1
+    holds ``(k, sign)`` per right index k2, so coordinate k1 times
+    coordinate k2 adds with ``sign`` to output k.  Its products are code
+    generated from the rows, each compiled by its first caller.  Set-up
+    compiles none: a product of basis elements reads one entry of the rows
+    (:meth:`AlgebraRep._basis_product`).
     ``product(a, b, zero)`` multiplies coordinates of the backend whose zero
     it is given: each block of ``_BLOCK`` left rows sits under one ``if`` on
     its left coordinates, and under it each output is one sum
@@ -192,13 +194,16 @@ class _Kernel(tuple):
                  f"    {_names('y', len(right))}, = y"]
         # per operand, each kept coordinate's signed number
         sides = [{k: (sign, f"{v}{a}") for a, (k, sign) in enumerate(kept)} for v, kept in (("x", left), ("y", right))]
+        rows = sorted({k // w for k in outputs})
         for out, op in (("p", "+"), ("m", "-"))[:w]:  # a j-rep's null sums and differences
+            if out == "m" and not any(k % 2 for side in sides for k in side):
+                lines += (f"    m{k} = p{k}" for k in rows)  # no j coordinate: each difference is its sum
+                break
             lrows, rrows = (_row_sums(numbers, op, w) for numbers in sides)
             lines += (f"    l{out}{r} = ({pair}){' * h' if joined else ''}" for r, pair in lrows.items())
             lines += (f"    r{out}{r} = {pair}" for r, pair in rrows.items())
             terms = self._terms(lrows, rrows, f"l{out}", f"r{out}")
-            for k in sorted({k // w for k in outputs}):
-                lines.append(f"    {out}{k} = {_sum([(1, 'zero'), *terms.get(k, [])])}")
+            lines += (f"    {out}{k} = {_sum([(1, 'zero'), *terms.get(k, [])])}" for k in rows)
         lines.append(f"    return [{', '.join(_join(k) if joined else f'p{k}' for k in outputs)}]")
         return _compiled(lines, "restricted")
 
@@ -241,11 +246,40 @@ def _compiled(lines: list, name: str, **namespace):
 @lru_cache(maxsize=None)
 def _blade_product(signature: Signature) -> _Kernel:
     """The product of the signature's blades, shared by its representations:
-    row k1 holds ``(k, sign)`` per blade k2, from :func:`blade_mul`."""
+    row k1 holds ``(k, sign)`` per blade k2.  A blade is the bitmask of its
+    generators (i on bit i - 1), so the product blade is ``m1 ^ m2`` and its
+    sign the parity of ``m1 & flips[m2]``: ``flips[m2]`` is the XOR of the
+    generators after each index of m2 (one transposition per pair out of
+    order) and m2's generators that square to -1 (one sign per shared one).
+    :func:`blade_mul`, sorting the indices pair by pair, is its oracle."""
     blades = _blades(signature.n)
-    index = {b: k for k, b in enumerate(blades)}
-    return _Kernel(tuple((index[b], sign) for b, sign in (blade_mul(b1, b2, signature) for b2 in blades))
-                   for b1 in blades)
+    masks = [sum(1 << (i - 1) for i in b) for b in blades]
+    index = {m: k for k, m in enumerate(masks)}
+    flips = [reduce(xor, (-1 << i for i in b), m & -1 << signature.p) for b, m in zip(blades, masks)]
+    return _Kernel(tuple((index[m1 ^ m2], -1 if (m1 & f).bit_count() & 1 else 1) for m2, f in zip(masks, flips))
+                   for m1 in masks)
+
+
+@lru_cache(maxsize=None)
+def _blade_matrices(gens: tuple, signature: Signature) -> dict:
+    """Each blade's matrix, shared (and never mutated) by the representations
+    on the generators ``gens``, validated first: a generator whose square is
+    not its signature's or a pair that fails to anticommute raises
+    ``ValueError``.  A blade's matrix is its prefix's times its last
+    generator, the left fold of its generators; the blades run by grade,
+    prefixes first."""
+    idm = HMatrix.identity(gens[0].n if gens else 1)
+    for k, g in enumerate(gens, start=1):
+        if g @ g != (idm if signature.square(k) > 0 else -idm):
+            raise ValueError(f"generator {k} squares incorrectly")
+    for (a, ga), (b, gb) in combinations(enumerate(gens, start=1), 2):
+        if ga @ gb + gb @ ga != HMatrix.zeros(idm.n):
+            raise ValueError(f"generators {a},{b} fail to anticommute")
+    mats = {(): idm}
+    for blade in _blades(signature.n)[1:]:
+        last = gens[blade[-1] - 1]
+        mats[blade] = mats[blade[:-1]] @ last if len(blade) > 1 else last
+    return mats
 
 
 def involution_sign(kind: str, grade: int) -> int:
@@ -270,15 +304,11 @@ class AlgebraRep:
             raise ValueError("adjoined unit must be '', 'i' or 'j'")
         self.name, self.signature, self.gens, self.adjoined = name, signature, tuple(gens), adjoined
         self.n = self.gens[0].n if self.gens else 1
-        self._validate_generators()
-
+        try:
+            self._blade_mat = _blade_matrices(self.gens, signature)
+        except ValueError as err:
+            raise ValueError(f"{err} in {name}") from None
         self.blades = _blades(signature.n)
-        # each blade's matrix is its prefix's times its last generator, the
-        # left fold of its generators; the blades run by grade, prefixes first
-        self._blade_mat = {(): HMatrix.identity(self.n)}
-        for blade in self.blades[1:]:
-            last = self.gens[blade[-1] - 1]
-            self._blade_mat[blade] = self._blade_mat[blade[:-1]] @ last if len(blade) > 1 else last
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)
         self._basis_mat = {(b, u): self._blade_mat[b] if u == "1" else self._blade_mat[b].scale(HScalar.unit(u))
@@ -300,7 +330,7 @@ class AlgebraRep:
         # the HScalar component (x y v w) of each unit
         self._spots = tuple(map(_RING_UNITS.index, self.units))
         # gp_blades' kernel, its table _product[k1][k2] = (k, sign) read off
-        # blade_mul, no basis matrix: the signature's blade product for a
+        # blade bitmasks, no basis matrix: the signature's blade product for a
         # j-rep's null pairs and a rep with no adjoined unit; over the basis
         # for i, where units 0 (1) and 1 (i) multiply by XOR and i i = -1.
         self._product = _blade_product(signature)
@@ -312,17 +342,6 @@ class AlgebraRep:
 
     # -- construction-time validation -------------------------------------
 
-    def _validate_generators(self):
-        idm = HMatrix.identity(self.n)
-        for k, g in enumerate(self.gens, start=1):
-            sq = g @ g
-            want = idm if self.signature.square(k) > 0 else -idm
-            if sq != want:
-                raise ValueError(f"generator {k} squares incorrectly in {self.name}")
-        for (a, ga), (b, gb) in combinations(enumerate(self.gens, start=1), 2):
-            if ga @ gb + gb @ ga != HMatrix.zeros(self.n):
-                raise ValueError(f"generators {a},{b} fail to anticommute in {self.name}")
-
     def _signed_coords(self) -> dict:
         """Coordinate table of the matrix route, read off the basis matrices.
 
@@ -330,7 +349,7 @@ class AlgebraRep:
         non-zero entry per row, that entry one of +-1, +-i, +-j, +-ij.  Its
         real coordinates are then n values of +-1, listed per basis key as
         ``(real_index, sign)`` pairs in index order.  The matrices come from
-        generator products, so the table does not depend on blade_mul.
+        generator products, so it does not depend on the blade product table.
         """
         table = {}
         for key in self.basis:
@@ -447,7 +466,7 @@ class AlgebraRep:
     def _scatter(self, terms, den) -> HMatrix:
         """The matrix over ``den`` (``None``: floats) of ``(pairs, stored number)``
         terms, each non-zero number added with the signs of its ``(real_index,
-        sign)`` coordinate-table pairs (from the basis matrices, not blade_mul)."""
+        sign)`` coordinate-table pairs (from the basis matrices, not the blade table)."""
         flat = [0.0 if den is None else 0] * (4 * self.n * self.n)
         for pairs, c in terms:
             if c:  # adding a zero changes no coordinate
@@ -621,8 +640,8 @@ class Multivector(RealCoords):
 
     def gp_blades(self, other: "Multivector") -> "Multivector":
         """Geometric product on the blades, independent of the matrix route:
-        one call of the representation's kernel (:class:`_Kernel`, its table
-        built from :func:`blade_mul`) on the stored numbers, so exact output
+        one call of the representation's kernel (:class:`_Kernel`, the table
+        :func:`_blade_product`) on the stored numbers, so exact output
         is over the product of the denominators, reduced once.  A j-rep (j
         central, j^2 = 1) runs ``joined``: each blade coefficient ``a + b j``
         as its null pair ``(a + b, a - b)``, ``P`` summed over the ``a + b``

@@ -77,15 +77,9 @@ class ParavectorSpace:
                 raise ValueError(f"basis element {a} of {name} is not +-1 in one coordinate, on a slot of its own")
         self._slots = slots
         self._slot_pairs = tuple(tuple((i, s * t) for i, t in rep._coord_map[rep.basis[k]]) for k, s in slots)
-        self.metric = tuple(self._metric_signs())
-
-    def _metric_signs(self):
-        for k, b in enumerate(self.basis):
-            # b bar(b), one entry of the blade table, is +-1 on the real scalar coordinate
-            index, sign = _single_slot(self.rep._basis_product(b, b.bar()))
-            if index:
-                raise ValueError(f"basis element {k} of {self.name} is not metric-unit")
-            yield sign
+        # b bar(b), one entry of the blade table, is +-1 on the real scalar
+        # coordinate (a tier-1 test holds it): the metric is its sign
+        self.metric = tuple(_single_slot(rep._basis_product(b, b.bar()))[1] for b in self.basis)
 
     # -- paravector construction ------------------------------------------------
 

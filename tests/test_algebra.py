@@ -127,6 +127,44 @@ def test_building_every_representation_and_space_compiles_no_kernel():
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(SPACE_NAMES)} {[{}] * len(REP_NAMES)} []\n", "")
 
 
+def test_set_up_calls_no_blade_mul_and_builds_each_generator_sets_blade_matrices_once():
+    # a fresh interpreter, so no representation is built yet: the blade
+    # tables come from bitmasks, and h05bar reuses the validated generators
+    # and blade matrices of r05, multiplying no matrix
+    src = str(Path(hyperclifford.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from hyperclifford import algebra\n"
+            "from hyperclifford.matrices import HMatrix\n"
+            "from hyperclifford.paravectors import SPACE_NAMES, get_space\n"
+            "calls = {'blade_mul': 0, 'matmul': 0}\n"
+            "def counted(key, f):\n"
+            "    def call(*args):\n"
+            "        calls[key] += 1\n"
+            "        return f(*args)\n"
+            "    return call\n"
+            "algebra.blade_mul = counted('blade_mul', algebra.blade_mul)\n"
+            "r05 = algebra.get_rep('r05')\n"
+            "HMatrix.__matmul__ = counted('matmul', HMatrix.__matmul__)\n"
+            "h05bar = algebra.get_rep('h05bar')\n"
+            "after_r05 = calls['matmul']\n"
+            "reps = [algebra.get_rep(name) for name in algebra.REP_NAMES]\n"
+            "spaces = [get_space(name) for name in SPACE_NAMES]\n"
+            "print(calls['blade_mul'], after_r05, calls['matmul'] > 0, h05bar._blade_mat is r05._blade_mat)")
+    done = subprocess.run([sys.executable, "-B", "-c", code, src], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0 True True\n", "")
+
+
+def test_generators_are_validated_naming_the_representation_before_and_after_a_valid_twin():
+    gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
+    for _ in range(2):  # the second time the valid set on Signature(3, 0) is cached
+        with pytest.raises(ValueError, match=r"^generator 3 squares incorrectly in wrong-square$"):
+            AlgebraRep("wrong-square", Signature(2, 1), gens)
+        with pytest.raises(ValueError, match=r"^generators 1,2 fail to anticommute in commuting$"):
+            AlgebraRep("commuting", Signature(3, 0), [gens[0], gens[0], gens[2]])
+        twin = AlgebraRep("twin", Signature(3, 0), gens)
+    assert twin._blade_mat is get_rep("r30")._blade_mat is get_rep("c30bar")._blade_mat
+
+
 def sparse_exact(rep):
     """Exact elements on at most six basis elements, denominators up to 10**6."""
     coord = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)

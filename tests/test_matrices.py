@@ -117,8 +117,10 @@ def test_sigma_ab_diagonal_rejected():
 def test_index_lookups_take_only_ints_in_range(bad):
     # an index is an int by the rule RotorParams takes planes by (type(k) is
     # int): a float or a bool equal to a valid index is no index, and a
-    # cached int equal to it must not let it through the cache
-    assert (pauli2(2), pauli4(2), pauli4_literal(2), sigma_ab(2, 4), sigma_ab(4, 2))
+    # cached int equal to it must not let it through the cache; these valid
+    # lookups fill the caches first
+    assert sigma_ab(4, 2) == -sigma_ab(2, 4)
+    assert [m.n for m in (pauli2(2), pauli4(2), pauli4_literal(2), sigma_ab(2, 4))] == [2, 4, 4, 4]
     calls = [(pauli2, (bad,), "pauli2"), (pauli4, (bad,), "pauli4"), (pauli4_literal, (bad,), "pauli4_literal"),
              (sigma_ab, (bad, 4), "sigma_ab"), (sigma_ab, (4, bad), "sigma_ab"), (sigma_ab_entry, (bad, 4), "sigma_ab")]
     for f, args, name in calls:

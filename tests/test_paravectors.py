@@ -86,6 +86,15 @@ def test_space_metrics_with_hyperbolic_cross_terms(name, metric, cross):
             assert got == want, (a, b, got)
 
 
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_each_basis_element_times_its_bar_is_its_metric_sign_on_the_real_scalar(name):
+    # the construction reads the metric off this entry of the blade table
+    space = get_space(name)
+    for b, sign in zip(space.basis, space.metric, strict=True):
+        assert space.rep._basis_product(b, b.bar()) == space.rep._element(0, [sign], 1), name
+        assert sign in (1, -1)
+
+
 def test_m4_qform_examples():
     m4 = get_space("m4")
     assert m4.paravector([1, 0, 0, 0]).qform() == HScalar.exact(1)

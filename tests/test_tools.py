@@ -319,7 +319,7 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
     monkeypatch.setattr(compare_outputs, "setup_split",
-                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3]))
+                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3], {"r01": 0.125, "h05bar": 12.0}))
     return parent_dir, change_dir, asked
 
 
@@ -342,10 +342,12 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
                         for side, tables, spaces in (("parent", 2, 0), ("change", 0, 1))]
     assert out[9:11] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions compiled)"
                          "  import 20.0 (0)  get_rep 12.2 (0)  get_space 4.0 (3)" for side in ("parent", "change")]
-    assert out[11:13] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38"
+    assert out[11:13] == [f"{side}: get_rep ms per representation, same interpreters  r01 0.12  h05bar 12.00"
+                          for side in ("parent", "change")]
+    assert out[13:15] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38"
                           "  get_space 0.00" for side in ("parent", "change")]
     cover = "self times cover {0:.4f} of the traced window ({0:.4f} of 1.0000 s), margin {1:+.4f} over 0.9"
-    assert out[13:] == [
+    assert out[15:] == [
         f"parent traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
         f"change traced verify-matrix seed 7: {cover.format(0.92, 0.02)}",
         "parent traced verify-matrix: minimum margin +0.0200 over 0.9 (seed 7 of 1)",
@@ -421,10 +423,12 @@ def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(t
     stand_in_library(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 3)
-    split, growth, _ = compare_outputs.setup_split(tmp_path)
+    split, growth, _, reps = compare_outputs.setup_split(tmp_path)
     assert len(split) == len(growth) == len(compare_outputs.SETUP_STAGES) == 3
     for ms, slept in zip(split, (40, 30, 60)):
         assert slept <= ms < slept + 500
+    # each representation's share of the get_rep stage, in build order
+    assert list(reps) == ["a", "b"] and all(15 <= ms < 15 + 250 for ms in reps.values())
     assert 0 <= growth[0] < 8 and 0 <= growth[1] < 8
     assert 31 <= growth[2] < 40
     assert sorted(tmp_path.rglob("*")) == before

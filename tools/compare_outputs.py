@@ -27,8 +27,11 @@ difference of any number and the largest absolute one.
 For each side it also prints its set-up split into stages: importing
 ``hyperclifford``, ``get_rep`` over every representation, then
 ``get_space`` over every paravector space, each in ms as the median of 5
-fresh interpreters, and then from the same interpreters how many MB each
-stage raised the peak resident set size (Linux's ``VmHWM``).  One untimed run
+fresh interpreters; then from the same interpreters the ms of each
+representation's ``get_rep`` (its share of the second stage, which builds
+them in ``REP_NAMES`` order, so a twin that reuses an earlier build's work
+shows it) and how many MB each stage raised the peak resident set size
+(Linux's ``VmHWM``).  One untimed run
 before them compiles the bytecode they read into a temporary directory,
 never into the checkout, and counts the kernel functions each stage
 compiled, printed in parentheses after its ms: the entries of ``vars()`` of
@@ -136,8 +139,11 @@ from hyperclifford.algebra import REP_NAMES, get_rep
 from hyperclifford.paravectors import SPACE_NAMES, get_space
 t1, r1 = perf_counter(), peak()
 count()
+reps = []
 for name in REP_NAMES:
+    t = perf_counter()
     get_rep(name)
+    reps += [name, perf_counter() - t]
 t2, r2 = perf_counter(), peak()
 count()
 for name in SPACE_NAMES:
@@ -145,16 +151,19 @@ for name in SPACE_NAMES:
 t3, r3 = perf_counter(), peak()
 count()
 print(t1 - t0, t2 - t1, t3 - t2, r1 - r0, r2 - r1, r3 - r2, *compiled)
+print(*reps)
 """
 SETUP_STAGES = ("import", "get_rep", "get_space")
 SETUP_RUNS = 5
 
 
-def setup_split(root: Path) -> tuple[list[float], list[float], list[int]]:
+def setup_split(root: Path) -> tuple[list[float], list[float], list[int], dict]:
     """One checkout's set-up per stage of ``SETUP_STAGES``: milliseconds, and
     megabytes (MiB) by which the stage raised the interpreter's peak resident
-    set size, each the median over ``SETUP_RUNS`` fresh interpreters, and the
-    number of kernel functions the stage compiled.  The peak is Linux's
+    set size, each the median over ``SETUP_RUNS`` fresh interpreters, the
+    number of kernel functions the stage compiled, and the milliseconds of
+    each representation's ``get_rep`` within the ``get_rep`` stage, ``{name:
+    ms}`` in build order, medians over the same interpreters.  The peak is Linux's
     ``VmHWM``, that of the interpreter's own memory: ``ru_maxrss`` would
     start at this process's size, which Linux carries over into a child.
     One untimed run first compiles the bytecode into a temporary directory,
@@ -164,14 +173,19 @@ def setup_split(root: Path) -> tuple[list[float], list[float], list[int]]:
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
-        counting, *samples = [subprocess.run([sys.executable, "-c", KERNELS + SETUP_CHILD, str(root.resolve()), *flag],
-                                             env=env, capture_output=True, text=True, check=True).stdout.split()
-                              for flag in [["count"]] + [[]] * SETUP_RUNS]
+        (counting, _), *samples = [
+            [line.split() for line in subprocess.run(
+                [sys.executable, "-c", KERNELS + SETUP_CHILD, str(root.resolve()), *flag],
+                env=env, capture_output=True, text=True, check=True).stdout.splitlines()]
+            for flag in [["count"]] + [[]] * SETUP_RUNS]
     stages = len(SETUP_STAGES)
-    medians = [statistics.median(float(s[k]) for s in samples) for k in range(2 * stages)]
+    medians = [statistics.median(float(s[k]) for s, _ in samples) for k in range(2 * stages)]
     totals = [0] + [int(c) for c in counting[2 * stages:]]
+    names = samples[0][1][::2]
+    reps = {name: 1e3 * statistics.median(float(times[2 * k + 1]) for _, times in samples)
+            for k, name in enumerate(names)}
     return ([t * 1e3 for t in medians[:stages]], [kib / 1024 for kib in medians[stages:]],
-            [b - a for a, b in zip(totals, totals[1:])])
+            [b - a for a, b in zip(totals, totals[1:])], reps)
 
 
 def source_lines(root: Path) -> dict:
@@ -328,10 +342,13 @@ def main(argv=None) -> int:
         print(f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
               f"  blade tables {tables}  paravector spaces {spaces}")
     splits = [setup_split(Path(root)) for _, root, *_ in sides]
-    for (side, *_), (times, _, compiled) in zip(sides, splits):
+    for (side, *_), (times, _, compiled, _) in zip(sides, splits):
         print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters (kernel functions compiled)  "
               + "  ".join(f"{stage} {ms:.1f} ({n})" for stage, ms, n in zip(SETUP_STAGES, times, compiled)))
-    for (side, *_), (_, growth, _) in zip(sides, splits):
+    for (side, *_), (*_, reps) in zip(sides, splits):
+        print(f"{side}: get_rep ms per representation, same interpreters  "
+              + "  ".join(f"{name} {ms:.2f}" for name, ms in reps.items()))
+    for (side, *_), (_, growth, *_) in zip(sides, splits):
         print(f"{side}: set-up peak-RSS growth MB, same interpreters  "
               + "  ".join(f"{stage} {mb:.2f}" for stage, mb in zip(SETUP_STAGES, growth)))
     spec = json.loads((Path(args[0]) / "BENCHMARK.json").read_text())
