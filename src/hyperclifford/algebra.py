@@ -303,11 +303,11 @@ class AlgebraRep:
         if adjoined not in ("", "i", "j"):
             raise ValueError("adjoined unit must be '', 'i' or 'j'")
         self.name, self.signature, self.gens, self.adjoined = name, signature, tuple(gens), adjoined
-        self.n = self.gens[0].n if self.gens else 1
         try:
             self._blade_mat = _blade_matrices(self.gens, signature)
         except ValueError as err:
             raise ValueError(f"{err} in {name}") from None
+        self.n = self._blade_mat[()].n
         self.blades = _blades(signature.n)
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)

@@ -319,7 +319,8 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
     monkeypatch.setattr(compare_outputs, "setup_split",
-                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3], {"r01": 0.125, "h05bar": 12.0}))
+                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3],
+                                      {"r01": 0.125, "h05bar": 12.0}))
     return parent_dir, change_dir, asked
 
 
