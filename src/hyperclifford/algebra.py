@@ -2,7 +2,7 @@
 
 Each representation carries a set of anticommuting generator matrices, an
 optional adjoined central unit (``i`` or ``j``), and the blade machinery
-used to move between matrices and coefficient expansions.  Six named
+used to move between matrices and coefficient expansions.  Seven named
 representations are provided:
 
 ====== =============================== ======================== =========
@@ -66,7 +66,7 @@ Blade = tuple
 
 
 class NonOrthogonalBasis(ValueError):
-    """Raised when a representation's basis matrices fail the pairing check."""
+    """Raised when a representation's basis elements fail the pairing check."""
 
 
 class Signature(namedtuple("Signature", "p q")):
@@ -261,13 +261,17 @@ def _blade_product(signature: Signature) -> _Kernel:
 
 
 @lru_cache(maxsize=None)
-def _blade_matrices(gens: tuple, signature: Signature) -> dict:
-    """Each blade's matrix, shared (and never mutated) by the representations
-    on the generators ``gens``, validated first: a generator whose square is
-    not its signature's or a pair that fails to anticommute raises
-    ``ValueError``.  A blade's matrix is its prefix's times its last
-    generator, the left fold of its generators; the blades run by grade,
-    prefixes first."""
+def _blade_tables(gens: tuple, signature: Signature) -> tuple[int, dict]:
+    """The matrix size n and each blade's coordinate table, shared (and never
+    mutated) by the representations on the generators ``gens``: the
+    ``(real_index, sign)`` pairs of the blade's matrix in index order.  The
+    generators are validated first: a generator whose square is not its
+    signature's or a pair that fails to anticommute raises ``ValueError``.  A
+    blade's matrix is its prefix's times its last generator, the left fold of
+    its generators (the blades run by grade, prefixes first), and must be a
+    signed-unit monomial matrix: one non-zero entry per row, that entry one of
+    +-1, +-i, +-j, +-ij, so n real coordinates of +-1.  The matrices come from
+    generator products, so the tables do not depend on the blade product."""
     idm = HMatrix.identity(gens[0].n if gens else 1)
     for k, g in enumerate(gens, start=1):
         if g @ g != (idm if signature.square(k) > 0 else -idm):
@@ -275,11 +279,18 @@ def _blade_matrices(gens: tuple, signature: Signature) -> dict:
     for (a, ga), (b, gb) in combinations(enumerate(gens, start=1), 2):
         if ga @ gb + gb @ ga != HMatrix.zeros(idm.n):
             raise ValueError(f"generators {a},{b} fail to anticommute")
-    mats = {(): idm}
-    for blade in _blades(signature.n)[1:]:
-        last = gens[blade[-1] - 1]
-        mats[blade] = mats[blade[:-1]] @ last if len(blade) > 1 else last
-    return mats
+    mats, tables = {(): idm}, {}
+    for blade in _blades(signature.n):
+        if blade:
+            last = gens[blade[-1] - 1]
+            mats[blade] = mats[blade[:-1]] @ last if len(blade) > 1 else last
+        m = mats[blade]
+        pairs = tuple((idx, c) for idx, c in enumerate(m.nums) if c)
+        rows = {idx // (4 * idm.n) for idx, _ in pairs}
+        if m.den != 1 or len(rows) != idm.n or len(pairs) != idm.n or any(c not in (1, -1) for _, c in pairs):
+            raise ValueError(f"basis element {(blade, '1')} is not a signed-unit monomial matrix")
+        tables[blade] = pairs
+    return idm.n, tables
 
 
 def involution_sign(kind: str, grade: int) -> int:
@@ -304,16 +315,19 @@ class AlgebraRep:
             raise ValueError("adjoined unit must be '', 'i' or 'j'")
         self.name, self.signature, self.gens, self.adjoined = name, signature, tuple(gens), adjoined
         try:
-            self._blade_mat = _blade_matrices(self.gens, signature)
+            self.n, tables = _blade_tables(self.gens, signature)
         except ValueError as err:
             raise ValueError(f"{err} in {name}") from None
-        self.n = self._blade_mat[()].n
         self.blades = _blades(signature.n)
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)
-        self._basis_mat = {(b, u): self._blade_mat[b] if u == "1" else self._blade_mat[b].scale(HScalar.unit(u))
-                           for b, u in self.basis}
-        self._coord_map = self._signed_coords()
+        # the HScalar component (x y v w) of each unit
+        self._spots = tuple(map(_RING_UNITS.index, self.units))
+        # the coordinate table of the matrix route: (b, u) is b's matrix times
+        # the unit u of code c, so each coordinate's unit s (idx & 3) moves to
+        # u s = s ^ c, negated when both have the i bit (i i = -1)
+        self._coord_map = {(b, u): tuple((idx ^ c, -sign if c & idx & 1 else sign) for idx, sign in tables[b])
+                           for b in self.blades for u, c in zip(self.units, self._spots)}
         self._validate_orthogonality()
         self._ring_units = self._find_ring_units()
         # Multivector coordinates: blade -> index of its real coordinate,
@@ -327,8 +341,6 @@ class AlgebraRep:
                         if involution_sign(kind, len(b)) * (1 if u == "1" or kind == "dagger" else -1) < 0)
             for kind in ("bar", "dagger", "hat")
         }
-        # the HScalar component (x y v w) of each unit
-        self._spots = tuple(map(_RING_UNITS.index, self.units))
         # gp_blades' kernel, its table _product[k1][k2] = (k, sign) read off
         # blade bitmasks, no basis matrix: the signature's blade product for a
         # j-rep's null pairs and a rep with no adjoined unit; over the basis
@@ -341,28 +353,6 @@ class AlgebraRep:
             )
 
     # -- construction-time validation -------------------------------------
-
-    def _signed_coords(self) -> dict:
-        """Coordinate table of the matrix route, read off the basis matrices.
-
-        Every basis element must be a signed-unit monomial matrix: one
-        non-zero entry per row, that entry one of +-1, +-i, +-j, +-ij.  Its
-        real coordinates are then n values of +-1, listed per basis key as
-        ``(real_index, sign)`` pairs in index order.  The matrices come from
-        generator products, so it does not depend on the blade product table.
-        """
-        table = {}
-        for key in self.basis:
-            m = self._basis_mat[key]
-            pairs = tuple((idx, c) for idx, c in enumerate(m.nums) if c)
-            rows = {idx // (4 * self.n) for idx, _ in pairs}
-            if (m.den != 1 or len(rows) != self.n or len(pairs) != self.n
-                    or any(c not in (1, -1) for _, c in pairs)):
-                raise ValueError(
-                    f"basis element {key} of {self.name} is not a signed-unit monomial matrix"
-                )
-            table[key] = pairs
-        return table
 
     def _validate_orthogonality(self):
         """Raise :class:`NonOrthogonalBasis` for the first pair of basis elements,
@@ -385,8 +375,8 @@ class AlgebraRep:
     def _find_ring_units(self) -> dict:
         """The scalar units of 1, i, j, ij that the representation holds,
         as exact multivectors: u is sign times the basis element whose
-        matrix is sign*u times the identity, read off the coordinate table
-        (u's part of diagonal entry r is real coordinate 4(n+1)r + spot)."""
+        coordinate table is that of sign*u times the identity (u's part of
+        diagonal entry r is real coordinate 4(n+1)r + spot)."""
         index = {pairs: k for k, pairs in enumerate(self._coord_map.values())}
         units = {}
         for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
@@ -466,7 +456,7 @@ class AlgebraRep:
     def _scatter(self, terms, den) -> HMatrix:
         """The matrix over ``den`` (``None``: floats) of ``(pairs, stored number)``
         terms, each non-zero number added with the signs of its ``(real_index,
-        sign)`` coordinate-table pairs (from the basis matrices, not the blade table)."""
+        sign)`` pairs of the coordinate table (not of the blade table)."""
         flat = [0.0 if den is None else 0] * (4 * self.n * self.n)
         for pairs, c in terms:
             if c:  # adding a zero changes no coordinate
@@ -728,7 +718,7 @@ def ring_unit_multivectors(rep: AlgebraRep) -> dict[str, Multivector]:
     """Realizations of 1, i, j, ij inside a complexified representation.
 
     Each unit u is the one basis element whose matrix is +u or -u times
-    the identity, found once per representation from its basis matrices,
+    the identity, found once per representation from its coordinate table,
     so a unit may be the adjoined coefficient unit, a generator or a
     blade (i j = e1 e2 e3 in the 2x2 algebra, -i = e1..e5 in the 4x4
     algebra).  Raises ``ValueError`` when the representation lacks one.

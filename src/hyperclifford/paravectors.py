@@ -4,7 +4,7 @@ A paravector space fixes an ordered basis of algebra elements whose first
 member is the unity, together with the diagonal metric the basis induces
 through the quadratic form x*bar(x).  Every basis is u*b for scalar units
 u and b in (1, e_1 .. e_n), unit-major, with the units that
-ring_unit_multivectors reads off the representation's basis matrices:
+ring_unit_multivectors reads off the representation's coordinate table:
 
     space rep    n units       basis                              metric
     m4    c30bar 3 1           (1, e_k = j*sigma_k)               (+,-,-,-)
@@ -103,9 +103,11 @@ class ParavectorSpace:
 
     def ring_residual(self, mv: Multivector) -> float:
         """Largest coordinate of an element outside the span of the four
-        scalar units; zero exactly when the element is ring-valued."""
+        scalar units; zero exactly when the element is ring-valued, NaN when
+        one is NaN, as :meth:`RealCoords.max_abs` gives it."""
         inside, den = {k for k, _ in self._unit_slots}, mv.den or 1
-        return max((abs(c) / den for k, c in enumerate(mv.nums) if k not in inside), default=0.0)
+        mags = [abs(c) / den for k, c in enumerate(mv.nums) if k not in inside]
+        return math.nan if math.isnan(sum(mags)) else max(mags, default=0.0)
 
     @cached_property
     def _unit_product(self):

@@ -644,13 +644,23 @@ def exact_adjoint_cases(over, exact):
 # -- the oracles: matrices of a representation --------------------------------
 
 
+@cache
+def basis_matrix(rep, key):
+    """The matrix of the basis element ``key = (blade, unit)``: the blade's
+    generators multiplied left to right from the identity, then scaled by
+    the unit."""
+    blade, unit = key
+    m = reduce(HMatrix.__matmul__, (rep.gens[i - 1] for i in blade), HMatrix.identity(rep.n))
+    return m.scale(HScalar.unit(unit))
+
+
 def to_matrix_reference(mv):
     """The per-blade matrix sum: each blade's basis matrix scaled by its
     coefficient and added, starting from the zero matrix."""
     rep, exact = mv.rep, mv.is_exact
     acc = HMatrix.zeros(rep.n, exact=exact)
     for blade, z in mv.coeffs.items():
-        m = rep._basis_mat[(blade, "1")]
+        m = basis_matrix(rep, (blade, "1"))
         acc = acc + (m if exact else m.to_float()).scale(z)
     return acc
 
@@ -663,7 +673,7 @@ def decompose_reference(rep, m):
     for blade in rep.blades:
         parts = {}
         for unit in rep.units:
-            b = rep._basis_mat[(blade, unit)]
+            b = basis_matrix(rep, (blade, unit))
             norm = HMatrix.real_pairing(b, b)
             num = HMatrix.real_pairing(b if exact else b.to_float(), m)
             parts[unit] = num / (norm if exact else float(norm))

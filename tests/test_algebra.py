@@ -22,6 +22,7 @@ from hyperclifford.algebra import (
     NonOrthogonalBasis,
     Signature,
     _Kernel,
+    _blade_tables,
     blade_mul,
     enumerate_algebra,
     even_subalgebra,
@@ -38,6 +39,7 @@ from hyperclifford.paravectors import SPACE_NAMES
 from hyperclifford.scalars import BackendMismatch, HScalar
 from oracles import (
     assert_canonical,
+    basis_matrix,
     exact_coordinates,
     exact_element,
     from_coords,
@@ -129,29 +131,38 @@ def test_building_every_representation_and_space_compiles_no_kernel():
 
 def test_set_up_calls_no_blade_mul_and_builds_each_generator_sets_blade_matrices_once():
     # a fresh interpreter, so no representation is built yet: the blade
-    # tables come from bitmasks, and h05bar reuses the validated generators
-    # and blade matrices of r05, multiplying no matrix
+    # tables come from bitmasks, and each twin reuses the coordinate tables
+    # of its real twin, multiplying no matrix and scaling only the
+    # generators get_rep builds for it
     src = str(Path(hyperclifford.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
             "from hyperclifford import algebra\n"
             "from hyperclifford.matrices import HMatrix\n"
             "from hyperclifford.paravectors import SPACE_NAMES, get_space\n"
-            "calls = {'blade_mul': 0, 'matmul': 0}\n"
+            "calls = {'blade_mul': 0, 'matmul': 0, 'scale': 0}\n"
             "def counted(key, f):\n"
             "    def call(*args):\n"
             "        calls[key] += 1\n"
             "        return f(*args)\n"
             "    return call\n"
             "algebra.blade_mul = counted('blade_mul', algebra.blade_mul)\n"
-            "r05 = algebra.get_rep('r05')\n"
             "HMatrix.__matmul__ = counted('matmul', HMatrix.__matmul__)\n"
-            "h05bar = algebra.get_rep('h05bar')\n"
-            "after_r05 = calls['matmul']\n"
+            "HMatrix.scale = counted('scale', HMatrix.scale)\n"
+            "twins = []\n"
+            "for real, twin in (('r05', 'h05bar'), ('r30', 'c30bar'), ('r10', 'c10bar')):\n"
+            "    algebra.get_rep(real)\n"
+            "    before = dict(calls)\n"
+            "    algebra.get_rep(twin)\n"
+            "    twins.append((twin, calls['matmul'] - before['matmul'], calls['scale'] - before['scale']))\n"
             "reps = [algebra.get_rep(name) for name in algebra.REP_NAMES]\n"
             "spaces = [get_space(name) for name in SPACE_NAMES]\n"
-            "print(calls['blade_mul'], after_r05, calls['matmul'] > 0, h05bar._blade_mat is r05._blade_mat)")
+            "info = algebra._blade_tables.cache_info()\n"
+            "print(calls['blade_mul'], calls['matmul'] > 0, twins, info.hits, info.misses)")
     done = subprocess.run([sys.executable, "-B", "-c", code, src], capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0 True True\n", "")
+    # r01, r10, r30 and r05 read their generators' tables; c10bar, c30bar
+    # and h05bar find them cached
+    twins = [("h05bar", 0, 5), ("c30bar", 0, 3), ("c10bar", 0, 0)]
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"0 True {twins} 3 4\n", "")
 
 
 def test_generators_are_validated_naming_the_representation_before_and_after_a_valid_twin():
@@ -161,8 +172,12 @@ def test_generators_are_validated_naming_the_representation_before_and_after_a_v
             AlgebraRep("wrong-square", Signature(2, 1), gens)
         with pytest.raises(ValueError, match=r"^generators 1,2 fail to anticommute in commuting$"):
             AlgebraRep("commuting", Signature(3, 0), [gens[0], gens[0], gens[2]])
-        twin = AlgebraRep("twin", Signature(3, 0), gens)
-    assert twin._blade_mat is get_rep("r30")._blade_mat is get_rep("c30bar")._blade_mat
+        AlgebraRep("twin", Signature(3, 0), gens)
+    # the valid set is read once: a j twin on it hits the cache and moves its tables
+    info = _blade_tables.cache_info()
+    twin = AlgebraRep("twin", Signature(3, 0), gens, adjoined="j")
+    assert _blade_tables.cache_info()[:2] == (info.hits + 1, info.misses)
+    assert twin._coord_map == get_rep("c30bar")._coord_map
 
 
 def sparse_exact(rep):
@@ -329,17 +344,34 @@ def test_float_zero_keeps_its_backend(name):
                 op(b)
 
 
-@pytest.mark.parametrize("name", REP_NAMES)
-def test_coord_map_rebuilds_basis_matrices(name):
-    rep = get_rep(name)
+def assert_table_read_off_basis_matrices(rep):
+    """The derived table equals the table read off the basis matrices."""
     assert list(rep._coord_map) == list(rep.basis)
     for key, pairs in rep._coord_map.items():
+        m = basis_matrix(rep, key)
+        assert pairs == tuple((idx, c) for idx, c in enumerate(m.nums) if c) and m.den == 1
         assert len(pairs) == rep.n
         coords = [Fraction(0)] * (4 * rep.n * rep.n)
         for idx, sign in pairs:
             assert sign in (1, -1)
             coords[idx] = Fraction(sign)
-        assert HMatrix.from_real_coords(coords) == rep._basis_mat[key]
+        assert HMatrix.from_real_coords(coords) == m
+
+
+@pytest.mark.parametrize("name", REP_NAMES)
+def test_coord_map_rebuilds_basis_matrices(name):
+    assert_table_read_off_basis_matrices(get_rep(name))
+
+
+def test_an_adjoined_i_negates_the_i_parts_it_meets():
+    # no named representation adjoins i to blades with i parts (c10bar's are
+    # 1 and j), so r30's generators carry the rule i i = -1 here: j sigma_2
+    # has ij parts, and i ij = -j
+    gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
+    rep = AlgebraRep("r30 with i", Signature(3, 0), gens, adjoined="i")
+    signs = {u: [sign for _, sign in rep._coord_map[((2,), u)]] for u in rep.units}
+    assert signs == {"1": [-1, 1], "i": [1, -1]}
+    assert_table_read_off_basis_matrices(rep)
 
 
 def test_basis_entries_must_be_signed_units():
@@ -349,8 +381,12 @@ def test_basis_entries_must_be_signed_units():
 
     skew = HMatrix([[HScalar.exact(0), HScalar.exact(2)], [HScalar.exact(Fraction(1, 2)), HScalar.exact(0)]])
     assert skew @ skew == HMatrix.identity(2)
-    with pytest.raises(ValueError):
-        AlgebraRep("skew", Signature(1, 0), [skew])
+    message = r"^basis element \(\(1,\), '1'\) is not a signed-unit monomial matrix in skew$"
+    for _ in range(2):  # the second time a valid 2x2 set on Signature(1, 0) is cached
+        for adjoined in ("", "j"):
+            with pytest.raises(ValueError, match=message):
+                AlgebraRep("skew", Signature(1, 0), [skew], adjoined=adjoined)
+        AlgebraRep("valid", Signature(1, 0), [HMatrix.identity(2).scale(HScalar.unit("j"))])
 
 
 def test_exact_coefficient_below_float_range_survives():
@@ -723,7 +759,7 @@ def test_exact_blade_operations_match_per_coordinate_fractions(data, name):
                  for b, unit in rep.basis]
         check(u.involution(kind), [s * c for s, c in zip(signs, cu)])
     # the coordinates times their basis matrices, summed
-    basis = [rep._basis_mat[key].coords for key in rep.basis]
+    basis = [basis_matrix(rep, key).coords for key in rep.basis]
     check(u.to_matrix(), [sum(col) for col in zip(*([c * x for x in b] for c, b in zip(cu, basis)))])
     # each basis matrix's pairing with the matrix over its own pairing
     check(rep.decompose(HMatrix.from_real_coords(cm)),

@@ -410,6 +410,24 @@ def test_ring_value_keeps_the_sign_of_every_zero():
             assert same_bits([c for c in parts if not c], [c for c in slots if not c])
 
 
+def test_ring_residual_keeps_a_nan_wherever_it_sits():
+    # max() alone kept a NaN only when it came first: 1.0 then NaN gave 1.0
+    for name in SPACE_NAMES:
+        space = get_space(name)
+        inside = {k for k, _ in space._unit_slots}
+        outside = [k for k in range(len(space.rep.basis)) if k not in inside]
+        if not outside:  # h1: every coordinate is a unit slot
+            continue
+        for first, second in ((1.0, math.nan), (math.nan, 1.0), (math.inf, math.nan)):
+            nums = [0.0] * len(space.rep.basis)
+            nums[outside[0]], nums[outside[-1]] = first, second
+            mv = Multivector._new(space.rep, nums, None)
+            assert math.isnan(space.ring_residual(mv)) and math.isnan(mv.max_abs()), (name, first)
+        nums = [0.0] * len(space.rep.basis)
+        nums[outside[0]], nums[outside[-1]] = 1.0, -2.5
+        assert space.ring_residual(Multivector._new(space.rep, nums, None)) == 2.5
+
+
 def test_projection_rejects_another_size():
     # it failed only in the residual, and read a larger matrix's first entries
     for name in SPACE_NAMES:

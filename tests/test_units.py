@@ -16,7 +16,7 @@ from hyperclifford.algebra import (
 from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import SPACE_NAMES, ParavectorSpace, get_space
 from hyperclifford.scalars import HScalar
-from oracles import same_values
+from oracles import basis_matrix, same_values
 
 I, J = HScalar.unit("i"), HScalar.unit("j")
 
@@ -101,7 +101,7 @@ def test_derived_units_are_signed_identities(name):
     for u, mv in rep._ring_units.items():
         k, sign = single_slot(mv)
         unit_matrix = HMatrix.identity(rep.n).scale(HScalar.unit(u))
-        assert rep._basis_mat[rep.basis[k]] == (unit_matrix if sign > 0 else -unit_matrix)
+        assert basis_matrix(rep, rep.basis[k]) == (unit_matrix if sign > 0 else -unit_matrix)
         assert mv.to_matrix() == unit_matrix
     if rep.adjoined:
         units = ring_unit_multivectors(rep)
