@@ -265,13 +265,16 @@ def _blade_tables(gens: tuple, signature: Signature) -> tuple[int, dict]:
     """The matrix size n and each blade's coordinate table, shared (and never
     mutated) by the representations on the generators ``gens``: the
     ``(real_index, sign)`` pairs of the blade's matrix in index order.  The
-    generators are validated first: a generator whose square is not its
-    signature's or a pair that fails to anticommute raises ``ValueError``.  A
-    blade's matrix is its prefix's times its last generator, the left fold of
-    its generators (the blades run by grade, prefixes first), and must be a
-    signed-unit monomial matrix: one non-zero entry per row, that entry one of
-    +-1, +-i, +-j, +-ij, so n real coordinates of +-1.  The matrices come from
-    generator products, so the tables do not depend on the blade product."""
+    generators are validated first: a count other than the signature's, a
+    generator whose square is not its signature's or a pair that fails to
+    anticommute raises ``ValueError``.  A blade's matrix is its prefix's times
+    its last generator, the left fold of its generators (the blades run by
+    grade, prefixes first), and must be a signed-unit monomial matrix: one
+    non-zero entry per row, that entry one of +-1, +-i, +-j, +-ij, so n real
+    coordinates of +-1.  The matrices come from generator products, so the
+    tables do not depend on the blade product."""
+    if len(gens) != signature.n:
+        raise ValueError(f"{len(gens)} generators for a signature of {signature.n}")
     idm = HMatrix.identity(gens[0].n if gens else 1)
     for k, g in enumerate(gens, start=1):
         if g @ g != (idm if signature.square(k) > 0 else -idm):
@@ -528,21 +531,23 @@ class AlgebraRep:
             return 0.5, 0.0, None
         return 1, 0, 2 * den if self.adjoined == "j" else den
 
+    def _basis_entry(self, k1: int, k2: int) -> tuple[int, int]:
+        """``(k, sign)``: basis element k1 times k2 is sign times basis element k,
+        read off ``_product``, the kernel's table.  A j-rep's table is over its
+        blades (``k >> 1``); the unit bits ``k & 1`` multiply by XOR (j^2 = 1)."""
+        if self.adjoined == "j":
+            k, sign = self._product[k1 >> 1][k2 >> 1]
+            return 2 * k + ((k1 ^ k2) & 1), sign
+        return self._product[k1][k2]
+
     def _basis_product(self, a: "Multivector", b: "Multivector") -> "Multivector":
-        """``a.gp_blades(b)`` of two exact elements of this representation, each
-        +-1 on one coordinate: one entry of ``_product``, the table the kernel
-        is generated from, so no kernel is compiled.  A j-rep's table is over its
-        blades (``k >> 1``); the unit bits ``k & 1`` multiply by XOR, as j^2 = 1.
-        Any other operand raises ``ValueError``."""
+        """``a.gp_blades(b)`` of two exact elements of this rep, each +-1 on one
+        coordinate, by :meth:`_basis_entry`; any other operand raises ``ValueError``."""
         slots = [_single_slot(x) if x.rep is self else None for x in (a, b)]
         if None in slots:
             raise ValueError(f"not two elements of {self.name} that are +-1 on one coordinate")
         (k1, s1), (k2, s2) = slots
-        if self.adjoined == "j":
-            k, sign = self._product[k1 >> 1][k2 >> 1]
-            k = 2 * k + ((k1 ^ k2) & 1)
-        else:
-            k, sign = self._product[k1][k2]
+        k, sign = self._basis_entry(k1, k2)
         return self._element(k, [s1 * s2 * sign], 1)
 
     def __repr__(self):
@@ -690,21 +695,25 @@ def _unit_1x1(name: str) -> HMatrix:
     return HMatrix._new(1, [int(u == name) for u in _RING_UNITS], 1)
 
 
+# each twin's real twin and the unit it adjoins: the twin takes the real
+# twin's generator tuple, so it builds no generator and finds their tables cached
+_TWINS = {"c10bar": ("r10", "i"), "c30bar": ("r30", "j"), "h05bar": ("r05", "j")}
+
+
 @lru_cache(maxsize=None)
 def get_rep(name: str) -> AlgebraRep:
     """Shared, construction-validated representation instances."""
+    if name in _TWINS:
+        real, unit = _TWINS[name]
+        return AlgebraRep(name, get_rep(real).signature, get_rep(real).gens, adjoined=unit)
     if name == "r01":
         return AlgebraRep("r01", Signature(0, 1), [_unit_1x1("i")])
     if name == "r10":
         return AlgebraRep("r10", Signature(1, 0), [_unit_1x1("j")])
-    if name == "c10bar":
-        return AlgebraRep("c10bar", Signature(1, 0), [_unit_1x1("j")], adjoined="i")
-    if name in ("r30", "c30bar"):
-        gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
-        return AlgebraRep(name, Signature(3, 0), gens, adjoined="j" if name == "c30bar" else "")
-    if name in ("r05", "h05bar"):
-        gens = [sigma_ab(0, k).scale(HScalar.unit("i")) for k in range(1, 6)]
-        return AlgebraRep(name, Signature(0, 5), gens, adjoined="j" if name == "h05bar" else "")
+    if name == "r30":
+        return AlgebraRep("r30", Signature(3, 0), [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)])
+    if name == "r05":
+        return AlgebraRep("r05", Signature(0, 5), [sigma_ab(0, k).scale(HScalar.unit("i")) for k in range(1, 6)])
     raise ValueError(f"unknown representation {name!r}")
 
 

@@ -37,6 +37,15 @@ the checks of its suite or their samples change.  Other keyword
 arguments of :func:`check` are passed to the body.  Work that several
 checks share is a lazily built :class:`Context` attribute, paid for by
 the first check to read it.
+
+An identity of linear or bilinear maps holds for every element exactly
+when it holds on every tuple of basis elements, so six checks prove theirs
+on the basis: ``involutions.product_rules`` on the product table and the
+involution signs; ``bar_composition``, ``bar_is_adjoint``, ``porteous_4x4``
+and ``null_scalar`` of ``involutions``, and ``wedge.split``, through the
+public API on basis elements that each carry a non-zero rational
+coefficient (:func:`_basis_elements`): the identity scales by their
+product, and the exact denominators run.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import rotors
 from .algebra import (
+    REP_NAMES,
     Multivector,
     enumerate_algebra,
     even_subalgebra,
@@ -192,15 +203,23 @@ class Context:
         return {s: [_random_rotor(s, self.rng) for _ in range(200)] for s in _ROTOR_SPACES}
 
 
-def _random_mv(rep, rng, exact: bool = False) -> Multivector:
-    """Every coordinate random: uniform on [-1, 1], or on the exact backend
-    a fraction p/q with |p| <= 4 and 1 <= q <= 3, drawn p first.  Drawn in
-    basis order: per blade the 1 part, then the part along the rep's
-    adjoined unit."""
-    if not exact:  # uniform(-1.0, 1.0) by its definition
-        return Multivector._new(rep, [-1.0 + 2.0 * rng.random() for _ in rep.basis], None)
-    pairs = _draw_pairs(rng, len(rep.basis), 4, 3)
-    return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)  # over 6 = lcm(1, 2, 3)
+def _random_mv(rep, rng) -> Multivector:
+    """Every coordinate uniform on [-1, 1] (by ``uniform``'s definition),
+    drawn in basis order: per blade the 1 part, then the adjoined unit's."""
+    return Multivector._new(rep, [-1.0 + 2.0 * rng.random() for _ in rep.basis], None)
+
+
+def _nonzero_fractions(rng, count: int) -> list:
+    """``count`` fractions (2p + 1)/q, |p| <= 4 and 1 <= q <= 3, drawn p
+    first: an odd numerator, so never zero."""
+    return [Fraction(2 * p + 1, q) for p, q in _draw_pairs(rng, count, 4, 3)]
+
+
+def _basis_elements(rep, rng) -> list:
+    """Each exact basis element of ``rep`` times its own coefficient of
+    :func:`_nonzero_fractions`, in basis order."""
+    coeffs = _nonzero_fractions(rng, len(rep.basis))
+    return [rep._element(k, [c.numerator], c.denominator) for k, c in enumerate(coeffs)]
 
 
 def _draw_pairs(rng, count: int, top: int, dens: int) -> list:
@@ -224,19 +243,8 @@ def _draw_pairs(rng, count: int, top: int, dens: int) -> list:
 # ---------------------------------------------------------------- tables ----
 
 _TABLE1_EXPECT = {"i": (-1, 1, -1), "j": (-1, 1, -1)}
-_TABLE2_EXPECT = {
-    "e": (-1, 1, -1),
-    "sigma": (1, 1, 1),
-    "i": (-1, -1, 1),
-    "j": (-1, 1, -1),
-}
-_TABLE3_EXPECT = {
-    "e": (-1, 1, -1),
-    "sigma0": (1, 1, 1),
-    "sigmakl": (1, -1, -1),
-    "i": (-1, 1, -1),
-    "j": (-1, 1, -1),
-}
+_TABLE2_EXPECT = {"e": (-1, 1, -1), "sigma": (1, 1, 1), "i": (-1, -1, 1), "j": (-1, 1, -1)}
+_TABLE3_EXPECT = {"e": (-1, 1, -1), "sigma0": (1, 1, 1), "sigmakl": (1, -1, -1), "i": (-1, 1, -1), "j": (-1, 1, -1)}
 
 
 def _classify_unit(name: str, five_dim: bool) -> str:
@@ -292,11 +300,7 @@ def _even_r05(ctx):
             prod = a.gp_blades(b)
             yield prod.hat() != prod
     # generated by the rotation generators i*sigma_kl = -e_k e_l
-    mults = [
-        (-rep.blade((k, l))).to_matrix()
-        for k in range(1, 6)
-        for l in range(k + 1, 6)
-    ]
+    mults = [(-rep.blade((k, l))).to_matrix() for k in range(1, 6) for l in range(k + 1, 6)]
     yield enumerate_algebra(rep, mults) != 16
 
 
@@ -407,25 +411,26 @@ def _split_literal(ctx):
 @check("involutions.product_rules",
        "reversion/conjugation reverse products, graduation preserves them",
        "(uv)^dagger = v^dagger u^dagger, hat(uv) = hat(u) hat(v),"
-       " bar(uv) = bar(v) bar(u) on 500 random pairs per representation")
+       " bar(uv) = bar(v) bar(u) on every ordered pair of basis elements"
+       " per representation", tol=0)
 def _product_rules(ctx):
+    # basis elements k1 k2 = s k and k2 k1 = sr kr; an involution takes k to its sign times k
     for name in ("r30", "c30bar", "r05", "h05bar"):
         rep = get_rep(name)
-        for _ in range(500):
-            u, v = _random_mv(rep, ctx.rng), _random_mv(rep, ctx.rng)
-            uv = u.gp_blades(v)
-            yield (uv.dagger() - v.dagger().gp_blades(u.dagger())).max_abs()
-            yield (uv.hat() - u.hat().gp_blades(v.hat())).max_abs()
-            yield (uv.bar() - v.bar().gp_blades(u.bar())).max_abs()
+        keys = range(len(rep.basis))
+        d, h, b = ([-1 if k in rep._involution_flips[kind] else 1 for k in keys] for kind in ("dagger", "hat", "bar"))
+        for k1, k2 in product(keys, repeat=2):
+            (k, s), (kr, sr) = rep._basis_entry(k1, k2), rep._basis_entry(k2, k1)
+            yield (k, s * d[k]) != (kr, sr * d[k2] * d[k1])
+            yield h[k] != h[k1] * h[k2]
+            yield (k, s * b[k]) != (kr, sr * b[k2] * b[k1])
 
 
 @check("involutions.bar_composition", "conjugation as the composite of graduation and reversion",
        "bar = hat-then-dagger = dagger-then-hat, bit-exact", tol=0)
 def _bar_composition(ctx):
-    for name in ("r01", "r10", "c10bar", "r30", "c30bar", "r05", "h05bar"):
-        rep = get_rep(name)
-        for _ in range(500):
-            u = _random_mv(rep, ctx.rng, exact=True)
+    for name in REP_NAMES:
+        for u in _basis_elements(get_rep(name), ctx.rng):
             yield u.bar() != u.hat().dagger() or u.bar() != u.dagger().hat()
 
 
@@ -433,9 +438,7 @@ def _bar_composition(ctx):
        "bar equals conjugate-transposition with i -> -i, j -> -j", tol=0)
 def _bar_is_adjoint(ctx):
     for name in ("r30", "c30bar", "r05", "h05bar"):
-        rep = get_rep(name)
-        for _ in range(25):
-            u = _random_mv(rep, ctx.rng, exact=True)
+        for u in _basis_elements(get_rep(name), ctx.rng):
             yield u.bar().to_matrix() != u.to_matrix().adjoint()
 
 
@@ -463,9 +466,7 @@ def _porteous_2x2(ctx):
        "the displayed permutations equal the blade-level involutions"
        " and compose to conjugate-transposition", tol=0)
 def _porteous_4x4(ctx):
-    rep = get_rep("h05bar")
-    for _ in range(25):
-        u = _random_mv(rep, ctx.rng, exact=True)
+    for u in _basis_elements(get_rep("h05bar"), ctx.rng):
         m = u.to_matrix()
         yield porteous_dagger_4x4(m) != u.dagger().to_matrix()
         yield porteous_hat_4x4(m) != u.hat().to_matrix()
@@ -483,11 +484,10 @@ def _quaternions(ctx):
 
 @check("involutions.null_scalar", "null-basis coordinates of hyperbolic numbers",
        "componentwise product law and conjugation-as-swap,"
-       " bit-exact on 1000 samples", tol=0)
+       " bit-exact on every ordered pair of the basis {1, j}", tol=0)
 def _null_scalar(ctx):
-    for _ in range(1000):
-        x1, v1, x2, v2 = (Fraction(p, q) for p, q in _draw_pairs(ctx.rng, 4, 9, 4))
-        z1, z2 = HScalar.exact(x1, 0, v1, 0), HScalar.exact(x2, 0, v2, 0)
+    one, j = _nonzero_fractions(ctx.rng, 2)
+    for z1, z2 in product((HScalar.exact(one), HScalar.exact(0, 0, j)), repeat=2):
         p1, p2 = to_null_coords(z1.coeffs()), to_null_coords(z2.coeffs())
         prod = to_null_coords((z1 * z2).coeffs())
         yield any(z != [a * c - b * d, a * d + b * c] for z, (a, b), (c, d) in zip(prod, p1, p2))
@@ -553,11 +553,13 @@ def _random_exact_vector(space, rng):
 
 
 @check("wedge.split", "product x bar(y) against its symmetric/antisymmetric parts",
-       "x bar(y) = dot(x,y) + wedge(x,y), bit-exact on 500 random pairs", tol=0)
+       "x bar(y) = dot(x,y) + wedge(x,y), bit-exact on every ordered pair of"
+       " basis paravectors", tol=0)
 def _wedge_split(ctx):
     space = get_space("m4")
-    for _ in range(500):
-        x, y = _random_exact_vector(space, ctx.rng), _random_exact_vector(space, ctx.rng)
+    coeffs = _nonzero_fractions(ctx.rng, space.dim)
+    basis = [space.paravector([c if i == k else 0 for i in range(space.dim)]) for k, c in enumerate(coeffs)]
+    for x, y in product(basis, repeat=2):
         mx, my = x.to_multivector(), y.to_multivector()
         yield mx.gp_blades(my.bar()) != space.rep.scalar(dot(x, y)) + wedge2(x, y)
 
@@ -583,9 +585,7 @@ def _wedge_degenerate(ctx):
     for _ in range(12):
         x, y, v = (_random_exact_vector(space, rng) for _ in range(3))
         lam, mu = (Fraction(p, q) for p, q in _draw_pairs(rng, 2, 3, 2))
-        dep = space.paravector(
-            [lam * a + mu * b for a, b in zip(x.coords, y.coords)]
-        )
+        dep = space.paravector([lam * a + mu * b for a, b in zip(x.coords, y.coords)])
         yield bool(wedge4(x, y, v, dep).coeffs)
         yield bool(wedge2(x, x).coeffs or wedge3(x, y, x).coeffs)
 
@@ -608,16 +608,10 @@ def _wedge_basis_constant(ctx):
 
 def _random_rotor(space: str, rng):
     if space == "h1":
-        return rotor_from_params(
-            RotorParams.h1(rng.uniform(-math.pi, math.pi), rng.uniform(-2, 2))
-        )
+        return rotor_from_params(RotorParams.h1(rng.uniform(-math.pi, math.pi), rng.uniform(-2, 2)))
     if space == "m4":
-        return rotor_from_params(
-            RotorParams.m4(
-                phi=[rng.uniform(-math.pi, math.pi) for _ in range(3)],
-                xi=[rng.uniform(-2, 2) for _ in range(3)],
-            )
-        )
+        phi = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+        return rotor_from_params(RotorParams.m4(phi=phi, xi=[rng.uniform(-2, 2) for _ in range(3)]))
     chosen = rng.sample(_INDEX_PAIRS, rng.randint(1, 4))
     phi = {p: rng.uniform(-math.pi, math.pi) for p in chosen}
     if space == "e6":
@@ -666,12 +660,7 @@ def _boost(ctx):
        " in the Minkowski and Euclidean spaces; hyperbolic dual pairs"
        " carry their ij cross term", tol=0)
 def _metric(ctx):
-    cross = {
-        "m4": {},
-        "e6": {},
-        "h1": {(0, 3): 1, (1, 2): -1},
-        "r66": {(a, a + 6): 1 for a in range(6)},
-    }
+    cross = {"m4": {}, "e6": {}, "h1": {(0, 3): 1, (1, 2): -1}, "r66": {(a, a + 6): 1 for a in range(6)}}
     for name in ("m4", "e6", "r66", "h1"):
         space = get_space(name)
         for a in range(space.dim):

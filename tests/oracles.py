@@ -743,12 +743,9 @@ def randint_pairs(rng, count, top, dens):
     return [(rng.randint(-top, top), rng.randint(1, dens)) for _ in range(count)]
 
 
-def old_random_mv(rep, rng, exact):
-    """The random multivector as drawn by randint and uniform."""
-    if not exact:
-        return Multivector._new(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis], None)
-    pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rep.basis]
-    return Multivector._new(rep, [p * (6 // q) for p, q in pairs], 6)
+def old_random_mv(rep, rng):
+    """The random multivector as drawn by uniform."""
+    return Multivector._new(rep, [rng.uniform(-1.0, 1.0) for _ in rep.basis], None)
 
 
 def drawn(sample, seed, *args, **kwargs):
@@ -758,8 +755,8 @@ def drawn(sample, seed, *args, **kwargs):
     return sample(rng, *args, **kwargs), rng.getstate()
 
 
-def twenty(rng, name, exact, draw):
-    return [draw(get_rep(name), rng, exact) for _ in range(20)]
+def twenty(rng, name, draw):
+    return [draw(get_rep(name), rng) for _ in range(20)]
 
 
 # -- the oracles: ring matrices ------------------------------------------------
@@ -1267,15 +1264,15 @@ ORACLES = {
             orthogonality_tables, REP_NAMES, NONE, same_values,
             call=partial(refusal, AlgebraRep._validate_orthogonality))],
     # -- seeded draws of the checks
-    # every (top, dens) that a check draws exact samples with, and dens = 1,
-    # where randint(1, 1) still takes a bit
+    # every (top, dens) that a check draws exact samples with, (9, 4) and
+    # dens = 1, where randint(1, 1) still takes a bit
     "test_checks::test_pairs_drawn_from_raw_bits_are_the_randint_pairs": [
         Row("checks._draw_pairs", partial(drawn, randint_pairs), lambda pair, _: [(s, 300, *pair) for s in range(3)],
             ((4, 3), (9, 4), (6, 3), (3, 2), (8, 3), (4, 1)), NONE, same_values,
             call=partial(drawn, checks._draw_pairs))],
     "test_checks::test_random_multivectors_are_drawn_as_randint_and_uniform_draw_them": [
         Row("checks._random_mv", partial(drawn, twenty, draw=old_random_mv),
-            lambda name, _: [(seed, name, exact) for seed in range(3) for exact in (False, True)], REP_NAMES, NONE,
+            lambda name, _: [(seed, name) for seed in range(3)], REP_NAMES, NONE,
             same_bits, call=partial(drawn, twenty, draw=checks._random_mv))],
     # -- ring matrices
     "test_matrices::test_kron_is_the_per_entry_loop": [

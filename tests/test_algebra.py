@@ -131,9 +131,9 @@ def test_building_every_representation_and_space_compiles_no_kernel():
 
 def test_set_up_calls_no_blade_mul_and_builds_each_generator_sets_blade_matrices_once():
     # a fresh interpreter, so no representation is built yet: the blade
-    # tables come from bitmasks, and each twin reuses the coordinate tables
-    # of its real twin, multiplying no matrix and scaling only the
-    # generators get_rep builds for it
+    # tables come from bitmasks, and each twin takes its real twin's
+    # generator tuple and coordinate tables, multiplying and scaling no
+    # matrix
     src = str(Path(hyperclifford.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
             "from hyperclifford import algebra\n"
@@ -161,7 +161,7 @@ def test_set_up_calls_no_blade_mul_and_builds_each_generator_sets_blade_matrices
     done = subprocess.run([sys.executable, "-B", "-c", code, src], capture_output=True, text=True, timeout=120)
     # r01, r10, r30 and r05 read their generators' tables; c10bar, c30bar
     # and h05bar find them cached
-    twins = [("h05bar", 0, 5), ("c30bar", 0, 3), ("c10bar", 0, 0)]
+    twins = [("h05bar", 0, 0), ("c30bar", 0, 0), ("c10bar", 0, 0)]
     assert (done.returncode, done.stdout, done.stderr) == (0, f"0 True {twins} 3 4\n", "")
 
 
@@ -178,6 +178,16 @@ def test_generators_are_validated_naming_the_representation_before_and_after_a_v
     twin = AlgebraRep("twin", Signature(3, 0), gens, adjoined="j")
     assert _blade_tables.cache_info()[:2] == (info.hits + 1, info.misses)
     assert twin._coord_map == get_rep("c30bar")._coord_map
+
+
+def test_a_generator_count_other_than_the_signatures_names_the_representation():
+    gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
+    for _ in range(2):  # the second time the valid set on Signature(3, 0) is cached
+        with pytest.raises(ValueError, match=r"^2 generators for a signature of 3 in too-few$"):
+            AlgebraRep("too-few", Signature(3, 0), gens[:2])
+        with pytest.raises(ValueError, match=r"^4 generators for a signature of 3 in too-many$"):
+            AlgebraRep("too-many", Signature(3, 0), [*gens, gens[0]])
+        AlgebraRep("valid", Signature(3, 0), gens)
 
 
 def sparse_exact(rep):

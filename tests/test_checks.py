@@ -286,6 +286,50 @@ def test_every_check_keeps_its_status_and_every_exact_check_its_zero_error(all_r
         "commutators.split_literal": 0.0,
     }
     exact = [spec.check_id for spec in checks.REGISTRY if spec.tol == 0]
-    assert len(exact) == 36
+    assert len(exact) == 37
     assert {cid: errors[cid] for cid in exact} == dict.fromkeys(exact, 0.0)
     assert [r.check_id for r in all_records if "[error:" in r.description] == []
+
+
+def _spec(check_id):
+    return next(spec for spec in checks.REGISTRY if spec.check_id == check_id)
+
+
+# Each basis sweep: the basis tuples it runs on and its comparisons per
+# tuple (product_rules: the ordered pairs of r30, c30bar, r05 and h05bar).
+SWEEPS = {
+    "involutions.product_rules": (8 ** 2 + 16 ** 2 + 32 ** 2 + 64 ** 2, 3),
+    "involutions.bar_composition": (2 + 2 + 4 + 8 + 16 + 32 + 64, 1),
+    "involutions.bar_is_adjoint": (8 + 16 + 32 + 64, 1),
+    "involutions.porteous_4x4": (64, 3),
+    "involutions.null_scalar": (2 ** 2, 3),
+    "wedge.split": (4 ** 2, 1),
+}
+
+
+def test_each_sweep_makes_its_comparisons_once_per_basis_tuple():
+    for cid, (tuples, per_tuple) in SWEEPS.items():
+        spec = _spec(cid)
+        errors = list(spec.body(checks.Context(checks.DEFAULT_TOL), **spec.params))
+        assert spec.tol == 0 and len(errors) == tuples * per_tuple and set(map(type, errors)) == {bool}, cid
+        assert not any(errors), cid
+
+
+def test_the_sweeps_coefficients_are_non_zero_fractions_one_per_basis_element():
+    rng, dens = random.Random(5), set()
+    for name in REP_NAMES:
+        rep = get_rep(name)
+        elements = checks._basis_elements(rep, rng)
+        assert [[k for k, c in enumerate(u.nums) if c] for u in elements] == [[k] for k in range(len(rep.basis))]
+        dens.update(u.den for u in elements)
+    # the exact denominators run: some coefficient is not an integer
+    assert dens > {1}
+
+
+@pytest.mark.parametrize("name, kind", [("r30", "dagger"), ("h05bar", "bar"), ("c30bar", "hat")])
+def test_one_flipped_involution_sign_fails_the_sweeps_that_read_it(monkeypatch, name, kind):
+    rep = get_rep(name)
+    monkeypatch.setitem(rep._involution_flips, kind, tuple(sorted(set(rep._involution_flips[kind]) ^ {1})))
+    for cid in ("involutions.product_rules", "involutions.bar_composition"):
+        report = _spec(cid).run(checks.Context(checks.DEFAULT_TOL))
+        assert (report.status, report.max_error) == ("fail", 1.0), cid
