@@ -130,10 +130,10 @@ _BLOCK = 4
 class _Kernel(tuple):
     """A signed-permutation product table (:func:`_blade_product`): row k1
     holds ``(k, sign)`` per right index k2, so coordinate k1 times
-    coordinate k2 adds with ``sign`` to output k.  Its products are code
-    generated from the rows, each compiled by its first caller.  Set-up
-    compiles none: a product of basis elements reads one entry of the rows
-    (:meth:`AlgebraRep._basis_product`).
+    coordinate k2 adds with ``sign`` to output k.  Its products, like the
+    maps of a :class:`_Table`, are code generated from the rows, each
+    compiled by its first caller.  Set-up compiles none: a product of basis
+    elements reads one entry of the rows (:meth:`AlgebraRep._basis_product`).
     ``product(a, b, zero)`` multiplies coordinates of the backend whose zero
     it is given: each block of ``_BLOCK`` left rows sits under one ``if`` on
     its left coordinates, and under it each output is one sum
@@ -208,6 +208,32 @@ class _Kernel(tuple):
         return _compiled(lines, "restricted")
 
 
+class _Table(tuple):
+    """Coordinate tables in basis order, entry k the ``(real_index, sign)`` pairs
+    of an n x n signed-unit monomial matrix (n pairs over 4n^2 real coordinates),
+    and their maps by :func:`_linear`, each compiled by its first call: ``gather(x,
+    zero)``, each entry's signed sum of coordinates ``x``; ``scatter(c, zero)``, per
+    coordinate the signed sum, in basis order, of the numbers ``c`` listing it."""
+
+    @cached_property
+    def gather(self):
+        return _linear(self, 4 * len(self[0]) ** 2)
+
+    @cached_property
+    def scatter(self):
+        rows = [[] for _ in range(4 * len(self[0]) ** 2)]
+        for k, pairs in enumerate(self):
+            for idx, sign in pairs:
+                rows[idx].append((k, sign))
+        return _linear(rows, len(self))
+
+
+def _linear(rows, size: int):
+    """``linear(x, zero)`` of ``size`` inputs, per row of ``(index, sign)`` terms ``zero + x<index> - ...``."""
+    sums = ", ".join(_sum([(1, "zero"), *((sign, f"x{i}") for i, sign in row)]) for row in rows)
+    return _compiled(["def linear(x, zero):", f"    {_names('x', size)}, = x", f"    return [{sums}]"], "linear")
+
+
 def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{k}" for k in range(n))
 
@@ -265,18 +291,22 @@ def _blade_tables(gens: tuple, signature: Signature) -> tuple[int, dict]:
     """The matrix size n and each blade's coordinate table, shared (and never
     mutated) by the representations on the generators ``gens``: the
     ``(real_index, sign)`` pairs of the blade's matrix in index order.  The
-    generators are validated first: a count other than the signature's, a
-    generator whose square is not its signature's or a pair that fails to
-    anticommute raises ``ValueError``.  A blade's matrix is its prefix's times
-    its last generator, the left fold of its generators (the blades run by
-    grade, prefixes first), and must be a signed-unit monomial matrix: one
-    non-zero entry per row, that entry one of +-1, +-i, +-j, +-ij, so n real
-    coordinates of +-1.  The matrices come from generator products, so the
-    tables do not depend on the blade product."""
+    generators are validated first: a non-:class:`HMatrix` raises
+    ``TypeError``; a count other than the signature's, one that is not exact
+    or not of the first one's size, whose square is not its signature's, or
+    a pair that fails to anticommute ``ValueError``.  A blade's matrix is its
+    prefix's times its last generator (the blades run by grade, prefixes
+    first), and must be a signed-unit monomial matrix: one non-zero entry
+    per row, one of +-1, +-i, +-j, +-ij, so n real coordinates of +-1.  The
+    tables come from generator products, not from the blade product."""
     if len(gens) != signature.n:
         raise ValueError(f"{len(gens)} generators for a signature of {signature.n}")
-    idm = HMatrix.identity(gens[0].n if gens else 1)
+    idm = HMatrix.identity(gens[0].n if gens and isinstance(gens[0], HMatrix) else 1)
     for k, g in enumerate(gens, start=1):
+        if not isinstance(g, HMatrix):
+            raise TypeError(f"generator {k} ({g!r}) is not an HMatrix")
+        if not g.is_exact or g.n != idm.n:
+            raise ValueError(f"generator {k} is not an exact {idm.n}x{idm.n} matrix")
         if g @ g != (idm if signature.square(k) > 0 else -idm):
             raise ValueError(f"generator {k} squares incorrectly")
     for (a, ga), (b, gb) in combinations(enumerate(gens, start=1), 2):
@@ -319,18 +349,17 @@ class AlgebraRep:
         self.name, self.signature, self.gens, self.adjoined = name, signature, tuple(gens), adjoined
         try:
             self.n, tables = _blade_tables(self.gens, signature)
-        except ValueError as err:
-            raise ValueError(f"{err} in {name}") from None
+        except (TypeError, ValueError) as err:
+            raise type(err)(f"{err} in {name}") from None
         self.blades = _blades(signature.n)
         self.units = ("1",) + ((adjoined,) if adjoined else ())
         self.basis = tuple((b, u) for b in self.blades for u in self.units)
         # the HScalar component (x y v w) of each unit
         self._spots = tuple(map(_RING_UNITS.index, self.units))
-        # the coordinate table of the matrix route: (b, u) is b's matrix times
-        # the unit u of code c, so each coordinate's unit s (idx & 3) moves to
-        # u s = s ^ c, negated when both have the i bit (i i = -1)
-        self._coord_map = {(b, u): tuple((idx ^ c, -sign if c & idx & 1 else sign) for idx, sign in tables[b])
-                           for b in self.blades for u, c in zip(self.units, self._spots)}
+        # the matrix route's coordinate table, in basis order: (b, u) is b's matrix times the unit
+        # u of code c, so each coordinate's unit s (idx & 3) moves to s ^ c, negated for i i = -1
+        self._coord_table = _Table(tuple((idx ^ c, -sign if c & idx & 1 else sign) for idx, sign in tables[b])
+                                   for b in self.blades for c in self._spots)
         self._validate_orthogonality()
         self._ring_units = self._find_ring_units()
         # Multivector coordinates: blade -> index of its real coordinate,
@@ -362,13 +391,13 @@ class AlgebraRep:
         in basis order, whose pairing is not 0.  Each pairing is summed over the
         real coordinates the two share, found by an index of the elements at
         each coordinate, so a pair that shares none costs nothing."""
-        keys, table, sharing = self.basis, self._coord_map, {}
-        for b, key in enumerate(keys):
-            for idx, c in table[key]:
+        keys, sharing = self.basis, {}
+        for b, pairs in enumerate(self._coord_table):
+            for idx, c in pairs:
                 sharing.setdefault(idx, []).append((b, c))
-        for a, key in enumerate(keys):
+        for a, (key, pairs) in enumerate(zip(keys, self._coord_table)):
             pairings = {}
-            for idx, c in table[key]:
+            for idx, c in pairs:
                 for b, cb in sharing[idx]:
                     if b > a:
                         pairings[b] = pairings.get(b, 0) + c * cb
@@ -380,7 +409,7 @@ class AlgebraRep:
         as exact multivectors: u is sign times the basis element whose
         coordinate table is that of sign*u times the identity (u's part of
         diagonal entry r is real coordinate 4(n+1)r + spot)."""
-        index = {pairs: k for k, pairs in enumerate(self._coord_map.values())}
+        index = {pairs: k for k, pairs in enumerate(self._coord_table)}
         units = {}
         for (spot, u), sign in product(enumerate(_RING_UNITS), (1, -1)):
             k = index.get(tuple((4 * (self.n + 1) * r + spot, sign) for r in range(self.n)))
@@ -417,58 +446,36 @@ class AlgebraRep:
 
     def decompose(self, m: HMatrix) -> "Multivector":
         """Coordinates of an ``n x n`` matrix over the basis via the real
-        pairing, in the matrix's backend: :meth:`_gather` of the whole
-        coordinate table, so another size raises ``ValueError``.  Matrices
-        outside the algebra's span lose their orthogonal complement; use
-        :meth:`decompose_residual` when that matters.
-        """
-        return Multivector._new(self, *self._gather(m, self._coord_map.values()))
+        pairing, in the matrix's backend: :meth:`_gather` along the coordinate
+        table, so another size raises ``ValueError``.  Matrices outside the
+        algebra's span lose their orthogonal complement; use
+        :meth:`decompose_residual` when that matters."""
+        return Multivector._new(self, *self._gather(m, self._coord_table))
 
-    def _gather(self, m: HMatrix, tables) -> tuple[list, int | None]:
-        """A matrix's coordinate along each of ``tables``, each a tuple of
-        ``(real_index, sign)`` pairs as :meth:`_scatter` takes them (a
-        coordinate-table entry, a sign folded in or not), as stored numbers
-        and their denominator (``None`` for floats; exact numerators are not
-        reduced).  ``m`` is ``n x n``; another size raises ``ValueError``, as
-        :meth:`dagger_matrix` does.  The basis is pairing-orthogonal (checked
-        at construction), so each is the signed sum of the real coordinates
-        its table lists over the norm n, from +0 (a float zero sum is +0.0).
-        Floats are scaled by 1/n before the sum (without rounding, as n is 1,
-        2 or 4), so the sum overflows only when the coordinate does."""
-        nums, exact = m.nums, m.is_exact
-        n, zero = self.n, 0 if exact else 0.0
-        if m.n != n:
-            raise ValueError(f"{self.name} takes {n}x{n} matrices, not {m.n}x{m.n}")
-        if not exact:
-            nums = tuple(map((1.0 / n).__mul__, nums))
-        out = []
-        for pairs in tables:
-            total = zero
-            for idx, sign in pairs:
-                if sign > 0:
-                    total += nums[idx]
-                else:
-                    total -= nums[idx]
-            out.append(total)
-        return out, m.den * n if exact else None
+    def _gather(self, m: HMatrix, table: _Table) -> tuple[list, int | None]:
+        """``m``'s coordinate along each entry of ``table`` by its ``gather``, as
+        stored numbers and their denominator (``None``: floats; unreduced): on the
+        pairing-orthogonal basis, its entry's signed sum of real coordinates from
+        +0 over the norm n, floats scaled by 1/n first (exactly: n is 1, 2 or 4)
+        so that a sum overflows only when its coordinate does.  Another size than
+        ``n x n`` raises ``ValueError``, as in :meth:`dagger_matrix`."""
+        if m.n != self.n:
+            raise ValueError(f"{self.name} takes {self.n}x{self.n} matrices, not {m.n}x{m.n}")
+        if m.is_exact:
+            return table.gather(m.nums, 0), m.den * self.n
+        scale = 1.0 / self.n
+        return table.gather([scale * x for x in m.nums], 0.0), None
 
     def decompose_residual(self, m: HMatrix) -> tuple["Multivector", float]:
         mv = self.decompose(m)
         return mv, (m - mv.to_matrix()).max_abs()
 
-    def _scatter(self, terms, den) -> HMatrix:
-        """The matrix over ``den`` (``None``: floats) of ``(pairs, stored number)``
-        terms, each non-zero number added with the signs of its ``(real_index,
-        sign)`` pairs of the coordinate table (not of the blade table)."""
-        flat = [0.0 if den is None else 0] * (4 * self.n * self.n)
-        for pairs, c in terms:
-            if c:  # adding a zero changes no coordinate
-                for idx, sign in pairs:
-                    if sign > 0:
-                        flat[idx] += c
-                    else:
-                        flat[idx] -= c
-        return HMatrix._new(self.n, flat, den)
+    def _scatter(self, table: _Table, nums, den) -> HMatrix:
+        """The matrix over ``den`` (``None``: floats) of one stored number per entry
+        of ``table`` by its ``scatter``: each real coordinate the signed sum from
+        +0 of the numbers whose entries list it.  A sum from +0 is never -0.0, so
+        zero terms change nothing: results, NaN and inf too, are the non-zero terms'."""
+        return HMatrix._new(self.n, table.scatter(nums, 0.0 if den is None else 0), den)
 
     @cached_property
     def _dagger_perm(self) -> tuple[tuple, tuple]:
@@ -678,10 +685,9 @@ class Multivector(RealCoords):
     # -- structure ---------------------------------------------------------------
 
     def to_matrix(self) -> HMatrix:
-        """The element's matrix in its representation: its coordinates
-        scattered in basis order (:meth:`AlgebraRep._scatter`), so results
-        equal those of summing HScalar-scaled blade matrices."""
-        return self.rep._scatter(zip(self.rep._coord_map.values(), self.nums), self.den)
+        """The element's matrix, its coordinates scattered through the coordinate
+        table (:meth:`AlgebraRep._scatter`): the sum of its scaled blade matrices."""
+        return self.rep._scatter(self.rep._coord_table, self.nums, self.den)
 
     def __repr__(self):
         parts = [f"({z}){''.join(f'e{i}' for i in blade) or '1'}" for blade, z in self.coeffs.items()]
@@ -780,12 +786,6 @@ class _ExactEchelon:
         return len(self.rows)
 
 
-def _sparse_coords(m: HMatrix) -> dict:
-    """The non-zero numerators of an exact matrix; its denominator, a
-    common scale, does not change a rank."""
-    return {idx: x for idx, x in enumerate(m.nums) if x}
-
-
 def enumerate_algebra(rep: AlgebraRep, multipliers=None) -> int:
     """Count of real-linearly independent elements generated from the
     identity by right multiplication with ``multipliers`` (matrices of the
@@ -800,13 +800,13 @@ def enumerate_algebra(rep: AlgebraRep, multipliers=None) -> int:
             multipliers.append(HMatrix.identity(rep.n).scale(HScalar.unit(rep.adjoined)))
     echelon = _ExactEchelon()
     start = HMatrix.identity(rep.n)
-    echelon.try_add(_sparse_coords(start))
+    echelon.try_add(dict(enumerate(start.nums)))  # numerators: a common denominator changes no rank
     queue = [start]
     while queue:
         current = queue.pop()
         for mult in multipliers:
             candidate = current @ mult
-            if echelon.try_add(_sparse_coords(candidate)):
+            if echelon.try_add(dict(enumerate(candidate.nums))):
                 queue.append(candidate)
     return echelon.rank
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .algebra import AlgebraRep, Multivector, _single_slot, get_rep, ring_unit_multivectors
+from .algebra import AlgebraRep, Multivector, _single_slot, _Table, get_rep, ring_unit_multivectors
 from .matrices import HMatrix
 from .scalars import HScalar, RealCoords, _entering, _floats
 
@@ -76,7 +76,7 @@ class ParavectorSpace:
             if slot is None or slot[0] in {s[0] for s in slots[:a]}:
                 raise ValueError(f"basis element {a} of {name} is not +-1 in one coordinate, on a slot of its own")
         self._slots = slots
-        self._slot_pairs = tuple(tuple((i, s * t) for i, t in rep._coord_map[rep.basis[k]]) for k, s in slots)
+        self._slot_pairs = _Table(tuple((i, s * t) for i, t in rep._coord_table[k]) for k, s in slots)
         # b bar(b), one entry of the blade table, is +-1 on the real scalar
         # coordinate (a tier-1 test holds it): the metric is its sign
         self.metric = tuple(_single_slot(rep._basis_product(b, b.bar()))[1] for b in self.basis)
@@ -138,8 +138,8 @@ class ParavectorSpace:
         return Multivector._new(self.rep, out, den)
 
     def to_matrix(self, x: "Paravector") -> HMatrix:
-        """The matrix of x in x's backend, scattered through each slot's table pairs, sign folded in."""
-        return self.rep._scatter(zip(self._slot_pairs, x.nums), x.den)
+        """The matrix of x in x's backend, by the compiled scatter of the slot pairs (:class:`~.algebra._Table`)."""
+        return self.rep._scatter(self._slot_pairs, x.nums, x.den)
 
     def project_matrix(self, m: HMatrix) -> tuple["Paravector", float]:
         """The paravector of an ``n x n`` matrix's coordinates over the basis
@@ -147,10 +147,10 @@ class ParavectorSpace:
         largest leftover component outside the span.
 
         One :meth:`AlgebraRep._gather` along the slot pairs, each slot's sign
-        folded in: the table :meth:`to_matrix` scatters through, read the
-        other way.  The paravector follows the matrix's backend, a float zero
-        coordinate is +0.0, and the leftover is measured against the matrix
-        rebuilt from it.
+        folded in, by their compiled gather: the table :meth:`to_matrix`
+        scatters through, read the other way.  The paravector follows the
+        matrix's backend, a float zero coordinate is +0.0, and the leftover
+        is measured against the matrix rebuilt from it.
         """
         x = Paravector._new(self, *self.rep._gather(m, self._slot_pairs))
         return x, (m - self.to_matrix(x)).max_abs()

@@ -697,10 +697,128 @@ def matrix_route_cases(name, exact):
     return mvs, mats
 
 
+# -- the oracles: coordinate maps -----------------------------------------------
+
+
+def gather_loop(rep, m, table):
+    """``AlgebraRep._gather`` as the loop over each entry's pairs that the
+    generated ``gather`` replaced, kept as its oracle."""
+    nums, exact = m.nums, m.is_exact
+    n, zero = rep.n, 0 if exact else 0.0
+    if m.n != n:
+        raise ValueError(f"{rep.name} takes {n}x{n} matrices, not {m.n}x{m.n}")
+    if not exact:
+        nums = tuple(map((1.0 / n).__mul__, nums))
+    out = []
+    for pairs in table:
+        total = zero
+        for idx, sign in pairs:
+            if sign > 0:
+                total += nums[idx]
+            else:
+                total -= nums[idx]
+        out.append(total)
+    return out, m.den * n if exact else None
+
+
+def scatter_loop(rep, table, nums, den):
+    """``AlgebraRep._scatter`` as the loop that the generated ``scatter``
+    replaced, kept as its oracle: each non-zero number added with the signs
+    of its entry's pairs, in basis order."""
+    flat = [0.0 if den is None else 0] * (4 * rep.n * rep.n)
+    for pairs, c in zip(table, nums):
+        if c:  # adding a zero changes no coordinate
+            for idx, sign in pairs:
+                if sign > 0:
+                    flat[idx] += c
+                else:
+                    flat[idx] -= c
+    return HMatrix._new(rep.n, flat, den)
+
+
+def map_numbers(size, exact, kind, rng):
+    """``size`` stored numbers and their denominator: exact numerators over
+    6, a third of them zero; floats of ``kind`` ``plain``, ``zeros`` (signed
+    zeros among them) or ``special`` (subnormal, huge, infinite and NaN
+    parts among them)."""
+    if exact:
+        return [rng.choice((0, rng.randint(-30, 30))) for _ in range(size)], 6
+    if kind == "plain":
+        return [rng.uniform(-2, 2) for _ in range(size)], None
+    if kind == "zeros":
+        return signed_zero_coords(size, rng), None
+    special = (2.0**-1040, -1e300, 1e300, math.inf, -math.inf, math.nan, -0.0)
+    return [rng.choice(special) if rng.random() < 0.2 else rng.uniform(-2, 2) for _ in range(size)], None
+
+
+@cache
+def coordinate_map_cases(name, exact):
+    """The cases of the generated maps of one table: a representation's
+    coordinate table or a space's slot pairs.  Gather: ``(rep, matrix,
+    table)``; scatter: ``(rep, table, numbers, den)``, zero operands first."""
+    space = get_space(name) if name in SPACE_NAMES else None
+    rep = space.rep if space else get_rep(name)
+    table = space._slot_pairs if space else rep._coord_table
+    rng, q, kinds = random.Random(f"maps-{name}-{exact}"), 4 * rep.n * rep.n, ("plain", "zeros", "special")
+    gathers = [(rep, HMatrix.zeros(rep.n, exact=exact), table)]
+    scatters = [(rep, table, [0 if exact else 0.0] * len(table), 1 if exact else None)]
+    for k in range(12):
+        nums, den = map_numbers(q, exact, kinds[k % 3], rng)
+        gathers.append((rep, HMatrix._new(rep.n, nums, den), table))
+        scatters.append((rep, table, *map_numbers(len(table), exact, kinds[k % 3], rng)))
+    return gathers, scatters
+
+
+class Form(dict):
+    """A formal linear form ``{symbol: int coefficient}``, no coefficient
+    zero.  Sums and differences of forms are exact, so a map made of them,
+    run on one symbol per input, gives each output's terms."""
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        out = Form(self)
+        for k, c in other.items():
+            out[k] = out.get(k, 0) + sign * c
+            if not out[k]:
+                del out[k]
+        return out
+
+
+def symbols(size):
+    """One formal symbol per input."""
+    return [Form({i: 1}) for i in range(size)]
+
+
+def formal_gather(table, size):
+    """Per entry, the signed sum of the coordinates its pairs list."""
+    return [Form({idx: sign for idx, sign in pairs}) for pairs in table]
+
+
+def formal_scatter(table, size):
+    """Per real coordinate, the signed sum of the entries whose pairs list it."""
+    return [Form({k: sign for k, pairs in enumerate(table) for idx, sign in pairs if idx == out})
+            for out in range(size)]
+
+
+def formal_tables(name, _):
+    """A representation's coordinate table or a space's slot pairs, with the
+    number of real coordinates of their matrices."""
+    if name in SPACE_NAMES:
+        space = get_space(name)
+        return [(space._slot_pairs, 4 * space.rep.n ** 2)]
+    rep = get_rep(name)
+    return [(rep._coord_table, 4 * rep.n ** 2)]
+
+
 def pairwise_orthogonality(rep):
     """The check as it was, every pair of basis elements in order: the oracle."""
     keys = list(rep.basis)
-    sparse = {k: dict(rep._coord_map[k]) for k in keys}
+    sparse = {k: dict(pairs) for k, pairs in zip(keys, rep._coord_table)}
     for a in range(len(keys)):
         va = sparse[keys[a]]
         for b in range(a + 1, len(keys)):
@@ -712,7 +830,7 @@ def pairwise_orthogonality(rep):
 def refusal(check, basis, table):
     """The message with which ``check`` refuses the coordinate table, or None."""
     try:
-        check(SimpleNamespace(basis=basis, _coord_map=table))
+        check(SimpleNamespace(basis=basis, _coord_table=table))
     except NonOrthogonalBasis as exc:
         return str(exc)
     return None
@@ -724,16 +842,16 @@ def orthogonality_tables(name, _):
     pairings cancel), then 20 with coordinates of one element put onto
     another, at least 10 of them refused."""
     rep, rng = get_rep(name), random.Random(name)
-    basis, table = rep.basis, rep._coord_map
+    basis, table = rep.basis, rep._coord_table
     tables = [table]
     for _ in range(20):
-        bad = dict(table)
+        bad = list(table)
         for _ in range(rng.randint(1, 3)):
-            target, source = rng.sample(basis, 2)
+            target, source = rng.sample(range(len(basis)), 2)
             pairs = dict(bad[target])
             pairs.update(rng.sample(table[source], rng.randint(1, len(table[source]))))
             bad[target] = tuple(sorted(pairs.items()))
-        tables.append(bad)
+        tables.append(tuple(bad))
     refused = [refusal(AlgebraRep._validate_orthogonality, basis, t) is not None for t in tables]
     assert not refused[0] and sum(refused) >= 10
     return [(basis, t) for t in tables]
@@ -1055,7 +1173,7 @@ def project_sign_pass(space, m):
     oracle: each slot's coordinate gathered along its coordinate-table
     entry, then negated when the slot's sign is -1, a zero included."""
     rep = space.rep
-    gathered, den = rep._gather(m, [rep._coord_map[rep.basis[k]] for k, _ in space._slots])
+    gathered, den = gather_loop(rep, m, [rep._coord_table[k] for k, _ in space._slots])
     return Paravector._new(space, [c if sign > 0 else -c for (_, sign), c in zip(space._slots, gathered)], den)
 
 
@@ -1213,6 +1331,26 @@ def wedge_rows(exact):
                 same_bits if exact or k == 2 else within(wedge_bound)) for k in (2, 3, 4)]
 
 
+def map_rows(over):
+    """The generated gather and scatter of each table (a representation's
+    coordinate table or a space's slot pairs) against their loops."""
+    return [Row("algebra.AlgebraRep._gather algebra._Table.gather", gather_loop, part(coordinate_map_cases, 0), over,
+                BOTH, same_bits, call=lambda rep, m, table: rep._gather(m, table)),
+            Row("algebra.AlgebraRep._scatter algebra._Table.scatter", scatter_loop, part(coordinate_map_cases, 1),
+                over, BOTH, same_bits, call=lambda rep, table, nums, den: rep._scatter(table, nums, den))]
+
+
+def proof_rows(over):
+    """The generated gather and scatter of each table on formal operands,
+    one symbol per input: every output is its table's signed sum, term for
+    term, so the code computes the table on every exact operand.  The float
+    rows of :func:`map_rows` hold the term order and the signed zeros."""
+    return [Row("algebra._Table.gather algebra._linear", formal_gather, formal_tables, over, NONE, same_values,
+                call=lambda table, size: table.gather(symbols(size), Form())),
+            Row("algebra._Table.scatter algebra._linear", formal_scatter, formal_tables, over, NONE, same_values,
+                call=lambda table, size: table.scatter(symbols(len(table)), Form()))]
+
+
 # the rows of each test, by ``module::name``
 ORACLES = {
     # -- blade products
@@ -1259,6 +1397,8 @@ ORACLES = {
             REP_NAMES, BOTH, same_values),
         Row("algebra.AlgebraRep.decompose algebra.AlgebraRep._gather", decompose_reference,
             part(matrix_route_cases, 1), REP_NAMES, BOTH, same_values)],
+    "test_algebra::test_coordinate_maps_are_the_loops_bit_for_bit": map_rows(REP_NAMES),
+    "test_algebra::test_coordinate_maps_are_their_tables_on_formal_operands": proof_rows(REP_NAMES),
     "test_algebra::test_a_non_orthogonal_basis_is_refused_at_the_pairwise_loops_first_pair": [
         Row("algebra.AlgebraRep._validate_orthogonality", partial(refusal, pairwise_orthogonality),
             orthogonality_tables, REP_NAMES, NONE, same_values,
@@ -1309,6 +1449,8 @@ ORACLES = {
             part(unit_slot_cases, k), SPACE_NAMES, (exact,), same_values if exact else same_bits)
         for k, (kernel, oracle) in enumerate((("Paravector.qform", qform_reference), ("dot", dot_reference)))
         for exact in (False, True)],
+    "test_paravectors::test_slot_maps_are_the_loops_bit_for_bit": map_rows(SPACE_NAMES),
+    "test_paravectors::test_slot_maps_are_their_tables_on_formal_operands": proof_rows(SPACE_NAMES),
     "test_paravectors::test_projection_is_the_sign_pass_on_non_zero_parts": [
         Row(f"{SPACE}.project_matrix", project_sign_pass, sign_pass_cases, SPACE_NAMES, BOTH, same_nonzero_bits,
             call=lambda space, m: space.project_matrix(m)[0])],

@@ -124,9 +124,12 @@ def test_building_every_representation_and_space_compiles_no_kernel():
             "reps = [get_rep(name) for name in REP_NAMES]\n"
             "spaces = [get_space(name) for name in SPACE_NAMES]\n"
             "kernels = [key for space in spaces for key, value in vars(space).items() if callable(value)]\n"
-            "print(len(spaces), [vars(rep._product) for rep in reps], kernels)")
+            "maps = [vars(table) for table in [rep._coord_table for rep in reps] + [s._slot_pairs for s in spaces]]\n"
+            "print(len(spaces), [vars(rep._product) for rep in reps], kernels, maps)")
     done = subprocess.run([sys.executable, "-B", "-c", code, src], capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(SPACE_NAMES)} {[{}] * len(REP_NAMES)} []\n", "")
+    # no blade product, unit-slot product or coordinate map is compiled
+    products, maps = [{}] * len(REP_NAMES), [{}] * (len(REP_NAMES) + len(SPACE_NAMES))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(SPACE_NAMES)} {products} [] {maps}\n", "")
 
 
 def test_set_up_calls_no_blade_mul_and_builds_each_generator_sets_blade_matrices_once():
@@ -177,7 +180,28 @@ def test_generators_are_validated_naming_the_representation_before_and_after_a_v
     info = _blade_tables.cache_info()
     twin = AlgebraRep("twin", Signature(3, 0), gens, adjoined="j")
     assert _blade_tables.cache_info()[:2] == (info.hits + 1, info.misses)
-    assert twin._coord_map == get_rep("c30bar")._coord_map
+    assert twin._coord_table == get_rep("c30bar")._coord_table
+
+
+def test_a_generator_of_another_size_names_itself_and_the_representation():
+    # the second generator is the 1x1 j beside a 2x2 first
+    gens = [pauli2(1).scale(HScalar.unit("j")), get_rep("r10").gens[0]]
+    with pytest.raises(ValueError, match=r"^generator 2 is not an exact 2x2 matrix in mixed-size$"):
+        AlgebraRep("mixed-size", Signature(2, 0), gens)
+
+
+def test_a_float_generator_names_itself_and_the_representation():
+    gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2)]
+    with pytest.raises(ValueError, match=r"^generator 1 is not an exact 2x2 matrix in float$"):
+        AlgebraRep("float", Signature(2, 0), [gens[0].to_float(), gens[1]])
+
+
+def test_a_generator_that_is_not_a_matrix_raises_type_error_naming_the_representation():
+    # first (it gives the size) or second
+    g = pauli2(1).scale(HScalar.unit("j"))
+    for k, gens in ((1, ["e1", g]), (2, [g, "e2"])):
+        with pytest.raises(TypeError, match=rf"^generator {k} \('e{k}'\) is not an HMatrix in not-a-matrix$"):
+            AlgebraRep("not-a-matrix", Signature(2, 0), gens)
 
 
 def test_a_generator_count_other_than_the_signatures_names_the_representation():
@@ -356,8 +380,8 @@ def test_float_zero_keeps_its_backend(name):
 
 def assert_table_read_off_basis_matrices(rep):
     """The derived table equals the table read off the basis matrices."""
-    assert list(rep._coord_map) == list(rep.basis)
-    for key, pairs in rep._coord_map.items():
+    assert len(rep._coord_table) == len(rep.basis)
+    for key, pairs in zip(rep.basis, rep._coord_table):
         m = basis_matrix(rep, key)
         assert pairs == tuple((idx, c) for idx, c in enumerate(m.nums) if c) and m.den == 1
         assert len(pairs) == rep.n
@@ -379,7 +403,7 @@ def test_an_adjoined_i_negates_the_i_parts_it_meets():
     # has ij parts, and i ij = -j
     gens = [pauli2(k).scale(HScalar.unit("j")) for k in (1, 2, 3)]
     rep = AlgebraRep("r30 with i", Signature(3, 0), gens, adjoined="i")
-    signs = {u: [sign for _, sign in rep._coord_map[((2,), u)]] for u in rep.units}
+    signs = {u: [sign for _, sign in rep._coord_table[rep.basis.index(((2,), u))]] for u in rep.units}
     assert signs == {"1": [-1, 1], "i": [1, -1]}
     assert_table_read_off_basis_matrices(rep)
 

@@ -12,8 +12,8 @@ SRC = Path(hyperclifford.__file__).parent
 TESTS = Path(__file__).parent
 
 # the generated-code compiler, the sign map, the coordinate-table gather and
-# scatter, and the matrix product kernel
-PRIMITIVES = {"_compiled", "_signed", "_gather", "_scatter", "_product"}
+# scatter, the generator of their maps, and the matrix product kernel
+PRIMITIVES = {"_compiled", "_signed", "_gather", "_scatter", "_linear", "_product"}
 
 
 @cache
@@ -42,8 +42,8 @@ def named_kernels() -> set:
 
 def test_every_function_that_runs_a_fixed_table_primitive_has_a_row():
     callers = {name for name, calls in library_functions().items() if calls & PRIMITIVES}
-    # 4 functions run _compiled (5 call sites), 7 _signed, 2 _gather, 2 _scatter, 3 _product
-    assert len(callers) >= 18
+    # 5 functions run _compiled (6 call sites), 7 _signed, 2 _gather, 2 _scatter, 2 _linear, 3 _product
+    assert len(callers) >= 21
     assert sorted(callers - named_kernels()) == []
 
 

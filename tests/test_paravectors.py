@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperclifford.algebra import Multivector, get_rep, ring_unit_multivectors
+from hyperclifford import algebra
+from hyperclifford.algebra import AlgebraRep, Multivector, get_rep, ring_unit_multivectors
 from hyperclifford.matrices import HMatrix
 from hyperclifford.paravectors import (
     SPACE_NAMES,
@@ -364,6 +365,29 @@ def test_a_space_compiles_its_unit_slot_kernel_on_its_first_product():
     assert dot(space.paravector(coords), space.paravector(coords[::-1])) == dot(
         shared.paravector(coords), shared.paravector(coords[::-1]))
     assert [key for key, value in vars(space).items() if callable(value)] == ["_unit_product"]
+
+
+def test_the_first_decompose_or_to_matrix_compiles_its_map_once(monkeypatch):
+    # a new representation and a new space hold new tables, whose maps are
+    # generated by the first call that reads them and then kept
+    shared = get_space("m4")
+    rep = AlgebraRep("c30bar", shared.rep.signature, shared.rep.gens, adjoined="j")
+    space = ParavectorSpace("m4", shared.rep, shared.basis)
+    x = shared.paravector([0.5, -1.25, 0, 2])
+    m = shared.to_matrix(x)  # the shared maps, first
+    projected = shared.project_matrix(m)[0].nums
+    mv = Multivector._new(rep, x.to_multivector().nums, x.den)
+    generated, linear = [], algebra._linear
+    monkeypatch.setattr(algebra, "_linear", lambda rows, size: generated.append(size) or linear(rows, size))
+    assert vars(rep._coord_table) == vars(space._slot_pairs) == {}
+    for call, table, keys, want in ((mv.to_matrix, rep._coord_table, ["scatter"], m),
+                                    (lambda: rep.decompose(m).nums, rep._coord_table, ["scatter", "gather"], mv.nums),
+                                    (lambda: space.to_matrix(x), space._slot_pairs, ["scatter"], m),
+                                    (lambda: space.project_matrix(m)[0].nums, space._slot_pairs,
+                                     ["scatter", "gather"], projected)):
+        assert call() == call() == want
+        assert list(vars(table)) == keys
+    assert generated == [16, 16, 4, 16]  # one map each, by its input count
 
 
 def test_float_zero_paravector_stays_float():

@@ -306,9 +306,10 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 3, "workloads": [{"name": "verify-matrix"}, {"name": "calc-stream"}]}')
     parent_dir, change_dir = str(tmp_path), str(tmp_path / "change")
-    # the parent's calc answers compiled two blade-table kernel functions, the change's one space kernel
+    # the parent's calc answers compiled two blade-table kernel functions, the
+    # change's one space kernel and four coordinate maps
     recs = {root: ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]], compiled)
-            for root, compiled in ((parent_dir, [2, 0]), (change_dir, [0, 1]))}
+            for root, compiled in ((parent_dir, [2, 0, 0]), (change_dir, [0, 1, 4]))}
     asked = []
 
     def traced_run(root, workload, seconds, seed):
@@ -319,7 +320,7 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     monkeypatch.setattr(compare_outputs, "source_lines", lambda root: {"pkg.a": 10})
     monkeypatch.setattr(compare_outputs, "traced_run", traced_run)
     monkeypatch.setattr(compare_outputs, "setup_split",
-                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [0, 0, 3],
+                        lambda root: ([20.0, 12.25, 4.0], [3.5, 1.375, 0.0], [(0, 0), (0, 0), (3, 0)],
                                       {"r01": 0.125, "h05bar": 12.0}))
     return parent_dir, change_dir, asked
 
@@ -339,10 +340,11 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     # the src/ total beside the status counts, then each module's lines
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
     assert out[7:9] == [f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
-                        f"  blade tables {tables}  paravector spaces {spaces}"
-                        for side, tables, spaces in (("parent", 2, 0), ("change", 0, 1))]
-    assert out[9:11] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions compiled)"
-                         "  import 20.0 (0)  get_rep 12.2 (0)  get_space 4.0 (3)" for side in ("parent", "change")]
+                        f"  blade tables {tables}  paravector spaces {spaces}  coordinate maps {maps}"
+                        for side, tables, spaces, maps in (("parent", 2, 0, 0), ("change", 0, 1, 4))]
+    assert out[9:11] == [f"{side}: set-up ms, median of 5 fresh interpreters (kernel functions, coordinate maps"
+                         " compiled)  import 20.0 (0, 0)  get_rep 12.2 (0, 0)  get_space 4.0 (3, 0)"
+                         for side in ("parent", "change")]
     assert out[11:13] == [f"{side}: get_rep ms per representation, same interpreters  r01 0.12  h05bar 12.00"
                           for side in ("parent", "change")]
     assert out[13:15] == [f"{side}: set-up peak-RSS growth MB, same interpreters  import 3.50  get_rep 1.38"
@@ -400,14 +402,16 @@ def test_traced_calc_stream_runs_three_seeds_alternating_and_compares_the_seed_7
 def stand_in_library(root):
     """A stand-in library whose three set-up stages sleep 40, 2 x 15 and 60
     ms; the last also holds 32 MiB it has written.  Its import builds a
-    representation with one kernel function compiled, ``get_rep`` builds
-    two more on a shared table and ``get_space`` compiles two functions of
-    that table and builds a space that holds a third beside its name."""
+    representation with one kernel function and one coordinate map
+    compiled, ``get_rep`` builds two more on a shared table and
+    ``get_space`` compiles two functions of that table and builds a space
+    that holds a third beside its name, and one map in its slot pairs."""
     pkg = root / "src" / "hyperclifford"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text(
         "import time\ntime.sleep(0.04)\nfrom .algebra import HELD, AlgebraRep, Table\n"
-        "HELD.append(AlgebraRep(Table()))\nHELD[0]._product.product = print\n")
+        "HELD.append(AlgebraRep(Table()))\nHELD[0]._product.product = print\n"
+        "HELD[0]._coord_table = Table()\nHELD[0]._coord_table.scatter = print\n")
     (pkg / "algebra.py").write_text(
         "import time\nREP_NAMES = ('a', 'b')\nclass Table:\n    pass\n"
         "class AlgebraRep:\n    def __init__(self, table):\n        self._product = table\n"
@@ -417,7 +421,8 @@ def stand_in_library(root):
         "import time\nfrom .algebra import HELD, SHARED\nSPACE_NAMES = ('s',)\nclass ParavectorSpace:\n    pass\n"
         "def get_space(name):\n    time.sleep(0.06)\n    HELD.append(b'x' * (32 << 20))\n"
         "    SHARED.product = SHARED.joined = print\n"
-        "    HELD.append(ParavectorSpace())\n    HELD[-1].name, HELD[-1].kernel = name, print\n")
+        "    HELD.append(ParavectorSpace())\n    HELD[-1].name, HELD[-1].kernel = name, print\n"
+        "    HELD[-1]._slot_pairs = type('Slots', (), {})()\n    HELD[-1]._slot_pairs.gather = print\n")
 
 
 def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(tmp_path, monkeypatch):
@@ -436,11 +441,12 @@ def test_setup_split_times_each_stage_in_fresh_interpreters_and_writes_nothing(t
 
 
 def test_setup_split_counts_the_kernel_functions_each_stage_compiled(tmp_path, monkeypatch):
-    # the import compiles one function, get_rep none, and get_space two of
-    # the one table its two representations share and one its space holds
+    # the import compiles one kernel function and one coordinate map, get_rep
+    # none, and get_space two functions of the one table its two
+    # representations share, one its space holds and one map of its slot pairs
     stand_in_library(tmp_path)
     monkeypatch.setattr(compare_outputs, "SETUP_RUNS", 1)
-    assert compare_outputs.setup_split(tmp_path)[2] == [1, 0, 3]
+    assert compare_outputs.setup_split(tmp_path)[2] == [(1, 1), (0, 0), (3, 1)]
 
 
 def answer(coords, code=0, err=""):

@@ -18,7 +18,7 @@ beside it, the in-process time of each verify suite (the sum of its
 checks' ``elapsed_ms``; times are kept out of the records, so out of the
 differences and the SHA-256) and the kernel functions compiled by the end
 of the calc answers (counted as below, the blade tables' apart from the
-paravector spaces'); exits 0 when the two sides agree and 1 when
+paravector spaces', and the coordinate maps apart from both); exits 0 when the two sides agree and 1 when
 they differ or a traced run below fails.  Calc answers that keep their
 exit code, stderr and JSON structure and move only in their numbers are
 summed up in one line per command: how many moved, the largest relative
@@ -33,11 +33,15 @@ them in ``REP_NAMES`` order, so a twin that reuses an earlier build's work
 shows it) and how many MB each stage raised the peak resident set size
 (Linux's ``VmHWM``).  One untimed run
 before them compiles the bytecode they read into a temporary directory,
-never into the checkout, and counts the kernel functions each stage
-compiled, printed in parentheses after its ms: the entries of ``vars()`` of
-each distinct ``_product`` table of the representations that exist after
-the stage, and the functions their paravector spaces hold in ``vars()``,
-found by the garbage collector, so that counting builds none.
+never into the checkout, and counts the kernel functions and the
+coordinate maps each stage compiled, printed in parentheses after its ms:
+the kernel functions are the entries of ``vars()`` of each distinct
+``_product`` table of the representations that exist after the stage and
+the functions their paravector spaces hold in ``vars()``; the coordinate
+maps are the functions held in ``vars()`` of each representation's
+coordinate table and each space's slot pairs (the generated ``gather``
+and ``scatter``).  All are found by the garbage collector, so that
+counting builds none.
 
 Then, for each workload of the parent's ``BENCHMARK.json``, it runs
 ``perfbench/run.py --workload W --seed N --seconds S --trace 1`` in each
@@ -70,15 +74,21 @@ from pathlib import Path
 
 # the kernel functions compiled so far, found by the garbage collector so that
 # counting builds none: the entries of vars() of each distinct _product table of
-# the representations, and the functions the paravector spaces hold
+# the representations, the functions the paravector spaces hold, and the
+# coordinate maps: the functions held in vars() of each representation's
+# coordinate table (_coord_table) and each space's slot pairs (_slot_pairs)
 KERNELS = r"""
 def kernels():
     import gc
     from hyperclifford import algebra, paravectors
     space, objects = getattr(paravectors, "ParavectorSpace", ()), gc.get_objects()
-    tables = {id(rep._product): rep._product for rep in objects if isinstance(rep, algebra.AlgebraRep)}
-    held = [v for x in objects if isinstance(x, space) for v in vars(x).values() if callable(v)]
-    return sum(len(vars(table)) for table in tables.values()), len(held)
+    reps = [rep for rep in objects if isinstance(rep, algebra.AlgebraRep)]
+    spaces = [x for x in objects if isinstance(x, space)]
+    tables = {id(rep._product): rep._product for rep in reps}
+    held = [v for x in spaces for v in vars(x).values() if callable(v)]
+    owned = [getattr(rep, "_coord_table", None) for rep in reps] + [getattr(x, "_slot_pairs", None) for x in spaces]
+    maps = [v for table in owned for v in getattr(table, "__dict__", {}).values() if callable(v)]
+    return sum(len(vars(table)) for table in tables.values()), len(held), len(maps)
 """
 
 CHILD = r"""
@@ -100,9 +110,10 @@ json.dump(compiled, sys.stdout)
 
 def records(root: Path) -> tuple[dict, str, list, list]:
     """One checkout's records, the SHA-256 of their JSON text, the
-    ``[check_id, elapsed_ms]`` pair of each verify record and the kernel
-    functions compiled by the end of the calc answers, which run first: those
-    of the blade tables and those the paravector spaces hold."""
+    ``[check_id, elapsed_ms]`` pair of each verify record and the functions
+    compiled by the end of the calc answers, which run first: the kernel
+    functions of the blade tables, those the paravector spaces hold, and the
+    coordinate maps."""
     out = subprocess.run(
         [sys.executable, "-B", "-c", KERNELS + CHILD, str(root.resolve())],
         cwd=root, capture_output=True, text=True, check=True,
@@ -130,8 +141,9 @@ def peak():
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 compiled = []
 def count():
-    if len(sys.argv) > 2:  # the untimed run: kernel functions compiled so far
-        compiled.append(sum(kernels()))
+    if len(sys.argv) > 2:  # the untimed run: kernel functions and coordinate maps compiled so far
+        tables, spaces, maps = kernels()
+        compiled.extend((tables + spaces, maps))
 sys.path.insert(0, sys.argv[1] + "/src")
 r0, t0 = peak(), perf_counter()
 import hyperclifford
@@ -157,19 +169,20 @@ SETUP_STAGES = ("import", "get_rep", "get_space")
 SETUP_RUNS = 5
 
 
-def setup_split(root: Path) -> tuple[list[float], list[float], list[int], dict]:
+def setup_split(root: Path) -> tuple[list[float], list[float], list[tuple], dict]:
     """One checkout's set-up per stage of ``SETUP_STAGES``: milliseconds, and
     megabytes (MiB) by which the stage raised the interpreter's peak resident
     set size, each the median over ``SETUP_RUNS`` fresh interpreters, the
-    number of kernel functions the stage compiled, and the milliseconds of
+    numbers of kernel functions and of coordinate maps the stage compiled
+    (a pair), and the milliseconds of
     each representation's ``get_rep`` within the ``get_rep`` stage, ``{name:
     ms}`` in build order, medians over the same interpreters.  The peak is Linux's
     ``VmHWM``, that of the interpreter's own memory: ``ru_maxrss`` would
     start at this process's size, which Linux carries over into a child.
     One untimed run first compiles the bytecode into a temporary directory,
     so that every checkout is timed from compiled modules and none is
-    written to, and counts the kernel functions after each stage; the timed
-    runs do not count."""
+    written to, and counts the kernel functions and the coordinate maps
+    after each stage; the timed runs do not count."""
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
@@ -180,12 +193,13 @@ def setup_split(root: Path) -> tuple[list[float], list[float], list[int], dict]:
             for flag in [["count"]] + [[]] * SETUP_RUNS]
     stages = len(SETUP_STAGES)
     medians = [statistics.median(float(s[k]) for s, _ in samples) for k in range(2 * stages)]
-    totals = [0] + [int(c) for c in counting[2 * stages:]]
+    counts = [int(c) for c in counting[2 * stages:]]
+    totals = [(0, 0)] + list(zip(counts[::2], counts[1::2]))
     names = samples[0][1][::2]
     reps = {name: 1e3 * statistics.median(float(times[2 * k + 1]) for _, times in samples)
             for k, name in enumerate(names)}
     return ([t * 1e3 for t in medians[:stages]], [kib / 1024 for kib in medians[stages:]],
-            [b - a for a, b in zip(totals, totals[1:])], reps)
+            [(b[0] - a[0], b[1] - a[1]) for a, b in zip(totals, totals[1:])], reps)
 
 
 def source_lines(root: Path) -> dict:
@@ -338,13 +352,14 @@ def main(argv=None) -> int:
     for side, *_, times, _ in sides:
         print(f"{side}: in-process ms per suite  "
               + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
-    for side, *_, (tables, spaces) in sides:
+    for side, *_, (tables, spaces, maps) in sides:
         print(f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
-              f"  blade tables {tables}  paravector spaces {spaces}")
+              f"  blade tables {tables}  paravector spaces {spaces}  coordinate maps {maps}")
     splits = [setup_split(Path(root)) for _, root, *_ in sides]
     for (side, *_), (times, _, compiled, _) in zip(sides, splits):
-        print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters (kernel functions compiled)  "
-              + "  ".join(f"{stage} {ms:.1f} ({n})" for stage, ms, n in zip(SETUP_STAGES, times, compiled)))
+        print(f"{side}: set-up ms, median of {SETUP_RUNS} fresh interpreters"
+              " (kernel functions, coordinate maps compiled)  "
+              + "  ".join(f"{stage} {ms:.1f} ({n}, {m})" for stage, ms, (n, m) in zip(SETUP_STAGES, times, compiled)))
     for (side, *_), (*_, reps) in zip(sides, splits):
         print(f"{side}: get_rep ms per representation, same interpreters  "
               + "  ".join(f"{name} {ms:.2f}" for name, ms in reps.items()))
