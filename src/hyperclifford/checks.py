@@ -209,10 +209,15 @@ def _random_mv(rep, rng) -> Multivector:
     return Multivector._new(rep, [-1.0 + 2.0 * rng.random() for _ in rep.basis], None)
 
 
+def _fractions(rng, count: int, top: int, dens: int) -> list:
+    """``count`` fractions p/q, ``p = rng.randint(-top, top)`` drawn before ``q = rng.randint(1, dens)``."""
+    return [Fraction(rng.randint(-top, top), rng.randint(1, dens)) for _ in range(count)]
+
+
 def _nonzero_fractions(rng, count: int) -> list:
     """``count`` fractions (2p + 1)/q, |p| <= 4 and 1 <= q <= 3, drawn p
     first: an odd numerator, so never zero."""
-    return [Fraction(2 * p + 1, q) for p, q in _draw_pairs(rng, count, 4, 3)]
+    return [Fraction(2 * rng.randint(-4, 4) + 1, rng.randint(1, 3)) for _ in range(count)]
 
 
 def _basis_elements(rep, rng) -> list:
@@ -222,46 +227,21 @@ def _basis_elements(rep, rng) -> list:
     return [rep._element(k, [c.numerator], c.denominator) for k, c in enumerate(coeffs)]
 
 
-def _draw_pairs(rng, count: int, top: int, dens: int) -> list:
-    """``count`` pairs ``(rng.randint(-top, top), rng.randint(1, dens))``,
-    drawn from the same bits as ``randint`` draws them: ``getrandbits`` of
-    the range's bit length, again while the value is out of range."""
-    bits, span = rng.getrandbits, 2 * top + 1
-    kp, kq = span.bit_length(), dens.bit_length()
-    pairs = []
-    for _ in range(count):
-        p = bits(kp)
-        while p >= span:
-            p = bits(kp)
-        q = bits(kq)
-        while q >= dens:
-            q = bits(kq)
-        pairs.append((p - top, q + 1))
-    return pairs
-
-
 # ---------------------------------------------------------------- tables ----
 
 _TABLE1_EXPECT = {"i": (-1, 1, -1), "j": (-1, 1, -1)}
 _TABLE2_EXPECT = {"e": (-1, 1, -1), "sigma": (1, 1, 1), "i": (-1, -1, 1), "j": (-1, 1, -1)}
-_TABLE3_EXPECT = {"e": (-1, 1, -1), "sigma0": (1, 1, 1), "sigmakl": (1, -1, -1), "i": (-1, 1, -1), "j": (-1, 1, -1)}
+_TABLE3_EXPECT = {"e": (-1, 1, -1), "sigma0": (1, 1, 1), "sigma": (1, -1, -1), "i": (-1, 1, -1), "j": (-1, 1, -1)}
 
 
-def _classify_unit(name: str, five_dim: bool) -> str:
-    if name.startswith("e"):
-        return "e"
-    if name.startswith("sigma"):
-        if not five_dim:
-            return "sigma"
-        return "sigma0" if name.startswith("sigma0") else "sigmakl"
-    return name
-
-
-def _table_signs(ctx, reps, expect: dict, five_dim: bool = False):
+def _table_signs(ctx, reps, expect: dict):
+    """Each non-derived unit's signs against the expectation of its class:
+    the longest key of ``expect`` that its name starts with."""
     for rep_name in reps:
         for row in involution_table(rep_name):
             if not row.derived:
-                yield (row.bar, row.dagger, row.hat) != expect[_classify_unit(row.unit, five_dim)]
+                unit = max((key for key in expect if row.unit.startswith(key)), key=len)
+                yield (row.bar, row.dagger, row.hat) != expect[unit]
 
 
 check("tables.one_dim", "involution signs of the one-dimensional algebra units",
@@ -272,7 +252,7 @@ check("tables.three_dim", "involution signs of the units in the 2x2 hyperbolic P
       tol=0, reps=("r30",), expect=_TABLE2_EXPECT)(_table_signs)
 check("tables.five_dim", "involution signs of the units in the 4x4 algebra",
       "e_k (-,+,-), sigma_0k (+,+,+), sigma_kl (+,-,-), i (-,+,-), j (-,+,-)",
-      tol=0, reps=("r05",), expect=_TABLE3_EXPECT, five_dim=True)(_table_signs)
+      tol=0, reps=("r05",), expect=_TABLE3_EXPECT)(_table_signs)
 
 
 # ------------------------------------------------------------------ dims ----
@@ -549,7 +529,7 @@ def _r66_reduction(ctx):
 
 
 def _random_exact_vector(space, rng):
-    return space.paravector([Fraction(p, q) for p, q in _draw_pairs(rng, 4, 6, 3)])
+    return space.paravector(_fractions(rng, 4, 6, 3))
 
 
 @check("wedge.split", "product x bar(y) against its symmetric/antisymmetric parts",
@@ -584,7 +564,7 @@ def _wedge_degenerate(ctx):
     space, rng = get_space("m4"), ctx.rng
     for _ in range(12):
         x, y, v = (_random_exact_vector(space, rng) for _ in range(3))
-        lam, mu = (Fraction(p, q) for p, q in _draw_pairs(rng, 2, 3, 2))
+        lam, mu = _fractions(rng, 2, 3, 2)
         dep = space.paravector([lam * a + mu * b for a, b in zip(x.coords, y.coords)])
         yield bool(wedge4(x, y, v, dep).coeffs)
         yield bool(wedge2(x, x).coeffs or wedge3(x, y, x).coeffs)
@@ -758,7 +738,7 @@ def _regime_boundary(ctx):
 def _mass_reduction(ctx):
     space = get_space("m4")
     for _ in range(50):
-        q = [Fraction(p, d) for p, d in _draw_pairs(ctx.rng, 4, 8, 3)]
+        q = _fractions(ctx.rng, 4, 8, 3)
         p = embed_momentum(q, (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
         yield p.qform() != space.paravector(q).qform()
 

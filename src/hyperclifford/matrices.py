@@ -411,11 +411,15 @@ SIGMA_AB_INDEX = (
 )
 
 
-def sigma_ab_entry(a: int, b: int) -> tuple[int, int]:
-    """The (index, sign) of sigma_ab: two ints in 0..5 (``type(k) is int``,
-    so no bool or float), not equal."""
+def _sigma_indices(a, b):
+    """``ValueError`` unless a and b are ints in 0..5 (``type(k) is int``, so no bool or float)."""
     if not (type(a) is int and type(b) is int and 0 <= a <= 5 and 0 <= b <= 5):
         raise ValueError("sigma_ab indices must be ints in 0..5")
+
+
+def sigma_ab_entry(a: int, b: int) -> tuple[int, int]:
+    """The (index, sign) of sigma_ab: two indices of :func:`_sigma_indices`, not equal."""
+    _sigma_indices(a, b)
     if a == b:
         raise ValueError("sigma_ab is undefined on the diagonal")
     return SIGMA_AB_INDEX[a][b]

@@ -151,8 +151,18 @@ def hermiticity_check(p: MomentumHM4, tol: float = 1e-10) -> bool:
     Requires the full product p * bar(p) to be a real scalar: the i, j
     and ij ring components must vanish, and so must every blade outside
     the scalar ring (general hyperbolic-complex momenta leak into
-    two-blades, e.g. q x s spatial cross terms).
+    two-blades, e.g. q x s spatial cross terms).  ``tol`` enters by the
+    rule and must be zero or above, as ``verify --tol``: a negative one
+    raises ``ValueError``.
     """
+    (tol,) = _floats((tol,), "hermiticity_check tol")
+    if tol < 0:
+        raise ValueError(f"hermiticity_check tol {tol} is negative")
+    return _hermiticity(p, tol)
+
+
+def _hermiticity(p: MomentumHM4, tol: float) -> bool:
+    """:func:`hermiticity_check` at a finite float ``tol`` of zero or above, unchecked."""
     x = p.paravector()
     mv = x.to_multivector()
     full = mv.gp_blades(mv.bar())
@@ -176,7 +186,7 @@ def stabilizer_check(rotor: Rotor, p: MomentumHM4) -> bool:
     construction.  The fiber vectors come from a fixed seed, so the check
     is deterministic.
     """
-    if not hermiticity_check(p, _STABILIZER_TOL):
+    if not _hermiticity(p, _STABILIZER_TOL):
         return False
     rng = random.Random(20070816)
     space = get_space("r66")

@@ -32,7 +32,7 @@ from itertools import combinations, product
 from operator import add
 
 from .algebra import AlgebraRep, Multivector, _compiled, _names
-from .matrices import HMatrix, _weighted_sum, commutator, pauli2, sigma_ab
+from .matrices import HMatrix, _sigma_indices, _weighted_sum, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _null_coords, _trig_tilde, from_null_coords
 
@@ -365,7 +365,8 @@ def lorentz_generators() -> tuple[list[HMatrix], list[HMatrix]]:
 
 
 def su4_generator(a: int, b: int) -> HMatrix:
-    """J_ab = sigma_ab/2; zero when the indices coincide."""
+    """J_ab = sigma_ab/2, its indices checked as sigma_ab's; zero when they coincide."""
+    _sigma_indices(a, b)
     if a == b:
         return HMatrix.zeros(4)
     return sigma_ab(a, b).scale(_half())

@@ -50,6 +50,7 @@ from hyperclifford.algebra import (
     AlgebraRep,
     Multivector,
     NonOrthogonalBasis,
+    _single_slot,
     blade_mul,
     get_rep,
     involution_sign,
@@ -770,8 +771,10 @@ def coordinate_map_cases(name, exact):
 
 
 class Form(dict):
-    """A formal linear form ``{symbol: int coefficient}``, no coefficient
-    zero.  Sums and differences of forms are exact, so a map made of them,
+    """A formal polynomial ``{symbol: exact coefficient}``, no coefficient
+    zero.  Sums, differences and negations of forms are exact; a form times
+    a form is the form over the pairs of their symbols, and a form times an
+    int or Fraction is scaled.  So a linear or bilinear map made of them,
     run on one symbol per input, gives each output's terms."""
 
     def __add__(self, other):
@@ -779,6 +782,14 @@ class Form(dict):
 
     def __sub__(self, other):
         return self._plus(other, -1)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, Form):
+            return Form({(k1, k2): c1 * c2 for k1, c1 in self.items() for k2, c2 in other.items()})
+        return Form({k: c * other for k, c in self.items() if c * other})
 
     def _plus(self, other, sign):
         out = Form(self)
@@ -813,6 +824,44 @@ def formal_tables(name, _):
         return [(space._slot_pairs, 4 * space.rep.n ** 2)]
     rep = get_rep(name)
     return [(rep._coord_table, 4 * rep.n ** 2)]
+
+
+def formal_product(rep):
+    """Per basis element k, the bilinear form of basis pairs that
+    ``_basis_entry`` puts on k: ``sign`` on the symbol pair ``(k1, k2)``."""
+    out = [Form() for _ in rep.basis]
+    for k1, k2 in product(range(len(rep.basis)), repeat=2):
+        k, sign = rep._basis_entry(k1, k2)
+        out[k][k1, k2] = sign
+    return out
+
+
+def formal_unit_slots(space):
+    """Per unit slot, the terms of ``x * bar(y)`` it holds for paravectors
+    ``x`` and ``y``: basis paravector a times the bar of basis paravector b,
+    one product of basis elements (``_basis_product``), is +-1 on one slot;
+    that sign on the symbol pair ``(a, b)`` when the slot is a unit's."""
+    rep, outputs = space.rep, {k: n for n, (k, _) in enumerate(space._unit_slots)}
+    out = [Form() for _ in outputs]
+    for (a, ea), (b, eb) in product(enumerate(space.basis), repeat=2):
+        k, sign = _single_slot(rep._basis_product(ea, eb.bar()))
+        if k in outputs:
+            out[outputs[k]][a, b] = sign
+    return out
+
+
+def formal_kernel(rep):
+    """The rep's blade kernel on one symbol per coordinate of each side:
+    ``joined`` with ``h = 1/2`` on a j-rep, ``product`` on the others."""
+    x, y = symbols(len(rep.basis)), symbols(len(rep.basis))
+    if rep.adjoined == "j":
+        return rep._product.joined(x, y, Fraction(1, 2), Form())
+    return rep._product.product(x, y, Form())
+
+
+def formal_unit_product(space):
+    """The space's restricted kernel on one symbol per coordinate of each side."""
+    return space._unit_product(symbols(space.dim), symbols(space.dim), Fraction(1, 2), Form())
 
 
 def pairwise_orthogonality(rep):
@@ -855,10 +904,6 @@ def orthogonality_tables(name, _):
     refused = [refusal(AlgebraRep._validate_orthogonality, basis, t) is not None for t in tables]
     assert not refused[0] and sum(refused) >= 10
     return [(basis, t) for t in tables]
-
-
-def randint_pairs(rng, count, top, dens):
-    return [(rng.randint(-top, top), rng.randint(1, dens)) for _ in range(count)]
 
 
 def old_random_mv(rep, rng):
@@ -1363,6 +1408,13 @@ ORACLES = {
     "test_algebra::test_gp_blades_kernel_is_the_pair_loop": [
         Row(f"{GP} algebra._Kernel.product algebra._Kernel.joined", gp_blades_loop, kernel_pairs, REP_NAMES, BOTH,
             same_bits)],
+    # on formal operands every output is the bilinear form of _basis_entry,
+    # term for term, so the code computes the table on every exact operand
+    # and is bilinear; the float rows of the pair loop hold the term order
+    # and the signed zeros
+    "test_algebra::test_blade_kernels_are_their_tables_on_formal_operands": [
+        Row("algebra._Kernel.product algebra._Kernel.joined", formal_product, lambda name, _: [(get_rep(name),)],
+            REP_NAMES, NONE, same_values, call=formal_kernel)],
     "test_algebra::test_a_product_of_basis_elements_is_its_blade_table_entry": [
         Row("algebra.AlgebraRep._basis_product", Multivector.gp_blades, signed_basis_pairs, REP_NAMES, EXACT,
             same_bits, call=lambda a, b: a.rep._basis_product(a, b))],
@@ -1404,12 +1456,6 @@ ORACLES = {
             orthogonality_tables, REP_NAMES, NONE, same_values,
             call=partial(refusal, AlgebraRep._validate_orthogonality))],
     # -- seeded draws of the checks
-    # every (top, dens) that a check draws exact samples with, (9, 4) and
-    # dens = 1, where randint(1, 1) still takes a bit
-    "test_checks::test_pairs_drawn_from_raw_bits_are_the_randint_pairs": [
-        Row("checks._draw_pairs", partial(drawn, randint_pairs), lambda pair, _: [(s, 300, *pair) for s in range(3)],
-            ((4, 3), (9, 4), (6, 3), (3, 2), (8, 3), (4, 1)), NONE, same_values,
-            call=partial(drawn, checks._draw_pairs))],
     "test_checks::test_random_multivectors_are_drawn_as_randint_and_uniform_draw_them": [
         Row("checks._random_mv", partial(drawn, twenty, draw=old_random_mv),
             lambda name, _: [(seed, name) for seed in range(3)], REP_NAMES, NONE,
@@ -1449,6 +1495,9 @@ ORACLES = {
             part(unit_slot_cases, k), SPACE_NAMES, (exact,), same_values if exact else same_bits)
         for k, (kernel, oracle) in enumerate((("Paravector.qform", qform_reference), ("dot", dot_reference)))
         for exact in (False, True)],
+    "test_paravectors::test_unit_slot_kernels_are_the_terms_of_x_bar_y_on_formal_operands": [
+        Row(f"{SPACE}._unit_product algebra._Kernel.restricted", formal_unit_slots,
+            lambda name, _: [(get_space(name),)], SPACE_NAMES, NONE, same_values, call=formal_unit_product)],
     "test_paravectors::test_slot_maps_are_the_loops_bit_for_bit": map_rows(SPACE_NAMES),
     "test_paravectors::test_slot_maps_are_their_tables_on_formal_operands": proof_rows(SPACE_NAMES),
     "test_paravectors::test_projection_is_the_sign_pass_on_non_zero_parts": [

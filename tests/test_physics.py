@@ -194,6 +194,25 @@ def test_hermiticity_invariant_under_lorentz_action():
         assert hermiticity_check(MomentumHM4(q=x.coords))
 
 
+@pytest.mark.parametrize("tol, error", [(True, TypeError), ("x", TypeError), (math.nan, ValueError),
+                                        (math.inf, ValueError), (-1.0, ValueError)],
+                         ids=["bool", "str", "nan", "inf", "negative"])
+def test_hermiticity_takes_its_tolerance_by_the_one_rule(tol, error):
+    # a bool or str is no number, NaN and inf are not finite, and a tolerance
+    # is zero or above, as verify --tol takes it; every momentum raises alike
+    for p in (MomentumHM4(q=(1.0, 0.2, 0, 0)), MomentumHM4(q=(1, 0, 0, 0), u=(0.5, 0, 0, 0))):
+        with pytest.raises(error, match="hermiticity_check tol"):
+            hermiticity_check(p, tol)
+
+
+def test_hermiticity_tolerance_is_a_number_zero_or_above():
+    real, off = MomentumHM4(q=(1.0, 0.2, 0, 0)), MomentumHM4(q=(1, 0, 0, 0), u=(0.5, 0, 0, 0))
+    for tol in (0, 0.0, -0.0, Fraction(1, 10**10), 1e-10):
+        assert hermiticity_check(real, tol) and not hermiticity_check(off, tol)
+    # the ij part 2 q0 u0 is 1.0: a tolerance of 1 accepts it
+    assert hermiticity_check(off, 1) and not hermiticity_check(off, Fraction(99, 100))
+
+
 def test_stabilizer_identity_and_random():
     rng = random.Random(27)
     p = MomentumHM4.rest(1.5)

@@ -580,6 +580,14 @@ def test_index_table_is_signed():
         assert hyperbolic_generator(p, q) == x.scale(HScalar.unit("ij"))
 
 
+@pytest.mark.parametrize("a, b", [(9, 9), (True, True), (1.0, 1.0), (-1, -1), (9, 1), (0, True), (2.0, 3)])
+def test_index_generators_check_their_indices_on_the_diagonal_too(a, b):
+    # sigma_ab's rule, before the zero of a == b
+    for generator in (su4_generator, hyperbolic_generator):
+        with pytest.raises(ValueError, match=r"sigma_ab indices must be ints in 0\.\.5"):
+            generator(a, b)
+
+
 def test_lorentz_commutator_relations():
     result = verify_lorentz_commutators()
     assert all(v == 0 for v in result["failures"].values())

@@ -59,8 +59,8 @@ CHECKED = frozenset(
         "rotors": ("RotorParams.__new__", "RotorParams._make", "RotorParams.h1", "RotorParams.m4",
                    "RotorParams.e6", "RotorParams.r66", "_antisym_normalize", "sphere_point",
                    "sphere_point_via_rotors", "quasi_sphere_point_r66", "quasi_sphere_point_r66_via_rotors"),
-        "physics": ("_probabilities", "interfere", "linearize", "reconstruct_probability", "MomentumHM4.__new__",
-                    "MomentumHM4._make", "MomentumHM4.rest"),
+        "physics": ("_probabilities", "interfere", "linearize", "reconstruct_probability", "hermiticity_check",
+                    "MomentumHM4.__new__", "MomentumHM4._make", "MomentumHM4.rest"),
     }.items()
     for name in names
 )
