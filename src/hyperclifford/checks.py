@@ -71,7 +71,7 @@ from .algebra import (
     porteous_hat_4x4,
     pseudoscalar,
 )
-from .matrices import HMatrix, pauli2, pauli4, pauli4_literal, sigma_ab, sigma_ab_entry
+from .matrices import HMatrix, _block_traces, pauli2, pauli4, pauli4_literal, sigma_ab, sigma_ab_entry
 from .paravectors import (
     dot,
     embed_momentum,
@@ -94,10 +94,13 @@ from .physics import (
 from .rotors import (
     _INDEX_PAIRS,
     RotorParams,
-    _eps_sum,
+    _eps_constants,
     _half,
+    _index_constants,
     _index_generators,
-    _index_rhs,
+    _left_products,
+    _numerators,
+    _table,
     act,
     h1_null_pair,
     lorentz_generators,
@@ -310,11 +313,11 @@ def _pauli_literals(ctx):
        "pairwise trace products of the fifteen 4x4 Pauli matrices",
        "trace(sigma_k sigma_l) = 4 delta_kl exactly", tol=0)
 def _trace_orthogonality(ctx):
-    four = HScalar.exact(4)
-    zero = HScalar.exact(0)
-    for k in range(1, 16):
-        for l in range(1, 16):
-            yield (pauli4(k) @ pauli4(l)).trace() != (four if k == l else zero)
+    den, (sigmas,) = _numerators({k: pauli4(k) for k in range(1, 16)})
+    table = _table(sigmas, sigmas)
+    for k, x in sigmas.items():  # the products' numerators are over den^2
+        traces = _block_traces(4, _left_products(x, table))
+        yield from (t != [4 * den * den * (k == l), 0, 0, 0] for l, t in zip(sigmas, traces))
 
 
 @check("commutators.sigma_table", "antisymmetry and spot values of the index-pair assignment",
@@ -368,13 +371,13 @@ def _split_failures(res: dict) -> int:
        " and each copy keeps the structure constants", tol=0)
 def _split_lorentz(ctx):
     rot, boo = lorentz_generators()
-    yield _split_failures(verify_null_split(dict(enumerate(rot)), dict(enumerate(boo)), range(3), _eps_sum))
+    yield _split_failures(verify_null_split(dict(enumerate(rot)), dict(enumerate(boo)), range(3), _eps_constants))
 
 
 @check("commutators.split_index", "idempotent split of the fifteen index-pair generators",
        "both commuting copies reproduce the index structure constants", tol=0)
 def _split_index(ctx):
-    yield _split_failures(verify_null_split(*_index_generators(), _INDEX_PAIRS, _index_rhs))
+    yield _split_failures(verify_null_split(*_index_generators(), _INDEX_PAIRS, _index_constants))
 
 
 @check("commutators.split_literal", "published closed form (J + ij K)/2 of the commuting split",

@@ -298,6 +298,13 @@ def _product(exact, r, k, a, b):
     return out
 
 
+def _block_traces(n: int, nums) -> list:
+    """The trace numbers x y v w of each exact ``n x n`` block stacked in
+    ``nums``, int numerators over the blocks' denominator."""
+    size, step = 4 * n * n, 4 * n + 4
+    return [[sum(nums[s + u:s + size:step]) for u in range(4)] for s in range(0, len(nums), size)]
+
+
 @lru_cache(maxsize=None)
 def _adjoint_map(n: int) -> tuple[tuple, tuple]:
     """The conjugate transpose of an ``n x n`` matrix as a sign map: the

@@ -18,7 +18,8 @@ signed permutation of its coordinates.  The exponent is X = sum z_k sigma_k
 (h1, m4; planes sharing one index) X squares to s = sum z_k^2 and g = cosh r +
 (sinh r / r) X is built on the null components over (1 +- j)/2 with no matrix
 product, r = z for one term and r^2 = s for several; any other exponent takes
-the series, mat_exp.
+the series, mat_exp.  Generator relations are tables: two ring products per left
+generator X_p give [X_p, Y_q] for every q, checked against structure constants.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, itemgetter, neg, sub
 
 from .algebra import AlgebraRep, Multivector, _compiled, _names
-from .matrices import HMatrix, _sigma_indices, _weighted_sum, commutator, pauli2, sigma_ab
+from .matrices import HMatrix, _product, _sigma_indices, _weighted_sum, commutator, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _null_coords, _trig_tilde, from_null_coords
 
@@ -388,46 +389,97 @@ def _index_generators() -> tuple[dict, dict]:
     return j, {p: hyperbolic_generator(*p) for p in j}
 
 
-def _index_rhs(gens: dict, ab, cd) -> HMatrix:
-    """i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the index
-    pairs ab, cd, X read from ``gens`` keyed by ordered index pair; only
-    the terms whose delta is non-zero are summed."""
+def _index_constants(ab, cd) -> list:
+    """The (c, X) of [X_ab, X_cd] = i sum c X for the index pairs ab, cd:
+    d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac, the non-zero deltas."""
     (a, b), (c, d) = ab, cd
-    terms = [(k, pq) for k, pq in ((a == c, (b, d)), (-(a == d), (b, c)), (-(b == c), (a, d)), (b == d, (a, c))) if k]
-    if not terms:
-        return HMatrix.zeros(gens[ab].n)
-    return _weighted_sum([q for k, _ in terms for q in (0, int(k), 0, 0)], 1, [gens[pq] for _, pq in terms])
+    return [t for t in ((+(a == c), (b, d)), (-(a == d), (b, c)), (-(b == c), (a, d)), (+(b == d), (a, c))) if t[0]]
 
 
-def _commutators(gens, keys):
-    """``(p, q, [X_p, X_q])`` over all ordered pairs of ``keys``, X = ``gens``:
-    each product X_p @ X_q is built once, and [X_p, X_q] and [X_q, X_p] are
-    its two differences with X_q @ X_p; no antisymmetry is assumed."""
-    keys = list(keys)
-    for m, p in enumerate(keys):
-        yield p, p, (pp := gens[p] @ gens[p]) - pp
-        for q in keys[m + 1:]:
-            pq, qp = gens[p] @ gens[q], gens[q] @ gens[p]
-            yield p, q, pq - qp
-            yield q, p, qp - pq
+def _check_family(*families: dict) -> None:
+    """Raise at the first generator of the dicts by label that is a float
+    matrix or of another size than the first, naming its label."""
+    mats = [(p, m) for f in families for p, m in f.items()]
+    for p, m in mats:
+        if m.den is None:
+            raise BackendMismatch(f"generator {p!r} is a float matrix; the relations are exact")
+        if m.n != mats[0][1].n:
+            raise ValueError(f"generator {p!r} is {m.n}x{m.n}, not {mats[0][1].n}x{mats[0][1].n}")
 
 
-def _count_relations(keys, j, k, rhs) -> list[int]:
+def _numerators(*families: dict) -> tuple:
+    """The lcm of the denominators of the exact generators of dicts by
+    label, and each dict's numerators over it."""
+    den = math.lcm(*[m.den for f in families for m in f.values()])
+    return den, [{p: [x * (den // m.den) for x in m.nums] for p, m in f.items()} for f in families]
+
+
+def _times_i(gens: dict) -> dict:
+    """i X for every generator X of a dict by label."""
+    unit_i = HScalar.unit("i")
+    return {p: g.scale(unit_i) for p, g in gens.items()}
+
+
+def _table(keys, nums: dict) -> tuple:
+    """n, the n x n numerators ``nums`` of ``keys`` side by side (n rows)
+    and stacked, and the getter that reads a product with the side-by-side
+    numbers as stacked blocks."""
+    keys, n = list(keys), math.isqrt(len(next(iter(nums.values()), ())) // 4)
+    w, count = 4 * n, len(keys)
+    order = [r * w * count + q * w + c for q in range(count) for r in range(n) for c in range(w)]
+    return (n, [x for r in range(0, w * n, w) for p in keys for x in nums[p][r:r + w]],
+            list(chain.from_iterable(map(nums.__getitem__, keys))), itemgetter(*order) if order else tuple)
+
+
+def _left_products(x, table) -> tuple:
+    """x Y_q for every Y_q of a :func:`_table`, stacked: one ring product."""
+    n, side, _, blocks = table
+    return blocks(_product(True, n, n, x, side))
+
+
+def _bracket_failures(x, table, *wants) -> list[int]:
+    """How many stacked blocks of [x, Y_q] over the Y_q of a :func:`_table` differ
+    from each of ``wants``: x Y_q from one product with the family side by
+    side, Y_q x from one with it stacked."""
+    n, _, stacked, _ = table
+    size, right = 4 * n * n, _product(True, len(stacked) // (4 * n), n, stacked, x)
+    lhs = list(map(sub, _left_products(x, table), right))
+    return [0 if lhs == want else sum(lhs[s:s + size] != want[s:s + size] for s in range(0, len(lhs), size))
+            for want in wants]  # no block differs when the lists are equal
+
+
+def _structure(keys, constants, den: int, *families):
+    """Per p of ``keys``, for each family of numerators of i X over ``den``,
+    keyed alike, i sum c_r X_r over den^2 for every q, stacked, with
+    (c_r, r) of constants(p, q): one sum per distinct set of terms."""
+    sums = [{} for _ in families]
+    for p in keys:
+        terms = [tuple(constants(p, q)) for q in keys]
+        for f, done in zip(families, sums):
+            for t in set(terms) - done.keys():
+                done[t] = list(map(sum, zip(*[[c * den * x for x in f[r]] for c, r in t], [0] * len(f[p]))))
+        yield [list(chain.from_iterable(map(done.__getitem__, terms))) for done in sums]
+
+
+def _count_relations(keys, j, k, constants) -> list[int]:
     """Failures of [J_p, J_q] = F_J, [J_p, K_q] = F_K, the computed
     [K_p, K_q] = -F_J and the printed [K_p, K_q] = -F_K over all ordered
-    pairs of ``keys``, with J and K keyed by the family's labels and each
-    right-hand side F_X = rhs(X, p, q) built once per ordered pair."""
-    counts = [0] * 4
-    for (p, q, jj), (_, _, kk) in zip(_commutators(j, keys), _commutators(k, keys)):
-        fj, fk = rhs(j, p, q), rhs(k, p, q)
-        for n, (lhs, want) in enumerate(((jj, fj), (commutator(j[p], k[q]), fk), (kk, -fj), (kk, -fk))):
-            counts[n] += lhs != want
+    pairs of ``keys``, with J and K keyed by the family's labels and F_X
+    their :func:`_structure`: three brackets per p, none per pair."""
+    _check_family(j, k)
+    keys, counts = list(keys), [0] * 4
+    den, (j, k, ij, ik) = _numerators(j, k, _times_i(j), _times_i(k))
+    tj, tk = _table(keys, j), _table(keys, k)
+    for p, (fj, fk) in zip(keys, _structure(keys, constants, den, ij, ik)):
+        counts = list(map(add, counts, _bracket_failures(j[p], tj, fj) + _bracket_failures(j[p], tk, fk)
+                          + _bracket_failures(k[p], tk, list(map(neg, fj)), list(map(neg, fk)))))
     return counts
 
 
 def verify_index_commutators() -> dict:
     """Exact check of the index-pair commutator relations over all
-    ordered pairs of distinct index pairs.
+    ordered pairs of distinct index pairs, against the structure
+    constants read off the deltas.
 
     Verifies [J,J] = i(d J), [J,K] = i(d K) and the computed form
     [K,K] = -i(d J); also counts how often the printed alternative
@@ -435,7 +487,7 @@ def verify_index_commutators() -> dict:
     """
     j, k = _index_generators()
     pairs = [(a, b) for a, b in j if a != b]
-    jj, jk, kk, printed = _count_relations(pairs, j, k, _index_rhs)
+    jj, jk, kk, printed = _count_relations(pairs, j, k, _index_constants)
     return {
         "checked": len(pairs) ** 2,
         "failures_jj": jj,
@@ -445,18 +497,18 @@ def verify_index_commutators() -> dict:
     }
 
 
-def _eps_sum(gens, a: int, b: int) -> HMatrix:
-    """i * sum_c eps_abc gens[c] for three 2x2 generators keyed by axis
-    0..2, with eps_abc = (a - b)(b - c)(c - a)/2."""
-    eps = [q for c in range(3) for q in (0, (a - b) * (b - c) * (c - a) // 2, 0, 0)]
-    return _weighted_sum(eps, 1, [gens[c] for c in range(3)])
+def _eps_constants(a: int, b: int) -> list:
+    """The (eps_abc, c) of [X_a, X_b] = i sum_c eps_abc X_c over axes 0..2,
+    eps_abc = (a - b)(b - c)(c - a)/2, the non-zero ones."""
+    return [(e, c) for c in range(3) if (e := (a - b) * (b - c) * (c - a) // 2)]
 
 
 def verify_lorentz_commutators() -> dict:
     """Exact check of [J,J] = i e J, [J,K] = i e K, computed
-    [K,K] = -i e J; counts failures of the printed [K,K] = -i e K."""
+    [K,K] = -i e J, against the constants eps_abc; counts failures of the
+    printed [K,K] = -i e K."""
     rot, boo = lorentz_generators()
-    jj, jk, kk, printed = _count_relations(range(3), rot, boo, _eps_sum)
+    jj, jk, kk, printed = _count_relations(range(3), dict(enumerate(rot)), dict(enumerate(boo)), _eps_constants)
     return {"failures": {"jj": jj, "jk": jk, "kk_computed": kk}, "printed_kk_failures": printed}
 
 
@@ -475,15 +527,15 @@ def null_split(j_gens: dict) -> tuple[dict, dict]:
     return {p: g.scale(ep) for p, g in j_gens.items()}, {p: g.scale(em) for p, g in j_gens.items()}
 
 
-def verify_null_split(j_gens: dict, k_gens: dict, keys, rhs) -> dict:
+def verify_null_split(j_gens: dict, k_gens: dict, keys, constants) -> dict:
     """Check the split reproduces the parent structure constants.
 
-    ``j_gens`` and ``k_gens`` map the family's labels to J and K = ij J,
-    as :func:`null_split` takes them.  Over ``keys`` the copies must
-    rebuild J and K and commute with each other, and over every ordered
-    pair p, q of ``keys`` each copy X must satisfy [X_p, X_q] = rhs(X, p, q),
-    the family's right-hand side read off the copy and built once.
+    ``j_gens`` and ``k_gens`` map the family's labels to J and K = ij J, as
+    :func:`null_split` takes them; a bad family raises at entry (:func:`_check_family`).
+    Over ``keys`` the copies must rebuild J and K, and over every ordered pair p, q
+    commute and each copy X satisfy [X_p, X_q] = i sum c_r X_r, (c_r, r) of constants(p, q).
     """
+    _check_family(j_gens, k_gens)
     a_set, b_set = null_split(j_gens)
     keys = list(keys)
     unit_i = HScalar.unit("i")
@@ -491,12 +543,11 @@ def verify_null_split(j_gens: dict, k_gens: dict, keys, rhs) -> dict:
     for p in keys:
         recon += (a_set[p] + b_set[p]) != j_gens[p]
         recon += (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]
-    zero = HMatrix.zeros(j_gens[keys[0]].n) if keys else None
-    for p, q in product(keys, repeat=2):
-        cross += commutator(a_set[p], b_set[q]) != zero
-    for gens in (a_set, b_set):
-        for p, q, lhs in _commutators(gens, keys):
-            sum_err += lhs != rhs(gens, p, q)
+    den, (a, b, ia, ib) = _numerators(a_set, b_set, _times_i(a_set), _times_i(b_set))
+    ta, tb = _table(keys, a), _table(keys, b)
+    for p, (fa, fb) in zip(keys, _structure(keys, constants, den, ia, ib)):
+        cross += _bracket_failures(a[p], tb, [0] * len(fa))[0]
+        sum_err += _bracket_failures(a[p], ta, fa)[0] + _bracket_failures(b[p], tb, fb)[0]
     return {
         "cross_failures": cross,
         "structure_failures": sum_err,

@@ -55,7 +55,16 @@ from hyperclifford.algebra import (
     get_rep,
     involution_sign,
 )
-from hyperclifford.matrices import HMatrix, SingularMatrix, _product, _weighted_sum, pauli2, pauli4, sigma_ab
+from hyperclifford.matrices import (
+    HMatrix,
+    SingularMatrix,
+    _product,
+    _weighted_sum,
+    commutator,
+    pauli2,
+    pauli4,
+    sigma_ab,
+)
 from hyperclifford.paravectors import SPACE_NAMES, Paravector, get_space
 from hyperclifford.rotors import RotorParams, _exponent_terms
 from hyperclifford.scalars import HScalar, RealCoords, _entering, _over_lcm, from_null_coords, to_null_coords
@@ -1344,6 +1353,115 @@ def mat_exp_cases(over, exact):
     return [(x,) for x in xs]
 
 
+# -- the oracles: generator relations -------------------------------------------
+
+
+def index_rhs(gens: dict, ab, cd) -> HMatrix:
+    """i * (d_ac X_bd - d_ad X_bc - d_bc X_ad + d_bd X_ac) for the index
+    pairs ab, cd, X read from ``gens`` keyed by ordered index pair; only
+    the terms whose delta is non-zero are summed."""
+    (a, b), (c, d) = ab, cd
+    terms = [(k, pq) for k, pq in ((a == c, (b, d)), (-(a == d), (b, c)), (-(b == c), (a, d)), (b == d, (a, c))) if k]
+    if not terms:
+        return HMatrix.zeros(gens[ab].n)
+    return _weighted_sum([q for k, _ in terms for q in (0, int(k), 0, 0)], 1, [gens[pq] for _, pq in terms])
+
+
+def eps_sum(gens, a: int, b: int) -> HMatrix:
+    """i * sum_c eps_abc gens[c] for three 2x2 generators keyed by axis
+    0..2, with eps_abc = (a - b)(b - c)(c - a)/2."""
+    eps = [q for c in range(3) for q in (0, (a - b) * (b - c) * (c - a) // 2, 0, 0)]
+    return _weighted_sum(eps, 1, [gens[c] for c in range(3)])
+
+
+def commutators_loop(gens, keys):
+    """``(p, q, [X_p, X_q])`` over all ordered pairs of ``keys``, X = ``gens``:
+    each product X_p @ X_q is built once, and [X_p, X_q] and [X_q, X_p] are
+    its two differences with X_q @ X_p; no antisymmetry is assumed."""
+    keys = list(keys)
+    for m, p in enumerate(keys):
+        yield p, p, (pp := gens[p] @ gens[p]) - pp
+        for q in keys[m + 1:]:
+            pq, qp = gens[p] @ gens[q], gens[q] @ gens[p]
+            yield p, q, pq - qp
+            yield q, p, qp - pq
+
+
+def count_relations_loop(keys, j, k, rhs) -> list[int]:
+    """The per-pair loop that the relation tables replaced: failures of
+    [J_p, J_q] = F_J, [J_p, K_q] = F_K, the computed [K_p, K_q] = -F_J and
+    the printed [K_p, K_q] = -F_K, each F_X = rhs(X, p, q) an HMatrix."""
+    counts = [0] * 4
+    for (p, q, jj), (_, _, kk) in zip(commutators_loop(j, keys), commutators_loop(k, keys)):
+        fj, fk = rhs(j, p, q), rhs(k, p, q)
+        for n, (lhs, want) in enumerate(((jj, fj), (commutator(j[p], k[q]), fk), (kk, -fj), (kk, -fk))):
+            counts[n] += lhs != want
+    return counts
+
+
+def null_split_loop(j_gens, k_gens, keys, rhs) -> dict:
+    """verify_null_split as the per-pair loop computed it, ``rhs(X, p, q)``
+    the HMatrix right-hand side of [X_p, X_q]."""
+    a_set, b_set = rotors.null_split(j_gens)
+    keys, unit_i, cross, sum_err, recon = list(keys), HScalar.unit("i"), 0, 0, 0
+    for p in keys:
+        recon += (a_set[p] + b_set[p]) != j_gens[p]
+        recon += (a_set[p] - b_set[p]).scale(unit_i) != k_gens[p]
+    for p, q in product(keys, repeat=2):
+        cross += commutator(a_set[p], b_set[q]) != HMatrix.zeros(j_gens[keys[0]].n)
+    for gens in (a_set, b_set):
+        for p, q, lhs in commutators_loop(gens, keys):
+            sum_err += lhs != rhs(gens, p, q)
+    return {"cross_failures": cross, "structure_failures": sum_err, "reconstruction_failures": recon}
+
+
+def relations_loop(name) -> list[int]:
+    """:func:`count_relations_loop` on the real family ``name``."""
+    j, k, keys, _, _, rhs = relation_family(name)
+    return count_relations_loop(keys, j, k, rhs)
+
+
+def index_result(counts) -> dict:
+    """verify_index_commutators' record of the four counts over 30 x 30 pairs."""
+    return dict(zip(("failures_jj", "failures_jk", "failures_kk_computed", "printed_kk_failures"), counts),
+                checked=900)
+
+
+def lorentz_result(counts) -> dict:
+    jj, jk, kk, printed = counts
+    return {"failures": {"jj": jj, "jk": jk, "kk_computed": kk}, "printed_kk_failures": printed}
+
+
+@cache
+def relation_family(name):
+    """J and K of the index or the Lorentz family keyed by label, the labels
+    the relations run over (the 30 distinct-index pairs or the three axes),
+    the split's labels, and the structure constants with their HMatrix
+    right-hand side."""
+    if name == "index":
+        j, k = rotors._index_generators()
+        return j, k, [p for p in j if p[0] != p[1]], rotors._INDEX_PAIRS, rotors._index_constants, index_rhs
+    rot, boo = map(dict, map(enumerate, rotors.lorentz_generators()))
+    return rot, boo, range(3), range(3), rotors._eps_constants, eps_sum
+
+
+def relation_cases(name, exact):
+    """The family, and its corruptions: J or K of the first label negated
+    or replaced by the second label's, and the constants of the swapped
+    pair; each case is ``(j, k, keys, constants, rhs)`` for the relations
+    and the same with the split's labels."""
+    j, k, keys, split_keys, constants, rhs = relation_family(name)
+    first, second = list(keys)[:2]
+    cases = [(j, k, constants, rhs),
+             (j, k, lambda p, q: constants(q, p), lambda gens, p, q: rhs(gens, q, p))]
+    for which in (0, 1):
+        for bad in (-(j, k)[which][first], (j, k)[which][second]):
+            family = [dict(j), dict(k)]
+            family[which][first] = bad
+            cases.append((*family, constants, rhs))
+    return [(a, b, keys, c, r) for a, b, c, r in cases], [(a, b, split_keys, c, r) for a, b, c, r in cases], [()]
+
+
 # -- the table -----------------------------------------------------------------
 
 
@@ -1353,6 +1471,8 @@ J_REPS = tuple(name for name in REP_NAMES if get_rep(name).adjoined == "j")
 FULL_RING = ("c10bar", "c30bar", "h05bar")
 SCALED = (("c10bar", "i"), ("c30bar", "j"), ("h05bar", "j"))
 GP, MV, SPACE = "algebra.Multivector.gp_blades", "algebra.Multivector", "paravectors.ParavectorSpace"
+RELATIONS = ("rotors._numerators rotors._times_i rotors._table rotors._bracket_failures rotors._left_products"
+             " rotors._structure")
 
 
 def part(sampler, k):
@@ -1511,6 +1631,19 @@ ORACLES = {
             call=lambda n, cs, a, b, c: rotors._kernels(n)[1](*cs, a, b, c))],
     "test_rotors::test_mat_exp_is_the_loop_series_bit_for_bit": [
         Row("rotors.mat_exp", loop_mat_exp, mat_exp_cases, NONE, FLOAT, same_bits)],
+    # -- generator relations: every failing ordered pair counts as the loop counts it
+    "test_rotors::test_relation_tables_count_as_the_per_pair_loop": [
+        Row(f"rotors._count_relations {RELATIONS}", lambda j, k, keys, c, rhs: count_relations_loop(keys, j, k, rhs),
+            part(relation_cases, 0), ("index", "lorentz"), EXACT, same_values,
+            call=lambda j, k, keys, c, rhs: rotors._count_relations(keys, j, k, c)),
+        Row(f"rotors.verify_null_split rotors.null_split {RELATIONS}",
+            lambda j, k, keys, c, rhs: null_split_loop(j, k, keys, rhs), part(relation_cases, 1),
+            ("index", "lorentz"), EXACT, same_values,
+            call=lambda j, k, keys, c, rhs: rotors.verify_null_split(j, k, keys, c)),
+        Row("rotors.verify_index_commutators", lambda: index_result(relations_loop("index")), part(relation_cases, 2),
+            ("index",), EXACT, same_values),
+        Row("rotors.verify_lorentz_commutators", lambda: lorentz_result(relations_loop("lorentz")),
+            part(relation_cases, 2), ("lorentz",), EXACT, same_values)],
 }
 
 # -- the runner ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hyperclifford.matrices import (
     HMatrix,
     SingularMatrix,
+    _block_traces,
     _weighted_sum,
     kron,
     pauli2,
@@ -28,6 +29,7 @@ from oracles import (
     inverse_reference,
     kron_loop,
     oracle_tests,
+    random_hmatrix,
     same_bits,
     within,
 )
@@ -90,6 +92,18 @@ def test_trace_orthogonality():
         for l in range(1, 16):
             t = (pauli4(k) @ pauli4(l)).trace()
             assert t == (H(4) if k == l else H(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_block_traces_are_the_traces_of_stacked_blocks(n):
+    # blocks of one denominator, stacked: each block's trace numerators,
+    # those of its HMatrix trace over the shared denominator
+    rng = random.Random(n)
+    blocks = [random_hmatrix(n, range(4), True, 0.7, rng) for _ in range(5)]
+    den = math.lcm(*[m.den for m in blocks])
+    nums = [x * (den // m.den) for m in blocks for x in m.nums]
+    assert [[Fraction(x, den) for x in t] for t in _block_traces(n, nums)] == [list(m.trace().coeffs()) for m in blocks]
+    assert _block_traces(n, []) == []
 
 
 def test_sigma_ab_examples():

@@ -4,12 +4,14 @@ sphere parametrizations."""
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import hyperclifford.matrices as matrices_module
 import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
 from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
@@ -22,8 +24,8 @@ from hyperclifford.rotors import (
     SeriesNonConvergence,
     _closed_form,
     _exponent_terms,
+    _index_constants,
     _index_generators,
-    _index_rhs,
     act,
     h1_null_pair,
     hyperbolic_generator,
@@ -42,7 +44,17 @@ from hyperclifford.rotors import (
     verify_null_split,
 )
 from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords
-from oracles import component_norm, exponent_matrix, oracle_tests, random_params, same_bits, within
+from oracles import (
+    component_norm,
+    exponent_matrix,
+    index_rhs,
+    null_split_loop,
+    oracle_tests,
+    random_params,
+    relation_family,
+    same_bits,
+    within,
+)
 
 globals().update(oracle_tests(__name__))  # this module's rows of oracles.ORACLES
 
@@ -534,39 +546,82 @@ def test_index_commutator_relations():
 
 
 def test_relation_loops_build_each_ordered_product_once(monkeypatch):
-    # [X_p, X_q] is read as X_p X_q - X_q X_p from one product per ordered
-    # pair: 3,600 products for the index relations (5,400 when each
-    # commutator built both of its own), 36 for the Lorentz ones (54) and
-    # 900 for the split index generators (1,350); and each right-hand side
-    # F_J, F_K once per ordered pair, the K-K relations reading -F_J and
-    # -F_K: 1,080 weighted sums for the index relations (2,160 when each
-    # was built once per sign); the results stay
-    products, sums, matmul = [], [], HMatrix.__matmul__
-    monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
-    weighted_sum = rotors_module._weighted_sum
-    monkeypatch.setattr(rotors_module, "_weighted_sum", lambda *args: sums.append(1) or weighted_sum(*args))
+    # the relations are tables: per left generator X_p, each bracket family
+    # [X_p, Y_q] over every q is two ring products, X_p (Y side by side) and
+    # (Y stacked) X_p, so each ordered product is built once: 30 generators
+    # x three families (J J, J K, K K) x 2 = 180 kernel calls for the index
+    # relations (3,600 matrix products in the per-pair loop), 3 x 3 x 2 = 18
+    # for the Lorentz ones and 15 x 3 x 2 = 90 for the split index
+    # generators (A A, A B, B B); no HMatrix product is built, and the only
+    # weighted sums of matrices are scalings, one per generator and none
+    # per pair: index 96 building J and K and 72 for i J and i K (1,080
+    # right-hand sides in the per-pair loop), Lorentz 6 building the
+    # generators and 6 for i X, split 72 for the copies, 15 for i (A - B)
+    # and 72 for i A and i B; the results stay
+    calls, product_kernel = Counter(), rotors_module._product
+
+    def counting(name, run):
+        return lambda *args: calls.update([name]) or run(*args)
+
+    monkeypatch.setattr(rotors_module, "_product", counting("kernel", product_kernel))
+    monkeypatch.setattr(HMatrix, "__matmul__", counting("matmul", HMatrix.__matmul__))
+    monkeypatch.setattr(matrices_module, "_weighted_sum", counting("sums", matrices_module._weighted_sum))
 
     def counted(run):
-        products.clear()
-        sums.clear()
-        return run(), len(products), len(sums)
+        calls.clear()
+        return run(), calls["kernel"], calls["matmul"], calls["sums"]
 
     assert counted(verify_index_commutators) == ({
         "checked": 900, "failures_jj": 0, "failures_jk": 0, "failures_kk_computed": 0, "printed_kk_failures": 480,
-    }, 3600, 1080)
+    }, 180, 0, 96 + 72)
     assert counted(verify_lorentz_commutators) == ({"failures": {"jj": 0, "jk": 0, "kk_computed": 0},
-                                                    "printed_kk_failures": 6}, 36, 18)
+                                                    "printed_kk_failures": 6}, 18, 0, 6 + 6)
     jg, kg = _index_generators()
     clean = {"cross_failures": 0, "structure_failures": 0, "reconstruction_failures": 0}
-    assert counted(lambda: verify_null_split(jg, kg, _INDEX_PAIRS, _index_rhs))[:2] == (clean, 900)
+    assert counted(lambda: verify_null_split(jg, kg, _INDEX_PAIRS, _index_constants)) == (clean, 90, 0, 72 + 15 + 72)
     # with the structure constants of the swapped pair, each failing ordered
     # pair is still counted, as a loop over the commutators counts it
-    def swapped(gens, p, q):
-        return _index_rhs(gens, q, p)
-
-    want = sum(commutator(g[p], g[q]) != swapped(g, p, q)
+    want = sum(commutator(g[p], g[q]) != index_rhs(g, q, p)
                for g in null_split(jg) for p, q in product(_INDEX_PAIRS, repeat=2))
-    assert verify_null_split(jg, kg, _INDEX_PAIRS, swapped)["structure_failures"] == want > 0
+    swapped = verify_null_split(jg, kg, _INDEX_PAIRS, lambda p, q: _index_constants(q, p))
+    assert swapped["structure_failures"] == want > 0
+
+
+@pytest.mark.parametrize("name", ["index", "lorentz"])
+def test_split_copies_that_do_not_commute_count_as_the_loop_counts_them(name, monkeypatch):
+    # the idempotent copies always commute, so with J itself as both copies
+    # every failing pair of the cross-commutator count is counted as the
+    # per-pair loop counts it
+    j, k, _, keys, constants, rhs = relation_family(name)
+    monkeypatch.setattr(rotors_module, "null_split", lambda gens: (gens, dict(gens)))
+    got = verify_null_split(j, k, keys, constants)
+    assert got == null_split_loop(j, k, keys, rhs) and got["cross_failures"] > 0
+
+
+def bad_lorentz_family(kind):
+    """The Lorentz family with generator 1 of J (``-j``) or of K (``-k``)
+    replaced by its float copy (``float-``) or by the 4x4 J_01 or K_01
+    (``mixed-``)."""
+    rot, boo = map(dict, map(enumerate, lorentz_generators()))
+    family, index_generator = (rot, su4_generator) if kind.endswith("-j") else (boo, hyperbolic_generator)
+    family[1] = family[1].to_float() if kind.startswith("float") else index_generator(0, 1)
+    return rot, boo
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("mixed-j", ValueError), ("mixed-k", ValueError), ("float-j", BackendMismatch), ("float-k", BackendMismatch),
+])
+def test_a_bad_family_is_refused_at_entry_naming_its_label(kind, error, monkeypatch):
+    # a 4x4 generator in the 2x2 Lorentz family, or a float one among the
+    # exact: refused before any product is taken, naming the generator
+    def refuse(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(rotors_module, "_product", refuse)
+    monkeypatch.setattr(HMatrix, "__matmul__", refuse)
+    rot, boo = bad_lorentz_family(kind)
+    with pytest.raises(error, match="generator 1 "):
+        verify_null_split(rot, boo, range(3), rotors_module._eps_constants)
 
 
 def test_index_table_is_signed():

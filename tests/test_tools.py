@@ -308,7 +308,11 @@ def stub_comparison(tmp_path, monkeypatch, runs):
     parent_dir, change_dir = str(tmp_path), str(tmp_path / "change")
     # the parent's calc answers compiled two blade-table kernel functions, the
     # change's one space kernel and four coordinate maps
-    recs = {root: ({"verify": VERIFY, "calc": []}, "ab12", [["rotations.boost", 1.0]], compiled)
+    # the change's spin condition is the faster, so its rotations suite too
+    times = {root: [["rotations.boost", 1.0], ["rotations.spin_condition", spin], ["rotations.compose", 3.5],
+                    ["sphere.closed_form", 12.0], ["rotations.identity", 0.5]]
+             for root, spin in ((parent_dir, 98.25), (change_dir, 2.0))}
+    recs = {root: ({"verify": VERIFY, "calc": []}, "ab12", times[root], compiled)
             for root, compiled in ((parent_dir, [2, 0, 0]), (change_dir, [0, 1, 4]))}
     asked = []
 
@@ -339,6 +343,13 @@ def test_compare_outputs_reports_a_failed_traced_run_and_exits_one(tmp_path, mon
     assert out[0] == "no differences"
     # the src/ total beside the status counts, then each module's lines
     assert out[1].endswith("src/ 10 lines") and out[3] == "parent: src/ lines per module  pkg.a 10"
+    # each suite's time with its three slowest checks beside it
+    assert out[5:7] == [
+        "parent: in-process ms per suite (three slowest checks)  rotations 103 (spin_condition 98.2, compose 3.5,"
+        " boost 1.0)  sphere 12 (closed_form 12.0)",
+        "change: in-process ms per suite (three slowest checks)  rotations 7 (compose 3.5, spin_condition 2.0,"
+        " boost 1.0)  sphere 12 (closed_form 12.0)",
+    ]
     assert out[7:9] == [f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
                         f"  blade tables {tables}  paravector spaces {spaces}  coordinate maps {maps}"
                         for side, tables, spaces, maps in (("parent", 2, 0, 0), ("change", 0, 1, 4))]
@@ -508,9 +519,22 @@ def test_calc_records_that_moved_only_in_their_numbers_are_summed_per_command():
 def test_suite_times_sum_the_checks_of_each_suite_in_first_seen_order():
     times = [["rotations.spin_condition", 380.5], ["sphere.closed_form", 12.0],
              ["rotations.boost", 1.5], ["quantum.interference", 0.25]]
-    assert compare_outputs.suite_times(times) == {"rotations": 382.0, "sphere": 12.0, "quantum": 0.25}
+    assert {suite: ms for suite, (ms, _) in compare_outputs.suite_times(times).items()} == {
+        "rotations": 382.0, "sphere": 12.0, "quantum": 0.25}
     assert list(compare_outputs.suite_times(times)) == ["rotations", "sphere", "quantum"]
     assert compare_outputs.suite_times([]) == {}
+
+
+def test_suite_times_name_the_three_slowest_checks_of_each_suite_slowest_first():
+    times = [["rotations.spin_condition", 98.0], ["rotations.boost", 1.5], ["sphere.closed_form", 12.0],
+             ["rotations.compose", 3.5], ["rotations.inverse", 40.0], ["quantum.a", 0.5], ["quantum.b", 2.0],
+             ["quantum.c", 0.5]]
+    assert {suite: slowest for suite, (_, slowest) in compare_outputs.suite_times(times).items()} == {
+        "rotations": [("spin_condition", 98.0), ("inverse", 40.0), ("compose", 3.5)],
+        "sphere": [("closed_form", 12.0)],
+        # a tie keeps record order
+        "quantum": [("b", 2.0), ("a", 0.5), ("c", 0.5)],
+    }
 
 
 def test_source_lines_counts_the_python_lines_under_src(tmp_path):

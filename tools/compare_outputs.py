@@ -16,7 +16,9 @@ Prints every difference, and for each side the status counts, a SHA-256
 of its records, the line count of its ``src`` with that of each module
 beside it, the in-process time of each verify suite (the sum of its
 checks' ``elapsed_ms``; times are kept out of the records, so out of the
-differences and the SHA-256) and the kernel functions compiled by the end
+differences and the SHA-256) with its three slowest checks and their
+``elapsed_ms`` beside it, so that a suite's gain can be traced to the
+checks that made it, and the kernel functions compiled by the end
 of the calc answers (counted as below, the blade tables' apart from the
 paravector spaces', and the coordinate maps apart from both); exits 0 when the two sides agree and 1 when
 they differ or a traced run below fails.  Calc answers that keep their
@@ -123,14 +125,17 @@ def records(root: Path) -> tuple[dict, str, list, list]:
 
 
 def suite_times(times: list) -> dict:
-    """Milliseconds per verify suite, summed over ``[check_id, elapsed_ms]``
-    pairs; a check's suite is its id up to the first dot, and suites keep
-    the order in which they first appear."""
+    """Per verify suite, over ``[check_id, elapsed_ms]`` pairs, the summed
+    milliseconds and the three slowest checks as ``(name, elapsed_ms)``
+    with the suite's prefix dropped, slowest first (ties in record order);
+    a check's suite is its id up to the first dot, and suites keep the
+    order in which they first appear."""
     out = {}
     for check_id, ms in times:
-        suite = check_id.split(".")[0]
-        out[suite] = out.get(suite, 0.0) + ms
-    return out
+        suite, _, name = check_id.partition(".")
+        out.setdefault(suite, []).append((name, ms))
+    return {suite: (sum(ms for _, ms in checks), sorted(checks, key=lambda check: -check[1])[:3])
+            for suite, checks in out.items()}
 
 
 SETUP_CHILD = r"""
@@ -350,8 +355,9 @@ def main(argv=None) -> int:
         print(f"{side}: src/ lines per module  "
               + "  ".join(f"{name} {count}" for name, count in source_lines(Path(root)).items()))
     for side, *_, times, _ in sides:
-        print(f"{side}: in-process ms per suite  "
-              + "  ".join(f"{suite} {ms:.0f}" for suite, ms in suite_times(times).items()))
+        print(f"{side}: in-process ms per suite (three slowest checks)  " + "  ".join(
+            f"{suite} {ms:.0f} ({', '.join(f'{name} {t:.1f}' for name, t in slowest)})"
+            for suite, (ms, slowest) in suite_times(times).items()))
     for side, *_, (tables, spaces, maps) in sides:
         print(f"{side}: kernel functions compiled by the end of the 3,000 seed-7 calc answers"
               f"  blade tables {tables}  paravector spaces {spaces}  coordinate maps {maps}")
