@@ -16,7 +16,6 @@ from .scalars import (
 from .matrices import (
     HMatrix,
     SingularMatrix,
-    commutator,
     kron,
     pauli2,
     pauli4,

@@ -315,7 +315,7 @@ def _pauli_literals(ctx):
 def _trace_orthogonality(ctx):
     den, (sigmas,) = _numerators({k: pauli4(k) for k in range(1, 16)})
     table = _table(sigmas, sigmas)
-    for k, x in sigmas.items():  # the products' numerators are over den^2
+    for k, x in table.located.items():  # the products' numerators are over den^2
         traces = _block_traces(4, _left_products(x, table))
         yield from (t != [4 * den * den * (k == l), 0, 0, 0] for l, t in zip(sigmas, traces))
 

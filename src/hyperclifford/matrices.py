@@ -10,9 +10,11 @@ check and the library's sums of scaled matrices call directly.
 :meth:`HMatrix.inverse` alone works on :class:`HScalar` entries, since its
 pivots need each entry's modulus and inverse.  The units 1, i, j, ij
 multiply as a signed group (unit a times unit b is unit a XOR b, negated
-when both have the i bit), so the exact product contracts the non-zero
-int numerators through that table, over the product of the two
-denominators, and reduces the result once.  The float product keeps :meth:`HScalar.__mul__`'s terms,
+when both have the i bit), so the exact product locates the non-zero int
+numerators of each factor once and contracts them through that table, over
+the product of the two denominators, and reduces the result once; a fixed
+family of factors, located once, meets many others.  The float product
+keeps :meth:`HScalar.__mul__`'s terms,
 its complex-subring shortcut and the column order of each entry's sum, so
 float results equal the per-entry HScalar loop over non-zero entries bit
 for bit.  An output entry with no non-zero term is ``+0``.
@@ -40,7 +42,6 @@ __all__ = [
     "SingularMatrix",
     "HMatrix",
     "kron",
-    "commutator",
     "pauli2",
     "pauli4",
     "pauli4_literal",
@@ -156,14 +157,6 @@ class HMatrix(RealCoords):
         a zero part keeps its sign and exact numerators are not reduced again."""
         return self._signed(*_adjoint_map(self.n))
 
-    def trace(self) -> HScalar:
-        c, step, den = self.nums, 4 * self.n + 4, self.den
-        parts = list(c[:4])
-        for k in range(step, len(c), step):
-            for u in range(4):
-                parts[u] = parts[u] + c[k + u]
-        return HScalar(*parts) if den is None else HScalar(*[Fraction(p, den) for p in parts])
-
     def inverse(self) -> "HMatrix":
         """Gauss-Jordan elimination over rows of :class:`HScalar` entries.
 
@@ -243,31 +236,15 @@ def _product(exact, r, k, a, b):
     factor are skipped, and an output entry with no non-zero term is ``+0``.
 
     Exact: ``a`` and ``b`` are int numerators, and so is the product, over
-    the product of their denominators; non-zero numerators are contracted
-    through the unit table, and exact sums do not depend on their order.
+    the product of their denominators: :func:`_contract` of the two factors
+    as :func:`_locate` finds their non-zero numerators.
     Float: HScalar.__mul__'s terms and complex-subring shortcut, each entry
     summed in column order, so the result equals the per-entry HScalar loop
     bit for bit.
     """
     width = len(b) // k  # coordinates in a row of b and of the product
     if exact:
-        rows = [None] * k  # indices of the non-zero coordinates of b's rows, on first use
-        out = [0] * (r * width)
-        for idx in compress(range(len(a)), a):
-            row, rest = divmod(idx, 4 * k)
-            kk, u1 = divmod(rest, 4)
-            lo = kk * width
-            line = rows[kk]
-            if line is None:
-                line = rows[kk] = list(compress(range(lo, lo + width), b[lo:lo + width]))
-            base, x1 = row * width - lo, a[idx]
-            for q in line:
-                j = base + (q ^ u1)  # the entry of q in the output row, unit u1 ^ (q & 3)
-                if u1 & q & 1:
-                    out[j] -= x1 * b[q]
-                else:
-                    out[j] += x1 * b[q]
-        return out
+        return _contract(_locate(4 * k, a), _locate(width, b), width)
     c = width // 4
     lhs = [[] for _ in range(k)]  # the non-zero entries of a's columns
     for idx, (x, y, v, w) in enumerate(zip(*[iter(a)] * 4)):
@@ -295,6 +272,38 @@ def _product(exact, r, k, a, b):
     out = []
     for s in acc:
         out += _FLOAT_ZERO if s is None else s
+    return out
+
+
+def _locate(width: int, nums) -> list:
+    """The non-zero int numerators of an exact ring matrix in rows of
+    ``width`` numbers, per row as ``(position in the row, numerator)`` pairs:
+    a factor of :func:`_contract`, left or right.  Position ``p`` is unit
+    ``p & 3`` of entry ``p >> 2`` of its row."""
+    rows = []
+    for _ in range(len(nums) // width):  # a loop: a comprehension costs a call
+        rows.append([])
+    for idx in compress(range(len(nums)), nums):
+        rows[idx // width].append((idx % width, nums[idx]))
+    return rows
+
+
+def _contract(a: list, b: list, width: int) -> list:
+    """The exact product of two :func:`_locate`-d factors, an ``r x k`` and a
+    ``k x c`` matrix of row width ``width = 4c``, as int numerators: each
+    non-zero of ``a`` at entry ``kk`` and unit ``u1`` times each non-zero of
+    ``b``'s row ``kk`` through the unit table.  Exact sums do not depend on
+    their order."""
+    out = [0] * (len(a) * width)
+    for base, line in zip(range(0, len(out), width), a):
+        for p, x1 in line:
+            u1 = p & 3
+            for q, x2 in b[p >> 2]:
+                j = base + (q ^ u1)  # the entry of q in the output row, unit u1 ^ (q & 3)
+                if u1 & q & 1:
+                    out[j] -= x1 * x2
+                else:
+                    out[j] += x1 * x2
     return out
 
 
@@ -327,10 +336,6 @@ def kron(a: HMatrix, b: HMatrix) -> HMatrix:
     rows = [products[k:k + w] for k in range(0, len(products), w)]  # row ia * m + rb: a's entry ia times b's row rb
     parts = [x for ra in range(0, n * n, n) for rb in range(m) for ia in range(ra, ra + n) for x in rows[ia * m + rb]]
     return HMatrix._new(n * m, parts, a.den * b.den if exact else None)
-
-
-def commutator(a: HMatrix, b: HMatrix) -> HMatrix:
-    return a @ b - b @ a
 
 
 # -- Pauli matrices -----------------------------------------------------------

@@ -9,17 +9,19 @@ as exponentials
     e6   g = exp(-i phi/2),           phi = sum phi_ab sigma_ab (4x4)
     r66  g = exp(-i phi/2 + j xi/2)   both index families       (4x4)
 
-on a full ring (len(rep.basis) == 4n^2), and certified at construction by one
-product on their matrix, g @ adjoint(g) = 1: that is g*bar(g) = 1, as bar is
-the adjoint, and implies hat(g)^-1 = dagger(g), which lets the action skip an
-inverse.  A rotor holds that matrix and acts by two products with dagger(g), a
-signed permutation of its coordinates.  The exponent is X = sum z_k sigma_k
+on a full ring (len(rep.basis) == 4n^2), and certified at construction by
+g @ adjoint(g) = 1, one complex product on g's null components over
+(1 +- j)/2: that is g*bar(g) = 1, as bar is the adjoint, and implies
+hat(g)^-1 = dagger(g), which lets the action skip an inverse.  A rotor holds
+its matrix and acts by two products with dagger(g), a signed permutation of
+its coordinates.  The exponent is X = sum z_k sigma_k with j-free sigma_k
 (h1: one term z on the 1x1 identity).  When the sigma_k pairwise anticommute
 (h1, m4; planes sharing one index) X squares to s = sum z_k^2 and g = cosh r +
-(sinh r / r) X is built on the null components over (1 +- j)/2 with no matrix
-product, r = z for one term and r^2 = s for several; any other exponent takes
-the series, mat_exp.  Generator relations are tables: two ring products per left
-generator X_p give [X_p, Y_q] for every q, checked against structure constants.
+(sinh r / r) X is built on the null components with no matrix product, r = z
+for one term and r^2 = s for several; any other exponent is summed on its two
+null components, and each takes the series.  Generator relations are tables:
+two exact contractions per left generator X_p give [X_p, Y_q] for every q,
+checked against structure constants.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
-from operator import add, itemgetter, neg, sub
+from itertools import chain, combinations, compress, product, repeat
+from operator import add, attrgetter, itemgetter, mul, neg, sub
+from types import SimpleNamespace
 
 from .algebra import AlgebraRep, Multivector, _compiled, _names
-from .matrices import HMatrix, _product, _sigma_indices, _weighted_sum, commutator, pauli2, sigma_ab
+from .matrices import HMatrix, _contract, _locate, _product, _sigma_indices, pauli2, sigma_ab
 from .paravectors import Paravector, _sphere_entering, get_space
 from .scalars import BackendMismatch, HScalar, _floats, _null_coords, _trig_tilde, from_null_coords
 
@@ -46,7 +49,6 @@ __all__ = [
     "rotor_from_matrix",
     "act",
     "mat_exp",
-    "commutator",
     "lorentz_generators",
     "su4_generator",
     "hyperbolic_generator",
@@ -70,6 +72,8 @@ CERT_TOL = 1e-12
 _HALF_AT, _MAX_HALVINGS, _TAYLOR = 0.5, 64, tuple(1.0 / math.factorial(k) for k in range(16))
 # Relative bound on a rotation image's part outside the paravector span.
 _SPAN_TOL = 1e-9
+# The parts of a complex number, for maps over complex lists.
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 # Rotation planes of the five-rotation sphere composition, with the sign
 # each plane's angle carries inside the exponent, in application order.
@@ -170,19 +174,18 @@ def _kernels(n: int) -> tuple:
             _compiled(["def block(c0, c1, c2, c3, x, y, z):", *unpack[2:], f"    return [{block}]"], "block"))
 
 
-def _series(parts: list, n: int) -> list:
-    """exp(a) for a complex n x n matrix a as flat real and imaginary parts, by
-    scaling and squaring: the degree-15 Taylor polynomial of the halved a in six
-    products (Paterson-Stockmeyer: a^2, a^3, a^4, then Horner in a^4), each
-    product and Horner block one call of :func:`_kernels`."""
+def _series(a: list, n: int) -> list:
+    """exp(a) for a complex n x n matrix a, a row-major list, as flat real and
+    imaginary parts, by scaling and squaring: the degree-15 Taylor polynomial
+    of the halved a in six products (Paterson-Stockmeyer: a^2, a^3, a^4, then
+    Horner in a^4), each product and Horner block one call of :func:`_kernels`."""
     product, block = _kernels(n)
-    a = list(map(complex, parts[0::2], parts[1::2]))
     norm, halvings = max(sum(map(abs, a[c::n])) for c in range(n)), 0
     while not norm <= _HALF_AT:  # a NaN norm too
         if halvings >= _MAX_HALVINGS:
             raise SeriesNonConvergence("exponential argument too large")
         norm, halvings = norm * 0.5, halvings + 1
-    a1 = [z * 0.5 ** halvings for z in a]
+    a1 = list(map(mul, a, repeat(0.5 ** halvings)))
     a2 = product(a1, a1)
     powers, a4, acc = (a1, a2, product(a2, a1)), product(a2, a2), None
     for cs in (_TAYLOR[12:], _TAYLOR[8:12], _TAYLOR[4:8], _TAYLOR[:4]):
@@ -192,7 +195,7 @@ def _series(parts: list, n: int) -> list:
         acc = product(acc, acc)
     if not all(map(cmath.isfinite, acc)):
         raise SeriesNonConvergence("exponential argument too large")
-    return [q for z in acc for q in (z.real, z.imag)]
+    return list(chain.from_iterable(zip(map(_REAL, acc), map(_IMAG, acc))))
 
 
 def _cosh_sinhc(r: complex) -> tuple:
@@ -234,19 +237,25 @@ def _closed_form(n: int, terms) -> HMatrix:
     return HMatrix._new(n, out, None)
 
 
+def _exponential(n: int, plus: list, minus: list) -> HMatrix:
+    """exp of the n x n matrix of complex null components ``plus`` and
+    ``minus``: :func:`_series` on each (once when they are equal), joined."""
+    try:
+        exp_plus = _series(plus, n)
+        exp_minus = exp_plus if minus == plus else _series(minus, n)
+    except OverflowError:
+        raise SeriesNonConvergence("exponential argument too large") from None
+    return HMatrix._new(n, from_null_coords(exp_plus, exp_minus), None)
+
+
 def mat_exp(x: HMatrix) -> HMatrix:
-    """Exponential of a float-backend matrix by the series: each of its two
-    complex null components (:func:`to_null_coords`; one when x has no j
-    part) is scaled, squared back and joined.  Overflow raises
+    """Exponential of a float-backend matrix: :func:`_exponential` of its
+    null components (:func:`to_null_coords`).  Overflow raises
     :class:`SeriesNonConvergence`."""
     if x.is_exact:
         raise BackendMismatch("mat_exp takes a float-backend matrix")
     plus, minus = _null_coords(x.nums)
-    try:  # no j part: one component
-        exps = [_series(a, x.n) for a in ((plus,) if minus == plus else (plus, minus))]
-    except OverflowError:
-        raise SeriesNonConvergence("exponential argument too large") from None
-    return HMatrix._new(x.n, from_null_coords(exps[0], exps[-1]), None)
+    return _exponential(x.n, list(map(complex, plus[0::2], plus[1::2])), list(map(complex, minus[0::2], minus[1::2])))
 
 
 def h1_null_pair(phi: float, xi: float) -> tuple[complex, complex]:
@@ -281,6 +290,21 @@ def _sigma_ab_float(a: int, b: int) -> HMatrix:
     return sigma_ab(a, b).to_float()
 
 
+def _null_exponent(n: int, terms) -> tuple[list, list]:
+    """The null components of X = sum z_k m_k over ``(z_k, m_k)`` terms with
+    j-free m_k, as complex lists: z = x + iy + jv + ijw adds (x+v + i(y+w)) m_k
+    to one and (x-v + i(y-w)) m_k to the other, on m_k's non-zero entries."""
+    plus, minus = [0j] * (n * n), [0j] * (n * n)
+    for z, m in terms:
+        x, y, v, w = z.coeffs()
+        zp, zm = complex(x + v, y + w), complex(x - v, y - w)
+        entries = list(map(complex, m.nums[0::4], m.nums[1::4]))
+        for k in compress(range(n * n), entries):
+            plus[k] += zp * entries[k]
+            minus[k] += zm * entries[k]
+    return plus, minus
+
+
 def _exponent_terms(params: RotorParams) -> tuple[list, bool]:
     """The exponent's terms (z, sigma), z = (-i phi + j xi)/2 on the 1x1
     identity (h1), sigma_k (m4) or a plane's sigma_ab (e6, r66), and whether
@@ -298,17 +322,50 @@ def _exponent_terms(params: RotorParams) -> tuple[list, bool]:
     return terms, anticommute
 
 
+def _transposed(n: int, entries) -> list:
+    """The n x n row-major ``entries`` transposed."""
+    return list(chain.from_iterable(zip(*zip(*[iter(entries)] * n))))
+
+
+def _spin_residual(m: HMatrix) -> float:
+    """How far g*bar(g) = 1 is from holding on g's matrix m: adjoint swaps m's
+    null components P, M and conjugate-transposes them, so m @ m.adjoint() is
+    (P M^H, (P M^H)^H), and the largest real or imaginary part of P M^H - 1,
+    between (m @ m.adjoint() - 1).max_abs() and twice it, is the residual.
+    Floats take the series' kernel (NaN when a part is NaN), exact numerators
+    ``_product`` with no j part."""
+    n, (p, mc) = m.n, _null_coords(m.nums)
+    if m.den is None:
+        d = _kernels(n)[0](list(map(complex, p[0::2], p[1::2])),
+                           _transposed(n, map(complex, mc[0::2], map(neg, mc[1::2]))))
+        for k in range(0, n * n, n + 1):
+            d[k] -= 1.0
+        parts = [*map(abs, map(_REAL, d)), *map(abs, map(_IMAG, d))]
+        return math.nan if math.isnan(sum(parts)) else max(parts)
+    zeros = repeat(0)  # the j parts of the j-free numerators
+    d = _product(True, n, n, list(chain.from_iterable(zip(p[0::2], p[1::2], zeros, zeros))),
+                 list(chain.from_iterable(_transposed(n, zip(mc[0::2], map(neg, mc[1::2]), zeros, zeros)))))
+    one = m.den * m.den
+    for k in range(0, len(d), 4 * n + 4):
+        d[k] -= one
+    return max(map(abs, d)) / one
+
+
 def rotor_from_matrix(rep: AlgebraRep, m: HMatrix, params: RotorParams | None = None) -> Rotor:
     """Certify and wrap a group-element matrix, in its own backend: g*bar(g) = 1
-    as (m @ m.adjoint() - 1).max_abs() <= CERT_TOL*(1 + |m|^2).  rep must be a
-    full ring of m's size (``len(rep.basis) == 4n^2``), where every matrix is
-    an element and dagger acts: else ``ValueError``."""
+    as :func:`_spin_residual` <= CERT_TOL*(1 + |m|^2), a bound past the float
+    range refused as residual NaN.  rep must be a full ring of m's size
+    (``len(rep.basis) == 4n^2``), where every matrix is an element and dagger
+    acts: else ``ValueError``."""
     if m.n != rep.n or len(rep.basis) != 4 * rep.n * rep.n:
         raise ValueError(f"rotors need a full-ring representation of {m.n}x{m.n} matrices, not {rep.name}")
     size = m.max_abs()
-    spin = (m @ m.adjoint() - HMatrix.identity(m.n, exact=m.is_exact)).max_abs()
-    # accepts only on "<=", so a NaN is rejected; inf where size ** 2 raises
-    if not (spin <= CERT_TOL * (1.0 + size * size)):
+    bound = CERT_TOL * (1.0 + size * size)
+    # an infinite bound certifies nothing (|m|^2 is past the float range, where
+    # m @ m.adjoint() overflows), nor does a NaN one: the residual is then NaN,
+    # and the test accepts only on "<=", so a NaN is rejected
+    spin = _spin_residual(m) if bound < math.inf else math.nan
+    if not (spin <= bound):
         raise ValueError(f"spin condition violated: residual {spin:.3e}")
     return Rotor(rep, m, spin, params)
 
@@ -318,9 +375,7 @@ def rotor_from_params(params: RotorParams) -> Rotor:
     terms, anticommute = _exponent_terms(params)
     if anticommute:
         return rotor_from_matrix(rep, _closed_form(rep.n, terms), params)
-    zs, sigmas = zip(*terms)
-    m = mat_exp(_weighted_sum([q for z in zs for q in z.coeffs()], None, sigmas))
-    return rotor_from_matrix(rep, m, params)
+    return rotor_from_matrix(rep, _exponential(rep.n, *_null_exponent(rep.n, terms)), params)
 
 
 def act(rotor: Rotor, x: Paravector) -> Paravector:
@@ -420,29 +475,32 @@ def _times_i(gens: dict) -> dict:
     return {p: g.scale(unit_i) for p, g in gens.items()}
 
 
-def _table(keys, nums: dict) -> tuple:
-    """n, the n x n numerators ``nums`` of ``keys`` side by side (n rows)
-    and stacked, and the getter that reads a product with the side-by-side
-    numbers as stacked blocks."""
+def _table(keys, nums: dict) -> SimpleNamespace:
+    """The exact n x n numerators ``nums`` of ``keys`` located once as factors
+    (:func:`~.matrices._locate`), by field: each member (``located``), the
+    family ``side`` by side (n rows of ``width``) and ``stacked``, and the
+    getter ``blocks`` of a side product's stacked blocks."""
     keys, n = list(keys), math.isqrt(len(next(iter(nums.values()), ())) // 4)
     w, count = 4 * n, len(keys)
+    located = dict(zip(keys, map(_locate, repeat(w), map(nums.__getitem__, keys))))
     order = [r * w * count + q * w + c for q in range(count) for r in range(n) for c in range(w)]
-    return (n, [x for r in range(0, w * n, w) for p in keys for x in nums[p][r:r + w]],
-            list(chain.from_iterable(map(nums.__getitem__, keys))), itemgetter(*order) if order else tuple)
+    side = _locate(w * count, [x for r in range(0, w * n, w) for p in keys for x in nums[p][r:r + w]])
+    return SimpleNamespace(n=n, located=located, side=side, width=w * count,
+                           stacked=list(chain.from_iterable(map(located.__getitem__, keys))),
+                           blocks=itemgetter(*order) if order else tuple)
 
 
-def _left_products(x, table) -> tuple:
-    """x Y_q for every Y_q of a :func:`_table`, stacked: one ring product."""
-    n, side, _, blocks = table
-    return blocks(_product(True, n, n, x, side))
+def _left_products(x, table: SimpleNamespace) -> tuple:
+    """x Y_q for every Y_q of a :func:`_table`, stacked, x located: one
+    contraction."""
+    return table.blocks(_contract(x, table.side, table.width))
 
 
-def _bracket_failures(x, table, *wants) -> list[int]:
+def _bracket_failures(x, table: SimpleNamespace, *wants) -> list[int]:
     """How many stacked blocks of [x, Y_q] over the Y_q of a :func:`_table` differ
-    from each of ``wants``: x Y_q from one product with the family side by
-    side, Y_q x from one with it stacked."""
-    n, _, stacked, _ = table
-    size, right = 4 * n * n, _product(True, len(stacked) // (4 * n), n, stacked, x)
+    from each of ``wants``, x located: x Y_q from one contraction with the
+    family side by side, Y_q x from one with it stacked."""
+    size, right = 4 * table.n * table.n, _contract(table.stacked, x, 4 * table.n)
     lhs = list(map(sub, _left_products(x, table), right))
     return [0 if lhs == want else sum(lhs[s:s + size] != want[s:s + size] for s in range(0, len(lhs), size))
             for want in wants]  # no block differs when the lists are equal
@@ -471,8 +529,9 @@ def _count_relations(keys, j, k, constants) -> list[int]:
     den, (j, k, ij, ik) = _numerators(j, k, _times_i(j), _times_i(k))
     tj, tk = _table(keys, j), _table(keys, k)
     for p, (fj, fk) in zip(keys, _structure(keys, constants, den, ij, ik)):
-        counts = list(map(add, counts, _bracket_failures(j[p], tj, fj) + _bracket_failures(j[p], tk, fk)
-                          + _bracket_failures(k[p], tk, list(map(neg, fj)), list(map(neg, fk)))))
+        jp, kp = tj.located[p], tk.located[p]
+        counts = list(map(add, counts, _bracket_failures(jp, tj, fj) + _bracket_failures(jp, tk, fk)
+                          + _bracket_failures(kp, tk, list(map(neg, fj)), list(map(neg, fk)))))
     return counts
 
 
@@ -546,8 +605,9 @@ def verify_null_split(j_gens: dict, k_gens: dict, keys, constants) -> dict:
     den, (a, b, ia, ib) = _numerators(a_set, b_set, _times_i(a_set), _times_i(b_set))
     ta, tb = _table(keys, a), _table(keys, b)
     for p, (fa, fb) in zip(keys, _structure(keys, constants, den, ia, ib)):
-        cross += _bracket_failures(a[p], tb, [0] * len(fa))[0]
-        sum_err += _bracket_failures(a[p], ta, fa)[0] + _bracket_failures(b[p], tb, fb)[0]
+        ap, bp = ta.located[p], tb.located[p]
+        cross += _bracket_failures(ap, tb, [0] * len(fa))[0]
+        sum_err += _bracket_failures(ap, ta, fa)[0] + _bracket_failures(bp, tb, fb)[0]
     return {
         "cross_failures": cross,
         "structure_failures": sum_err,

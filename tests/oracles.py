@@ -60,7 +60,6 @@ from hyperclifford.matrices import (
     SingularMatrix,
     _product,
     _weighted_sum,
-    commutator,
     pauli2,
     pauli4,
     sigma_ab,
@@ -303,8 +302,43 @@ def exponent_matrix(params: RotorParams) -> HMatrix:
     terms, _ = _exponent_terms(params)
     if not terms:
         return HMatrix.zeros(4, exact=False)
+    return terms_matrix(terms)
+
+
+def terms_matrix(terms) -> HMatrix:
+    """The ring sum of ``(z, sigma)`` terms by ``_weighted_sum``: the exponent
+    as :func:`exponent_matrix` builds it."""
     zs, sigmas = zip(*terms)
     return _weighted_sum([q for z in zs for q in z.coeffs()], None, sigmas)
+
+
+def exponent_components(n: int, terms) -> tuple[list, list]:
+    """The null components of :func:`terms_matrix`, split by
+    ``to_null_coords``, as complex lists: the oracle of the component
+    exponent ``rotors._null_exponent``, on its arguments."""
+    return tuple(list(map(complex, c[0::2], c[1::2])) for c in to_null_coords(terms_matrix(terms).coords))
+
+
+def exponent_cases(space, exact):
+    """The exponent terms of 100 seeded parameters of the space (one to six
+    planes in e6 and r66), and 100 of its generator sets with coefficients
+    of all four parts."""
+    rng, n = random.Random(f"exponent-{space}"), get_space(space).rep.n
+    cases = [(n, _exponent_terms(random_params(space, rng))[0]) for _ in range(100)]
+    for _ in range(100):
+        sigmas = [m for _, m in _exponent_terms(random_params(space, rng))[0]]
+        if space in ("e6", "r66"):
+            sigmas = [rotors._sigma_ab_float(*p) for p in rng.sample(rotors._INDEX_PAIRS, rng.randint(1, 6))]
+        cases.append((n, [(HScalar(*[rng.uniform(-2, 2) for _ in range(4)]), m) for m in sigmas]))
+    return cases
+
+
+def within_component_norm(got, want, n, terms) -> bool:
+    """Both components, part by part, within eps times :func:`component_norm`
+    of the exponent: the two sums add the same exact terms in another order."""
+    bound = 2.0**-52 * component_norm(terms_matrix(terms))
+    return all(type(a) is type(b) is complex and abs(a.real - b.real) <= bound and abs(a.imag - b.imag) <= bound
+               for g, w in zip(got, want, strict=True) for a, b in zip(g, w, strict=True))
 
 
 def component_norm(x: HMatrix) -> float:
@@ -1353,7 +1387,84 @@ def mat_exp_cases(over, exact):
     return [(x,) for x in xs]
 
 
+# -- the oracles: the rotor certificate -----------------------------------------
+
+
+def ring_certificate(m: HMatrix) -> float:
+    """The certificate as one ring product took it, (m @ m.adjoint() - 1).max_abs():
+    the oracle of ``rotors._spin_residual``."""
+    return (m @ m.adjoint() - HMatrix.identity(m.n, exact=m.is_exact)).max_abs()
+
+
+def cayley_plane_rotor(b: HMatrix, t: Fraction, square: int = -1) -> HMatrix:
+    """(1 + t B)^2 / (1 - square t^2) for a plane generator B with
+    B^2 = square: the rotation cos + sin B (square -1) or the boost
+    cosh + sinh B (square +1) with the rational tangent t of half its
+    angle or rapidity."""
+    one = HMatrix.identity(b.n)
+    half = one + b.scale(t)
+    return (half @ half).scale(1 / (1 - square * t * t))
+
+
+def cayley_rotor(space, rng) -> HMatrix:
+    """An exact group element of the space: the product of three Cayley plane
+    rotors of random rational tangents on its generators, -i sigma (B^2 = -1)
+    and, except in e6, j sigma (B^2 = +1)."""
+    n = get_space(space).rep.n
+    sigmas = ([HMatrix.identity(1)] if n == 1 else [pauli2(k) for k in (1, 2, 3)] if space == "m4"
+              else [sigma_ab(*p) for p in rotors._INDEX_PAIRS])
+    units = [((0, -1), -1)] + ([] if space == "e6" else [((0, 0, 1), 1)])
+    g = HMatrix.identity(n)
+    for _ in range(3):
+        unit, square = rng.choice(units)
+        t = Fraction(rng.randint(-9, 9), rng.randint(10, 40))
+        g = g @ cayley_plane_rotor(rng.choice(sigmas).scale(HScalar.exact(*unit)), t, square)
+    return g
+
+
+def perturbed(m: HMatrix, rng) -> HMatrix:
+    """m with one coordinate moved by 1e-6 (exact: 1/10^6): no group element."""
+    k, nums = rng.randrange(len(m.nums)), list(m.coords)
+    nums[k] += Fraction(1, 10**6) if m.is_exact else 1e-6
+    return HMatrix.from_real_coords(nums)
+
+
+def certificate_cases(space, exact):
+    """Twenty seeded rotor matrices of the space and each with one coordinate
+    perturbed: float rotors of :func:`random_params`, exact
+    :func:`cayley_rotor` products."""
+    rng = random.Random(f"certificate-{space}-{exact}")
+    ms = [cayley_rotor(space, rng) if exact else rotors.rotor_from_params(random_params(space, rng)).m
+          for _ in range(20)]
+    return [(m,) for m in ms] + [(perturbed(m, rng),) for m in ms]
+
+
+def once_to_twice(got, want, m) -> bool:
+    """The component residual lies between the ring residual and twice it:
+    exactly on the exact backend, where both are the floats nearest their
+    rationals; on floats within 4 eps of each side in the certificate's unit
+    1 + |m|^2, the size of the rounding in either product."""
+    slack = 0.0 if m.is_exact else 4 * 2.0**-52 * (1.0 + m.max_abs() ** 2)
+    return want - slack <= got <= 2.0 * want + slack
+
+
 # -- the oracles: generator relations -------------------------------------------
+
+
+def commutator(a: HMatrix, b: HMatrix) -> HMatrix:
+    """[a, b] = a @ b - b @ a, two ring products: the relation tables' oracle."""
+    return a @ b - b @ a
+
+
+def trace(m: HMatrix) -> HScalar:
+    """The sum of m's diagonal entries, one coordinate at a time: the oracle
+    of ``matrices._block_traces``."""
+    c, step, den = m.nums, 4 * m.n + 4, m.den
+    parts = list(c[:4])
+    for k in range(step, len(c), step):
+        for u in range(4):
+            parts[u] = parts[u] + c[k + u]
+    return HScalar(*parts) if den is None else HScalar(*[Fraction(p, den) for p in parts])
 
 
 def index_rhs(gens: dict, ab, cd) -> HMatrix:
@@ -1594,8 +1705,8 @@ ORACLES = {
     "test_matrices::test_inverse_matches_reference_on_rotor_matrices": [
         Row("matrices.HMatrix.inverse", inverse_reference, rotor_matrices, ("m4", "e6", "r66"), FLOAT, same_bits)],
     "test_matrices::test_rectangular_product_matches_per_entry_reference": [
-        Row("matrices._product", lambda exact, r, k, a, b: product_reference(a, b), rectangular_cases, NONE, BOTH,
-            same_bits, call=rectangular_product)],
+        Row("matrices._product matrices._locate matrices._contract", lambda exact, r, k, a, b: product_reference(a, b),
+            rectangular_cases, NONE, BOTH, same_bits, call=rectangular_product)],
     "test_matrices::test_weighted_sum_is_the_sum_of_scaled_matrices": [
         Row("matrices._weighted_sum", lambda zs, mats: HMatrix.from_real_coords(product_reference([zs], [
             [e for row in m.rows for e in row] for m in mats])), weighted_cases, NONE, BOTH, same_bits,
@@ -1630,7 +1741,14 @@ ORACLES = {
         Row("rotors._kernels", horner_block, part(series_cases, 1), SIZES, FLOAT, same_bits,
             call=lambda n, cs, a, b, c: rotors._kernels(n)[1](*cs, a, b, c))],
     "test_rotors::test_mat_exp_is_the_loop_series_bit_for_bit": [
-        Row("rotors.mat_exp", loop_mat_exp, mat_exp_cases, NONE, FLOAT, same_bits)],
+        Row("rotors.mat_exp rotors._exponential rotors._series", loop_mat_exp, mat_exp_cases, NONE, FLOAT, same_bits)],
+    "test_rotors::test_the_component_exponent_is_the_ring_sum_split": [
+        Row("rotors._null_exponent", exponent_components, exponent_cases, ("h1", "m4", "e6", "r66"),
+            FLOAT, within_component_norm)],
+    # -- the rotor certificate
+    "test_rotors::test_the_component_residual_is_once_to_twice_the_ring_residual": [
+        Row("rotors._spin_residual", ring_certificate, certificate_cases, ("h1", "m4", "e6", "r66"),
+            BOTH, once_to_twice)],
     # -- generator relations: every failing ordered pair counts as the loop counts it
     "test_rotors::test_relation_tables_count_as_the_per_pair_loop": [
         Row(f"rotors._count_relations {RELATIONS}", lambda j, k, keys, c, rhs: count_relations_loop(keys, j, k, rhs),

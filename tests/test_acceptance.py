@@ -40,7 +40,7 @@ from hyperclifford.rotors import (
     verify_lorentz_commutators,
 )
 from hyperclifford.scalars import HScalar, from_null_coords, to_null_coords
-from oracles import random_params
+from oracles import random_params, trace
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -144,7 +144,7 @@ def test_criterion_04_pauli_tables():
         four, zero = HScalar.exact(4), HScalar.exact(0)
         for k in range(1, 16):
             for l in range(1, 16):
-                assert (pauli4(k) @ pauli4(l)).trace() == (four if k == l else zero)
+                assert trace(pauli4(k) @ pauli4(l)) == (four if k == l else zero)
 
 
 def test_criterion_05_commutators():

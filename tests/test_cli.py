@@ -220,8 +220,9 @@ def test_the_calculator_never_enters_the_verifier_only_paths(capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("the calculator entered a verifier-only path")
 
-    for name in ("mat_exp", "_count_relations", "verify_null_split", "_check_family", "_numerators", "_times_i",
-                 "_table", "_bracket_failures", "_left_products", "_structure", "_index_constants", "_eps_constants"):
+    for name in ("mat_exp", "_null_exponent", "_exponential", "_series", "_count_relations", "verify_null_split",
+                 "_check_family", "_numerators", "_times_i", "_table", "_bracket_failures", "_left_products",
+                 "_structure", "_index_constants", "_eps_constants"):
         monkeypatch.setattr(rotors, name, refuse)
     monkeypatch.setattr(HMatrix, "inverse", refuse)
     monkeypatch.setattr(Multivector, "gp_blades", refuse)

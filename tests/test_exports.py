@@ -27,3 +27,13 @@ def test_every_export_resolves(name):
     namespace = {}
     exec(f"from hyperclifford.{name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_the_relation_oracles_are_no_library_names():
+    # the commutator and the trace serve only the tests, as oracles of the
+    # relation tables and of matrices._block_traces (tests/oracles.py)
+    from hyperclifford import matrices, rotors
+
+    assert not hasattr(hyperclifford, "commutator") and not hasattr(matrices, "commutator")
+    assert "commutator" not in matrices.__all__ + rotors.__all__
+    assert not hasattr(matrices.HMatrix, "trace")

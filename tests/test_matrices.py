@@ -31,6 +31,7 @@ from oracles import (
     oracle_tests,
     random_hmatrix,
     same_bits,
+    trace,
     within,
 )
 
@@ -90,7 +91,7 @@ def test_pauli4_hermitian_and_involutive():
 def test_trace_orthogonality():
     for k in range(1, 16):
         for l in range(1, 16):
-            t = (pauli4(k) @ pauli4(l)).trace()
+            t = trace(pauli4(k) @ pauli4(l))
             assert t == (H(4) if k == l else H(0))
 
 
@@ -102,7 +103,7 @@ def test_block_traces_are_the_traces_of_stacked_blocks(n):
     blocks = [random_hmatrix(n, range(4), True, 0.7, rng) for _ in range(5)]
     den = math.lcm(*[m.den for m in blocks])
     nums = [x * (den // m.den) for m in blocks for x in m.nums]
-    assert [[Fraction(x, den) for x in t] for t in _block_traces(n, nums)] == [list(m.trace().coeffs()) for m in blocks]
+    assert [[Fraction(x, den) for x in t] for t in _block_traces(n, nums)] == [list(trace(m).coeffs()) for m in blocks]
     assert _block_traces(n, []) == []
 
 

@@ -13,8 +13,9 @@ SRC = Path(hyperclifford.__file__).parent
 TESTS = Path(__file__).parent
 
 # the generated-code compiler, the sign map, the coordinate-table gather and
-# scatter, the generator of their maps, and the matrix product kernel
-PRIMITIVES = {"_compiled", "_signed", "_gather", "_scatter", "_linear", "_product"}
+# scatter, the generator of their maps, the matrix product kernel with its
+# exact halves, and the rotor series' compiled complex kernels
+PRIMITIVES = {"_compiled", "_signed", "_gather", "_scatter", "_linear", "_product", "_locate", "_contract", "_kernels"}
 
 
 @cache
@@ -43,8 +44,9 @@ def named_kernels() -> set:
 
 def test_every_function_that_runs_a_fixed_table_primitive_has_a_row():
     callers = {name for name, calls in library_functions().items() if calls & PRIMITIVES}
-    # 5 functions run _compiled (6 call sites), 7 _signed, 2 _gather, 2 _scatter, 2 _linear, 5 _product
-    assert len(callers) >= 23
+    # 5 functions run _compiled (6 call sites), 7 _signed, 2 _gather, 2 _scatter, 2 _linear, 4 _product,
+    # 2 _locate, 3 _contract and 2 _kernels
+    assert len(callers) >= 27
     assert sorted(callers - named_kernels()) == []
 
 

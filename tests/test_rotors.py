@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import hyperclifford.matrices as matrices_module
 import hyperclifford.rotors as rotors_module
 from hyperclifford.algebra import AlgebraRep, Multivector, get_rep
-from hyperclifford.matrices import HMatrix, commutator, pauli2, sigma_ab
+from hyperclifford.matrices import HMatrix, pauli2, sigma_ab
 from hyperclifford.paravectors import SPACE_NAMES, get_space, quasi_sphere_residual
 from hyperclifford.rotors import (
     _INDEX_PAIRS,
@@ -45,6 +45,9 @@ from hyperclifford.rotors import (
 )
 from hyperclifford.scalars import BackendMismatch, HScalar, from_null_coords, to_null_coords
 from oracles import (
+    cayley_plane_rotor,
+    cayley_rotor,
+    commutator,
     component_norm,
     exponent_matrix,
     index_rhs,
@@ -121,16 +124,6 @@ def test_rotor_certificates():
             assert dagger_residual(r) <= 1e-12
 
 
-def cayley_plane_rotor(b: HMatrix, t: Fraction, square: int = -1) -> HMatrix:
-    """(1 + t B)^2 / (1 - square t^2) for a plane generator B with
-    B^2 = square: the rotation cos + sin B (square -1) or the boost
-    cosh + sinh B (square +1) with the rational tangent t of half its
-    angle or rapidity."""
-    one = HMatrix.identity(b.n)
-    half = one + b.scale(t)
-    return (half @ half).scale(1 / (1 - square * t * t))
-
-
 @pytest.mark.parametrize(
     "space, plane", [("m4", lambda: pauli2(3)), ("e6", lambda: sigma_ab(1, 2))], ids=["m4-sigma3", "e6-sigma12"]
 )
@@ -162,6 +155,30 @@ def test_exact_cayley_boost_certifies_at_large_rapidity(k):
     ch, sh = c * c + s * s, 2 * c * s
     assert out == m4.paravector([3 * ch + 19 * sh, -11, 7, 3 * sh + 19 * ch])
     assert out.is_exact and out.qform() == x.qform()
+
+
+@pytest.mark.parametrize("space", ["h1", "m4", "e6", "r66"])
+def test_exact_cayley_rotors_certify_with_a_zero_residual(space):
+    # products of three Cayley plane rotors are exact group elements: the
+    # component residual is exactly zero, as the ring residual is
+    rng = random.Random(f"cayley-{space}")
+    for _ in range(10):
+        r = rotor_from_matrix(get_space(space).rep, cayley_rotor(space, rng))
+        assert r.m.is_exact and (r.spin_residual, dagger_residual(r)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("space", ["h1", "m4", "e6", "r66"])
+def test_a_rotor_with_one_entry_perturbed_is_no_group_element(space, exact):
+    # a valid rotor with one coordinate of one entry moved by 1e-6 (1/10^6
+    # exact) fails the certificate on either backend, at every coordinate
+    rng, rep = random.Random(f"perturbed-{space}"), get_space(space).rep
+    m = cayley_rotor(space, rng) if exact else rotor_from_params(random_params(space, rng)).m
+    for k in range(len(m.nums)):
+        coords = list(m.coords)
+        coords[k] += Fraction(1, 10**6) if exact else 1e-6
+        with pytest.raises(ValueError, match="spin condition violated"):
+            rotor_from_matrix(rep, HMatrix.from_real_coords(coords))
 
 
 def test_act_on_an_exact_rotor_stays_in_the_paravector_backend():
@@ -410,30 +427,34 @@ def test_planes_anticommute_exactly_when_they_share_one_index():
 
 
 def test_anticommuting_exponents_take_no_matrix_product(monkeypatch):
-    # an h1, m4 or one-plane rotor takes one product, its certificate, and the
-    # sphere's plane rotors take no mat_exp; commuting planes still do, and
-    # the series of mat_exp takes no ring product either
+    # an h1, m4 or one-plane rotor takes no ring product: the closed form and
+    # the certificate both work on the null components, and the sphere's plane
+    # rotors take no series; commuting planes still do, once per distinct null
+    # component of the exponent, built with no ring matrix and no mat_exp
     for space in ("h1", "m4", "e6", "r66"):
         get_space(space)  # the spaces are built once, by products
-    products, exps, matmul, mat_exp_ = [], [], HMatrix.__matmul__, rotors_module.mat_exp
+    products, series, calls = [], rotors_module._series, Counter()
+    matmul, mat_exp_, weighted_sum = HMatrix.__matmul__, rotors_module.mat_exp, matrices_module._weighted_sum
     monkeypatch.setattr(HMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
-    monkeypatch.setattr(rotors_module, "mat_exp", lambda x: exps.append(1) or mat_exp_(x))
+    monkeypatch.setattr(rotors_module, "mat_exp", lambda x: calls.update(["mat_exp"]) or mat_exp_(x))
+    monkeypatch.setattr(rotors_module, "_series", lambda a, n: calls.update(["series"]) or series(a, n))
+    monkeypatch.setattr(matrices_module, "_weighted_sum", lambda *a: calls.update(["sums"]) or weighted_sum(*a))
     for params in (RotorParams.h1(0.9, -0.4), RotorParams.m4(phi=(0.4, -0.9, 1.2), xi=(0.3, -1.1, 0.7)),
                    RotorParams.m4(xi=(0, 0, 2.0)), RotorParams.e6({(0, 3): 0.7}),
                    RotorParams.r66({(2, 5): 0.8}, {(2, 5): -0.3})):
-        products.clear()
         rotor_from_params(params)
-        assert len(products) == 1
+        assert products == []
     angles, xis = (0.3, 0.2, -0.4, 0.9, 0.1), (0.5, -0.3, 0.2, 0.0, 0.7)
-    products.clear()
     sphere_point_via_rotors(1.0, angles)
-    # four products compose the five planes, one certifies, two act
-    assert len(products) == 7
+    # four products compose the five planes and two act; the certificate takes none
+    assert len(products) == 6
     quasi_sphere_point_r66_via_rotors(1.0, angles, xis)
-    assert exps == []
+    assert calls == Counter()
     products.clear()
-    rotor_from_params(RotorParams.e6({(0, 1): 0.3, (2, 3): -0.5}))
-    assert exps == [1] and len(products) == 1
+    rotor_from_params(RotorParams.e6({(0, 1): 0.3, (2, 3): -0.5}))  # no j part: one component
+    assert (calls, products) == (Counter(series=1), [])
+    rotor_from_params(RotorParams.r66({(0, 1): 0.3}, {(2, 3): -0.5}))
+    assert (calls, products) == (Counter(series=3), [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -547,7 +568,7 @@ def test_index_commutator_relations():
 
 def test_relation_loops_build_each_ordered_product_once(monkeypatch):
     # the relations are tables: per left generator X_p, each bracket family
-    # [X_p, Y_q] over every q is two ring products, X_p (Y side by side) and
+    # [X_p, Y_q] over every q is two contractions, X_p (Y side by side) and
     # (Y stacked) X_p, so each ordered product is built once: 30 generators
     # x three families (J J, J K, K K) x 2 = 180 kernel calls for the index
     # relations (3,600 matrix products in the per-pair loop), 3 x 3 x 2 = 18
@@ -557,28 +578,34 @@ def test_relation_loops_build_each_ordered_product_once(monkeypatch):
     # per pair: index 96 building J and K and 72 for i J and i K (1,080
     # right-hand sides in the per-pair loop), Lorentz 6 building the
     # generators and 6 for i X, split 72 for the copies, 15 for i (A - B)
-    # and 72 for i A and i B; the results stay
-    calls, product_kernel = Counter(), rotors_module._product
+    # and 72 for i A and i B.  Each generator's non-zero numerators are
+    # located once, in its table, and once more for the family side by side:
+    # index 2 x (30 + 1), Lorentz 2 x (3 + 1), split 2 x (15 + 1); no ring
+    # product is taken, and the results stay
+    calls = Counter()
 
     def counting(name, run):
         return lambda *args: calls.update([name]) or run(*args)
 
-    monkeypatch.setattr(rotors_module, "_product", counting("kernel", product_kernel))
+    monkeypatch.setattr(rotors_module, "_contract", counting("kernel", rotors_module._contract))
+    monkeypatch.setattr(rotors_module, "_locate", counting("locate", rotors_module._locate))
+    monkeypatch.setattr(rotors_module, "_product", counting("product", rotors_module._product))
     monkeypatch.setattr(HMatrix, "__matmul__", counting("matmul", HMatrix.__matmul__))
     monkeypatch.setattr(matrices_module, "_weighted_sum", counting("sums", matrices_module._weighted_sum))
 
     def counted(run):
         calls.clear()
-        return run(), calls["kernel"], calls["matmul"], calls["sums"]
+        return run(), calls["kernel"], calls["locate"], calls["product"] + calls["matmul"], calls["sums"]
 
     assert counted(verify_index_commutators) == ({
         "checked": 900, "failures_jj": 0, "failures_jk": 0, "failures_kk_computed": 0, "printed_kk_failures": 480,
-    }, 180, 0, 96 + 72)
+    }, 180, 62, 0, 96 + 72)
     assert counted(verify_lorentz_commutators) == ({"failures": {"jj": 0, "jk": 0, "kk_computed": 0},
-                                                    "printed_kk_failures": 6}, 18, 0, 6 + 6)
+                                                    "printed_kk_failures": 6}, 18, 8, 0, 6 + 6)
     jg, kg = _index_generators()
     clean = {"cross_failures": 0, "structure_failures": 0, "reconstruction_failures": 0}
-    assert counted(lambda: verify_null_split(jg, kg, _INDEX_PAIRS, _index_constants)) == (clean, 90, 0, 72 + 15 + 72)
+    assert counted(lambda: verify_null_split(jg, kg, _INDEX_PAIRS, _index_constants)) == (
+        clean, 90, 32, 0, 72 + 15 + 72)
     # with the structure constants of the swapped pair, each failing ordered
     # pair is still counted, as a loop over the commutators counts it
     want = sum(commutator(g[p], g[q]) != index_rhs(g, q, p)
@@ -617,7 +644,8 @@ def test_a_bad_family_is_refused_at_entry_naming_its_label(kind, error, monkeypa
     def refuse(*args):
         raise AssertionError("a product was taken")
 
-    monkeypatch.setattr(rotors_module, "_product", refuse)
+    for name in ("_product", "_locate", "_contract"):
+        monkeypatch.setattr(rotors_module, name, refuse)
     monkeypatch.setattr(HMatrix, "__matmul__", refuse)
     rot, boo = bad_lorentz_family(kind)
     with pytest.raises(error, match="generator 1 "):
@@ -927,6 +955,17 @@ def test_rotor_from_matrix_rejects_a_nan_on_a_full_ring_by_its_spin_test(idx):
     coords[idx] = math.nan
     with pytest.raises(ValueError, match="spin condition violated: residual nan"):
         rotor_from_matrix(get_rep("c30bar"), HMatrix._new(2, coords, None))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_matrix_whose_squared_size_leaves_the_float_range_has_no_certificate(exact):
+    # diag(10^200, 10^-200) is no group element, and its bound CERT_TOL (1 +
+    # |m|^2) is infinite, which certifies nothing: the residual is NaN, as for
+    # the m4 boost of rapidity 1000, whose cosh(500)^2 overflows
+    big = Fraction(10**200) if exact else 1e200
+    m = HMatrix.from_real_coords([big, 0, 0, 0] + [0] * 8 + [1 / big, 0, 0, 0])
+    with pytest.raises(ValueError, match="spin condition violated: residual nan"):
+        rotor_from_matrix(get_space("m4").rep, m)
 
 
 def test_act_rejects_a_nan_image_by_its_span_test():

@@ -1,7 +1,7 @@
 """The benchmark pair summary of ``tools/pairs.py``, the record
-comparison of ``tools/compare_outputs.py`` and the unentered-function,
-unexecuted-line and rule-call lists of ``tools/reach.py``, on canned
-results and stubbed runs."""
+comparison of ``tools/compare_outputs.py``, the unentered-function,
+unexecuted-line and rule-call lists of ``tools/reach.py`` and the layer
+timings of ``tools/layers.py``, on canned results and stubbed runs."""
 
 import importlib.util
 import json
@@ -10,6 +10,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,7 @@ def _tool(name):
     return module
 
 
-pairs, compare_outputs, reach = _tool("pairs"), _tool("compare_outputs"), _tool("reach")
+pairs, compare_outputs, reach, layers = _tool("pairs"), _tool("compare_outputs"), _tool("reach"), _tool("layers")
 
 METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
@@ -733,3 +734,82 @@ def test_reach_entering_prints_each_stage_by_origin(monkeypatch, capsys):
     ]
     assert cleared == [True, True]  # each stage starts from cold caches
     assert reach.main(["--entering", "--lines"]) == 2
+
+
+class StubSpeed:
+    """perfbench/speed.py's ``SpeedReference`` at a fixed factor: every
+    duration scaled counts twice."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    @staticmethod
+    def scaled(a, b):
+        return 2.0 * (b - a)
+
+
+def stub_library(calls):
+    """``layers._import``'s modules: the environment, the speed reference and
+    a verifier of one suite, which records each suite it runs."""
+    run = SimpleNamespace(environment=lambda: {"python": "3.x", "source_sha256": "abc"})
+    checks = SimpleNamespace(SUITE_NAMES=("tables",), run_suite=calls.append)
+    return run, SimpleNamespace(SpeedReference=StubSpeed), None, checks, None, None, None, None
+
+
+def test_layers_time_each_layer_per_backend_and_each_suite_and_write_the_file(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(layers, "ROOT", tmp_path)
+    monkeypatch.setattr(layers, "REPEAT_S", 0.0)
+    monkeypatch.setattr(layers, "_import", lambda: stub_library(calls))
+    table = {"scalars.mul": (lambda a, b: a * b, lambda rng, exact: (rng.randint(1, 9), 2 if exact else 2.0)),
+             "rotors.act": (lambda x: x, lambda rng, exact: (exact,)),
+             "rotors.verify_index_commutators": (lambda: None, lambda rng, exact: ())}
+    monkeypatch.setattr(layers, "layers", lambda *modules: table)
+    assert layers.main(["stub"]) == 0
+    assert capsys.readouterr().out == "wrote BENCH_stub.json: 5 figures\n"
+    bench = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert (bench["tag"], bench["env"], bench["repeats"]) == ("stub", {"python": "3.x", "source_sha256": "abc"}, 5)
+    # both backends where the layer takes either, floats for a rotor path,
+    # none for an entry point with no operand; the suites in ms
+    assert list(bench["layers"]) == ["scalars.mul.exact", "scalars.mul.float", "rotors.act.float",
+                                     "rotors.verify_index_commutators", "suite.tables"]
+    for label, figure in bench["layers"].items():
+        assert figure["unit"] == ("ms" if label.startswith("suite.") else "us")
+        assert figure["value"] == pytest.approx(2.0 * figure["raw"]) and figure["raw"] > 0
+    # one untimed round, one calibrating repeat of one round, then one
+    # repeat in each pass over the layers
+    assert calls == ["tables"] * (2 + layers.REPEATS)
+
+
+def test_layers_time_the_tier1_run_when_asked(tmp_path, monkeypatch):
+    monkeypatch.setattr(layers, "ROOT", tmp_path)
+    monkeypatch.setattr(layers, "_import", lambda: stub_library([]))
+    monkeypatch.setattr(layers, "layers", lambda *modules: {})
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        runs.append((argv, kwargs["cwd"], kwargs["env"]["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(argv, 1, stdout="..F\n1 failed, 2 passed in 0.01s\n", stderr="")
+
+    monkeypatch.setattr(layers.subprocess, "run", fake_run)
+    assert layers.main(["t", "--tier1"]) == 0
+    tier1 = json.loads((tmp_path / "BENCH_t.json").read_text())["layers"]["tier1"]
+    assert (tier1["unit"], tier1["exit"], tier1["summary"]) == ("s", 1, "1 failed, 2 passed in 0.01s")
+    assert runs == [([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      "--continue-on-collection-errors"], tmp_path, "1")]
+
+
+def test_layers_compare_prints_the_ratio_of_each_figure_both_files_hold(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(layers, "ROOT", tmp_path)
+    for tag, value in (("a", 10.0), ("b", 7.5)):
+        figures = {"rotors.act.float": {"unit": "us", "value": value, "raw": value},
+                   f"only.{tag}": {"unit": "us", "value": 1.0, "raw": 1.0}}
+        (tmp_path / f"BENCH_{tag}.json").write_text(json.dumps({"tag": tag, "layers": figures}))
+    assert layers.main(["--compare", "a", "b"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| layer | a | b | ratio |", "|---|---|---|---|", "| rotors.act.float | 10 us | 7.5 us | 0.75 |"]
+    with pytest.raises(SystemExit):
+        layers.main([])
